@@ -4,8 +4,13 @@ Formats owned here:
 
 * chip configuration: versioned YAML with power coefficients (converted to
   amplitudes at load), phase errors, spectrum, loss;
-* event files: TSV with a ``# key=value`` header block, one record per
-  line as ``timestamp_ns<TAB>channel``;
+* event files: TSV with a ``# key=value`` header block, a
+  ``timestamp_ns<TAB>channel`` column line, then one record per line.
+  Every record matches ``[0-9]+\t(UF|UN|DF|DN)\n`` exactly: ASCII
+  decimal digits with no sign, space or underscore, one tab, the channel
+  label, and a newline, which the last record needs too.  Anything else
+  in the body, a blank line or a CRLF ending included, is a malformed
+  record;
 * correlation grids: TSV long format (phi, theta, E, stderr);
 * result documents: JSON with a ``kind`` discriminator.
 
@@ -13,7 +18,8 @@ Every writer is canonical (sorted keys, repr floats) so write -> read ->
 write round-trips byte-identically, and all writes go through a
 temp-then-rename so readers never see partial files.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (a search or
+fit that did not converge, or an extractor FFT that lost integer precision).
 Errors are mirrored to stderr as one-line JSON records.
 """
 
@@ -31,7 +37,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 import yaml
-from scipy import optimize
 
 from .bell import ChiResult, CorrelationGrid, best_combination_search, chi_alpha_ideal
 from .certify import (CertificationResult, CorrectionEstimate, PhaseErrorSet,
@@ -145,6 +150,8 @@ def fit_mzi_calibration(samples: Sequence[tuple[float, float]], port: int = 1) -
     c0 = off0 - amp0
     d0 = psi0 / 2.0 if port == 1 else (psi0 - math.pi) / 2.0
 
+    from scipy import optimize  # only calibrate needs scipy; keep it off the import path
+
     model = _fringe_model(port)
     try:
         popt, pcov = optimize.curve_fit(model, w, inten, p0=(a0, b0, c0, d0), maxfev=20000)
@@ -169,12 +176,12 @@ def fit_mzi_calibration(samples: Sequence[tuple[float, float]], port: int = 1) -
 # atomic writes and the chip configuration format
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path | str, data: str) -> None:
+def _atomic_write(path: Path | str, data: str | bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
         os.replace(tmp, path)
     finally:
@@ -355,6 +362,38 @@ _EVENT_MAGIC = "# pathqrng-events v1"
 _GRID_MAGIC = "# pathqrng-grid v1"
 
 
+_EVENT_COLUMNS = "timestamp_ns\tchannel"
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_LABEL_BYTES = np.frombuffer("".join(CHANNELS).encode("ascii"), dtype=np.uint8).reshape(4, 2)
+# channel code of each two-byte label read as a big-endian 16-bit number;
+# 255 marks a label that is not a channel
+_LABEL_CODES = np.full(1 << 16, 255, dtype=np.uint8)
+_LABEL_CODES[_LABEL_BYTES[:, 0].astype(np.uint16) << 8 | _LABEL_BYTES[:, 1]] = np.arange(4)
+
+
+def _format_records(timestamps: np.ndarray, channels: np.ndarray) -> bytes:
+    """Record lines of non-negative, non-decreasing timestamps.
+
+    Sorted timestamps fall into one run per digit count, and within a run
+    every line has the same width, so each run is filled as a 2-d block.
+    """
+    cuts = np.r_[0, np.searchsorted(timestamps, _POW10), timestamps.size]
+    blocks = []
+    for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]), start=1):
+        if hi == lo:
+            continue
+        block = np.empty((hi - lo, k + 4), dtype=np.uint8)
+        rest = timestamps[lo:hi]
+        for j in range(k - 1, -1, -1):
+            rest, digit = np.divmod(rest, 10)
+            block[:, j] = digit + ord("0")
+        block[:, k] = ord("\t")
+        block[:, k + 1 : k + 3] = _LABEL_BYTES[channels[lo:hi]]
+        block[:, k + 3] = ord("\n")
+        blocks.append(block.tobytes())
+    return b"".join(blocks)
+
+
 def write_event_file(stream: EventStream, path: Path | str) -> None:
     lines = [_EVENT_MAGIC,
              f"# phi={stream.phi!r}",
@@ -364,43 +403,88 @@ def write_event_file(stream: EventStream, path: Path | str) -> None:
              f"# seed={stream.seed}"]
     if stream.rate_hz is not None:
         lines.append(f"# rate_hz={stream.rate_hz!r}")
-    lines.append("timestamp_ns\tchannel")
-    labels = np.asarray(CHANNELS)
-    lines.extend(f"{int(t)}\t{labels[c]}" for t, c in zip(stream.timestamps_ns, stream.channels))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines.append(_EVENT_COLUMNS)
+    header = ("\n".join(lines) + "\n").encode("ascii")
+    _atomic_write(path, header + _format_records(stream.timestamps_ns, stream.channels))
+
+
+def _read_event_header(data: bytes, path: Path | str) -> tuple[dict[str, str], int]:
+    """Meta fields and the offset just past the column line."""
+    head, column_line, _ = data.partition(f"\n{_EVENT_COLUMNS}\n".encode("ascii"))
+    lines = head.decode("utf-8", errors="replace").split("\n")
+    if lines[0] != _EVENT_MAGIC:
+        raise ValidationError(f"{path}: not a pathqrng event file")
+    if not column_line:
+        raise ValidationError(f"{path}: missing column header")
+    meta: dict[str, str] = {}
+    for line in lines[1:]:
+        if not line.startswith("# "):
+            raise ValidationError(f"{path}: unexpected header line {line!r}")
+        key, _, value = line[2:].partition("=")
+        meta[key] = value
+    return meta, len(head) + len(column_line)
+
+
+def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and channel codes of the record lines in ``body``.
+
+    Lines of equal width are parsed together as one 2-d block.  A sorted
+    stream keeps each width in consecutive lines, so its blocks are views.
+    """
+    def reject(line: int, what: str = "malformed record") -> ValidationError:
+        text = body[starts[line] : ends[line]].tobytes().decode("utf-8", errors="replace")
+        return ValidationError(f"{path}: {what} {text!r}")
+
+    ends = np.flatnonzero(body == ord("\n"))
+    if body.size and body[-1] != ord("\n"):
+        ends = np.r_[ends, body.size]  # an unterminated last line
+    starts = np.r_[0, ends[:-1] + 1] if ends.size else ends
+    if ends.size and ends[-1] == body.size:
+        raise reject(ends.size - 1)
+    timestamps = np.empty(ends.size, dtype=np.int64)
+    codes = np.empty(ends.size, dtype=np.uint8)
+    widths = ends + 1 - starts
+    run_starts = np.r_[0, np.flatnonzero(np.diff(widths)) + 1] if ends.size else ends
+    for width in np.unique(widths[run_starts]):
+        rows = np.flatnonzero(widths == width)
+        k = int(width) - 4  # digits per line
+        if k < 1:
+            raise reject(rows[0])
+        if rows[-1] - rows[0] + 1 == rows.size:  # consecutive lines: a view
+            sel = slice(rows[0], rows[-1] + 1)
+            block = body[starts[rows[0]] : ends[rows[-1]] + 1].reshape(-1, width)
+        else:
+            sel = rows
+            block = body[starts[rows][:, None] + np.arange(width)]
+        codes[sel] = _LABEL_CODES[block[:, k + 1].astype(np.uint16) << 8 | block[:, k + 2]]
+        ok = (block[:, k] == ord("\t")) & (codes[sel] != 255)
+        # 19 digits fit in uint64; a longer number fits only with leading zeros
+        fits = np.ones(rows.size, dtype=bool)
+        value = np.zeros(rows.size, dtype=np.uint64)
+        for j in range(k):
+            digit = block[:, j] - ord("0")
+            ok &= digit <= 9
+            if j < k - 19:
+                fits &= digit == 0
+            else:
+                value *= 10
+                value += digit
+        if not ok.all():
+            raise reject(rows[np.argmin(ok)])
+        fits &= value <= np.iinfo(np.int64).max
+        if not fits.all():
+            raise reject(rows[np.argmin(fits)], "timestamp out of range in record")
+        timestamps[sel] = value
+    return timestamps, codes
 
 
 def read_event_file(path: Path | str) -> EventStream:
-    text = Path(path).read_text().splitlines()
-    if not text or text[0] != _EVENT_MAGIC:
-        raise ValidationError(f"{path}: not a pathqrng event file")
-    meta: dict[str, str] = {}
-    body_start = None
-    for i, line in enumerate(text[1:], start=1):
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            meta[key] = value
-        elif line == "timestamp_ns\tchannel":
-            body_start = i + 1
-            break
-        else:
-            raise ValidationError(f"{path}: unexpected header line {line!r}")
-    if body_start is None:
-        raise ValidationError(f"{path}: missing column header")
+    data = Path(path).read_bytes()
+    meta, body_start = _read_event_header(data, path)
     required = {"phi", "theta", "duration_s", "bin_width_us", "seed"}
     if not required <= set(meta):
         raise ValidationError(f"{path}: missing meta fields {sorted(required - set(meta))}")
-    rows = [line for line in text[body_start:] if line]
-    ts = np.empty(len(rows), dtype=np.int64)
-    ch = np.empty(len(rows), dtype=np.uint8)
-    index = {c: i for i, c in enumerate(CHANNELS)}
-    try:
-        for k, line in enumerate(rows):
-            t_str, c_str = line.split("\t")
-            ts[k] = int(t_str)
-            ch[k] = index[c_str]
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(f"{path}: malformed record {line!r}") from exc
+    ts, ch = _parse_records(np.frombuffer(data, dtype=np.uint8, offset=body_start), path)
     try:
         return EventStream(
             ts, ch, phi=float(meta["phi"]), theta=float(meta["theta"]),
@@ -466,6 +550,17 @@ def write_json_doc(doc: Mapping[str, Any], path: Path | str) -> None:
     _atomic_write(path, _dump_json(doc))
 
 
+# the fields each document kind must carry; dots step into nested objects
+_DOC_FIELDS = {
+    "chi-result": ("chi", "stderr", "sign", "angles.phi", "angles.phi_prime",
+                   "angles.theta", "angles.theta_prime"),
+    "certification": ("chi_real", "e_chi", "e_p", "p_guess", "h_min_bits", "h_min_percent",
+                      "certified_rate_hz"),
+    "mzi-calibration": ("a", "b", "c", "d", "residual_rms", "port"),
+    "correction-estimate": ("term", "value", "converged", "starts", "probes", "seed"),
+}
+
+
 def read_json_doc(path: Path | str) -> dict[str, Any]:
     try:
         doc = json.loads(Path(path).read_text())
@@ -473,6 +568,12 @@ def read_json_doc(path: Path | str) -> dict[str, Any]:
         raise ValidationError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValidationError(f"{path}: not a result document (no 'kind')")
+    for field in _DOC_FIELDS.get(doc["kind"], ()):
+        node = doc
+        for key in field.split("."):
+            if not isinstance(node, dict) or key not in node:
+                raise ValidationError(f"{path}: {doc['kind']} document lacks {field!r}")
+            node = node[key]
     return doc
 
 
@@ -893,7 +994,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         _emit_error_record(type(exc).__name__, args.command, str(exc))
         return EXIT_VALIDATION
-    except (CalibrationError, ConvergenceError) as exc:
+    except RuntimeError as exc:  # CalibrationError, ConvergenceError, lost FFT precision
         _emit_error_record(type(exc).__name__, args.command, str(exc))
         return EXIT_NONCONVERGENCE
 

@@ -7,19 +7,24 @@ ambiguous and get resolved to a single outcome by a seeded tie rule before
 bit extraction.  Bell statistics elsewhere use the raw records directly;
 only the extracted bit pipeline goes through tie resolution.
 
-The extractor is a seeded Toeplitz hash, implemented as one long FFT
+The extractor is a seeded Toeplitz hash, implemented as one FFT
 convolution reduced mod 2, so that megabit inputs stay fast without any
-matrix materialization.
+matrix materialization.  Only the m "valid" outputs of the n-bit input
+against the (n + m - 1)-bit seed row are needed, and the linear
+convolution at those indices has no wrap-around partner in a circular
+convolution of any length >= n + m - 1; the FFT therefore runs at the
+smallest 2^a 3^b 5^c length that covers n + m - 1, not at the full
+2n + m - 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import signal, stats
 
 from .qmath import CHANNELS, distribution_dict, distribution_vector
 
@@ -138,32 +143,44 @@ def bin_and_resolve(stream: EventStream, tie_seed: int = 0, mode: str = "fired")
     sizes = ends - starts
 
     out_idx = stream.channels[starts].astype(np.int64)
+    multi = np.flatnonzero(sizes > 1)
     rng = np.random.default_rng(tie_seed)
-    for k in np.flatnonzero(sizes > 1):
-        group = stream.channels[starts[k] : ends[k]]
-        if mode == "fired":
-            options = np.unique(group)
-            out_idx[k] = int(options[rng.integers(len(options))])
-        else:
-            out_idx[k] = int(rng.integers(4))
+    if mode == "fired":
+        # one bit per channel that fired in the bin; the draw picks the
+        # k-th fired channel in index order, as a draw from the sorted
+        # distinct channels does
+        mask = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), stream.channels), starts)[multi]
+        fired = (mask[:, None] >> np.arange(4, dtype=np.uint8)) & 1
+        k = rng.integers(fired.sum(axis=1, dtype=np.int64))
+        out_idx[multi] = np.argmax(fired.cumsum(axis=1) > k[:, None], axis=1)
+    else:
+        out_idx[multi] = rng.integers(4, size=multi.size)
     return np.asarray(CHANNELS, dtype="U2")[out_idx]
+
+
+def _channel_codes(outcomes: Sequence[str] | np.ndarray) -> np.ndarray:
+    """Channel indices 0..3 (int64) of a label or index sequence."""
+    arr = np.asarray(outcomes)
+    if arr.dtype.kind in ("U", "S"):
+        codes = np.full(arr.shape, -1, dtype=np.int64)
+        for i, name in enumerate(np.asarray(CHANNELS, dtype=arr.dtype.kind)):
+            codes[arr == name] = i
+        unknown = np.flatnonzero(codes < 0)
+        if unknown.size:
+            raise ValueError(f"unknown channel label {arr.flat[unknown[0]].item()!r}")
+        return codes
+    codes = arr.astype(np.int64)
+    if codes.size and (codes.min() < 0 or codes.max() > 3):
+        raise ValueError("channel indices must be 0..3")
+    return codes
 
 
 def estimate_probabilities(outcomes: Sequence[str] | np.ndarray) -> dict[str, float]:
     """Channel frequencies of a label (or index) sequence."""
-    arr = np.asarray(outcomes)
-    if arr.size == 0:
+    codes = _channel_codes(outcomes)
+    if codes.size == 0:
         raise ValueError("no outcomes to estimate from")
-    if arr.dtype.kind in ("U", "S"):
-        idx = {c: i for i, c in enumerate(CHANNELS)}
-        try:
-            arr = np.array([idx[str(v)] for v in arr], dtype=np.int64)
-        except KeyError as bad:
-            raise ValueError(f"unknown channel label {bad.args[0]!r}") from None
-    counts = np.bincount(arr.astype(np.int64), minlength=4)
-    if counts.size > 4:
-        raise ValueError("channel indices must be 0..3")
-    return distribution_dict(counts / arr.size)
+    return distribution_dict(np.bincount(codes, minlength=4) / codes.size)
 
 
 def resolved_distribution(distribution: Mapping[str, float] | Sequence[float],
@@ -259,7 +276,7 @@ def windowed_traces(streams: Sequence[EventStream], window_s: float = 0.05,
     mean = float(chis.mean())
     half = 0.0
     if n_win > 1:
-        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
         half = z * float(chis.std(ddof=1)) / math.sqrt(n_win)
     return WindowedTrace(window_s=window_s, confidence=confidence, probabilities=probs,
                          chi_values=chis, chi_mean=mean, ci_low=mean - half, ci_high=mean + half)
@@ -271,18 +288,11 @@ def raw_bits(outcomes: Sequence[str] | np.ndarray) -> str:
     UF -> 00, UN -> 01, DF -> 10, DN -> 11; the first bit is the absolute
     position (U/D), the second the relative one (F/N).
     """
-    arr = np.asarray(outcomes)
-    if arr.size == 0:
-        return ""
-    if arr.dtype.kind in ("U", "S"):
-        idx = {c: i for i, c in enumerate(CHANNELS)}
-        codes = np.array([idx[str(v)] for v in arr], dtype=np.int64)
-    else:
-        codes = arr.astype(np.int64)
-        if codes.size and (codes.min() < 0 or codes.max() > 3):
-            raise ValueError("channel indices must be 0..3")
-    table = np.array(["00", "01", "10", "11"])
-    return "".join(table[codes])
+    codes = _channel_codes(outcomes).ravel()
+    pairs = np.empty((codes.size, 2), dtype=np.uint8)
+    pairs[:, 0] = codes >> 1
+    pairs[:, 1] = codes & 1
+    return (pairs + ord("0")).tobytes().decode("ascii")
 
 
 def toeplitz_extract(bits: str, h_min_bits_per_event: float,
@@ -303,7 +313,8 @@ def toeplitz_extract(bits: str, h_min_bits_per_event: float,
         raise ValueError("certified entropy per event must lie in (0, 1]")
     if not 0.0 < security_eps < 1.0:
         raise ValueError("security parameter must lie in (0, 1)")
-    if any(c not in "01" for c in bits):
+    x = np.frombuffer(bits.encode("ascii", errors="replace"), dtype=np.uint8) - ord("0")
+    if np.any(x > 1):
         raise ValueError("raw bits must be a 0/1 string")
     n = len(bits)
     k = n // 2
@@ -312,16 +323,41 @@ def toeplitz_extract(bits: str, h_min_bits_per_event: float,
         raise ValueError(f"insufficient certified entropy ({k} events) for the "
                          f"security parameter; need a longer run")
 
-    x = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     rng = np.random.default_rng(seed)
     t = rng.integers(0, 2, size=n + m - 1, dtype=np.uint32)
 
-    # y_i = sum_j t[i - j + n - 1] x_j mod 2 is a slice of the convolution
-    # of t with x; the counts stay far below 2^53, so the FFT convolution
-    # rounds back to the exact integers
-    conv = signal.fftconvolve(t.astype(float), x.astype(float))[n - 1 : n - 1 + m]
+    # the counts stay far below 2^53, so the FFT convolution rounds back
+    # to the exact integers
+    conv = _toeplitz_sums(t, x, m)
     ints = np.rint(conv)
     if float(np.max(np.abs(conv - ints), initial=0.0)) > 0.25:
         raise RuntimeError("convolution lost integer precision")
-    y = ints.astype(np.int64) & 1
-    return "".join("1" if b else "0" for b in y)
+    y = (ints.astype(np.int64) & 1).astype(np.uint8)
+    return (y + ord("0")).tobytes().decode("ascii")
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c that is >= n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _toeplitz_sums(t: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """y_i = sum_j t[i - j + n - 1] x_j for i < m, in floating point.
+
+    These are the m valid outputs of the linear convolution t * x; a
+    circular convolution of length >= n + m - 1 = len(t) leaves them
+    unaliased.
+    """
+    n = x.size
+    size = _fft_size(t.size)
+    spectrum = np.fft.rfft(t, size) * np.fft.rfft(x, size)
+    return np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]

@@ -193,3 +193,58 @@ def toeplitz_rows_extract(bits, m, seed):
         row = t[i + n - 1 - cols]
         out.append("1" if (int(row @ x) & 1) else "0")
     return "".join(out)
+
+
+def bin_and_resolve_loop(stream, tie_seed=0, mode="fired"):
+    """Tie resolution one multi-click bin at a time, in bin order: a draw
+    from the sorted distinct channels that fired, or from all four."""
+    labels = np.asarray(("UF", "UN", "DF", "DN"), dtype="U2")
+    if len(stream) == 0:
+        return np.empty(0, dtype="U2")
+    bins = stream.timestamps_ns // stream.bin_width_ns
+    starts = np.flatnonzero(np.r_[True, np.diff(bins) > 0])
+    ends = np.r_[starts[1:], len(stream)]
+    out_idx = stream.channels[starts].astype(np.int64)
+    rng = np.random.default_rng(tie_seed)
+    for k in np.flatnonzero(ends - starts > 1):
+        group = stream.channels[starts[k] : ends[k]]
+        if mode == "fired":
+            options = np.unique(group)
+            out_idx[k] = int(options[rng.integers(len(options))])
+        else:
+            out_idx[k] = int(rng.integers(4))
+    return labels[out_idx]
+
+
+def event_file_text_by_lines(stream):
+    """An event file built line by line with str formatting."""
+    lines = ["# pathqrng-events v1",
+             f"# phi={stream.phi!r}",
+             f"# theta={stream.theta!r}",
+             f"# duration_s={stream.duration_s!r}",
+             f"# bin_width_us={stream.bin_width_us!r}",
+             f"# seed={stream.seed}"]
+    if stream.rate_hz is not None:
+        lines.append(f"# rate_hz={stream.rate_hz!r}")
+    lines.append("timestamp_ns\tchannel")
+    labels = ("UF", "UN", "DF", "DN")
+    lines.extend(f"{int(t)}\t{labels[c]}" for t, c in zip(stream.timestamps_ns, stream.channels))
+    return "\n".join(lines) + "\n"
+
+
+def event_records_by_lines(text):
+    """(meta, timestamps, channel codes) of an event file, one line at a
+    time with int(); raises ValueError on a record it cannot split."""
+    lines = text.splitlines()
+    meta = {}
+    body = lines.index("timestamp_ns\tchannel") + 1
+    for line in lines[1 : body - 1]:
+        key, _, value = line[2:].partition("=")
+        meta[key] = value
+    index = {c: i for i, c in enumerate(("UF", "UN", "DF", "DN"))}
+    ts, ch = [], []
+    for line in lines[body:]:
+        t_str, c_str = line.split("\t")
+        ts.append(int(t_str))
+        ch.append(index[c_str])
+    return meta, np.array(ts, dtype=np.int64), np.array(ch, dtype=np.uint8)

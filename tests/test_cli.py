@@ -4,11 +4,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from pathqrng import cli, events
 from pathqrng.bell import CorrelationGrid
 from pathqrng.certify import CorrectionEstimate
@@ -216,6 +220,81 @@ class TestEventFiles:
         p.write_text("# pathqrng-events v1\n# phi=0.0\n# theta=0.0\n# duration_s=1.0\n"
                      "# bin_width_us=1.0\n# seed=0\ntimestamp_ns\tchannel\n0\tXX\n")
         with pytest.raises(cli.ValidationError, match="malformed record"):
+            cli.read_event_file(p)
+
+    HEADER = ("# pathqrng-events v1\n# phi=0.0\n# theta=0.0\n# duration_s=1.0\n"
+              "# bin_width_us=1.0\n# seed=0\ntimestamp_ns\tchannel\n")
+
+    @staticmethod
+    def wide_stream():
+        # every digit count from 1 to 17, each at its boundaries
+        edges = [0, 1, 9] + [v for k in range(1, 17) for v in (10 ** k - 1, 10 ** k, 10 ** k + 1)]
+        ts = np.unique(np.array(edges, dtype=np.int64))
+        ch = np.random.default_rng(3).integers(0, 4, size=ts.size).astype(np.uint8)
+        return events.EventStream(ts, ch, phi=0.1, theta=-0.2, duration_s=2e7,
+                                  bin_width_us=1.0, seed=4)
+
+    @pytest.mark.parametrize("case", ["paper-rate", "multi-click", "empty", "wide"])
+    def test_writer_and_reader_match_line_oracles(self, tmp_path, case):
+        if case == "wide":
+            s = self.wide_stream()
+        else:
+            rate = {"paper-rate": 1.2e5, "multi-click": 9e5, "empty": 0.0}[case]
+            s = events.simulate_events((0.4, 0.1, 0.2, 0.3), rate, 0.05, seed=17,
+                                       phi=-0.576, theta=-1.11)
+        path = tmp_path / "ev.tsv"
+        cli.write_event_file(s, path)
+        text = oracles.event_file_text_by_lines(s)
+        assert path.read_bytes() == text.encode("ascii")
+        meta, ts, ch = oracles.event_records_by_lines(text)
+        back = cli.read_event_file(path)
+        assert back.timestamps_ns.dtype == np.int64 and back.channels.dtype == np.uint8
+        assert np.array_equal(back.timestamps_ns, ts) and np.array_equal(back.channels, ch)
+        assert (back.phi, back.theta, back.seed) == (float(meta["phi"]), float(meta["theta"]),
+                                                     int(meta["seed"]))
+
+    def test_leading_zeros_and_mixed_widths_parse(self, tmp_path):
+        body = "0\tUF\n007\tDN\n7\tUN\n0000000000000000000012\tDF\n012\tUF\n"
+        p = tmp_path / "z.tsv"
+        p.write_text(self.HEADER + body)
+        _, ts, ch = oracles.event_records_by_lines(self.HEADER + body)
+        back = cli.read_event_file(p)
+        assert back.timestamps_ns.tolist() == ts.tolist() == [0, 7, 7, 12, 12]
+        assert back.channels.tolist() == ch.tolist() == [0, 3, 1, 2, 0]
+
+    @pytest.mark.parametrize("body", [
+        "+5\tUF\n",            # sign
+        " 7\tUF\n",            # leading space
+        "1_0\tUF\n",           # digit separator
+        "1:0\tUF\n",           # the byte after '9'
+        "1/0\tUF\n",           # the byte before '0'
+        "5 UF\n",              # missing tab
+        "5UF\n",               # missing tab
+        "5\tXX\n",             # unknown label
+        "5\tUF",               # missing final newline
+        "5\tUF\r\n",           # CRLF
+        "5\tUF\n\n6\tDN\n",    # blank line
+        "5\tUF\n\n",           # trailing blank line
+        "5\tU\u00c9\n",         # non-ASCII label
+        "\u0665\tUF\n",         # non-ASCII digit
+        "5\t\tUF\n",           # two tabs
+        "\tUF\n",              # no digits
+        "5\tUFN\n",            # label too long
+        "5\tuf\n",             # lower case
+    ])
+    def test_malformed_record_corpus(self, tmp_path, body):
+        p = tmp_path / "bad.tsv"
+        p.write_bytes((self.HEADER + "1\tDN\n" + body).encode("utf-8"))
+        with pytest.raises(cli.ValidationError, match="malformed record"):
+            cli.read_event_file(p)
+
+    def test_timestamp_beyond_int64_rejected(self, tmp_path):
+        p = tmp_path / "big.tsv"
+        p.write_text(self.HEADER + "9223372036854775808\tUF\n")
+        with pytest.raises(cli.ValidationError, match="out of range"):
+            cli.read_event_file(p)
+        p.write_text(self.HEADER + "19223372036854775807\tUF\n")
+        with pytest.raises(cli.ValidationError, match="out of range"):
             cli.read_event_file(p)
 
 
@@ -433,6 +512,21 @@ class TestCertifyCommand:
                              "--out", str(tmp_path / "c.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "chi-result"},
+        {"kind": "chi-result", "chi": 2.7, "stderr": 0.01, "sign": "max"},
+        {"kind": "chi-result", "chi": 2.7, "stderr": 0.01, "sign": "max",
+         "angles": {"phi": 0.0, "phi_prime": 0.0, "theta": 0.0}},
+        {"kind": "chi-result", "chi": 2.7, "stderr": 0.01, "sign": "max", "angles": [0.0]},
+    ])
+    def test_incomplete_chi_file_is_validation_error(self, tmp_path, doc):
+        (tmp_path / "chi.json").write_text(json.dumps(doc))
+        for argv in (["certify", "--chi-file", str(tmp_path / "chi.json"), "--e-chi", "0.09",
+                      "--e-p", "0.02", "--out", str(tmp_path / "c.json")],
+                     ["report", "--result", str(tmp_path / "chi.json")]):
+            code, _, err = run_cli(*argv)
+            assert code == 2 and "lacks" in json.loads(err)["message"]
+
 
 class TestAnalyzeCommand:
     def test_windowed_trace_csv(self, tmp_path):
@@ -481,6 +575,18 @@ class TestExtractCommand:
         code, _, err = run_cli("extract", "--events", str(tmp_path / "ev.tsv"),
                                "--h-min", "0.33", "--out", str(tmp_path / "b.txt"))
         assert code == 2 and "insufficient" in json.loads(err)["message"]
+
+    def test_lost_fft_precision_exits_3(self, tmp_path, monkeypatch):
+        s = events.simulate_events((0.25,) * 4, 1.2e5, 0.01, seed=5)
+        cli.write_event_file(s, tmp_path / "ev.tsv")
+        exact = events._toeplitz_sums
+        monkeypatch.setattr(events, "_toeplitz_sums", lambda t, x, m: exact(t, x, m) + 0.5)
+        code, _, err = run_cli("extract", "--events", str(tmp_path / "ev.tsv"),
+                               "--h-min", "0.33", "--out", str(tmp_path / "b.txt"))
+        assert code == 3
+        record = json.loads(err)
+        assert record["error"] == "RuntimeError" and "integer precision" in record["message"]
+        assert not (tmp_path / "b.txt").exists()
 
 
 class TestCalibrateCommand:
@@ -564,3 +670,13 @@ class TestTopLevelParser:
     def test_missing_required_argument_exits_2(self):
         code, _, err = run_cli("extract", "--h-min", "0.33")
         assert code == 2 and json.loads(err)["error"] == "usage"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, pathqrng.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -166,6 +166,20 @@ class TestBinAndResolve:
         with pytest.raises(ValueError, match="mode"):
             events.bin_and_resolve(make_stream([0], [0]), mode="first")
 
+    @pytest.mark.parametrize("mode", ["fired", "uniform4"])
+    @pytest.mark.parametrize("dist, rate_hz, seed", [
+        ((0.4, 0.1, 0.2, 0.3), 1.2e5, 61),      # the paper's rate, ~6% multi-click bins
+        ((0.25, 0.25, 0.25, 0.25), 9e5, 62),    # multi-click heavy
+        ((0.85, 0.05, 0.1, 0.0), 9e5, 63),      # many ties inside one channel
+        ((0.25, 0.25, 0.25, 0.25), 0.0, 64),    # empty
+    ])
+    def test_matches_loop_oracle(self, mode, dist, rate_hz, seed):
+        s = events.simulate_events(dist, rate_hz, 0.2, seed=seed)
+        for tie_seed in (0, seed):
+            got = events.bin_and_resolve(s, tie_seed=tie_seed, mode=mode)
+            want = oracles.bin_and_resolve_loop(s, tie_seed=tie_seed, mode=mode)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestEstimateProbabilities:
     def test_half_half(self):
@@ -329,6 +343,10 @@ class TestRawBits:
         with pytest.raises(ValueError, match="0..3"):
             events.raw_bits(np.array([0, 4]))
 
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown channel label 'XX'"):
+            events.raw_bits(["UF", "XX"])
+
     def test_length_is_twice_occupied_bins(self):
         s = events.simulate_events((0.25, 0.25, 0.25, 0.25), 3e5, 0.1, seed=41)
         out = events.bin_and_resolve(s, tie_seed=41)
@@ -362,6 +380,36 @@ class TestToeplitzExtract:
         assert len(out) == 436
         x = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
         rows = oracles.toeplitz_rows_extract(x.astype(np.int64), 436, seed=11)
+        assert out == "".join(str(int(b)) for b in rows)
+
+    def test_fft_size_is_smallest_5_smooth_cover(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+        for n in range(1, 3000):
+            size = events._fft_size(n)
+            assert size >= n and smooth(size)
+            assert not any(smooth(k) for k in range(n, size))
+
+    def test_valid_part_has_no_wraparound(self):
+        # all-ones inputs make every aliased term show up in the sums
+        for n in range(1, 60):
+            for m in (1, 2, 5, 17):
+                t, x = np.ones(n + m - 1, dtype=np.uint32), np.ones(n, dtype=np.uint8)
+                got = np.rint(events._toeplitz_sums(t, x, m))
+                assert np.array_equal(got, np.convolve(t, x)[n - 1 : n - 1 + m]), (n, m)
+
+    def test_padded_circular_convolution_matches_oracle(self):
+        # n + m - 1 = 1530 + 318 - 1 = 1847 is prime, so the FFT runs at a
+        # padded length
+        bits = self.random_bits(1530, 8)
+        out = events.toeplitz_extract(bits, 0.5, seed=12)
+        n, m = len(bits), len(out)
+        assert n + m - 1 == 1847 and events._fft_size(n + m - 1) > n + m - 1
+        x = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+        rows = oracles.toeplitz_rows_extract(x.astype(np.int64), m, seed=12)
         assert out == "".join(str(int(b)) for b in rows)
 
     def test_seed_determinism(self):

@@ -12,8 +12,8 @@ clicks into nearly uniform bits.
 Modules
 -------
 qmath    exact 2x2 / 4x4 complex linear algebra and the path-qubit basis
-optics   transfer matrices of the integrated components (MMI, PS, MZI)
-chip     full-circuit composition: generation, rotation stages, detection
+optics   splitter, loss and spectrum models; the one closed-form MZI matrix
+chip     full circuit: generation, the batched rotation kernel, detection
 bell     correlation coefficients, CHSH function, scans and searches
 certify  factorization bounds, correction terms, min-entropy certification
 events   Monte Carlo click streams, time binning, traces, extraction

@@ -19,12 +19,13 @@ phi = -alpha/2, phi' = alpha/2, theta = 0, theta' = alpha collapses chi to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .events import EventStream, windowed_traces
 from .qmath import distribution_vector
 
 SQRT6 = math.sqrt(6.0)
@@ -115,6 +116,21 @@ class CorrelationGrid:
                 raise ValueError("stderr shape does not match E")
 
 
+def check_chi(chi: float, stderr: float = 0.0) -> None:
+    """Reject a CHSH value that no quantum experiment can report.
+
+    That is a value or standard error that is not finite, a negative
+    standard error, or |chi| beyond Tsirelson's bound 2 sqrt 2 by more than
+    three standard errors of statistical slack.
+    """
+    if not (math.isfinite(chi) and math.isfinite(stderr) and stderr >= 0.0):
+        raise ValueError(f"chi = {chi!r} +- {stderr!r} must be finite, "
+                         "with a non-negative standard error")
+    if abs(chi) > CHI_QUANTUM_MAX + 3.0 * stderr + 1e-9:
+        raise ValueError(
+            f"chi = {chi!r} violates the quantum bound beyond statistical slack")
+
+
 @dataclass(frozen=True)
 class ChiResult:
     """One CHSH value with the angle tuple that produced it.
@@ -133,9 +149,7 @@ class ChiResult:
     def __post_init__(self) -> None:
         if self.sign not in ("max", "min"):
             raise ValueError("sign must be 'max' or 'min'")
-        if abs(self.chi) > CHI_QUANTUM_MAX + 3.0 * self.stderr + 1e-9:
-            raise ValueError(
-                f"chi = {self.chi!r} violates the quantum bound beyond statistical slack")
+        check_chi(self.chi, self.stderr)
 
 
 def best_combination_search(grid: CorrelationGrid) -> tuple[ChiResult, ChiResult]:
@@ -192,42 +206,13 @@ def best_combination_search(grid: CorrelationGrid) -> tuple[ChiResult, ChiResult
             ChiResult(vmin, amin, stderr=semin, sign="min"))
 
 
-def _subinterval_chis(streams: Sequence, subinterval_s: float) -> np.ndarray:
-    """chi per consecutive subinterval from four raw event streams.
-
-    Streams are ordered (phi,theta), (phi,theta'), (phi',theta),
-    (phi',theta').  Probabilities per subinterval are empirical channel
-    frequencies of the raw detection records; no time-bin reassignment is
-    involved in the Bell statistics.
-    """
-    if len(streams) != 4:
-        raise ValueError("need exactly 4 streams, one per angle pair")
-    if subinterval_s <= 0.0:
-        raise ValueError("subinterval_s must be positive")
-    n_sub = min(int(math.floor(s.duration_s / subinterval_s + 1e-9)) for s in streams)
-    if n_sub < 2:
-        raise ValueError("streams must cover at least 2 subintervals")
-    width_ns = subinterval_s * 1e9
-    es = np.empty((4, n_sub))
-    for i, s in enumerate(streams):
-        inside = s.timestamps_ns < n_sub * width_ns
-        idx = (s.timestamps_ns[inside] / width_ns).astype(np.int64)
-        ch = s.channels[inside].astype(np.int64)
-        counts = np.bincount(idx * 4 + ch, minlength=4 * n_sub).reshape(n_sub, 4).astype(float)
-        totals = counts.sum(axis=1)
-        if np.any(totals == 0.0):
-            raise ValueError(f"stream {i} has an empty {subinterval_s} s subinterval")
-        p = counts / totals[:, None]
-        es[i] = p[:, 0] + p[:, 3] - p[:, 1] - p[:, 2]
-    return es[0] - es[1] + es[2] + es[3]
-
-
-def chi_stderr(streams: Sequence, subinterval_s: float = 0.2) -> float:
+def chi_stderr(streams: Sequence[EventStream], subinterval_s: float = 0.2) -> float:
     """Standard error of chi from the scatter over time subintervals.
 
-    Splits the four aligned streams into consecutive subintervals, computes
-    chi in each, and returns the Bessel-corrected sample standard deviation
-    divided by sqrt(N).
+    Splits the four aligned streams (in CHSH setting order) into the
+    consecutive windows of :func:`events.windowed_traces`, takes chi in
+    each from the raw channel frequencies, and returns the Bessel-corrected
+    sample standard deviation divided by sqrt(N).
     """
-    chis = _subinterval_chis(streams, subinterval_s)
+    chis = windowed_traces(streams, subinterval_s).chi_values
     return float(np.std(chis, ddof=1) / math.sqrt(len(chis)))

@@ -15,6 +15,11 @@ of results implemented here:
   two terms, into a bound on an adversary's best guess of the outcome, and
   ``min_entropy`` converts that into certified bits per detection event.
 
+The rotation operators the search compares come from
+``chip.rotation_matrix``, the same batched kernel that simulates the chip:
+one call per angle batch yields the nearest factorized and the real
+operator side by side.
+
 The correction-term maximization exploits that the objective is linear in
 the input density operator: for fixed angles the best state is an extreme
 point, and the exact inner maximum over all states is the spectral norm of
@@ -31,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chip import Errors4, _check_errors
+from .chip import _NO_ERRORS, Errors4, _check_errors, rotation_matrix, shifter_phases
 from .optics import DESIGN_WAVELENGTH_NM, IDEAL_MMI, MmiParams
 
 SQRT2 = math.sqrt(2.0)
@@ -113,8 +118,8 @@ def hs_error_bound(epsilon: float, stages: int = 1) -> float:
 # batched operator construction for the correction-term search
 # ---------------------------------------------------------------------------
 
-def _resolve_mmis(mmis: Sequence[MmiParams] | None) -> tuple[float, float, float, float]:
-    """Validate and flatten the four MZI splitters to (t_phi, r_phi, t_theta, r_theta).
+def _resolve_mmis(mmis: Sequence[MmiParams] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the four MZI splitters and return their (t, r), each of shape (4,).
 
     The search requires unitary splitters (the state maximization relies on
     the objective being linear in rho) and matched splitters within each
@@ -131,59 +136,26 @@ def _resolve_mmis(mmis: Sequence[MmiParams] | None) -> tuple[float, float, float
             raise ValueError("correction-term search needs unitary (lossless) splitters")
     if vals[0] != vals[1] or vals[2] != vals[3]:
         raise ValueError("correction-term search needs matched splitters within each stage")
-    return vals[0][0], vals[0][1], vals[2][0], vals[2][1]
+    return np.array([v[0] for v in vals]), np.array([v[1] for v in vals])
 
 
-def _mzi_entries(z1: np.ndarray, z2: np.ndarray, t: float, r: float) -> np.ndarray:
-    """(..., 2, 2) MZI transfer matrices for phase arrays z1, z2."""
-    e1 = np.exp(2j * z1)
-    e2 = np.exp(2j * z2)
-    m = np.empty(np.broadcast(z1, z2).shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = t * t * e1 - r * r * e2
-    m[..., 0, 1] = 1j * t * r * (e1 + e2)
-    m[..., 1, 0] = m[..., 0, 1]
-    m[..., 1, 1] = t * t * e2 - r * r * e1
-    return m
+def _rotations(phi: np.ndarray, theta: np.ndarray, errors: PhaseErrorSet,
+               tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(2, ..., 4, 4): the nearest factorized and the real rotation operator.
 
-
-def _stage_pair(angle: np.ndarray, d: Errors4, t: float, r: float) -> tuple[np.ndarray, np.ndarray]:
-    b1 = _mzi_entries(angle + d[0], np.full_like(angle, d[1]), t, r)
-    b2 = _mzi_entries(angle + d[2], np.full_like(angle, d[3]), t, r)
-    return b1, b2
-
-
-def _u_real(phi: np.ndarray, theta: np.ndarray, errors: PhaseErrorSet,
-            mm: tuple[float, float, float, float]) -> np.ndarray:
-    """(..., 4, 4) error-afflicted rotation operator, theta stage after phi."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast(phi, theta).shape
-    rel = np.zeros(shape + (4, 4), dtype=complex)
-    mu, md = _stage_pair(np.broadcast_to(phi, shape), errors.dphi, mm[0], mm[1])
-    rel[..., 0:2, 0:2] = mu
-    rel[..., 2:4, 2:4] = md
-    ab = np.zeros(shape + (4, 4), dtype=complex)
-    mf, mn = _stage_pair(np.broadcast_to(theta, shape), errors.dtheta, mm[2], mm[3])
-    ab[..., 0::2, 0::2] = mf
-    ab[..., 1::2, 1::2] = mn
-    return ab @ rel
-
-
-def _u_ideal(phi: np.ndarray, theta: np.ndarray, errors: PhaseErrorSet,
-             mm: tuple[float, float, float, float]) -> np.ndarray:
-    """Nearest factorized comparison operator at the same nominal angles.
-
-    Per stage this is the closed-form nearest product operator: the
-    rotation angle shifts by the stage's common-mode vartheta.  The global
-    phases e^{i varphi} are dropped since every use conjugates by this
-    operator.
+    Both sit at the same nominal angles, theta stage after phi.  The real
+    operator carries the error set.  The factorized one is, per stage, the
+    closed-form nearest product operator: no errors, the rotation angle
+    shifted by the stage's common-mode vartheta.  Its global phases
+    e^{i varphi} are dropped since every use conjugates by this operator.
     """
     shift_phi = nearest_factorized(errors.dphi).vartheta
     shift_theta = nearest_factorized(errors.dtheta).vartheta
-    zero: Errors4 = (0.0, 0.0, 0.0, 0.0)
-    no_err = PhaseErrorSet(zero, zero)
-    return _u_real(np.asarray(phi, float) + shift_phi, np.asarray(theta, float) + shift_theta,
-                   no_err, mm)
+    phis = np.stack([shifter_phases(phi + shift_phi, 0.0, _NO_ERRORS),
+                     shifter_phases(phi, 0.0, errors.dphi)])
+    thetas = np.stack([shifter_phases(theta + shift_theta, 0.0, _NO_ERRORS),
+                       shifter_phases(theta, 0.0, errors.dtheta)])
+    return rotation_matrix(*tr, phis, thetas)
 
 
 def _conjugate_diag(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -193,7 +165,7 @@ def _conjugate_diag(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 
 def _chi_deviation_operator(angles: np.ndarray, errors: PhaseErrorSet,
-                            mm: tuple[float, float, float, float]) -> np.ndarray:
+                            tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Hermitian operator whose expectation is chi_ideal - chi_real.
 
     ``angles`` has shape (..., 4) holding (phi, phi', theta, theta').  All
@@ -203,9 +175,8 @@ def _chi_deviation_operator(angles: np.ndarray, errors: PhaseErrorSet,
     delta = np.zeros(angles.shape[:-1] + (4, 4), dtype=complex)
     pairs = ((phi, th), (phi, thp), (phip, th), (phip, thp))
     for sign, (p, q) in zip(_CHSH_SIGNS, pairs):
-        ki = _conjugate_diag(_u_ideal(p, q, errors, mm), _ZZ_DIAG)
-        kr = _conjugate_diag(_u_real(p, q, errors, mm), _ZZ_DIAG)
-        delta += sign * (ki - kr)
+        ui, ur = _rotations(p, q, errors, tr)
+        delta += sign * (_conjugate_diag(ui, _ZZ_DIAG) - _conjugate_diag(ur, _ZZ_DIAG))
     return delta
 
 
@@ -214,26 +185,15 @@ def _spectral_norm_hermitian(h: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
 
-def _chi_objective(angles: np.ndarray, errors: PhaseErrorSet,
-                   mm: tuple[float, float, float, float]) -> np.ndarray:
-    return _spectral_norm_hermitian(_chi_deviation_operator(angles, errors, mm))
+def _outcome_deviations(angles: np.ndarray, errors: PhaseErrorSet,
+                        tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(4, ..., 4, 4): Pi_ideal - Pi_real of each outcome c at (phi, theta).
 
-
-def _prob_objective(angles: np.ndarray, errors: PhaseErrorSet,
-                    mm: tuple[float, float, float, float]) -> np.ndarray:
-    """max over the 4 outcomes of || Pi_ideal - Pi_real || at (phi, theta)."""
-    phi, th = angles[..., 0], angles[..., 1]
-    ui = _u_ideal(phi, th, errors, mm)
-    ur = _u_real(phi, th, errors, mm)
-    best = np.zeros(np.broadcast(phi, th).shape)
-    for c in range(4):
-        # U^dag |c><c| U is the outer product of U's row c with itself
-        vi = ui[..., c, :]
-        vr = ur[..., c, :]
-        dc = (np.conj(vi)[..., :, None] * vi[..., None, :]
-              - np.conj(vr)[..., :, None] * vr[..., None, :])
-        best = np.maximum(best, _spectral_norm_hermitian(dc))
-    return best
+    U^dag |c><c| U is the outer product of U's row c with itself.
+    """
+    ui, ur = _rotations(angles[..., 0], angles[..., 1], errors, tr)
+    return np.stack([np.conj(ui[..., c, :, None]) * ui[..., c, None, :]
+                     - np.conj(ur[..., c, :, None]) * ur[..., c, None, :] for c in range(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +320,13 @@ def e_chi(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
     factorized operators.  Deterministic for a fixed (seed, starts,
     probes) budget.
     """
-    mm = _resolve_mmis(mmis)
+    tr = _resolve_mmis(mmis)
 
     def op(ang: np.ndarray) -> np.ndarray:
-        return _chi_deviation_operator(ang, errors, mm)
+        return _chi_deviation_operator(ang, errors, tr)
 
     def obj(ang: np.ndarray) -> np.ndarray:
-        return _chi_objective(ang, errors, mm)
+        return _spectral_norm_hermitian(op(ang))
 
     return _maximize_deviation(op, obj, 4, starts, probes, seed, step_min)
 
@@ -381,24 +341,15 @@ def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
     reported operator by keeping, per probe point, the outcome whose
     deviation operator has the largest spectral norm.
     """
-    mm = _resolve_mmis(mmis)
+    tr = _resolve_mmis(mmis)
 
     def obj(ang: np.ndarray) -> np.ndarray:
-        return _prob_objective(ang, errors, mm)
+        # the largest || Pi_ideal - Pi_real || over the 4 outcomes
+        return np.max(_spectral_norm_hermitian(_outcome_deviations(ang, errors, tr)), axis=0)
 
     def op(ang: np.ndarray) -> np.ndarray:
-        phi, th = ang[..., 0], ang[..., 1]
-        ui = _u_ideal(phi, th, errors, mm)
-        ur = _u_real(phi, th, errors, mm)
-        devs = []
-        for c in range(4):
-            vi = ui[..., c, :]
-            vr = ur[..., c, :]
-            devs.append(np.conj(vi)[..., :, None] * vi[..., None, :]
-                        - np.conj(vr)[..., :, None] * vr[..., None, :])
-        stack = np.stack(devs)  # (4, n, 4, 4)
-        norms = _spectral_norm_hermitian(stack)
-        pick = np.argmax(norms, axis=0)
+        stack = _outcome_deviations(ang, errors, tr)  # (4, n, 4, 4)
+        pick = np.argmax(_spectral_norm_hermitian(stack), axis=0)
         return stack[pick, np.arange(stack.shape[1])]
 
     return _maximize_deviation(op, obj, 2, starts, probes, seed, step_min)
@@ -430,8 +381,8 @@ def guessing_probability(chi_real: float, e_chi: float, e_p: float) -> float:
 
     with the square-root argument clamped at 0 when x exceeds 2 sqrt(2).
     """
-    if e_chi < 0.0 or e_p < 0.0:
-        raise ValueError("correction terms must be non-negative")
+    if not (0.0 <= e_chi < math.inf and 0.0 <= e_p < math.inf):
+        raise ValueError("correction terms must be finite and non-negative")
     x = max(abs(chi_real) - e_chi, 0.0)
     if x <= 2.0:
         return 1.0
@@ -465,8 +416,8 @@ def min_entropy(p_guess: float) -> MinEntropy:
 
 def certified_rate(event_rate_hz: float, h_min_bits: float) -> float:
     """Certified random bit rate, events per second times bits per event."""
-    if event_rate_hz < 0.0 or h_min_bits < 0.0:
-        raise ValueError("rate and entropy must be non-negative")
+    if not (0.0 <= event_rate_hz < math.inf and 0.0 <= h_min_bits < math.inf):
+        raise ValueError("rate and entropy must be finite and non-negative")
     return event_rate_hz * h_min_bits
 
 

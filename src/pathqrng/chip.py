@@ -13,6 +13,12 @@ The chip has three parts, in propagation order:
 Each of the four physical phase shifters per stage carries its own error
 offset, which is what breaks the ideal product form B(phi) (x) A(theta) and
 motivates the whole certification machinery.
+
+:func:`rotation_matrix` is the one operator kernel for both stages.  It
+broadcasts over leading axes, so the broadband simulation evaluates every
+spectrum node in one call and ``certify`` every searched angle tuple;
+:func:`rotation_real` and :func:`rotation_ideal` are single-setting views
+of it.
 """
 
 from __future__ import annotations
@@ -23,14 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optics import (DESIGN_WAVELENGTH_NM, EPS_MAX, IDEAL_MMI, LOSSLESS, LossModel, MmiParams,
-                     PhaseSetting, WavelengthSpectrum, loss_operator, mzi_matrix)
-from .qmath import CHANNELS, as_density, distribution_dict, tensor_product
-
-_P_FIRST = np.diag([1.0, 0.0]).astype(complex)
-_P_SECOND = np.diag([0.0, 1.0]).astype(complex)
+                     WavelengthSpectrum, loss_operator, mzi_matrix)
+from .qmath import as_density, distribution_dict
 
 Errors4 = tuple[float, float, float, float]
 _NO_ERRORS: Errors4 = (0.0, 0.0, 0.0, 0.0)
+#: which of a stage's four shifters (branch 1 and 2, shifter 1 and 2) is a first one
+_FIRST_SHIFTER = np.array([True, False, True, False])
 
 
 def _check_errors(d: Errors4, name: str) -> Errors4:
@@ -153,74 +158,94 @@ class ChipConfig:
 
 
 def generation_state(g: GenerationSetting, mmi: MmiParams = IDEAL_MMI,
-                     wavelength_nm: float | None = None) -> np.ndarray:
+                     wavelength_nm: float | np.ndarray | None = None) -> np.ndarray:
     """State after the generation stage, (t|UF> + i r e^{i xi}|DN>)/sqrt(t^2+r^2).
 
     The branch the photon transmits into ends up in |UF>, the reflected
-    branch in |DN>; the splitter's i sits on the reflected amplitude.
+    branch in |DN>; the splitter's i sits on the reflected amplitude.  An
+    array of wavelengths gives one state per node, shape (..., 4).
     """
     t, r = mmi.resolve(wavelength_nm)
-    norm = math.hypot(t, r)
-    if norm == 0.0:
+    norm = np.hypot(t, r)
+    if np.any(norm == 0.0):
         raise ValueError("generation MMI with t = r = 0 produces no state")
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = t * np.exp(1j * g.comp_far)
-    psi[3] = 1j * r * np.exp(1j * (g.xi + g.comp_near))
-    return psi / norm
+    psi = np.zeros(np.shape(norm) + (4,), dtype=complex)
+    psi[..., 0] = t * np.exp(1j * g.comp_far)
+    psi[..., 3] = 1j * r * np.exp(1j * (g.xi + g.comp_near))
+    return psi / np.expand_dims(norm, -1)
 
 
-def relative_rotation_stage(phi1: float, phi2: float, dphi: Errors4 = _NO_ERRORS,
-                            mmi_u: MmiParams = IDEAL_MMI, mmi_d: MmiParams | None = None,
-                            wavelength_nm: float | None = None) -> np.ndarray:
-    """phi-stage transfer matrix P_U (x) MZI_U + P_D (x) MZI_D.
+def shifter_phases(angle1, angle2, offsets: Errors4, scale=1.0) -> np.ndarray:
+    """(..., 4) total phases of one stage's shifters, in offset order.
 
-    One MZI per absolute branch acts on the relative-position qubit; the
-    branches see the same nominal phases but independent errors, so the
-    result is block diagonal and generally not a product operator.
+    Both branches carry the set phases (angle1, angle2), each shifter adds
+    its own offset, and ``scale`` multiplies set value and offset alike
+    (the lambda_0/lambda thermo-optic dispersion).  All arguments but
+    ``offsets`` broadcast.
     """
-    if mmi_d is None:
-        mmi_d = mmi_u
-    mu = mzi_matrix(mmi_u, PhaseSetting(phi1, phi2, dphi[0], dphi[1]), wavelength_nm)
-    md = mzi_matrix(mmi_d, PhaseSetting(phi1, phi2, dphi[2], dphi[3]), wavelength_nm)
-    return tensor_product(_P_FIRST, mu) + tensor_product(_P_SECOND, md)
+    s = np.asarray(scale)[..., None]
+    nominal = np.where(_FIRST_SHIFTER, np.asarray(angle1)[..., None], np.asarray(angle2)[..., None])
+    return s * nominal + s * np.asarray(offsets, dtype=float)
 
 
-def absolute_rotation_stage(theta1: float, theta2: float, dtheta: Errors4 = _NO_ERRORS,
-                            mmi_f: MmiParams = IDEAL_MMI, mmi_n: MmiParams | None = None,
-                            wavelength_nm: float | None = None) -> np.ndarray:
-    """theta-stage transfer matrix MZI_F (x) P_F + MZI_N (x) P_N.
+def rotation_matrix(t, r, phi_shifts, theta_shifts) -> np.ndarray:
+    """(..., 4, 4) rotation operator, theta stage after phi stage.
 
-    The mirror image of the phi stage: one MZI-equivalent per relative
-    branch rotates the absolute-position qubit.
+    ``t``, ``r`` (..., 4) are the splitter amplitudes of the four MZIs in
+    ``ChipConfig.mzi_mmis`` order; ``phi_shifts``, ``theta_shifts`` (..., 4)
+    are each stage's :func:`shifter_phases`.  All arguments broadcast.  The
+    phi stage P_U (x) MZI_U + P_D (x) MZI_D fills the blocks [0:2, 0:2] and
+    [2:4, 2:4]; its mirror image, the theta stage MZI_F (x) P_F +
+    MZI_N (x) P_N, fills [0::2, 0::2] and [1::2, 1::2].
     """
-    if mmi_n is None:
-        mmi_n = mmi_f
-    mf = mzi_matrix(mmi_f, PhaseSetting(theta1, theta2, dtheta[0], dtheta[1]), wavelength_nm)
-    mn = mzi_matrix(mmi_n, PhaseSetting(theta1, theta2, dtheta[2], dtheta[3]), wavelength_nm)
-    return tensor_product(mf, _P_FIRST) + tensor_product(mn, _P_SECOND)
+    t, r, zp, zt = (np.asarray(a) for a in (t, r, phi_shifts, theta_shifts))
+    mu = mzi_matrix(t[..., 0], r[..., 0], zp[..., 0], zp[..., 1])
+    md = mzi_matrix(t[..., 1], r[..., 1], zp[..., 2], zp[..., 3])
+    mf = mzi_matrix(t[..., 2], r[..., 2], zt[..., 0], zt[..., 1])
+    mn = mzi_matrix(t[..., 3], r[..., 3], zt[..., 2], zt[..., 3])
+    shape = np.broadcast_shapes(mu.shape, md.shape, mf.shape, mn.shape)
+    rel = np.zeros(shape[:-2] + (4, 4), dtype=complex)
+    rel[..., 0:2, 0:2] = mu
+    rel[..., 2:4, 2:4] = md
+    ab = np.zeros_like(rel)
+    ab[..., 0::2, 0::2] = mf
+    ab[..., 1::2, 1::2] = mn
+    return ab @ rel
+
+
+def _mzi_amplitudes(mmis: tuple[MmiParams, ...],
+                    wavelength_nm: float | np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(t, r) of the four rotation MZIs, each (..., 4) over the wavelength axes."""
+    t, r = zip(*(m.resolve(wavelength_nm) for m in mmis))
+    return np.stack(np.broadcast_arrays(*t), axis=-1), np.stack(np.broadcast_arrays(*r), axis=-1)
 
 
 def rotation_ideal(phi: float, theta: float) -> np.ndarray:
     """Error-free product rotation A(theta) (x) B(phi) with ideal splitters."""
-    a = mzi_matrix(IDEAL_MMI, PhaseSetting(theta, 0.0))
-    b = mzi_matrix(IDEAL_MMI, PhaseSetting(phi, 0.0))
-    return tensor_product(a, b)
+    return rotation_real(RotationSetting.from_angles(phi, theta))
 
 
 def rotation_real(r: RotationSetting,
                   mmis: tuple[MmiParams, MmiParams, MmiParams, MmiParams] | None = None,
                   wavelength_nm: float | None = None) -> np.ndarray:
-    """Full rotation operator with independent shifter errors.
+    """Full rotation operator of one setting with independent shifter errors.
 
     The photon traverses the phi stage first, so the theta stage sits on
     the left of the product.  With all errors zero and equal splitters the
     result factorizes back into rotation_ideal times global phases.
     """
-    if mmis is None:
-        mmis = (IDEAL_MMI, IDEAL_MMI, IDEAL_MMI, IDEAL_MMI)
-    rel = relative_rotation_stage(r.phi1, r.phi2, r.dphi, mmis[0], mmis[1], wavelength_nm)
-    ab = absolute_rotation_stage(r.theta1, r.theta2, r.dtheta, mmis[2], mmis[3], wavelength_nm)
-    return ab @ rel
+    return rotation_matrix(*_mzi_amplitudes(mmis or (IDEAL_MMI,) * 4, wavelength_nm),
+                           shifter_phases(r.phi1, r.phi2, r.dphi),
+                           shifter_phases(r.theta1, r.theta2, r.dtheta))
+
+
+def _normalized_clicks(weights: np.ndarray) -> np.ndarray:
+    """Click weights (..., 4) as probabilities, each row divided by its sum."""
+    weights = np.clip(weights, 0.0, None)
+    total = np.sum(weights, axis=-1, keepdims=True)
+    if np.any(total <= 1e-300):
+        raise ValueError("state is annihilated by the transfer operator")
+    return weights / total
 
 
 def detection_probabilities(state: np.ndarray, u: np.ndarray,
@@ -234,11 +259,7 @@ def detection_probabilities(state: np.ndarray, u: np.ndarray,
     rho = as_density(state)
     lu = u @ loss_operator(loss)
     out = lu @ rho @ np.conj(lu).T
-    weights = np.clip(np.diag(out).real, 0.0, None)
-    total = float(np.sum(weights))
-    if total <= 1e-300:
-        raise ValueError("state is annihilated by the transfer operator")
-    return distribution_dict(weights / total)
+    return distribution_dict(_normalized_clicks(np.diag(out).real))
 
 
 def broadband_probabilities(cfg: ChipConfig, r: RotationSetting) -> dict[str, float]:
@@ -247,15 +268,15 @@ def broadband_probabilities(cfg: ChipConfig, r: RotationSetting) -> dict[str, fl
     Each wavelength node is simulated independently (its own splitter
     coefficients and, when ``phase_dispersion`` is set, heater phases
     scaled by lambda_0/lambda) and the distributions are mixed with the
-    node weights, a convex combination of per-wavelength statistics.
+    node weights, a convex combination of per-wavelength statistics.  The
+    nodes form the batch axis of one :func:`rotation_matrix` call.
     """
-    acc = np.zeros(4)
-    for wavelength_nm, weight in cfg.spectrum.nodes:
-        setting = r
-        if cfg.phase_dispersion:
-            setting = r.scaled(DESIGN_WAVELENGTH_NM / wavelength_nm)
-        psi = generation_state(cfg.generation, cfg.generation_mmi, wavelength_nm)
-        u = rotation_real(setting, cfg.mzi_mmis, wavelength_nm)
-        p = detection_probabilities(psi, u, cfg.loss)
-        acc += weight * np.array([p[c] for c in CHANNELS])
-    return distribution_dict(acc)
+    wl = cfg.spectrum.wavelengths
+    scale = DESIGN_WAVELENGTH_NM / wl if cfg.phase_dispersion else np.ones_like(wl)
+    u = rotation_matrix(*_mzi_amplitudes(cfg.mzi_mmis, wl),
+                        shifter_phases(r.phi1, r.phi2, r.dphi, scale),
+                        shifter_phases(r.theta1, r.theta2, r.dtheta, scale))
+    psi = generation_state(cfg.generation, cfg.generation_mmi, wl)
+    amplitudes = (u @ loss_operator(cfg.loss) @ psi[..., None])[..., 0]
+    p = _normalized_clicks(np.abs(amplitudes) ** 2)
+    return distribution_dict(cfg.spectrum.weights @ p)

@@ -12,7 +12,8 @@ Formats owned here:
   in the body, a blank line or a CRLF ending included, is a malformed
   record;
 * correlation grids: TSV long format (phi, theta, E, stderr);
-* result documents: JSON with a ``kind`` discriminator.
+* result documents: JSON with a ``kind`` discriminator; the reader checks
+  that each known kind carries its fields with their JSON types.
 
 Every writer is canonical (sorted keys, repr floats) so write -> read ->
 write round-trips byte-identically, and all writes go through a
@@ -33,12 +34,13 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 import yaml
 
-from .bell import ChiResult, CorrelationGrid, best_combination_search, chi_alpha_ideal
+from .bell import (ChiResult, CorrelationGrid, best_combination_search, check_chi,
+                   chi_alpha_ideal)
 from .certify import (CertificationResult, CorrectionEstimate, PhaseErrorSet,
                       certification_result, e_chi, e_p)
 from .chip import ChipConfig, GenerationSetting, RotationSetting, broadband_probabilities
@@ -550,14 +552,33 @@ def write_json_doc(doc: Mapping[str, Any], path: Path | str) -> None:
     _atomic_write(path, _dump_json(doc))
 
 
-# the fields each document kind must carry; dots step into nested objects
+def _is_real(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the JSON type of each field, by name
+_FIELD_TYPES: dict[str, Callable[[Any], bool]] = {
+    "a real number": _is_real,
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a real number or null": lambda v: v is None or _is_real(v),
+}
+_REAL = "a real number"
+
+# the fields each document kind must carry and their types; dots step into
+# nested objects
 _DOC_FIELDS = {
-    "chi-result": ("chi", "stderr", "sign", "angles.phi", "angles.phi_prime",
-                   "angles.theta", "angles.theta_prime"),
-    "certification": ("chi_real", "e_chi", "e_p", "p_guess", "h_min_bits", "h_min_percent",
-                      "certified_rate_hz"),
-    "mzi-calibration": ("a", "b", "c", "d", "residual_rms", "port"),
-    "correction-estimate": ("term", "value", "converged", "starts", "probes", "seed"),
+    "chi-result": {"chi": _REAL, "stderr": _REAL, "sign": "a string", "angles.phi": _REAL,
+                   "angles.phi_prime": _REAL, "angles.theta": _REAL,
+                   "angles.theta_prime": _REAL},
+    "certification": {"chi_real": _REAL, "e_chi": _REAL, "e_p": _REAL, "p_guess": _REAL,
+                      "h_min_bits": _REAL, "h_min_percent": _REAL,
+                      "certified_rate_hz": "a real number or null"},
+    "mzi-calibration": {"a": _REAL, "b": _REAL, "c": _REAL, "d": _REAL, "residual_rms": _REAL,
+                        "port": "an integer"},
+    "correction-estimate": {"term": "a string", "value": _REAL, "converged": "a boolean",
+                            "starts": "an integer", "probes": "an integer", "seed": "an integer"},
 }
 
 
@@ -566,14 +587,17 @@ def read_json_doc(path: Path | str) -> dict[str, Any]:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "kind" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
         raise ValidationError(f"{path}: not a result document (no 'kind')")
-    for field in _DOC_FIELDS.get(doc["kind"], ()):
+    for field, kind in _DOC_FIELDS.get(doc["kind"], {}).items():
         node = doc
         for key in field.split("."):
             if not isinstance(node, dict) or key not in node:
                 raise ValidationError(f"{path}: {doc['kind']} document lacks {field!r}")
             node = node[key]
+        if not _FIELD_TYPES[kind](node):
+            raise ValidationError(f"{path}: {doc['kind']} field {field!r} must be {kind}, "
+                                  f"not {json.dumps(node)}")
     return doc
 
 
@@ -725,12 +749,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if (args.chi is None) == (args.chi_file is None):
         raise ValidationError("exactly one of --chi or --chi-file is required")
     if args.chi is not None:
-        chi_value = args.chi
+        chi_value, chi_stderr = args.chi, 0.0
     else:
         doc = read_json_doc(args.chi_file)
         if doc["kind"] != "chi-result":
             raise ValidationError(f"{args.chi_file}: expected a chi-result document")
-        chi_value = float(doc["chi"])
+        chi_value, chi_stderr = float(doc["chi"]), float(doc["stderr"])
+    check_chi(chi_value, chi_stderr)
 
     ec_est = ep_est = None
     if args.e_chi is not None and args.e_p is not None:
@@ -781,13 +806,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         header += [f"p{s}_{c.lower()}" for c in CHANNELS]
     header += [f"e{s}" for s in range(1, 5)] + ["chi"]
     lines = [",".join(header)]
-    es = (trace.probabilities[:, :, 0] + trace.probabilities[:, :, 3]
-          - trace.probabilities[:, :, 1] - trace.probabilities[:, :, 2])
     for w in range(trace.n_windows):
         row = [str(w), repr((w + 0.5) * trace.window_s)]
         for s in range(4):
             row += [repr(float(v)) for v in trace.probabilities[s, w]]
-        row += [repr(float(es[s, w])) for s in range(4)]
+        row += [repr(float(trace.correlations[s, w])) for s in range(4)]
         row.append(repr(float(trace.chi_values[w])))
         lines.append(",".join(row))
     _atomic_write(args.out, "\n".join(lines) + "\n")

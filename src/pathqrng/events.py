@@ -226,7 +226,8 @@ class WindowedTrace:
 
     ``probabilities`` has shape (4 settings, n_windows, 4 channels), in the
     CHSH setting order (phi,theta), (phi,theta'), (phi',theta),
-    (phi',theta').  ``chi_values`` applies the minus sign to the second
+    (phi',theta'), and ``correlations`` (4 settings, n_windows) holds each
+    window's E.  ``chi_values`` applies the minus sign to the second
     setting.  The confidence interval is the normal-approximation interval
     for the mean of the per-window Bell values.
     """
@@ -234,6 +235,7 @@ class WindowedTrace:
     window_s: float
     confidence: float
     probabilities: np.ndarray
+    correlations: np.ndarray
     chi_values: np.ndarray
     chi_mean: float
     ci_low: float
@@ -249,37 +251,40 @@ def windowed_traces(streams: Sequence[EventStream], window_s: float = 0.05,
                     confidence: float = 0.99) -> WindowedTrace:
     """Slice four CHSH streams into common windows and trace the Bell value.
 
-    Uses raw record counts per window (no tie resolution).  Needs at least
-    two full windows and at least one record per stream in every window.
+    Uses raw record counts per window (no tie resolution).  Window k holds
+    the records in [k w, (k + 1) w) for the integer width
+    w = round(window_s * 1e9) ns.  Needs at least two full windows and at
+    least one record per stream in every window.  This is the one windowing
+    routine: ``bell.chi_stderr`` takes its per-window chi from here.
     """
     if len(streams) != 4:
         raise ValueError("need the four CHSH streams in setting order")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
+    if not window_s > 0.0:
+        raise ValueError("the window must be positive")
     n_win = min(int(s.duration_s / window_s + 1e-9) for s in streams)
     if n_win < 2:
         raise ValueError("need at least two windows; shrink the window or extend the run")
     width_ns = int(round(window_s * 1e9))
     probs = np.empty((4, n_win, 4))
-    es = np.empty((4, n_win))
     for i, s in enumerate(streams):
         inside = s.timestamps_ns < n_win * width_ns
         idx = s.timestamps_ns[inside] // width_ns
-        ch = s.channels[inside].astype(np.int64)
-        counts = np.bincount(idx * 4 + ch, minlength=4 * n_win).reshape(n_win, 4).astype(float)
+        counts = np.bincount(idx * 4 + s.channels[inside], minlength=4 * n_win)
+        counts = counts.reshape(n_win, 4).astype(float)
         totals = counts.sum(axis=1)
         if np.any(totals == 0):
             raise ValueError(f"stream {i} has an empty {window_s} s window")
         probs[i] = counts / totals[:, None]
-        es[i] = probs[i, :, 0] + probs[i, :, 3] - probs[i, :, 1] - probs[i, :, 2]
+    es = probs[:, :, 0] + probs[:, :, 3] - probs[:, :, 1] - probs[:, :, 2]
     chis = es[0] - es[1] + es[2] + es[3]
     mean = float(chis.mean())
-    half = 0.0
-    if n_win > 1:
-        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-        half = z * float(chis.std(ddof=1)) / math.sqrt(n_win)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    half = z * float(chis.std(ddof=1)) / math.sqrt(n_win)
     return WindowedTrace(window_s=window_s, confidence=confidence, probabilities=probs,
-                         chi_values=chis, chi_mean=mean, ci_low=mean - half, ci_high=mean + half)
+                         correlations=es, chi_values=chis, chi_mean=mean,
+                         ci_low=mean - half, ci_high=mean + half)
 
 
 def raw_bits(outcomes: Sequence[str] | np.ndarray) -> str:

@@ -6,7 +6,9 @@ t = sqrt(T), r = sqrt(R).  Insertion loss is allowed (t^2 + r^2 <= 1).
 A thermo-optic phase shifter pair contributes diag(e^{2i z1}, e^{2i z2});
 the factor 2 in the exponent follows the device's double-pass geometry, so
 an MZI built as MMI . PS . MMI rotates by zeta = z1 - z2 while z1 + z2 only
-moves the global phase.
+moves the global phase.  :func:`mzi_matrix` is that product multiplied out
+in closed form and broadcast over arrays; it is the package's only MZI
+formula, and ``chip`` builds every rotation operator from it.
 """
 
 from __future__ import annotations
@@ -59,41 +61,25 @@ class MmiParams:
             raise ValueError("power coefficients must be non-negative")
         return cls(math.sqrt(t_power), math.sqrt(r_power), table)
 
-    def resolve(self, wavelength_nm: float | None = None) -> tuple[float, float]:
-        """Coefficients at a wavelength; the flat values when no table is set."""
+    def resolve(self, wavelength_nm: float | np.ndarray | None = None) -> tuple:
+        """Coefficients at a wavelength, or arrays of them at an array of wavelengths.
+
+        Without a table these are the flat values whatever the wavelength.
+        """
         if self.table is None:
             return self.t, self.r
         if wavelength_nm is None:
             raise ValueError("this MMI is wavelength-tabulated; a wavelength is required")
-        wl = np.array([row[0] for row in self.table])
-        if not (wl[0] <= wavelength_nm <= wl[-1]):
+        wl, ts, rs = np.array(self.table).T
+        w = np.asarray(wavelength_nm, dtype=float)
+        if not np.all((wl[0] <= w) & (w <= wl[-1])):
             raise ValueError(
                 f"wavelength {wavelength_nm} nm outside table range [{wl[0]}, {wl[-1]}]")
-        ts = np.array([row[1] for row in self.table])
-        rs = np.array([row[2] for row in self.table])
-        return float(np.interp(wavelength_nm, wl, ts)), float(np.interp(wavelength_nm, wl, rs))
+        return np.interp(w, wl, ts), np.interp(w, wl, rs)
 
 
 #: ideal lossless 50:50 splitter
 IDEAL_MMI = MmiParams(2.0 ** -0.5, 2.0 ** -0.5)
-
-
-@dataclass(frozen=True)
-class PhaseSetting:
-    """Nominal phases of one shifter pair plus their independent errors."""
-
-    zeta1: float
-    zeta2: float
-    delta1: float = 0.0
-    delta2: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("zeta1", "zeta2", "delta1", "delta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for d in (self.delta1, self.delta2):
-            if abs(d) > EPS_MAX:
-                raise ValueError(f"phase error {d!r} exceeds the {EPS_MAX} rad guard")
 
 
 @dataclass(frozen=True)
@@ -175,28 +161,28 @@ class WavelengthSpectrum:
         return np.array([n[1] for n in self.nodes])
 
 
-def mmi_matrix(p: MmiParams, wavelength_nm: float | None = None) -> np.ndarray:
-    """2x2 splitter transfer matrix [[t, i r], [i r, t]] at a wavelength."""
-    t, r = p.resolve(wavelength_nm)
-    return np.array([[t, 1j * r], [1j * r, t]], dtype=complex)
+def mzi_matrix(t, r, z1, z2) -> np.ndarray:
+    """(..., 2, 2) Mach-Zehnder transfer matrices MMI . PS . MMI.
 
+    ``t``, ``r`` are the amplitudes of both splitters and ``z1``, ``z2`` the
+    total shifter phases (set value plus error); all four broadcast.
+    Multiplied out, with e_k = e^{2i z_k}:
 
-def phase_shifter_matrix(s: PhaseSetting) -> np.ndarray:
-    """diag(e^{2i(z1+d1)}, e^{2i(z2+d2)})."""
-    return np.array(
-        [[np.exp(2j * (s.zeta1 + s.delta1)), 0.0],
-         [0.0, np.exp(2j * (s.zeta2 + s.delta2))]], dtype=complex)
+        [[t^2 e1 - r^2 e2,   i t r (e1 + e2)],
+         [i t r (e1 + e2),   t^2 e2 - r^2 e1]].
 
-
-def mzi_matrix(mmi: MmiParams, s: PhaseSetting, wavelength_nm: float | None = None) -> np.ndarray:
-    """Mach-Zehnder transfer matrix MMI . PS . MMI.
-
-    For ideal 50:50 splitters this is
-    i e^{i(z1+z2)} [[sin z, cos z], [cos z, -sin z]] with z = z1 - z2 (errors
-    included in z1, z2), i.e. a rotation by the phase difference alone.
+    For ideal 50:50 splitters this is i e^{i(z1+z2)} [[sin z, cos z],
+    [cos z, -sin z]] with z = z1 - z2, a rotation by the phase difference
+    alone; with t = 1, r = 0 it is the bare shifter pair diag(e1, e2).
     """
-    m = mmi_matrix(mmi, wavelength_nm)
-    return m @ phase_shifter_matrix(s) @ m
+    e1 = np.exp(2j * np.asarray(z1))
+    e2 = np.exp(2j * np.asarray(z2))
+    m = np.empty(np.broadcast(t, r, e1, e2).shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = t * t * e1 - r * r * e2
+    m[..., 0, 1] = 1j * t * r * (e1 + e2)
+    m[..., 1, 0] = m[..., 0, 1]
+    m[..., 1, 1] = t * t * e2 - r * r * e1
+    return m
 
 
 def loss_operator(m: LossModel) -> np.ndarray:

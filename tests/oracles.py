@@ -140,13 +140,31 @@ def factorized_distance_bruteforce(d, restarts=8, seed=0):
     return best
 
 
+def rotation_by_hand(phi_shifts, theta_shifts, mzi_tr=None):
+    """Both rotation stages as sums of Kronecker products, multiplied out.
+
+    phi_shifts and theta_shifts are the total phases of the four shifters
+    of each stage, in arm order (top first, top second, bottom first,
+    bottom second).  mzi_tr optionally gives the (t, r) of each MZI in the
+    order phi top, phi bottom, theta far, theta near; ideal 50:50 otherwise.
+    """
+    if mzi_tr is None:
+        mzi_tr = [(INV_SQRT2, INV_SQRT2)] * 4
+    m_u = mzi_by_product(phi_shifts[0], phi_shifts[1], *mzi_tr[0])
+    m_d = mzi_by_product(phi_shifts[2], phi_shifts[3], *mzi_tr[1])
+    u_phi = kron_by_hand(P1, m_u) + kron_by_hand(P2, m_d)
+
+    m_f = mzi_by_product(theta_shifts[0], theta_shifts[1], *mzi_tr[2])
+    m_n = mzi_by_product(theta_shifts[2], theta_shifts[3], *mzi_tr[3])
+    u_theta = kron_by_hand(m_f, P1) + kron_by_hand(m_n, P2)
+    return u_theta @ u_phi
+
+
 def detection_by_hand(t_gen, r_gen, xi, comp_far, comp_near,
-                      phi_shifts, theta_shifts):
+                      phi_shifts, theta_shifts, mzi_tr=None):
     """Full transfer-matrix pipeline with every step written out.
 
-    phi_shifts and theta_shifts are the total phases (set angle plus
-    error) of the four shifters of each stage, in arm order (top first,
-    top second, bottom first, bottom second).
+    phi_shifts, theta_shifts and mzi_tr are as in rotation_by_hand.
     """
     norm = math.hypot(t_gen, r_gen)
     amps = np.array(
@@ -159,15 +177,7 @@ def detection_by_hand(t_gen, r_gen, xi, comp_far, comp_near,
         dtype=complex,
     ) / norm
 
-    m_u = mzi_by_product(phi_shifts[0], phi_shifts[1])
-    m_d = mzi_by_product(phi_shifts[2], phi_shifts[3])
-    u_phi = kron_by_hand(P1, m_u) + kron_by_hand(P2, m_d)
-
-    m_f = mzi_by_product(theta_shifts[0], theta_shifts[1])
-    m_n = mzi_by_product(theta_shifts[2], theta_shifts[3])
-    u_theta = kron_by_hand(m_f, P1) + kron_by_hand(m_n, P2)
-
-    out = u_theta @ (u_phi @ amps)
+    out = rotation_by_hand(phi_shifts, theta_shifts, mzi_tr) @ amps
     p = np.abs(out) ** 2
     return p / p.sum()
 

@@ -157,6 +157,24 @@ def test_chi_result_validation():
         bell.ChiResult(2.9, (0.0, 1.0, 0.0, 1.0), stderr=0.0, sign="max")
 
 
+@pytest.mark.parametrize("chi, stderr", [
+    (5.0, 0.0), (-3.5, 0.0), (math.inf, 0.0), (math.nan, 0.0), (2.9, 0.001), (2.84, 0.0),
+    (2.7, math.nan), (2.7, math.inf), (2.7, -0.01),
+])
+def test_check_chi_rejects_impossible_values(chi, stderr):
+    with pytest.raises(ValueError):
+        bell.check_chi(chi, stderr)
+    with pytest.raises(ValueError):
+        bell.ChiResult(chi, (0.0, 1.0, 0.0, 1.0), stderr=stderr)
+
+
+def test_check_chi_accepts_slack_within_three_stderr():
+    bell.check_chi(-2.84, 0.01)
+    bell.check_chi(2.9, 0.03)
+    bell.check_chi(2.0 * SQRT2)
+    bell.check_chi(0.0)
+
+
 def test_best_combination_two_by_two_enumeration():
     e = np.array([[0.6, -0.5], [0.4, 0.55]])
     grid = bell.CorrelationGrid((0.0, 1.0), (0.0, 1.0), e)
@@ -275,6 +293,22 @@ def test_chi_stderr_simulated_magnitude():
         )
     se = bell.chi_stderr(streams)
     assert 0.001 < se < 0.03
+
+
+def test_chi_stderr_and_windowed_traces_share_integer_windows():
+    # 1/3 s windows are 333 333 333 ns wide; the record at that instant
+    # opens window 1 (a float width of 333 333 333.3 ns would put it in 0)
+    ts = np.array([0, 333_333_333, 400_000_000, 500_000_000, 700_000_000], dtype=np.int64)
+    ch = np.array([0, 1, 0, 0, 0], dtype=np.uint8)
+    streams = [events.EventStream(ts, ch, phi=0.0, theta=0.0, duration_s=1.0,
+                                  bin_width_us=1.0, seed=0) for _ in range(4)]
+    trace = events.windowed_traces(streams, window_s=1.0 / 3.0)
+    np.testing.assert_allclose(trace.probabilities[0, :, :2], [[1.0, 0.0], [2 / 3, 1 / 3],
+                                                              [1.0, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(trace.correlations, [[1.0, 1 / 3, 1.0]] * 4, atol=1e-15)
+    np.testing.assert_allclose(trace.chi_values, [2.0, 2 / 3, 2.0], atol=1e-15)
+    want = float(np.std([2.0, 2 / 3, 2.0], ddof=1)) / math.sqrt(3.0)
+    assert bell.chi_stderr(streams, 1.0 / 3.0) == pytest.approx(want, abs=1e-15)
 
 
 def test_chi_stderr_error_paths():

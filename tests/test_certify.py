@@ -207,6 +207,14 @@ def test_guessing_probability_boundaries():
     assert certify.guessing_probability(2.9, 0.0, 0.01) == pytest.approx(0.51)
 
 
+@pytest.mark.parametrize("e_chi, e_p", [
+    (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, math.inf), (-0.1, 0.0),
+])
+def test_guessing_probability_rejects_bad_corrections(e_chi, e_p):
+    with pytest.raises(ValueError):
+        certify.guessing_probability(2.7, e_chi, e_p)
+
+
 def test_guessing_probability_published_point():
     got = certify.guessing_probability(2.697, 0.092, 0.02)
     assert got == pytest.approx(0.7954517, abs=1e-6)
@@ -261,6 +269,8 @@ def test_certified_rate():
     assert certify.certified_rate(1e6, 0.33) == pytest.approx(3.3e5)
     with pytest.raises(ValueError):
         certify.certified_rate(-1.0, 0.3)
+    with pytest.raises(ValueError):
+        certify.certified_rate(math.nan, 0.3)
 
 
 def test_certification_result_composition():

@@ -528,6 +528,69 @@ class TestCertifyCommand:
             assert code == 2 and "lacks" in json.loads(err)["message"]
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--chi", "5"], ["--chi", "inf"], ["--chi=-3.5"], ["--chi", "nan"],
+        ["--chi", "2.7", "--e-chi", "nan"], ["--chi", "2.7", "--e-p", "inf"],
+    ])
+    def test_impossible_chi_and_corrections_rejected(self, tmp_path, flags):
+        argv = ["certify", "--e-chi", "0", "--e-p", "0", "--rate-hz", "120000",
+                *flags, "--out", str(tmp_path / "c.json")]
+        code, _, err = run_cli(*argv)
+        assert code == 2 and len(err.splitlines()) == 1 and json.loads(err)["message"]
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("chi, stderr, code", [(2.9, 0.001, 2), (2.84, 0.01, 0)])
+    def test_chi_file_bound_uses_its_stderr(self, tmp_path, chi, stderr, code):
+        cli.write_json_doc({"kind": "chi-result", "chi": chi, "stderr": stderr,
+                            "sign": "max", "angles": {"phi": 0.0, "phi_prime": 0.0,
+                                                      "theta": 0.0, "theta_prime": 0.0}},
+                           tmp_path / "chi.json")
+        got, _, err = run_cli("certify", "--chi-file", str(tmp_path / "chi.json"),
+                              "--e-chi", "0.05", "--e-p", "0.01",
+                              "--out", str(tmp_path / "c.json"))
+        assert got == code
+        if code:
+            assert "quantum bound" in json.loads(err)["message"]
+        else:
+            assert cli.read_json_doc(tmp_path / "c.json")["chi_real"] == chi
+
+
+_ANGLES = {"phi": 0.0, "phi_prime": 0.5, "theta": 0.2, "theta_prime": 0.7}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("chi", None), ("chi", "2.7"), ("chi", True), ("chi", [2.7]),
+    ("angles", [0.0, 0.5, 0.2, 0.7]), ("sign", 1), ("kind", ["chi-result"]),
+])
+def test_mistyped_chi_result_is_validation_error(tmp_path, field, value):
+    doc = {"kind": "chi-result", "chi": 2.7, "stderr": 0.01, "sign": "max",
+           "angles": dict(_ANGLES), field: value}
+    (tmp_path / "chi.json").write_text(json.dumps(doc))
+    for argv in (["report", "--result", str(tmp_path / "chi.json")],
+                 ["certify", "--chi-file", str(tmp_path / "chi.json"), "--e-chi", "0.09",
+                  "--e-p", "0.02", "--out", str(tmp_path / "c.json")]):
+        code, _, err = run_cli(*argv)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "certification", "chi_real": 2.7, "e_chi": 0.09, "e_p": 0.02, "p_guess": 0.8,
+     "h_min_bits": 0.3, "h_min_percent": 30.0, "certified_rate_hz": "fast"},
+    {"kind": "correction-estimate", "term": "e_chi", "value": 0.09, "converged": "yes",
+     "starts": 8, "probes": 100, "seed": 1},
+    {"kind": "correction-estimate", "term": "e_chi", "value": 0.09, "converged": True,
+     "starts": 8.0, "probes": 100, "seed": 1},
+    {"kind": "mzi-calibration", "a": 1.0, "b": 2.0, "c": 0.1, "d": 0.4,
+     "residual_rms": 0.0, "port": True},
+])
+def test_mistyped_result_documents_rejected_by_report(tmp_path, doc):
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    code, _, err = run_cli("report", "--result", str(tmp_path / "doc.json"))
+    assert code == 2 and len(err.splitlines()) == 1
+    assert "must be" in json.loads(err)["message"]
+
+
 class TestAnalyzeCommand:
     def test_windowed_trace_csv(self, tmp_path):
         files = []

@@ -10,20 +10,16 @@ INV_SQRT2 = 2.0 ** -0.5
 
 
 def test_mmi_matrix_ideal_and_unbalanced():
-    np.testing.assert_allclose(
-        optics.mmi_matrix(optics.IDEAL_MMI),
-        INV_SQRT2 * np.array([[1.0, 1j], [1j, 1.0]]),
-        atol=1e-15,
-    )
+    # the splitter matrix is [[t, i r], [i r, t]]; its amplitudes come from resolve()
+    assert optics.IDEAL_MMI.resolve() == pytest.approx((INV_SQRT2, INV_SQRT2), abs=1e-15)
     forty_sixty = optics.MmiParams.from_power(0.4, 0.6)
-    got = optics.mmi_matrix(forty_sixty)
+    assert forty_sixty.resolve() == pytest.approx((0.6325, 0.7746), abs=5e-5)
+    # a fully transmitting splitter is the identity, so the MZI is the bare shifter pair
+    z1, z2 = 0.3, -0.8
     np.testing.assert_allclose(
-        got,
-        [[0.6325, 0.7746j], [0.7746j, 0.6325]],
-        atol=5e-5,
-    )
-    np.testing.assert_allclose(
-        optics.mmi_matrix(optics.MmiParams(t=1.0, r=0.0)), np.eye(2), atol=0
+        optics.mzi_matrix(1.0, 0.0, z1, z2),
+        np.diag([np.exp(2j * z1), np.exp(2j * z2)]),
+        atol=0,
     )
 
 
@@ -47,17 +43,17 @@ def test_mmi_table_interpolation():
     )
     # exact at the nodes
     for wl, t, r in table:
-        m = optics.mmi_matrix(p, wavelength_nm=wl)
-        assert m[0, 0].real == pytest.approx(t, abs=1e-12)
-        assert m[0, 1].imag == pytest.approx(r, abs=1e-12)
+        got_t, got_r = p.resolve(wavelength_nm=wl)
+        assert got_t == pytest.approx(t, abs=1e-12)
+        assert got_r == pytest.approx(r, abs=1e-12)
     # linear midway between nodes
-    m = optics.mmi_matrix(p, wavelength_nm=725.0)
+    got_t, _ = p.resolve(wavelength_nm=725.0)
     want_t = 0.5 * (math.sqrt(0.36) + math.sqrt(0.40))
-    assert m[0, 0].real == pytest.approx(want_t, abs=1e-12)
+    assert got_t == pytest.approx(want_t, abs=1e-12)
     with pytest.raises(ValueError):
-        optics.mmi_matrix(p, wavelength_nm=750.0)  # outside the table
+        p.resolve(wavelength_nm=750.0)  # outside the table
     with pytest.raises(ValueError):
-        optics.mmi_matrix(p)  # table present, wavelength required
+        p.resolve()  # table present, wavelength required
 
 
 def test_mmi_table_validation():
@@ -72,45 +68,32 @@ def test_mmi_table_validation():
 
 
 def test_phase_shifter_matrix():
+    # with t = 1, r = 0 the MZI reduces to diag(e^{2i(z1+d1)}, e^{2i(z2+d2)})
+    np.testing.assert_allclose(optics.mzi_matrix(1.0, 0.0, 0.0, 0.0), np.eye(2), atol=0)
     np.testing.assert_allclose(
-        optics.phase_shifter_matrix(optics.PhaseSetting(0.0, 0.0)), np.eye(2), atol=0
-    )
-    np.testing.assert_allclose(
-        optics.phase_shifter_matrix(optics.PhaseSetting(math.pi / 4.0, 0.0)),
+        optics.mzi_matrix(1.0, 0.0, math.pi / 4.0, 0.0),
         np.diag([1j, 1.0]),
         atol=1e-15,
     )
-    got = optics.phase_shifter_matrix(
-        optics.PhaseSetting(0.5, 0.2, delta1=0.011, delta2=-0.004)
-    )
+    got = optics.mzi_matrix(1.0, 0.0, 0.5 + 0.011, 0.2 - 0.004)
     np.testing.assert_allclose(
         got, np.diag([np.exp(1.022j), np.exp(0.392j)]), atol=1e-15
     )
 
 
-def test_phase_setting_error_bound():
-    optics.PhaseSetting(0.0, 0.0, delta1=0.216, delta2=-0.216)
-    with pytest.raises(ValueError):
-        optics.PhaseSetting(0.0, 0.0, delta1=0.3)
-    with pytest.raises(ValueError):
-        optics.PhaseSetting(0.0, float("nan"))
-
-
 def test_mzi_matrix_closed_forms():
     np.testing.assert_allclose(
-        optics.mzi_matrix(optics.IDEAL_MMI, optics.PhaseSetting(0.0, 0.0)),
+        optics.mzi_matrix(INV_SQRT2, INV_SQRT2, 0.0, 0.0),
         1j * np.array([[0.0, 1.0], [1.0, 0.0]]),
         atol=1e-15,
     )
     np.testing.assert_allclose(
-        optics.mzi_matrix(
-            optics.IDEAL_MMI, optics.PhaseSetting(math.pi / 4.0, -math.pi / 4.0)
-        ),
+        optics.mzi_matrix(INV_SQRT2, INV_SQRT2, math.pi / 4.0, -math.pi / 4.0),
         1j * np.diag([1.0, -1.0]),
         atol=1e-15,
     )
     got = optics.mzi_matrix(
-        optics.MmiParams.from_power(0.4, 0.6), optics.PhaseSetting(0.0, 0.0)
+        *optics.MmiParams.from_power(0.4, 0.6).resolve(), 0.0, 0.0
     )
     want = np.array(
         [[-0.2, 2j * math.sqrt(0.24)], [2j * math.sqrt(0.24), -0.2]]
@@ -124,7 +107,7 @@ def test_mzi_matrix_ideal_closed_form_rotation():
     rng = np.random.default_rng(31)
     for _ in range(20):
         z1, z2 = rng.uniform(-math.pi, math.pi, size=2)
-        got = optics.mzi_matrix(optics.IDEAL_MMI, optics.PhaseSetting(z1, z2))
+        got = optics.mzi_matrix(INV_SQRT2, INV_SQRT2, z1, z2)
         z = z1 - z2
         want = (
             1j
@@ -141,14 +124,13 @@ def test_mzi_matrix_ideal_closed_form_rotation():
 
 def test_mzi_matrix_unitarity_and_singular_values():
     rng = np.random.default_rng(37)
-    lossy = optics.MmiParams(t=0.6, r=0.7)  # powers sum to 0.85
+    lossy = (0.6, 0.7)  # powers sum to 0.85
     for _ in range(25):
         z1, z2 = rng.uniform(-math.pi, math.pi, size=2)
         d1, d2 = rng.uniform(-0.25, 0.25, size=2)
-        s = optics.PhaseSetting(z1, z2, delta1=d1, delta2=d2)
-        u = optics.mzi_matrix(optics.IDEAL_MMI, s)
+        u = optics.mzi_matrix(INV_SQRT2, INV_SQRT2, z1 + d1, z2 + d2)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
-        sv = np.linalg.svd(optics.mzi_matrix(lossy, s), compute_uv=False)
+        sv = np.linalg.svd(optics.mzi_matrix(*lossy, z1 + d1, z2 + d2), compute_uv=False)
         assert sv.max() <= 1.0 + 1e-10
 
 
@@ -156,15 +138,32 @@ def test_mzi_matrix_global_phase_and_periodicity():
     rng = np.random.default_rng(41)
     for _ in range(10):
         z1, z2, c = rng.uniform(-math.pi, math.pi, size=3)
-        base = optics.mzi_matrix(optics.IDEAL_MMI, optics.PhaseSetting(z1, z2))
-        shifted = optics.mzi_matrix(
-            optics.IDEAL_MMI, optics.PhaseSetting(z1 + c, z2 + c)
-        )
+        base = optics.mzi_matrix(INV_SQRT2, INV_SQRT2, z1, z2)
+        shifted = optics.mzi_matrix(INV_SQRT2, INV_SQRT2, z1 + c, z2 + c)
         assert np.max(np.abs(shifted - np.exp(2j * c) * base)) < 1e-10
-        periodic = optics.mzi_matrix(
-            optics.IDEAL_MMI, optics.PhaseSetting(z1 + math.pi, z2)
-        )
+        periodic = optics.mzi_matrix(INV_SQRT2, INV_SQRT2, z1 + math.pi, z2)
         np.testing.assert_allclose(periodic, base, atol=1e-10)
+
+
+def test_mzi_matrix_broadcasts_and_matches_product_oracle():
+    # lossy, unequal splitters and arbitrary phases, one oracle call per element
+    rng = np.random.default_rng(43)
+    shape = (3, 5)
+    t = rng.uniform(0.2, 0.8, size=shape)
+    r = rng.uniform(0.0, 1.0, size=shape) * np.sqrt(1.0 - t * t)
+    z1, z2 = rng.uniform(-math.pi, math.pi, size=(2,) + shape)
+    got = optics.mzi_matrix(t, r, z1, z2)
+    assert got.shape == shape + (2, 2)
+    for idx in np.ndindex(shape):
+        want = oracles.mzi_by_product(z1[idx], z2[idx], t[idx], r[idx])
+        np.testing.assert_allclose(got[idx], want, atol=1e-14)
+        # scalars broadcast against arrays the same way as element by element
+        np.testing.assert_array_equal(
+            optics.mzi_matrix(t[idx], r[idx], z1[idx], z2[idx]), got[idx])
+    row = optics.mzi_matrix(t[0, 0], r[0, 0], z1[0], z2[0, 0])
+    assert row.shape == (5, 2, 2)
+    np.testing.assert_allclose(
+        row[2], oracles.mzi_by_product(z1[0, 2], z2[0, 0], t[0, 0], r[0, 0]), atol=1e-14)
 
 
 def test_loss_operator():

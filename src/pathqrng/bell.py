@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .events import EventStream, windowed_traces
-from .qmath import distribution_vector
+if TYPE_CHECKING:
+    from .events import EventStream
 
 SQRT6 = math.sqrt(6.0)
 
@@ -34,10 +34,19 @@ SQRT6 = math.sqrt(6.0)
 CHI_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 
 
-def correlation_coefficient(p: Mapping[str, float] | Sequence[float]) -> float:
-    """E = P(UF) + P(DN) - P(UN) - P(DF) of one 4-outcome distribution."""
-    v = distribution_vector(p)
-    return float(v[0] + v[3] - v[1] - v[2])
+def correlation_coefficient(p: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """E = P(UF) + P(DN) - P(UN) - P(DF) of 4-outcome distributions.
+
+    ``p`` holds distributions in basis order along its last axis, shape
+    (..., 4); the result has shape (...), a float for a single distribution.
+    This is the one E formula: ``events.windowed_traces`` and the CLI's
+    correlation grid both call it.
+    """
+    v = np.asarray(p, dtype=float)
+    if v.shape[-1:] != (4,):
+        raise ValueError(f"distributions need 4 entries on the last axis, got shape {v.shape}")
+    e = v[..., 0] + v[..., 3] - v[..., 1] - v[..., 2]
+    return float(e) if e.ndim == 0 else e
 
 
 def chi_from_coefficients(e00: float, e01: float, e10: float, e11: float) -> float:
@@ -214,5 +223,7 @@ def chi_stderr(streams: Sequence[EventStream], subinterval_s: float = 0.2) -> fl
     each from the raw channel frequencies, and returns the Bessel-corrected
     sample standard deviation divided by sqrt(N).
     """
+    from .events import windowed_traces  # events imports this module's E formula
+
     chis = windowed_traces(streams, subinterval_s).chi_values
     return float(np.std(chis, ddof=1) / math.sqrt(len(chis)))

@@ -389,29 +389,15 @@ def guessing_probability(chi_real: float, e_chi: float, e_p: float) -> float:
     return min(1.0, 0.5 + 0.5 * math.sqrt(max(2.0 - x * x / 4.0, 0.0)) + e_p)
 
 
-class MinEntropy(tuple):
-    """(bits, percent) pair; percent expresses bits against 1 bit per event."""
+def min_entropy(p_guess: float) -> tuple[float, float]:
+    """(bits, percent) of H_min = -log2(P_guess), certified randomness per event.
 
-    __slots__ = ()
-
-    def __new__(cls, bits: float, percent: float):
-        return super().__new__(cls, (bits, percent))
-
-    @property
-    def bits(self) -> float:
-        return self[0]
-
-    @property
-    def percent(self) -> float:
-        return self[1]
-
-
-def min_entropy(p_guess: float) -> MinEntropy:
-    """H_min = -log2(P_guess), certified randomness per detection event."""
+    The percentage expresses the bits against 1 bit per event.
+    """
     if not 0.0 < p_guess <= 1.0:
         raise ValueError(f"p_guess must lie in (0, 1], got {p_guess!r}")
     bits = -math.log2(p_guess)
-    return MinEntropy(bits, 100.0 * bits)
+    return bits, 100.0 * bits
 
 
 def certified_rate(event_rate_hz: float, h_min_bits: float) -> float:
@@ -436,9 +422,9 @@ def certification_result(chi_real: float, e_chi: float, e_p: float,
                          event_rate_hz: float | None = None) -> CertificationResult:
     """Assemble the full certification chain for one measured violation."""
     pg = guessing_probability(chi_real, e_chi, e_p)
-    ent = min_entropy(pg)
-    rate = None if event_rate_hz is None else certified_rate(event_rate_hz, ent.bits)
-    return CertificationResult(chi_real, e_chi, e_p, pg, ent.bits, ent.percent, rate)
+    bits, percent = min_entropy(pg)
+    rate = None if event_rate_hz is None else certified_rate(event_rate_hz, bits)
+    return CertificationResult(chi_real, e_chi, e_p, pg, bits, percent, rate)
 
 
 @dataclass(frozen=True)

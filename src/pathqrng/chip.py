@@ -30,7 +30,7 @@ import numpy as np
 
 from .optics import (DESIGN_WAVELENGTH_NM, EPS_MAX, IDEAL_MMI, LOSSLESS, LossModel, MmiParams,
                      WavelengthSpectrum, loss_operator, mzi_matrix)
-from .qmath import as_density, distribution_dict
+from .qmath import as_density
 
 Errors4 = tuple[float, float, float, float]
 _NO_ERRORS: Errors4 = (0.0, 0.0, 0.0, 0.0)
@@ -110,16 +110,6 @@ class RotationSetting:
                     dtheta: Errors4 = _NO_ERRORS) -> "RotationSetting":
         """Place the full rotation on the first shifter of each pair."""
         return cls(phi, 0.0, theta, 0.0, dphi, dtheta)
-
-    def scaled(self, factor: float) -> "RotationSetting":
-        """All phases (nominal and error) multiplied by ``factor``.
-
-        Used for the thermo-optic dispersion model, where a heater set for
-        the design wavelength produces a phase scaled by lambda_0/lambda.
-        """
-        return RotationSetting(
-            self.phi1 * factor, self.phi2 * factor, self.theta1 * factor, self.theta2 * factor,
-            tuple(d * factor for d in self.dphi), tuple(d * factor for d in self.dtheta))
 
 
 @dataclass(frozen=True)
@@ -249,8 +239,8 @@ def _normalized_clicks(weights: np.ndarray) -> np.ndarray:
 
 
 def detection_probabilities(state: np.ndarray, u: np.ndarray,
-                            loss: LossModel = LOSSLESS) -> dict[str, float]:
-    """Normalized click probabilities on the four output channels.
+                            loss: LossModel = LOSSLESS) -> np.ndarray:
+    """Normalized click probabilities on the four output channels, in basis order.
 
     P(ab) = Tr[U L rho L^dag U^dag P_ab] / Tr[U L rho L^dag U^dag].  The
     scalar loss cancels in the ratio; non-unitary (lossy) transfer matrices
@@ -259,11 +249,11 @@ def detection_probabilities(state: np.ndarray, u: np.ndarray,
     rho = as_density(state)
     lu = u @ loss_operator(loss)
     out = lu @ rho @ np.conj(lu).T
-    return distribution_dict(_normalized_clicks(np.diag(out).real))
+    return _normalized_clicks(np.diag(out).real)
 
 
-def broadband_probabilities(cfg: ChipConfig, r: RotationSetting) -> dict[str, float]:
-    """Click probabilities averaged over the source spectrum.
+def broadband_probabilities(cfg: ChipConfig, r: RotationSetting) -> np.ndarray:
+    """Click probabilities (4,) in basis order, averaged over the source spectrum.
 
     Each wavelength node is simulated independently (its own splitter
     coefficients and, when ``phase_dispersion`` is set, heater phases
@@ -279,4 +269,4 @@ def broadband_probabilities(cfg: ChipConfig, r: RotationSetting) -> dict[str, fl
     psi = generation_state(cfg.generation, cfg.generation_mmi, wl)
     amplitudes = (u @ loss_operator(cfg.loss) @ psi[..., None])[..., 0]
     p = _normalized_clicks(np.abs(amplitudes) ** 2)
-    return distribution_dict(cfg.spectrum.weights @ p)
+    return cfg.spectrum.weights @ p

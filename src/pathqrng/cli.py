@@ -19,6 +19,12 @@ Every writer is canonical (sorted keys, repr floats) so write -> read ->
 write round-trips byte-identically, and all writes go through a
 temp-then-rename so readers never see partial files.
 
+This module is the only place channel labels and 0/1 text exist.  The
+rest of the package carries channels as basis-order arrays and ``uint8``
+codes, and bits as ``uint8`` 0/1 arrays; labels are written and parsed
+here (event files, the ``analyze`` CSV header), and ``extract`` turns its
+bit array into text only as it writes the output file.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure (a search or
 fit that did not converge, or an extractor FFT that lost integer precision).
 Errors are mirrored to stderr as one-line JSON records.
@@ -40,7 +46,7 @@ import numpy as np
 import yaml
 
 from .bell import (ChiResult, CorrelationGrid, best_combination_search, check_chi,
-                   chi_alpha_ideal)
+                   chi_alpha_ideal, correlation_coefficient)
 from .certify import (CertificationResult, CorrectionEstimate, PhaseErrorSet,
                       certification_result, e_chi, e_p)
 from .chip import ChipConfig, GenerationSetting, RotationSetting, broadband_probabilities
@@ -524,6 +530,18 @@ def read_grid_file(path: Path | str) -> CorrelationGrid:
         if key in cells:
             raise ValidationError(f"{path}: duplicate cell phi={key[0]} theta={key[1]}")
         cells[key] = (float(e_str), float(s_str))
+    try:
+        return _grid_from_cells(cells)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _grid_from_cells(cells: Mapping[tuple[float, float], tuple[float, float]]) -> CorrelationGrid:
+    """The grid over the sorted distinct angles of (phi, theta) -> (E, stderr) cells.
+
+    Cells missing from the product of the angle lists are NaN, and a stderr
+    that is NaN in every cell becomes None.
+    """
     phis = sorted({k[0] for k in cells})
     thetas = sorted({k[1] for k in cells})
     e = np.full((len(phis), len(thetas)), np.nan)
@@ -531,11 +549,8 @@ def read_grid_file(path: Path | str) -> CorrelationGrid:
     for (p, t), (ev, sv) in cells.items():
         e[phis.index(p), thetas.index(t)] = ev
         se[phis.index(p), thetas.index(t)] = sv
-    stderr = None if np.all(np.isnan(se)) else se
-    try:
-        return CorrelationGrid(tuple(phis), tuple(thetas), e, stderr)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return CorrelationGrid(tuple(phis), tuple(thetas), e,
+                           None if np.all(np.isnan(se)) else se)
 
 
 # ---------------------------------------------------------------------------
@@ -671,16 +686,13 @@ def _load_optional_config(path_value: str | None) -> ChipDocument:
     return load_chip_config(_resolve_config_path(path_value))
 
 
-def _stream_correlation(stream: EventStream) -> tuple[float, float, int]:
-    """(E, binomial stderr, N) from a stream's raw record counts."""
-    counts = np.bincount(stream.channels, minlength=4).astype(float)
-    n = int(counts.sum())
+def _stream_correlation(stream: EventStream) -> tuple[float, float]:
+    """(E, binomial stderr) from a stream's raw record counts."""
+    n = len(stream)
     if n == 0:
         raise ValidationError("event stream holds no records")
-    p = counts / n
-    e = p[0] + p[3] - p[1] - p[2]
-    stderr = math.sqrt(max(1.0 - e * e, 0.0) / n)
-    return float(e), stderr, n
+    e = correlation_coefficient(np.bincount(stream.channels, minlength=4) / n)
+    return e, math.sqrt(max(1.0 - e * e, 0.0) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -719,17 +731,9 @@ def _cmd_bell_scan(args: argparse.Namespace) -> int:
         key = (stream.phi, stream.theta)
         if key in cells:
             raise ValidationError(f"duplicate angle pair {key} in {f}")
-        e, se, _ = _stream_correlation(stream)
-        cells[key] = (e, se)
-    phis = tuple(sorted({k[0] for k in cells}))
-    thetas = tuple(sorted({k[1] for k in cells}))
-    e = np.full((len(phis), len(thetas)), np.nan)
-    se = np.full((len(phis), len(thetas)), np.nan)
-    for (p, t), (ev, sv) in cells.items():
-        e[phis.index(p), thetas.index(t)] = ev
-        se[phis.index(p), thetas.index(t)] = sv
+        cells[key] = _stream_correlation(stream)
     try:
-        grid = CorrelationGrid(phis, thetas, e, se)
+        grid = _grid_from_cells(cells)
         best_max, best_min = best_combination_search(grid)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
@@ -737,7 +741,8 @@ def _cmd_bell_scan(args: argparse.Namespace) -> int:
     write_grid_file(grid, out / "grid.tsv")
     write_json_doc(chi_result_doc(best_max), out / "chi_max.json")
     write_json_doc(chi_result_doc(best_min), out / "chi_min.json")
-    print(f"grid {len(phis)} phi x {len(thetas)} theta from {len(files)} files -> {out}")
+    print(f"grid {len(grid.phi_values)} phi x {len(grid.theta_values)} theta "
+          f"from {len(files)} files -> {out}")
     for r in (best_max, best_min):
         a = r.angles
         print(f"chi_{r.sign} = {r.chi:+.6f} +- {r.stderr:.6f} at "
@@ -828,7 +833,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         extracted = toeplitz_extract(bits, args.h_min, security_eps=args.eps, seed=args.seed)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    _atomic_write(args.out, extracted + "\n")
+    _atomic_write(args.out, (extracted + ord("0")).tobytes() + b"\n")
     print(f"{len(stream)} records -> {outcomes.size} outcomes -> {len(bits)} raw bits "
           f"-> {len(extracted)} extracted bits ({args.out})")
     return EXIT_OK

@@ -15,6 +15,11 @@ convolution at those indices has no wrap-around partner in a circular
 convolution of any length >= n + m - 1; the FFT therefore runs at the
 smallest 2^a 3^b 5^c length that covers n + m - 1, not at the full
 2n + m - 2.
+
+Channels are basis indices throughout: streams and resolved outcomes hold
+``uint8`` codes 0..3, distributions are float arrays in basis order, and
+raw and extracted bits are ``uint8`` arrays of 0 and 1.  Labels and 0/1
+text exist only in the files ``pathqrng.cli`` reads and writes.
 """
 
 from __future__ import annotations
@@ -22,16 +27,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .qmath import CHANNELS, distribution_dict, distribution_vector
+from .bell import correlation_coefficient
+from .qmath import distribution_vector
 
 
-class DetectionRecord(NamedTuple):
-    timestamp_ns: int
-    channel: str
+def _bin_width_ns(bin_width_us: float) -> int:
+    """A bin width in whole nanoseconds; one that rounds below 1 ns is rejected."""
+    width = int(round(bin_width_us * 1000.0))
+    if width < 1:
+        raise ValueError(f"bin width {bin_width_us!r} us is below 1 ns")
+    return width
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,7 @@ class EventStream:
             raise ValueError("timestamps and channels must be matching 1-d arrays")
         if self.duration_s <= 0.0 or self.bin_width_us <= 0.0:
             raise ValueError("duration and bin width must be positive")
+        _bin_width_ns(self.bin_width_us)
         if ts.size:
             if ts[0] < 0 or np.any(np.diff(ts) < 0):
                 raise ValueError("timestamps must be non-negative and non-decreasing")
@@ -75,17 +85,13 @@ class EventStream:
 
     @property
     def bin_width_ns(self) -> int:
-        return int(round(self.bin_width_us * 1000.0))
+        return _bin_width_ns(self.bin_width_us)
 
     def __len__(self) -> int:
         return int(self.timestamps_ns.size)
 
-    def records(self) -> Iterator[DetectionRecord]:
-        for t, c in zip(self.timestamps_ns, self.channels):
-            yield DetectionRecord(int(t), CHANNELS[int(c)])
 
-
-def simulate_events(distribution: Mapping[str, float] | Sequence[float], rate_hz: float,
+def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
                     duration_s: float, bin_width_us: float = 1.0, seed: int = 0,
                     phi: float = 0.0, theta: float = 0.0) -> EventStream:
     """Monte Carlo detection stream for one output distribution.
@@ -93,7 +99,7 @@ def simulate_events(distribution: Mapping[str, float] | Sequence[float], rate_hz
     Each of the ``duration / bin_width`` time bins receives a Poisson number
     of records with mean ``rate * bin_width`` (which must stay below one
     record per bin for the model to make sense), and every record picks a
-    channel independently from ``distribution``.
+    channel independently from ``distribution`` (4,), in basis order.
     """
     p = distribution_vector(distribution)
     if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-9:
@@ -105,9 +111,7 @@ def simulate_events(distribution: Mapping[str, float] | Sequence[float], rate_hz
     if mean_per_bin >= 1.0:
         raise ValueError(f"mean records per bin {mean_per_bin!r} must be < 1; "
                          "shrink the bin or the rate")
-    bin_ns = int(round(bin_width_us * 1000.0))
-    if bin_ns < 1:
-        raise ValueError("bin width below 1 ns")
+    bin_ns = _bin_width_ns(bin_width_us)
     n_bins = int(duration_s * 1e9) // bin_ns
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
@@ -122,7 +126,7 @@ def simulate_events(distribution: Mapping[str, float] | Sequence[float], rate_hz
 
 
 def bin_and_resolve(stream: EventStream, tie_seed: int = 0, mode: str = "fired") -> np.ndarray:
-    """Collapse each occupied bin to a single outcome label.
+    """Collapse each occupied bin to a single outcome.
 
     Bins with one record keep it.  Bins with several are resolved with a
     seeded draw, consumed in chronological bin order:
@@ -131,18 +135,18 @@ def bin_and_resolve(stream: EventStream, tie_seed: int = 0, mode: str = "fired")
     * ``"uniform4"``: uniformly among all four channels, discarding which
       detectors actually fired.
 
-    Returns the outcome labels in bin order.
+    Returns the outcomes' channel codes (``uint8``) in bin order.
     """
     if mode not in ("fired", "uniform4"):
         raise ValueError(f"unknown tie mode {mode!r}")
     if len(stream) == 0:
-        return np.empty(0, dtype="U2")
+        return np.empty(0, dtype=np.uint8)
     bins = stream.timestamps_ns // stream.bin_width_ns
     starts = np.flatnonzero(np.r_[True, np.diff(bins) > 0])
     ends = np.r_[starts[1:], len(stream)]
     sizes = ends - starts
 
-    out_idx = stream.channels[starts].astype(np.int64)
+    out = stream.channels[starts]
     multi = np.flatnonzero(sizes > 1)
     rng = np.random.default_rng(tie_seed)
     if mode == "fired":
@@ -152,40 +156,31 @@ def bin_and_resolve(stream: EventStream, tie_seed: int = 0, mode: str = "fired")
         mask = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), stream.channels), starts)[multi]
         fired = (mask[:, None] >> np.arange(4, dtype=np.uint8)) & 1
         k = rng.integers(fired.sum(axis=1, dtype=np.int64))
-        out_idx[multi] = np.argmax(fired.cumsum(axis=1) > k[:, None], axis=1)
+        out[multi] = np.argmax(fired.cumsum(axis=1) > k[:, None], axis=1)
     else:
-        out_idx[multi] = rng.integers(4, size=multi.size)
-    return np.asarray(CHANNELS, dtype="U2")[out_idx]
+        out[multi] = rng.integers(4, size=multi.size)
+    return out
 
 
-def _channel_codes(outcomes: Sequence[str] | np.ndarray) -> np.ndarray:
-    """Channel indices 0..3 (int64) of a label or index sequence."""
-    arr = np.asarray(outcomes)
-    if arr.dtype.kind in ("U", "S"):
-        codes = np.full(arr.shape, -1, dtype=np.int64)
-        for i, name in enumerate(np.asarray(CHANNELS, dtype=arr.dtype.kind)):
-            codes[arr == name] = i
-        unknown = np.flatnonzero(codes < 0)
-        if unknown.size:
-            raise ValueError(f"unknown channel label {arr.flat[unknown[0]].item()!r}")
-        return codes
-    codes = arr.astype(np.int64)
-    if codes.size and (codes.min() < 0 or codes.max() > 3):
-        raise ValueError("channel indices must be 0..3")
-    return codes
+def _check_codes(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The channel codes of an integer sequence, flat; codes outside 0..3 are rejected."""
+    codes = np.asarray(outcomes).ravel()
+    if codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > 3):
+        raise ValueError("channel codes must be integers 0..3")
+    return codes.astype(np.uint8, copy=False)
 
 
-def estimate_probabilities(outcomes: Sequence[str] | np.ndarray) -> dict[str, float]:
-    """Channel frequencies of a label (or index) sequence."""
-    codes = _channel_codes(outcomes)
+def estimate_probabilities(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Channel frequencies (4,) of a sequence of channel codes, in basis order."""
+    codes = _check_codes(outcomes)
     if codes.size == 0:
         raise ValueError("no outcomes to estimate from")
-    return distribution_dict(np.bincount(codes, minlength=4) / codes.size)
+    return np.bincount(codes, minlength=4) / codes.size
 
 
-def resolved_distribution(distribution: Mapping[str, float] | Sequence[float],
-                          mean_per_bin: float, mode: str = "fired") -> dict[str, float]:
-    """Exact outcome distribution after binning and tie resolution.
+def resolved_distribution(distribution: Sequence[float] | np.ndarray,
+                          mean_per_bin: float, mode: str = "fired") -> np.ndarray:
+    """Exact outcome distribution (4,) after binning and tie resolution.
 
     Arrivals per bin are Poisson with the given mean, split over channels
     by ``distribution``; conditioning on the bin being occupied, this
@@ -217,7 +212,7 @@ def resolved_distribution(distribution: Mapping[str, float] | Sequence[float],
         out = single * d + multi / 4.0
     else:
         raise ValueError(f"unknown tie mode {mode!r}")
-    return distribution_dict(out / occupied)
+    return out / occupied
 
 
 @dataclass(frozen=True)
@@ -253,9 +248,11 @@ def windowed_traces(streams: Sequence[EventStream], window_s: float = 0.05,
 
     Uses raw record counts per window (no tie resolution).  Window k holds
     the records in [k w, (k + 1) w) for the integer width
-    w = round(window_s * 1e9) ns.  Needs at least two full windows and at
-    least one record per stream in every window.  This is the one windowing
-    routine: ``bell.chi_stderr`` takes its per-window chi from here.
+    w = round(window_s * 1e9) ns, which must be at least 1 ns.  Needs at
+    least two full windows and at least one record per stream in every
+    window; a stream with fewer records than windows is rejected before
+    any window is counted.  This is the one windowing routine:
+    ``bell.chi_stderr`` takes its per-window chi from here.
     """
     if len(streams) != 4:
         raise ValueError("need the four CHSH streams in setting order")
@@ -263,10 +260,15 @@ def windowed_traces(streams: Sequence[EventStream], window_s: float = 0.05,
         raise ValueError("confidence must lie in (0, 1)")
     if not window_s > 0.0:
         raise ValueError("the window must be positive")
+    width_ns = int(round(window_s * 1e9))
+    if width_ns < 1:
+        raise ValueError(f"the window {window_s!r} s is below 1 ns")
     n_win = min(int(s.duration_s / window_s + 1e-9) for s in streams)
     if n_win < 2:
         raise ValueError("need at least two windows; shrink the window or extend the run")
-    width_ns = int(round(window_s * 1e9))
+    for i, s in enumerate(streams):
+        if len(s) < n_win:  # then a window must be empty; say so before sizing them
+            raise ValueError(f"stream {i} has an empty {window_s} s window")
     probs = np.empty((4, n_win, 4))
     for i, s in enumerate(streams):
         inside = s.timestamps_ns < n_win * width_ns
@@ -277,7 +279,7 @@ def windowed_traces(streams: Sequence[EventStream], window_s: float = 0.05,
         if np.any(totals == 0):
             raise ValueError(f"stream {i} has an empty {window_s} s window")
         probs[i] = counts / totals[:, None]
-    es = probs[:, :, 0] + probs[:, :, 3] - probs[:, :, 1] - probs[:, :, 2]
+    es = correlation_coefficient(probs)
     chis = es[0] - es[1] + es[2] + es[3]
     mean = float(chis.mean())
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
@@ -287,21 +289,21 @@ def windowed_traces(streams: Sequence[EventStream], window_s: float = 0.05,
                          ci_low=mean - half, ci_high=mean + half)
 
 
-def raw_bits(outcomes: Sequence[str] | np.ndarray) -> str:
-    """Two bits per outcome: the channel index written in binary.
+def raw_bits(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Two bits per outcome (``uint8`` 0/1): the channel code in binary.
 
     UF -> 00, UN -> 01, DF -> 10, DN -> 11; the first bit is the absolute
     position (U/D), the second the relative one (F/N).
     """
-    codes = _channel_codes(outcomes).ravel()
+    codes = _check_codes(outcomes)
     pairs = np.empty((codes.size, 2), dtype=np.uint8)
     pairs[:, 0] = codes >> 1
     pairs[:, 1] = codes & 1
-    return (pairs + ord("0")).tobytes().decode("ascii")
+    return pairs.ravel()
 
 
-def toeplitz_extract(bits: str, h_min_bits_per_event: float,
-                     security_eps: float = 2.0 ** -32, seed: int = 0) -> str:
+def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: float,
+                     security_eps: float = 2.0 ** -32, seed: int = 0) -> np.ndarray:
     """Seeded Toeplitz extraction of the certified entropy from raw bits.
 
     Each detection event contributes two raw bits but only
@@ -311,6 +313,7 @@ def toeplitz_extract(bits: str, h_min_bits_per_event: float,
         m = floor(k * h_min) - ceil(2 * log2(1 / eps)),
 
     the leftover-hash length at distinguishing advantage ``security_eps``.
+    ``bits`` and the result are 1-d arrays of 0 and 1, the result ``uint8``.
     The Toeplitz matrix is generated from ``seed``; same seed, same input,
     same output.
     """
@@ -318,10 +321,11 @@ def toeplitz_extract(bits: str, h_min_bits_per_event: float,
         raise ValueError("certified entropy per event must lie in (0, 1]")
     if not 0.0 < security_eps < 1.0:
         raise ValueError("security parameter must lie in (0, 1)")
-    x = np.frombuffer(bits.encode("ascii", errors="replace"), dtype=np.uint8) - ord("0")
-    if np.any(x > 1):
-        raise ValueError("raw bits must be a 0/1 string")
-    n = len(bits)
+    x = np.asarray(bits)
+    if x.ndim != 1 or (x.size and (x.dtype.kind not in "biu" or x.min() < 0 or x.max() > 1)):
+        raise ValueError("raw bits must be a 1-d array of 0/1 values")
+    x = x.astype(np.uint8, copy=False)
+    n = x.size
     k = n // 2
     m = math.floor(k * h_min_bits_per_event) - math.ceil(2.0 * math.log2(1.0 / security_eps))
     if m <= 0:
@@ -337,8 +341,7 @@ def toeplitz_extract(bits: str, h_min_bits_per_event: float,
     ints = np.rint(conv)
     if float(np.max(np.abs(conv - ints), initial=0.0)) > 0.25:
         raise RuntimeError("convolution lost integer precision")
-    y = (ints.astype(np.int64) & 1).astype(np.uint8)
-    return (y + ord("0")).tobytes().decode("ascii")
+    return (ints.astype(np.int64) & 1).astype(np.uint8)
 
 
 def _fft_size(n: int) -> int:

@@ -10,107 +10,32 @@ waveguide within the pair).  The basis order is fixed everywhere as
 so index = 2*(absolute) + (relative).  Every matrix in this package is a
 dense 2x2 or 4x4 complex ndarray in this basis; dimensions never grow,
 so there is no sparse or symbolic representation.
+
+A detector channel is its basis index everywhere in memory: distributions
+are float arrays of shape (..., 4) in basis order, outcomes are ``uint8``
+codes 0..3, and raw bits are ``uint8`` arrays of 0 and 1.  The channel
+labels below and 0/1 text appear only in ``pathqrng.cli``, where files
+are read and written.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-#: output channel labels, in basis order
+#: output channel labels, in basis order; only file formats use them
 CHANNELS = ("UF", "UN", "DF", "DN")
 
 # Central tolerance table.  Property tests tune these knobs in one place.
-UNITARY_TOL = 1e-12       # max |U^dag U - I| entry for a matrix flagged unitary
 STATE_TOL = 1e-12         # norm / trace / hermiticity defect of a state
 EIGEN_TOL = 1e-10         # density-operator eigenvalue floor
-PROJECTOR_TOL = 1e-10     # hermiticity / idempotency defect of a projector
-PROB_CLIP_TOL = 1e-10     # negative probabilities above -this are clipped to 0
 
-ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def channel_index(channel: str | int) -> int:
-    """Map a channel label (or an index passed through) to its basis index."""
-    if isinstance(channel, str):
-        try:
-            return CHANNELS.index(channel)
-        except ValueError:
-            raise ValueError(f"unknown channel {channel!r}, expected one of {CHANNELS}") from None
-    idx = int(channel)
-    if not 0 <= idx < 4:
-        raise ValueError(f"channel index {idx} out of range 0..3")
-    return idx
-
-
-def basis_state(channel: str | int) -> np.ndarray:
-    """Computational basis ket |ab> as a length-4 complex vector."""
-    psi = np.zeros(4, dtype=complex)
-    psi[channel_index(channel)] = 1.0
-    return psi
-
-
-def channel_projector(channel: str | int) -> np.ndarray:
-    """Rank-1 projector |ab><ab| on one output channel."""
-    idx = channel_index(channel)
-    p = np.zeros((4, 4), dtype=complex)
-    p[idx, idx] = 1.0
-    return p
-
-
-def channel_projectors() -> tuple[np.ndarray, ...]:
-    """The complete set of four channel projectors, in basis order."""
-    return tuple(channel_projector(c) for c in CHANNELS)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m)).T
-
-
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    return bool(np.max(np.abs(dagger(m) @ m - np.eye(d))) <= tol)
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in the fixed basis order.
-
-    (a (x) b)[2i+k, 2j+l] = a[i,j] * b[k,l], so the FIRST argument acts on
-    the absolute-position qubit and the second on the relative-position
-    qubit.  Preserves unitarity.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def pauli_exponential(varphi: float, vartheta: float, n: Sequence[float]) -> np.ndarray:
-    """Single-qubit unitary e^{i varphi} (cos vartheta I + i sin vartheta n.sigma).
-
-    ``n`` must be a real unit 3-vector (norm within 1e-9).  This is the
-    general parameterization of U(2), used for the factorized operators
-    that the certification bounds compare against.
-    """
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("n must be a real 3-vector")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-        raise ValueError(f"n must be a unit vector, got |n| = {np.linalg.norm(n)!r}")
-    ns = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    return np.exp(1j * varphi) * (np.cos(vartheta) * ID2 + 1j * np.sin(vartheta) * ns)
-
-
-def hs_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) distance sqrt(Tr[(u-v)(u-v)^dag])."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    return float(np.linalg.norm(u - v))
 
 
 def as_density(state: np.ndarray) -> np.ndarray:
@@ -137,49 +62,9 @@ def as_density(state: np.ndarray) -> np.ndarray:
     raise ValueError(f"state must be a 4-vector or 4x4 operator, got shape {state.shape}")
 
 
-def _check_projector(projector: np.ndarray) -> np.ndarray:
-    projector = np.asarray(projector, dtype=complex)
-    if projector.shape != (4, 4):
-        raise ValueError("projector must be 4x4")
-    if np.max(np.abs(projector - dagger(projector))) > PROJECTOR_TOL:
-        raise ValueError("projector is not Hermitian")
-    if np.max(np.abs(projector @ projector - projector)) > PROJECTOR_TOL:
-        raise ValueError("projector is not idempotent")
-    return projector
-
-
-def born_probability(state: np.ndarray, projector: np.ndarray) -> float:
-    """Born-rule probability Tr[rho P] of the projector outcome.
-
-    Tiny negative values (above ``-PROB_CLIP_TOL``) and overshoots past 1 of
-    the same size are clipped; anything worse raises, since it indicates a
-    genuinely invalid state or projector.
-    """
-    projector = _check_projector(projector)
-    rho = as_density(state)
-    p = float(np.trace(rho @ projector).real)
-    if p < -PROB_CLIP_TOL or p > 1.0 + PROB_CLIP_TOL:
-        raise ValueError(f"Born probability {p!r} outside [0, 1] beyond tolerance")
-    return min(max(p, 0.0), 1.0)
-
-
-def distribution_vector(p: Mapping[str, float] | Sequence[float] | np.ndarray) -> np.ndarray:
-    """Coerce a 4-outcome distribution (dict keyed by channel, or sequence in
-    basis order) to a float array, validating shape only."""
-    if isinstance(p, Mapping):
-        missing = [c for c in CHANNELS if c not in p]
-        if missing:
-            raise ValueError(f"distribution is missing channels {missing}")
-        return np.array([float(p[c]) for c in CHANNELS])
+def distribution_vector(p: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A 4-outcome distribution in basis order as a float array, validating shape only."""
     arr = np.asarray(p, dtype=float)
     if arr.shape != (4,):
         raise ValueError(f"distribution must have 4 entries, got shape {arr.shape}")
     return arr
-
-
-def distribution_dict(values: Iterable[float]) -> dict[str, float]:
-    """Pack per-channel values (basis order) into a dict keyed by channel."""
-    vals = list(values)
-    if len(vals) != 4:
-        raise ValueError("need exactly 4 values")
-    return {c: float(v) for c, v in zip(CHANNELS, vals)}

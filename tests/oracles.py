@@ -53,17 +53,28 @@ def kron_by_hand(a, b):
     return out
 
 
+def is_unitary(m, tol=1e-12):
+    """Whether max |M^dag M - I| is within ``tol``."""
+    m = np.asarray(m, dtype=complex)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+
+
+def pauli_exponential(varphi, vartheta, n):
+    """e^{i varphi} (cos vartheta I + i sin vartheta n.sigma) for a real unit 3-vector n.
+
+    The general parameterization of U(2); ``certify.FactorizedApprox``
+    reports its single-qubit factor in these parameters.
+    """
+    n = np.asarray(n, dtype=float)
+    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
+        raise ValueError(f"n must be a real unit 3-vector, got {n!r}")
+    ns = n[0] * SX + n[1] * SY + n[2] * SZ
+    return np.exp(1j * varphi) * (np.cos(vartheta) * ID2 + 1j * np.sin(vartheta) * ns)
+
+
 def pauli_exponential_expm(varphi, vartheta, n):
     ns = n[0] * SX + n[1] * SY + n[2] * SZ
     return linalg.expm(1j * (varphi * ID2 + vartheta * ns))
-
-
-def frobenius_by_loops(u, v):
-    total = 0.0
-    for i in range(u.shape[0]):
-        for j in range(u.shape[1]):
-            total += abs(u[i, j] - v[i, j]) ** 2
-    return math.sqrt(total)
 
 
 def born_by_loops(state, projector):
@@ -191,7 +202,8 @@ def binomial_bounds(n, p):
 
 def toeplitz_rows_extract(bits, m, seed):
     """Row-by-row GF(2) Toeplitz product; the matrix rows are slices of the
-    seed stream t with row i reading t[i + n - 1 - j] at column j."""
+    seed stream t with row i reading t[i + n - 1 - j] at column j.  Returns
+    the m output bits as a uint8 array."""
     n = len(bits)
     x = np.array([int(c) for c in bits], dtype=np.int64)
     t = np.random.default_rng(seed).integers(
@@ -201,16 +213,16 @@ def toeplitz_rows_extract(bits, m, seed):
     out = []
     for i in range(m):
         row = t[i + n - 1 - cols]
-        out.append("1" if (int(row @ x) & 1) else "0")
-    return "".join(out)
+        out.append(int(row @ x) & 1)
+    return np.array(out, dtype=np.uint8)
 
 
 def bin_and_resolve_loop(stream, tie_seed=0, mode="fired"):
     """Tie resolution one multi-click bin at a time, in bin order: a draw
-    from the sorted distinct channels that fired, or from all four."""
-    labels = np.asarray(("UF", "UN", "DF", "DN"), dtype="U2")
+    from the sorted distinct channels that fired, or from all four.  Returns
+    the uint8 channel codes."""
     if len(stream) == 0:
-        return np.empty(0, dtype="U2")
+        return np.empty(0, dtype=np.uint8)
     bins = stream.timestamps_ns // stream.bin_width_ns
     starts = np.flatnonzero(np.r_[True, np.diff(bins) > 0])
     ends = np.r_[starts[1:], len(stream)]
@@ -223,7 +235,7 @@ def bin_and_resolve_loop(stream, tie_seed=0, mode="fired"):
             out_idx[k] = int(options[rng.integers(len(options))])
         else:
             out_idx[k] = int(rng.integers(4))
-    return labels[out_idx]
+    return out_idx.astype(np.uint8)
 
 
 def event_file_text_by_lines(stream):

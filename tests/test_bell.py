@@ -50,6 +50,21 @@ def test_correlation_coefficient_basic():
     assert bell.correlation_coefficient(p) == pytest.approx(math.cos(0.4), abs=1e-12)
 
 
+def test_correlation_coefficient_broadcasts_in_operand_order():
+    rng = np.random.default_rng(43)
+    p = rng.dirichlet(np.ones(4), size=(3, 5))
+    e = bell.correlation_coefficient(p)
+    assert e.shape == (3, 5)
+    for idx in np.ndindex(3, 5):
+        v = p[idx]
+        # bit for bit the scalar formula, summed in the documented order
+        assert e[idx] == v[0] + v[3] - v[1] - v[2]
+        assert e[idx] == bell.correlation_coefficient(v)
+    assert isinstance(bell.correlation_coefficient(p[0, 0]), float)
+    with pytest.raises(ValueError):
+        bell.correlation_coefficient([0.5, 0.5, 0.0])
+
+
 def test_chi_from_coefficients():
     assert bell.chi_from_coefficients(1.0, 1.0, 1.0, 1.0) == pytest.approx(2.0)
     assert bell.chi_from_coefficients(COS45, -COS45, COS45, COS45) == pytest.approx(

@@ -1,6 +1,7 @@
 """Tests for the CLI: calibration fitting, file formats, subcommands."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -618,6 +619,24 @@ class TestAnalyzeCommand:
                                "--out", str(tmp_path / "t.csv"))
         assert code == 2 and "two windows" in json.loads(err)["message"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("window_ms, message", [
+        ("1e-7", "below 1 ns"),  # rounds to 0 ns
+        ("1e-6", "empty"),       # 1 ns: 2e8 windows, more than the records
+    ])
+    def test_sub_ns_and_ns_windows_rejected_before_sizing(self, tmp_path, window_ms, message):
+        files = []
+        for i in range(4):
+            s = events.simulate_events((0.25,) * 4, 1e5, 0.2, seed=i)
+            cli.write_event_file(s, tmp_path / f"s{i}.tsv")
+            files.append(str(tmp_path / f"s{i}.tsv"))
+        code, _, err = run_cli("analyze", "--events", *files, "--window-ms", window_ms,
+                               "--out", str(tmp_path / "t.csv"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert message in json.loads(lines[0])["message"]
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestExtractCommand:
     def test_matches_library_pipeline(self, tmp_path):
@@ -629,8 +648,23 @@ class TestExtractCommand:
         assert code == 0
         expected = events.toeplitz_extract(
             events.raw_bits(events.bin_and_resolve(s, tie_seed=0)), 0.33, seed=0)
-        assert out.read_text() == expected + "\n"
+        assert out.read_bytes() == (expected + ord("0")).tobytes() + b"\n"
         assert f"{len(expected)} extracted bits" in text
+
+    @pytest.mark.filterwarnings("error")
+    def test_sub_ns_bin_width_in_file_rejected(self, tmp_path):
+        s = events.simulate_events((0.25,) * 4, 1.2e5, 0.1, seed=78)
+        path = tmp_path / "ev.tsv"
+        cli.write_event_file(s, path)
+        data = path.read_bytes()
+        assert b"# bin_width_us=1.0\n" in data
+        path.write_bytes(data.replace(b"# bin_width_us=1.0\n", b"# bin_width_us=0.0001\n"))
+        code, _, err = run_cli("extract", "--events", str(path), "--h-min", "0.33",
+                               "--out", str(tmp_path / "bits.txt"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError" and "below 1 ns" in record["message"]
 
     def test_insufficient_entropy_is_validation_error(self, tmp_path):
         s = events.simulate_events((0.25,) * 4, 1e4, 0.001, seed=1)
@@ -743,3 +777,47 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# SHA-256 of every file the fixed-seed chain below writes; a refactor of the
+# data path must leave all of them unchanged
+GOLDEN_DIGESTS = {
+    "bits_0.txt": "876ad3bb4b957643507f8b64988e55f4069c3c40e074f5e2004156708192cb42",
+    "bits_1.txt": "5572f0edf551af624244899d4dfc9d3a1216b795b503bd09a72bfa4c96725188",
+    "bits_2.txt": "0e75a3080fcd933e0cea89f1866d342e749f58b9b07ab2b70c532a08b77d0f3e",
+    "bits_3.txt": "bda74ebde25e8d269fa11b9b2fd16b294a09356717f9abeb8d368cf70bb1f32e",
+    "cert.json": "8962d0eb801e8a6dae5c0eb493a7d1604d6116c8f3a2a6570a0e5176b4f28cff",
+    "events/events_0000.tsv": "bd1e5cf97d50e0d3fa5d300429370fa4b570b6b223d18d7edd311d45252af259",
+    "events/events_0001.tsv": "72e64cc5d50ca6e406cdfa570aa2a7e334a7f57426d2cb6bbfba210e7a35c15a",
+    "events/events_0002.tsv": "89bc0d7267b5ba0ad27a5de829fe8efe020ad7fca252c0c3861462eca8e301fa",
+    "events/events_0003.tsv": "5255d53c262a30d1ec72ea656c20f373893273c43e7797e5d288806b7ba97381",
+    "scan/chi_max.json": "d482b3778f173630717b5c9feec0908645cda06fe0a79855a076b38f531d9abd",
+    "scan/chi_min.json": "e67e68519da975d4084e0053db892e79ab0427c845a16b3fe6ae0f20c4d9273b",
+    "scan/grid.tsv": "570850f95cb72b3dffadc5d576983d3047115487c7684329fde473e7fdeede3f",
+    "trace.csv": "37feb7b541291c601fb86a02a491a385752729c9e080469947afb54183f23036",
+}
+
+
+def test_cli_chain_outputs_are_pinned(tmp_path):
+    """simulate -> bell-scan -> certify -> extract -> analyze, byte for byte."""
+    angles = "-0.576:-1.11,-0.576:-1.87,-1.445:-1.11,-1.445:-1.87"
+    events_dir, scan_dir = tmp_path / "events", tmp_path / "scan"
+    files = [str(events_dir / f"events_{i:04d}.tsv") for i in range(4)]
+    steps = [
+        ("simulate", f"--angles={angles}", "--duration-s", "0.2", "--rate-hz", "120000",
+         "--seed", "11", "--out", str(events_dir)),
+        ("bell-scan", "--events", str(events_dir), "--out", str(scan_dir)),
+        ("certify", "--chi-file", str(scan_dir / "chi_max.json"), "--e-chi", "0.0213",
+         "--e-p", "0.0187", "--rate-hz", "120000", "--out", str(tmp_path / "cert.json")),
+    ]
+    for argv in steps:
+        assert run_cli(*argv)[0] == 0, argv
+    h_min = json.loads((tmp_path / "cert.json").read_text())["h_min_bits"]
+    for i, f in enumerate(files):
+        code, _, _ = run_cli("extract", "--events", f, "--h-min", repr(h_min), "--seed", "5",
+                             "--out", str(tmp_path / f"bits_{i}.txt"))
+        assert code == 0
+    assert run_cli("analyze", "--events", *files, "--out", str(tmp_path / "trace.csv"))[0] == 0
+    digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert digests == GOLDEN_DIGESTS

@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from pathqrng import events
-from pathqrng.qmath import CHANNELS
 
 
 def make_stream(timestamps, channels, duration_s=1.0, bin_width_us=1.0):
@@ -102,6 +101,15 @@ class TestEventStream:
         with pytest.raises(ValueError, match="positive"):
             make_stream([], [], bin_width_us=-1.0)
 
+    def test_bin_width_below_1_ns_rejected(self):
+        # the same rule as simulate_events: the width is whole nanoseconds
+        for width_us in (1e-4, 4e-4, 5e-4):
+            with pytest.raises(ValueError, match="below 1 ns"):
+                make_stream([0], [0], bin_width_us=width_us)
+            with pytest.raises(ValueError, match="below 1 ns"):
+                events.simulate_events((1.0, 0.0, 0.0, 0.0), 1e3, 0.01, bin_width_us=width_us)
+        assert make_stream([0], [0], bin_width_us=6e-4).bin_width_ns == 1
+
     def test_meta_fields_coerced(self):
         s = events.EventStream(np.array([0], dtype=np.int64), np.array([2], dtype=np.uint8),
                                phi=np.float64(0.1), theta=0, duration_s=1,
@@ -110,18 +118,12 @@ class TestEventStream:
         assert isinstance(s.seed, int) and s.seed == 9
         assert s.bin_width_ns == 1000
 
-    def test_records_iterator_labels_channels(self):
-        s = make_stream([0, 1000, 5000], [0, 3, 1])
-        recs = list(s.records())
-        assert recs[0] == events.DetectionRecord(0, "UF")
-        assert recs[1].channel == "DN" and recs[2].channel == "UN"
-
 
 class TestBinAndResolve:
     def test_singleton_bins_pass_through(self):
         s = make_stream([0, 1000, 2000, 7000], [0, 3, 1, 2])
         out = events.bin_and_resolve(s)
-        assert list(out) == ["UF", "DN", "UN", "DF"]
+        assert out.dtype == np.uint8 and out.tolist() == [0, 3, 1, 2]
 
     def test_empty_stream_gives_empty_outcomes(self):
         s = make_stream([], [])
@@ -134,16 +136,16 @@ class TestBinAndResolve:
         ch = np.tile([0, 3], n)
         out = events.bin_and_resolve(make_stream(ts, ch), tie_seed=40)
         assert out.size == n
-        assert set(out) == {"UF", "DN"}
+        assert set(out.tolist()) == {0, 3}
         lo, hi = oracles.binomial_bounds(n, 0.5)
-        assert lo <= int(np.sum(out == "UF")) <= hi
+        assert lo <= int(np.sum(out == 0)) <= hi
 
     def test_fired_never_invents_channels(self):
         n = 500
         ts = np.repeat(np.arange(n, dtype=np.int64) * 1000, 3)
         ch = np.tile([0, 0, 1], n)
         out = events.bin_and_resolve(make_stream(ts, ch), tie_seed=1)
-        assert set(out) <= {"UF", "UN"}
+        assert set(out.tolist()) <= {0, 1}
 
     def test_uniform4_ties_cover_all_channels(self):
         n = 40000
@@ -151,8 +153,8 @@ class TestBinAndResolve:
         ch = np.tile([0, 3], n)
         out = events.bin_and_resolve(make_stream(ts, ch), tie_seed=2, mode="uniform4")
         lo, hi = oracles.binomial_bounds(n, 0.25)
-        for name in CHANNELS:
-            assert lo <= int(np.sum(out == name)) <= hi
+        for c in range(4):
+            assert lo <= int(np.sum(out == c)) <= hi
 
     def test_tie_seed_determinism(self):
         s = events.simulate_events((0.25, 0.25, 0.25, 0.25), 3e5, 0.05, seed=8)
@@ -183,32 +185,35 @@ class TestBinAndResolve:
 
 class TestEstimateProbabilities:
     def test_half_half(self):
-        p = events.estimate_probabilities(["UF", "UF", "DN", "DN"])
-        assert p == {"UF": 0.5, "UN": 0.0, "DF": 0.0, "DN": 0.5}
+        p = events.estimate_probabilities([0, 0, 3, 3])
+        assert p.shape == (4,) and p.tolist() == [0.5, 0.0, 0.0, 0.5]
 
     def test_single_outcome(self):
-        p = events.estimate_probabilities(np.array(["UF"]))
-        assert p["UF"] == 1.0 and sum(p.values()) == 1.0
+        p = events.estimate_probabilities(np.array([0], dtype=np.uint8))
+        assert p[0] == 1.0 and p.sum() == 1.0
 
     def test_integer_codes_accepted(self):
         p = events.estimate_probabilities(np.array([0, 1, 1, 3], dtype=np.int64))
-        assert p["UN"] == 0.5 and p["DN"] == 0.25
+        assert p[1] == 0.5 and p[3] == 0.25
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no outcomes"):
             events.estimate_probabilities([])
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown channel"):
+        # outcomes are channel codes; labels exist only in the CLI's files
+        with pytest.raises(ValueError, match="0..3"):
             events.estimate_probabilities(["UF", "XX"])
+        with pytest.raises(ValueError, match="0..3"):
+            events.estimate_probabilities([0, 4])
 
     def test_large_sample_recovers_distribution(self):
         d = (0.4, 0.1, 0.2, 0.3)
         s = events.simulate_events(d, 1e5, 1.0, seed=13)
         p = events.estimate_probabilities(s.channels)
-        for name, target in zip(CHANNELS, d):
+        for c, target in enumerate(d):
             lo, hi = oracles.binomial_bounds(len(s), target)
-            assert lo <= p[name] * len(s) <= hi + 0.5
+            assert lo <= p[c] * len(s) <= hi + 0.5
 
 
 class TestResolvedDistribution:
@@ -216,7 +221,7 @@ class TestResolvedDistribution:
         d = (0.4, 0.1, 0.2, 0.3)
         for mode in ("fired", "uniform4"):
             out = events.resolved_distribution(d, 1e-6, mode=mode)
-            assert np.allclose([out[c] for c in CHANNELS], d, atol=1e-5)
+            assert out.shape == (4,) and np.allclose(out, d, atol=1e-5)
 
     def test_fired_two_channel_closed_form(self):
         lam = 0.3
@@ -226,9 +231,9 @@ class TestResolvedDistribution:
         # UF alone, DN alone, or both fire and the tie splits evenly
         expect_uf = (f * (1.0 - f) + f * f / 2.0) / occupied
         out = events.resolved_distribution(d, lam)
-        assert out["UF"] == pytest.approx(expect_uf, abs=1e-14)
-        assert out["DN"] == pytest.approx(expect_uf, abs=1e-14)
-        assert out["UN"] == 0.0 and out["DF"] == 0.0
+        assert out[0] == pytest.approx(expect_uf, abs=1e-14)
+        assert out[3] == pytest.approx(expect_uf, abs=1e-14)
+        assert out[1] == 0.0 and out[2] == 0.0
 
     def test_uniform4_closed_form(self):
         lam = 0.5
@@ -236,8 +241,8 @@ class TestResolvedDistribution:
         occupied = -math.expm1(-lam)
         multi = occupied - single
         out = events.resolved_distribution((1.0, 0.0, 0.0, 0.0), lam, mode="uniform4")
-        assert out["UF"] == pytest.approx((single + multi / 4.0) / occupied, abs=1e-14)
-        assert out["DN"] == pytest.approx(multi / 4.0 / occupied, abs=1e-14)
+        assert out[0] == pytest.approx((single + multi / 4.0) / occupied, abs=1e-14)
+        assert out[3] == pytest.approx(multi / 4.0 / occupied, abs=1e-14)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(17)
@@ -246,7 +251,7 @@ class TestResolvedDistribution:
             lam = float(rng.uniform(0.01, 0.9))
             for mode in ("fired", "uniform4"):
                 out = events.resolved_distribution(d, lam, mode=mode)
-                assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
+                assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_monte_carlo(self):
         d = (0.5, 0.2, 0.2, 0.1)
@@ -256,9 +261,9 @@ class TestResolvedDistribution:
             s = events.simulate_events(d, 3e5, 1.0, seed=seed)
             out = events.bin_and_resolve(s, tie_seed=seed, mode=mode)
             n = out.size
-            for name in CHANNELS:
-                lo, hi = oracles.binomial_bounds(n, target[name])
-                assert lo <= int(np.sum(out == name)) <= hi
+            for c in range(4):
+                lo, hi = oracles.binomial_bounds(n, target[c])
+                assert lo <= int(np.sum(out == c)) <= hi
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -324,6 +329,18 @@ class TestWindowedTraces:
         with pytest.raises(ValueError, match="empty"):
             events.windowed_traces([good[0], good[1], good[2], gap])
 
+    def test_sub_ns_window_rejected(self):
+        streams = self.constant_streams([0, 0, 0, 0])
+        with pytest.raises(ValueError, match="below 1 ns"):
+            events.windowed_traces(streams, window_s=4e-10)
+
+    def test_more_windows_than_records_rejected_before_sizing(self):
+        # 1000 s in 1 ns windows would be 4e12 cells; three records per
+        # stream cannot fill 1e12 windows, so some window is empty
+        long = [make_stream([0, 1000, 2000], [0, 0, 0], duration_s=1000.0)] * 4
+        with pytest.raises(ValueError, match="empty"):
+            events.windowed_traces(long, window_s=1e-9)
+
     def test_stream_count_and_confidence_validated(self):
         streams = self.constant_streams([0, 0, 0, 0])
         with pytest.raises(ValueError, match="four"):
@@ -334,17 +351,20 @@ class TestWindowedTraces:
 
 class TestRawBits:
     def test_channel_codes(self):
-        assert events.raw_bits(["UF"]) == "00"
-        assert events.raw_bits(["DN", "UN"]) == "1101"
-        assert events.raw_bits(np.array([0, 1, 2, 3])) == "00011011"
-        assert events.raw_bits([]) == ""
+        assert events.raw_bits([0]).tolist() == [0, 0]
+        assert events.raw_bits([3, 1]).tolist() == [1, 1, 0, 1]
+        bits = events.raw_bits(np.array([0, 1, 2, 3], dtype=np.uint8))
+        assert bits.dtype == np.uint8 and bits.tolist() == [0, 0, 0, 1, 1, 0, 1, 1]
+        empty = events.raw_bits([])
+        assert empty.dtype == np.uint8 and empty.size == 0
 
     def test_out_of_range_code_rejected(self):
         with pytest.raises(ValueError, match="0..3"):
             events.raw_bits(np.array([0, 4]))
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown channel label 'XX'"):
+        # outcomes are channel codes; labels exist only in the CLI's files
+        with pytest.raises(ValueError, match="0..3"):
             events.raw_bits(["UF", "XX"])
 
     def test_length_is_twice_occupied_bins(self):
@@ -358,29 +378,24 @@ class TestRawBits:
 class TestToeplitzExtract:
     @staticmethod
     def random_bits(n, seed):
-        rng = np.random.default_rng(seed)
-        return "".join("1" if b else "0" for b in rng.integers(0, 2, size=n))
+        return np.random.default_rng(seed).integers(0, 2, size=n).astype(np.uint8)
 
     def test_output_length(self):
         bits = self.random_bits(512, 1)
         out = events.toeplitz_extract(bits, 0.33, seed=3)
         # floor(256 * 0.33) - 2 * 32
-        assert len(out) == 20
+        assert out.dtype == np.uint8 and len(out) == 20
 
     def test_matches_row_by_row_multiplication(self):
         bits = self.random_bits(512, 2)
         out = events.toeplitz_extract(bits, 0.33, seed=3)
-        x = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-        rows = oracles.toeplitz_rows_extract(x.astype(np.int64), len(out), seed=3)
-        assert out == "".join(str(int(b)) for b in rows)
+        assert np.array_equal(out, oracles.toeplitz_rows_extract(bits, len(out), seed=3))
 
     def test_longer_block_matches_oracle(self):
         bits = self.random_bits(2000, 5)
         out = events.toeplitz_extract(bits, 0.5, seed=11)
         assert len(out) == 436
-        x = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-        rows = oracles.toeplitz_rows_extract(x.astype(np.int64), 436, seed=11)
-        assert out == "".join(str(int(b)) for b in rows)
+        assert np.array_equal(out, oracles.toeplitz_rows_extract(bits, 436, seed=11))
 
     def test_fft_size_is_smallest_5_smooth_cover(self):
         def smooth(k):
@@ -408,26 +423,23 @@ class TestToeplitzExtract:
         out = events.toeplitz_extract(bits, 0.5, seed=12)
         n, m = len(bits), len(out)
         assert n + m - 1 == 1847 and events._fft_size(n + m - 1) > n + m - 1
-        x = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-        rows = oracles.toeplitz_rows_extract(x.astype(np.int64), m, seed=12)
-        assert out == "".join(str(int(b)) for b in rows)
+        assert np.array_equal(out, oracles.toeplitz_rows_extract(bits, m, seed=12))
 
     def test_seed_determinism(self):
         bits = self.random_bits(1024, 7)
-        assert events.toeplitz_extract(bits, 0.33, seed=4) == \
-            events.toeplitz_extract(bits, 0.33, seed=4)
-        assert events.toeplitz_extract(bits, 0.33, seed=4) != \
-            events.toeplitz_extract(bits, 0.33, seed=5)
+        assert np.array_equal(events.toeplitz_extract(bits, 0.33, seed=4),
+                              events.toeplitz_extract(bits, 0.33, seed=4))
+        assert not np.array_equal(events.toeplitz_extract(bits, 0.33, seed=4),
+                                  events.toeplitz_extract(bits, 0.33, seed=5))
 
     def test_hash_is_linear_over_xor(self):
         rng = np.random.default_rng(9)
         x = rng.integers(0, 2, size=512)
         y = rng.integers(0, 2, size=512)
-        as_str = lambda a: "".join(str(int(b)) for b in a)
-        hx = events.toeplitz_extract(as_str(x), 0.5, seed=6)
-        hy = events.toeplitz_extract(as_str(y), 0.5, seed=6)
-        hxy = events.toeplitz_extract(as_str(x ^ y), 0.5, seed=6)
-        assert hxy == as_str(np.array([int(a) ^ int(b) for a, b in zip(hx, hy)]))
+        hx = events.toeplitz_extract(x, 0.5, seed=6)
+        hy = events.toeplitz_extract(y, 0.5, seed=6)
+        hxy = events.toeplitz_extract(x ^ y, 0.5, seed=6)
+        assert np.array_equal(hxy, np.array([int(a) ^ int(b) for a, b in zip(hx, hy)]))
 
     def test_insufficient_entropy_rejected(self):
         with pytest.raises(ValueError, match="insufficient"):
@@ -442,7 +454,9 @@ class TestToeplitzExtract:
         with pytest.raises(ValueError, match="security"):
             events.toeplitz_extract(bits, 0.5, security_eps=1.0)
         with pytest.raises(ValueError, match="0/1"):
-            events.toeplitz_extract("0102", 0.5)
+            events.toeplitz_extract(np.array([0, 1, 0, 2] * 128), 0.5)
+        with pytest.raises(ValueError, match="0/1"):  # 0/1 text is a file format, not bits
+            events.toeplitz_extract("01" * 256, 0.5)
 
 
 class TestPipeline:
@@ -453,6 +467,6 @@ class TestPipeline:
         target = events.resolved_distribution(d, 0.12)
         est = events.estimate_probabilities(out)
         n = out.size
-        for name in CHANNELS:
-            lo, hi = oracles.binomial_bounds(n, target[name])
-            assert lo <= est[name] * n <= hi + 0.5
+        for c in range(4):
+            lo, hi = oracles.binomial_bounds(n, target[c])
+            assert lo <= est[c] * n <= hi + 0.5

@@ -4,40 +4,28 @@ import numpy as np
 import pytest
 
 import oracles
-from pathqrng import qmath
+from pathqrng import bell, chip, qmath
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 XX = np.kron(oracles.SX, oracles.SX)
 
 
 def test_channel_order_and_index():
+    # index = 2 * (absolute U/D) + (relative F/N)
     assert qmath.CHANNELS == ("UF", "UN", "DF", "DN")
     for i, name in enumerate(qmath.CHANNELS):
-        assert qmath.channel_index(name) == i
-        vec = qmath.basis_state(name)
-        assert vec[i] == 1.0 and np.count_nonzero(vec) == 1
-    with pytest.raises(ValueError):
-        qmath.channel_index("XX")
-
-
-def test_channel_projectors_complete():
-    projs = qmath.channel_projectors()
-    total = sum(projs)
-    np.testing.assert_allclose(total, np.eye(4), atol=1e-15)
-    for name, p in zip(qmath.CHANNELS, projs):
-        np.testing.assert_allclose(p @ p, p, atol=1e-15)
-        np.testing.assert_allclose(p, qmath.channel_projector(name), atol=0)
+        assert i == 2 * "UD".index(name[0]) + "FN".index(name[1])
 
 
 def test_is_unitary():
-    assert qmath.is_unitary(qmath.ID4)
-    assert qmath.is_unitary(np.diag([1j, -1j]))
-    assert not qmath.is_unitary(np.diag([1.0, 0.5]))
+    assert oracles.is_unitary(qmath.ID4)
+    assert oracles.is_unitary(np.diag([1j, -1j]))
+    assert not oracles.is_unitary(np.diag([1.0, 0.5]))
     rng = np.random.default_rng(11)
     for _ in range(20):
         u = oracles.random_unitary(4, rng)
-        assert qmath.is_unitary(u)
-        assert not qmath.is_unitary(u * 1.001)
+        assert oracles.is_unitary(u)
+        assert not oracles.is_unitary(u * 1.001)
 
 
 def test_dagger():
@@ -46,23 +34,25 @@ def test_dagger():
     np.testing.assert_allclose(qmath.dagger(m), m.conj().T, atol=0)
 
 
+# The tensor-product tests pin oracles.kron_by_hand, the reference the
+# rotation kernel's block structure is checked against in test_chip.
+
 def test_tensor_product_identities():
     np.testing.assert_allclose(
-        qmath.tensor_product(qmath.ID2, qmath.ID2), np.eye(4), atol=0
+        oracles.kron_by_hand(oracles.ID2, oracles.ID2), np.eye(4), atol=0
     )
-    p1 = np.diag([1.0, 0.0])
-    p2 = np.diag([0.0, 1.0])
     np.testing.assert_allclose(
-        qmath.tensor_product(p1, p2), np.diag([0.0, 1.0, 0.0, 0.0]), atol=0
+        oracles.kron_by_hand(oracles.P1, oracles.P2), np.diag([0.0, 1.0, 0.0, 0.0]), atol=0
     )
 
 
 def test_tensor_product_sigma_z_pair():
-    got = qmath.tensor_product(qmath.PAULI_Z, qmath.PAULI_Z)
-    np.testing.assert_allclose(got, np.diag([1.0, -1.0, -1.0, 1.0]), atol=0)
-    np.testing.assert_allclose(
-        got, oracles.kron_by_hand(oracles.SZ, oracles.SZ), atol=0
-    )
+    # E is the expectation of sigma_z (x) sigma_z in the channel basis
+    zz = oracles.kron_by_hand(oracles.SZ, oracles.SZ)
+    np.testing.assert_allclose(zz, np.diag([1.0, -1.0, -1.0, 1.0]), atol=0)
+    rng = np.random.default_rng(41)
+    p = rng.dirichlet(np.ones(4), size=20)
+    assert bell.correlation_coefficient(p) == pytest.approx(p @ np.diag(zz).real, abs=1e-15)
 
 
 def test_tensor_product_against_loops_and_homomorphism():
@@ -72,28 +62,28 @@ def test_tensor_product_against_loops_and_homomorphism():
         b = oracles.random_unitary(2, rng)
         c = oracles.random_unitary(2, rng)
         d = oracles.random_unitary(2, rng)
-        ab = qmath.tensor_product(a, b)
-        np.testing.assert_allclose(ab, oracles.kron_by_hand(a, b), atol=1e-14)
-        assert qmath.is_unitary(ab)
-        lhs = ab @ qmath.tensor_product(c, d)
-        rhs = qmath.tensor_product(a @ c, b @ d)
+        ab = oracles.kron_by_hand(a, b)
+        np.testing.assert_allclose(ab, np.kron(a, b), atol=1e-14)
+        assert oracles.is_unitary(ab)
+        lhs = ab @ oracles.kron_by_hand(c, d)
+        rhs = oracles.kron_by_hand(a @ c, b @ d)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_pauli_exponential_identity_cases():
     for axis in [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.8, 0.0)]:
         np.testing.assert_allclose(
-            qmath.pauli_exponential(0.0, 0.0, axis), np.eye(2), atol=1e-15
+            oracles.pauli_exponential(0.0, 0.0, axis), np.eye(2), atol=1e-15
         )
     np.testing.assert_allclose(
-        qmath.pauli_exponential(0.0, math.pi / 2.0, (0.0, 0.0, 1.0)),
+        oracles.pauli_exponential(0.0, math.pi / 2.0, (0.0, 0.0, 1.0)),
         np.diag([1j, -1j]),
         atol=1e-15,
     )
 
 
 def test_pauli_exponential_z_axis_closed_form():
-    got = qmath.pauli_exponential(0.3, 0.7, (0.0, 0.0, 1.0))
+    got = oracles.pauli_exponential(0.3, 0.7, (0.0, 0.0, 1.0))
     want = np.diag([np.exp(1j * (0.3 + 0.7)), np.exp(1j * (0.3 - 0.7))])
     np.testing.assert_allclose(got, want, atol=1e-15)
 
@@ -104,79 +94,53 @@ def test_pauli_exponential_against_expm():
         varphi, vartheta = rng.uniform(-math.pi, math.pi, size=2)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        got = qmath.pauli_exponential(varphi, vartheta, tuple(axis))
+        got = oracles.pauli_exponential(varphi, vartheta, tuple(axis))
         want = oracles.pauli_exponential_expm(varphi, vartheta, axis)
         np.testing.assert_allclose(got, want, atol=1e-12)
-        assert qmath.is_unitary(got)
+        assert oracles.is_unitary(got)
 
 
 def test_pauli_exponential_rejects_non_unit_axis():
     with pytest.raises(ValueError):
-        qmath.pauli_exponential(0.0, 0.1, (0.0, 0.0, 2.0))
+        oracles.pauli_exponential(0.0, 0.1, (0.0, 0.0, 2.0))
 
 
-def test_hs_distance_simple_cases():
-    rng = np.random.default_rng(9)
-    u = oracles.random_unitary(4, rng)
-    assert qmath.hs_distance(u, u) == 0.0
-    assert qmath.hs_distance(np.eye(4), -np.eye(4)) == pytest.approx(4.0)
-    for delta in [0.05, 0.3, 1.2]:
-        v = np.diag([np.exp(1j * delta), 1.0, 1.0, 1.0])
-        want = math.sqrt(2.0 - 2.0 * math.cos(delta))
-        assert qmath.hs_distance(np.eye(4), v) == pytest.approx(want, abs=1e-12)
+# The Born-rule tests run on chip.detection_probabilities with no rotation:
+# its entries are Tr[rho P_c] for the four channel projectors, in basis order.
+CHANNEL_PROJECTORS = [np.diag(np.eye(4)[c]).astype(complex) for c in range(4)]
 
 
-def test_hs_distance_against_loops_and_triangle():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        u = oracles.random_unitary(4, rng)
-        v = oracles.random_unitary(4, rng)
-        w = oracles.random_unitary(4, rng)
-        duv = qmath.hs_distance(u, v)
-        assert duv == pytest.approx(oracles.frobenius_by_loops(u, v), abs=1e-12)
-        assert duv <= qmath.hs_distance(u, w) + qmath.hs_distance(w, v) + 1e-9
-    with pytest.raises(ValueError):
-        qmath.hs_distance(np.eye(4), np.eye(2))
+def born(state):
+    return chip.detection_probabilities(state, qmath.ID4)
 
 
 def test_born_probability_basis_cases():
-    p_uf = qmath.channel_projector("UF")
-    p_dn = qmath.channel_projector("DN")
-    assert qmath.born_probability(qmath.basis_state("UF"), p_uf) == pytest.approx(1.0)
-    assert qmath.born_probability(PHI_PLUS, p_uf) == pytest.approx(0.5)
+    uf = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    np.testing.assert_allclose(born(uf), [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+    assert born(PHI_PLUS)[0] == pytest.approx(0.5)
     rotated = XX @ PHI_PLUS
     np.testing.assert_allclose(rotated, PHI_PLUS, atol=1e-15)
-    assert qmath.born_probability(rotated, p_dn) == pytest.approx(0.5)
+    assert born(rotated)[3] == pytest.approx(0.5)
 
 
 def test_born_probability_completeness_and_oracle():
     rng = np.random.default_rng(23)
-    projs = qmath.channel_projectors()
     for _ in range(20):
         state = oracles.random_pure_state(4, rng)
         rho = oracles.random_density(4, rng)
         for s in (state, rho):
-            total = sum(qmath.born_probability(s, p) for p in projs)
-            assert total == pytest.approx(1.0, abs=1e-10)
-            for p in projs:
-                got = qmath.born_probability(s, p)
-                assert 0.0 <= got <= 1.0
-
-
-def test_born_probability_rejects_non_projector():
-    with pytest.raises(ValueError):
-        qmath.born_probability(PHI_PLUS, XX + np.eye(4))
+            got = born(s)
+            assert got.shape == (4,)
+            assert got.sum() == pytest.approx(1.0, abs=1e-10)
+            assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 def test_born_probability_matches_loops():
     rng = np.random.default_rng(29)
-    projs = qmath.channel_projectors()
     for _ in range(15):
         rho = oracles.random_density(4, rng)
-        for p in projs:
-            assert qmath.born_probability(rho, p) == pytest.approx(
-                oracles.born_by_loops(rho, p), abs=1e-12
-            )
+        want = [oracles.born_by_loops(rho, p) for p in CHANNEL_PROJECTORS]
+        np.testing.assert_allclose(born(rho), want, atol=1e-12)
 
 
 def test_as_density_accepts_and_rejects():
@@ -194,9 +158,11 @@ def test_as_density_accepts_and_rejects():
 
 
 def test_distribution_vector_and_dict():
-    probs = {"UF": 0.1, "UN": 0.2, "DF": 0.3, "DN": 0.4}
-    vec = qmath.distribution_vector(probs)
+    vec = qmath.distribution_vector([0.1, 0.2, 0.3, 0.4])
     np.testing.assert_allclose(vec, [0.1, 0.2, 0.3, 0.4], atol=0)
-    np.testing.assert_allclose(qmath.distribution_vector([0.1, 0.2, 0.3, 0.4]), vec)
-    back = qmath.distribution_dict(vec)
-    assert back == pytest.approx(probs)
+    assert vec.dtype == float
+    with pytest.raises(ValueError):
+        qmath.distribution_vector([0.5, 0.5])
+    # distributions are basis-order arrays; a dict keyed by label is not one
+    with pytest.raises(TypeError):
+        qmath.distribution_vector({"UF": 0.1, "UN": 0.2, "DF": 0.3, "DN": 0.4})

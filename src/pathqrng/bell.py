@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -115,14 +114,23 @@ class CorrelationGrid:
         object.__setattr__(self, "e", e)
         if e.shape != (len(self.phi_values), len(self.theta_values)):
             raise ValueError(f"E shape {e.shape} does not match the angle lists")
-        finite = e[np.isfinite(e)]
-        if finite.size and np.max(np.abs(finite)) > 1.0 + 1e-9:
+        if not np.all(np.isfinite(np.concatenate((self.phi_values, self.theta_values)))):
+            raise ValueError("grid angles must be finite")
+        has_data = np.isfinite(e)
+        if np.max(np.abs(e[has_data]), initial=0.0) > 1.0 + 1e-9:
             raise ValueError("grid holds a correlation coefficient outside [-1, 1]")
         if self.stderr is not None:
             se = np.asarray(self.stderr, dtype=float)
             object.__setattr__(self, "stderr", se)
             if se.shape != e.shape:
                 raise ValueError("stderr shape does not match E")
+            # a missing or negative stderr would shrink the chi stderr of a quad
+            bad = np.argwhere(has_data & ~(np.isfinite(se) & (se >= 0.0)))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(
+                    f"stderr {float(se[i, j])!r} at phi={float(self.phi_values[i])!r} "
+                    f"theta={float(self.theta_values[j])!r} must be finite and non-negative")
 
 
 def check_chi(chi: float, stderr: float = 0.0) -> None:
@@ -168,51 +176,82 @@ def best_combination_search(grid: CorrelationGrid) -> tuple[ChiResult, ChiResult
     with distinct entries, which covers all four placements of the minus
     sign via relabeling.  Cells with NaN are excluded.  Returns the global
     maximum and minimum; exact ties are broken toward the lexicographically
-    smallest (phi, phi', theta, theta') tuple.
+    smallest (phi, phi', theta, theta') tuple, then (for repeated angle
+    values) toward the quad met first in index order.
+
+    The evaluation is blocked by the first phi index: one block holds every
+    later phi against every theta pair, so each block's arrays take
+    O(n_phi * n_theta^2) memory, never the whole O(n_phi^2 * n_theta^2)
+    search.  Within a quad chi is ``total - 2 e_minus`` with
+    ``total = eac + ead + ebc + ebd`` summed in that order.  The stderr,
+    sqrt of the summed squared cell stderrs, is computed for the two
+    winning quads only.
     """
     ph = np.asarray(grid.phi_values, dtype=float)
     th = np.asarray(grid.theta_values, dtype=float)
     if ph.size < 2 or th.size < 2:
         raise ValueError("the search needs at least 2 phi values and 2 theta values")
     e = grid.e
+    jc, jd = np.triu_indices(th.size, 1)
 
-    best: dict[str, tuple[float, tuple[float, float, float, float], float] | None] = {
+    # per sign: (chi, angles, cell indices (ia, ib, jc, jd)) of the best quad so far
+    best: dict[str, tuple[float, tuple[float, ...], tuple[int, int, int, int]] | None] = {
         "max": None, "min": None}
-
-    def consider(chi: float, angles: tuple[float, float, float, float], se: float) -> None:
-        for sign, better in (("max", lambda a, b: a > b), ("min", lambda a, b: a < b)):
+    for ia in range(ph.size - 1):
+        ib = np.arange(ia + 1, ph.size)[:, None]
+        # cells (eac, ead, ebc, ebd) of quad (ib, theta pair) in the last axis
+        cells = np.empty((ib.size, jc.size, 4))
+        cells[..., 0] = e[ia, jc]
+        cells[..., 1] = e[ia, jd]
+        cells[..., 2] = e[ib, jc]
+        cells[..., 3] = e[ib, jd]
+        total = cells[..., 0] + cells[..., 1] + cells[..., 2] + cells[..., 3]
+        # four cells in [-1, 1] sum to a finite total iff none is missing
+        quads = np.flatnonzero(np.isfinite(total))
+        if quads.size == 0:
+            continue
+        # chi = total - 2 e_minus with the minus on (a, c) | (a, d) | (b, c) | (b, d)
+        cells *= 2.0
+        chi = np.subtract(total[..., None], cells, out=cells).reshape(-1, 4)[quads]
+        for sign, value, better in (("max", chi.max(), np.greater),
+                                    ("min", chi.min(), np.less)):
             cur = best[sign]
-            if cur is None or better(chi, cur[0]) or (chi == cur[0] and angles < cur[1]):
-                best[sign] = (chi, angles, se)
-
-    # Unordered pairs with all four minus placements enumerate the same set
-    # as ordered pairs with a fixed minus position; evaluate the four
-    # placements explicitly and relabel so the minus lands on (phi, theta').
-    for ia, ib in combinations(range(ph.size), 2):
-        for jc, jd in combinations(range(th.size), 2):
-            quad = (e[ia, jc], e[ia, jd], e[ib, jc], e[ib, jd])
-            if any(not np.isfinite(q) for q in quad):
+            if cur is not None and better(cur[0], value):
                 continue
-            eac, ead, ebc, ebd = quad
-            total = eac + ead + ebc + ebd
-            se = 0.0
-            if grid.stderr is not None:
-                ses = (grid.stderr[ia, jc], grid.stderr[ia, jd],
-                       grid.stderr[ib, jc], grid.stderr[ib, jd])
-                # the same 4 independent cells enter every minus placement
-                se = float(np.sqrt(np.nansum(np.square(ses))))
-            # minus on (a, c) | (a, d) | (b, c) | (b, d), relabeled tuples
-            consider(total - 2.0 * eac, (ph[ia], ph[ib], th[jd], th[jc]), se)
-            consider(total - 2.0 * ead, (ph[ia], ph[ib], th[jc], th[jd]), se)
-            consider(total - 2.0 * ebc, (ph[ib], ph[ia], th[jd], th[jc]), se)
-            consider(total - 2.0 * ebd, (ph[ib], ph[ia], th[jc], th[jd]), se)
+            # the block's tied candidates, in (quad, placement) order
+            ties, placement = np.divmod(np.flatnonzero(chi == value), 4)
+            b, pair = np.divmod(quads[ties], jc.size)
+            b += ia + 1
+            c, d = jc[pair], jd[pair]
+            # relabel so the minus lands on (phi, theta'): placements 2 and 3
+            # swap phi with phi', placements 0 and 2 swap theta with theta'
+            swap_phi = placement >= 2
+            swap_theta = placement % 2 == 0
+            angles = np.stack((ph[np.where(swap_phi, b, ia)], ph[np.where(swap_phi, ia, b)],
+                               th[np.where(swap_theta, d, c)], th[np.where(swap_theta, c, d)]),
+                              axis=1)
+            # the lexicographically smallest tuple; among equal ones the first
+            keep = np.arange(ties.size)
+            for column in angles.T:
+                keep = keep[column[keep] == column[keep].min()]
+            k = keep[0]
+            candidate = tuple(angles[k])
+            if cur is None or value != cur[0] or candidate < cur[1]:
+                best[sign] = (value, candidate, (ia, int(b[k]), int(c[k]), int(d[k])))
 
     if best["max"] is None or best["min"] is None:
         raise ValueError("grid has no complete angle combination without missing data")
-    vmax, amax, semax = best["max"]
-    vmin, amin, semin = best["min"]
-    return (ChiResult(vmax, amax, stderr=semax, sign="max"),
-            ChiResult(vmin, amin, stderr=semin, sign="min"))
+
+    def result(sign: str) -> ChiResult:
+        chi, angles, (ia, ib, c, d) = best[sign]
+        se = 0.0
+        if grid.stderr is not None:
+            s = grid.stderr
+            # the same 4 independent cells enter every minus placement
+            se = float(np.sqrt(np.sum(np.square((s[ia, c], s[ia, d], s[ib, c], s[ib, d])))))
+        return ChiResult(chi, angles, stderr=se, sign=sign)
+
+    return result("max"), result("min")
 
 
 def chi_stderr(streams: Sequence[EventStream], subinterval_s: float = 0.2) -> float:

@@ -368,6 +368,7 @@ def _resolve_config_path(value: str) -> Path:
 
 _EVENT_MAGIC = "# pathqrng-events v1"
 _GRID_MAGIC = "# pathqrng-grid v1"
+_GRID_COLUMNS = ("phi", "theta", "e", "stderr")
 
 
 _EVENT_COLUMNS = "timestamp_ns\tchannel"
@@ -503,20 +504,29 @@ def read_event_file(path: Path | str) -> EventStream:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def write_grid_file(grid: CorrelationGrid, path: Path | str) -> None:
-    lines = [_GRID_MAGIC, "phi\ttheta\te\tstderr"]
+def _grid_lines(grid: CorrelationGrid, sep: str) -> list[str]:
+    """Column header, then one phi, theta, E, stderr row of repr floats per cell.
+
+    The stderr column is NaN for a grid without stderrs.  ``grid.tsv`` and
+    ``report``'s ``e_surface.csv`` are this with a tab and a comma.
+    """
+    lines = [sep.join(_GRID_COLUMNS)]
     for i, phi in enumerate(grid.phi_values):
         for j, theta in enumerate(grid.theta_values):
-            se = float("nan") if grid.stderr is None else float(grid.stderr[i, j])
-            lines.append(f"{float(phi)!r}\t{float(theta)!r}\t{float(grid.e[i, j])!r}\t{se!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+            se = float("nan") if grid.stderr is None else grid.stderr[i, j]
+            lines.append(sep.join(repr(float(v)) for v in (phi, theta, grid.e[i, j], se)))
+    return lines
+
+
+def write_grid_file(grid: CorrelationGrid, path: Path | str) -> None:
+    _atomic_write(path, "\n".join([_GRID_MAGIC, *_grid_lines(grid, "\t")]) + "\n")
 
 
 def read_grid_file(path: Path | str) -> CorrelationGrid:
     text = Path(path).read_text().splitlines()
     if not text or text[0] != _GRID_MAGIC:
         raise ValidationError(f"{path}: not a pathqrng grid file")
-    if len(text) < 2 or text[1] != "phi\ttheta\te\tstderr":
+    if len(text) < 2 or text[1] != "\t".join(_GRID_COLUMNS):
         raise ValidationError(f"{path}: missing column header")
     cells: dict[tuple[float, float], tuple[float, float]] = {}
     for line in text[2:]:
@@ -880,12 +890,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
               f"{len(grid.theta_values)} theta, {int(finite.sum())} cells")
         print(f"E range [{np.nanmin(grid.e):+.6f}, {np.nanmax(grid.e):+.6f}]")
         if plots:
-            lines = ["phi,theta,e,stderr"]
-            for i, p in enumerate(grid.phi_values):
-                for j, t in enumerate(grid.theta_values):
-                    se = float("nan") if grid.stderr is None else float(grid.stderr[i, j])
-                    lines.append(f"{float(p)!r},{float(t)!r},{float(grid.e[i, j])!r},{se!r}")
-            _atomic_write(plots / "e_surface.csv", "\n".join(lines) + "\n")
+            _atomic_write(plots / "e_surface.csv", "\n".join(_grid_lines(grid, ",")) + "\n")
             print(f"wrote {plots / 'e_surface.csv'}")
         return EXIT_OK
 

@@ -7,9 +7,12 @@ no structure with them.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 from scipy import linalg, optimize, stats
+
+from pathqrng.bell import ChiResult
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -270,3 +273,57 @@ def event_records_by_lines(text):
         ts.append(int(t_str))
         ch.append(index[c_str])
     return meta, np.array(ts, dtype=np.int64), np.array(ch, dtype=np.uint8)
+
+
+def best_combination_search_loop(grid):
+    """The exhaustive CHSH search as a loop over quads and minus placements.
+
+    Evaluates chi for all ordered pairs (phi, phi') and (theta, theta')
+    with distinct entries, which covers all four placements of the minus
+    sign via relabeling.  Cells with NaN are excluded.  Returns the global
+    maximum and minimum; exact ties are broken toward the lexicographically
+    smallest (phi, phi', theta, theta') tuple.
+    """
+    ph = np.asarray(grid.phi_values, dtype=float)
+    th = np.asarray(grid.theta_values, dtype=float)
+    if ph.size < 2 or th.size < 2:
+        raise ValueError("the search needs at least 2 phi values and 2 theta values")
+    e = grid.e
+
+    best: dict[str, tuple[float, tuple[float, float, float, float], float] | None] = {
+        "max": None, "min": None}
+
+    def consider(chi: float, angles: tuple[float, float, float, float], se: float) -> None:
+        for sign, better in (("max", lambda a, b: a > b), ("min", lambda a, b: a < b)):
+            cur = best[sign]
+            if cur is None or better(chi, cur[0]) or (chi == cur[0] and angles < cur[1]):
+                best[sign] = (chi, angles, se)
+
+    # Unordered pairs with all four minus placements enumerate the same set
+    # as ordered pairs with a fixed minus position; evaluate the four
+    # placements explicitly and relabel so the minus lands on (phi, theta').
+    for ia, ib in combinations(range(ph.size), 2):
+        for jc, jd in combinations(range(th.size), 2):
+            quad = (e[ia, jc], e[ia, jd], e[ib, jc], e[ib, jd])
+            if any(not np.isfinite(q) for q in quad):
+                continue
+            eac, ead, ebc, ebd = quad
+            total = eac + ead + ebc + ebd
+            se = 0.0
+            if grid.stderr is not None:
+                ses = (grid.stderr[ia, jc], grid.stderr[ia, jd],
+                       grid.stderr[ib, jc], grid.stderr[ib, jd])
+                # the same 4 independent cells enter every minus placement
+                se = float(np.sqrt(np.nansum(np.square(ses))))
+            # minus on (a, c) | (a, d) | (b, c) | (b, d), relabeled tuples
+            consider(total - 2.0 * eac, (ph[ia], ph[ib], th[jd], th[jc]), se)
+            consider(total - 2.0 * ead, (ph[ia], ph[ib], th[jc], th[jd]), se)
+            consider(total - 2.0 * ebc, (ph[ib], ph[ia], th[jd], th[jc]), se)
+            consider(total - 2.0 * ebd, (ph[ib], ph[ia], th[jc], th[jd]), se)
+
+    if best["max"] is None or best["min"] is None:
+        raise ValueError("grid has no complete angle combination without missing data")
+    vmax, amax, semax = best["max"]
+    vmin, amin, semin = best["min"]
+    return (ChiResult(vmax, amax, stderr=semax, sign="max"),
+            ChiResult(vmin, amin, stderr=semin, sign="min"))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,108 @@ def test_best_combination_degenerate_grid():
     )
     with pytest.raises(ValueError):
         bell.best_combination_search(all_nan)
+
+
+def assert_search_matches_loop(grid):
+    """The search and the loop oracle agree exactly, or raise the same error."""
+    try:
+        want = oracles.best_combination_search_loop(grid)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            bell.best_combination_search(grid)
+        assert str(got.value) == str(exc)
+        return
+    got = bell.best_combination_search(grid)
+    assert got == want
+    # == sees -0.0 and 0.0 as equal; the written angles must not differ either
+    assert [repr(tuple(map(float, r.angles))) for r in got] == \
+        [repr(tuple(map(float, r.angles))) for r in want]
+
+
+def paper_like_grid():
+    """41x21 grid of the 40:60 closed form with shot noise and its stderr."""
+    rng = np.random.default_rng(2605)
+    phis = np.linspace(-2.0, 2.0, 41)
+    thetas = np.linspace(-2.0, 0.0, 21)
+    e = np.array([[bell.unbalanced_correlation(p, t, 0.93 / 3125.0) for t in thetas]
+                  for p in phis])
+    se = np.sqrt((1.0 - e * e) / 60_000.0)
+    e = np.clip(e + rng.normal(scale=se), -1.0, 1.0)
+    return bell.CorrelationGrid(tuple(phis), tuple(thetas), e, stderr=se)
+
+
+def cos_grid():
+    phis = np.linspace(-2.0, 2.0, 41)
+    thetas = np.linspace(-2.0, 0.0, 21)
+    e = np.cos(2.0 * (phis[:, None] - thetas[None, :]))
+    return bell.CorrelationGrid(tuple(phis), tuple(thetas), e)
+
+
+@pytest.mark.parametrize("make_grid", [cos_grid, paper_like_grid])
+def test_best_combination_matches_loop_oracle_41x21(make_grid):
+    assert_search_matches_loop(make_grid())
+
+
+def test_best_combination_matches_loop_oracle_on_tied_grids():
+    """E on multiples of 0.5 ties chi within and across placements; unsorted
+    and repeated angles (with -0.0 next to 0.0) exercise the tie-break."""
+    rng = np.random.default_rng(1969)
+    for k in range(240):
+        n_phi, n_theta = int(rng.integers(2, 13)), int(rng.integers(2, 10))
+        if k % 3 == 0:
+            phis = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5], size=n_phi)
+            thetas = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=n_theta)
+        else:
+            phis = rng.permutation(n_phi) * 0.25 - 1.0
+            thetas = rng.permutation(n_theta) * 0.5
+        e = rng.integers(-2, 3, size=(n_phi, n_theta)) * 0.5
+        e[rng.random(e.shape) < rng.uniform(0.0, 0.5)] = np.nan
+        se = None
+        if k % 2:
+            se = rng.integers(0, 4, size=e.shape) * 0.01
+            # cells without E may carry anything
+            se[np.isnan(e)] = rng.choice([np.nan, -1.0, np.inf])
+        assert_search_matches_loop(bell.CorrelationGrid(tuple(phis), tuple(thetas), e, se))
+
+
+def test_best_combination_no_complete_quad_matches_loop():
+    e = np.array([[0.5, np.nan, 0.5], [np.nan, 0.5, np.nan], [0.5, np.nan, np.nan]])
+    grid = bell.CorrelationGrid((0.0, 1.0, 2.0), (0.0, 1.0, 2.0), e)
+    with pytest.raises(ValueError, match="no complete angle combination"):
+        bell.best_combination_search(grid)
+    assert_search_matches_loop(grid)
+
+
+def test_best_combination_memory_is_blocked():
+    """A 41x21 search holds one phi block at a time, not all 172,200 x 4 chi."""
+    grid = paper_like_grid()
+    bell.best_combination_search(grid)
+    tracemalloc.start()
+    try:
+        bell.best_combination_search(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.01, np.inf])
+def test_correlation_grid_rejects_bad_stderr_on_data_cells(bad):
+    e = [[0.6, -0.5], [0.4, 0.55]]
+    se = np.array([[0.01, bad], [0.01, 0.01]])
+    with pytest.raises(ValueError, match="stderr .* at phi=0.0 theta=1.0"):
+        bell.CorrelationGrid((0.0, 1.0), (0.0, 1.0), e, stderr=se)
+    # a cell without E has no stderr to check
+    e[0][1] = np.nan
+    bell.CorrelationGrid((0.0, 1.0), (0.0, 1.0), e, stderr=se)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_correlation_grid_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="angles must be finite"):
+        bell.CorrelationGrid((0.0, bad), (0.0, 1.0), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="angles must be finite"):
+        bell.CorrelationGrid((0.0, 1.0), (bad, 1.0), np.zeros((2, 2)))
 
 
 def test_chi_stderr_zero_variance():

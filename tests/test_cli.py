@@ -751,6 +751,30 @@ class TestReportCommand:
         surface = (plots / "e_surface.csv").read_text().splitlines()
         assert len(surface) == 1 + 4
 
+    def test_grid_report_surface_is_the_grid_file_with_commas(self, tmp_path):
+        grid = CorrelationGrid((-0.0, 0.1, 1.0 / 3.0), (-1.0, 2.0 ** -0.5),
+                               np.array([[0.1, np.nan], [-1.0, 1.0 / 7.0], [0.3, -0.0]]),
+                               stderr=np.array([[1e-3, np.nan], [0.0, 0.02], [5e-17, 0.004]]))
+        cli.write_grid_file(grid, tmp_path / "grid.tsv")
+        plots = tmp_path / "plots"
+        code, _, _ = run_cli("report", "--result", str(tmp_path / "grid.tsv"),
+                             "--plots-dir", str(plots))
+        assert code == 0
+        magic, header, body = (tmp_path / "grid.tsv").read_text().split("\n", 2)
+        assert magic == "# pathqrng-grid v1" and header == "phi\ttheta\te\tstderr"
+        assert (plots / "e_surface.csv").read_text() == \
+            "phi,theta,e,stderr\n" + body.replace("\t", ",")
+
+    @pytest.mark.parametrize("bad", ["nan", "-0.01", "inf"])
+    def test_grid_with_bad_cell_stderr_rejected(self, tmp_path, bad):
+        p = tmp_path / "grid.tsv"
+        p.write_text("# pathqrng-grid v1\nphi\ttheta\te\tstderr\n"
+                     "0.0\t0.0\t0.6\t0.01\n0.0\t1.0\t-0.5\t" + bad + "\n"
+                     "1.0\t0.0\t0.4\t0.01\n1.0\t1.0\t0.55\t0.01\n")
+        code, _, err = run_cli("report", "--result", str(p))
+        assert code == 2 and len(err.splitlines()) == 1
+        assert "must be finite and non-negative" in json.loads(err)["message"]
+
     def test_unknown_kind_rejected(self, tmp_path):
         cli.write_json_doc({"kind": "mystery"}, tmp_path / "m.json")
         code, _, err = run_cli("report", "--result", str(tmp_path / "m.json"))

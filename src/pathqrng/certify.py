@@ -24,8 +24,8 @@ The correction-term maximization exploits that the objective is linear in
 the input density operator: for fixed angles the best state is an extreme
 point, and the exact inner maximum over all states is the spectral norm of
 a Hermitian 4x4 operator.  The outer angle search is a seeded multi-start
-coordinate refinement, cross-checked by a large pass of random probes over
-explicit pure states.
+coordinate refinement with its starts in lockstep, cross-checked by a large
+pass of random probes over explicit pure states, scored from U psi.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .optics import DESIGN_WAVELENGTH_NM, IDEAL_MMI, MmiParams
 SQRT2 = math.sqrt(2.0)
 
 _ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
-_CHSH_SIGNS = (1.0, -1.0, 1.0, 1.0)  # minus on the (phi, theta') term
+_CHSH_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])  # minus on the (phi, theta') term
 
 
 @dataclass(frozen=True)
@@ -99,21 +99,6 @@ def nearest_factorized(d: Sequence[float]) -> FactorizedApprox:
     return FactorizedApprox(varphi, vartheta, (0.0, 0.0, 1.0), distance)
 
 
-def hs_error_bound(epsilon: float, stages: int = 1) -> float:
-    """First-order bound on the distance to the nearest factorized operator.
-
-    4 epsilon for a single stage, 8 sqrt(2) epsilon for the composed
-    two-stage rotation, with epsilon the largest error magnitude.
-    """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
-    if stages == 1:
-        return 4.0 * epsilon
-    if stages == 2:
-        return 8.0 * SQRT2 * epsilon
-    raise ValueError("stages must be 1 or 2")
-
-
 # ---------------------------------------------------------------------------
 # batched operator construction for the correction-term search
 # ---------------------------------------------------------------------------
@@ -164,6 +149,13 @@ def _conjugate_diag(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return (uc * diag) @ u
 
 
+def _chsh_rotations(angles: np.ndarray, errors: PhaseErrorSet,
+                    tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(2, 2, 2, ..., 4, 4): (ideal, real) x (phi, phi') x (theta, theta'), one kernel call."""
+    return _rotations(np.stack([angles[..., 0], angles[..., 1]])[:, None],
+                      np.stack([angles[..., 2], angles[..., 3]])[None], errors, tr)
+
+
 def _chi_deviation_operator(angles: np.ndarray, errors: PhaseErrorSet,
                             tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Hermitian operator whose expectation is chi_ideal - chi_real.
@@ -171,12 +163,10 @@ def _chi_deviation_operator(angles: np.ndarray, errors: PhaseErrorSet,
     ``angles`` has shape (..., 4) holding (phi, phi', theta, theta').  All
     four correlation terms carry the same fixed error set.
     """
-    phi, phip, th, thp = (angles[..., k] for k in range(4))
+    zz = _conjugate_diag(_chsh_rotations(angles, errors, tr), _ZZ_DIAG)
     delta = np.zeros(angles.shape[:-1] + (4, 4), dtype=complex)
-    pairs = ((phi, th), (phi, thp), (phip, th), (phip, thp))
-    for sign, (p, q) in zip(_CHSH_SIGNS, pairs):
-        ui, ur = _rotations(p, q, errors, tr)
-        delta += sign * (_conjugate_diag(ui, _ZZ_DIAG) - _conjugate_diag(ur, _ZZ_DIAG))
+    for sign, term in zip(_CHSH_SIGNS, (zz[0] - zz[1]).reshape((4,) + zz.shape[3:])):
+        delta += sign * term
     return delta
 
 
@@ -203,29 +193,33 @@ def _outcome_deviations(angles: np.ndarray, errors: PhaseErrorSet,
 #: rotation operators repeat after pi (up to global phase), so every angle
 #: lives on [0, pi)
 _ANGLE_PERIOD = math.pi
+_START_BLOCK = 256  # starts per lockstep pass, bounding the objective batch
+_PROBE_DRAW, _PROBE_BLOCK = 20_000, 5_000  # probe rows per random draw, per kernel call
 
 
-def _coordinate_ascent(f: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
-                       step0: float = 0.4, step_min: float = 1e-4) -> tuple[np.ndarray, float]:
-    """Greedy pattern search on the angle torus, halving the step on stalls.
+def _coordinate_ascent(f: Callable[[np.ndarray], np.ndarray], x0s: np.ndarray, step0: float = 0.4,
+                       step_min: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pattern search on the angle torus for (starts, ndim) points in lockstep.
 
-    Each iteration evaluates all 2*ndim single-coordinate moves in one
-    batched objective call and takes the best improving one.
+    Each round evaluates the 2*ndim single-coordinate moves of every start
+    still at step >= ``step_min`` in one objective call.  A start takes its
+    best move (the first on ties) only on a strict gain and otherwise halves
+    its own step, so it follows the path it would follow alone.
     """
-    ndim = x0.size
-    x = x0.copy()
-    fx = float(f(x[None, :])[0])
-    step = step0
-    eye = np.eye(ndim)
-    while step >= step_min:
-        moves = np.concatenate([x + step * eye, x - step * eye]) % _ANGLE_PERIOD
-        vals = f(moves)
-        k = int(np.argmax(vals))
-        if vals[k] > fx:
-            x = moves[k]
-            fx = float(vals[k])
-        else:
-            step *= 0.5
+    x, fx = np.array(x0s, dtype=float), np.array(f(x0s), dtype=float)
+    step = np.full(len(x), step0)
+    eye = np.eye(x.shape[1])
+    active = np.flatnonzero(step >= step_min)
+    while active.size:
+        xa, sa = x[active, None, :], step[active, None, None]
+        moves = np.concatenate([xa + sa * eye, xa - sa * eye], axis=1) % _ANGLE_PERIOD
+        vals = f(moves.reshape(-1, x.shape[1])).reshape(moves.shape[:2])
+        k = np.argmax(vals, axis=1)
+        top = vals[np.arange(active.size), k]
+        up = top > fx[active]
+        x[active[up]], fx[active[up]] = moves[up, k[up]], top[up]
+        step[active[~up]] *= 0.5
+        active = active[step[active] >= step_min]
     return x, fx
 
 
@@ -263,48 +257,46 @@ def _random_pure_states(rng: np.random.Generator, count: int) -> np.ndarray:
     return psi
 
 
-def _maximize_deviation(operator_fn: Callable[[np.ndarray], np.ndarray],
+def _maximize_deviation(probe: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         objective: Callable[[np.ndarray], np.ndarray], ndim: int,
                         starts: int, probes: int, seed: int,
                         step_min: float) -> CorrectionEstimate:
     """Multi-start coordinate refinement plus a random-probe verification pass.
 
     The coordinate search maximizes the exact state maximum (spectral norm)
-    over angles.  The probe pass then samples random angles together with
-    random explicit pure states; it can only confirm, never exceed, the
-    spectral-norm maximum, and serves as an independent floor.
+    over angles, its starts climbing in lockstep blocks.  The probe pass then
+    scores random angles with random explicit pure states, ``probe(angles,
+    psi)`` in blocks of state vectors U psi; it can only confirm, never
+    exceed, the spectral-norm maximum, and serves as an independent floor.
     """
     if starts < 2:
         raise ValueError("need at least 2 starts")
+    if probes < 0:
+        raise ValueError(f"probes must be non-negative, got {probes!r}")
+    if not (math.isfinite(step_min) and step_min > 0.0):
+        raise ValueError(f"step_min must be finite and positive, got {step_min!r}")
     ss = np.random.SeedSequence(seed)
     rng_starts, rng_probes = (np.random.default_rng(s) for s in ss.spawn(2))
 
     x0s = rng_starts.uniform(0.0, _ANGLE_PERIOD, size=(starts, ndim))
-    best_val = -np.inf
-    best_half = -np.inf
-    best_x = x0s[0]
-    for i, x0 in enumerate(x0s):
-        x, fx = _coordinate_ascent(objective, x0, step_min=step_min)
-        if fx > best_val:
-            best_val, best_x = fx, x
-        if i == starts // 2 - 1:
-            best_half = best_val
-    converged = (best_val - best_half) < 1e-3
+    climbed = [_coordinate_ascent(objective, x0s[lo:lo + _START_BLOCK], step_min=step_min)
+               for lo in range(0, starts, _START_BLOCK)]
+    xs, fxs = (np.concatenate(parts) for parts in zip(*climbed))
+    best = int(np.argmax(fxs))
+    converged = bool(fxs[best] - np.max(fxs[:starts // 2]) < 1e-3)
 
     probe_best = 0.0
-    chunk = 20000
-    for lo in range(0, probes, chunk):
-        n = min(chunk, probes - lo)
+    for lo in range(0, probes, _PROBE_DRAW):
+        n = min(_PROBE_DRAW, probes - lo)
         ang = rng_probes.uniform(0.0, _ANGLE_PERIOD, size=(n, ndim))
         psi = _random_pure_states(rng_probes, n)
-        dev = operator_fn(ang)
-        vals = np.abs(np.einsum("ni,nij,nj->n", np.conj(psi), dev, psi).real)
-        if n:
+        for b in range(0, n, _PROBE_BLOCK):
+            vals = probe(ang[b:b + _PROBE_BLOCK], psi[b:b + _PROBE_BLOCK])
             probe_best = max(probe_best, float(np.max(vals)))
 
     return CorrectionEstimate(
-        value=float(max(best_val, probe_best)), converged=converged, starts=starts,
-        probes=probes, seed=seed, angles=tuple(float(v) for v in best_x),
+        value=float(max(fxs[best], probe_best)), converged=converged, starts=starts,
+        probes=probes, seed=seed, angles=tuple(float(v) for v in xs[best]),
         probe_best=probe_best)
 
 
@@ -322,13 +314,15 @@ def e_chi(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
     """
     tr = _resolve_mmis(mmis)
 
-    def op(ang: np.ndarray) -> np.ndarray:
-        return _chi_deviation_operator(ang, errors, tr)
-
     def obj(ang: np.ndarray) -> np.ndarray:
-        return _spectral_norm_hermitian(op(ang))
+        return _spectral_norm_hermitian(_chi_deviation_operator(ang, errors, tr))
 
-    return _maximize_deviation(op, obj, 4, starts, probes, seed, step_min)
+    def probe(ang: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        u_psi = (_chsh_rotations(ang, errors, tr) @ psi[..., None])[..., 0]
+        zz = np.abs(u_psi) ** 2 @ _ZZ_DIAG
+        return np.abs(_CHSH_SIGNS @ (zz[0] - zz[1]).reshape(4, -1))
+
+    return _maximize_deviation(probe, obj, 4, starts, probes, seed, step_min)
 
 
 def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
@@ -337,9 +331,9 @@ def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
     """Worst-case single-outcome probability deviation, |P_ideal - P_real|.
 
     Same contract as :func:`e_chi`, over (phi, theta) in [0, pi)^2 and all
-    four outcomes.  The probe pass folds the outcome choice into the
-    reported operator by keeping, per probe point, the outcome whose
-    deviation operator has the largest spectral norm.
+    four outcomes.  A probe scores its state by the largest of the four
+    |P_ideal(c) - P_real(c)|: outcomes c and c+2 have equal operator norms,
+    so ranking the outcomes by norm would pick between them by rounding.
     """
     tr = _resolve_mmis(mmis)
 
@@ -347,17 +341,22 @@ def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
         # the largest || Pi_ideal - Pi_real || over the 4 outcomes
         return np.max(_spectral_norm_hermitian(_outcome_deviations(ang, errors, tr)), axis=0)
 
-    def op(ang: np.ndarray) -> np.ndarray:
-        stack = _outcome_deviations(ang, errors, tr)  # (4, n, 4, 4)
-        pick = np.argmax(_spectral_norm_hermitian(stack), axis=0)
-        return stack[pick, np.arange(stack.shape[1])]
+    def probe(ang: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        u_psi = (_rotations(ang[..., 0], ang[..., 1], errors, tr) @ psi[..., None])[..., 0]
+        return np.max(np.abs(np.abs(u_psi[0]) ** 2 - np.abs(u_psi[1]) ** 2), axis=-1)
 
-    return _maximize_deviation(op, obj, 2, starts, probes, seed, step_min)
+    return _maximize_deviation(probe, obj, 2, starts, probes, seed, step_min)
 
 
 # ---------------------------------------------------------------------------
 # guessing probability and min-entropy
 # ---------------------------------------------------------------------------
+
+def guessing_curve(x: float | np.ndarray) -> np.ndarray:
+    """f of :func:`guessing_bound` elementwise, 1/2 beyond 2 sqrt(2), unchecked."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 + 0.5 * np.sqrt(np.maximum(2.0 - x * x / 4.0, 0.0))
+
 
 def guessing_bound(chi: float) -> float:
     """f(chi) = 1/2 + 1/2 sqrt(2 - chi^2/4), the violation-to-guessing map.
@@ -367,7 +366,7 @@ def guessing_bound(chi: float) -> float:
     """
     if not 2.0 - 1e-12 <= chi <= 2.0 * SQRT2 + 1e-12:
         raise ValueError(f"chi = {chi!r} outside [2, 2 sqrt 2]")
-    return 0.5 + 0.5 * math.sqrt(max(2.0 - chi * chi / 4.0, 0.0))
+    return float(guessing_curve(chi))
 
 
 def guessing_probability(chi_real: float, e_chi: float, e_p: float) -> float:
@@ -386,7 +385,7 @@ def guessing_probability(chi_real: float, e_chi: float, e_p: float) -> float:
     x = max(abs(chi_real) - e_chi, 0.0)
     if x <= 2.0:
         return 1.0
-    return min(1.0, 0.5 + 0.5 * math.sqrt(max(2.0 - x * x / 4.0, 0.0)) + e_p)
+    return min(1.0, float(guessing_curve(x)) + e_p)
 
 
 def min_entropy(p_guess: float) -> tuple[float, float]:
@@ -449,10 +448,7 @@ def concavity_check(f_samples: Sequence[float], lambda_points: int = 21) -> Conc
     x = xs[0 : xs.size - xs.size % 2 : 2]
     y = xs[1 : xs.size : 2]
     lam = np.linspace(0.0, 1.0, lambda_points)[:, None]
-
-    def f(v: np.ndarray) -> np.ndarray:
-        return 0.5 + 0.5 * np.sqrt(np.clip(2.0 - v * v / 4.0, 0.0, None))
-
+    f = guessing_curve
     mix = f(lam * x[None, :] + (1.0 - lam) * y[None, :])
     bound = lam * f(x)[None, :] + (1.0 - lam) * f(y)[None, :]
     worst = float(np.min(mix - bound))

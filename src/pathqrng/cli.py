@@ -48,7 +48,7 @@ import yaml
 from .bell import (ChiResult, CorrelationGrid, best_combination_search, check_chi,
                    chi_alpha_ideal, correlation_coefficient)
 from .certify import (CertificationResult, CorrectionEstimate, PhaseErrorSet,
-                      certification_result, e_chi, e_p)
+                      certification_result, e_chi, e_p, guessing_curve)
 from .chip import ChipConfig, GenerationSetting, RotationSetting, broadband_probabilities
 from .events import (EventStream, bin_and_resolve, raw_bits, simulate_events,
                      toeplitz_extract, windowed_traces)
@@ -913,8 +913,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             _write_chi_alpha_curve(plots / "chi_alpha_curve.csv")
             xs = np.linspace(2.0, 2.0 * math.sqrt(2.0), 200)
             lines = ["x,p_guess_bound"]
-            lines += [f"{repr(float(x))},{repr(0.5 + 0.5 * math.sqrt(max(2.0 - x * x / 4.0, 0.0)))}"
-                      for x in xs]
+            lines += [f"{repr(float(x))},{repr(float(y))}" for x, y in zip(xs, guessing_curve(xs))]
             _atomic_write(plots / "guessing_bound.csv", "\n".join(lines) + "\n")
             print(f"wrote {plots / 'chi_alpha_curve.csv'} and {plots / 'guessing_bound.csv'}")
     elif kind == "mzi-calibration":

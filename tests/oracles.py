@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 from scipy import linalg, optimize, stats
 
+from pathqrng import certify
 from pathqrng.bell import ChiResult
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -106,6 +107,21 @@ def stage_block(d, base=0.0):
     m_top = mzi_by_product(base + d[0], d[1])
     m_bot = mzi_by_product(base + d[2], d[3])
     return kron_by_hand(P1, m_top) + kron_by_hand(P2, m_bot)
+
+
+def hs_error_bound(epsilon, stages=1):
+    """First-order bound on the distance to the nearest factorized operator.
+
+    4 epsilon for a single stage, 8 sqrt(2) epsilon for the composed
+    two-stage rotation, with epsilon the largest error magnitude.
+    """
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be non-negative")
+    if stages == 1:
+        return 4.0 * epsilon
+    if stages == 2:
+        return 8.0 * math.sqrt(2.0) * epsilon
+    raise ValueError("stages must be 1 or 2")
 
 
 def factorized_distance_svd(d):
@@ -327,3 +343,109 @@ def best_combination_search_loop(grid):
     vmin, amin, semin = best["min"]
     return (ChiResult(vmax, amax, stderr=semax, sign="max"),
             ChiResult(vmin, amin, stderr=semin, sign="min"))
+
+
+# ---------------------------------------------------------------------------
+# the correction-term search, one start and one correlation term at a time
+# ---------------------------------------------------------------------------
+
+def chi_deviation_operator_loop(angles, errors, tr):
+    """chi_ideal - chi_real as an operator, one kernel call per CHSH term."""
+    phi, phip, th, thp = (angles[..., k] for k in range(4))
+    delta = np.zeros(angles.shape[:-1] + (4, 4), dtype=complex)
+    pairs = ((phi, th), (phi, thp), (phip, th), (phip, thp))
+    for sign, (p, q) in zip((1.0, -1.0, 1.0, 1.0), pairs):
+        ui, ur = certify._rotations(p, q, errors, tr)
+        delta += sign * (certify._conjugate_diag(ui, certify._ZZ_DIAG)
+                         - certify._conjugate_diag(ur, certify._ZZ_DIAG))
+    return delta
+
+
+def coordinate_ascent_sequential(f, x0, step0=0.4, step_min=1e-4):
+    """Greedy pattern search from one start, halving the step on stalls."""
+    ndim = x0.size
+    x = x0.copy()
+    fx = float(f(x[None, :])[0])
+    step = step0
+    eye = np.eye(ndim)
+    while step >= step_min:
+        moves = np.concatenate([x + step * eye, x - step * eye]) % math.pi
+        vals = f(moves)
+        k = int(np.argmax(vals))
+        if vals[k] > fx:
+            x = moves[k]
+            fx = float(vals[k])
+        else:
+            step *= 0.5
+    return x, fx
+
+
+def maximize_deviation_sequential(operator_fn, objective, ndim, starts, probes, seed,
+                                  step_min):
+    """The multi-start search one start after another, probes through a 4x4 operator.
+
+    ``operator_fn`` maps (n, ndim) angles to (n, 4, 4) deviation operators;
+    each probe is |<psi| op |psi>| for its random pure state.
+    """
+    if starts < 2:
+        raise ValueError("need at least 2 starts")
+    ss = np.random.SeedSequence(seed)
+    rng_starts, rng_probes = (np.random.default_rng(s) for s in ss.spawn(2))
+
+    x0s = rng_starts.uniform(0.0, math.pi, size=(starts, ndim))
+    best_val = -np.inf
+    best_half = -np.inf
+    best_x = x0s[0]
+    for i, x0 in enumerate(x0s):
+        x, fx = coordinate_ascent_sequential(objective, x0, step_min=step_min)
+        if fx > best_val:
+            best_val, best_x = fx, x
+        if i == starts // 2 - 1:
+            best_half = best_val
+    converged = (best_val - best_half) < 1e-3
+
+    probe_best = 0.0
+    chunk = 20000
+    for lo in range(0, probes, chunk):
+        n = min(chunk, probes - lo)
+        ang = rng_probes.uniform(0.0, math.pi, size=(n, ndim))
+        psi = certify._random_pure_states(rng_probes, n)
+        dev = operator_fn(ang)
+        vals = np.abs(np.einsum("ni,nij,nj->n", np.conj(psi), dev, psi).real)
+        if n:
+            probe_best = max(probe_best, float(np.max(vals)))
+
+    return certify.CorrectionEstimate(
+        value=float(max(best_val, probe_best)), converged=converged, starts=starts,
+        probes=probes, seed=seed, angles=tuple(float(v) for v in best_x),
+        probe_best=probe_best)
+
+
+def e_chi_sequential(errors, mmis=None, starts=64, probes=100_000, seed=20240,
+                     step_min=1e-4):
+    tr = certify._resolve_mmis(mmis)
+
+    def op(ang):
+        return chi_deviation_operator_loop(ang, errors, tr)
+
+    def obj(ang):
+        return certify._spectral_norm_hermitian(op(ang))
+
+    return maximize_deviation_sequential(op, obj, 4, starts, probes, seed, step_min)
+
+
+def e_p_sequential(errors, mmis=None, starts=64, probes=100_000, seed=20240,
+                   step_min=1e-4):
+    """Probes use, per angle pair, the outcome whose operator norm eigvalsh ranks first."""
+    tr = certify._resolve_mmis(mmis)
+
+    def obj(ang):
+        stack = certify._outcome_deviations(ang, errors, tr)
+        return np.max(certify._spectral_norm_hermitian(stack), axis=0)
+
+    def op(ang):
+        stack = certify._outcome_deviations(ang, errors, tr)
+        pick = np.argmax(certify._spectral_norm_hermitian(stack), axis=0)
+        return stack[pick, np.arange(stack.shape[1])]
+
+    return maximize_deviation_sequential(op, obj, 2, starts, probes, seed, step_min)

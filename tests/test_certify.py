@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,15 +90,15 @@ def test_nearest_factorized_parameters_reach_the_optimum():
 
 
 def test_hs_error_bound():
-    assert certify.hs_error_bound(0.0) == 0.0
-    assert certify.hs_error_bound(0.01, stages=1) == pytest.approx(0.04)
-    assert certify.hs_error_bound(0.01, stages=2) == pytest.approx(
+    assert oracles.hs_error_bound(0.0) == 0.0
+    assert oracles.hs_error_bound(0.01, stages=1) == pytest.approx(0.04)
+    assert oracles.hs_error_bound(0.01, stages=2) == pytest.approx(
         0.08 * SQRT2, abs=1e-15
     )
     with pytest.raises(ValueError):
-        certify.hs_error_bound(-0.1)
+        oracles.hs_error_bound(-0.1)
     with pytest.raises(ValueError):
-        certify.hs_error_bound(0.1, stages=3)
+        oracles.hs_error_bound(0.1, stages=3)
 
 
 def test_nearest_factorized_within_first_order_bound():
@@ -106,7 +107,7 @@ def test_nearest_factorized_within_first_order_bound():
         eps = rng.uniform(0.0, 0.25)
         d = tuple(rng.uniform(-eps, eps, size=4))
         fa = certify.nearest_factorized(d)
-        bound = certify.hs_error_bound(eps, stages=1) + 5.0 * eps * eps
+        bound = oracles.hs_error_bound(eps, stages=1) + 5.0 * eps * eps
         assert fa.distance <= bound + 1e-12
 
 
@@ -171,29 +172,221 @@ def test_corrections_reject_bad_splitters():
         certify.e_chi(CHI_PLUS_ERRORS, starts=1, probes=0)
 
 
-def test_convergence_flag_detects_split_basins():
-    # a narrow high bump that only some starts find: with two starts and
-    # seed 10, the first start lands in the broad low basin and the second
-    # escapes it, so the halves disagree and the run reports unconverged
-    def bimodal(ang):
-        x = ang[..., 0]
-        low = 0.30 * np.exp(-0.5 * ((x - 2.2) % math.pi / 0.9) ** 2)
-        centered = ((x - 0.7 + math.pi / 2) % math.pi) - math.pi / 2
-        high = np.exp(-0.5 * (centered / 0.02) ** 2)
-        return np.maximum(low, high)
+def bimodal(ang):
+    """A narrow high bump near 0.7 beside a broad low basin near 2.2."""
+    x = ang[..., 0]
+    low = 0.30 * np.exp(-0.5 * ((x - 2.2) % math.pi / 0.9) ** 2)
+    centered = ((x - 0.7 + math.pi / 2) % math.pi) - math.pi / 2
+    high = np.exp(-0.5 * (centered / 0.02) ** 2)
+    return np.maximum(low, high)
 
-    def zero_op(ang):
-        return np.zeros(ang.shape[:-1] + (4, 4))
+
+def test_convergence_flag_detects_split_basins():
+    # a bump that only some starts find: with two starts and seed 10, the
+    # first start lands in the broad low basin and the second escapes it, so
+    # the halves disagree and the run reports unconverged
+    def zero_probe(ang, psi):
+        return np.zeros(len(ang))
 
     est = certify._maximize_deviation(
-        zero_op, bimodal, 1, starts=2, probes=0, seed=10, step_min=1e-4
+        zero_probe, bimodal, 1, starts=2, probes=0, seed=10, step_min=1e-4
     )
     assert not est.converged
     assert est.value == pytest.approx(1.0, abs=1e-3)
     more = certify._maximize_deviation(
-        zero_op, bimodal, 1, starts=64, probes=0, seed=10, step_min=1e-4
+        zero_probe, bimodal, 1, starts=64, probes=0, seed=10, step_min=1e-4
     )
     assert more.converged
+
+
+def never_called(ang):
+    raise AssertionError("the search started before checking its budget")
+
+
+def same_search(new, old):
+    return (new.value, new.angles, new.converged) == (old.value, old.angles, old.converged)
+
+
+PAPER_MMIS = (optics.MmiParams.from_power(0.4, 0.6),) * 4
+
+
+@pytest.mark.parametrize("probes", [-1, -20000])
+def test_search_rejects_negative_probe_budget(probes):
+    with pytest.raises(ValueError, match="probes"):
+        certify._maximize_deviation(None, never_called, 4, starts=2, probes=probes,
+                                    seed=1, step_min=1e-4)
+
+
+@pytest.mark.parametrize("step_min", [0.0, -1e-4, math.nan, math.inf, -math.inf])
+def test_search_rejects_step_min_that_never_ends(step_min):
+    # step_min = 0 used to loop forever: the halved step underflows to 0.0
+    with pytest.raises(ValueError, match="step_min"):
+        certify._maximize_deviation(None, never_called, 4, starts=2, probes=0,
+                                    seed=1, step_min=step_min)
+    with pytest.raises(ValueError, match="step_min"):
+        certify.e_chi(CHI_PLUS_ERRORS, starts=2, probes=0, step_min=step_min)
+
+
+def test_chi_deviation_operator_matches_one_call_per_term():
+    rng = np.random.default_rng(211)
+    angles = rng.uniform(0.0, math.pi, size=(500, 4))
+    for mmis in (None, PAPER_MMIS):
+        tr = certify._resolve_mmis(mmis)
+        assert np.array_equal(certify._chi_deviation_operator(angles, CHI_PLUS_ERRORS, tr),
+                              oracles.chi_deviation_operator_loop(angles, CHI_PLUS_ERRORS, tr))
+
+
+def test_search_matches_sequential_oracle_on_the_paper_chip():
+    budget = dict(starts=16, probes=20_000, seed=20240)
+    new = certify.e_chi(CHI_PLUS_ERRORS, PAPER_MMIS, **budget)
+    old = oracles.e_chi_sequential(CHI_PLUS_ERRORS, PAPER_MMIS, **budget)
+    assert same_search(new, old)
+    assert new.probe_best == pytest.approx(old.probe_best, abs=1e-12)
+    new = certify.e_p(CHI_PLUS_ERRORS, PAPER_MMIS, **budget)
+    old = oracles.e_p_sequential(CHI_PLUS_ERRORS, PAPER_MMIS, **budget)
+    assert same_search(new, old)
+    # a probe now takes its largest outcome deviation, never less than the old pick
+    assert old.probe_best <= new.probe_best <= new.value
+
+
+@pytest.mark.parametrize("errors", [CHI_PLUS_ERRORS, CHI_MINUS_ERRORS], ids=["plus", "minus"])
+def test_search_matches_sequential_oracle_on_acceptance_errors(errors):
+    # ideal splitters leave flat directions, where starts walk on rounding-level gains
+    new = certify.e_chi(errors, **CHEAP_BUDGET)
+    old = oracles.e_chi_sequential(errors, **CHEAP_BUDGET)
+    assert same_search(new, old)
+    assert new.probe_best == pytest.approx(old.probe_best, abs=1e-12)
+    assert same_search(certify.e_p(errors, **CHEAP_BUDGET),
+                       oracles.e_p_sequential(errors, **CHEAP_BUDGET))
+
+
+def test_search_matches_sequential_oracle_on_random_error_sets():
+    rng = np.random.default_rng(2024)
+    for seed in range(20):
+        errors = certify.PhaseErrorSet(dphi=tuple(rng.uniform(-0.25, 0.25, 4)),
+                                       dtheta=tuple(rng.uniform(-0.25, 0.25, 4)))
+        p_phi, p_theta = rng.uniform(0.3, 0.7, 2)
+        mmis = ((optics.MmiParams.from_power(p_phi, 1.0 - p_phi),) * 2
+                + (optics.MmiParams.from_power(p_theta, 1.0 - p_theta),) * 2)
+        budget = dict(starts=4, probes=1000, seed=seed)
+        new = certify.e_chi(errors, mmis, **budget)
+        old = oracles.e_chi_sequential(errors, mmis, **budget)
+        assert same_search(new, old), seed
+        assert new.probe_best == pytest.approx(old.probe_best, abs=1e-12)
+        assert same_search(certify.e_p(errors, mmis, **budget),
+                           oracles.e_p_sequential(errors, mmis, **budget)), seed
+
+
+def test_search_matches_sequential_oracle_on_split_basins(monkeypatch):
+    for starts in (2, 7, 64):
+        old = oracles.maximize_deviation_sequential(None, bimodal, 1, starts, 0, 10, 1e-4)
+        assert same_search(certify._maximize_deviation(None, bimodal, 1, starts, 0, 10, 1e-4),
+                           old)
+        # blocks of 3 starts climb separately but land on the same points
+        monkeypatch.setattr(certify, "_START_BLOCK", 3)
+        assert same_search(certify._maximize_deviation(None, bimodal, 1, starts, 0, 10, 1e-4),
+                           old)
+        monkeypatch.undo()
+
+
+def test_coordinate_ascent_breaks_ties_toward_the_first_move():
+    # every move out of (1, 1) gains the same rounded amount: the +x0 move wins
+    def plateau(ang):
+        return np.round(np.sum(np.abs(ang - 1.0), axis=-1), 6)
+
+    x0s = np.array([[1.0, 1.0], [0.5, 2.5], [1.0, 3.0]])
+    xs, fxs = certify._coordinate_ascent(plateau, x0s)
+    for x0, x, fx in zip(x0s, xs, fxs):
+        want_x, want_fx = oracles.coordinate_ascent_sequential(plateau, x0)
+        assert np.array_equal(x, want_x) and fx == want_fx
+
+
+def test_coordinate_ascent_moves_only_on_strict_gains():
+    # on a constant objective no move is better: each start only halves its step
+    calls = []
+
+    def flat(ang):
+        calls.append(len(ang))
+        if len(calls) > 100:
+            raise AssertionError("the search keeps taking moves that gain nothing")
+        return np.full(len(ang), 0.25)
+
+    x0s = np.random.default_rng(5).uniform(0.0, math.pi, size=(5, 3))
+    xs, fxs = certify._coordinate_ascent(flat, x0s, step0=0.4, step_min=1e-4)
+    assert np.array_equal(xs, x0s) and np.all(fxs == 0.25)
+    # one call for the starts, then one per step size 0.4 * 2**-k >= 1e-4, k = 0..11
+    assert calls == [5] + [5 * 6] * 12
+
+
+def test_coordinate_ascent_halves_only_the_stalled_starts():
+    # one start sits on the peak and stalls at once, the other climbs toward it
+    def peak(ang):
+        return -np.abs(ang[..., 0] - 1.5)
+
+    x0s = np.array([[1.5], [0.3]])
+    xs, fxs = certify._coordinate_ascent(peak, x0s)
+    for x0, x, fx in zip(x0s, xs, fxs):
+        want_x, want_fx = oracles.coordinate_ascent_sequential(peak, x0)
+        assert np.array_equal(x, want_x) and fx == want_fx
+
+
+def test_outcome_pairs_have_equal_operator_norms():
+    # rank-1 projector differences: outcomes c and c+2 tie in exact arithmetic,
+    # so ranking them by eigvalsh would pick by rounding noise
+    rng = np.random.default_rng(223)
+    angles = rng.uniform(0.0, math.pi, size=(2000, 2))
+    for mmis in (None, PAPER_MMIS):
+        tr = certify._resolve_mmis(mmis)
+        norms = certify._spectral_norm_hermitian(
+            certify._outcome_deviations(angles, CHI_PLUS_ERRORS, tr))
+        np.testing.assert_allclose(norms[0], norms[2], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(norms[1], norms[3], rtol=0.0, atol=1e-12)
+
+
+def search_callables(term, mmis, monkeypatch):
+    """The (probe, objective) pair that ``term`` hands to the search."""
+    seen = []
+    monkeypatch.setattr(certify, "_maximize_deviation", lambda *args: seen.append(args[:2]))
+    term(CHI_PLUS_ERRORS, mmis)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("mmis", [None, PAPER_MMIS], ids=["ideal", "paper"])
+def test_probes_are_state_expectations_below_the_objective(mmis, monkeypatch):
+    rng = np.random.default_rng(227)
+    tr = certify._resolve_mmis(mmis)
+    psi = certify._random_pure_states(rng, 3000)
+
+    probe, objective = search_callables(certify.e_chi, mmis, monkeypatch)
+    angles = rng.uniform(0.0, math.pi, size=(3000, 4))
+    dev = oracles.chi_deviation_operator_loop(angles, CHI_PLUS_ERRORS, tr)
+    want = np.abs(np.einsum("ni,nij,nj->n", np.conj(psi), dev, psi).real)
+    got = probe(angles, psi)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.all(got <= objective(angles) + 1e-12)
+
+    probe, objective = search_callables(certify.e_p, mmis, monkeypatch)
+    angles = rng.uniform(0.0, math.pi, size=(3000, 2))
+    stack = certify._outcome_deviations(angles, CHI_PLUS_ERRORS, tr)
+    want = np.max(np.abs(np.einsum("ni,cnij,nj->cn", np.conj(psi), stack, psi).real), axis=0)
+    got = probe(angles, psi)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.all(got <= objective(angles) + 1e-12)
+
+
+def test_search_memory_is_blocked():
+    # 100k probes and 4096 starts: without the 5,000-row probe blocks the
+    # traced peak reaches about 150 MB, without the 256-start blocks 270 MB
+    tracemalloc.start()
+    try:
+        est = certify.e_chi(CHI_PLUS_ERRORS, starts=4096, probes=100_000, seed=3,
+                            step_min=0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.starts == 4096 and est.probe_best > 0.0
+    assert peak < 64e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_guessing_probability_boundaries():
@@ -239,6 +432,20 @@ def test_guessing_bound_domain():
         certify.guessing_bound(1.9)
     with pytest.raises(ValueError):
         certify.guessing_bound(2.9)
+
+
+def test_guessing_curve_keeps_the_scalar_formula_bit_for_bit():
+    def f(x):
+        return 0.5 + 0.5 * math.sqrt(max(2.0 - x * x / 4.0, 0.0))
+
+    xs = np.concatenate([np.linspace(1.5, 3.0, 2001), [2.0, 2.0 * SQRT2, 2.697 - 0.092]])
+    assert [float(y) for y in certify.guessing_curve(xs)] == [f(float(x)) for x in xs]
+    assert certify.guessing_bound(2.5) == f(2.5)
+    for chi in np.linspace(-2.9, 2.9, 117):
+        for e_chi, e_p in ((0.0, 0.0), (0.092, 0.02), (0.0213, 0.0187), (0.3, 0.1)):
+            x = max(abs(float(chi)) - e_chi, 0.0)
+            want = 1.0 if x <= 2.0 else min(1.0, f(x) + e_p)
+            assert certify.guessing_probability(float(chi), e_chi, e_p) == want
 
 
 def test_min_entropy():

@@ -489,6 +489,16 @@ class TestCertifyCommand:
         assert doc["e_chi_estimate"]["value"] == pytest.approx(0.0, abs=1e-9)
         assert doc["e_p_estimate"]["converged"] is True
 
+    def test_negative_probe_budget_exits_2(self, tmp_path):
+        cli.write_chip_config({"version": 1}, tmp_path / "chip.yaml")
+        out = tmp_path / "c.json"
+        code, _, err = run_cli("certify", "--chi", "2.697",
+                               "--config", str(tmp_path / "chip.yaml"),
+                               "--starts", "2", "--probes", "-1", "--out", str(out))
+        assert code == 2 and not out.exists()
+        (line,) = err.splitlines()
+        assert "probes" in json.loads(line)["message"]
+
     def test_unconverged_search_exits_3_but_writes_doc(self, tmp_path, monkeypatch):
         def stub(errors, mmis, starts=64, probes=100_000, seed=0):
             return CorrectionEstimate(value=0.05, converged=False, starts=starts,
@@ -731,6 +741,9 @@ class TestReportCommand:
         assert len(bound) == 1 + 200
         first = bound[1].split(",")
         assert float(first[0]) == 2.0 and float(first[1]) == pytest.approx(1.0)
+        # pinned bytes of the 200-point curve
+        assert hashlib.sha256((plots / "guessing_bound.csv").read_bytes()).hexdigest() == \
+            "7a0173aa9c7ae4188ce9fff5c14bf67afd5fcf00bf8de25d89abea2a159dcab8"
 
     def test_chi_result_report(self, tmp_path):
         doc = {"kind": "chi-result", "chi": 2.697, "stderr": 0.01, "sign": "max",

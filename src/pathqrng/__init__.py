@@ -9,9 +9,22 @@ statistics, corrected for the chip's non-idealities, certifies a
 min-entropy bound on the outcomes; a Toeplitz extractor turns the raw
 clicks into nearly uniform bits.
 
+The Hilbert space is C^2 (x) C^2: the absolute-position qubit {|U>, |D>}
+(which pair of waveguides the photon occupies) times the relative-position
+qubit {|F>, |N>} (which waveguide within the pair).  The basis order is
+fixed everywhere as
+
+    index 0: |UF>    index 1: |UN>    index 2: |DF>    index 3: |DN>
+
+so index = 2*(absolute) + (relative), and every operator is a dense 2x2 or
+4x4 complex ndarray in this basis.  A detector channel is its basis index
+everywhere in memory: distributions are float arrays of shape (..., 4) in
+basis order, outcomes are ``uint8`` codes 0..3, and raw bits are ``uint8``
+arrays of 0 and 1.  The channel labels (``cli.CHANNELS``) and 0/1 text
+appear only in ``cli``, where files are read and written.
+
 Modules
 -------
-qmath    exact 2x2 / 4x4 complex linear algebra and the path-qubit basis
 optics   splitter, loss and spectrum models; the one closed-form MZI matrix
 chip     full circuit: generation, the batched rotation kernel, detection
 bell     correlation coefficients, CHSH function, scans and searches

@@ -241,9 +241,6 @@ class CorrectionEstimate:
     angles: tuple[float, ...]
     probe_best: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _random_pure_states(rng: np.random.Generator, count: int) -> np.ndarray:
     """Unit 4-vectors from 6 real parameters, first amplitude real."""
@@ -424,32 +421,3 @@ def certification_result(chi_real: float, e_chi: float, e_p: float,
     bits, percent = min_entropy(pg)
     rate = None if event_rate_hz is None else certified_rate(event_rate_hz, bits)
     return CertificationResult(chi_real, e_chi, e_p, pg, bits, percent, rate)
-
-
-@dataclass(frozen=True)
-class ConcavityReport:
-    passed: bool
-    worst_margin: float
-    pairs_checked: int
-
-
-def concavity_check(f_samples: Sequence[float], lambda_points: int = 21) -> ConcavityReport:
-    """Verify concavity of the violation-to-guessing map on sampled pairs.
-
-    Consecutive disjoint pairs (x, y) from ``f_samples`` are tested on a
-    lambda grid: f(lambda x + (1-lambda) y) >= lambda f(x) + (1-lambda) f(y).
-    Returns the worst margin (negative would be a violation).
-    """
-    xs = np.asarray(f_samples, dtype=float)
-    if np.any(xs < 2.0 - 1e-12) or np.any(xs > 2.0 * SQRT2 + 1e-12):
-        raise ValueError("samples must lie in [2, 2 sqrt 2]")
-    if xs.size < 2:
-        raise ValueError("need at least one pair of samples")
-    x = xs[0 : xs.size - xs.size % 2 : 2]
-    y = xs[1 : xs.size : 2]
-    lam = np.linspace(0.0, 1.0, lambda_points)[:, None]
-    f = guessing_curve
-    mix = f(lam * x[None, :] + (1.0 - lam) * y[None, :])
-    bound = lam * f(x)[None, :] + (1.0 - lam) * f(y)[None, :]
-    worst = float(np.min(mix - bound))
-    return ConcavityReport(passed=worst >= -1e-12, worst_margin=worst, pairs_checked=x.size)

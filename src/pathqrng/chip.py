@@ -16,9 +16,9 @@ motivates the whole certification machinery.
 
 :func:`rotation_matrix` is the one operator kernel for both stages.  It
 broadcasts over leading axes, so the broadband simulation evaluates every
-spectrum node in one call and ``certify`` every searched angle tuple;
-:func:`rotation_real` and :func:`rotation_ideal` are single-setting views
-of it.
+spectrum node in one call and ``certify`` every searched angle tuple.
+:func:`broadband_probabilities` is the one detection path: the generated
+state through the loss and rotation operators, clicks by the Born rule.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from .optics import (DESIGN_WAVELENGTH_NM, EPS_MAX, IDEAL_MMI, LOSSLESS, LossModel, MmiParams,
                      WavelengthSpectrum, loss_operator, mzi_matrix)
-from .qmath import as_density
 
 Errors4 = tuple[float, float, float, float]
 _NO_ERRORS: Errors4 = (0.0, 0.0, 0.0, 0.0)
@@ -66,10 +65,6 @@ class GenerationSetting:
         for name in ("xi", "comp_far", "comp_near"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-    @property
-    def effective_xi(self) -> float:
-        return self.xi + self.comp_near - self.comp_far
 
 
 @dataclass(frozen=True)
@@ -210,48 +205,6 @@ def _mzi_amplitudes(mmis: tuple[MmiParams, ...],
     return np.stack(np.broadcast_arrays(*t), axis=-1), np.stack(np.broadcast_arrays(*r), axis=-1)
 
 
-def rotation_ideal(phi: float, theta: float) -> np.ndarray:
-    """Error-free product rotation A(theta) (x) B(phi) with ideal splitters."""
-    return rotation_real(RotationSetting.from_angles(phi, theta))
-
-
-def rotation_real(r: RotationSetting,
-                  mmis: tuple[MmiParams, MmiParams, MmiParams, MmiParams] | None = None,
-                  wavelength_nm: float | None = None) -> np.ndarray:
-    """Full rotation operator of one setting with independent shifter errors.
-
-    The photon traverses the phi stage first, so the theta stage sits on
-    the left of the product.  With all errors zero and equal splitters the
-    result factorizes back into rotation_ideal times global phases.
-    """
-    return rotation_matrix(*_mzi_amplitudes(mmis or (IDEAL_MMI,) * 4, wavelength_nm),
-                           shifter_phases(r.phi1, r.phi2, r.dphi),
-                           shifter_phases(r.theta1, r.theta2, r.dtheta))
-
-
-def _normalized_clicks(weights: np.ndarray) -> np.ndarray:
-    """Click weights (..., 4) as probabilities, each row divided by its sum."""
-    weights = np.clip(weights, 0.0, None)
-    total = np.sum(weights, axis=-1, keepdims=True)
-    if np.any(total <= 1e-300):
-        raise ValueError("state is annihilated by the transfer operator")
-    return weights / total
-
-
-def detection_probabilities(state: np.ndarray, u: np.ndarray,
-                            loss: LossModel = LOSSLESS) -> np.ndarray:
-    """Normalized click probabilities on the four output channels, in basis order.
-
-    P(ab) = Tr[U L rho L^dag U^dag P_ab] / Tr[U L rho L^dag U^dag].  The
-    scalar loss cancels in the ratio; non-unitary (lossy) transfer matrices
-    are renormalized the same way.
-    """
-    rho = as_density(state)
-    lu = u @ loss_operator(loss)
-    out = lu @ rho @ np.conj(lu).T
-    return _normalized_clicks(np.diag(out).real)
-
-
 def broadband_probabilities(cfg: ChipConfig, r: RotationSetting) -> np.ndarray:
     """Click probabilities (4,) in basis order, averaged over the source spectrum.
 
@@ -267,6 +220,8 @@ def broadband_probabilities(cfg: ChipConfig, r: RotationSetting) -> np.ndarray:
                         shifter_phases(r.phi1, r.phi2, r.dphi, scale),
                         shifter_phases(r.theta1, r.theta2, r.dtheta, scale))
     psi = generation_state(cfg.generation, cfg.generation_mmi, wl)
-    amplitudes = (u @ loss_operator(cfg.loss) @ psi[..., None])[..., 0]
-    p = _normalized_clicks(np.abs(amplitudes) ** 2)
-    return cfg.spectrum.weights @ p
+    clicks = np.abs((u @ loss_operator(cfg.loss) @ psi[..., None])[..., 0]) ** 2
+    total = np.sum(clicks, axis=-1, keepdims=True)
+    if np.any(total <= 1e-300):
+        raise ValueError("state is annihilated by the transfer operator")
+    return cfg.spectrum.weights @ (clicks / total)

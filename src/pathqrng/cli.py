@@ -25,8 +25,9 @@ codes, and bits as ``uint8`` 0/1 arrays; labels are written and parsed
 here (event files, the ``analyze`` CSV header), and ``extract`` turns its
 bit array into text only as it writes the output file.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure (a search or
-fit that did not converge, or an extractor FFT that lost integer precision).
+Exit codes: 0 success, 2 validation error, 3 numerical failure (a search
+that did not converge, a degenerate calibration fit, or an extractor FFT
+that lost integer precision).
 Errors are mirrored to stderr as one-line JSON records.
 """
 
@@ -53,9 +54,11 @@ from .chip import ChipConfig, GenerationSetting, RotationSetting, broadband_prob
 from .events import (EventStream, bin_and_resolve, raw_bits, simulate_events,
                      toeplitz_extract, windowed_traces)
 from .optics import LossModel, MmiParams, WavelengthSpectrum
-from .qmath import CHANNELS
 
 CONFIG_DIR_ENV = "PATHQRNG_CONFIG_DIR"
+
+#: output channel labels, in basis order (channel code = index)
+CHANNELS = ("UF", "UN", "DF", "DN")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -67,7 +70,7 @@ class ValidationError(ValueError):
 
 
 class CalibrationError(RuntimeError):
-    """Degenerate or non-convergent calibration fit; maps to exit code 3."""
+    """Degenerate calibration data or fit; maps to exit code 3."""
 
 
 class ConvergenceError(RuntimeError):
@@ -85,7 +88,7 @@ class CalibrationFit:
     The model is I = a cos^2(b W + d) + c for port 1 and the sin^2
     counterpart for port 2; the phase-power relation is then the linear map
     phase(W) = b W + d.  ``stderr`` holds the per-parameter standard errors
-    from the fit covariance when it is finite (a noiseless fit has none).
+    from the fit covariance when it is finite.
     """
 
     a: float
@@ -106,20 +109,59 @@ class CalibrationFit:
         return self.b * power_w + self.d
 
 
-def _fringe_model(port: int):
-    if port == 1:
-        return lambda w, a, b, c, d: a * np.cos(b * w + d) ** 2 + c
-    return lambda w, a, b, c, d: a * np.sin(b * w + d) ** 2 + c
+_FRINGE_SCAN_POINTS = 2048
+_FRINGE_SCAN_BLOCK = 1 << 18  # trial frequencies x samples per batched solve
+_FRINGE_REFINE_STEPS = 80  # golden-section steps; the bracket shrinks by 0.618 each
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _fringe_fits(omegas: np.ndarray, w: np.ndarray,
+                 inten: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RSS (k,) and (off, P, Q) (k, 3) of the best off + P cos(omega W) + Q sin(omega W).
+
+    One batched normal-equations solve over the trial frequencies.  A
+    direction whose singular value is below sqrt(n eps) of the largest is
+    dropped, as a least-squares rank cutoff would drop it: where
+    sin(omega W) vanishes on every sample the equations are singular.
+    """
+    x = np.outer(omegas, w)
+    basis = np.stack([np.ones_like(x), np.cos(x), np.sin(x)], axis=1)  # (k, 3, n)
+    lam, vec = np.linalg.eigh(basis @ basis.transpose(0, 2, 1))
+    keep = lam > w.size * np.finfo(float).eps * lam[:, -1:]
+    proj = np.einsum("kij,ki->kj", vec, basis @ inten)
+    coef = np.einsum("kij,kj->ki", vec, np.where(keep, proj / np.where(keep, lam, 1.0), 0.0))
+    resid = np.einsum("ki,kin->kn", coef, basis) - inten
+    return np.sum(resid * resid, axis=1), coef
+
+
+def _golden_section(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A local minimizer of ``f`` on [lo, hi] after a fixed number of golden-section steps."""
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(_FRINGE_REFINE_STEPS):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
 
 
 def fit_mzi_calibration(samples: Sequence[tuple[float, float]], port: int = 1) -> CalibrationFit:
     """Least-squares fringe fit of (heater power, intensity) samples.
 
     Needs at least 8 samples spanning at least half a fringe.  The fringe
-    frequency is located by a coarse scan (linear least squares in the
-    in-phase/quadrature amplitudes at each trial frequency), then all four
-    parameters are refined together.  Raises :class:`CalibrationError` on
-    constant data or a non-convergent refinement.
+    a cos^2(b W + d) + c is off + P cos(omega W) + Q sin(omega W) with
+    omega = 2b, linear in (off, P, Q) for fixed omega, so the fit is by
+    variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973): a coarse omega scan, one batched linear solve, then a
+    golden-section refinement of omega alone; a, b, c, d follow in closed
+    form.  The standard errors come from s^2 (J^T J)^-1 with
+    s^2 = RSS / (n - 4).  Raises :class:`CalibrationError` on constant data
+    or a fit under half a fringe.
     """
     if port not in (1, 2):
         raise ValidationError("port must be 1 or 2")
@@ -137,47 +179,36 @@ def fit_mzi_calibration(samples: Sequence[tuple[float, float]], port: int = 1) -
     if np.ptp(inten) <= 1e-12 * max(1.0, float(np.abs(inten).max())):
         raise CalibrationError("constant intensity data; no fringe to fit")
 
-    # coarse frequency scan: I ~ off + P cos(omega w) + Q sin(omega w),
-    # linear in (off, P, Q); omega = 2b
     gaps = np.diff(np.sort(w))
     min_gap = float(gaps[gaps > 0].min())
-    omegas = np.linspace(math.pi / span, math.pi / min_gap, 2048)
-    best = None
-    for omega in omegas:
-        design = np.column_stack([np.ones_like(w), np.cos(omega * w), np.sin(omega * w)])
-        coef, res, rank, _ = np.linalg.lstsq(design, inten, rcond=None)
-        rss = float(res[0]) if res.size else float(np.sum((design @ coef - inten) ** 2))
-        if best is None or rss < best[0]:
-            best = (rss, omega, coef)
-    _, omega0, (off0, p0c, q0c) = best
-    amp0 = math.hypot(p0c, q0c)
-    psi0 = math.atan2(-q0c, p0c)
+    omegas = np.linspace(math.pi / span, math.pi / min_gap, _FRINGE_SCAN_POINTS)
+    rows = max(1, _FRINGE_SCAN_BLOCK // w.size)
+    rss = np.concatenate([_fringe_fits(omegas[i:i + rows], w, inten)[0]
+                          for i in range(0, omegas.size, rows)])
+    k = int(np.argmin(rss))
+    # refine omega between the grid neighbours of the best trial; below the
+    # lowest one down to 0, so that a fit under half a fringe is found and rejected
+    omega = _golden_section(lambda om: float(_fringe_fits(np.array([om]), w, inten)[0][0]),
+                            omegas[k - 1] if k else 0.0, omegas[min(k + 1, omegas.size - 1)])
+    off, p, q = _fringe_fits(np.array([omega]), w, inten)[1][0]
     # port 1: a cos^2 = a/2 cos(2bW + 2d) + a/2;  port 2 flips the cosine sign
-    a0 = 2.0 * amp0
-    b0 = omega0 / 2.0
-    c0 = off0 - amp0
-    d0 = psi0 / 2.0 if port == 1 else (psi0 - math.pi) / 2.0
-
-    from scipy import optimize  # only calibrate needs scipy; keep it off the import path
-
-    model = _fringe_model(port)
-    try:
-        popt, pcov = optimize.curve_fit(model, w, inten, p0=(a0, b0, c0, d0), maxfev=20000)
-    except RuntimeError as exc:
-        raise CalibrationError(f"fringe fit did not converge: {exc}") from exc
-    a, b, c, d = (float(v) for v in popt)
-    if a < 0.0:  # a cos^2 + c = |a| cos^2(. - pi/2) + (c - |a|), same for sin^2
-        a, c, d = -a, c + a, d - math.pi / 2.0
-    if b < 0.0:  # both models are even under (b, d) -> (-b, -d)
-        b, d = -b, -d
-    d = d % math.pi
-    if abs(b) * span < math.pi / 2.0:
+    amp = math.hypot(p, q)
+    psi = math.atan2(-q, p)
+    a, b, c = 2.0 * amp, omega / 2.0, off - amp
+    d = (psi / 2.0 if port == 1 else (psi - math.pi) / 2.0) % math.pi
+    if b * span < math.pi / 2.0:
         raise CalibrationError("samples span less than half a fringe; fit underdetermined")
-    residual = float(np.sqrt(np.mean((model(w, a, b, c, d) - inten) ** 2)))
-    with np.errstate(invalid="ignore"):
-        perr = np.sqrt(np.diag(pcov))
+    x = b * w + d
+    osc = np.cos(x) ** 2 if port == 1 else np.sin(x) ** 2
+    resid = a * osc + c - inten
+    slope = (-a if port == 1 else a) * np.sin(2.0 * x)  # derivative in d
+    # diag of (J^T J)^-1 from J's SVD; a zero singular value leaves no finite stderr
+    _, sv, vt = np.linalg.svd(np.column_stack([osc, slope * w, np.ones_like(w), slope]),
+                              full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        perr = np.sqrt(float(resid @ resid) / (w.size - 4) * np.sum((vt / sv[:, None]) ** 2, 0))
     stderr = tuple(float(v) for v in perr) if np.all(np.isfinite(perr)) else None
-    return CalibrationFit(a, b, c, d, residual, port, stderr)
+    return CalibrationFit(a, b, c, d, float(np.sqrt(np.mean(resid ** 2))), port, stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +228,45 @@ def _atomic_write(path: Path | str, data: str | bytes) -> None:
             os.unlink(tmp)
 
 
-def _require_keys(section: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _section(value: Any, allowed: set[str], where: str) -> Mapping[str, Any]:
+    """A config mapping with only ``allowed`` keys; an absent one is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{where} must be a mapping, not {value!r}")
+    unknown = set(value) - allowed
     if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)} in {where}")
+        raise ValidationError(f"unknown keys {sorted(unknown, key=str)} in {where}")
+    return value
 
 
-def _mmi_doc(section: Mapping[str, Any] | None, where: str) -> dict[str, Any]:
-    if section is None:
-        section = {}
-    _require_keys(section, {"t_power", "r_power", "table"}, where)
-    doc = {"t_power": float(section.get("t_power", 0.5)),
-           "r_power": float(section.get("r_power", 0.5))}
+def _number(value: Any, where: str, kind: Callable[[Any], Any] = float) -> Any:
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where} must be a number, not {value!r}") from exc
+
+
+def _numbers(value: Any, where: str, count: int) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where} must be a list of {count} numbers, not {value!r}")
+    if len(value) != count:
+        raise ValidationError(f"{where} needs exactly {count} entries")
+    return [_number(v, where) for v in value]
+
+
+def _rows(value: Any, where: str, width: int) -> list[list[float]]:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where} must be a list of rows, not {value!r}")
+    return [_numbers(row, f"{where} row", width) for row in value]
+
+
+def _mmi_doc(section: Any, where: str) -> dict[str, Any]:
+    section = _section(section, {"t_power", "r_power", "table"}, where)
+    doc = {"t_power": _number(section.get("t_power", 0.5), f"{where}.t_power"),
+           "r_power": _number(section.get("r_power", 0.5), f"{where}.r_power")}
     if "table" in section:
-        doc["table"] = [[float(v) for v in row] for row in section["table"]]
+        doc["table"] = _rows(section["table"], f"{where}.table", 3)
     return doc
 
 
@@ -235,9 +291,7 @@ def _spectrum_from_doc(doc: Mapping[str, Any]) -> WavelengthSpectrum:
     if kind == "gaussian":
         return WavelengthSpectrum.gaussian(doc["center_nm"], doc["fwhm_nm"],
                                            int(doc["points"]), tuple(doc["span_nm"]))
-    if kind == "table":
-        return WavelengthSpectrum(tuple((float(wl), float(wt)) for wl, wt in doc["nodes"]))
-    raise ValidationError(f"unknown spectrum kind {kind!r}")
+    return WavelengthSpectrum(tuple((float(wl), float(wt)) for wl, wt in doc["nodes"]))
 
 
 @dataclass(frozen=True)
@@ -254,42 +308,39 @@ class ChipDocument:
 
 
 def _normalize_config_doc(raw: Mapping[str, Any]) -> dict[str, Any]:
-    _require_keys(raw, {"version", "chip", "errors"}, "config root")
+    """The canonical document of a parsed config; wrong keys, shapes or types are rejected."""
+    _section(raw, {"version", "chip", "errors"}, "config root")
     if raw.get("version") != 1:
         raise ValidationError(f"unsupported config version {raw.get('version')!r}")
-    chip = raw.get("chip") or {}
-    _require_keys(chip, {"generation_mmi", "mzi_mmis", "generation", "loss", "spectrum",
-                         "phase_dispersion"}, "chip section")
-    mz = chip.get("mzi_mmis") or {}
-    _require_keys(mz, {"phi_u", "phi_d", "theta_f", "theta_n"}, "mzi_mmis")
-    gen = chip.get("generation") or {}
-    _require_keys(gen, {"xi", "comp_far", "comp_near"}, "generation")
-    loss = chip.get("loss") or {}
-    _require_keys(loss, {"gamma", "crossing_transmission"}, "loss")
-    spect = chip.get("spectrum") or {"kind": "single", "center_nm": 730.0}
+    chip = _section(raw.get("chip"), {"generation_mmi", "mzi_mmis", "generation", "loss",
+                                      "spectrum", "phase_dispersion"}, "chip section")
+    mz = _section(chip.get("mzi_mmis"), {"phi_u", "phi_d", "theta_f", "theta_n"}, "mzi_mmis")
+    gen = _section(chip.get("generation"), {"xi", "comp_far", "comp_near"}, "generation")
+    loss = _section(chip.get("loss"), {"gamma", "crossing_transmission"}, "loss")
+    spect = _section(chip.get("spectrum"), set().union(*_SPECTRUM_KEYS.values()), "spectrum")
     kind = spect.get("kind", "single")
-    if kind not in _SPECTRUM_KEYS:
+    if not isinstance(kind, str) or kind not in _SPECTRUM_KEYS:
         raise ValidationError(f"unknown spectrum kind {kind!r}")
-    _require_keys(spect, _SPECTRUM_KEYS[kind], "spectrum")
-    err = raw.get("errors") or {}
-    _require_keys(err, {"dphi", "dtheta"}, "errors")
+    _section(spect, _SPECTRUM_KEYS[kind], "spectrum")
+    err = _section(raw.get("errors"), {"dphi", "dtheta"}, "errors")
+    dispersion = chip.get("phase_dispersion", False)
+    if not isinstance(dispersion, bool):
+        raise ValidationError(f"phase_dispersion must be true or false, not {dispersion!r}")
 
     spect_doc: dict[str, Any] = {"kind": kind}
     if kind == "single":
-        spect_doc["center_nm"] = float(spect.get("center_nm", 730.0))
+        spect_doc["center_nm"] = _number(spect.get("center_nm", 730.0), "spectrum.center_nm")
     elif kind == "gaussian":
-        spect_doc.update(center_nm=float(spect.get("center_nm", 730.0)),
-                         fwhm_nm=float(spect.get("fwhm_nm", 20.0)),
-                         points=int(spect.get("points", 21)),
-                         span_nm=[float(v) for v in spect.get("span_nm", (720.0, 740.0))])
+        spect_doc.update(
+            center_nm=_number(spect.get("center_nm", 730.0), "spectrum.center_nm"),
+            fwhm_nm=_number(spect.get("fwhm_nm", 20.0), "spectrum.fwhm_nm"),
+            points=_number(spect.get("points", 21), "spectrum.points", int),
+            span_nm=_numbers(spect.get("span_nm", (720.0, 740.0)), "spectrum.span_nm", 2))
     else:
-        spect_doc["nodes"] = [[float(a), float(b)] for a, b in spect["nodes"]]
+        spect_doc["nodes"] = _rows(spect.get("nodes"), "spectrum.nodes", 2)
 
     def errs(key: str) -> list[float]:
-        vals = [float(v) for v in err.get(key, (0.0, 0.0, 0.0, 0.0))]
-        if len(vals) != 4:
-            raise ValidationError(f"errors.{key} needs exactly 4 entries")
-        return vals
+        return _numbers(err.get(key, (0.0, 0.0, 0.0, 0.0)), f"errors.{key}", 4)
 
     return {
         "version": 1,
@@ -297,13 +348,12 @@ def _normalize_config_doc(raw: Mapping[str, Any]) -> dict[str, Any]:
             "generation_mmi": _mmi_doc(chip.get("generation_mmi"), "generation_mmi"),
             "mzi_mmis": {k: _mmi_doc(mz.get(k), f"mzi_mmis.{k}")
                          for k in ("phi_u", "phi_d", "theta_f", "theta_n")},
-            "generation": {"xi": float(gen.get("xi", -math.pi / 2.0)),
-                           "comp_far": float(gen.get("comp_far", 0.0)),
-                           "comp_near": float(gen.get("comp_near", 0.0))},
-            "loss": {"gamma": float(loss.get("gamma", 1.0)),
-                     "crossing_transmission": float(loss.get("crossing_transmission", 1.0))},
+            "generation": {k: _number(gen.get(k, v), f"generation.{k}") for k, v in
+                           (("xi", -math.pi / 2.0), ("comp_far", 0.0), ("comp_near", 0.0))},
+            "loss": {k: _number(loss.get(k, 1.0), f"loss.{k}")
+                     for k in ("gamma", "crossing_transmission")},
             "spectrum": spect_doc,
-            "phase_dispersion": bool(chip.get("phase_dispersion", False)),
+            "phase_dispersion": dispersion,
         },
         "errors": {"dphi": errs("dphi"), "dtheta": errs("dtheta")},
     }
@@ -1020,10 +1070,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except (ValidationError, OSError) as exc:
-        _emit_error_record(type(exc).__name__, args.command, str(exc))
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ValidationError is a ValueError
         _emit_error_record(type(exc).__name__, args.command, str(exc))
         return EXIT_VALIDATION
     except RuntimeError as exc:  # CalibrationError, ConvergenceError, lost FFT precision

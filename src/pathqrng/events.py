@@ -32,7 +32,19 @@ from typing import Sequence
 import numpy as np
 
 from .bell import correlation_coefficient
-from .qmath import distribution_vector
+
+
+def _distribution(p: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A 4-outcome distribution in basis order as a float array, renormalized.
+
+    It must have 4 entries, none negative, summing to 1 within 1e-9.
+    """
+    arr = np.asarray(p, dtype=float)
+    if arr.shape != (4,):
+        raise ValueError(f"distribution must have 4 entries, got shape {arr.shape}")
+    if not (np.all(arr >= 0.0) and abs(float(arr.sum()) - 1.0) <= 1e-9):
+        raise ValueError("distribution must be non-negative and sum to 1")
+    return arr / arr.sum()
 
 
 def _bin_width_ns(bin_width_us: float) -> int:
@@ -72,8 +84,8 @@ class EventStream:
             object.__setattr__(self, "rate_hz", float(self.rate_hz))
         if ts.shape != ch.shape or ts.ndim != 1:
             raise ValueError("timestamps and channels must be matching 1-d arrays")
-        if self.duration_s <= 0.0 or self.bin_width_us <= 0.0:
-            raise ValueError("duration and bin width must be positive")
+        if not (0.0 < self.duration_s < math.inf and 0.0 < self.bin_width_us < math.inf):
+            raise ValueError("duration and bin width must be positive and finite")
         _bin_width_ns(self.bin_width_us)
         if ts.size:
             if ts[0] < 0 or np.any(np.diff(ts) < 0):
@@ -101,10 +113,10 @@ def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     record per bin for the model to make sense), and every record picks a
     channel independently from ``distribution`` (4,), in basis order.
     """
-    p = distribution_vector(distribution)
-    if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("distribution must be non-negative and sum to 1")
-    p = p / p.sum()
+    p = _distribution(distribution)
+    if not (math.isfinite(duration_s) and math.isfinite(bin_width_us)):
+        raise ValueError(f"duration {duration_s!r} s and bin width {bin_width_us!r} us "
+                         "must be finite")
     if rate_hz < 0.0:
         raise ValueError("rate must be non-negative")
     mean_per_bin = rate_hz * bin_width_us * 1e-6
@@ -188,10 +200,7 @@ def resolved_distribution(distribution: Sequence[float] | np.ndarray,
     the per-channel arrival processes are independent Poissons, so the set
     of fired channels has a product law over 15 non-empty subsets.
     """
-    d = distribution_vector(distribution)
-    if np.any(d < 0.0) or abs(float(d.sum()) - 1.0) > 1e-9:
-        raise ValueError("distribution must be non-negative and sum to 1")
-    d = d / d.sum()
+    d = _distribution(distribution)
     lam = float(mean_per_bin)
     if lam <= 0.0:
         raise ValueError("mean per bin must be positive")
@@ -258,8 +267,8 @@ def windowed_traces(streams: Sequence[EventStream], window_s: float = 0.05,
         raise ValueError("need the four CHSH streams in setting order")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    if not window_s > 0.0:
-        raise ValueError("the window must be positive")
+    if not 0.0 < window_s < math.inf:
+        raise ValueError(f"the window must be positive and finite, got {window_s!r} s")
     width_ns = int(round(window_s * 1e9))
     if width_ns < 1:
         raise ValueError(f"the window {window_s!r} s is below 1 ns")

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import ID4
-
 #: nominal design wavelength of the chip, nm
 DESIGN_WAVELENGTH_NM = 730.0
 
@@ -187,4 +185,4 @@ def mzi_matrix(t, r, z1, z2) -> np.ndarray:
 
 def loss_operator(m: LossModel) -> np.ndarray:
     """Scalar loss on the full 4-mode space, gamma_eff * I."""
-    return m.amplitude * ID4
+    return m.amplitude * np.eye(4, dtype=complex)

@@ -14,6 +14,7 @@ from scipy import linalg, optimize, stats
 
 from pathqrng import certify
 from pathqrng.bell import ChiResult
+from pathqrng.cli import CalibrationError, CalibrationFit, ValidationError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -449,3 +450,72 @@ def e_p_sequential(errors, mmis=None, starts=64, probes=100_000, seed=20240,
         return stack[pick, np.arange(stack.shape[1])]
 
     return maximize_deviation_sequential(op, obj, 2, starts, probes, seed, step_min)
+
+
+def _fringe_model(port):
+    if port == 1:
+        return lambda w, a, b, c, d: a * np.cos(b * w + d) ** 2 + c
+    return lambda w, a, b, c, d: a * np.sin(b * w + d) ** 2 + c
+
+
+def fit_mzi_calibration_curve_fit(samples, port=1):
+    """The fringe fit by a Python-loop frequency scan and a 4-parameter ``curve_fit``.
+
+    Same validation, messages and canonical signs as ``cli.fit_mzi_calibration``;
+    the stderrs are curve_fit's default s^2 (J^T J)^-1 with a finite-difference J.
+    """
+    if port not in (1, 2):
+        raise ValidationError("port must be 1 or 2")
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValidationError("samples must be (power, intensity) pairs")
+    if arr.shape[0] < 8:
+        raise ValidationError(f"need >= 8 samples, got {arr.shape[0]}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("samples must be finite")
+    w, inten = arr[:, 0], arr[:, 1]
+    span = float(np.ptp(w))
+    if span <= 0.0:
+        raise CalibrationError("all samples at the same power; no fringe to fit")
+    if np.ptp(inten) <= 1e-12 * max(1.0, float(np.abs(inten).max())):
+        raise CalibrationError("constant intensity data; no fringe to fit")
+
+    # coarse frequency scan: I ~ off + P cos(omega w) + Q sin(omega w),
+    # linear in (off, P, Q); omega = 2b
+    gaps = np.diff(np.sort(w))
+    min_gap = float(gaps[gaps > 0].min())
+    omegas = np.linspace(math.pi / span, math.pi / min_gap, 2048)
+    best = None
+    for omega in omegas:
+        design = np.column_stack([np.ones_like(w), np.cos(omega * w), np.sin(omega * w)])
+        coef, res, rank, _ = np.linalg.lstsq(design, inten, rcond=None)
+        rss = float(res[0]) if res.size else float(np.sum((design @ coef - inten) ** 2))
+        if best is None or rss < best[0]:
+            best = (rss, omega, coef)
+    _, omega0, (off0, p0c, q0c) = best
+    amp0 = math.hypot(p0c, q0c)
+    psi0 = math.atan2(-q0c, p0c)
+    # port 1: a cos^2 = a/2 cos(2bW + 2d) + a/2;  port 2 flips the cosine sign
+    a0 = 2.0 * amp0
+    b0 = omega0 / 2.0
+    c0 = off0 - amp0
+    d0 = psi0 / 2.0 if port == 1 else (psi0 - math.pi) / 2.0
+
+    model = _fringe_model(port)
+    try:
+        popt, pcov = optimize.curve_fit(model, w, inten, p0=(a0, b0, c0, d0), maxfev=20000)
+    except RuntimeError as exc:
+        raise CalibrationError(f"fringe fit did not converge: {exc}") from exc
+    a, b, c, d = (float(v) for v in popt)
+    if a < 0.0:  # a cos^2 + c = |a| cos^2(. - pi/2) + (c - |a|), same for sin^2
+        a, c, d = -a, c + a, d - math.pi / 2.0
+    if b < 0.0:  # both models are even under (b, d) -> (-b, -d)
+        b, d = -b, -d
+    d = d % math.pi
+    if abs(b) * span < math.pi / 2.0:
+        raise CalibrationError("samples span less than half a fringe; fit underdetermined")
+    residual = float(np.sqrt(np.mean((model(w, a, b, c, d) - inten) ** 2)))
+    with np.errstate(invalid="ignore"):
+        perr = np.sqrt(np.diag(pcov))
+    stderr = tuple(float(v) for v in perr) if np.all(np.isfinite(perr)) else None
+    return CalibrationFit(a, b, c, d, residual, port, stderr)

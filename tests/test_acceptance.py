@@ -14,7 +14,6 @@ from scipy import stats
 
 import oracles
 from pathqrng import bell, certify, chip, events
-from pathqrng.qmath import CHANNELS
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
 PHI_GRID = np.linspace(-2.0, 2.0, 41)
@@ -126,10 +125,10 @@ def test_criterion_6_correction_terms():
     t0 = time.perf_counter()
     budget = dict(starts=64, probes=100_000, seed=20240)
     got = {
-        "e_chi+": float(certify.e_chi(CHI_PLUS_ERRORS, **budget)),
-        "e_p+": float(certify.e_p(CHI_PLUS_ERRORS, **budget)),
-        "e_chi-": float(certify.e_chi(CHI_MINUS_ERRORS, **budget)),
-        "e_p-": float(certify.e_p(CHI_MINUS_ERRORS, **budget)),
+        "e_chi+": certify.e_chi(CHI_PLUS_ERRORS, **budget).value,
+        "e_p+": certify.e_p(CHI_PLUS_ERRORS, **budget).value,
+        "e_chi-": certify.e_chi(CHI_MINUS_ERRORS, **budget).value,
+        "e_p-": certify.e_p(CHI_MINUS_ERRORS, **budget).value,
     }
     windows = {"e_chi+": (0.092, 0.010), "e_chi-": (0.077, 0.010),
                "e_p+": (0.02, 0.008), "e_p-": (0.014, 0.008)}
@@ -202,12 +201,17 @@ def test_criterion_9_windowed_coverage():
 
 
 def test_criterion_10_guessing_bound_concavity():
+    # consecutive disjoint sample pairs (x, y), each on a 21-point lambda
+    # grid: f(lambda x + (1 - lambda) y) >= lambda f(x) + (1 - lambda) f(y)
     rng = np.random.default_rng(77)
     samples = rng.uniform(2.0, 2.0 * math.sqrt(2.0), size=2000)
-    report = certify.concavity_check(samples)
-    verdict(10, report.passed and report.pairs_checked == 1000
-            and report.worst_margin >= -1e-12,
-            f"{report.pairs_checked} pairs, worst chord margin {report.worst_margin:.2e}")
+    x, y = samples[0::2], samples[1::2]
+    lam = np.linspace(0.0, 1.0, 21)[:, None]
+    f = certify.guessing_curve
+    margins = f(lam * x + (1.0 - lam) * y) - (lam * f(x) + (1.0 - lam) * f(y))
+    worst = float(margins.min())
+    verdict(10, x.size == 1000 and worst >= -1e-12,
+            f"{x.size} pairs, worst chord margin {worst:.2e}")
 
 
 def test_criterion_11_extractor_plumbing():

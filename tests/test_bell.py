@@ -6,7 +6,7 @@ import pytest
 from scipy import optimize
 
 import oracles
-from pathqrng import bell, chip, events, optics
+from pathqrng import bell, chip, events
 
 SQRT2 = math.sqrt(2.0)
 COS45 = math.cos(math.pi / 4.0)
@@ -45,9 +45,8 @@ def make_stream(sub_counts, negate=False, subinterval_s=0.2):
 def test_correlation_coefficient_basic():
     assert bell.correlation_coefficient([1.0, 0.0, 0.0, 0.0]) == 1.0
     assert bell.correlation_coefficient([0.25, 0.25, 0.25, 0.25]) == 0.0
-    p = chip.detection_probabilities(
-        chip.generation_state(chip.GenerationSetting()), chip.rotation_ideal(0.3, 0.1)
-    )
+    p = chip.broadband_probabilities(chip.ChipConfig.balanced(),
+                                     chip.RotationSetting.from_angles(0.3, 0.1))
     assert bell.correlation_coefficient(p) == pytest.approx(math.cos(0.4), abs=1e-12)
 
 
@@ -138,11 +137,7 @@ def test_unbalanced_correlation_matches_simulation():
     worst = 0.0
     for phi in np.linspace(-2.0, 2.0, 9):
         for theta in np.linspace(-2.0, 2.0, 9):
-            setting = chip.RotationSetting.from_angles(phi, theta)
-            psi = chip.generation_state(cfg.generation, cfg.generation_mmi)
-            p = chip.detection_probabilities(
-                psi, chip.rotation_real(setting, cfg.mzi_mmis), cfg.loss
-            )
+            p = chip.broadband_probabilities(cfg, chip.RotationSetting.from_angles(phi, theta))
             sim = bell.correlation_coefficient(p)
             worst = max(worst, abs(sim - bell.unbalanced_correlation(phi, theta)))
     assert worst < 1e-9
@@ -223,11 +218,12 @@ def test_best_combination_never_beats_quantum_bound():
         psi = oracles.random_pure_state(4, rng)
         phis = np.sort(rng.uniform(-2.0, 2.0, size=4))
         thetas = np.sort(rng.uniform(-2.0, 2.0, size=4))
-        e = np.empty((4, 4))
-        for i, phi in enumerate(phis):
-            for j, theta in enumerate(thetas):
-                p = chip.detection_probabilities(psi, chip.rotation_ideal(phi, theta))
-                e[i, j] = bell.correlation_coefficient(p)
+        # ideal rotations of an arbitrary pure state, every (phi, theta) in one call
+        ideal = np.full(4, 2.0 ** -0.5)
+        u = chip.rotation_matrix(ideal, ideal,
+                                 chip.shifter_phases(phis[:, None], 0.0, (0.0,) * 4),
+                                 chip.shifter_phases(thetas[None, :], 0.0, (0.0,) * 4))
+        e = bell.correlation_coefficient(np.abs(u @ psi) ** 2)
         grid = bell.CorrelationGrid(tuple(phis), tuple(thetas), e)
         top, bottom = bell.best_combination_search(grid)
         assert top.chi <= 2.0 * SQRT2 + 1e-9
@@ -401,11 +397,7 @@ def test_chi_stderr_simulated_magnitude():
     ]
     streams = []
     for k, (phi, theta) in enumerate(pairs):
-        psi = chip.generation_state(cfg.generation, cfg.generation_mmi)
-        setting = chip.RotationSetting.from_angles(phi, theta)
-        p = chip.detection_probabilities(
-            psi, chip.rotation_real(setting, cfg.mzi_mmis), cfg.loss
-        )
+        p = chip.broadband_probabilities(cfg, chip.RotationSetting.from_angles(phi, theta))
         streams.append(
             events.simulate_events(p, 120000.0, 1.0, seed=100 + k, phi=phi, theta=theta)
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import oracles
 from pathqrng import chip, optics
 
 INV_SQRT2 = 2.0 ** -0.5
+IDEAL = np.full(4, INV_SQRT2)  # t and r of four ideal 50:50 MZIs
+ZERO4 = (0.0, 0.0, 0.0, 0.0)
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 MINUS_XX = -np.kron(oracles.SX, oracles.SX)
 
@@ -14,6 +17,23 @@ MINUS_XX = -np.kron(oracles.SX, oracles.SX)
 def correlation(p):
     """E from a basis-order distribution: P(UF) + P(DN) - P(UN) - P(DF)."""
     return p[0] + p[3] - p[1] - p[2]
+
+
+def rotation(phi1, phi2, theta1, theta2, dphi=ZERO4, dtheta=ZERO4):
+    """The kernel's rotation operator of one setting with ideal splitters."""
+    return chip.rotation_matrix(IDEAL, IDEAL, chip.shifter_phases(phi1, phi2, dphi),
+                                chip.shifter_phases(theta1, theta2, dtheta))
+
+
+def ideal_product(phi, theta):
+    """The error-free product rotation A(theta) (x) B(phi), by hand."""
+    return oracles.kron_by_hand(oracles.mzi_by_product(theta, 0.0),
+                                oracles.mzi_by_product(phi, 0.0))
+
+
+def single_node(cfg, wavelength_nm):
+    """``cfg`` with its spectrum replaced by one node at ``wavelength_nm``."""
+    return dataclasses.replace(cfg, spectrum=optics.WavelengthSpectrum.single(wavelength_nm))
 
 
 def test_generation_state_ideal_phases():
@@ -50,28 +70,24 @@ def test_generation_compensation_is_global_phase_plus_effective_xi():
     for _ in range(10):
         xi, far, near = rng.uniform(-math.pi, math.pi, size=3)
         g = chip.GenerationSetting(xi=xi, comp_far=far, comp_near=near)
-        assert g.effective_xi == pytest.approx(xi + near - far)
         got = chip.generation_state(g)
         want = np.exp(1j * far) * chip.generation_state(
-            chip.GenerationSetting(xi=g.effective_xi)
+            chip.GenerationSetting(xi=xi + near - far)
         )
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_rotation_ideal_cross_point():
-    np.testing.assert_allclose(chip.rotation_ideal(0.0, 0.0), MINUS_XX, atol=1e-15)
+    np.testing.assert_allclose(rotation(0.0, 0.0, 0.0, 0.0), MINUS_XX, atol=1e-15)
 
 
 def test_rotation_ideal_is_product_and_unitary():
     rng = np.random.default_rng(19)
     for _ in range(100):
         phi, theta = rng.uniform(-2.0, 2.0, size=2)
-        u = chip.rotation_ideal(phi, theta)
+        u = rotation(phi, 0.0, theta, 0.0)
         assert oracles.is_unitary(u)
-        want = oracles.kron_by_hand(
-            oracles.mzi_by_product(theta, 0.0), oracles.mzi_by_product(phi, 0.0)
-        )
-        np.testing.assert_allclose(u, want, atol=1e-12)
+        np.testing.assert_allclose(u, ideal_product(phi, theta), atol=1e-12)
 
 
 def test_rotation_stage_block_structure():
@@ -99,10 +115,10 @@ def test_rotation_stage_block_structure():
 def test_rotation_real_zero_errors_factorizes():
     rng = np.random.default_rng(23)
     for _ in range(10):
-        phi, theta = rng.uniform(-2.0, 2.0, size=2)
-        setting = chip.RotationSetting.from_angles(phi, theta)
-        got = chip.rotation_real(setting)
-        np.testing.assert_allclose(got, chip.rotation_ideal(phi, theta), atol=1e-12)
+        phi1, phi2, theta1, theta2 = rng.uniform(-2.0, 2.0, size=4)
+        want = oracles.kron_by_hand(oracles.mzi_by_product(theta1, theta2),
+                                    oracles.mzi_by_product(phi1, phi2))
+        np.testing.assert_allclose(rotation(phi1, phi2, theta1, theta2), want, atol=1e-12)
 
 
 def test_rotation_real_common_mode_errors_shift_angle_and_phase():
@@ -110,14 +126,11 @@ def test_rotation_real_common_mode_errors_shift_angle_and_phase():
     for _ in range(10):
         phi, theta = rng.uniform(-2.0, 2.0, size=2)
         a, b, c, d = rng.uniform(-0.2, 0.2, size=4)
-        setting = chip.RotationSetting.from_angles(
-            phi, theta, dphi=(a, b, a, b), dtheta=(c, d, c, d)
-        )
-        got = chip.rotation_real(setting)
+        got = rotation(phi, 0.0, theta, 0.0, dphi=(a, b, a, b), dtheta=(c, d, c, d))
         want = (
             np.exp(2j * b)
             * np.exp(2j * d)
-            * chip.rotation_ideal(phi + a - b, theta + c - d)
+            * ideal_product(phi + a - b, theta + c - d)
         )
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -125,13 +138,10 @@ def test_rotation_real_common_mode_errors_shift_angle_and_phase():
 def test_rotation_real_random_errors_unitary():
     rng = np.random.default_rng(31)
     for _ in range(25):
-        setting = chip.RotationSetting.from_angles(
-            rng.uniform(-2.0, 2.0),
-            rng.uniform(-2.0, 2.0),
-            dphi=tuple(rng.uniform(-0.05, 0.05, size=4)),
-            dtheta=tuple(rng.uniform(-0.05, 0.05, size=4)),
-        )
-        assert oracles.is_unitary(chip.rotation_real(setting))
+        u = rotation(rng.uniform(-2.0, 2.0), 0.0, rng.uniform(-2.0, 2.0), 0.0,
+                     dphi=tuple(rng.uniform(-0.05, 0.05, size=4)),
+                     dtheta=tuple(rng.uniform(-0.05, 0.05, size=4)))
+        assert oracles.is_unitary(u)
 
 
 def random_mzi_amplitudes(rng, shape=()):
@@ -191,40 +201,53 @@ def test_rotation_setting_validation():
         chip.RotationSetting(float("inf"), 0.0, 0.0, 0.0)
 
 
+# The detection tests run on chip.broadband_probabilities, the one
+# detection path, at a single spectrum node unless a spectrum is the point.
+
 def test_detection_probabilities_bell_state():
-    p = chip.detection_probabilities(PHI_PLUS, chip.rotation_ideal(0.0, 0.0))
+    # the default generation phase xi = -pi/2 prepares PHI_PLUS
+    np.testing.assert_allclose(chip.generation_state(chip.GenerationSetting()), PHI_PLUS,
+                               atol=1e-15)
+    p = chip.broadband_probabilities(chip.ChipConfig.balanced(),
+                                     chip.RotationSetting.from_angles(0.0, 0.0))
     assert p.shape == (4,)
     np.testing.assert_allclose(p, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
 def test_detection_probabilities_scalar_loss_cancels():
     rng = np.random.default_rng(37)
+    setting = chip.RotationSetting.from_angles(0.7, -0.3)
     for gamma in [1.0, 0.9, 0.5, 0.05]:
         loss = optics.LossModel(gamma=gamma, crossing_transmission=0.98)
-        state = oracles.random_pure_state(4, rng)
-        u = chip.rotation_ideal(0.7, -0.3)
-        base = chip.detection_probabilities(state, u)
-        lossy = chip.detection_probabilities(state, u, loss)
+        gen = chip.GenerationSetting(*rng.uniform(-math.pi, math.pi, size=3))
+        mmi = optics.MmiParams.from_power(*rng.uniform(0.1, 0.5, size=2))
+        cfg = chip.ChipConfig(generation_mmi=mmi, generation=gen, loss=optics.LOSSLESS)
+        base = chip.broadband_probabilities(cfg, setting)
+        lossy = chip.broadband_probabilities(dataclasses.replace(cfg, loss=loss), setting)
         np.testing.assert_allclose(lossy, base, atol=1e-12)
 
 
 def test_detection_probabilities_correlation_value():
-    p = chip.detection_probabilities(PHI_PLUS, chip.rotation_ideal(0.3, 0.1))
+    p = chip.broadband_probabilities(chip.ChipConfig.balanced(),
+                                     chip.RotationSetting.from_angles(0.3, 0.1))
     assert correlation(p) == pytest.approx(math.cos(0.4), abs=1e-12)
 
 
 def test_detection_probabilities_annihilated_state():
-    with pytest.raises(ValueError):
-        chip.detection_probabilities(PHI_PLUS, np.zeros((4, 4)))
+    # closed splitters in the phi stage alone already block every path
+    closed = optics.MmiParams(t=0.0, r=0.0)
+    cfg = chip.ChipConfig(mzi_mmis=(closed, closed, optics.IDEAL_MMI, optics.IDEAL_MMI))
+    with pytest.raises(ValueError, match="annihilated"):
+        chip.broadband_probabilities(cfg, chip.RotationSetting.from_angles(0.3, 0.1))
 
 
 def test_ideal_chip_correlation_grid():
     angles = np.linspace(-2.0, 2.0, 17)
-    psi = chip.generation_state(chip.GenerationSetting())
+    cfg = chip.ChipConfig.balanced()
     worst = 0.0
     for phi in angles:
         for theta in angles:
-            p = chip.detection_probabilities(psi, chip.rotation_ideal(phi, theta))
+            p = chip.broadband_probabilities(cfg, chip.RotationSetting.from_angles(phi, theta))
             worst = max(worst, abs(correlation(p) - math.cos(2.0 * (phi - theta))))
     assert worst < 1e-9
 
@@ -237,8 +260,8 @@ def test_detection_pipeline_matches_hand_oracle():
         dphi = tuple(rng.uniform(-0.2, 0.2, size=4))
         dtheta = tuple(rng.uniform(-0.2, 0.2, size=4))
         setting = chip.RotationSetting.from_angles(phi, theta, dphi, dtheta)
-        psi = chip.generation_state(chip.GenerationSetting(xi=xi))
-        p = chip.detection_probabilities(psi, chip.rotation_real(setting))
+        cfg = chip.ChipConfig.balanced(generation=chip.GenerationSetting(xi=xi))
+        p = chip.broadband_probabilities(cfg, setting)
         want = oracles.detection_by_hand(
             1.0,
             1.0,
@@ -255,8 +278,8 @@ def test_broadband_single_node_equals_monochromatic():
     cfg = chip.ChipConfig.balanced()
     setting = chip.RotationSetting.from_angles(0.4, -0.2)
     got = chip.broadband_probabilities(cfg, setting)
-    psi = chip.generation_state(cfg.generation)
-    want = chip.detection_probabilities(psi, chip.rotation_real(setting))
+    want = oracles.detection_by_hand(INV_SQRT2, INV_SQRT2, -math.pi / 2.0, 0.0, 0.0,
+                                     (0.4, 0.0, 0.4, 0.0), (-0.2, 0.0, -0.2, 0.0))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -265,8 +288,7 @@ def test_broadband_identical_nodes_equal_monochromatic():
     cfg = chip.ChipConfig.balanced(spectrum=spectrum)
     setting = chip.RotationSetting.from_angles(-0.9, 0.3)
     got = chip.broadband_probabilities(cfg, setting)
-    psi = chip.generation_state(cfg.generation)
-    want = chip.detection_probabilities(psi, chip.rotation_real(setting))
+    want = chip.broadband_probabilities(single_node(cfg, 730.0), setting)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -294,10 +316,7 @@ def test_broadband_21_nodes_matches_per_node_average():
 
     acc = np.zeros(4)
     for wl, w in spectrum.nodes:
-        psi = chip.generation_state(cfg.generation, mmi, wl)
-        u = chip.rotation_real(setting, cfg.mzi_mmis, wl)
-        p = chip.detection_probabilities(psi, u)
-        acc += w * p
+        acc += w * chip.broadband_probabilities(single_node(cfg, wl), setting)
     np.testing.assert_allclose(got, acc, atol=1e-12)
 
 
@@ -316,9 +335,7 @@ def test_broadband_correlation_is_convex_mix():
     mixed_e = correlation(chip.broadband_probabilities(cfg, setting))
     want = 0.0
     for wl, w in spectrum.nodes:
-        psi = chip.generation_state(cfg.generation, mmi, wl)
-        u = chip.rotation_real(setting, cfg.mzi_mmis, wl)
-        want += w * correlation(chip.detection_probabilities(psi, u))
+        want += w * correlation(chip.broadband_probabilities(single_node(cfg, wl), setting))
     assert mixed_e == pytest.approx(want, abs=1e-10)
 
 
@@ -329,15 +346,14 @@ def test_broadband_phase_dispersion_scales_heater_phases():
         0.8, -0.5, dphi=(0.01, 0.0, -0.02, 0.0)
     )
     got = chip.broadband_probabilities(cfg, setting)
-    psi = chip.generation_state(cfg.generation)
+    mono = chip.ChipConfig.balanced()
     acc = np.zeros(4)
     for wl, w in spectrum.nodes:
         f = optics.DESIGN_WAVELENGTH_NM / wl
         scaled = chip.RotationSetting(
             setting.phi1 * f, setting.phi2 * f, setting.theta1 * f, setting.theta2 * f,
             tuple(d * f for d in setting.dphi), tuple(d * f for d in setting.dtheta))
-        p = chip.detection_probabilities(psi, chip.rotation_real(scaled))
-        acc += w * p
+        acc += w * chip.broadband_probabilities(mono, scaled)
     np.testing.assert_allclose(got, acc, atol=1e-12)
 
 

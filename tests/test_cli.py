@@ -34,7 +34,11 @@ def fringe_samples(a=1.3, b=2.1, c=0.2, d=0.7, port=1, n=40, span=2.0,
     return list(zip(w, a * osc ** 2 + c + noise * rng.standard_normal(n)))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
+def sign_flipped_samples():
+    """cos is even, so (b, d) -> (-b, -d) generates the same fringe."""
+    return [(w, 1.0 * math.cos(-2.0 * w - 0.4) ** 2 + 0.1) for w in np.linspace(0.0, 2.0, 40)]
+
+
 class TestCalibrationFit:
     def test_noiseless_port1_recovers_parameters(self):
         fit = cli.fit_mzi_calibration(fringe_samples(port=1), port=1)
@@ -55,10 +59,7 @@ class TestCalibrationFit:
         assert fit.phase(1.0) == pytest.approx(2.8, abs=1e-6)
 
     def test_sign_conventions_are_canonical(self):
-        # cos is even, so (b, d) -> (-b, -d) generates the same fringe
-        samples = [(w, 1.0 * math.cos(-2.0 * w - 0.4) ** 2 + 0.1)
-                   for w in np.linspace(0.0, 2.0, 40)]
-        fit = cli.fit_mzi_calibration(samples, port=1)
+        fit = cli.fit_mzi_calibration(sign_flipped_samples(), port=1)
         assert fit.a > 0.0 and fit.b > 0.0
         assert 0.0 <= fit.d < math.pi
         assert (fit.a, fit.b, fit.c, fit.d) == pytest.approx((1.0, 2.0, 0.1, 0.4), abs=1e-6)
@@ -72,6 +73,24 @@ class TestCalibrationFit:
                   in zip((fit.a, fit.b, fit.c, fit.d), (1.3, 2.1, 0.2, 0.7), fit.stderr)]
             hits += all(ok)
         assert hits >= 90
+
+    @pytest.mark.parametrize("port", [1, 2])
+    def test_matches_curve_fit_oracle(self, port):
+        # 100 noisy seeds plus the noiseless and file cases of this module;
+        # a noiseless fit's stderrs are rounding noise on both sides
+        cases = [(fringe_samples(port=port, noise=0.01, seed=s), False) for s in range(100)]
+        cases.append((fringe_samples(port=port), True))
+        if port == 1:
+            cases += [(sign_flipped_samples(), True), (fringe_samples(noise=0.005, seed=4), False)]
+        for samples, noiseless in cases:
+            got = cli.fit_mzi_calibration(samples, port)
+            want = oracles.fit_mzi_calibration_curve_fit(samples, port)
+            assert (got.a, got.b, got.c, got.d) == pytest.approx(
+                (want.a, want.b, want.c, want.d), abs=1e-6)
+            if noiseless:
+                assert max(got.stderr) < 1e-12 and max(want.stderr) < 1e-12
+            else:
+                assert got.stderr == pytest.approx(want.stderr, rel=1e-3)
 
     def test_constant_intensity_rejected(self):
         w = np.linspace(0.0, 2.0, 20)
@@ -405,6 +424,38 @@ class TestSimulateCommand:
                                "--out", str(tmp_path))
         assert code == 2 and "< 1" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("flags", [("--duration-s", "inf"), ("--duration-s", "nan"),
+                                       ("--bin-us", "inf", "--rate-hz", "0")])
+    def test_non_finite_duration_exits_2(self, tmp_path, flags):
+        code, _, err = run_cli("simulate", "--angles=0:0", *flags, "--out", str(tmp_path))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert "must be finite" in json.loads(lines[0])["message"]
+        assert not list(tmp_path.glob("*.tsv"))
+
+    @pytest.mark.parametrize("config", [
+        "chip: 5",
+        "chip: {spectrum: [1, 2]}",
+        "errors: {dphi: 5}",
+        "chip: {spectrum: {kind: gaussian, span_nm: [720]}}",
+        "chip: {generation_mmi: {table: [[1, 2]]}}",
+        "chip: {generation: {xi: [1]}}",
+        "chip: {1: 2, foo: 3}",
+        "chip: {spectrum: {kind: [1]}}",
+        "chip: {spectrum: {kind: table}}",
+        "chip: {phase_dispersion: 'false'}",
+    ], ids=["chip-scalar", "spectrum-list", "errors-scalar", "span-one-entry",
+            "table-short-row", "xi-list", "mixed-key-types", "kind-list", "table-no-nodes",
+            "dispersion-string"])
+    def test_malformed_config_shapes_exit_2(self, tmp_path, config):
+        path = tmp_path / "chip.yaml"
+        path.write_text(f"version: 1\n{config}\n")
+        code, _, err = run_cli("simulate", "--config", str(path), "--angles", "0:0",
+                               "--out", str(tmp_path / "out"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValidationError"
+
     def test_config_from_env_dir(self, tmp_path, monkeypatch):
         cli.write_chip_config(
             {"version": 1, "chip": {"generation_mmi": {"t_power": 0.4, "r_power": 0.6}}},
@@ -633,6 +684,8 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("window_ms, message", [
         ("1e-7", "below 1 ns"),  # rounds to 0 ns
         ("1e-6", "empty"),       # 1 ns: 2e8 windows, more than the records
+        ("inf", "positive and finite"),
+        ("nan", "positive and finite"),
     ])
     def test_sub_ns_and_ns_windows_rejected_before_sizing(self, tmp_path, window_ms, message):
         files = []
@@ -675,6 +728,21 @@ class TestExtractCommand:
         assert code == 2 and len(lines) == 1
         record = json.loads(lines[0])
         assert record["error"] == "ValidationError" and "below 1 ns" in record["message"]
+
+    @pytest.mark.parametrize("header", [b"# duration_s=inf\n", b"# bin_width_us=inf\n"])
+    def test_infinite_header_field_exits_2(self, tmp_path, header):
+        s = events.simulate_events((0.25,) * 4, 1.2e5, 0.1, seed=78)
+        path = tmp_path / "ev.tsv"
+        cli.write_event_file(s, path)
+        key = header.split(b"=")[0]
+        data = path.read_bytes()
+        old = next(line for line in data.split(b"\n") if line.startswith(key)) + b"\n"
+        path.write_bytes(data.replace(old, header))
+        code, _, err = run_cli("extract", "--events", str(path), "--h-min", "0.33",
+                               "--out", str(tmp_path / "bits.txt"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert "positive and finite" in json.loads(lines[0])["message"]
 
     def test_insufficient_entropy_is_validation_error(self, tmp_path):
         s = events.simulate_events((0.25,) * 4, 1e4, 0.001, seed=1)
@@ -806,14 +874,21 @@ class TestTopLevelParser:
         assert code == 2 and json.loads(err)["error"] == "usage"
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # scipy cannot be imported at all in the probe, and calibrate still fits
+    samples = tmp_path / "fringe.tsv"
+    samples.write_text("".join(f"{w}\t{i}\n" for w, i in fringe_samples(noise=0.005, seed=4)))
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, pathqrng.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = ("import sys; sys.modules['scipy'] = None; "
+             "import pathqrng, pathqrng.cli; "
+             f"code = pathqrng.cli.main(['calibrate', '--samples', {str(samples)!r}]); "
+             "print(code, sorted(m for m, v in sys.modules.items() "
+             "if m.split('.')[0] == 'scipy' and v is not None))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert "cos^2" in done.stdout
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 # SHA-256 of every file the fixed-seed chain below writes; a refactor of the

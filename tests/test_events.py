@@ -75,6 +75,13 @@ class TestSimulateEvents:
         with pytest.raises(ValueError, match="duration"):
             events.simulate_events((1.0, 0.0, 0.0, 0.0), rate_hz=1e3, duration_s=5e-7)
 
+    @pytest.mark.parametrize("duration_s, bin_width_us", [(math.inf, 1.0), (math.nan, 1.0),
+                                                          (1.0, math.inf)])
+    def test_non_finite_duration_rejected(self, duration_s, bin_width_us):
+        with pytest.raises(ValueError, match="must be finite"):
+            events.simulate_events((1.0, 0.0, 0.0, 0.0), rate_hz=0.0, duration_s=duration_s,
+                                   bin_width_us=bin_width_us)
+
     def test_bad_distribution_rejected(self):
         with pytest.raises(ValueError):
             events.simulate_events((0.9, 0.0, 0.0, 0.3), rate_hz=1e3, duration_s=0.01)
@@ -100,6 +107,10 @@ class TestEventStream:
             make_stream([], [], duration_s=0.0)
         with pytest.raises(ValueError, match="positive"):
             make_stream([], [], bin_width_us=-1.0)
+        for field in ("duration_s", "bin_width_us"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    make_stream([0, 1000], [0, 1], **{field: value})
 
     def test_bin_width_below_1_ns_rejected(self):
         # the same rule as simulate_events: the width is whole nanoseconds
@@ -333,6 +344,12 @@ class TestWindowedTraces:
         streams = self.constant_streams([0, 0, 0, 0])
         with pytest.raises(ValueError, match="below 1 ns"):
             events.windowed_traces(streams, window_s=4e-10)
+
+    @pytest.mark.parametrize("window_s", [math.inf, math.nan, -0.05])
+    def test_non_finite_or_negative_window_rejected(self, window_s):
+        streams = self.constant_streams([0, 0, 0, 0])
+        with pytest.raises(ValueError, match="positive and finite"):
+            events.windowed_traces(streams, window_s=window_s)
 
     def test_more_windows_than_records_rejected_before_sizing(self):
         # 1000 s in 1 ns windows would be 4e12 cells; three records per

@@ -1,10 +1,16 @@
+"""The path-qubit basis order, the Born rule on it, and the linear-algebra oracles.
+
+The basis order is stated in the package docstring; the channel labels are
+``cli.CHANNELS`` and distributions are checked by ``events``.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from pathqrng import bell, chip, qmath
+from pathqrng import bell, chip, cli, events, optics
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 XX = np.kron(oracles.SX, oracles.SX)
@@ -12,13 +18,13 @@ XX = np.kron(oracles.SX, oracles.SX)
 
 def test_channel_order_and_index():
     # index = 2 * (absolute U/D) + (relative F/N)
-    assert qmath.CHANNELS == ("UF", "UN", "DF", "DN")
-    for i, name in enumerate(qmath.CHANNELS):
+    assert cli.CHANNELS == ("UF", "UN", "DF", "DN")
+    for i, name in enumerate(cli.CHANNELS):
         assert i == 2 * "UD".index(name[0]) + "FN".index(name[1])
 
 
 def test_is_unitary():
-    assert oracles.is_unitary(qmath.ID4)
+    assert oracles.is_unitary(np.eye(4))
     assert oracles.is_unitary(np.diag([1j, -1j]))
     assert not oracles.is_unitary(np.diag([1.0, 0.5]))
     rng = np.random.default_rng(11)
@@ -26,12 +32,6 @@ def test_is_unitary():
         u = oracles.random_unitary(4, rng)
         assert oracles.is_unitary(u)
         assert not oracles.is_unitary(u * 1.001)
-
-
-def test_dagger():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    np.testing.assert_allclose(qmath.dagger(m), m.conj().T, atol=0)
 
 
 # The tensor-product tests pin oracles.kron_by_hand, the reference the
@@ -105,64 +105,60 @@ def test_pauli_exponential_rejects_non_unit_axis():
         oracles.pauli_exponential(0.0, 0.1, (0.0, 0.0, 2.0))
 
 
-# The Born-rule tests run on chip.detection_probabilities with no rotation:
-# its entries are Tr[rho P_c] for the four channel projectors, in basis order.
-CHANNEL_PROJECTORS = [np.diag(np.eye(4)[c]).astype(complex) for c in range(4)]
+# The Born-rule tests run on chip.broadband_probabilities with splitters
+# that transmit fully (t = 1, r = 0): each MZI is then a bare pair of phase
+# shifters, so the clicks are the generated state's Tr[rho P_c] in basis order.
+OFF = optics.MmiParams(t=1.0, r=0.0)
 
 
-def born(state):
-    return chip.detection_probabilities(state, qmath.ID4)
+def born(generation_mmi, xi=-math.pi / 2.0):
+    cfg = chip.ChipConfig(generation_mmi=generation_mmi, mzi_mmis=(OFF,) * 4,
+                          generation=chip.GenerationSetting(xi=xi), loss=optics.LOSSLESS)
+    rng = np.random.default_rng(7)  # the bare shifters only add phases
+    setting = chip.RotationSetting(*rng.uniform(-2.0, 2.0, size=4))
+    return chip.broadband_probabilities(cfg, setting)
 
 
 def test_born_probability_basis_cases():
-    uf = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    np.testing.assert_allclose(born(uf), [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-    assert born(PHI_PLUS)[0] == pytest.approx(0.5)
+    np.testing.assert_allclose(born(OFF), [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(born(optics.MmiParams(t=0.0, r=1.0)), [0.0, 0.0, 0.0, 1.0],
+                               atol=1e-15)
+    assert born(optics.IDEAL_MMI)[0] == pytest.approx(0.5)
     rotated = XX @ PHI_PLUS
     np.testing.assert_allclose(rotated, PHI_PLUS, atol=1e-15)
-    assert born(rotated)[3] == pytest.approx(0.5)
+    assert born(optics.IDEAL_MMI)[3] == pytest.approx(0.5)
 
 
 def test_born_probability_completeness_and_oracle():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        state = oracles.random_pure_state(4, rng)
-        rho = oracles.random_density(4, rng)
-        for s in (state, rho):
-            got = born(s)
-            assert got.shape == (4,)
-            assert got.sum() == pytest.approx(1.0, abs=1e-10)
-            assert np.all((got >= 0.0) & (got <= 1.0))
-
-
-def test_born_probability_matches_loops():
-    rng = np.random.default_rng(29)
-    for _ in range(15):
-        rho = oracles.random_density(4, rng)
-        want = [oracles.born_by_loops(rho, p) for p in CHANNEL_PROJECTORS]
-        np.testing.assert_allclose(born(rho), want, atol=1e-12)
-
-
-def test_as_density_accepts_and_rejects():
-    rho = qmath.as_density(PHI_PLUS)
-    np.testing.assert_allclose(rho, np.outer(PHI_PLUS, PHI_PLUS.conj()), atol=1e-15)
-    np.testing.assert_allclose(qmath.as_density(rho), rho, atol=0)
-    with pytest.raises(ValueError):
-        qmath.as_density(PHI_PLUS * 1.01)
-    with pytest.raises(ValueError):
-        qmath.as_density(np.eye(4))  # trace 4
-    skew = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    skew[0, 3] += 0.1
-    with pytest.raises(ValueError):
-        qmath.as_density(skew)
+        t_power, r_power = rng.uniform(0.0, 0.5, size=2)
+        xi = rng.uniform(-math.pi, math.pi)
+        got = born(optics.MmiParams.from_power(t_power, r_power), xi)
+        assert got.shape == (4,)
+        assert got.sum() == pytest.approx(1.0, abs=1e-10)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        psi = chip.generation_state(chip.GenerationSetting(xi=xi),
+                                    optics.MmiParams.from_power(t_power, r_power))
+        projectors = [np.diag(np.eye(4)[c]).astype(complex) for c in range(4)]
+        want = [oracles.born_by_loops(psi, p) for p in projectors]
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_distribution_vector_and_dict():
-    vec = qmath.distribution_vector([0.1, 0.2, 0.3, 0.4])
-    np.testing.assert_allclose(vec, [0.1, 0.2, 0.3, 0.4], atol=0)
-    assert vec.dtype == float
-    with pytest.raises(ValueError):
-        qmath.distribution_vector([0.5, 0.5])
-    # distributions are basis-order arrays; a dict keyed by label is not one
-    with pytest.raises(TypeError):
-        qmath.distribution_vector({"UF": 0.1, "UN": 0.2, "DF": 0.3, "DN": 0.4})
+    # distributions are basis-order arrays of 4 probabilities; the event
+    # simulation and the tie-resolution law check them the same way
+    for use in (lambda p: events.simulate_events(p, 1e3, 0.01, seed=1),
+                lambda p: events.resolved_distribution(p, 0.1)):
+        use([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(ValueError, match="4 entries"):
+            use([0.5, 0.5])
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            use([0.5, 0.5, 0.5, -0.5])
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            use([0.1, 0.2, 0.3, 0.3])
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            use([float("nan"), 0.2, 0.3, 0.5])
+        # a dict keyed by label is not one
+        with pytest.raises(TypeError):
+            use({"UF": 0.1, "UN": 0.2, "DF": 0.3, "DN": 0.4})

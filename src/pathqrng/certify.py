@@ -36,25 +36,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chip import _NO_ERRORS, Errors4, _check_errors, rotation_matrix, shifter_phases
+from .chip import _NO_ERRORS, PhaseErrorSet, _check_errors, rotation_matrix, shifter_phases
 from .optics import DESIGN_WAVELENGTH_NM, IDEAL_MMI, MmiParams
 
 SQRT2 = math.sqrt(2.0)
 
 _ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
 _CHSH_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])  # minus on the (phi, theta') term
-
-
-@dataclass(frozen=True)
-class PhaseErrorSet:
-    """The eight phase-shifter error offsets of one chip, radians."""
-
-    dphi: Errors4
-    dtheta: Errors4
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dphi", _check_errors(self.dphi, "dphi"))
-        object.__setattr__(self, "dtheta", _check_errors(self.dtheta, "dtheta"))
 
 
 @dataclass(frozen=True)
@@ -136,10 +124,10 @@ def _rotations(phi: np.ndarray, theta: np.ndarray, errors: PhaseErrorSet,
     """
     shift_phi = nearest_factorized(errors.dphi).vartheta
     shift_theta = nearest_factorized(errors.dtheta).vartheta
-    phis = np.stack([shifter_phases(phi + shift_phi, 0.0, _NO_ERRORS),
-                     shifter_phases(phi, 0.0, errors.dphi)])
-    thetas = np.stack([shifter_phases(theta + shift_theta, 0.0, _NO_ERRORS),
-                       shifter_phases(theta, 0.0, errors.dtheta)])
+    phis = np.stack([shifter_phases(phi + shift_phi, _NO_ERRORS),
+                     shifter_phases(phi, errors.dphi)])
+    thetas = np.stack([shifter_phases(theta + shift_theta, _NO_ERRORS),
+                       shifter_phases(theta, errors.dtheta)])
     return rotation_matrix(*tr, phis, thetas)
 
 

@@ -10,9 +10,14 @@ The chip has three parts, in propagation order:
    (the physical layout uses crossings to regroup the waveguides) rotates
    the {|U>, |D>} qubit by theta = theta1 - theta2.
 
+Only the differences matter: a phase common to both shifters of a stage
+multiplies every amplitude by the same factor, a global phase.  So the
+model sets phi (theta) on each branch's first shifter and 0 on its second.
+
 Each of the four physical phase shifters per stage carries its own error
-offset, which is what breaks the ideal product form B(phi) (x) A(theta) and
-motivates the whole certification machinery.
+offset (:class:`PhaseErrorSet`, a field of :class:`ChipConfig`), which is
+what breaks the ideal product form B(phi) (x) A(theta) and motivates the
+whole certification machinery.
 
 :func:`rotation_matrix` is the one operator kernel for both stages.  It
 broadcasts over leading axes, so the broadband simulation evaluates every
@@ -68,43 +73,21 @@ class GenerationSetting:
 
 
 @dataclass(frozen=True)
-class RotationSetting:
-    """Heater phases of both rotation stages plus per-shifter errors.
+class PhaseErrorSet:
+    """The eight phase-shifter error offsets of one chip, radians.
 
-    The rotation angles seen by the Bell analysis are the differences
-    phi = phi1 - phi2 and theta = theta1 - theta2.  ``dphi`` and ``dtheta``
-    hold the four error offsets of each stage in the order (branch-1
-    shifter 1, branch-1 shifter 2, branch-2 shifter 1, branch-2 shifter 2),
-    where branch 1 is |U> for the phi stage and |F> for the theta stage.
+    ``dphi`` and ``dtheta`` hold the four offsets of each rotation stage in
+    the order (branch-1 shifter 1, branch-1 shifter 2, branch-2 shifter 1,
+    branch-2 shifter 2), where branch 1 is |U> for the phi stage and |F> for
+    the theta stage.
     """
 
-    phi1: float
-    phi2: float
-    theta1: float
-    theta2: float
-    dphi: Errors4 = _NO_ERRORS
-    dtheta: Errors4 = _NO_ERRORS
+    dphi: Errors4
+    dtheta: Errors4
 
     def __post_init__(self) -> None:
-        for name in ("phi1", "phi2", "theta1", "theta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "dphi", _check_errors(self.dphi, "dphi"))
         object.__setattr__(self, "dtheta", _check_errors(self.dtheta, "dtheta"))
-
-    @property
-    def phi(self) -> float:
-        return self.phi1 - self.phi2
-
-    @property
-    def theta(self) -> float:
-        return self.theta1 - self.theta2
-
-    @classmethod
-    def from_angles(cls, phi: float, theta: float, dphi: Errors4 = _NO_ERRORS,
-                    dtheta: Errors4 = _NO_ERRORS) -> "RotationSetting":
-        """Place the full rotation on the first shifter of each pair."""
-        return cls(phi, 0.0, theta, 0.0, dphi, dtheta)
 
 
 @dataclass(frozen=True)
@@ -115,6 +98,8 @@ class ChipConfig:
     the order (phi stage |U> branch, phi stage |D> branch, theta stage |F>
     branch, theta stage |N> branch).  ``phase_dispersion`` enables the
     lambda_0/lambda scaling of all heater phases during broadband averaging.
+    ``errors`` are the chip's phase-shifter offsets, measured once per chip
+    and the same at every measurement setting.
     """
 
     generation_mmi: MmiParams = IDEAL_MMI
@@ -125,6 +110,7 @@ class ChipConfig:
     spectrum: WavelengthSpectrum = field(
         default_factory=lambda: WavelengthSpectrum.single(DESIGN_WAVELENGTH_NM))
     phase_dispersion: bool = False
+    errors: PhaseErrorSet = PhaseErrorSet(_NO_ERRORS, _NO_ERRORS)
 
     def __post_init__(self) -> None:
         if len(self.mzi_mmis) != 4:
@@ -160,16 +146,16 @@ def generation_state(g: GenerationSetting, mmi: MmiParams = IDEAL_MMI,
     return psi / np.expand_dims(norm, -1)
 
 
-def shifter_phases(angle1, angle2, offsets: Errors4, scale=1.0) -> np.ndarray:
+def shifter_phases(angle, offsets: Errors4, scale=1.0) -> np.ndarray:
     """(..., 4) total phases of one stage's shifters, in offset order.
 
-    Both branches carry the set phases (angle1, angle2), each shifter adds
-    its own offset, and ``scale`` multiplies set value and offset alike
-    (the lambda_0/lambda thermo-optic dispersion).  All arguments but
-    ``offsets`` broadcast.
+    Both branches set ``angle`` on their first shifter and 0 on the second,
+    each shifter adds its own offset, and ``scale`` multiplies set value
+    and offset alike (the lambda_0/lambda thermo-optic dispersion).  All
+    arguments but ``offsets`` broadcast.
     """
     s = np.asarray(scale)[..., None]
-    nominal = np.where(_FIRST_SHIFTER, np.asarray(angle1)[..., None], np.asarray(angle2)[..., None])
+    nominal = np.where(_FIRST_SHIFTER, np.asarray(angle)[..., None], 0.0)
     return s * nominal + s * np.asarray(offsets, dtype=float)
 
 
@@ -205,20 +191,22 @@ def _mzi_amplitudes(mmis: tuple[MmiParams, ...],
     return np.stack(np.broadcast_arrays(*t), axis=-1), np.stack(np.broadcast_arrays(*r), axis=-1)
 
 
-def broadband_probabilities(cfg: ChipConfig, r: RotationSetting) -> np.ndarray:
-    """Click probabilities (4,) in basis order, averaged over the source spectrum.
+def broadband_probabilities(cfg: ChipConfig, phi: float, theta: float) -> np.ndarray:
+    """Click probabilities (4,) in basis order at rotation angles (phi, theta).
 
-    Each wavelength node is simulated independently (its own splitter
-    coefficients and, when ``phase_dispersion`` is set, heater phases
-    scaled by lambda_0/lambda) and the distributions are mixed with the
-    node weights, a convex combination of per-wavelength statistics.  The
-    nodes form the batch axis of one :func:`rotation_matrix` call.
+    Every shifter carries its ``cfg.errors`` offset, and the probabilities
+    are averaged over the source spectrum.  Each wavelength node is
+    simulated independently (its own splitter coefficients and, when
+    ``phase_dispersion`` is set, heater phases scaled by lambda_0/lambda)
+    and the distributions are mixed with the node weights, a convex
+    combination of per-wavelength statistics.  The nodes form the batch
+    axis of one :func:`rotation_matrix` call.
     """
     wl = cfg.spectrum.wavelengths
     scale = DESIGN_WAVELENGTH_NM / wl if cfg.phase_dispersion else np.ones_like(wl)
     u = rotation_matrix(*_mzi_amplitudes(cfg.mzi_mmis, wl),
-                        shifter_phases(r.phi1, r.phi2, r.dphi, scale),
-                        shifter_phases(r.theta1, r.theta2, r.dtheta, scale))
+                        shifter_phases(phi, cfg.errors.dphi, scale),
+                        shifter_phases(theta, cfg.errors.dtheta, scale))
     psi = generation_state(cfg.generation, cfg.generation_mmi, wl)
     clicks = np.abs((u @ loss_operator(cfg.loss) @ psi[..., None])[..., 0]) ** 2
     total = np.sum(clicks, axis=-1, keepdims=True)

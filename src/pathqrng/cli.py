@@ -2,8 +2,9 @@
 
 Formats owned here:
 
-* chip configuration: versioned YAML with power coefficients (converted to
-  amplitudes at load), phase errors, spectrum, loss;
+* chip configuration, read only: versioned YAML with power coefficients
+  (converted to amplitudes at load), phase errors, spectrum, loss, parsed
+  straight into a ``chip.ChipConfig``;
 * event files: TSV with a ``# key=value`` header block, a
   ``timestamp_ns<TAB>channel`` column line, then one record per line.
   Every record matches ``[0-9]+\t(UF|UN|DF|DN)\n`` exactly: ASCII
@@ -48,9 +49,9 @@ import yaml
 
 from .bell import (ChiResult, CorrelationGrid, best_combination_search, check_chi,
                    chi_alpha_ideal, correlation_coefficient)
-from .certify import (CertificationResult, CorrectionEstimate, PhaseErrorSet,
-                      certification_result, e_chi, e_p, guessing_curve)
-from .chip import ChipConfig, GenerationSetting, RotationSetting, broadband_probabilities
+from .certify import (CertificationResult, CorrectionEstimate, certification_result, e_chi, e_p,
+                      guessing_curve)
+from .chip import ChipConfig, GenerationSetting, PhaseErrorSet, broadband_probabilities
 from .events import (EventStream, bin_and_resolve, raw_bits, simulate_events,
                      toeplitz_extract, windowed_traces)
 from .optics import LossModel, MmiParams, WavelengthSpectrum
@@ -261,20 +262,15 @@ def _rows(value: Any, where: str, width: int) -> list[list[float]]:
     return [_numbers(row, f"{where} row", width) for row in value]
 
 
-def _mmi_doc(section: Any, where: str) -> dict[str, Any]:
+def _mmi(section: Any, where: str) -> MmiParams:
     section = _section(section, {"t_power", "r_power", "table"}, where)
-    doc = {"t_power": _number(section.get("t_power", 0.5), f"{where}.t_power"),
-           "r_power": _number(section.get("r_power", 0.5), f"{where}.r_power")}
-    if "table" in section:
-        doc["table"] = _rows(section["table"], f"{where}.table", 3)
-    return doc
-
-
-def _mmi_from_doc(doc: Mapping[str, Any]) -> MmiParams:
+    t_power = _number(section.get("t_power", 0.5), f"{where}.t_power")
+    r_power = _number(section.get("r_power", 0.5), f"{where}.r_power")
     table = None
-    if "table" in doc:
-        table = tuple((row[0], math.sqrt(row[1]), math.sqrt(row[2])) for row in doc["table"])
-    return MmiParams.from_power(doc["t_power"], doc["r_power"], table)
+    if "table" in section:
+        table = tuple((wl, math.sqrt(tp), math.sqrt(rp))
+                      for wl, tp, rp in _rows(section["table"], f"{where}.table", 3))
+    return MmiParams.from_power(t_power, r_power, table)
 
 
 _SPECTRUM_KEYS = {
@@ -284,31 +280,27 @@ _SPECTRUM_KEYS = {
 }
 
 
-def _spectrum_from_doc(doc: Mapping[str, Any]) -> WavelengthSpectrum:
-    kind = doc["kind"]
+def _spectrum(spect: Mapping[str, Any], kind: str) -> WavelengthSpectrum:
+    if kind == "table":
+        return WavelengthSpectrum(tuple(map(tuple, _rows(spect.get("nodes"), "spectrum.nodes", 2))))
+    center = _number(spect.get("center_nm", 730.0), "spectrum.center_nm")
     if kind == "single":
-        return WavelengthSpectrum.single(doc["center_nm"])
-    if kind == "gaussian":
-        return WavelengthSpectrum.gaussian(doc["center_nm"], doc["fwhm_nm"],
-                                           int(doc["points"]), tuple(doc["span_nm"]))
-    return WavelengthSpectrum(tuple((float(wl), float(wt)) for wl, wt in doc["nodes"]))
+        return WavelengthSpectrum.single(center)
+    return WavelengthSpectrum.gaussian(
+        center, _number(spect.get("fwhm_nm", 20.0), "spectrum.fwhm_nm"),
+        _number(spect.get("points", 21), "spectrum.points", int),
+        tuple(_numbers(spect.get("span_nm", (720.0, 740.0)), "spectrum.span_nm", 2)))
 
 
-@dataclass(frozen=True)
-class ChipDocument:
-    """A parsed configuration: physical objects plus the normalized document.
+def parse_chip_config(raw: Any) -> ChipConfig:
+    """The chip of a parsed config mapping; wrong keys, shapes, types or values are rejected.
 
-    ``doc`` is the canonical dictionary the file format round-trips
-    through; physical parameters live in ``config`` and ``errors``.
+    Absent sections and keys take their defaults: ideal 50:50 splitters,
+    xi = -pi/2, no loss, a single 730 nm node, no dispersion, no phase
+    errors.  Every fault is a :class:`ValidationError`.
     """
-
-    config: ChipConfig
-    errors: PhaseErrorSet
-    doc: dict[str, Any]
-
-
-def _normalize_config_doc(raw: Mapping[str, Any]) -> dict[str, Any]:
-    """The canonical document of a parsed config; wrong keys, shapes or types are rejected."""
+    if not isinstance(raw, Mapping):
+        raise ValidationError("config root must be a mapping")
     _section(raw, {"version", "chip", "errors"}, "config root")
     if raw.get("version") != 1:
         raise ValidationError(f"unsupported config version {raw.get('version')!r}")
@@ -327,78 +319,36 @@ def _normalize_config_doc(raw: Mapping[str, Any]) -> dict[str, Any]:
     if not isinstance(dispersion, bool):
         raise ValidationError(f"phase_dispersion must be true or false, not {dispersion!r}")
 
-    spect_doc: dict[str, Any] = {"kind": kind}
-    if kind == "single":
-        spect_doc["center_nm"] = _number(spect.get("center_nm", 730.0), "spectrum.center_nm")
-    elif kind == "gaussian":
-        spect_doc.update(
-            center_nm=_number(spect.get("center_nm", 730.0), "spectrum.center_nm"),
-            fwhm_nm=_number(spect.get("fwhm_nm", 20.0), "spectrum.fwhm_nm"),
-            points=_number(spect.get("points", 21), "spectrum.points", int),
-            span_nm=_numbers(spect.get("span_nm", (720.0, 740.0)), "spectrum.span_nm", 2))
-    else:
-        spect_doc["nodes"] = _rows(spect.get("nodes"), "spectrum.nodes", 2)
-
     def errs(key: str) -> list[float]:
         return _numbers(err.get(key, (0.0, 0.0, 0.0, 0.0)), f"errors.{key}", 4)
 
-    return {
-        "version": 1,
-        "chip": {
-            "generation_mmi": _mmi_doc(chip.get("generation_mmi"), "generation_mmi"),
-            "mzi_mmis": {k: _mmi_doc(mz.get(k), f"mzi_mmis.{k}")
-                         for k in ("phi_u", "phi_d", "theta_f", "theta_n")},
-            "generation": {k: _number(gen.get(k, v), f"generation.{k}") for k, v in
-                           (("xi", -math.pi / 2.0), ("comp_far", 0.0), ("comp_near", 0.0))},
-            "loss": {k: _number(loss.get(k, 1.0), f"loss.{k}")
-                     for k in ("gamma", "crossing_transmission")},
-            "spectrum": spect_doc,
-            "phase_dispersion": dispersion,
-        },
-        "errors": {"dphi": errs("dphi"), "dtheta": errs("dtheta")},
-    }
-
-
-def _document_to_objects(doc: Mapping[str, Any]) -> tuple[ChipConfig, PhaseErrorSet]:
-    chip = doc["chip"]
-    mz = chip["mzi_mmis"]
     try:
-        config = ChipConfig(
-            generation_mmi=_mmi_from_doc(chip["generation_mmi"]),
-            mzi_mmis=tuple(_mmi_from_doc(mz[k])
+        return ChipConfig(
+            generation_mmi=_mmi(chip.get("generation_mmi"), "generation_mmi"),
+            mzi_mmis=tuple(_mmi(mz.get(k), f"mzi_mmis.{k}")
                            for k in ("phi_u", "phi_d", "theta_f", "theta_n")),
-            generation=GenerationSetting(**chip["generation"]),
-            loss=LossModel(**chip["loss"]),
-            spectrum=_spectrum_from_doc(chip["spectrum"]),
-            phase_dispersion=chip["phase_dispersion"],
+            generation=GenerationSetting(**{
+                k: _number(gen.get(k, v), f"generation.{k}")
+                for k, v in (("xi", -math.pi / 2.0), ("comp_far", 0.0), ("comp_near", 0.0))}),
+            loss=LossModel(**{k: _number(loss.get(k, 1.0), f"loss.{k}")
+                              for k in ("gamma", "crossing_transmission")}),
+            spectrum=_spectrum(spect, kind),
+            phase_dispersion=dispersion,
+            errors=PhaseErrorSet(errs("dphi"), errs("dtheta")),
         )
-        errors = PhaseErrorSet(tuple(doc["errors"]["dphi"]), tuple(doc["errors"]["dtheta"]))
+    except ValidationError:
+        raise
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    return config, errors
 
 
-def load_chip_config(path: Path | str) -> ChipDocument:
-    """Parse, validate, and normalize a chip configuration file."""
+def load_chip_config(path: Path | str) -> ChipConfig:
+    """Parse and validate a chip configuration file."""
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:
         raise ValidationError(f"malformed config: {exc}") from exc
-    if not isinstance(raw, Mapping):
-        raise ValidationError("config root must be a mapping")
-    doc = _normalize_config_doc(raw)
-    config, errors = _document_to_objects(doc)
-    return ChipDocument(config, errors, doc)
-
-
-def dump_chip_config(doc: Mapping[str, Any]) -> str:
-    """Canonical YAML emission of a normalized configuration document."""
-    return yaml.safe_dump(_normalize_config_doc(doc), sort_keys=True,
-                          default_flow_style=False)
-
-
-def write_chip_config(doc: Mapping[str, Any], path: Path | str) -> None:
-    _atomic_write(path, dump_chip_config(doc))
+    return parse_chip_config(raw)
 
 
 def _resolve_config_path(value: str) -> Path:
@@ -721,16 +671,19 @@ def _parse_angle_pairs(text: str) -> list[tuple[float, float]]:
         if not sep:
             raise ValidationError(f"bad angle pair {chunk!r}; expected phi:theta")
         try:
-            pairs.append((float(phi_str), float(theta_str)))
+            pair = (float(phi_str), float(theta_str))
         except ValueError as exc:
             raise ValidationError(f"bad angle pair {chunk!r}: {exc}") from exc
+        if not all(map(math.isfinite, pair)):
+            raise ValidationError(f"bad angle pair {chunk!r}: angles must be finite")
+        pairs.append(pair)
     return pairs
 
 
 def _scan_schedule(step: float) -> list[tuple[float, float]]:
     """The measurement scan: phi in [-2, 2], theta in [-2, 0]."""
-    if step <= 0.0:
-        raise ValidationError("scan step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValidationError(f"scan step {step!r} must be finite and positive")
     n_phi = int(round(4.0 / step)) + 1
     n_theta = int(round(2.0 / step)) + 1
     phis = np.linspace(-2.0, 2.0, n_phi)
@@ -738,11 +691,9 @@ def _scan_schedule(step: float) -> list[tuple[float, float]]:
     return [(float(p), float(t)) for p in phis for t in thetas]
 
 
-def _load_optional_config(path_value: str | None) -> ChipDocument:
+def _load_optional_config(path_value: str | None) -> ChipConfig:
     if path_value is None:
-        zero = (0.0, 0.0, 0.0, 0.0)
-        return ChipDocument(ChipConfig.balanced(), PhaseErrorSet(zero, zero),
-                            _normalize_config_doc({"version": 1}))
+        return ChipConfig.balanced()
     return load_chip_config(_resolve_config_path(path_value))
 
 
@@ -760,16 +711,14 @@ def _stream_correlation(stream: EventStream) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    chipdoc = _load_optional_config(args.config)
+    cfg = _load_optional_config(args.config)
     if (args.angles is None) == (not args.scan):
         raise ValidationError("exactly one of --angles or --scan is required")
     pairs = _parse_angle_pairs(args.angles) if args.angles else _scan_schedule(args.scan_step)
     out = Path(args.out)
     seeds = np.random.SeedSequence(args.seed).generate_state(len(pairs))
     for i, (phi, theta) in enumerate(pairs):
-        setting = RotationSetting.from_angles(phi, theta, chipdoc.errors.dphi,
-                                              chipdoc.errors.dtheta)
-        dist = broadband_probabilities(chipdoc.config, setting)
+        dist = broadband_probabilities(cfg, phi, theta)
         try:
             stream = simulate_events(dist, args.rate_hz, args.duration_s, args.bin_us,
                                      seed=int(seeds[i]), phi=phi, theta=theta)
@@ -813,6 +762,8 @@ def _cmd_bell_scan(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if (args.chi is None) == (args.chi_file is None):
         raise ValidationError("exactly one of --chi or --chi-file is required")
+    if (args.e_chi is None) != (args.e_p is None):
+        raise ValidationError("give both --e-chi and --e-p, or neither to search both")
     if args.chi is not None:
         chi_value, chi_stderr = args.chi, 0.0
     else:
@@ -823,13 +774,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     check_chi(chi_value, chi_stderr)
 
     ec_est = ep_est = None
-    if args.e_chi is not None and args.e_p is not None:
+    if args.e_chi is not None:
         ec_val, ep_val = args.e_chi, args.e_p
     else:
-        chipdoc = _load_optional_config(args.config)
-        ec_est = e_chi(chipdoc.errors, chipdoc.config.mzi_mmis, starts=args.starts,
+        cfg = _load_optional_config(args.config)
+        ec_est = e_chi(cfg.errors, cfg.mzi_mmis, starts=args.starts,
                        probes=args.probes, seed=args.opt_seed)
-        ep_est = e_p(chipdoc.errors, chipdoc.config.mzi_mmis, starts=args.starts,
+        ep_est = e_p(cfg.errors, cfg.mzi_mmis, starts=args.starts,
                      probes=args.probes, seed=args.opt_seed)
         ec_val, ep_val = ec_est.value, ep_est.value
 

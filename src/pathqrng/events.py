@@ -117,8 +117,8 @@ def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     if not (math.isfinite(duration_s) and math.isfinite(bin_width_us)):
         raise ValueError(f"duration {duration_s!r} s and bin width {bin_width_us!r} us "
                          "must be finite")
-    if rate_hz < 0.0:
-        raise ValueError("rate must be non-negative")
+    if not (math.isfinite(rate_hz) and rate_hz >= 0.0):
+        raise ValueError(f"rate {rate_hz!r} Hz must be finite and non-negative")
     mean_per_bin = rate_hz * bin_width_us * 1e-6
     if mean_per_bin >= 1.0:
         raise ValueError(f"mean records per bin {mean_per_bin!r} must be < 1; "

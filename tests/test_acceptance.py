@@ -15,7 +15,6 @@ from scipy import stats
 import oracles
 from pathqrng import bell, certify, chip, events
 
-ZERO4 = (0.0, 0.0, 0.0, 0.0)
 PHI_GRID = np.linspace(-2.0, 2.0, 41)
 THETA_GRID = np.linspace(-2.0, 0.0, 21)
 
@@ -32,16 +31,11 @@ def verdict(num, passed, detail):
     assert passed, f"criterion {num}: {detail}"
 
 
-def setting(phi, theta, errors=None):
-    e = errors if errors is not None else certify.PhaseErrorSet(ZERO4, ZERO4)
-    return chip.RotationSetting.from_angles(phi, theta, e.dphi, e.dtheta)
-
-
-def surface(cfg, errors=None):
+def surface(cfg):
     e = np.empty((PHI_GRID.size, THETA_GRID.size))
     for i, p in enumerate(PHI_GRID):
         for j, t in enumerate(THETA_GRID):
-            dist = chip.broadband_probabilities(cfg, setting(p, t, errors))
+            dist = chip.broadband_probabilities(cfg, p, t)
             e[i, j] = bell.correlation_coefficient(dist)
     return e
 
@@ -158,7 +152,7 @@ def test_criterion_8_monte_carlo_bell_test():
     cfg = chip.ChipConfig.unbalanced()
     phi, phip, th, thp = CHI_PLUS_ANGLES
     pairs = [(phi, th), (phi, thp), (phip, th), (phip, thp)]
-    dists = [chip.broadband_probabilities(cfg, setting(p, t)) for p, t in pairs]
+    dists = [chip.broadband_probabilities(cfg, p, t) for p, t in pairs]
     es0 = [bell.correlation_coefficient(d) for d in dists]
     chi0 = es0[0] - es0[1] + es0[2] + es0[3]
 
@@ -183,7 +177,7 @@ def test_criterion_9_windowed_coverage():
     cfg = chip.ChipConfig.unbalanced()
     phi, phip, th, thp = CHI_PLUS_ANGLES
     pairs = [(phi, th), (phi, thp), (phip, th), (phip, thp)]
-    dists = [chip.broadband_probabilities(cfg, setting(p, t)) for p, t in pairs]
+    dists = [chip.broadband_probabilities(cfg, p, t) for p, t in pairs]
     es0 = [bell.correlation_coefficient(d) for d in dists]
     chi_inf = es0[0] - es0[1] + es0[2] + es0[3]
 
@@ -215,8 +209,7 @@ def test_criterion_10_guessing_bound_concavity():
 
 
 def test_criterion_11_extractor_plumbing():
-    dist = chip.broadband_probabilities(chip.ChipConfig.unbalanced(),
-                                        setting(-0.576, -1.11))
+    dist = chip.broadband_probabilities(chip.ChipConfig.unbalanced(), -0.576, -1.11)
     stream = events.simulate_events(dist, 1.2e5, 1.0, seed=2468)
     bits = events.raw_bits(events.bin_and_resolve(stream, tie_seed=7))
     out = events.toeplitz_extract(bits, 0.33, seed=99)

@@ -115,8 +115,7 @@ def born(generation_mmi, xi=-math.pi / 2.0):
     cfg = chip.ChipConfig(generation_mmi=generation_mmi, mzi_mmis=(OFF,) * 4,
                           generation=chip.GenerationSetting(xi=xi), loss=optics.LOSSLESS)
     rng = np.random.default_rng(7)  # the bare shifters only add phases
-    setting = chip.RotationSetting(*rng.uniform(-2.0, 2.0, size=4))
-    return chip.broadband_probabilities(cfg, setting)
+    return chip.broadband_probabilities(cfg, *rng.uniform(-2.0, 2.0, size=2))
 
 
 def test_born_probability_basis_cases():

@@ -45,8 +45,7 @@ def make_stream(sub_counts, negate=False, subinterval_s=0.2):
 def test_correlation_coefficient_basic():
     assert bell.correlation_coefficient([1.0, 0.0, 0.0, 0.0]) == 1.0
     assert bell.correlation_coefficient([0.25, 0.25, 0.25, 0.25]) == 0.0
-    p = chip.broadband_probabilities(chip.ChipConfig.balanced(),
-                                     chip.RotationSetting.from_angles(0.3, 0.1))
+    p = chip.broadband_probabilities(chip.ChipConfig.balanced(), 0.3, 0.1)
     assert bell.correlation_coefficient(p) == pytest.approx(math.cos(0.4), abs=1e-12)
 
 
@@ -137,7 +136,7 @@ def test_unbalanced_correlation_matches_simulation():
     worst = 0.0
     for phi in np.linspace(-2.0, 2.0, 9):
         for theta in np.linspace(-2.0, 2.0, 9):
-            p = chip.broadband_probabilities(cfg, chip.RotationSetting.from_angles(phi, theta))
+            p = chip.broadband_probabilities(cfg, phi, theta)
             sim = bell.correlation_coefficient(p)
             worst = max(worst, abs(sim - bell.unbalanced_correlation(phi, theta)))
     assert worst < 1e-9
@@ -221,8 +220,8 @@ def test_best_combination_never_beats_quantum_bound():
         # ideal rotations of an arbitrary pure state, every (phi, theta) in one call
         ideal = np.full(4, 2.0 ** -0.5)
         u = chip.rotation_matrix(ideal, ideal,
-                                 chip.shifter_phases(phis[:, None], 0.0, (0.0,) * 4),
-                                 chip.shifter_phases(thetas[None, :], 0.0, (0.0,) * 4))
+                                 chip.shifter_phases(phis[:, None], (0.0,) * 4),
+                                 chip.shifter_phases(thetas[None, :], (0.0,) * 4))
         e = bell.correlation_coefficient(np.abs(u @ psi) ** 2)
         grid = bell.CorrelationGrid(tuple(phis), tuple(thetas), e)
         top, bottom = bell.best_combination_search(grid)
@@ -397,7 +396,7 @@ def test_chi_stderr_simulated_magnitude():
     ]
     streams = []
     for k, (phi, theta) in enumerate(pairs):
-        p = chip.broadband_probabilities(cfg, chip.RotationSetting.from_angles(phi, theta))
+        p = chip.broadband_probabilities(cfg, phi, theta)
         streams.append(
             events.simulate_events(p, 120000.0, 1.0, seed=100 + k, phi=phi, theta=theta)
         )

@@ -19,10 +19,21 @@ def correlation(p):
     return p[0] + p[3] - p[1] - p[2]
 
 
+def split_phases(angle1, angle2, offsets):
+    """(4,) shifter phases of one stage with set phases (angle1, angle2) on both branches."""
+    return np.array([angle1, angle2, angle1, angle2]) + np.asarray(offsets, dtype=float)
+
+
 def rotation(phi1, phi2, theta1, theta2, dphi=ZERO4, dtheta=ZERO4):
     """The kernel's rotation operator of one setting with ideal splitters."""
-    return chip.rotation_matrix(IDEAL, IDEAL, chip.shifter_phases(phi1, phi2, dphi),
-                                chip.shifter_phases(theta1, theta2, dtheta))
+    return chip.rotation_matrix(IDEAL, IDEAL, split_phases(phi1, phi2, dphi),
+                                split_phases(theta1, theta2, dtheta))
+
+
+def probabilities(cfg, phi, theta, dphi=ZERO4, dtheta=ZERO4):
+    """``broadband_probabilities`` of ``cfg`` with its phase errors replaced."""
+    errors = chip.PhaseErrorSet(dphi, dtheta)
+    return chip.broadband_probabilities(dataclasses.replace(cfg, errors=errors), phi, theta)
 
 
 def ideal_product(phi, theta):
@@ -97,14 +108,14 @@ def test_rotation_stage_block_structure():
     ideal, off = (INV_SQRT2, INV_SQRT2), (1.0, 0.0)
     t = (ideal[0], ideal[0], off[0], off[0])
     r = (ideal[1], ideal[1], off[1], off[1])
-    rel = chip.rotation_matrix(t, r, chip.shifter_phases(0.4, 0.1, d), np.zeros(4))
+    rel = chip.rotation_matrix(t, r, split_phases(0.4, 0.1, d), np.zeros(4))
     top = oracles.mzi_by_product(0.4 + d[0], 0.1 + d[1])
     bot = oracles.mzi_by_product(0.4 + d[2], 0.1 + d[3])
     np.testing.assert_allclose(rel[0:2, 0:2], top, atol=1e-14)
     np.testing.assert_allclose(rel[2:4, 2:4], bot, atol=1e-14)
     assert np.max(np.abs(rel[0:2, 2:4])) == 0.0
 
-    ab = chip.rotation_matrix(t[::-1], r[::-1], np.zeros(4), chip.shifter_phases(-0.7, 0.2, d))
+    ab = chip.rotation_matrix(t[::-1], r[::-1], np.zeros(4), split_phases(-0.7, 0.2, d))
     far = oracles.mzi_by_product(-0.7 + d[0], 0.2 + d[1])
     near = oracles.mzi_by_product(-0.7 + d[2], 0.2 + d[3])
     np.testing.assert_allclose(ab[0::2, 0::2], far, atol=1e-14)
@@ -157,8 +168,8 @@ def test_rotation_matrix_matches_kron_oracle():
         t, r = random_mzi_amplitudes(rng)
         phi, theta, phi2, theta2 = rng.uniform(-2.0, 2.0, size=4)
         dphi, dtheta = rng.uniform(-0.25, 0.25, size=(2, 4))
-        got = chip.rotation_matrix(t, r, chip.shifter_phases(phi, phi2, dphi),
-                                   chip.shifter_phases(theta, theta2, dtheta))
+        got = chip.rotation_matrix(t, r, split_phases(phi, phi2, dphi),
+                                   split_phases(theta, theta2, dtheta))
         want = oracles.rotation_by_hand(
             (phi + dphi[0], phi2 + dphi[1], phi + dphi[2], phi2 + dphi[3]),
             (theta + dtheta[0], theta2 + dtheta[1], theta + dtheta[2], theta2 + dtheta[3]),
@@ -173,32 +184,33 @@ def test_rotation_matrix_batches_equal_elementwise_calls(shape):
     t, r = random_mzi_amplitudes(rng, shape)
     phi, theta, scale = rng.uniform(-2.0, 2.0, size=(3,) + shape)
     dphi, dtheta = rng.uniform(-0.25, 0.25, size=(2, 4))
-    got = chip.rotation_matrix(t, r, chip.shifter_phases(phi, 0.3, dphi, scale),
-                               chip.shifter_phases(theta, -0.1, dtheta, scale))
+    got = chip.rotation_matrix(t, r, chip.shifter_phases(phi, dphi, scale),
+                               chip.shifter_phases(theta, dtheta, scale))
     assert got.shape == shape + (4, 4)
     for idx in np.ndindex(shape):
         one = chip.rotation_matrix(
-            t[idx], r[idx], chip.shifter_phases(phi[idx], 0.3, dphi, scale[idx]),
-            chip.shifter_phases(theta[idx], -0.1, dtheta, scale[idx]))
+            t[idx], r[idx], chip.shifter_phases(phi[idx], dphi, scale[idx]),
+            chip.shifter_phases(theta[idx], dtheta, scale[idx]))
         np.testing.assert_array_equal(got[idx], one)
 
 
 def test_shifter_phases_scale_set_values_and_offsets():
     d = (0.01, -0.02, 0.03, 0.04)
     np.testing.assert_array_equal(
-        chip.shifter_phases(0.5, -0.25, d), [0.51, -0.27, 0.53, -0.21])
-    got = chip.shifter_phases(np.array([0.5, 1.0]), 0.0, d, scale=np.array([1.0, 0.5]))
+        chip.shifter_phases(0.5, d), [0.51, -0.02, 0.53, 0.04])
+    got = chip.shifter_phases(np.array([0.5, 1.0]), d, scale=np.array([1.0, 0.5]))
     np.testing.assert_allclose(got, [[0.51, -0.02, 0.53, 0.04],
                                      [0.505, -0.01, 0.515, 0.02]], atol=1e-15)
 
 
-def test_rotation_setting_validation():
+def test_chip_config_phase_errors_validation():
+    assert chip.ChipConfig().errors == chip.PhaseErrorSet(ZERO4, ZERO4)
     with pytest.raises(ValueError):
-        chip.RotationSetting.from_angles(0.0, 0.0, dphi=(0.3, 0.0, 0.0, 0.0))
+        chip.ChipConfig(errors=chip.PhaseErrorSet((0.3, 0.0, 0.0, 0.0), ZERO4))
     with pytest.raises(ValueError):
-        chip.RotationSetting.from_angles(0.0, 0.0, dtheta=(0.0, 0.0, 0.0))
+        chip.ChipConfig(errors=chip.PhaseErrorSet(ZERO4, (0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
-        chip.RotationSetting(float("inf"), 0.0, 0.0, 0.0)
+        chip.PhaseErrorSet((float("inf"), 0.0, 0.0, 0.0), ZERO4)
 
 
 # The detection tests run on chip.broadband_probabilities, the one
@@ -208,28 +220,25 @@ def test_detection_probabilities_bell_state():
     # the default generation phase xi = -pi/2 prepares PHI_PLUS
     np.testing.assert_allclose(chip.generation_state(chip.GenerationSetting()), PHI_PLUS,
                                atol=1e-15)
-    p = chip.broadband_probabilities(chip.ChipConfig.balanced(),
-                                     chip.RotationSetting.from_angles(0.0, 0.0))
+    p = chip.broadband_probabilities(chip.ChipConfig.balanced(), 0.0, 0.0)
     assert p.shape == (4,)
     np.testing.assert_allclose(p, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
 def test_detection_probabilities_scalar_loss_cancels():
     rng = np.random.default_rng(37)
-    setting = chip.RotationSetting.from_angles(0.7, -0.3)
     for gamma in [1.0, 0.9, 0.5, 0.05]:
         loss = optics.LossModel(gamma=gamma, crossing_transmission=0.98)
         gen = chip.GenerationSetting(*rng.uniform(-math.pi, math.pi, size=3))
         mmi = optics.MmiParams.from_power(*rng.uniform(0.1, 0.5, size=2))
         cfg = chip.ChipConfig(generation_mmi=mmi, generation=gen, loss=optics.LOSSLESS)
-        base = chip.broadband_probabilities(cfg, setting)
-        lossy = chip.broadband_probabilities(dataclasses.replace(cfg, loss=loss), setting)
+        base = chip.broadband_probabilities(cfg, 0.7, -0.3)
+        lossy = chip.broadband_probabilities(dataclasses.replace(cfg, loss=loss), 0.7, -0.3)
         np.testing.assert_allclose(lossy, base, atol=1e-12)
 
 
 def test_detection_probabilities_correlation_value():
-    p = chip.broadband_probabilities(chip.ChipConfig.balanced(),
-                                     chip.RotationSetting.from_angles(0.3, 0.1))
+    p = chip.broadband_probabilities(chip.ChipConfig.balanced(), 0.3, 0.1)
     assert correlation(p) == pytest.approx(math.cos(0.4), abs=1e-12)
 
 
@@ -238,7 +247,7 @@ def test_detection_probabilities_annihilated_state():
     closed = optics.MmiParams(t=0.0, r=0.0)
     cfg = chip.ChipConfig(mzi_mmis=(closed, closed, optics.IDEAL_MMI, optics.IDEAL_MMI))
     with pytest.raises(ValueError, match="annihilated"):
-        chip.broadband_probabilities(cfg, chip.RotationSetting.from_angles(0.3, 0.1))
+        chip.broadband_probabilities(cfg, 0.3, 0.1)
 
 
 def test_ideal_chip_correlation_grid():
@@ -247,7 +256,7 @@ def test_ideal_chip_correlation_grid():
     worst = 0.0
     for phi in angles:
         for theta in angles:
-            p = chip.broadband_probabilities(cfg, chip.RotationSetting.from_angles(phi, theta))
+            p = chip.broadband_probabilities(cfg, phi, theta)
             worst = max(worst, abs(correlation(p) - math.cos(2.0 * (phi - theta))))
     assert worst < 1e-9
 
@@ -259,9 +268,8 @@ def test_detection_pipeline_matches_hand_oracle():
         phi, theta = rng.uniform(-2.0, 2.0, size=2)
         dphi = tuple(rng.uniform(-0.2, 0.2, size=4))
         dtheta = tuple(rng.uniform(-0.2, 0.2, size=4))
-        setting = chip.RotationSetting.from_angles(phi, theta, dphi, dtheta)
         cfg = chip.ChipConfig.balanced(generation=chip.GenerationSetting(xi=xi))
-        p = chip.broadband_probabilities(cfg, setting)
+        p = probabilities(cfg, phi, theta, dphi, dtheta)
         want = oracles.detection_by_hand(
             1.0,
             1.0,
@@ -276,8 +284,7 @@ def test_detection_pipeline_matches_hand_oracle():
 
 def test_broadband_single_node_equals_monochromatic():
     cfg = chip.ChipConfig.balanced()
-    setting = chip.RotationSetting.from_angles(0.4, -0.2)
-    got = chip.broadband_probabilities(cfg, setting)
+    got = chip.broadband_probabilities(cfg, 0.4, -0.2)
     want = oracles.detection_by_hand(INV_SQRT2, INV_SQRT2, -math.pi / 2.0, 0.0, 0.0,
                                      (0.4, 0.0, 0.4, 0.0), (-0.2, 0.0, -0.2, 0.0))
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -286,9 +293,8 @@ def test_broadband_single_node_equals_monochromatic():
 def test_broadband_identical_nodes_equal_monochromatic():
     spectrum = optics.WavelengthSpectrum(((725.0, 0.5), (735.0, 0.5)))
     cfg = chip.ChipConfig.balanced(spectrum=spectrum)
-    setting = chip.RotationSetting.from_angles(-0.9, 0.3)
-    got = chip.broadband_probabilities(cfg, setting)
-    want = chip.broadband_probabilities(single_node(cfg, 730.0), setting)
+    got = chip.broadband_probabilities(cfg, -0.9, 0.3)
+    want = chip.broadband_probabilities(single_node(cfg, 730.0), -0.9, 0.3)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -311,12 +317,11 @@ def test_broadband_21_nodes_matches_per_node_average():
         loss=optics.LOSSLESS,
         spectrum=spectrum,
     )
-    setting = chip.RotationSetting.from_angles(0.6, -0.4)
-    got = chip.broadband_probabilities(cfg, setting)
+    got = chip.broadband_probabilities(cfg, 0.6, -0.4)
 
     acc = np.zeros(4)
     for wl, w in spectrum.nodes:
-        acc += w * chip.broadband_probabilities(single_node(cfg, wl), setting)
+        acc += w * chip.broadband_probabilities(single_node(cfg, wl), 0.6, -0.4)
     np.testing.assert_allclose(got, acc, atol=1e-12)
 
 
@@ -331,29 +336,24 @@ def test_broadband_correlation_is_convex_mix():
         loss=optics.LOSSLESS,
         spectrum=spectrum,
     )
-    setting = chip.RotationSetting.from_angles(0.35, -0.15)
-    mixed_e = correlation(chip.broadband_probabilities(cfg, setting))
+    mixed_e = correlation(chip.broadband_probabilities(cfg, 0.35, -0.15))
     want = 0.0
     for wl, w in spectrum.nodes:
-        want += w * correlation(chip.broadband_probabilities(single_node(cfg, wl), setting))
+        want += w * correlation(chip.broadband_probabilities(single_node(cfg, wl), 0.35, -0.15))
     assert mixed_e == pytest.approx(want, abs=1e-10)
 
 
 def test_broadband_phase_dispersion_scales_heater_phases():
     spectrum = optics.WavelengthSpectrum(((725.0, 0.4), (736.0, 0.6)))
-    cfg = chip.ChipConfig.balanced(spectrum=spectrum, phase_dispersion=True)
-    setting = chip.RotationSetting.from_angles(
-        0.8, -0.5, dphi=(0.01, 0.0, -0.02, 0.0)
-    )
-    got = chip.broadband_probabilities(cfg, setting)
+    dphi = (0.01, 0.0, -0.02, 0.0)
+    cfg = chip.ChipConfig.balanced(spectrum=spectrum, phase_dispersion=True,
+                                   errors=chip.PhaseErrorSet(dphi, ZERO4))
+    got = chip.broadband_probabilities(cfg, 0.8, -0.5)
     mono = chip.ChipConfig.balanced()
     acc = np.zeros(4)
     for wl, w in spectrum.nodes:
         f = optics.DESIGN_WAVELENGTH_NM / wl
-        scaled = chip.RotationSetting(
-            setting.phi1 * f, setting.phi2 * f, setting.theta1 * f, setting.theta2 * f,
-            tuple(d * f for d in setting.dphi), tuple(d * f for d in setting.dtheta))
-        acc += w * chip.broadband_probabilities(mono, scaled)
+        acc += w * probabilities(mono, 0.8 * f, -0.5 * f, tuple(d * f for d in dphi))
     np.testing.assert_allclose(got, acc, atol=1e-12)
 
 
@@ -368,14 +368,18 @@ def tabulated_mmi(rng):
                     for wl, tp, k in zip(wavelengths, t_power, loss)))
 
 
-def broadband_by_hand(cfg, setting):
-    """Per-node loop over the spectrum through the written-out oracle."""
+def broadband_by_hand(cfg, phi, theta, phi2=0.0, theta2=0.0):
+    """Per-node loop over the spectrum through the written-out oracle.
+
+    ``phi2``, ``theta2`` are set phases on each branch's second shifter,
+    which the chip model keeps at 0.
+    """
     acc = np.zeros(4)
     for wl, w in cfg.spectrum.nodes:
         s = optics.DESIGN_WAVELENGTH_NM / wl if cfg.phase_dispersion else 1.0
         t_gen, r_gen = cfg.generation_mmi.resolve(wl)
-        p, d, q, e = setting.phi1, setting.dphi, setting.theta1, setting.dtheta
-        p2, q2 = setting.phi2, setting.theta2
+        p, d, q, e = phi, cfg.errors.dphi, theta, cfg.errors.dtheta
+        p2, q2 = phi2, theta2
         acc += w * oracles.detection_by_hand(
             t_gen, r_gen, cfg.generation.xi, cfg.generation.comp_far,
             cfg.generation.comp_near,
@@ -396,13 +400,35 @@ def test_broadband_matches_per_node_hand_oracle(dispersion):
         phase_dispersion=dispersion,
     )
     for _ in range(10):
-        phi1, phi2, theta1, theta2 = rng.uniform(-2.0, 2.0, size=4)
-        setting = chip.RotationSetting(
-            phi1, phi2, theta1, theta2,
-            tuple(rng.uniform(-0.2, 0.2, size=4)), tuple(rng.uniform(-0.2, 0.2, size=4)))
-        got = chip.broadband_probabilities(cfg, setting)
-        want = broadband_by_hand(cfg, setting)
+        phi, theta = rng.uniform(-2.0, 2.0, size=2)
+        errors = chip.PhaseErrorSet(tuple(rng.uniform(-0.2, 0.2, size=4)),
+                                    tuple(rng.uniform(-0.2, 0.2, size=4)))
+        with_errors = dataclasses.replace(cfg, errors=errors)
+        got = chip.broadband_probabilities(with_errors, phi, theta)
+        want = broadband_by_hand(with_errors, phi, theta)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("dispersion", [False, True])
+def test_common_set_phase_on_both_shifters_is_global(dispersion):
+    # a set phase c on both shifters of every branch of a stage multiplies the
+    # stage by e^{2ic}, a global phase, so the chip model's second set phase
+    # of 0 loses nothing: the clicks of (phi + c, c) equal those of (phi, 0)
+    rng = np.random.default_rng(67)
+    for _ in range(10):
+        cfg = chip.ChipConfig(
+            generation_mmi=tabulated_mmi(rng),
+            mzi_mmis=tuple(tabulated_mmi(rng) for _ in range(4)),
+            generation=chip.GenerationSetting(*rng.uniform(-math.pi, math.pi, size=3)),
+            spectrum=optics.WavelengthSpectrum.gaussian(730.0, fwhm_nm=10.0, points=5),
+            phase_dispersion=dispersion,
+            errors=chip.PhaseErrorSet(tuple(rng.uniform(-0.2, 0.2, size=4)),
+                                      tuple(rng.uniform(-0.2, 0.2, size=4))))
+        phi, theta, c_phi, c_theta = rng.uniform(-2.0, 2.0, size=4)
+        shifted = broadband_by_hand(cfg, phi + c_phi, theta + c_theta, c_phi, c_theta)
+        np.testing.assert_allclose(shifted, broadband_by_hand(cfg, phi, theta), atol=1e-12)
+        np.testing.assert_allclose(chip.broadband_probabilities(cfg, phi, theta), shifted,
+                                   atol=1e-12)
 
 
 def test_broadband_paper_chip_scan_matches_hand_oracle():
@@ -411,12 +437,12 @@ def test_broadband_paper_chip_scan_matches_hand_oracle():
     cfg = chip.ChipConfig.unbalanced(
         spectrum=optics.WavelengthSpectrum.gaussian(730.0, fwhm_nm=10.0),
         phase_dispersion=True)
-    dphi, dtheta = (0.0, 0.011, -0.004, -0.006), (0.068, 0.216, 0.036, 0.215)
+    cfg = dataclasses.replace(cfg, errors=chip.PhaseErrorSet(
+        (0.0, 0.011, -0.004, -0.006), (0.068, 0.216, 0.036, 0.215)))
     for phi in np.linspace(-2.0, 2.0, 9):
         for theta in np.linspace(-2.0, 0.0, 5):
-            setting = chip.RotationSetting.from_angles(phi, theta, dphi, dtheta)
-            got = chip.broadband_probabilities(cfg, setting)
-            want = broadband_by_hand(cfg, setting)
+            got = chip.broadband_probabilities(cfg, phi, theta)
+            want = broadband_by_hand(cfg, phi, theta)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -424,4 +450,4 @@ def test_broadband_annihilated_state_rejected():
     closed = optics.MmiParams(t=0.0, r=0.0)
     cfg = chip.ChipConfig(mzi_mmis=(closed, closed, closed, closed))
     with pytest.raises(ValueError, match="annihilated"):
-        chip.broadband_probabilities(cfg, chip.RotationSetting.from_angles(0.1, 0.2))
+        chip.broadband_probabilities(cfg, 0.1, 0.2)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import oracles
 from pathqrng import cli, events
@@ -24,6 +25,12 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def write_config(raw, path):
+    """A chip config mapping written as a YAML file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(yaml.safe_dump(raw))
 
 
 def fringe_samples(a=1.3, b=2.1, c=0.2, d=0.7, port=1, n=40, span=2.0,
@@ -122,14 +129,13 @@ class TestCalibrationFit:
 
 class TestChipConfigFiles:
     def test_minimal_document_gets_defaults(self):
-        doc = cli._normalize_config_doc({"version": 1})
-        config, errors = cli._document_to_objects(doc)
+        config = cli.parse_chip_config({"version": 1})
         assert config.generation_mmi.t == pytest.approx(math.sqrt(0.5))
         assert all(m.t == pytest.approx(math.sqrt(0.5)) for m in config.mzi_mmis)
-        assert errors.dphi == (0.0, 0.0, 0.0, 0.0)
-        assert doc["chip"]["generation"]["xi"] == pytest.approx(-math.pi / 2.0)
+        assert config.errors.dphi == (0.0, 0.0, 0.0, 0.0)
+        assert config.generation.xi == pytest.approx(-math.pi / 2.0)
 
-    def test_roundtrip_is_byte_identical(self, tmp_path):
+    def test_yaml_file_parses_like_its_mapping(self, tmp_path):
         raw = {
             "version": 1,
             "chip": {
@@ -144,41 +150,39 @@ class TestChipConfigFiles:
                        "dtheta": [0.068, 0.216, 0.036, 0.215]},
         }
         path = tmp_path / "chip.yaml"
-        cli.write_chip_config(raw, path)
-        first = path.read_text()
+        write_config(raw, path)
         loaded = cli.load_chip_config(path)
-        assert loaded.config.generation_mmi.t == pytest.approx(math.sqrt(0.4))
-        assert loaded.config.mzi_mmis[0].r == pytest.approx(math.sqrt(0.6))
-        assert loaded.config.mzi_mmis[1].t == pytest.approx(math.sqrt(0.5))
-        assert loaded.config.phase_dispersion is True
+        assert loaded.generation_mmi.t == pytest.approx(math.sqrt(0.4))
+        assert loaded.mzi_mmis[0].r == pytest.approx(math.sqrt(0.6))
+        assert loaded.mzi_mmis[1].t == pytest.approx(math.sqrt(0.5))
+        assert loaded.phase_dispersion is True
         assert loaded.errors.dtheta == (0.068, 0.216, 0.036, 0.215)
-        assert len(loaded.config.spectrum.nodes) == 21
-        cli.write_chip_config(loaded.doc, tmp_path / "again.yaml")
-        assert (tmp_path / "again.yaml").read_text() == first
+        assert len(loaded.spectrum.nodes) == 21
+        assert loaded == cli.parse_chip_config(raw)
 
     def test_wavelength_table_mmi(self, tmp_path):
         raw = {"version": 1,
                "chip": {"generation_mmi": {
                    "table": [[720.0, 0.45, 0.55], [740.0, 0.55, 0.45]]}}}
         path = tmp_path / "chip.yaml"
-        cli.write_chip_config(raw, path)
+        write_config(raw, path)
         loaded = cli.load_chip_config(path)
-        t, r = loaded.config.generation_mmi.resolve(730.0)
+        t, r = loaded.generation_mmi.resolve(730.0)
         assert t == pytest.approx(math.sqrt(0.5), abs=1e-2)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(cli.ValidationError, match="unknown keys"):
-            cli._normalize_config_doc({"version": 1, "chips": {}})
+            cli.parse_chip_config({"version": 1, "chips": {}})
         with pytest.raises(cli.ValidationError, match="unknown keys"):
-            cli._normalize_config_doc({"version": 1, "chip": {"mzis": {}}})
+            cli.parse_chip_config({"version": 1, "chip": {"mzis": {}}})
 
     def test_version_and_shape_validated(self):
         with pytest.raises(cli.ValidationError, match="version"):
-            cli._normalize_config_doc({"version": 2})
+            cli.parse_chip_config({"version": 2})
         with pytest.raises(cli.ValidationError, match="4 entries"):
-            cli._normalize_config_doc({"version": 1, "errors": {"dphi": [0.1, 0.2]}})
+            cli.parse_chip_config({"version": 1, "errors": {"dphi": [0.1, 0.2]}})
         with pytest.raises(cli.ValidationError, match="spectrum kind"):
-            cli._normalize_config_doc(
+            cli.parse_chip_config(
                 {"version": 1, "chip": {"spectrum": {"kind": "flat"}}})
 
     def test_malformed_yaml_rejected(self, tmp_path):
@@ -197,12 +201,12 @@ class TestChipConfigFiles:
             cli.load_chip_config(path)
 
     def test_config_dir_env_fallback(self, tmp_path, monkeypatch):
-        cli.write_chip_config({"version": 1}, tmp_path / "configs" / "chip.yaml")
+        write_config({"version": 1}, tmp_path / "configs" / "chip.yaml")
         monkeypatch.chdir(tmp_path)
         with pytest.raises(cli.ValidationError, match="not found"):
             cli._resolve_config_path("chip.yaml")
         monkeypatch.setenv(cli.CONFIG_DIR_ENV, str(tmp_path / "configs"))
-        assert cli._resolve_config_path("chip.yaml").read_text().startswith("chip:")
+        assert cli._resolve_config_path("chip.yaml") == tmp_path / "configs" / "chip.yaml"
 
 
 class TestEventFiles:
@@ -387,6 +391,12 @@ class TestParsingHelpers:
         with pytest.raises(cli.ValidationError, match="positive"):
             cli._scan_schedule(0.0)
 
+    @pytest.mark.parametrize("text", ["nan:0", "0:inf", "0:0,-inf:1"])
+    def test_non_finite_angles_rejected(self, text):
+        bad = text.split(",")[-1]
+        with pytest.raises(cli.ValidationError, match=f"bad angle pair '{bad}'.*finite"):
+            cli._parse_angle_pairs(text)
+
 
 class TestSimulateCommand:
     def test_angles_run_is_deterministic(self, tmp_path):
@@ -418,6 +428,32 @@ class TestSimulateCommand:
         assert "exactly one" in record["message"]
         code, _, _ = run_cli("simulate", "--out", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("angles", ["nan:0", "0:0,0.5:-inf"])
+    def test_non_finite_angle_exits_2(self, tmp_path, angles):
+        code, _, err = run_cli("simulate", "--angles", angles, "--out", str(tmp_path))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert repr(angles.split(",")[-1]) in json.loads(lines[0])["message"]
+        assert not list(tmp_path.glob("*.tsv"))
+
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_scan_step_exits_2(self, tmp_path, step):
+        code, _, err = run_cli("simulate", "--scan", "--scan-step", step,
+                               "--rate-hz", "5000", "--duration-s", "0.01", "--out", str(tmp_path))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert "finite and positive" in json.loads(lines[0])["message"]
+        assert not list(tmp_path.glob("*.tsv"))
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate_exits_2(self, tmp_path, rate):
+        code, _, err = run_cli("simulate", "--angles=0:0", "--rate-hz", rate,
+                               "--out", str(tmp_path))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert "must be finite and non-negative" in json.loads(lines[0])["message"]
+        assert not list(tmp_path.glob("*.tsv"))
 
     def test_saturated_rate_is_validation_error(self, tmp_path):
         code, _, err = run_cli("simulate", "--angles=0:0", "--rate-hz", "2000000",
@@ -457,7 +493,7 @@ class TestSimulateCommand:
         assert json.loads(lines[0])["error"] == "ValidationError"
 
     def test_config_from_env_dir(self, tmp_path, monkeypatch):
-        cli.write_chip_config(
+        write_config(
             {"version": 1, "chip": {"generation_mmi": {"t_power": 0.4, "r_power": 0.6}}},
             tmp_path / "cfg" / "chip.yaml")
         monkeypatch.setenv(cli.CONFIG_DIR_ENV, str(tmp_path / "cfg"))
@@ -528,7 +564,7 @@ class TestCertifyCommand:
         assert cli.read_json_doc(tmp_path / "c.json")["h_min_bits"] == 0.0
 
     def test_searched_corrections_from_config(self, tmp_path):
-        cli.write_chip_config({"version": 1}, tmp_path / "chip.yaml")
+        write_config({"version": 1}, tmp_path / "chip.yaml")
         out = tmp_path / "cert.json"
         code, _, _ = run_cli("certify", "--chi", "2.697",
                              "--config", str(tmp_path / "chip.yaml"),
@@ -541,7 +577,7 @@ class TestCertifyCommand:
         assert doc["e_p_estimate"]["converged"] is True
 
     def test_negative_probe_budget_exits_2(self, tmp_path):
-        cli.write_chip_config({"version": 1}, tmp_path / "chip.yaml")
+        write_config({"version": 1}, tmp_path / "chip.yaml")
         out = tmp_path / "c.json"
         code, _, err = run_cli("certify", "--chi", "2.697",
                                "--config", str(tmp_path / "chip.yaml"),
@@ -557,7 +593,7 @@ class TestCertifyCommand:
                                       angles=(0.0, 0.0, 0.0, 0.0), probe_best=0.04)
         monkeypatch.setattr(cli, "e_chi", stub)
         monkeypatch.setattr(cli, "e_p", stub)
-        cli.write_chip_config({"version": 1}, tmp_path / "chip.yaml")
+        write_config({"version": 1}, tmp_path / "chip.yaml")
         out = tmp_path / "cert.json"
         code, _, err = run_cli("certify", "--chi", "2.697",
                                "--config", str(tmp_path / "chip.yaml"),
@@ -566,6 +602,17 @@ class TestCertifyCommand:
         assert "did not converge" in json.loads(err)["message"]
         doc = cli.read_json_doc(out)
         assert doc["e_chi_estimate"]["converged"] is False
+
+    @pytest.mark.parametrize("flag", [("--e-chi", "0.5"), ("--e-p", "0.02")])
+    def test_one_correction_flag_exits_2(self, tmp_path, flag):
+        # a lone correction would otherwise be dropped for a search on the zero-error chip
+        out = tmp_path / "c.json"
+        code, _, err = run_cli("certify", "--chi", "2.6", *flag, "--starts", "2",
+                               "--probes", "100", "--out", str(out))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert "--e-chi and --e-p" in json.loads(lines[0])["message"]
+        assert not out.exists()
 
     def test_chi_sources_are_exclusive(self, tmp_path):
         code, _, _ = run_cli("certify", "--out", str(tmp_path / "c.json"))

@@ -66,6 +66,11 @@ class TestSimulateEvents:
         with pytest.raises(ValueError, match="non-negative"):
             events.simulate_events((1.0, 0.0, 0.0, 0.0), rate_hz=-1.0, duration_s=1.0)
 
+    @pytest.mark.parametrize("rate_hz", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate_hz):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            events.simulate_events((1.0, 0.0, 0.0, 0.0), rate_hz=rate_hz, duration_s=1.0)
+
     def test_saturated_bins_rejected(self):
         with pytest.raises(ValueError, match="< 1"):
             events.simulate_events((1.0, 0.0, 0.0, 0.0), rate_hz=1e6, duration_s=1.0,

@@ -18,14 +18,16 @@ of results implemented here:
 The rotation operators the search compares come from
 ``chip.rotation_matrix``, the same batched kernel that simulates the chip:
 one call per angle batch yields the nearest factorized and the real
-operator side by side.
+operator side by side.  The probes need only the states U psi, which
+``chip.rotate`` applies stage by stage from the same four MZIs.
 
 The correction-term maximization exploits that the objective is linear in
 the input density operator: for fixed angles the best state is an extreme
 point, and the exact inner maximum over all states is the spectral norm of
 a Hermitian 4x4 operator.  The outer angle search is a seeded multi-start
 coordinate refinement with its starts in lockstep, cross-checked by a large
-pass of random probes over explicit pure states, scored from U psi.
+pass of random probes over explicit pure states, scored from U psi without
+building U.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chip import _NO_ERRORS, PhaseErrorSet, _check_errors, rotation_matrix, shifter_phases
+from .chip import (_NO_ERRORS, PhaseErrorSet, _check_errors, rotate, rotation_matrix,
+                   shifter_phases)
 from .optics import DESIGN_WAVELENGTH_NM, IDEAL_MMI, MmiParams
 
 SQRT2 = math.sqrt(2.0)
@@ -112,15 +115,15 @@ def _resolve_mmis(mmis: Sequence[MmiParams] | None) -> tuple[np.ndarray, np.ndar
     return np.array([v[0] for v in vals]), np.array([v[1] for v in vals])
 
 
-def _rotations(phi: np.ndarray, theta: np.ndarray, errors: PhaseErrorSet,
-               tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(2, ..., 4, 4): the nearest factorized and the real rotation operator.
+def _stage_phases(phi: np.ndarray, theta: np.ndarray,
+                  errors: PhaseErrorSet) -> tuple[np.ndarray, np.ndarray]:
+    """(2, ..., 4) phi and theta shifter phases: nearest factorized, then real.
 
-    Both sit at the same nominal angles, theta stage after phi.  The real
-    operator carries the error set.  The factorized one is, per stage, the
-    closed-form nearest product operator: no errors, the rotation angle
-    shifted by the stage's common-mode vartheta.  Its global phases
-    e^{i varphi} are dropped since every use conjugates by this operator.
+    Both sit at the same nominal angles.  The real stage carries the error
+    set.  The factorized one is, per stage, the closed-form nearest product
+    operator: no errors, the rotation angle shifted by the stage's
+    common-mode vartheta.  Its global phases e^{i varphi} are dropped since
+    every use conjugates by this operator.
     """
     shift_phi = nearest_factorized(errors.dphi).vartheta
     shift_theta = nearest_factorized(errors.dtheta).vartheta
@@ -128,7 +131,14 @@ def _rotations(phi: np.ndarray, theta: np.ndarray, errors: PhaseErrorSet,
                      shifter_phases(phi, errors.dphi)])
     thetas = np.stack([shifter_phases(theta + shift_theta, _NO_ERRORS),
                        shifter_phases(theta, errors.dtheta)])
-    return rotation_matrix(*tr, phis, thetas)
+    return phis, thetas
+
+
+def _rotations(phi: np.ndarray, theta: np.ndarray, errors: PhaseErrorSet,
+               tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(2, ..., 4, 4): the nearest factorized and the real rotation operator,
+    theta stage after phi, at the phases of :func:`_stage_phases`."""
+    return rotation_matrix(*tr, *_stage_phases(phi, theta, errors))
 
 
 def _conjugate_diag(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -137,11 +147,16 @@ def _conjugate_diag(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return (uc * diag) @ u
 
 
-def _chsh_rotations(angles: np.ndarray, errors: PhaseErrorSet,
-                    tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(2, 2, 2, ..., 4, 4): (ideal, real) x (phi, phi') x (theta, theta'), one kernel call."""
-    return _rotations(np.stack([angles[..., 0], angles[..., 1]])[:, None],
-                      np.stack([angles[..., 2], angles[..., 3]])[None], errors, tr)
+def _chsh_phases(angles: np.ndarray,
+                 errors: PhaseErrorSet) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_stage_phases` of (phi, phi', theta, theta') ``angles`` (..., 4).
+
+    The phi phases are (2, 2, 1, ..., 4) over (ideal, real) x (phi, phi')
+    and the theta phases (2, 1, 2, ..., 4) over (ideal, real) x (theta,
+    theta'); each stage keeps its own shape and the kernels broadcast them.
+    """
+    return _stage_phases(np.stack([angles[..., 0], angles[..., 1]])[:, None],
+                         np.stack([angles[..., 2], angles[..., 3]])[None], errors)
 
 
 def _chi_deviation_operator(angles: np.ndarray, errors: PhaseErrorSet,
@@ -149,9 +164,11 @@ def _chi_deviation_operator(angles: np.ndarray, errors: PhaseErrorSet,
     """Hermitian operator whose expectation is chi_ideal - chi_real.
 
     ``angles`` has shape (..., 4) holding (phi, phi', theta, theta').  All
-    four correlation terms carry the same fixed error set.
+    four correlation terms carry the same fixed error set.  One kernel call
+    gives the (2, 2, 2, ...) operators over (ideal, real) x (phi, phi') x
+    (theta, theta').
     """
-    zz = _conjugate_diag(_chsh_rotations(angles, errors, tr), _ZZ_DIAG)
+    zz = _conjugate_diag(rotation_matrix(*tr, *_chsh_phases(angles, errors)), _ZZ_DIAG)
     delta = np.zeros(angles.shape[:-1] + (4, 4), dtype=complex)
     for sign, term in zip(_CHSH_SIGNS, (zz[0] - zz[1]).reshape((4,) + zz.shape[3:])):
         delta += sign * term
@@ -251,8 +268,9 @@ def _maximize_deviation(probe: Callable[[np.ndarray, np.ndarray], np.ndarray],
     The coordinate search maximizes the exact state maximum (spectral norm)
     over angles, its starts climbing in lockstep blocks.  The probe pass then
     scores random angles with random explicit pure states, ``probe(angles,
-    psi)`` in blocks of state vectors U psi; it can only confirm, never
-    exceed, the spectral-norm maximum, and serves as an independent floor.
+    psi)`` in blocks of state vectors U psi, each scored stage by stage with
+    ``chip.rotate`` and no 4x4 operator; it can only confirm, never exceed,
+    the spectral-norm maximum, and serves as an independent floor.
     """
     if starts < 2:
         raise ValueError("need at least 2 starts")
@@ -303,8 +321,7 @@ def e_chi(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
         return _spectral_norm_hermitian(_chi_deviation_operator(ang, errors, tr))
 
     def probe(ang: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        u_psi = (_chsh_rotations(ang, errors, tr) @ psi[..., None])[..., 0]
-        zz = np.abs(u_psi) ** 2 @ _ZZ_DIAG
+        zz = np.abs(rotate(*tr, *_chsh_phases(ang, errors), psi)) ** 2 @ _ZZ_DIAG
         return np.abs(_CHSH_SIGNS @ (zz[0] - zz[1]).reshape(4, -1))
 
     return _maximize_deviation(probe, obj, 4, starts, probes, seed, step_min)
@@ -327,7 +344,7 @@ def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
         return np.max(_spectral_norm_hermitian(_outcome_deviations(ang, errors, tr)), axis=0)
 
     def probe(ang: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        u_psi = (_rotations(ang[..., 0], ang[..., 1], errors, tr) @ psi[..., None])[..., 0]
+        u_psi = rotate(*tr, *_stage_phases(ang[..., 0], ang[..., 1], errors), psi)
         return np.max(np.abs(np.abs(u_psi[0]) ** 2 - np.abs(u_psi[1]) ** 2), axis=-1)
 
     return _maximize_deviation(probe, obj, 2, starts, probes, seed, step_min)

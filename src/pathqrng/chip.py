@@ -22,6 +22,8 @@ whole certification machinery.
 :func:`rotation_matrix` is the one operator kernel for both stages.  It
 broadcasts over leading axes, so the broadband simulation evaluates every
 spectrum node in one call and ``certify`` every searched angle tuple.
+:func:`rotate` applies the same four stage MZIs to state vectors without
+building the operator.
 :func:`broadband_probabilities` is the one detection path: the generated
 state through the loss and rotation operators, clicks by the Born rule.
 """
@@ -159,6 +161,15 @@ def shifter_phases(angle, offsets: Errors4, scale=1.0) -> np.ndarray:
     return s * nominal + s * np.asarray(offsets, dtype=float)
 
 
+def _stage_mzis(t, r, phi_shifts, theta_shifts) -> tuple[np.ndarray, ...]:
+    """The four rotation MZIs (U, D, F, N), each (..., 2, 2), at its own stage's shape."""
+    t, r, zp, zt = (np.asarray(a) for a in (t, r, phi_shifts, theta_shifts))
+    return (mzi_matrix(t[..., 0], r[..., 0], zp[..., 0], zp[..., 1]),
+            mzi_matrix(t[..., 1], r[..., 1], zp[..., 2], zp[..., 3]),
+            mzi_matrix(t[..., 2], r[..., 2], zt[..., 0], zt[..., 1]),
+            mzi_matrix(t[..., 3], r[..., 3], zt[..., 2], zt[..., 3]))
+
+
 def rotation_matrix(t, r, phi_shifts, theta_shifts) -> np.ndarray:
     """(..., 4, 4) rotation operator, theta stage after phi stage.
 
@@ -167,21 +178,39 @@ def rotation_matrix(t, r, phi_shifts, theta_shifts) -> np.ndarray:
     are each stage's :func:`shifter_phases`.  All arguments broadcast.  The
     phi stage P_U (x) MZI_U + P_D (x) MZI_D fills the blocks [0:2, 0:2] and
     [2:4, 2:4]; its mirror image, the theta stage MZI_F (x) P_F +
-    MZI_N (x) P_N, fills [0::2, 0::2] and [1::2, 1::2].
+    MZI_N (x) P_N, fills [0::2, 0::2] and [1::2, 1::2].  Each stage is
+    filled at its own broadcast shape, and the product broadcasts them.
     """
-    t, r, zp, zt = (np.asarray(a) for a in (t, r, phi_shifts, theta_shifts))
-    mu = mzi_matrix(t[..., 0], r[..., 0], zp[..., 0], zp[..., 1])
-    md = mzi_matrix(t[..., 1], r[..., 1], zp[..., 2], zp[..., 3])
-    mf = mzi_matrix(t[..., 2], r[..., 2], zt[..., 0], zt[..., 1])
-    mn = mzi_matrix(t[..., 3], r[..., 3], zt[..., 2], zt[..., 3])
-    shape = np.broadcast_shapes(mu.shape, md.shape, mf.shape, mn.shape)
-    rel = np.zeros(shape[:-2] + (4, 4), dtype=complex)
+    mu, md, mf, mn = _stage_mzis(t, r, phi_shifts, theta_shifts)
+    rel = np.zeros(np.broadcast_shapes(mu.shape, md.shape)[:-2] + (4, 4), dtype=complex)
     rel[..., 0:2, 0:2] = mu
     rel[..., 2:4, 2:4] = md
-    ab = np.zeros_like(rel)
+    ab = np.zeros(np.broadcast_shapes(mf.shape, mn.shape)[:-2] + (4, 4), dtype=complex)
     ab[..., 0::2, 0::2] = mf
     ab[..., 1::2, 1::2] = mn
     return ab @ rel
+
+
+def _apply_pair(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One 2x2 MZI ``m`` (..., 2, 2) on the amplitude pair (x, y)."""
+    return m[..., 0, 0] * x + m[..., 0, 1] * y, m[..., 1, 0] * x + m[..., 1, 1] * y
+
+
+def rotate(t, r, phi_shifts, theta_shifts, psi) -> np.ndarray:
+    """(..., 4) state ``rotation_matrix(t, r, phi_shifts, theta_shifts) @ psi``.
+
+    Same arguments as :func:`rotation_matrix` plus states ``psi`` (..., 4),
+    all broadcasting, but no 4x4 operator is built: the phi stage applies
+    MZI_U to the amplitude pair (0, 1) and MZI_D to (2, 3), then the theta
+    stage MZI_F to (0, 2) and MZI_N to (1, 3).
+    """
+    mu, md, mf, mn = _stage_mzis(t, r, phi_shifts, theta_shifts)
+    psi = np.asarray(psi)
+    a0, a1 = _apply_pair(mu, psi[..., 0], psi[..., 1])
+    a2, a3 = _apply_pair(md, psi[..., 2], psi[..., 3])
+    b0, b2 = _apply_pair(mf, a0, a2)
+    b1, b3 = _apply_pair(mn, a1, a3)
+    return np.stack([b0, b1, b2, b3], axis=-1)
 
 
 def _mzi_amplitudes(mmis: tuple[MmiParams, ...],

@@ -680,12 +680,21 @@ def _parse_angle_pairs(text: str) -> list[tuple[float, float]]:
     return pairs
 
 
+#: the most angle pairs one scan may simulate, checked before the schedule is built
+_MAX_SCAN_PAIRS = 1_000_000
+
+
 def _scan_schedule(step: float) -> list[tuple[float, float]]:
     """The measurement scan: phi in [-2, 2], theta in [-2, 0]."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValidationError(f"scan step {step!r} must be finite and positive")
+    if not math.isfinite(4.0 / step):
+        raise ValidationError(f"scan step {step!r} is too small: 4 / step is not finite")
     n_phi = int(round(4.0 / step)) + 1
     n_theta = int(round(2.0 / step)) + 1
+    if n_phi * n_theta > _MAX_SCAN_PAIRS:
+        raise ValidationError(f"scan step {step!r} gives {n_phi * n_theta} angle pairs, "
+                              f"more than {_MAX_SCAN_PAIRS}")
     phis = np.linspace(-2.0, 2.0, n_phi)
     thetas = np.linspace(-2.0, 0.0, n_theta)
     return [(float(p), float(t)) for p in phis for t in thetas]
@@ -764,6 +773,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ValidationError("exactly one of --chi or --chi-file is required")
     if (args.e_chi is None) != (args.e_p is None):
         raise ValidationError("give both --e-chi and --e-p, or neither to search both")
+    if args.e_chi is not None and args.config is not None:
+        raise ValidationError("--config is only read by the search; it has no effect "
+                              "when --e-chi and --e-p are given")
     if args.chi is not None:
         chi_value, chi_stderr = args.chi, 0.0
     else:

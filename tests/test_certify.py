@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pathqrng import certify, optics
+from pathqrng import certify, chip, optics
 
 SQRT2 = math.sqrt(2.0)
 
@@ -374,9 +374,24 @@ def test_probes_are_state_expectations_below_the_objective(mmis, monkeypatch):
     assert np.all(got <= objective(angles) + 1e-12)
 
 
+def test_probe_pass_calls_the_mzi_kernel_four_times_per_block(monkeypatch):
+    # one optics.mzi_matrix call per rotation MZI and probe block, never per row
+    calls = []
+    mzi = chip.mzi_matrix
+    monkeypatch.setattr(chip, "mzi_matrix", lambda *args: calls.append(1) or mzi(*args))
+    for term in (certify.e_chi, certify.e_p):
+        counts = []
+        for probes in (0, 25_000):  # draws of 20,000 and 5,000 rows: 4 + 1 blocks
+            calls.clear()
+            term(CHI_PLUS_ERRORS, PAPER_MMIS, starts=2, probes=probes, seed=1, step_min=0.4)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 4 * 5
+
+
 def test_search_memory_is_blocked():
-    # 100k probes and 4096 starts: without the 5,000-row probe blocks the
-    # traced peak reaches about 150 MB, without the 256-start blocks 270 MB
+    # 100k probes and 4096 starts: the traced peak is about 18 MB; without the
+    # 5,000-row probe blocks it reaches about 54 MB, without the 256-start
+    # blocks 270 MB
     tracemalloc.start()
     try:
         est = certify.e_chi(CHI_PLUS_ERRORS, starts=4096, probes=100_000, seed=3,

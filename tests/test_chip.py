@@ -192,6 +192,43 @@ def test_rotation_matrix_batches_equal_elementwise_calls(shape):
             t[idx], r[idx], chip.shifter_phases(phi[idx], dphi, scale[idx]),
             chip.shifter_phases(theta[idx], dtheta, scale[idx]))
         np.testing.assert_array_equal(got[idx], one)
+    # phi and theta phases at different batch shapes, as the certify search passes them
+    zp = chip.shifter_phases(rng.uniform(-2.0, 2.0, size=(2, 1) + shape), dphi)
+    zt = chip.shifter_phases(rng.uniform(-2.0, 2.0, size=(1, 3) + shape), dtheta)
+    got = chip.rotation_matrix(t, r, zp, zt)
+    full = (2, 3) + shape + (4,)
+    assert got.shape == (2, 3) + shape + (4, 4)
+    np.testing.assert_array_equal(
+        got, chip.rotation_matrix(*(np.broadcast_to(a, full) for a in (t, r, zp, zt))))
+
+
+def rotate_splitters(kind, rng):
+    """The four rotation MZIs' splitters: ideal, lossy 40:60 or wavelength-tabulated."""
+    if kind == "ideal":
+        return (optics.IDEAL_MMI,) * 4
+    if kind == "lossy":
+        return (optics.MmiParams.from_power(0.4 * 0.9, 0.6 * 0.9),) * 4
+    return tuple(tabulated_mmi(rng) for _ in range(4))
+
+
+@pytest.mark.parametrize("kind", ["ideal", "lossy", "tabulated"])
+def test_rotate_equals_operator_on_the_state(kind):
+    # the certify probe layout: phi phases (2, 2, 1, n), theta phases (2, 1, 2, n),
+    # one splitter set and dispersion scale per node n, states (n, 4)
+    rng = np.random.default_rng(67)
+    n = 40
+    wl = rng.uniform(720.0, 740.0, size=n)
+    t, r = chip._mzi_amplitudes(rotate_splitters(kind, rng), wl)
+    scale = optics.DESIGN_WAVELENGTH_NM / wl
+    dphi, dtheta = rng.uniform(-0.25, 0.25, size=(2, 4))
+    zp = chip.shifter_phases(rng.uniform(0.0, math.pi, size=(2, 2, 1, n)), dphi, scale)
+    zt = chip.shifter_phases(rng.uniform(0.0, math.pi, size=(2, 1, 2, n)), dtheta, scale)
+    psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    got = chip.rotate(t, r, zp, zt, psi)
+    want = (chip.rotation_matrix(t, r, zp, zt) @ psi[..., None])[..., 0]
+    assert got.shape == (2, 2, 2, n, 4)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_shifter_phases_scale_set_values_and_offsets():

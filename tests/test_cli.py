@@ -446,6 +446,29 @@ class TestSimulateCommand:
         assert "finite and positive" in json.loads(lines[0])["message"]
         assert not list(tmp_path.glob("*.tsv"))
 
+    @pytest.mark.parametrize("step, message", [("5e-324", "4 / step is not finite"),
+                                               ("1e-4", "more than 1000000")],
+                             ids=["subnormal", "too_many_pairs"])
+    def test_scan_step_too_small_exits_2(self, tmp_path, monkeypatch, step, message):
+        # 1e-4 asks for 40001 x 20001 pairs: the count is refused before any array exists
+        def no_schedule(*args, **kwargs):
+            raise AssertionError("the schedule was built before its size was checked")
+        monkeypatch.setattr(cli.np, "linspace", no_schedule)
+        code, _, err = run_cli("simulate", "--scan", "--scan-step", step,
+                               "--rate-hz", "5000", "--duration-s", "0.01", "--out", str(tmp_path))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert message in json.loads(lines[0])["message"]
+        assert not list(tmp_path.glob("*.tsv"))
+
+    def test_scan_pair_bound_is_inclusive(self, monkeypatch):
+        # step 1.0 schedules 5 x 3 pairs: allowed at a bound of 15, refused at 14
+        monkeypatch.setattr(cli, "_MAX_SCAN_PAIRS", 15)
+        assert len(cli._scan_schedule(1.0)) == 15
+        monkeypatch.setattr(cli, "_MAX_SCAN_PAIRS", 14)
+        with pytest.raises(cli.ValidationError, match="15 angle pairs, more than 14"):
+            cli._scan_schedule(1.0)
+
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_rate_exits_2(self, tmp_path, rate):
         code, _, err = run_cli("simulate", "--angles=0:0", "--rate-hz", rate,
@@ -613,6 +636,18 @@ class TestCertifyCommand:
         assert code == 2 and len(lines) == 1
         assert "--e-chi and --e-p" in json.loads(lines[0])["message"]
         assert not out.exists()
+
+    def test_config_with_both_corrections_exits_2(self, tmp_path):
+        # the explicit corrections would silently override the chip's searched ones
+        write_config({"version": 1}, tmp_path / "chip.yaml")
+        out = tmp_path / "c.json"
+        for config in ("nope.yaml", str(tmp_path / "chip.yaml")):
+            code, _, err = run_cli("certify", "--chi", "2.6", "--e-chi", "0.1", "--e-p", "0.02",
+                                   "--config", config, "--out", str(out))
+            lines = err.splitlines()
+            assert code == 2 and len(lines) == 1
+            assert "--config" in json.loads(lines[0])["message"]
+            assert not out.exists()
 
     def test_chi_sources_are_exclusive(self, tmp_path):
         code, _, _ = run_cli("certify", "--out", str(tmp_path / "c.json"))

@@ -35,6 +35,7 @@ Errors are mirrored to stderr as one-line JSON records.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -42,7 +43,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -216,13 +217,15 @@ def fit_mzi_calibration(samples: Sequence[tuple[float, float]], port: int = 1) -
 # atomic writes and the chip configuration format
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path | str, data: str | bytes) -> None:
+def _atomic_write(path: Path | str, data: str | bytes | Iterable[bytes | np.ndarray]) -> None:
+    """Write text, bytes, or byte blocks one after another to a temp file,
+    then rename it to ``path``; on any failure neither file is left."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
+            fh.writelines((data,) if isinstance(data, (str, bytes)) else data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -380,14 +383,13 @@ _LABEL_CODES = np.full(1 << 16, 255, dtype=np.uint8)
 _LABEL_CODES[_LABEL_BYTES[:, 0].astype(np.uint16) << 8 | _LABEL_BYTES[:, 1]] = np.arange(4)
 
 
-def _format_records(timestamps: np.ndarray, channels: np.ndarray) -> bytes:
-    """Record lines of non-negative, non-decreasing timestamps.
+def _format_records(timestamps: np.ndarray, channels: np.ndarray) -> Iterator[np.ndarray]:
+    """Record lines of non-negative, non-decreasing timestamps, as ``uint8`` blocks.
 
     Sorted timestamps fall into one run per digit count, and within a run
     every line has the same width, so each run is filled as a 2-d block.
     """
     cuts = np.r_[0, np.searchsorted(timestamps, _POW10), timestamps.size]
-    blocks = []
     for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]), start=1):
         if hi == lo:
             continue
@@ -399,11 +401,11 @@ def _format_records(timestamps: np.ndarray, channels: np.ndarray) -> bytes:
         block[:, k] = ord("\t")
         block[:, k + 1 : k + 3] = _LABEL_BYTES[channels[lo:hi]]
         block[:, k + 3] = ord("\n")
-        blocks.append(block.tobytes())
-    return b"".join(blocks)
+        yield block
 
 
 def write_event_file(stream: EventStream, path: Path | str) -> None:
+    """The header, then each record block as it is formatted, written atomically."""
     lines = [_EVENT_MAGIC,
              f"# phi={stream.phi!r}",
              f"# theta={stream.theta!r}",
@@ -414,7 +416,8 @@ def write_event_file(stream: EventStream, path: Path | str) -> None:
         lines.append(f"# rate_hz={stream.rate_hz!r}")
     lines.append(_EVENT_COLUMNS)
     header = ("\n".join(lines) + "\n").encode("ascii")
-    _atomic_write(path, header + _format_records(stream.timestamps_ns, stream.channels))
+    _atomic_write(path, itertools.chain((header,),
+                                        _format_records(stream.timestamps_ns, stream.channels)))
 
 
 def _read_event_header(data: bytes, path: Path | str) -> tuple[dict[str, str], int]:
@@ -437,39 +440,49 @@ def _read_event_header(data: bytes, path: Path | str) -> tuple[dict[str, str], i
 def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and channel codes of the record lines in ``body``.
 
-    Lines of equal width are parsed together as one 2-d block.  A sorted
-    stream keeps each width in consecutive lines, so its blocks are views.
+    Lines of equal width are parsed together as one 2-d block.  A width
+    whose lines are consecutive, as each width of a sorted stream is, is
+    parsed as a view of ``body`` into a view of the output; only a width
+    spread over several runs of lines is gathered.
     """
     def reject(line: int, what: str = "malformed record") -> ValidationError:
-        text = body[starts[line] : ends[line]].tobytes().decode("utf-8", errors="replace")
-        return ValidationError(f"{path}: {what} {text!r}")
+        text = body[ends[line] + 1 - widths[line] : ends[line]].tobytes()
+        return ValidationError(f"{path}: {what} {text.decode('utf-8', errors='replace')!r}")
 
     ends = np.flatnonzero(body == ord("\n"))
     if body.size and body[-1] != ord("\n"):
         ends = np.r_[ends, body.size]  # an unterminated last line
-    starts = np.r_[0, ends[:-1] + 1] if ends.size else ends
-    if ends.size and ends[-1] == body.size:
+    if not ends.size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    widths = np.empty_like(ends)  # each line's length with its newline
+    widths[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=widths[1:])
+    if ends[-1] == body.size:
         raise reject(ends.size - 1)
-    timestamps = np.empty(ends.size, dtype=np.int64)
+    stamps = np.empty(ends.size, dtype=np.uint64)
     codes = np.empty(ends.size, dtype=np.uint8)
-    widths = ends + 1 - starts
-    run_starts = np.r_[0, np.flatnonzero(np.diff(widths)) + 1] if ends.size else ends
-    for width in np.unique(widths[run_starts]):
-        rows = np.flatnonzero(widths == width)
+    runs = np.r_[0, np.flatnonzero(widths[1:] != widths[:-1]) + 1, ends.size]
+    run_widths = widths[runs[:-1]]
+    for width, n_runs in zip(*np.unique(run_widths, return_counts=True)):
         k = int(width) - 4  # digits per line
-        if k < 1:
-            raise reject(rows[0])
-        if rows[-1] - rows[0] + 1 == rows.size:  # consecutive lines: a view
-            sel = slice(rows[0], rows[-1] + 1)
-            block = body[starts[rows[0]] : ends[rows[-1]] + 1].reshape(-1, width)
+        if n_runs == 1:  # consecutive lines: views of the body and the output
+            r = int(np.flatnonzero(run_widths == width)[0])
+            lines: range | np.ndarray = range(runs[r], runs[r + 1])
+            sel: slice | np.ndarray = slice(lines.start, lines.stop)
+            block = body[ends[lines.start] + 1 - width : ends[lines.stop - 1] + 1]
+            block = block.reshape(-1, width)
+            value = stamps[sel]
+            value[:] = 0
         else:
-            sel = rows
-            block = body[starts[rows][:, None] + np.arange(width)]
+            lines = sel = np.flatnonzero(widths == width)
+            block = body[(ends[lines] + 1 - width)[:, None] + np.arange(width)]
+            value = np.zeros(lines.size, dtype=np.uint64)
+        if k < 1:
+            raise reject(lines[0])
         codes[sel] = _LABEL_CODES[block[:, k + 1].astype(np.uint16) << 8 | block[:, k + 2]]
         ok = (block[:, k] == ord("\t")) & (codes[sel] != 255)
         # 19 digits fit in uint64; a longer number fits only with leading zeros
-        fits = np.ones(rows.size, dtype=bool)
-        value = np.zeros(rows.size, dtype=np.uint64)
+        fits = np.ones(len(lines), dtype=bool)
         for j in range(k):
             digit = block[:, j] - ord("0")
             ok &= digit <= 9
@@ -479,12 +492,13 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
                 value *= 10
                 value += digit
         if not ok.all():
-            raise reject(rows[np.argmin(ok)])
+            raise reject(lines[np.argmin(ok)])
         fits &= value <= np.iinfo(np.int64).max
         if not fits.all():
-            raise reject(rows[np.argmin(fits)], "timestamp out of range in record")
-        timestamps[sel] = value
-    return timestamps, codes
+            raise reject(lines[np.argmin(fits)], "timestamp out of range in record")
+        if n_runs > 1:
+            stamps[sel] = value
+    return stamps.view(np.int64), codes
 
 
 def read_event_file(path: Path | str) -> EventStream:
@@ -850,14 +864,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     stream = read_event_file(args.events)
+    n_records = len(stream)
     try:
         outcomes = bin_and_resolve(stream, tie_seed=args.tie_seed, mode=args.tie_mode)
+        del stream  # the records are done with; free them before the extractor's FFTs
         bits = raw_bits(outcomes)
         extracted = toeplitz_extract(bits, args.h_min, security_eps=args.eps, seed=args.seed)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     _atomic_write(args.out, (extracted + ord("0")).tobytes() + b"\n")
-    print(f"{len(stream)} records -> {outcomes.size} outcomes -> {len(bits)} raw bits "
+    print(f"{n_records} records -> {outcomes.size} outcomes -> {len(bits)} raw bits "
           f"-> {len(extracted)} extracted bits ({args.out})")
     return EXIT_OK
 

@@ -2,10 +2,13 @@
 
 Streams are generated bin by bin: arrivals in each time bin are Poisson,
 and each arrival lands in one of the four detector channels according to
-the chip's output distribution.  Bins holding more than one record are
-ambiguous and get resolved to a single outcome by a seeded tie rule before
-bit extraction.  Bell statistics elsewhere use the raw records directly;
-only the extracted bit pipeline goes through tie resolution.
+the chip's output distribution.  The per-bin counts are drawn in chunks of
+``_SIM_CHUNK`` bins and only the occupied bins' timestamps are kept, so a
+stream's memory grows with its records, not its bins.  Bins holding more
+than one record are ambiguous and get resolved to a single outcome by a
+seeded tie rule before bit extraction.  Bell statistics elsewhere use the
+raw records directly; only the extracted bit pipeline goes through tie
+resolution.
 
 The extractor is a seeded Toeplitz hash, implemented as one FFT
 convolution reduced mod 2, so that megabit inputs stay fast without any
@@ -47,8 +50,33 @@ def _distribution(p: Sequence[float] | np.ndarray) -> np.ndarray:
     return arr / arr.sum()
 
 
+#: bins per Poisson draw in :func:`simulate_events`; each chunk's counts are
+#: its only per-bin memory
+_SIM_CHUNK = 1 << 18
+#: the most bins and expected records one simulated stream may hold, checked
+#: before any draw: 1e11 bins is about a day at 1 us bins, and 1e9 records
+#: take about 9 GB as timestamps and channels
+_MAX_BINS = 1e11
+_MAX_RECORDS = 1e9
+#: nanosecond counts from here on do not fit an int64 timestamp
+_INT64_LIMIT_NS = 2.0 ** 63
+
+
+def _duration_ns(duration_s: float) -> float:
+    """A duration in nanoseconds, as a float; one beyond the int64 timestamp
+    range is rejected before any integer conversion can overflow."""
+    ns = duration_s * 1e9
+    if ns >= _INT64_LIMIT_NS:
+        raise ValueError(f"duration {duration_s!r} s exceeds the int64 nanosecond range "
+                         "of the timestamps")
+    return ns
+
+
 def _bin_width_ns(bin_width_us: float) -> int:
-    """A bin width in whole nanoseconds; one that rounds below 1 ns is rejected."""
+    """A bin width in whole nanoseconds; one that rounds below 1 ns, or beyond
+    the int64 timestamp range, is rejected."""
+    if bin_width_us * 1000.0 >= _INT64_LIMIT_NS:
+        raise ValueError(f"bin width {bin_width_us!r} us exceeds the int64 nanosecond range")
     width = int(round(bin_width_us * 1000.0))
     if width < 1:
         raise ValueError(f"bin width {bin_width_us!r} us is below 1 ns")
@@ -86,11 +114,12 @@ class EventStream:
             raise ValueError("timestamps and channels must be matching 1-d arrays")
         if not (0.0 < self.duration_s < math.inf and 0.0 < self.bin_width_us < math.inf):
             raise ValueError("duration and bin width must be positive and finite")
+        duration_ns = _duration_ns(self.duration_s)
         _bin_width_ns(self.bin_width_us)
         if ts.size:
             if ts[0] < 0 or np.any(np.diff(ts) < 0):
                 raise ValueError("timestamps must be non-negative and non-decreasing")
-            if ts[-1] >= int(math.ceil(self.duration_s * 1e9)):
+            if ts[-1] >= int(math.ceil(duration_ns)):
                 raise ValueError("timestamp beyond the stream duration")
             if int(ch.max()) > 3:
                 raise ValueError("channel indices must be 0..3")
@@ -112,6 +141,13 @@ def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     of records with mean ``rate * bin_width`` (which must stay below one
     record per bin for the model to make sense), and every record picks a
     channel independently from ``distribution`` (4,), in basis order.
+
+    The counts are drawn ``_SIM_CHUNK`` bins at a time, keeping only the
+    timestamps of occupied bins, and the channels in one draw after all the
+    counts; the draws are those of one ``poisson`` call over every bin, so
+    memory is about 9 bytes per record plus one chunk.  A stream of more
+    than ``_MAX_BINS`` bins or ``_MAX_RECORDS`` expected records, or one
+    whose duration overflows an int64 nanosecond count, is refused first.
     """
     p = _distribution(distribution)
     if not (math.isfinite(duration_s) and math.isfinite(bin_width_us)):
@@ -124,15 +160,26 @@ def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
         raise ValueError(f"mean records per bin {mean_per_bin!r} must be < 1; "
                          "shrink the bin or the rate")
     bin_ns = _bin_width_ns(bin_width_us)
-    n_bins = int(duration_s * 1e9) // bin_ns
+    # compared as floats, before any int() of a product that may overflow
+    duration_ns = _duration_ns(duration_s)
+    if duration_ns / bin_ns > _MAX_BINS:
+        raise ValueError(f"duration {duration_s!r} s gives more than {_MAX_BINS:g} bins "
+                         f"of {bin_width_us!r} us")
+    if rate_hz * duration_s > _MAX_RECORDS:
+        raise ValueError(f"rate {rate_hz!r} Hz x duration {duration_s!r} s expects more "
+                         f"than {_MAX_RECORDS:g} records")
+    n_bins = int(duration_ns) // bin_ns
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
 
     rng = np.random.default_rng(seed)
-    counts = rng.poisson(mean_per_bin, size=n_bins)
-    total = int(counts.sum())
-    channels = rng.choice(4, size=total, p=p).astype(np.uint8)
-    timestamps = np.repeat(np.arange(n_bins, dtype=np.int64) * bin_ns, counts)
+    parts = []
+    for lo in range(0, n_bins, _SIM_CHUNK):
+        counts = rng.poisson(mean_per_bin, size=min(_SIM_CHUNK, n_bins - lo))
+        occupied = np.flatnonzero(counts)
+        parts.append(np.repeat((occupied + lo) * bin_ns, counts[occupied]))
+    timestamps = np.concatenate(parts)
+    channels = rng.choice(4, size=timestamps.size, p=p).astype(np.uint8)
     return EventStream(timestamps, channels, phi=phi, theta=theta, duration_s=duration_s,
                        bin_width_us=bin_width_us, seed=seed, rate_hz=rate_hz)
 
@@ -154,12 +201,17 @@ def bin_and_resolve(stream: EventStream, tie_seed: int = 0, mode: str = "fired")
     if len(stream) == 0:
         return np.empty(0, dtype=np.uint8)
     bins = stream.timestamps_ns // stream.bin_width_ns
-    starts = np.flatnonzero(np.r_[True, np.diff(bins) > 0])
-    ends = np.r_[starts[1:], len(stream)]
-    sizes = ends - starts
+    # opens[i]: record i is the first of its bin; one past the end closes the last bin
+    opens = np.empty(bins.size + 1, dtype=bool)
+    opens[0] = opens[-1] = True
+    np.not_equal(bins[1:], bins[:-1], out=opens[1:-1])
+    del bins
+    starts = np.flatnonzero(opens[:-1])
 
     out = stream.channels[starts]
-    multi = np.flatnonzero(sizes > 1)
+    # a bin holds several records where its first record is not followed by
+    # the first of the next bin
+    multi = np.flatnonzero(~opens[1:][opens[:-1]])
     rng = np.random.default_rng(tie_seed)
     if mode == "fired":
         # one bit per channel that fired in the bin; the draw picks the
@@ -342,11 +394,10 @@ def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: flo
                          f"security parameter; need a longer run")
 
     rng = np.random.default_rng(seed)
-    t = rng.integers(0, 2, size=n + m - 1, dtype=np.uint32)
-
     # the counts stay far below 2^53, so the FFT convolution rounds back
-    # to the exact integers
-    conv = _toeplitz_sums(t, x, m)
+    # to the exact integers; the seed row is passed with no other reference,
+    # so that _toeplitz_sums can free it after its transform
+    conv = _toeplitz_sums(rng.integers(0, 2, size=n + m - 1, dtype=np.uint32), x, m)
     ints = np.rint(conv)
     if float(np.max(np.abs(conv - ints), initial=0.0)) > 0.25:
         raise RuntimeError("convolution lost integer precision")
@@ -376,5 +427,6 @@ def _toeplitz_sums(t: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """
     n = x.size
     size = _fft_size(t.size)
-    spectrum = np.fft.rfft(t, size) * np.fft.rfft(x, size)
-    return np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]
+    spectrum = np.fft.rfft(t, size)
+    del t  # with no other reference, the seed row is freed before x's transform
+    return np.fft.irfft(spectrum * np.fft.rfft(x, size), size)[n - 1 : n - 1 + m]

@@ -237,6 +237,20 @@ def toeplitz_rows_extract(bits, m, seed):
     return np.array(out, dtype=np.uint8)
 
 
+def simulate_events_one_shot(distribution, rate_hz, duration_s, bin_width_us=1.0, seed=0):
+    """(timestamps, channel codes) of a stream drawn in one Poisson call over
+    every bin, with the timestamps of all bins built and repeated; memory
+    grows with the bins, not the records."""
+    bin_ns = int(round(bin_width_us * 1000.0))
+    n_bins = int(duration_s * 1e9) // bin_ns
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(rate_hz * bin_width_us * 1e-6, size=n_bins)
+    p = np.asarray(distribution, dtype=float)
+    channels = rng.choice(4, size=int(counts.sum()), p=p / p.sum()).astype(np.uint8)
+    timestamps = np.repeat(np.arange(n_bins, dtype=np.int64) * bin_ns, counts)
+    return timestamps, channels
+
+
 def bin_and_resolve_loop(stream, tie_seed=0, mode="fired"):
     """Tie resolution one multi-click bin at a time, in bin order: a draw
     from the sorted distinct channels that fired, or from all four.  Returns

@@ -227,6 +227,19 @@ class TestEventFiles:
         cli.write_event_file(cli.read_event_file(tmp_path / "a.tsv"), tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
+    def test_failed_streamed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        s = events.simulate_events((0.25,) * 4, 1e5, 0.01, seed=6)
+        blocks = cli._format_records
+
+        def failing_blocks(timestamps, channels):
+            yield next(blocks(timestamps, channels))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_format_records", failing_blocks)
+        with pytest.raises(OSError, match="disk full"):
+            cli.write_event_file(s, tmp_path / "ev.tsv")
+        assert not list(tmp_path.iterdir())
+
     def test_missing_rate_roundtrips_as_none(self, tmp_path):
         s = events.EventStream(np.array([0], dtype=np.int64), np.array([0], dtype=np.uint8),
                                phi=0.0, theta=0.0, duration_s=1.0, bin_width_us=1.0, seed=0)
@@ -468,6 +481,18 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "_MAX_SCAN_PAIRS", 14)
         with pytest.raises(cli.ValidationError, match="15 angle pairs, more than 14"):
             cli._scan_schedule(1.0)
+
+    @pytest.mark.parametrize("duration, message", [("1e7", "more than 1e+11 bins"),
+                                                   ("1e300", "int64 nanosecond range")])
+    def test_oversized_duration_exits_2(self, tmp_path, duration, message):
+        # 1e13 bins, and a duration whose nanosecond count overflows: both are
+        # refused before any draw, as a validation error
+        code, _, err = run_cli("simulate", "--angles=0:0", "--duration-s", duration,
+                               "--out", str(tmp_path))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert message in json.loads(lines[0])["message"]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_rate_exits_2(self, tmp_path, rate):
@@ -825,6 +850,19 @@ class TestExtractCommand:
         lines = err.splitlines()
         assert code == 2 and len(lines) == 1
         assert "positive and finite" in json.loads(lines[0])["message"]
+
+    def test_huge_finite_duration_header_exits_2(self, tmp_path):
+        # 1e300 s is finite, but its nanosecond count overflows an int64
+        path = tmp_path / "ev.tsv"
+        path.write_text("# pathqrng-events v1\n# phi=0.0\n# theta=0.0\n# duration_s=1e300\n"
+                        "# bin_width_us=1.0\n# seed=0\ntimestamp_ns\tchannel\n0\tUF\n")
+        code, _, err = run_cli("extract", "--events", str(path), "--h-min", "0.33",
+                               "--out", str(tmp_path / "bits.txt"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert "int64 nanosecond range" in record["message"]
 
     def test_insufficient_entropy_is_validation_error(self, tmp_path):
         s = events.simulate_events((0.25,) * 4, 1e4, 0.001, seed=1)

@@ -1,6 +1,8 @@
 """Tests for detection-event simulation, binning, and extraction."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +95,65 @@ class TestSimulateEvents:
         with pytest.raises(ValueError):
             events.simulate_events((-0.1, 0.5, 0.3, 0.3), rate_hz=1e3, duration_s=0.01)
 
+    @staticmethod
+    def duration_of(n_bins):
+        # half a bin past n_bins whole 1 us bins, so float rounding cannot move the count
+        duration_s = (n_bins * 1000 + 500) / 1e9
+        assert int(duration_s * 1e9) // 1000 == n_bins
+        return duration_s
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None], ids=["chunk-1", "chunk", "chunk+1",
+                                                             "3chunk+5"])
+    def test_chunked_draws_match_one_shot_oracle(self, extra):
+        chunk = events._SIM_CHUNK
+        n_bins = 3 * chunk + 5 if extra is None else chunk + extra
+        dist = np.array([0.4, 0.1, 0.2, 0.3])
+        for rate_hz, seed in ((1.2e5, 1), (9e5, 7), (0.0, 2)):
+            s = events.simulate_events(dist, rate_hz, self.duration_of(n_bins), seed=seed)
+            ts, ch = oracles.simulate_events_one_shot(dist, rate_hz, self.duration_of(n_bins),
+                                                      seed=seed)
+            assert s.timestamps_ns.dtype == np.int64 and s.channels.dtype == np.uint8
+            assert np.array_equal(s.timestamps_ns, ts) and np.array_equal(s.channels, ch)
+            assert (len(s) == 0) == (rate_hz == 0.0)
+
+    def test_chunks_without_records_match_one_shot_oracle(self):
+        # about 2.4 records over four chunks: whole chunks draw no record
+        chunk = events._SIM_CHUNK
+        duration_s = self.duration_of(3 * chunk + 5)
+        s = events.simulate_events((0.25,) * 4, 3.0, duration_s, seed=4)
+        ts, ch = oracles.simulate_events_one_shot((0.25,) * 4, 3.0, duration_s, seed=4)
+        assert np.array_equal(s.timestamps_ns, ts) and np.array_equal(s.channels, ch)
+        filled = np.unique(s.timestamps_ns // 1000 // chunk)
+        assert 0 < filled.size < 4
+
+    def test_memory_grows_with_records_not_bins(self):
+        # 5,000,000 bins and about 5,000 records: drawing every bin at once
+        # peaks near 80 MB traced, one chunk at a time near 5 MB
+        tracemalloc.start()
+        try:
+            s = events.simulate_events((0.25,) * 4, 1e3, 5.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4000 < len(s) < 6000
+        assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("rate_hz, duration_s, bin_width_us, message", [
+        (0.0, 1e7, 1.0, "more than 1e+11 bins"),
+        (0.0, 1e300, 1.0, "int64 nanosecond range"),
+        (0.0, 1e10, 1e6, "int64 nanosecond range"),
+        (5e5, 1e4, 1.0, "more than 1e+09 records"),
+        (0.0, 1.0, 1e306, "int64 nanosecond range"),
+    ], ids=["1e13-bins", "overflowing-duration", "1e10-bins-beyond-int64", "5e9-records",
+            "overflowing-bin"])
+    def test_oversized_stream_refused_before_any_draw(self, monkeypatch, rate_hz, duration_s,
+                                                      bin_width_us, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was made before the stream size was checked")
+        monkeypatch.setattr(events.np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            events.simulate_events((0.25,) * 4, rate_hz, duration_s, bin_width_us=bin_width_us)
+
 
 class TestEventStream:
     def test_mismatched_arrays_rejected(self):
@@ -116,6 +177,15 @@ class TestEventStream:
             for value in (math.inf, math.nan):
                 with pytest.raises(ValueError, match="positive and finite"):
                     make_stream([0, 1000], [0, 1], **{field: value})
+
+    def test_duration_beyond_int64_nanoseconds_rejected(self):
+        # ceil(duration * 1e9) would overflow to an OverflowError
+        for duration_s in (1e300, 9.3e9):
+            with pytest.raises(ValueError, match="int64 nanosecond range"):
+                make_stream([0], [0], duration_s=duration_s)
+        with pytest.raises(ValueError, match="int64 nanosecond range"):
+            make_stream([0], [0], bin_width_us=1e306)
+        assert len(make_stream([0], [0], duration_s=9.2e9)) == 1
 
     def test_bin_width_below_1_ns_rejected(self):
         # the same rule as simulate_events: the width is whole nanoseconds

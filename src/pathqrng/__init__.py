@@ -26,7 +26,7 @@ appear only in ``cli``, where files are read and written.
 Modules
 -------
 optics   splitter, loss and spectrum models; the one closed-form MZI matrix
-chip     full circuit: generation, the batched rotation kernel, detection
+chip     full circuit: generation, the one rotation kernel ``rotate``, detection
 bell     correlation coefficients, CHSH function, scans and searches
 certify  factorization bounds, correction terms, min-entropy certification
 events   Monte Carlo click streams, time binning, traces, extraction

@@ -15,11 +15,11 @@ of results implemented here:
   two terms, into a bound on an adversary's best guess of the outcome, and
   ``min_entropy`` converts that into certified bits per detection event.
 
-The rotation operators the search compares come from
-``chip.rotation_matrix``, the same batched kernel that simulates the chip:
-one call per angle batch yields the nearest factorized and the real
-operator side by side.  The probes need only the states U psi, which
-``chip.rotate`` applies stage by stage from the same four MZIs.
+Every rotation the search compares goes through ``chip.rotate``, the one
+kernel that also simulates the chip: one call per angle batch yields the
+nearest factorized and the real rotation side by side.  The objectives
+take the operator as ``chip.rotation_matrix``, the rotated basis states;
+the probes need only the states U psi.
 
 The correction-term maximization exploits that the objective is linear in
 the input density operator: for fixed angles the best state is an extreme
@@ -134,19 +134,6 @@ def _stage_phases(phi: np.ndarray, theta: np.ndarray,
     return phis, thetas
 
 
-def _rotations(phi: np.ndarray, theta: np.ndarray, errors: PhaseErrorSet,
-               tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(2, ..., 4, 4): the nearest factorized and the real rotation operator,
-    theta stage after phi, at the phases of :func:`_stage_phases`."""
-    return rotation_matrix(*tr, *_stage_phases(phi, theta, errors))
-
-
-def _conjugate_diag(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """U^dag diag(d) U for batched U."""
-    uc = np.conj(np.swapaxes(u, -1, -2))
-    return (uc * diag) @ u
-
-
 def _chsh_phases(angles: np.ndarray,
                  errors: PhaseErrorSet) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_stage_phases` of (phi, phi', theta, theta') ``angles`` (..., 4).
@@ -166,9 +153,10 @@ def _chi_deviation_operator(angles: np.ndarray, errors: PhaseErrorSet,
     ``angles`` has shape (..., 4) holding (phi, phi', theta, theta').  All
     four correlation terms carry the same fixed error set.  One kernel call
     gives the (2, 2, 2, ...) operators over (ideal, real) x (phi, phi') x
-    (theta, theta').
+    (theta, theta'), each U^dag ZZ U.
     """
-    zz = _conjugate_diag(rotation_matrix(*tr, *_chsh_phases(angles, errors)), _ZZ_DIAG)
+    u = rotation_matrix(*tr, *_chsh_phases(angles, errors))
+    zz = (np.conj(np.swapaxes(u, -1, -2)) * _ZZ_DIAG) @ u
     delta = np.zeros(angles.shape[:-1] + (4, 4), dtype=complex)
     for sign, term in zip(_CHSH_SIGNS, (zz[0] - zz[1]).reshape((4,) + zz.shape[3:])):
         delta += sign * term
@@ -186,7 +174,7 @@ def _outcome_deviations(angles: np.ndarray, errors: PhaseErrorSet,
 
     U^dag |c><c| U is the outer product of U's row c with itself.
     """
-    ui, ur = _rotations(angles[..., 0], angles[..., 1], errors, tr)
+    ui, ur = rotation_matrix(*tr, *_stage_phases(angles[..., 0], angles[..., 1], errors))
     return np.stack([np.conj(ui[..., c, :, None]) * ui[..., c, None, :]
                      - np.conj(ur[..., c, :, None]) * ur[..., c, None, :] for c in range(4)])
 
@@ -198,23 +186,26 @@ def _outcome_deviations(angles: np.ndarray, errors: PhaseErrorSet,
 #: rotation operators repeat after pi (up to global phase), so every angle
 #: lives on [0, pi)
 _ANGLE_PERIOD = math.pi
+#: a start stops once its step halves below this, so each angle it
+#: returns is resolved to about 1e-4 rad
+_STEP_MIN = 1e-4
 _START_BLOCK = 256  # starts per lockstep pass, bounding the objective batch
 _PROBE_DRAW, _PROBE_BLOCK = 20_000, 5_000  # probe rows per random draw, per kernel call
 
 
-def _coordinate_ascent(f: Callable[[np.ndarray], np.ndarray], x0s: np.ndarray, step0: float = 0.4,
-                       step_min: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
+def _coordinate_ascent(f: Callable[[np.ndarray], np.ndarray], x0s: np.ndarray,
+                       step0: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
     """Greedy pattern search on the angle torus for (starts, ndim) points in lockstep.
 
     Each round evaluates the 2*ndim single-coordinate moves of every start
-    still at step >= ``step_min`` in one objective call.  A start takes its
+    still at step >= ``_STEP_MIN`` in one objective call.  A start takes its
     best move (the first on ties) only on a strict gain and otherwise halves
     its own step, so it follows the path it would follow alone.
     """
     x, fx = np.array(x0s, dtype=float), np.array(f(x0s), dtype=float)
     step = np.full(len(x), step0)
     eye = np.eye(x.shape[1])
-    active = np.flatnonzero(step >= step_min)
+    active = np.flatnonzero(step >= _STEP_MIN)
     while active.size:
         xa, sa = x[active, None, :], step[active, None, None]
         moves = np.concatenate([xa + sa * eye, xa - sa * eye], axis=1) % _ANGLE_PERIOD
@@ -224,7 +215,7 @@ def _coordinate_ascent(f: Callable[[np.ndarray], np.ndarray], x0s: np.ndarray, s
         up = top > fx[active]
         x[active[up]], fx[active[up]] = moves[up, k[up]], top[up]
         step[active[~up]] *= 0.5
-        active = active[step[active] >= step_min]
+        active = active[step[active] >= _STEP_MIN]
     return x, fx
 
 
@@ -261,8 +252,7 @@ def _random_pure_states(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _maximize_deviation(probe: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         objective: Callable[[np.ndarray], np.ndarray], ndim: int,
-                        starts: int, probes: int, seed: int,
-                        step_min: float) -> CorrectionEstimate:
+                        starts: int, probes: int, seed: int) -> CorrectionEstimate:
     """Multi-start coordinate refinement plus a random-probe verification pass.
 
     The coordinate search maximizes the exact state maximum (spectral norm)
@@ -276,13 +266,11 @@ def _maximize_deviation(probe: Callable[[np.ndarray, np.ndarray], np.ndarray],
         raise ValueError("need at least 2 starts")
     if probes < 0:
         raise ValueError(f"probes must be non-negative, got {probes!r}")
-    if not (math.isfinite(step_min) and step_min > 0.0):
-        raise ValueError(f"step_min must be finite and positive, got {step_min!r}")
     ss = np.random.SeedSequence(seed)
     rng_starts, rng_probes = (np.random.default_rng(s) for s in ss.spawn(2))
 
     x0s = rng_starts.uniform(0.0, _ANGLE_PERIOD, size=(starts, ndim))
-    climbed = [_coordinate_ascent(objective, x0s[lo:lo + _START_BLOCK], step_min=step_min)
+    climbed = [_coordinate_ascent(objective, x0s[lo:lo + _START_BLOCK])
                for lo in range(0, starts, _START_BLOCK)]
     xs, fxs = (np.concatenate(parts) for parts in zip(*climbed))
     best = int(np.argmax(fxs))
@@ -304,8 +292,7 @@ def _maximize_deviation(probe: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def e_chi(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
-          starts: int = 64, probes: int = 100_000, seed: int = 20240,
-          step_min: float = 1e-4) -> CorrectionEstimate:
+          starts: int = 64, probes: int = 100_000, seed: int = 20240) -> CorrectionEstimate:
     """Worst-case CHSH deviation between the real chip and its nearest ideal.
 
     Maximizes |chi_ideal - chi_real| over all angle tuples (phi, phi',
@@ -324,12 +311,11 @@ def e_chi(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
         zz = np.abs(rotate(*tr, *_chsh_phases(ang, errors), psi)) ** 2 @ _ZZ_DIAG
         return np.abs(_CHSH_SIGNS @ (zz[0] - zz[1]).reshape(4, -1))
 
-    return _maximize_deviation(probe, obj, 4, starts, probes, seed, step_min)
+    return _maximize_deviation(probe, obj, 4, starts, probes, seed)
 
 
 def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
-        starts: int = 64, probes: int = 100_000, seed: int = 20240,
-        step_min: float = 1e-4) -> CorrectionEstimate:
+        starts: int = 64, probes: int = 100_000, seed: int = 20240) -> CorrectionEstimate:
     """Worst-case single-outcome probability deviation, |P_ideal - P_real|.
 
     Same contract as :func:`e_chi`, over (phi, theta) in [0, pi)^2 and all
@@ -347,7 +333,7 @@ def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
         u_psi = rotate(*tr, *_stage_phases(ang[..., 0], ang[..., 1], errors), psi)
         return np.max(np.abs(np.abs(u_psi[0]) ** 2 - np.abs(u_psi[1]) ** 2), axis=-1)
 
-    return _maximize_deviation(probe, obj, 2, starts, probes, seed, step_min)
+    return _maximize_deviation(probe, obj, 2, starts, probes, seed)
 
 
 # ---------------------------------------------------------------------------

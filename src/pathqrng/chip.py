@@ -19,13 +19,15 @@ offset (:class:`PhaseErrorSet`, a field of :class:`ChipConfig`), which is
 what breaks the ideal product form B(phi) (x) A(theta) and motivates the
 whole certification machinery.
 
-:func:`rotation_matrix` is the one operator kernel for both stages.  It
+:func:`rotate` is the one rotation kernel: the only place where the four
+stage MZIs are built and composed.  It applies them to state vectors and
 broadcasts over leading axes, so the broadband simulation evaluates every
 spectrum node in one call and ``certify`` every searched angle tuple.
-:func:`rotate` applies the same four stage MZIs to state vectors without
-building the operator.
+:func:`rotation_matrix` is the operator of the same kernel, the rotated
+basis states as columns, for the spectral-norm objectives of ``certify``.
 :func:`broadband_probabilities` is the one detection path: the generated
-state through the loss and rotation operators, clicks by the Born rule.
+state, times the scalar loss amplitude, through :func:`rotate`, clicks by
+the Born rule.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optics import (DESIGN_WAVELENGTH_NM, EPS_MAX, IDEAL_MMI, LOSSLESS, LossModel, MmiParams,
-                     WavelengthSpectrum, loss_operator, mzi_matrix)
+                     WavelengthSpectrum, mzi_matrix)
 
 Errors4 = tuple[float, float, float, float]
 _NO_ERRORS: Errors4 = (0.0, 0.0, 0.0, 0.0)
@@ -161,56 +163,38 @@ def shifter_phases(angle, offsets: Errors4, scale=1.0) -> np.ndarray:
     return s * nominal + s * np.asarray(offsets, dtype=float)
 
 
-def _stage_mzis(t, r, phi_shifts, theta_shifts) -> tuple[np.ndarray, ...]:
-    """The four rotation MZIs (U, D, F, N), each (..., 2, 2), at its own stage's shape."""
-    t, r, zp, zt = (np.asarray(a) for a in (t, r, phi_shifts, theta_shifts))
-    return (mzi_matrix(t[..., 0], r[..., 0], zp[..., 0], zp[..., 1]),
-            mzi_matrix(t[..., 1], r[..., 1], zp[..., 2], zp[..., 3]),
-            mzi_matrix(t[..., 2], r[..., 2], zt[..., 0], zt[..., 1]),
-            mzi_matrix(t[..., 3], r[..., 3], zt[..., 2], zt[..., 3]))
-
-
-def rotation_matrix(t, r, phi_shifts, theta_shifts) -> np.ndarray:
-    """(..., 4, 4) rotation operator, theta stage after phi stage.
-
-    ``t``, ``r`` (..., 4) are the splitter amplitudes of the four MZIs in
-    ``ChipConfig.mzi_mmis`` order; ``phi_shifts``, ``theta_shifts`` (..., 4)
-    are each stage's :func:`shifter_phases`.  All arguments broadcast.  The
-    phi stage P_U (x) MZI_U + P_D (x) MZI_D fills the blocks [0:2, 0:2] and
-    [2:4, 2:4]; its mirror image, the theta stage MZI_F (x) P_F +
-    MZI_N (x) P_N, fills [0::2, 0::2] and [1::2, 1::2].  Each stage is
-    filled at its own broadcast shape, and the product broadcasts them.
-    """
-    mu, md, mf, mn = _stage_mzis(t, r, phi_shifts, theta_shifts)
-    rel = np.zeros(np.broadcast_shapes(mu.shape, md.shape)[:-2] + (4, 4), dtype=complex)
-    rel[..., 0:2, 0:2] = mu
-    rel[..., 2:4, 2:4] = md
-    ab = np.zeros(np.broadcast_shapes(mf.shape, mn.shape)[:-2] + (4, 4), dtype=complex)
-    ab[..., 0::2, 0::2] = mf
-    ab[..., 1::2, 1::2] = mn
-    return ab @ rel
-
-
 def _apply_pair(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One 2x2 MZI ``m`` (..., 2, 2) on the amplitude pair (x, y)."""
     return m[..., 0, 0] * x + m[..., 0, 1] * y, m[..., 1, 0] * x + m[..., 1, 1] * y
 
 
 def rotate(t, r, phi_shifts, theta_shifts, psi) -> np.ndarray:
-    """(..., 4) state ``rotation_matrix(t, r, phi_shifts, theta_shifts) @ psi``.
+    """(..., 4) states ``psi`` through both rotation stages, theta stage after phi stage.
 
-    Same arguments as :func:`rotation_matrix` plus states ``psi`` (..., 4),
-    all broadcasting, but no 4x4 operator is built: the phi stage applies
-    MZI_U to the amplitude pair (0, 1) and MZI_D to (2, 3), then the theta
-    stage MZI_F to (0, 2) and MZI_N to (1, 3).
+    ``t``, ``r`` (..., 4) are the splitter amplitudes of the four MZIs in
+    ``ChipConfig.mzi_mmis`` order; ``phi_shifts``, ``theta_shifts`` (..., 4)
+    are each stage's :func:`shifter_phases`; ``psi`` (..., 4) are states.
+    All arguments broadcast.  The phi stage P_U (x) MZI_U + P_D (x) MZI_D
+    applies MZI_U to the amplitude pair (0, 1) and MZI_D to (2, 3); its
+    mirror image, the theta stage MZI_F (x) P_F + MZI_N (x) P_N, applies
+    MZI_F to (0, 2) and MZI_N to (1, 3).  Each MZI is built at its own
+    stage's broadcast shape, and no 4x4 operator is built.
     """
-    mu, md, mf, mn = _stage_mzis(t, r, phi_shifts, theta_shifts)
+    t, r, zp, zt = (np.asarray(a) for a in (t, r, phi_shifts, theta_shifts))
     psi = np.asarray(psi)
-    a0, a1 = _apply_pair(mu, psi[..., 0], psi[..., 1])
-    a2, a3 = _apply_pair(md, psi[..., 2], psi[..., 3])
-    b0, b2 = _apply_pair(mf, a0, a2)
-    b1, b3 = _apply_pair(mn, a1, a3)
+    a0, a1 = _apply_pair(mzi_matrix(t[..., 0], r[..., 0], zp[..., 0], zp[..., 1]),
+                         psi[..., 0], psi[..., 1])
+    a2, a3 = _apply_pair(mzi_matrix(t[..., 1], r[..., 1], zp[..., 2], zp[..., 3]),
+                         psi[..., 2], psi[..., 3])
+    b0, b2 = _apply_pair(mzi_matrix(t[..., 2], r[..., 2], zt[..., 0], zt[..., 1]), a0, a2)
+    b1, b3 = _apply_pair(mzi_matrix(t[..., 3], r[..., 3], zt[..., 2], zt[..., 3]), a1, a3)
     return np.stack([b0, b1, b2, b3], axis=-1)
+
+
+def rotation_matrix(t, r, phi_shifts, theta_shifts) -> np.ndarray:
+    """(..., 4, 4) operator of :func:`rotate`: column j is basis state j rotated."""
+    cols = rotate(*(np.expand_dims(a, -2) for a in (t, r, phi_shifts, theta_shifts)), np.eye(4))
+    return np.swapaxes(cols, -1, -2)
 
 
 def _mzi_amplitudes(mmis: tuple[MmiParams, ...],
@@ -229,15 +213,15 @@ def broadband_probabilities(cfg: ChipConfig, phi: float, theta: float) -> np.nda
     ``phase_dispersion`` is set, heater phases scaled by lambda_0/lambda)
     and the distributions are mixed with the node weights, a convex
     combination of per-wavelength statistics.  The nodes form the batch
-    axis of one :func:`rotation_matrix` call.
+    axis of one :func:`rotate` call, which takes the generated state times
+    the scalar loss amplitude.
     """
     wl = cfg.spectrum.wavelengths
     scale = DESIGN_WAVELENGTH_NM / wl if cfg.phase_dispersion else np.ones_like(wl)
-    u = rotation_matrix(*_mzi_amplitudes(cfg.mzi_mmis, wl),
-                        shifter_phases(phi, cfg.errors.dphi, scale),
-                        shifter_phases(theta, cfg.errors.dtheta, scale))
-    psi = generation_state(cfg.generation, cfg.generation_mmi, wl)
-    clicks = np.abs((u @ loss_operator(cfg.loss) @ psi[..., None])[..., 0]) ** 2
+    psi = cfg.loss.amplitude * generation_state(cfg.generation, cfg.generation_mmi, wl)
+    clicks = np.abs(rotate(*_mzi_amplitudes(cfg.mzi_mmis, wl),
+                           shifter_phases(phi, cfg.errors.dphi, scale),
+                           shifter_phases(theta, cfg.errors.dtheta, scale), psi)) ** 2
     total = np.sum(clicks, axis=-1, keepdims=True)
     if np.any(total <= 1e-300):
         raise ValueError("state is annihilated by the transfer operator")

@@ -437,52 +437,35 @@ def _read_event_header(data: bytes, path: Path | str) -> tuple[dict[str, str], i
     return meta, len(head) + len(column_line)
 
 
+#: record lines per parse block, which bounds the parser's per-block
+#: temporaries however the line widths mix
+_PARSE_ROWS = 1 << 15
+
+
 def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and channel codes of the record lines in ``body``.
 
-    Lines of equal width are parsed together as one 2-d block.  A width
+    The lines are taken ``_PARSE_ROWS`` at a time, and within a block the
+    lines of equal width are parsed together as one 2-d block.  A width
     whose lines are consecutive, as each width of a sorted stream is, is
-    parsed as a view of ``body`` into a view of the output; only a width
-    spread over several runs of lines is gathered.
+    parsed as a view of ``body`` into a view of the output; a width spread
+    over several runs of lines is gathered, one row per line.
     """
     def reject(line: int, what: str = "malformed record") -> ValidationError:
         text = body[ends[line] + 1 - widths[line] : ends[line]].tobytes()
         return ValidationError(f"{path}: {what} {text.decode('utf-8', errors='replace')!r}")
 
-    ends = np.flatnonzero(body == ord("\n"))
-    if body.size and body[-1] != ord("\n"):
-        ends = np.r_[ends, body.size]  # an unterminated last line
-    if not ends.size:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    widths = np.empty_like(ends)  # each line's length with its newline
-    widths[0] = ends[0] + 1
-    np.subtract(ends[1:], ends[:-1], out=widths[1:])
-    if ends[-1] == body.size:
-        raise reject(ends.size - 1)
-    stamps = np.empty(ends.size, dtype=np.uint64)
-    codes = np.empty(ends.size, dtype=np.uint8)
-    runs = np.r_[0, np.flatnonzero(widths[1:] != widths[:-1]) + 1, ends.size]
-    run_widths = widths[runs[:-1]]
-    for width, n_runs in zip(*np.unique(run_widths, return_counts=True)):
-        k = int(width) - 4  # digits per line
-        if n_runs == 1:  # consecutive lines: views of the body and the output
-            r = int(np.flatnonzero(run_widths == width)[0])
-            lines: range | np.ndarray = range(runs[r], runs[r + 1])
-            sel: slice | np.ndarray = slice(lines.start, lines.stop)
-            block = body[ends[lines.start] + 1 - width : ends[lines.stop - 1] + 1]
-            block = block.reshape(-1, width)
-            value = stamps[sel]
-            value[:] = 0
-        else:
-            lines = sel = np.flatnonzero(widths == width)
-            block = body[(ends[lines] + 1 - width)[:, None] + np.arange(width)]
-            value = np.zeros(lines.size, dtype=np.uint64)
+    def parse(block: np.ndarray, lines: range | np.ndarray, value: np.ndarray,
+              code: np.ndarray) -> None:
+        """Fill ``value`` and ``code`` from ``block``, the equal-width rows of ``lines``."""
+        k = block.shape[1] - 4  # digits per line
         if k < 1:
             raise reject(lines[0])
-        codes[sel] = _LABEL_CODES[block[:, k + 1].astype(np.uint16) << 8 | block[:, k + 2]]
-        ok = (block[:, k] == ord("\t")) & (codes[sel] != 255)
+        code[:] = _LABEL_CODES[block[:, k + 1].astype(np.uint16) << 8 | block[:, k + 2]]
+        ok = (block[:, k] == ord("\t")) & (code != 255)
         # 19 digits fit in uint64; a longer number fits only with leading zeros
         fits = np.ones(len(lines), dtype=bool)
+        value[:] = 0
         for j in range(k):
             digit = block[:, j] - ord("0")
             ok &= digit <= 9
@@ -496,8 +479,35 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
         fits &= value <= np.iinfo(np.int64).max
         if not fits.all():
             raise reject(lines[np.argmin(fits)], "timestamp out of range in record")
-        if n_runs > 1:
-            stamps[sel] = value
+
+    ends = np.flatnonzero(body == ord("\n"))
+    if body.size and body[-1] != ord("\n"):
+        ends = np.r_[ends, body.size]  # an unterminated last line
+    if not ends.size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    widths = np.empty_like(ends)  # each line's length with its newline
+    widths[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=widths[1:])
+    if ends[-1] == body.size:
+        raise reject(ends.size - 1)
+    stamps = np.empty(ends.size, dtype=np.uint64)
+    codes = np.empty(ends.size, dtype=np.uint8)
+    for lo in range(0, ends.size, _PARSE_ROWS):
+        w = widths[lo : lo + _PARSE_ROWS]
+        runs = lo + np.r_[0, np.flatnonzero(w[1:] != w[:-1]) + 1, w.size]
+        run_widths = widths[runs[:-1]]
+        for width, n_runs in zip(*np.unique(run_widths, return_counts=True)):
+            if n_runs == 1:  # consecutive lines: views of the body and the output
+                r = int(np.flatnonzero(run_widths == width)[0])
+                a, b = runs[r], runs[r + 1]
+                block = body[ends[a] + 1 - width : ends[b - 1] + 1].reshape(-1, width)
+                parse(block, range(a, b), stamps[a:b], codes[a:b])
+            else:
+                rows = lo + np.flatnonzero(w == width)
+                value, code = np.empty(rows.size, np.uint64), np.empty(rows.size, np.uint8)
+                windows = np.lib.stride_tricks.sliding_window_view(body, width)  # a view
+                parse(windows[ends[rows] + 1 - width], rows, value, code)
+                stamps[rows], codes[rows] = value, code
     return stamps.view(np.int64), codes
 
 
@@ -678,6 +688,14 @@ def calibration_doc(fit: CalibrationFit) -> dict[str, Any]:
 # subcommand helpers
 # ---------------------------------------------------------------------------
 
+#: the largest |angle| a simulated pair may set, radians.  The rotations
+#: repeat after pi, so every setting has a representative in [0, pi).  At
+#: 1e6 rad a float64 still resolves an angle to about 1e-10 rad; near 1e16
+#: rad its spacing reaches the period, so the angle no longer names a
+#: setting, and near 1e308 the doubled heater phase overflows to inf
+_MAX_ANGLE = 1e6
+
+
 def _parse_angle_pairs(text: str) -> list[tuple[float, float]]:
     pairs = []
     for chunk in text.split(","):
@@ -690,6 +708,8 @@ def _parse_angle_pairs(text: str) -> list[tuple[float, float]]:
             raise ValidationError(f"bad angle pair {chunk!r}: {exc}") from exc
         if not all(map(math.isfinite, pair)):
             raise ValidationError(f"bad angle pair {chunk!r}: angles must be finite")
+        if max(map(abs, pair)) > _MAX_ANGLE:
+            raise ValidationError(f"bad angle pair {chunk!r}: |angle| exceeds {_MAX_ANGLE:g} rad")
         pairs.append(pair)
     return pairs
 
@@ -1049,7 +1069,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except (ValueError, OSError) as exc:  # ValidationError is a ValueError
+    except (ValueError, OSError, ArithmeticError) as exc:  # ValidationError is a ValueError
         _emit_error_record(type(exc).__name__, args.command, str(exc))
         return EXIT_VALIDATION
     except RuntimeError as exc:  # CalibrationError, ConvergenceError, lost FFT precision

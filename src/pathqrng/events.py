@@ -388,7 +388,8 @@ def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: flo
     x = x.astype(np.uint8, copy=False)
     n = x.size
     k = n // 2
-    m = math.floor(k * h_min_bits_per_event) - math.ceil(2.0 * math.log2(1.0 / security_eps))
+    # -log2(eps) stays finite where 1 / eps overflows, as for subnormal eps
+    m = math.floor(k * h_min_bits_per_event) - math.ceil(-2.0 * math.log2(security_eps))
     if m <= 0:
         raise ValueError(f"insufficient certified entropy ({k} events) for the "
                          f"security parameter; need a longer run")

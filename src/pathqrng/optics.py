@@ -8,7 +8,7 @@ the factor 2 in the exponent follows the device's double-pass geometry, so
 an MZI built as MMI . PS . MMI rotates by zeta = z1 - z2 while z1 + z2 only
 moves the global phase.  :func:`mzi_matrix` is that product multiplied out
 in closed form and broadcast over arrays; it is the package's only MZI
-formula, and ``chip`` builds every rotation operator from it.
+formula, and ``chip.rotate`` builds every rotation MZI from it.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ class LossModel:
 
     ``gamma`` collects propagation and insertion losses into one scalar;
     ``crossing_transmission`` is the power transmission of a waveguide
-    crossing, folded in as an amplitude factor.  Because the loss operator
-    is proportional to the identity, it cancels in every normalized
-    detection probability; it is kept explicit so the cancellation is a
-    tested property instead of an assumption.
+    crossing, folded in as an amplitude factor.  The loss scales every
+    amplitude by the same :attr:`amplitude`, so it cancels in every
+    normalized detection probability; the detection path still applies it,
+    so the cancellation is a tested property instead of an assumption.
     """
 
     gamma: float = 1.0
@@ -181,8 +181,3 @@ def mzi_matrix(t, r, z1, z2) -> np.ndarray:
     m[..., 1, 0] = m[..., 0, 1]
     m[..., 1, 1] = t * t * e2 - r * r * e1
     return m
-
-
-def loss_operator(m: LossModel) -> np.ndarray:
-    """Scalar loss on the full 4-mode space, gamma_eff * I."""
-    return m.amplitude * np.eye(4, dtype=complex)

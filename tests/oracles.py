@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 from scipy import linalg, optimize, stats
 
-from pathqrng import certify
+from pathqrng import certify, chip
 from pathqrng.bell import ChiResult
 from pathqrng.cli import CalibrationError, CalibrationFit, ValidationError
 
@@ -370,10 +370,14 @@ def chi_deviation_operator_loop(angles, errors, tr):
     delta = np.zeros(angles.shape[:-1] + (4, 4), dtype=complex)
     pairs = ((phi, th), (phi, thp), (phip, th), (phip, thp))
     for sign, (p, q) in zip((1.0, -1.0, 1.0, 1.0), pairs):
-        ui, ur = certify._rotations(p, q, errors, tr)
-        delta += sign * (certify._conjugate_diag(ui, certify._ZZ_DIAG)
-                         - certify._conjugate_diag(ur, certify._ZZ_DIAG))
+        ui, ur = chip.rotation_matrix(*tr, *certify._stage_phases(p, q, errors))
+        delta += sign * (zz_in_frame(ui) - zz_in_frame(ur))
     return delta
+
+
+def zz_in_frame(u):
+    """U^dag (Z (x) Z) U for batched U."""
+    return (np.conj(np.swapaxes(u, -1, -2)) * certify._ZZ_DIAG) @ u
 
 
 def coordinate_ascent_sequential(f, x0, step0=0.4, step_min=1e-4):

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,7 +216,8 @@ def rotate_splitters(kind, rng):
 @pytest.mark.parametrize("kind", ["ideal", "lossy", "tabulated"])
 def test_rotate_equals_operator_on_the_state(kind):
     # the certify probe layout: phi phases (2, 2, 1, n), theta phases (2, 1, 2, n),
-    # one splitter set and dispersion scale per node n, states (n, 4)
+    # one splitter set and dispersion scale per node n, states (n, 4); each
+    # rotated state is checked against the Kronecker-product operator by hand
     rng = np.random.default_rng(67)
     n = 40
     wl = rng.uniform(720.0, 740.0, size=n)
@@ -226,9 +229,30 @@ def test_rotate_equals_operator_on_the_state(kind):
     psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     got = chip.rotate(t, r, zp, zt, psi)
-    want = (chip.rotation_matrix(t, r, zp, zt) @ psi[..., None])[..., 0]
     assert got.shape == (2, 2, 2, n, 4)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    zp, zt, t, r = (np.broadcast_to(a, got.shape) for a in (zp, zt, t, r))
+    for idx in np.ndindex(got.shape[:-1]):
+        u = oracles.rotation_by_hand(zp[idx], zt[idx], list(zip(t[idx], r[idx])))
+        np.testing.assert_allclose(got[idx], u @ psi[idx[-1]], rtol=0.0, atol=1e-12)
+
+
+def mzi_calls(tree):
+    """Number of calls of ``mzi_matrix``, by name or attribute, anywhere in ``tree``."""
+    return sum(isinstance(n, ast.Call) and "mzi_matrix" in (getattr(n.func, "id", None),
+                                                            getattr(n.func, "attr", None))
+               for n in ast.walk(tree))
+
+
+def test_mzi_matrix_is_called_only_from_rotate():
+    # chip.rotate is the one place where the four stage MZIs are built and composed
+    total = in_rotate = 0
+    for path in sorted(Path(chip.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        total += mzi_calls(tree)
+        if path.stem == "chip":
+            rotate = next(n for n in tree.body if getattr(n, "name", None) == "rotate")
+            in_rotate = mzi_calls(rotate)
+    assert total == in_rotate == 4
 
 
 def test_shifter_phases_scale_set_values_and_offsets():

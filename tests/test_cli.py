@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,51 @@ class TestEventFiles:
         assert back.timestamps_ns.tolist() == ts.tolist() == [0, 7, 7, 12, 12]
         assert back.channels.tolist() == ch.tolist() == [0, 3, 1, 2, 0]
 
+    @staticmethod
+    def alternating_widths_text(n):
+        # sorted records whose lines alternate between plain and 12-digit
+        # zero-padded timestamps: each width is spread over n / 2 runs
+        labels = ("UF", "UN", "DF", "DN")
+        return TestEventFiles.HEADER + "".join(
+            f"{7 * i:012d}\t{labels[i % 4]}\n" if i % 2 else f"{7 * i}\t{labels[i % 4]}\n"
+            for i in range(n))
+
+    def test_alternating_widths_parse_in_bounded_memory(self, tmp_path):
+        # gathered as one (lines x width) int64 index array, this 2.6 MB file
+        # peaked at about 27 MB traced, 10 bytes per file byte; in blocks of
+        # _PARSE_ROWS lines it peaks at about 9 MB, 3.4 bytes per file byte
+        text = self.alternating_widths_text(200_000)
+        p = tmp_path / "alt.tsv"
+        p.write_text(text)
+        tracemalloc.start()
+        try:
+            back = cli.read_event_file(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, ts, ch = oracles.event_records_by_lines(text)
+        assert np.array_equal(back.timestamps_ns, ts) and np.array_equal(back.channels, ch)
+        size = p.stat().st_size
+        assert peak < 5 * size, f"traced peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB file"
+
+    @pytest.mark.parametrize("rows", [1, 3, 5, 64])
+    def test_parse_blocks_split_runs_and_gathers(self, tmp_path, monkeypatch, rows):
+        # block edges cut runs of one width and gathers of spread widths alike
+        monkeypatch.setattr(cli, "_PARSE_ROWS", rows)
+        s = self.wide_stream()
+        texts = [oracles.event_file_text_by_lines(s), self.alternating_widths_text(50),
+                 self.HEADER + "0\tUF\n007\tDN\n7\tUN\n0000000000000000000012\tDF\n012\tUF\n"]
+        for i, text in enumerate(texts):
+            p = tmp_path / f"ev{i}.tsv"
+            p.write_text(text)
+            _, ts, ch = oracles.event_records_by_lines(text)
+            back = cli.read_event_file(p)
+            assert np.array_equal(back.timestamps_ns, ts) and np.array_equal(back.channels, ch)
+        # a bad line in a late block is reported as itself
+        p.write_text(self.alternating_widths_text(50).replace("\n336\tUF\n", "\n3x6\tUF\n"))
+        with pytest.raises(cli.ValidationError, match="malformed record '3x6"):
+            cli.read_event_file(p)
+
     @pytest.mark.parametrize("body", [
         "+5\tUF\n",            # sign
         " 7\tUF\n",            # leading space
@@ -395,6 +441,8 @@ class TestParsingHelpers:
             cli._parse_angle_pairs("0.5,0.3")
         with pytest.raises(cli.ValidationError, match="bad angle"):
             cli._parse_angle_pairs("a:b")
+        bound = cli._MAX_ANGLE  # inclusive
+        assert cli._parse_angle_pairs(f"{bound!r}:{-bound!r}") == [(bound, -bound)]
 
     def test_scan_schedule(self):
         sched = cli._scan_schedule(0.1)
@@ -448,6 +496,18 @@ class TestSimulateCommand:
         lines = err.splitlines()
         assert code == 2 and len(lines) == 1
         assert repr(angles.split(",")[-1]) in json.loads(lines[0])["message"]
+        assert not list(tmp_path.glob("*.tsv"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("angles", ["1e308:0", "1e17:0", "0:0,0.5:-1000001"])
+    def test_huge_angle_exits_2(self, tmp_path, angles):
+        # beyond cli._MAX_ANGLE an angle names no setting, or its phase overflows
+        code, _, err = run_cli("simulate", "--angles", angles, "--duration-s", "0.001",
+                               "--out", str(tmp_path))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        message = json.loads(lines[0])["message"]
+        assert repr(angles.split(",")[-1]) in message and "exceeds 1e+06 rad" in message
         assert not list(tmp_path.glob("*.tsv"))
 
     @pytest.mark.parametrize("step", ["inf", "nan"])
@@ -870,6 +930,24 @@ class TestExtractCommand:
         code, _, err = run_cli("extract", "--events", str(tmp_path / "ev.tsv"),
                                "--h-min", "0.33", "--out", str(tmp_path / "b.txt"))
         assert code == 2 and "insufficient" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("duration_s, code", [(0.01, 2), (0.1, 0)])
+    def test_subnormal_eps_sizes_the_output(self, tmp_path, duration_s, code):
+        # 1 / 1e-320 overflows; -2 log2(1e-320) = 2126.03 costs 2127 bits
+        s = events.simulate_events((0.25,) * 4, 1.2e5, duration_s, seed=77)
+        cli.write_event_file(s, tmp_path / "ev.tsv")
+        out = tmp_path / "bits.txt"
+        got, _, err = run_cli("extract", "--events", str(tmp_path / "ev.tsv"), "--h-min", "0.33",
+                              "--eps", "1e-320", "--out", str(out))
+        assert got == code
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and "insufficient" in json.loads(lines[0])["message"]
+            assert not out.exists()
+        else:
+            assert err == ""
+            n_raw = events.raw_bits(events.bin_and_resolve(s, tie_seed=0)).size
+            assert len(out.read_text().strip()) == math.floor(n_raw // 2 * 0.33) - 2127
 
     def test_lost_fft_precision_exits_3(self, tmp_path, monkeypatch):
         s = events.simulate_events((0.25,) * 4, 1.2e5, 0.01, seed=5)

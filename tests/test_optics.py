@@ -166,17 +166,11 @@ def test_mzi_matrix_broadcasts_and_matches_product_oracle():
         row[2], oracles.mzi_by_product(z1[0, 2], z2[0, 0], t[0, 0], r[0, 0]), atol=1e-14)
 
 
-def test_loss_operator():
-    np.testing.assert_allclose(
-        optics.loss_operator(optics.LOSSLESS), np.eye(4), atol=0
-    )
-    m = optics.LossModel(gamma=0.5, crossing_transmission=1.0)
-    np.testing.assert_allclose(optics.loss_operator(m), 0.5 * np.eye(4), atol=0)
+def test_loss_model_amplitude():
+    assert optics.LOSSLESS.amplitude == 1.0
+    assert optics.LossModel(gamma=0.5, crossing_transmission=1.0).amplitude == 0.5
     scaled = optics.LossModel(gamma=0.9, crossing_transmission=0.98)
-    amp = 0.9 * math.sqrt(0.98)
-    np.testing.assert_allclose(
-        optics.loss_operator(scaled), amp * np.eye(4), atol=1e-15
-    )
+    assert scaled.amplitude == pytest.approx(0.9 * math.sqrt(0.98), abs=1e-15)
     with pytest.raises(ValueError):
         optics.LossModel(gamma=0.0)
     with pytest.raises(ValueError):

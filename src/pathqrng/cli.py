@@ -858,7 +858,17 @@ def _print_certification(result: CertificationResult) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    streams = [read_event_file(f) for f in args.events]
+    seen: set[tuple[float, float]] = set()
+
+    def checked(stream: EventStream, path: str) -> EventStream:
+        key = (stream.phi, stream.theta)
+        if key in seen:
+            raise ValidationError(f"duplicate angle pair {key} in {path}")
+        seen.add(key)
+        return stream
+
+    # a generator, so that windowed_traces holds one stream at a time
+    streams = (checked(read_event_file(f), f) for f in args.events)
     try:
         trace = windowed_traces(streams, args.window_ms / 1000.0, args.confidence)
     except ValueError as exc:

@@ -10,14 +10,16 @@ seeded tie rule before bit extraction.  Bell statistics elsewhere use the
 raw records directly; only the extracted bit pipeline goes through tie
 resolution.
 
-The extractor is a seeded Toeplitz hash, implemented as one FFT
-convolution reduced mod 2, so that megabit inputs stay fast without any
-matrix materialization.  Only the m "valid" outputs of the n-bit input
-against the (n + m - 1)-bit seed row are needed, and the linear
-convolution at those indices has no wrap-around partner in a circular
-convolution of any length >= n + m - 1; the FFT therefore runs at the
-smallest 2^a 3^b 5^c length that covers n + m - 1, not at the full
-2n + m - 2.
+The extractor is a seeded Toeplitz hash, computed as FFT convolutions
+reduced mod 2, so that megabit inputs stay fast without any matrix
+materialization.  The input is hashed in blocks of ``_TOEPLITZ_BLOCK``
+bits (overlap-add): each block's share of the m output sums is the valid
+part of its convolution with an (m + L - 1)-bit slice of the one seed
+row, and the blocks' integer sums add up before the reduction mod 2, so
+the transforms are sized by the block, not the whole input.  The linear
+convolution at the valid indices has no wrap-around partner in a
+circular convolution of any length >= m + L - 1, so each FFT runs at the
+smallest 2^a 3^b 5^c length that covers m + L - 1.
 
 Channels are basis indices throughout: streams and resolved outcomes hold
 ``uint8`` codes 0..3, distributions are float arrays in basis order, and
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -303,7 +305,7 @@ class WindowedTrace:
             object.__setattr__(self, "n_windows", int(self.chi_values.size))
 
 
-def windowed_traces(streams: Sequence[EventStream], window_s: float = 0.05,
+def windowed_traces(streams: Iterable[EventStream], window_s: float = 0.05,
                     confidence: float = 0.99) -> WindowedTrace:
     """Slice four CHSH streams into common windows and trace the Bell value.
 
@@ -311,12 +313,15 @@ def windowed_traces(streams: Sequence[EventStream], window_s: float = 0.05,
     the records in [k w, (k + 1) w) for the integer width
     w = round(window_s * 1e9) ns, which must be at least 1 ns.  Needs at
     least two full windows and at least one record per stream in every
-    window; a stream with fewer records than windows is rejected before
-    any window is counted.  This is the one windowing routine:
-    ``bell.chi_stderr`` takes its per-window chi from here.
+    window.  ``streams`` may be any iterable, such as a generator reading
+    each stream from its file: each stream is reduced to its per-window
+    counts, over at most as many windows as it has records, before the
+    next is taken, so a caller that keeps no other reference holds one
+    stream at a time.  A stream with fewer records than windows is
+    rejected before the common windows are sized.  This is the one
+    windowing routine: ``bell.chi_stderr`` takes its per-window chi from
+    here.
     """
-    if len(streams) != 4:
-        raise ValueError("need the four CHSH streams in setting order")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     if not 0.0 < window_s < math.inf:
@@ -324,22 +329,32 @@ def windowed_traces(streams: Sequence[EventStream], window_s: float = 0.05,
     width_ns = int(round(window_s * 1e9))
     if width_ns < 1:
         raise ValueError(f"the window {window_s!r} s is below 1 ns")
-    n_win = min(int(s.duration_s / window_s + 1e-9) for s in streams)
+    windows, records, counts = [], [], []
+    for s in streams:
+        n_own = int(s.duration_s / window_s + 1e-9)
+        # more windows than records leaves one empty; size no more than that
+        n_cap = min(n_own, len(s))
+        inside = s.timestamps_ns < n_cap * width_ns
+        idx = s.timestamps_ns[inside] // width_ns
+        counts.append(np.bincount(idx * 4 + s.channels[inside], minlength=4 * n_cap))
+        windows.append(n_own)
+        records.append(len(s))
+        del s, inside, idx  # free this stream before the iterable yields the next
+    if len(counts) != 4:
+        raise ValueError("need the four CHSH streams in setting order")
+    n_win = min(windows)
     if n_win < 2:
         raise ValueError("need at least two windows; shrink the window or extend the run")
-    for i, s in enumerate(streams):
-        if len(s) < n_win:  # then a window must be empty; say so before sizing them
+    for i in range(4):
+        if records[i] < n_win:  # then a window must be empty; say so before sizing them
             raise ValueError(f"stream {i} has an empty {window_s} s window")
     probs = np.empty((4, n_win, 4))
-    for i, s in enumerate(streams):
-        inside = s.timestamps_ns < n_win * width_ns
-        idx = s.timestamps_ns[inside] // width_ns
-        counts = np.bincount(idx * 4 + s.channels[inside], minlength=4 * n_win)
-        counts = counts.reshape(n_win, 4).astype(float)
-        totals = counts.sum(axis=1)
+    for i in range(4):
+        c = counts[i][:4 * n_win].reshape(n_win, 4).astype(float)
+        totals = c.sum(axis=1)
         if np.any(totals == 0):
             raise ValueError(f"stream {i} has an empty {window_s} s window")
-        probs[i] = counts / totals[:, None]
+        probs[i] = c / totals[:, None]
     es = correlation_coefficient(probs)
     chis = es[0] - es[1] + es[2] + es[3]
     mean = float(chis.mean())
@@ -363,6 +378,11 @@ def raw_bits(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
     return pairs.ravel()
 
 
+#: raw bits per block of :func:`toeplitz_extract`; each block's transforms
+#: run at a length that covers m + _TOEPLITZ_BLOCK - 1, whatever the input
+_TOEPLITZ_BLOCK = 1 << 18
+
+
 def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: float,
                      security_eps: float = 2.0 ** -32, seed: int = 0) -> np.ndarray:
     """Seeded Toeplitz extraction of the certified entropy from raw bits.
@@ -376,7 +396,9 @@ def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: flo
     the leftover-hash length at distinguishing advantage ``security_eps``.
     ``bits`` and the result are 1-d arrays of 0 and 1, the result ``uint8``.
     The Toeplitz matrix is generated from ``seed``; same seed, same input,
-    same output.
+    same output.  The input is hashed ``_TOEPLITZ_BLOCK`` bits at a time and
+    the blocks' exact integer sums are added before the reduction mod 2, so
+    the output is that of one product with the whole matrix.
     """
     if not 0.0 < h_min_bits_per_event <= 1.0:
         raise ValueError("certified entropy per event must lie in (0, 1]")
@@ -394,15 +416,19 @@ def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: flo
         raise ValueError(f"insufficient certified entropy ({k} events) for the "
                          f"security parameter; need a longer run")
 
-    rng = np.random.default_rng(seed)
-    # the counts stay far below 2^53, so the FFT convolution rounds back
-    # to the exact integers; the seed row is passed with no other reference,
-    # so that _toeplitz_sums can free it after its transform
-    conv = _toeplitz_sums(rng.integers(0, 2, size=n + m - 1, dtype=np.uint32), x, m)
-    ints = np.rint(conv)
-    if float(np.max(np.abs(conv - ints), initial=0.0)) > 0.25:
-        raise RuntimeError("convolution lost integer precision")
-    return (ints.astype(np.int64) & 1).astype(np.uint8)
+    t = np.random.default_rng(seed).integers(0, 2, size=n + m - 1, dtype=np.uint32)
+    acc = np.zeros(m, dtype=np.int64)
+    for lo in range(0, n, _TOEPLITZ_BLOCK):
+        hi = min(lo + _TOEPLITZ_BLOCK, n)
+        # y_i = sum_j t[i - j + n - 1] x_j over j in [lo, hi) reads only
+        # t[n - hi : n - lo + m - 1]; each sum is at most hi - lo, far below
+        # 2^53, so the FFT convolution rounds back to the exact integers
+        sums = _toeplitz_sums(t[n - hi : n - lo + m - 1], x[lo:hi], m)
+        ints = np.rint(sums)
+        if float(np.max(np.abs(sums - ints), initial=0.0)) > 0.25:
+            raise RuntimeError("convolution lost integer precision")
+        acc += ints.astype(np.int64)
+    return (acc & 1).astype(np.uint8)
 
 
 def _fft_size(n: int) -> int:
@@ -429,5 +455,5 @@ def _toeplitz_sums(t: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     n = x.size
     size = _fft_size(t.size)
     spectrum = np.fft.rfft(t, size)
-    del t  # with no other reference, the seed row is freed before x's transform
-    return np.fft.irfft(spectrum * np.fft.rfft(x, size), size)[n - 1 : n - 1 + m]
+    spectrum *= np.fft.rfft(x, size)
+    return np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 from scipy import linalg, optimize, stats
 
-from pathqrng import certify, chip
+from pathqrng import certify, chip, events
 from pathqrng.bell import ChiResult
 from pathqrng.cli import CalibrationError, CalibrationFit, ValidationError
 
@@ -235,6 +235,20 @@ def toeplitz_rows_extract(bits, m, seed):
         row = t[i + n - 1 - cols]
         out.append(int(row @ x) & 1)
     return np.array(out, dtype=np.uint8)
+
+
+def toeplitz_extract_one_shot(bits, h_min_bits_per_event, security_eps=2.0 ** -32, seed=0):
+    """The extractor as one FFT convolution of all n raw bits with the whole
+    (n + m - 1)-bit seed row, at a transform length that grows with n."""
+    x = np.asarray(bits, dtype=np.uint8)
+    n = x.size
+    m = math.floor(n // 2 * h_min_bits_per_event) - math.ceil(-2.0 * math.log2(security_eps))
+    t = np.random.default_rng(seed).integers(0, 2, size=n + m - 1, dtype=np.uint32)
+    size = events._fft_size(n + m - 1)
+    conv = np.fft.irfft(np.fft.rfft(t, size) * np.fft.rfft(x, size), size)[n - 1 : n - 1 + m]
+    ints = np.rint(conv)
+    assert float(np.max(np.abs(conv - ints))) <= 0.25
+    return (ints.astype(np.int64) & 1).astype(np.uint8)
 
 
 def simulate_events_one_shot(distribution, rate_hz, duration_s, bin_width_us=1.0, seed=0):

@@ -215,6 +215,18 @@ def test_search_rejects_negative_probe_budget(probes):
         certify._maximize_deviation(None, never_called, 4, starts=2, probes=probes, seed=1)
 
 
+def test_search_rejects_budget_past_its_bounds(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before the budget was checked")
+    monkeypatch.setattr(certify.np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="starts"):
+        certify._maximize_deviation(None, never_called, 4, starts=certify._MAX_STARTS + 1,
+                                    probes=0, seed=1)
+    with pytest.raises(ValueError, match="probes"):
+        certify._maximize_deviation(None, never_called, 4, starts=2,
+                                    probes=certify._MAX_PROBES + 1, seed=1)
+
+
 def test_chi_deviation_operator_matches_one_call_per_term():
     rng = np.random.default_rng(211)
     angles = rng.uniform(0.0, math.pi, size=(500, 4))

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 import yaml
 
 import oracles
-from pathqrng import cli, events
+from pathqrng import certify, cli, events
 from pathqrng.bell import CorrelationGrid
 from pathqrng.certify import CorrectionEstimate
 
@@ -694,6 +695,21 @@ class TestCertifyCommand:
         (line,) = err.splitlines()
         assert "probes" in json.loads(line)["message"]
 
+    @pytest.mark.parametrize("flag, value", [("--starts", 10 ** 9), ("--probes", 10 ** 12)])
+    def test_oversized_search_budget_exits_2_before_any_draw(self, tmp_path, monkeypatch,
+                                                             flag, value):
+        # 10^9 starts would be a 32 GB start array, 10^12 probes 5e7 draws
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was made before the budget was checked")
+        monkeypatch.setattr(certify.np.random, "default_rng", no_draw)
+        write_config({"version": 1}, tmp_path / "chip.yaml")
+        out = tmp_path / "c.json"
+        code, _, err = run_cli("certify", "--chi", "2.697", "--config", str(tmp_path / "chip.yaml"),
+                               flag, str(value), "--out", str(out))
+        assert code == 2 and not out.exists()
+        (line,) = err.splitlines()
+        assert flag[2:] in json.loads(line)["message"]
+
     def test_unconverged_search_exits_3_but_writes_doc(self, tmp_path, monkeypatch):
         def stub(errors, mmis, starts=64, probes=100_000, seed=0):
             return CorrectionEstimate(value=0.05, converged=False, starts=starts,
@@ -821,13 +837,20 @@ def test_mistyped_result_documents_rejected_by_report(tmp_path, doc):
 
 
 class TestAnalyzeCommand:
-    def test_windowed_trace_csv(self, tmp_path):
+    @staticmethod
+    def chsh_files(tmp_path, dist, rate_hz, duration_s, seed0=0):
+        """Four event files at distinct (phi, theta), in CHSH setting order."""
         files = []
-        for i in range(4):
-            s = events.simulate_events((0.4, 0.1, 0.2, 0.3), 1e5, 0.2, seed=60 + i)
+        for i, (phi, theta) in enumerate(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))):
+            s = events.simulate_events(dist, rate_hz, duration_s, seed=seed0 + i,
+                                       phi=phi, theta=theta)
             path = tmp_path / f"s{i}.tsv"
             cli.write_event_file(s, path)
             files.append(str(path))
+        return files
+
+    def test_windowed_trace_csv(self, tmp_path):
+        files = self.chsh_files(tmp_path, (0.4, 0.1, 0.2, 0.3), 1e5, 0.2, seed0=60)
         out = tmp_path / "trace.csv"
         code, text, _ = run_cli("analyze", "--events", *files, "--out", str(out))
         assert code == 0
@@ -838,11 +861,7 @@ class TestAnalyzeCommand:
         assert len(lines[1].split(",")) == 2 + 16 + 4 + 1
 
     def test_too_short_run_rejected(self, tmp_path):
-        files = []
-        for i in range(4):
-            s = events.simulate_events((0.25,) * 4, 1e5, 0.05, seed=i)
-            cli.write_event_file(s, tmp_path / f"s{i}.tsv")
-            files.append(str(tmp_path / f"s{i}.tsv"))
+        files = self.chsh_files(tmp_path, (0.25,) * 4, 1e5, 0.05)
         code, _, err = run_cli("analyze", "--events", *files,
                                "--out", str(tmp_path / "t.csv"))
         assert code == 2 and "two windows" in json.loads(err)["message"]
@@ -855,17 +874,64 @@ class TestAnalyzeCommand:
         ("nan", "positive and finite"),
     ])
     def test_sub_ns_and_ns_windows_rejected_before_sizing(self, tmp_path, window_ms, message):
-        files = []
-        for i in range(4):
-            s = events.simulate_events((0.25,) * 4, 1e5, 0.2, seed=i)
-            cli.write_event_file(s, tmp_path / f"s{i}.tsv")
-            files.append(str(tmp_path / f"s{i}.tsv"))
+        files = self.chsh_files(tmp_path, (0.25,) * 4, 1e5, 0.2)
         code, _, err = run_cli("analyze", "--events", *files, "--window-ms", window_ms,
                                "--out", str(tmp_path / "t.csv"))
         lines = err.splitlines()
         assert code == 2 and len(lines) == 1
         assert message in json.loads(lines[0])["message"]
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("order", [(0, 0, 0, 0), (0, 1, 2, 1)], ids=["same-file", "repeat"])
+    def test_duplicate_angle_pair_exits_2(self, tmp_path, order):
+        files = self.chsh_files(tmp_path, (0.25,) * 4, 1e5, 0.2)
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli("analyze", "--events", *(files[i] for i in order),
+                               "--out", str(out))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert "duplicate angle pair" in record["message"]
+        assert not out.exists()
+
+    def test_one_stream_live_at_a_time(self, tmp_path, monkeypatch):
+        # four 1.7 s streams of about 204k records, 1.8 MB of records each:
+        # holding all four as a list peaked about 5.7 MB above one file's
+        # read, reading them one at a time about 0.2 MB above it
+        files = self.chsh_files(tmp_path, (0.4, 0.1, 0.2, 0.3), 1.2e5, 1.7)
+        read = cli.read_event_file
+        tracemalloc.start()
+        try:
+            first = read(files[0])
+            one_read = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stream_bytes = first.timestamps_ns.nbytes + first.channels.nbytes
+        assert len(first) > 200_000
+        del first
+
+        earlier = []
+
+        def read_alone(path):
+            live = [r for r in earlier if r() is not None]
+            assert not live, f"{len(live)} earlier stream(s) live while reading {path}"
+            stream = read(path)
+            earlier.append(weakref.ref(stream))
+            return stream
+
+        monkeypatch.setattr(cli, "read_event_file", read_alone)
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli("analyze", "--events", *files,
+                                   "--out", str(tmp_path / "t.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert len(earlier) == 4
+        assert peak < one_read + stream_bytes / 2, (
+            f"traced peak {peak / 1e6:.1f} MB against {one_read / 1e6:.1f} MB for one read")
 
 
 class TestExtractCommand:

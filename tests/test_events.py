@@ -489,6 +489,41 @@ class TestToeplitzExtract:
         assert len(out) == 436
         assert np.array_equal(out, oracles.toeplitz_rows_extract(bits, 436, seed=11))
 
+    @pytest.mark.parametrize("h_min", [0.2444, 0.9])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["L-1", "L", "L+1", "3L+5"])
+    def test_blocks_match_one_shot_oracle(self, blocks, extra, h_min):
+        # m = floor(n / 2 * h) - 64 is below the block length L except at
+        # 3L + 5 bits and h = 0.9, where it is about 1.35 L
+        n = blocks * events._TOEPLITZ_BLOCK + extra
+        bits = self.random_bits(n, n)
+        out = events.toeplitz_extract(bits, h_min, seed=17)
+        assert np.array_equal(out, oracles.toeplitz_extract_one_shot(bits, h_min, seed=17))
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 599, 600])
+    def test_small_blocks_match_row_by_row_multiplication(self, monkeypatch, block):
+        # 600 bits at h = 0.5 give m = 86 sums: blocks shorter and longer
+        # than m, a short last block, and one block of the whole input
+        monkeypatch.setattr(events, "_TOEPLITZ_BLOCK", block)
+        bits = self.random_bits(600, 9)
+        out = events.toeplitz_extract(bits, 0.5, seed=13)
+        assert len(out) == 86
+        assert np.array_equal(out, oracles.toeplitz_rows_extract(bits, 86, seed=13))
+
+    def test_memory_is_blocked(self):
+        # the raw bits of a 5 s paper-rate stream at h = 0.2444 (m = 138,300):
+        # one transform of all of them peaked at about 31 MB traced, blocks
+        # of 2^18 bits at about 19 MB
+        bits = self.random_bits(1_132_282, 21)
+        tracemalloc.start()
+        try:
+            out = events.toeplitz_extract(bits, 0.2444, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 138_300
+        assert peak < 24e6, f"traced peak {peak / 1e6:.1f} MB"
+
     def test_fft_size_is_smallest_5_smooth_cover(self):
         def smooth(k):
             for p in (2, 3, 5):

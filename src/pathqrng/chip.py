@@ -27,7 +27,8 @@ spectrum node in one call and ``certify`` every searched angle tuple.
 basis states as columns, for the spectral-norm objectives of ``certify``.
 :func:`broadband_probabilities` is the one detection path: the generated
 state, times the scalar loss amplitude, through :func:`rotate`, clicks by
-the Born rule.
+the Born rule.  Its angles broadcast, so one call evaluates a block of
+angle pairs at every spectrum node, one (..., 4) distribution per pair.
 """
 
 from __future__ import annotations
@@ -204,21 +205,25 @@ def _mzi_amplitudes(mmis: tuple[MmiParams, ...],
     return np.stack(np.broadcast_arrays(*t), axis=-1), np.stack(np.broadcast_arrays(*r), axis=-1)
 
 
-def broadband_probabilities(cfg: ChipConfig, phi: float, theta: float) -> np.ndarray:
-    """Click probabilities (4,) in basis order at rotation angles (phi, theta).
+def broadband_probabilities(cfg: ChipConfig, phi, theta) -> np.ndarray:
+    """Click probabilities (..., 4) in basis order at rotation angles (phi, theta).
 
-    Every shifter carries its ``cfg.errors`` offset, and the probabilities
-    are averaged over the source spectrum.  Each wavelength node is
-    simulated independently (its own splitter coefficients and, when
-    ``phase_dispersion`` is set, heater phases scaled by lambda_0/lambda)
-    and the distributions are mixed with the node weights, a convex
-    combination of per-wavelength statistics.  The nodes form the batch
-    axis of one :func:`rotate` call, which takes the generated state times
-    the scalar loss amplitude.
+    ``phi`` and ``theta`` broadcast: scalars give one distribution (4,),
+    arrays of angle pairs one distribution per pair.  Every shifter carries
+    its ``cfg.errors`` offset, and the probabilities are averaged over the
+    source spectrum.  Each wavelength node is simulated independently (its
+    own splitter coefficients and, when ``phase_dispersion`` is set, heater
+    phases scaled by lambda_0/lambda) and the distributions are mixed with
+    the node weights, a convex combination of per-wavelength statistics.
+    The angles gain a trailing node axis, so the pairs and the nodes form
+    the batch axes of one :func:`rotate` call, which takes the generated
+    state times the scalar loss amplitude.  Raises ``ValueError`` if any
+    pair's state is annihilated.
     """
     wl = cfg.spectrum.wavelengths
     scale = DESIGN_WAVELENGTH_NM / wl if cfg.phase_dispersion else np.ones_like(wl)
     psi = cfg.loss.amplitude * generation_state(cfg.generation, cfg.generation_mmi, wl)
+    phi, theta = (np.expand_dims(np.asarray(a, dtype=float), -1) for a in (phi, theta))
     clicks = np.abs(rotate(*_mzi_amplitudes(cfg.mzi_mmis, wl),
                            shifter_phases(phi, cfg.errors.dphi, scale),
                            shifter_phases(theta, cfg.errors.dtheta, scale), psi)) ** 2

@@ -227,9 +227,9 @@ def _atomic_write(path: Path | str, data: str | bytes | Iterable[bytes | np.ndar
         with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
             fh.writelines((data,) if isinstance(data, (str, bytes)) else data)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _section(value: Any, allowed: set[str], where: str) -> Mapping[str, Any]:
@@ -445,40 +445,18 @@ _PARSE_ROWS = 1 << 15
 def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and channel codes of the record lines in ``body``.
 
-    The lines are taken ``_PARSE_ROWS`` at a time, and within a block the
-    lines of equal width are parsed together as one 2-d block.  A width
-    whose lines are consecutive, as each width of a sorted stream is, is
-    parsed as a view of ``body`` into a view of the output; a width spread
-    over several runs of lines is gathered, one row per line.
+    The lines are taken ``_PARSE_ROWS`` at a time.  A block whose lines all
+    share one width is parsed as a view of ``body``.  In any other block,
+    each line's last 19 digits at most, tab and label are copied
+    right-aligned into one matrix padded on the left with '0': the lines of
+    a width that forms one run of lines, as each width of a sorted stream
+    does, as one slice, and those of a width spread over several runs by a
+    gather, one row per line.  Either way one pass over the digit columns
+    checks and builds every value of the block.
     """
     def reject(line: int, what: str = "malformed record") -> ValidationError:
         text = body[ends[line] + 1 - widths[line] : ends[line]].tobytes()
         return ValidationError(f"{path}: {what} {text.decode('utf-8', errors='replace')!r}")
-
-    def parse(block: np.ndarray, lines: range | np.ndarray, value: np.ndarray,
-              code: np.ndarray) -> None:
-        """Fill ``value`` and ``code`` from ``block``, the equal-width rows of ``lines``."""
-        k = block.shape[1] - 4  # digits per line
-        if k < 1:
-            raise reject(lines[0])
-        code[:] = _LABEL_CODES[block[:, k + 1].astype(np.uint16) << 8 | block[:, k + 2]]
-        ok = (block[:, k] == ord("\t")) & (code != 255)
-        # 19 digits fit in uint64; a longer number fits only with leading zeros
-        fits = np.ones(len(lines), dtype=bool)
-        value[:] = 0
-        for j in range(k):
-            digit = block[:, j] - ord("0")
-            ok &= digit <= 9
-            if j < k - 19:
-                fits &= digit == 0
-            else:
-                value *= 10
-                value += digit
-        if not ok.all():
-            raise reject(lines[np.argmin(ok)])
-        fits &= value <= np.iinfo(np.int64).max
-        if not fits.all():
-            raise reject(lines[np.argmin(fits)], "timestamp out of range in record")
 
     ends = np.flatnonzero(body == ord("\n"))
     if body.size and body[-1] != ord("\n"):
@@ -493,21 +471,59 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
     stamps = np.empty(ends.size, dtype=np.uint64)
     codes = np.empty(ends.size, dtype=np.uint8)
     for lo in range(0, ends.size, _PARSE_ROWS):
-        w = widths[lo : lo + _PARSE_ROWS]
-        runs = lo + np.r_[0, np.flatnonzero(w[1:] != w[:-1]) + 1, w.size]
-        run_widths = widths[runs[:-1]]
-        for width, n_runs in zip(*np.unique(run_widths, return_counts=True)):
-            if n_runs == 1:  # consecutive lines: views of the body and the output
-                r = int(np.flatnonzero(run_widths == width)[0])
-                a, b = runs[r], runs[r + 1]
-                block = body[ends[a] + 1 - width : ends[b - 1] + 1].reshape(-1, width)
-                parse(block, range(a, b), stamps[a:b], codes[a:b])
+        hi = min(lo + _PARSE_ROWS, ends.size)
+        w = widths[lo:hi]
+        if w.min() < 5:  # a line without a digit
+            raise reject(lo + int(np.argmin(w)))
+        ok = np.ones(hi - lo, dtype=bool)
+        fits = np.ones(hi - lo, dtype=bool)  # the value fits in int64
+        starts = np.flatnonzero(w[1:] != w[:-1]) + 1
+        if not starts.size:  # one width: a view of the body; cols[j] is byte j of every line
+            cols = body[ends[lo] + 1 - w[0] : ends[hi - 1] + 1].reshape(-1, w[0]).T
+            k = int(w[0]) - 4  # digits per line
+        else:
+            # the lines right-aligned, byte j of every line in row j, so
+            # that each digit step below reads one contiguous row
+            k = min(int(w.max()) - 4, 19)
+            cols = np.full((k + 3, hi - lo), ord("0"), dtype=np.uint8)
+            runs = np.concatenate(([0], starts, [w.size]))
+            run_widths = w[runs[:-1]]
+            for width, n_runs in zip(*np.unique(run_widths, return_counts=True)):
+                if n_runs == 1:
+                    r = int(np.flatnonzero(run_widths == width)[0])
+                    rows: slice | np.ndarray = slice(runs[r], runs[r + 1])
+                    lines = body[ends[lo + runs[r]] + 1 - width
+                                 : ends[lo + runs[r + 1] - 1] + 1].reshape(-1, width)
+                else:
+                    rows = np.flatnonzero(w == width)
+                    windows = np.lib.stride_tricks.sliding_window_view(body, width)  # a view
+                    lines = windows[ends[lo + rows] + 1 - width]
+                m = min(width - 1, k + 3)
+                cols[k + 3 - m :, rows] = lines[:, width - 1 - m : width - 1].T
+                if width - 4 > k:  # digits in front of the last 19 must be '0'
+                    lead = lines[:, : width - 4 - k] - ord("0")
+                    ok[rows] &= np.all(lead <= 9, axis=1)
+                    fits[rows] &= np.all(lead == 0, axis=1)
+        value, code = stamps[lo:hi], codes[lo:hi]
+        code[:] = _LABEL_CODES[cols[k + 1].astype(np.uint16) << 8 | cols[k + 2]]
+        ok &= (cols[k] == ord("\t")) & (code != 255)
+        value[:] = 0
+        for j in range(k):
+            digit = cols[j] - ord("0")  # a byte below '0' wraps above 9
+            ok &= digit <= 9
+            if j < k - 19:  # 19 digits fit in uint64; more fit only as leading zeros
+                fits &= digit == 0
             else:
-                rows = lo + np.flatnonzero(w == width)
-                value, code = np.empty(rows.size, np.uint64), np.empty(rows.size, np.uint8)
-                windows = np.lib.stride_tricks.sliding_window_view(body, width)  # a view
-                parse(windows[ends[rows] + 1 - width], rows, value, code)
-                stamps[rows], codes[rows] = value, code
+                value *= 10
+                value += digit
+        fits &= value <= np.iinfo(np.int64).max
+        if not (ok & fits).all():
+            # the first bad line of the narrowest width that has one, and within
+            # that width a malformed line before one out of range
+            narrowest = w == w[~(ok & fits)].min()
+            if np.any(narrowest & ~ok):
+                raise reject(lo + int(np.argmax(narrowest & ~ok)))
+            raise reject(lo + int(np.argmax(narrowest & ~fits)), "timestamp out of range in record")
     return stamps.view(np.int64), codes
 
 
@@ -753,6 +769,11 @@ def _stream_correlation(stream: EventStream) -> tuple[float, float]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+#: angle pairs per chip evaluation in ``simulate``, which bounds the
+#: (pairs, nodes, 2, 2) matrices of the four MZIs in one broadband call
+_SCAN_BLOCK = 64
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_optional_config(args.config)
     if (args.angles is None) == (not args.scan):
@@ -760,14 +781,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     pairs = _parse_angle_pairs(args.angles) if args.angles else _scan_schedule(args.scan_step)
     out = Path(args.out)
     seeds = np.random.SeedSequence(args.seed).generate_state(len(pairs))
-    for i, (phi, theta) in enumerate(pairs):
-        dist = broadband_probabilities(cfg, phi, theta)
-        try:
-            stream = simulate_events(dist, args.rate_hz, args.duration_s, args.bin_us,
-                                     seed=int(seeds[i]), phi=phi, theta=theta)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        write_event_file(stream, out / f"events_{i:04d}.tsv")
+    for lo in range(0, len(pairs), _SCAN_BLOCK):
+        block = pairs[lo : lo + _SCAN_BLOCK]
+        phis, thetas = np.array(block).T
+        dists = broadband_probabilities(cfg, phis, thetas)
+        for i, ((phi, theta), dist) in enumerate(zip(block, dists), start=lo):
+            try:
+                stream = simulate_events(dist, args.rate_hz, args.duration_s, args.bin_us,
+                                         seed=int(seeds[i]), phi=phi, theta=theta)
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from exc
+            write_event_file(stream, out / f"events_{i:04d}.tsv")
     print(f"simulated {len(pairs)} angle pairs -> {out} "
           f"({args.rate_hz:g} Hz x {args.duration_s:g} s each, master seed {args.seed})")
     return EXIT_OK

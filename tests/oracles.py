@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 from scipy import linalg, optimize, stats
 
-from pathqrng import certify, chip, events
+from pathqrng import certify, chip, cli, events
 from pathqrng.bell import ChiResult
 from pathqrng.cli import CalibrationError, CalibrationFit, ValidationError
 
@@ -318,6 +318,74 @@ def event_records_by_lines(text):
         ts.append(int(t_str))
         ch.append(index[c_str])
     return meta, np.array(ts, dtype=np.int64), np.array(ch, dtype=np.uint8)
+
+
+def parse_records_per_width(body, path):
+    """Timestamps and channel codes of ``body``'s record lines, one digit pass per width.
+
+    The lines are taken ``cli._PARSE_ROWS`` at a time, and within a block the
+    lines of equal width are parsed together as one 2-d block.  A width
+    whose lines are consecutive, as each width of a sorted stream is, is
+    parsed as a view of ``body`` into a view of the output; a width spread
+    over several runs of lines is gathered, one row per line.
+    """
+    def reject(line, what="malformed record"):
+        text = body[ends[line] + 1 - widths[line] : ends[line]].tobytes()
+        return ValidationError(f"{path}: {what} {text.decode('utf-8', errors='replace')!r}")
+
+    def parse(block, lines, value, code):
+        """Fill ``value`` and ``code`` from ``block``, the equal-width rows of ``lines``."""
+        k = block.shape[1] - 4  # digits per line
+        if k < 1:
+            raise reject(lines[0])
+        code[:] = cli._LABEL_CODES[block[:, k + 1].astype(np.uint16) << 8 | block[:, k + 2]]
+        ok = (block[:, k] == ord("\t")) & (code != 255)
+        # 19 digits fit in uint64; a longer number fits only with leading zeros
+        fits = np.ones(len(lines), dtype=bool)
+        value[:] = 0
+        for j in range(k):
+            digit = block[:, j] - ord("0")
+            ok &= digit <= 9
+            if j < k - 19:
+                fits &= digit == 0
+            else:
+                value *= 10
+                value += digit
+        if not ok.all():
+            raise reject(lines[np.argmin(ok)])
+        fits &= value <= np.iinfo(np.int64).max
+        if not fits.all():
+            raise reject(lines[np.argmin(fits)], "timestamp out of range in record")
+
+    ends = np.flatnonzero(body == ord("\n"))
+    if body.size and body[-1] != ord("\n"):
+        ends = np.r_[ends, body.size]  # an unterminated last line
+    if not ends.size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    widths = np.empty_like(ends)  # each line's length with its newline
+    widths[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=widths[1:])
+    if ends[-1] == body.size:
+        raise reject(ends.size - 1)
+    stamps = np.empty(ends.size, dtype=np.uint64)
+    codes = np.empty(ends.size, dtype=np.uint8)
+    for lo in range(0, ends.size, cli._PARSE_ROWS):
+        w = widths[lo : lo + cli._PARSE_ROWS]
+        runs = lo + np.r_[0, np.flatnonzero(w[1:] != w[:-1]) + 1, w.size]
+        run_widths = widths[runs[:-1]]
+        for width, n_runs in zip(*np.unique(run_widths, return_counts=True)):
+            if n_runs == 1:  # consecutive lines: views of the body and the output
+                r = int(np.flatnonzero(run_widths == width)[0])
+                a, b = runs[r], runs[r + 1]
+                block = body[ends[a] + 1 - width : ends[b - 1] + 1].reshape(-1, width)
+                parse(block, range(a, b), stamps[a:b], codes[a:b])
+            else:
+                rows = lo + np.flatnonzero(w == width)
+                value, code = np.empty(rows.size, np.uint64), np.empty(rows.size, np.uint8)
+                windows = np.lib.stride_tricks.sliding_window_view(body, width)  # a view
+                parse(windows[ends[rows] + 1 - width], rows, value, code)
+                stamps[rows], codes[rows] = value, code
+    return stamps.view(np.int64), codes
 
 
 def best_combination_search_loop(grid):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pathqrng import chip, optics
+from pathqrng import chip, cli, optics
 
 INV_SQRT2 = 2.0 ** -0.5
 IDEAL = np.full(4, INV_SQRT2)  # t and r of four ideal 50:50 MZIs
@@ -512,3 +512,42 @@ def test_broadband_annihilated_state_rejected():
     cfg = chip.ChipConfig(mzi_mmis=(closed, closed, closed, closed))
     with pytest.raises(ValueError, match="annihilated"):
         chip.broadband_probabilities(cfg, 0.1, 0.2)
+
+
+PAPER_CHIP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "paper_chip.yaml"
+
+
+@pytest.mark.parametrize("name", ["paper", "balanced", "unbalanced"])
+def test_broadband_batches_equal_scalar_calls(name):
+    cfg = {"paper": lambda: cli.load_chip_config(PAPER_CHIP),
+           "balanced": chip.ChipConfig.balanced, "unbalanced": chip.ChipConfig.unbalanced}[name]()
+    # the 41x21 calibration scan, in simulate's pair order
+    phi, theta = (a.ravel() for a in np.meshgrid(np.linspace(-2.0, 2.0, 41),
+                                                  np.linspace(-2.0, 0.0, 21), indexing="ij"))
+    scalar = np.array([chip.broadband_probabilities(cfg, float(p), float(t))
+                       for p, t in zip(phi, theta)])
+    assert chip.broadband_probabilities(cfg, float(phi[5]), float(theta[5])).shape == (4,)
+    for block in (1, 63, 64, 65, 861):
+        batched = np.concatenate([chip.broadband_probabilities(cfg, phi[i:i + block],
+                                                               theta[i:i + block])
+                                  for i in range(0, phi.size, block)])
+        assert batched.shape == (861, 4)
+        assert np.array_equal(batched, scalar), block
+
+
+def test_broadband_batch_with_one_annihilated_pair_raises():
+    # only |UF> is generated, and the closed theta_f MZI blocks the phi stage's
+    # |UF> output, so the clicks scale with cos^2(phi) times a loss amplitude
+    # squared of about 1e-298: phi = pi/2 alone falls under the cutoff
+    closed = optics.MmiParams(t=0.0, r=0.0)
+    cfg = chip.ChipConfig(generation_mmi=optics.MmiParams(t=1.0, r=0.0),
+                          mzi_mmis=(optics.IDEAL_MMI, optics.IDEAL_MMI, closed, optics.IDEAL_MMI),
+                          loss=optics.LossModel(gamma=1e-149))
+    phi = np.array([0.3, -1.0, math.pi / 2, 2.0])
+    theta = np.full(4, -0.5)
+    good = np.delete(np.arange(4), 2)
+    assert chip.broadband_probabilities(cfg, phi[good], theta[good]).shape == (3, 4)
+    with pytest.raises(ValueError, match="annihilated"):
+        chip.broadband_probabilities(cfg, phi[2], theta[2])
+    with pytest.raises(ValueError, match="annihilated"):
+        chip.broadband_probabilities(cfg, phi, theta)

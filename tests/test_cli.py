@@ -313,7 +313,7 @@ class TestEventFiles:
     def test_alternating_widths_parse_in_bounded_memory(self, tmp_path):
         # gathered as one (lines x width) int64 index array, this 2.6 MB file
         # peaked at about 27 MB traced, 10 bytes per file byte; in blocks of
-        # _PARSE_ROWS lines it peaks at about 9 MB, 3.4 bytes per file byte
+        # _PARSE_ROWS lines it peaks at about 10 MB, 3.8 bytes per file byte
         text = self.alternating_widths_text(200_000)
         p = tmp_path / "alt.tsv"
         p.write_text(text)
@@ -380,6 +380,97 @@ class TestEventFiles:
         p.write_text(self.HEADER + "19223372036854775807\tUF\n")
         with pytest.raises(cli.ValidationError, match="out of range"):
             cli.read_event_file(p)
+
+    @staticmethod
+    def assert_parses_like_oracle(body):
+        """The parser and the per-width oracle give equal arrays or equal messages."""
+        arr = np.frombuffer(body, dtype=np.uint8)
+        got, want = [], []
+        for parse, out in ((cli._parse_records, got), (oracles.parse_records_per_width, want)):
+            try:
+                out.extend(parse(arr, "ev.tsv"))
+            except cli.ValidationError as exc:
+                out.append(str(exc))
+        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+        if len(got) == 2:
+            assert got[0].dtype == np.int64 and got[1].dtype == np.uint8
+
+    @staticmethod
+    def random_lines(rng, n):
+        """``n`` lines of 1-25 digits: at most 18 significant ones, the rest leading zeros."""
+        labels = ("UF", "UN", "DF", "DN")
+        lines = []
+        for _ in range(n):
+            k = int(rng.integers(1, 26))
+            sig = int(rng.integers(1, min(k, 18) + 1))
+            lines.append("0" * (k - sig) + str(int(rng.integers(10 ** (sig - 1), 10 ** sig)))
+                         + f"\t{labels[rng.integers(4)]}\n")
+        return lines
+
+    @pytest.mark.parametrize("rows", [3, 64, 1 << 15])
+    def test_parser_matches_per_width_oracle(self, monkeypatch, rows):
+        monkeypatch.setattr(cli, "_PARSE_ROWS", rows)
+        rng = np.random.default_rng(rows)
+        for _ in range(30):
+            self.assert_parses_like_oracle(
+                "".join(self.random_lines(rng, int(rng.integers(1, 300)))).encode("ascii"))
+        alternating = self.alternating_widths_text(301)[len(self.HEADER):]
+        self.assert_parses_like_oracle(alternating.encode("ascii"))
+        sorted_text = oracles.event_file_text_by_lines(self.wide_stream())
+        self.assert_parses_like_oracle(sorted_text.partition("channel\n")[2].encode("ascii"))
+
+    def test_parser_matches_per_width_oracle_over_several_blocks(self):
+        # more than two _PARSE_ROWS blocks, mixed widths in every one, then a
+        # sorted stream whose widths each form one run
+        n = 70_000
+        assert n > 2 * cli._PARSE_ROWS
+        rng = np.random.default_rng(8)
+        self.assert_parses_like_oracle("".join(self.random_lines(rng, n)).encode("ascii"))
+        s = events.simulate_events((0.4, 0.1, 0.2, 0.3), 5e5, 0.16, seed=8)
+        assert len(s) > n
+        text = oracles.event_file_text_by_lines(s)
+        self.assert_parses_like_oracle(text.partition("channel\n")[2].encode("ascii"))
+
+    @pytest.mark.parametrize("bad", [
+        "12x4\tUF\n",                          # a bad digit
+        "1234 UF\n",                            # a missing tab
+        "1234\tXY\n",                           # an unknown label
+        "\tUF\n",                               # an empty timestamp
+        "9223372036854775808\tUF\n",            # int64 overflow
+        "00000019223372036854775807\tUF\n",     # overflow behind leading zeros
+        "0000001000000000000000000000\tUF\n",   # a nonzero digit before the last 19
+        "0x000000000000000000001\tUF\n",        # a bad digit before the last 19
+        "9223372036854775808\tUF\n922337203685477580x\tUF\n",  # malformed before range
+        "123x5\tUF\n1x\tDN\n",                   # the narrower width first
+        "0000x000000000000000000001\tUF\n9223372036854775808\tDN\n",  # also out of range
+        "5\tUF",                                # an unterminated last line
+    ])
+    @pytest.mark.parametrize("context", ["one width", "mixed", "late block"])
+    def test_malformed_records_match_per_width_oracle(self, monkeypatch, bad, context):
+        if context == "late block":
+            monkeypatch.setattr(cli, "_PARSE_ROWS", 4)
+        good = self.random_lines(np.random.default_rng(1), 9)
+        if context == "one width":
+            good = ["1234\tDN\n"] * 9
+        body = "".join(good) + bad + ("" if bad.endswith("UF") else "".join(good))
+        self.assert_parses_like_oracle(body.encode("ascii"))
+        with pytest.raises(cli.ValidationError):
+            cli._parse_records(np.frombuffer(body.encode("ascii"), dtype=np.uint8), "ev.tsv")
+
+    def test_alternating_widths_parse_bounds_the_gather_by_block(self):
+        # the outputs and the line index take 25 bytes per line, and one block's
+        # temporaries about 2.3 MB; gathered unblocked, these 200k lines peaked
+        # at 16.7 MB traced
+        n = 200_000
+        body = self.alternating_widths_text(n)[len(self.HEADER):].encode("ascii")
+        arr = np.frombuffer(body, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            cli._parse_records(arr, "alt.tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * n + (4 << 20), f"traced peak {peak / 1e6:.1f} MB for {n} lines"
 
 
 class TestGridFiles:
@@ -1197,3 +1288,41 @@ def test_cli_chain_outputs_are_pinned(tmp_path):
     digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert digests == GOLDEN_DIGESTS
+
+
+# the scan path on a 0.25 rad grid: every event file, as one digest of
+# their "name digest" lines, and the bell-scan outputs
+SCAN_DIGESTS = {
+    "events": "153222298b1f0ae266b30427ad453a524239c15813dd0b9c27b261dca2f752d6",
+    "scan/chi_max.json": "c4c0252ade7567103ec3f4a511c2fa54d072c1492247d1f66731b1c33b9b96e1",
+    "scan/chi_min.json": "74966979fe8c994c4fc0e6d2c08faa043711f77f811deebd5530f41343b03682",
+    "scan/grid.tsv": "a199c84918b098d7a062d205a05c5a542770f5de72b65d42df441c9b7d4756c0",
+}
+
+
+def test_scan_outputs_are_pinned_and_chip_calls_blocked(tmp_path, monkeypatch):
+    """simulate --scan (153 pairs, three chip calls) -> bell-scan, byte for byte."""
+    calls = []
+    chip_call = cli.broadband_probabilities
+
+    def counted(cfg, phi, theta):
+        calls.append(np.size(phi))
+        return chip_call(cfg, phi, theta)
+
+    monkeypatch.setattr(cli, "broadband_probabilities", counted)
+    events_dir, scan_dir = tmp_path / "events", tmp_path / "scan"
+    assert run_cli("simulate", "--scan", "--scan-step", "0.25", "--duration-s", "0.001",
+                   "--seed", "3", "--out", str(events_dir))[0] == 0
+    assert run_cli("bell-scan", "--events", str(events_dir), "--out", str(scan_dir))[0] == 0
+    assert sum(calls) == 17 * 9 and len(calls) == 3
+    assert max(calls) <= cli._SCAN_BLOCK
+    files = sorted(events_dir.iterdir())
+    assert len(files) == 153
+    manifest = "".join(f"events/{p.name} {sha256_file(p)}\n" for p in files)
+    digests = {"events": hashlib.sha256(manifest.encode()).hexdigest()}
+    digests.update({f"scan/{p.name}": sha256_file(p) for p in sorted(scan_dir.iterdir())})
+    assert digests == SCAN_DIGESTS
+
+
+def sha256_file(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()

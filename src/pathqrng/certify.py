@@ -18,28 +18,37 @@ of results implemented here:
 Every rotation the search compares goes through ``chip.rotate``, the one
 kernel that also simulates the chip: one call per angle batch yields the
 nearest factorized and the real rotation side by side.  The objectives
-take the operator as ``chip.rotation_matrix``, the rotated basis states;
-the probes need only the states U psi.
+take the operator as ``chip.rotation_matrix``, the rotated basis states.
 
 The correction-term maximization exploits that the objective is linear in
 the input density operator: for fixed angles the best state is an extreme
 point, and the exact inner maximum over all states is the spectral norm of
 a Hermitian 4x4 operator.  The outer angle search is a seeded multi-start
 coordinate refinement with its starts in lockstep, cross-checked by a large
-pass of random probes over explicit pure states, scored from U psi without
-building U.
+pass of random probes over explicit pure states.
+
+The probes are scored from angle coefficients built once per error set.
+A set angle p enters its stage only through z = e^{2ip}, and linearly, so
+each rotation is U(p, q) = sum_ab U_ab z_p^a z_q^b with a, b in {0, 1}.
+One ``chip.rotation_matrix`` call at z = +-1 and a 2x2 DFT per angle give
+the U_ab of the ideal and the real rotation; a CHSH term's deviation
+operator is then sum_ab C_ab z_p^a z_q^b with a, b in {-1, 0, 1}.  The
+expansion is exact up to rounding because ``shifter_phases`` puts the set
+angle on each branch's first shifter only and the search runs at scale 1
+(no dispersion), so no probe block calls the kernel.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .chip import (_NO_ERRORS, PhaseErrorSet, _check_errors, rotate, rotation_matrix,
-                   shifter_phases)
+from .chip import _NO_ERRORS, PhaseErrorSet, _check_errors, rotation_matrix, shifter_phases
 from .optics import DESIGN_WAVELENGTH_NM, IDEAL_MMI, MmiParams
 
 SQRT2 = math.sqrt(2.0)
@@ -163,6 +172,80 @@ def _chi_deviation_operator(angles: np.ndarray, errors: PhaseErrorSet,
     return delta
 
 
+#: the angles p = 0 and pi/2, where z = e^{2ip} is 1 and -1, and the
+#: inverse of the matrix [[1, 1], [1, -1]] of their powers z^0, z^1
+_NODES = np.array([0.0, math.pi / 2.0])
+_NODES_INV = np.array([[0.5, 0.5], [0.5, -0.5]])
+
+
+def _angle_powers(angles: np.ndarray) -> np.ndarray:
+    """(..., 3) powers (z^-1, 1, z) of z = e^{2ip} for each angle p."""
+    z = np.exp(2j * np.asarray(angles))
+    return np.stack([np.conj(z), np.ones_like(z), z], axis=-1)
+
+
+def _rotation_coefficients(errors: PhaseErrorSet,
+                           tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(2, 2, 2, 4, 4) U_ab over (ideal, real) x a x b, a and b in {0, 1}.
+
+    The (ideal, real) rotation at angles (p, q) of :func:`_stage_phases` is
+    sum_ab U_ab z_p^a z_q^b.  One kernel call evaluates it at the 2 x 2
+    angle nodes, and the inverse of the nodes' power matrix on each angle
+    axis recovers the coefficients.
+    """
+    u = rotation_matrix(*tr, *_stage_phases(_NODES[:, None], _NODES[None, :], errors))
+    return np.einsum("ai,bj,sij...->sab...", _NODES_INV, _NODES_INV, u)
+
+
+def _chi_coefficients(u: np.ndarray) -> np.ndarray:
+    """(3, 3, 4, 4) C_ab, a and b in {-1, 0, 1}, of one CHSH term's deviation.
+
+    U_i^dag ZZ U_i - U_r^dag ZZ U_r at (p, q) is sum_ab C_ab z_p^a z_q^b for
+    the :func:`_rotation_coefficients` ``u``: on |z| = 1 the conjugate of
+    z^x is z^-x, so each product of two coefficients lands on the exponent
+    difference.  Index a + 1 holds exponent a, and C_{-a,-b} = C_ab^dag.
+    """
+    g = np.einsum("sxyki,k,sabkj->sxyabij", np.conj(u), _ZZ_DIAG, u)
+    g = g[0] - g[1]
+    c = np.zeros((3, 3, 4, 4), dtype=complex)
+    for x, y, a, b in itertools.product(range(2), repeat=4):
+        c[a - x + 1, b - y + 1] += g[x, y, a, b]
+    return c
+
+
+def _chi_probe(c: np.ndarray, angles: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """|<psi| chi_ideal - chi_real |psi>| of each row, from :func:`_chi_coefficients` ``c``.
+
+    One matmul of the states' outer products gives the nine forms
+    psi^dag C_ab psi, and the four CHSH terms enter as the monomials
+    sum_ij s_ij z_phi_i^a z_theta_j^b over the (phi, phi') x (theta,
+    theta') pairs and their signs s_ij.
+    """
+    n = len(psi)
+    rho = (np.conj(psi)[:, :, None] * psi[:, None, :]).reshape(n, 16)
+    forms = rho @ c.reshape(9, 16).T
+    w = _angle_powers(angles)
+    signed_theta = np.tensordot(w[:, 2:], _CHSH_SIGNS.reshape(2, 2), axes=(1, 1))
+    monomials = (w[:, 0, :, None] * signed_theta[:, None, :, 0]
+                 + w[:, 1, :, None] * signed_theta[:, None, :, 1])
+    return np.abs(np.sum(forms * monomials.reshape(n, 9), axis=-1).real)
+
+
+def _outcome_probe(u: np.ndarray, angles: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """max_c |P_ideal(c) - P_real(c)| of each row, from :func:`_rotation_coefficients` ``u``.
+
+    One matmul gives U_ab psi for the four (a, b) of both rotations, and
+    the powers of z_p and z_q combine them into the rotated states.
+    """
+    n = len(psi)
+    u_psi = (psi @ u.transpose(4, 1, 2, 0, 3).reshape(4, 32)).reshape(n, 2, 2, 8)
+    z = _angle_powers(angles)[..., 2]
+    zp, zq = z[:, :1], z[:, 1:]
+    amp = u_psi[:, 0, 0] + zq * u_psi[:, 0, 1] + zp * (u_psi[:, 1, 0] + zq * u_psi[:, 1, 1])
+    probs = (amp.real ** 2 + amp.imag ** 2).reshape(n, 2, 4)
+    return np.max(np.abs(probs[:, 0] - probs[:, 1]), axis=-1)
+
+
 def _spectral_norm_hermitian(h: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(h)
     return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
@@ -190,7 +273,7 @@ _ANGLE_PERIOD = math.pi
 #: returns is resolved to about 1e-4 rad
 _STEP_MIN = 1e-4
 _START_BLOCK = 256  # starts per lockstep pass, bounding the objective batch
-_PROBE_DRAW, _PROBE_BLOCK = 20_000, 5_000  # probe rows per random draw, per kernel call
+_PROBE_DRAW, _PROBE_BLOCK = 20_000, 5_000  # probe rows per random draw, per scored block
 #: the largest search budget, checked before any draw: 10^5 starts hold
 #: 3.2 MB of start angles and climb about 1,500 times as long as the
 #: default 64, and 10^8 probes take 1,000 times the default probe pass
@@ -247,11 +330,13 @@ def _random_pure_states(rng: np.random.Generator, count: int) -> np.ndarray:
     """Unit 4-vectors from 6 real parameters, first amplitude real."""
     a, b, c = (rng.uniform(0.0, math.pi / 2.0, size=count) for _ in range(3))
     p1, p2, p3 = (rng.uniform(0.0, 2.0 * math.pi, size=count) for _ in range(3))
+    sin_a = np.sin(a)
+    sin_ab = sin_a * np.sin(b)
     psi = np.empty((count, 4), dtype=complex)
     psi[:, 0] = np.cos(a)
-    psi[:, 1] = np.sin(a) * np.cos(b) * np.exp(1j * p1)
-    psi[:, 2] = np.sin(a) * np.sin(b) * np.cos(c) * np.exp(1j * p2)
-    psi[:, 3] = np.sin(a) * np.sin(b) * np.sin(c) * np.exp(1j * p3)
+    psi[:, 1] = sin_a * np.cos(b) * np.exp(1j * p1)
+    psi[:, 2] = sin_ab * np.cos(c) * np.exp(1j * p2)
+    psi[:, 3] = sin_ab * np.sin(c) * np.exp(1j * p3)
     return psi
 
 
@@ -263,9 +348,17 @@ def _maximize_deviation(probe: Callable[[np.ndarray, np.ndarray], np.ndarray],
     The coordinate search maximizes the exact state maximum (spectral norm)
     over angles, its starts climbing in lockstep blocks.  The probe pass then
     scores random angles with random explicit pure states, ``probe(angles,
-    psi)`` in blocks of state vectors U psi, each scored stage by stage with
-    ``chip.rotate`` and no 4x4 operator; it can only confirm, never exceed,
-    the spectral-norm maximum, and serves as an independent floor.
+    psi)`` in blocks of ``_PROBE_BLOCK`` rows.  The terms' probes score a
+    block from angle coefficients built once per error set, with no kernel
+    call; the coefficients are exact up to rounding because the search
+    runs at scale 1 with each set angle on its branch's first shifter only.
+    A probe can only confirm, never exceed, the spectral-norm maximum, and
+    serves as an independent floor.
+
+    ``angles`` is the arg-max start's point.  Where the objective is flat
+    along an angle (on the paper chip, ``e_p`` does not depend on phi) it
+    is one of several equal maxima, and a rounding-level change can move
+    it; ``value`` is what the certificate uses.
     """
     if not 2 <= starts <= _MAX_STARTS:
         raise ValueError(f"need 2 to {_MAX_STARTS} starts, got {starts!r}")
@@ -308,13 +401,10 @@ def e_chi(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
     probes) budget.
     """
     tr = _resolve_mmis(mmis)
+    probe = functools.partial(_chi_probe, _chi_coefficients(_rotation_coefficients(errors, tr)))
 
     def obj(ang: np.ndarray) -> np.ndarray:
         return _spectral_norm_hermitian(_chi_deviation_operator(ang, errors, tr))
-
-    def probe(ang: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        zz = np.abs(rotate(*tr, *_chsh_phases(ang, errors), psi)) ** 2 @ _ZZ_DIAG
-        return np.abs(_CHSH_SIGNS @ (zz[0] - zz[1]).reshape(4, -1))
 
     return _maximize_deviation(probe, obj, 4, starts, probes, seed)
 
@@ -329,14 +419,11 @@ def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
     so ranking the outcomes by norm would pick between them by rounding.
     """
     tr = _resolve_mmis(mmis)
+    probe = functools.partial(_outcome_probe, _rotation_coefficients(errors, tr))
 
     def obj(ang: np.ndarray) -> np.ndarray:
         # the largest || Pi_ideal - Pi_real || over the 4 outcomes
         return np.max(_spectral_norm_hermitian(_outcome_deviations(ang, errors, tr)), axis=0)
-
-    def probe(ang: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        u_psi = rotate(*tr, *_stage_phases(ang[..., 0], ang[..., 1], errors), psi)
-        return np.max(np.abs(np.abs(u_psi[0]) ** 2 - np.abs(u_psi[1]) ** 2), axis=-1)
 
     return _maximize_deviation(probe, obj, 2, starts, probes, seed)
 

@@ -26,9 +26,10 @@ codes, and bits as ``uint8`` 0/1 arrays; labels are written and parsed
 here (event files, the ``analyze`` CSV header), and ``extract`` turns its
 bit array into text only as it writes the output file.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure (a search
-that did not converge, a degenerate calibration fit, or an extractor FFT
-that lost integer precision).
+Exit codes: 0 success, 2 validation error (an input that runs out of
+memory included), 3 numerical failure (a search that did not converge, a
+degenerate calibration fit, or an extractor FFT that lost integer
+precision).
 Errors are mirrored to stderr as one-line JSON records.
 """
 
@@ -1103,7 +1104,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except (ValueError, OSError, ArithmeticError) as exc:  # ValidationError is a ValueError
+    # ValidationError is a ValueError; MemoryError is an input too large for this machine
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         _emit_error_record(type(exc).__name__, args.command, str(exc))
         return EXIT_VALIDATION
     except RuntimeError as exc:  # CalibrationError, ConvergenceError, lost FFT precision

@@ -375,8 +375,8 @@ def test_probes_are_state_expectations_below_the_objective(mmis, monkeypatch):
     assert np.all(got <= objective(angles) + 1e-12)
 
 
-def test_probe_pass_calls_the_mzi_kernel_four_times_per_block(monkeypatch):
-    # one optics.mzi_matrix call per rotation MZI and probe block, never per row
+def test_probe_pass_makes_no_kernel_call(monkeypatch):
+    # the probes score from coefficients built once per term, never per block
     calls = []
     mzi = chip.mzi_matrix
     monkeypatch.setattr(chip, "mzi_matrix", lambda *args: calls.append(1) or mzi(*args))
@@ -387,13 +387,58 @@ def test_probe_pass_calls_the_mzi_kernel_four_times_per_block(monkeypatch):
             calls.clear()
             term(CHI_PLUS_ERRORS, PAPER_MMIS, starts=2, probes=probes, seed=1)
             counts.append(len(calls))
-        assert counts[1] - counts[0] == 4 * 5
+        assert counts[0] > 0 and counts[1] == counts[0]
+
+
+def test_angle_coefficients_rebuild_the_kernel_and_the_deviation_operators():
+    # z = e^{2ip}: each set angle enters its stage once and linearly, so the
+    # affine U_ab and the Hermitian-paired C_ab reproduce the kernel exactly
+    rng = np.random.default_rng(229)
+    signs = certify._CHSH_SIGNS.reshape(2, 2)
+    for _ in range(12):
+        errors = certify.PhaseErrorSet(dphi=tuple(rng.uniform(-0.25, 0.25, 4)),
+                                       dtheta=tuple(rng.uniform(-0.25, 0.25, 4)))
+        p_phi, p_theta = rng.uniform(0.3, 0.7, 2)
+        tr = certify._resolve_mmis((optics.MmiParams.from_power(p_phi, 1.0 - p_phi),) * 2
+                                   + (optics.MmiParams.from_power(p_theta, 1.0 - p_theta),) * 2)
+        u = certify._rotation_coefficients(errors, tr)
+        c = certify._chi_coefficients(u)
+        angles = rng.uniform(0.0, math.pi, size=(200, 4))
+        w = certify._angle_powers(angles)
+
+        rot = np.einsum("na,nb,sabij->snij", w[:, 0, 1:], w[:, 1, 1:], u)
+        want = chip.rotation_matrix(*tr, *certify._stage_phases(angles[:, 0], angles[:, 1],
+                                                                  errors))
+        np.testing.assert_allclose(rot, want, rtol=0.0, atol=1e-13)
+        proj = np.conj(rot[..., :, None]) * rot[..., None, :]  # U^dag |c><c| U per row c
+        np.testing.assert_allclose(np.moveaxis(proj[0] - proj[1], -3, 0),
+                                   certify._outcome_deviations(angles[:, :2], errors, tr),
+                                   rtol=0.0, atol=1e-13)
+        chi = np.einsum("nia,ij,njb,abkl->nkl", w[:, :2], signs, w[:, 2:], c)
+        np.testing.assert_allclose(chi, certify._chi_deviation_operator(angles, errors, tr),
+                                   rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(c[::-1, ::-1], np.conj(np.swapaxes(c, -1, -2)),
+                                   rtol=0.0, atol=1e-15)
+
+
+def test_random_pure_states_keep_the_written_out_formula():
+    # each sine is taken once, and every product keeps its order, so the
+    # states equal the formula bit for bit
+    got = certify._random_pure_states(np.random.default_rng(233), 1000)
+    rng = np.random.default_rng(233)
+    a, b, c = (rng.uniform(0.0, math.pi / 2.0, size=1000) for _ in range(3))
+    p1, p2, p3 = (rng.uniform(0.0, 2.0 * math.pi, size=1000) for _ in range(3))
+    want = np.stack([np.cos(a) + 0j,
+                     np.sin(a) * np.cos(b) * np.exp(1j * p1),
+                     np.sin(a) * np.sin(b) * np.cos(c) * np.exp(1j * p2),
+                     np.sin(a) * np.sin(b) * np.sin(c) * np.exp(1j * p3)], axis=-1)
+    assert np.array_equal(got, want)
 
 
 def test_search_memory_is_blocked(monkeypatch):
-    # 100k probes and 4096 starts: the traced peak is about 18 MB; with
-    # 20,000-row probe blocks in place of 5,000-row ones it reaches about
-    # 54 MB, and without the 256-start blocks 270 MB
+    # 100k probes and 4096 starts: the traced peak is about 14 MB, set by
+    # the search; with 20,000-row probe blocks in place of 5,000-row ones
+    # it reaches about 23 MB, and without the 256-start blocks 204 MB
     monkeypatch.setattr(certify, "_STEP_MIN", 0.4)
     tracemalloc.start()
     try:
@@ -403,6 +448,20 @@ def test_search_memory_is_blocked(monkeypatch):
         tracemalloc.stop()
     assert est.starts == 4096 and est.probe_best > 0.0
     assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_probe_pass_memory_is_blocked(monkeypatch):
+    # 100k probes after a 2-start climb: the traced peak is about 7 MB; with
+    # 20,000-row probe blocks in place of 5,000-row ones it reaches about 22 MB
+    monkeypatch.setattr(certify, "_STEP_MIN", 0.4)
+    tracemalloc.start()
+    try:
+        est = certify.e_chi(CHI_PLUS_ERRORS, starts=2, probes=100_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.probe_best > 0.0
+    assert peak < 14e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_guessing_probability_boundaries():

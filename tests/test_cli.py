@@ -1228,6 +1228,17 @@ class TestTopLevelParser:
         code, _, err = run_cli("extract", "--h-min", "0.33")
         assert code == 2 and json.loads(err)["error"] == "usage"
 
+    def test_memory_error_exits_2_with_record(self, monkeypatch):
+        # an input too large for the machine is refused like any other bad input
+        def exhausted(args):
+            raise MemoryError("cannot allocate the event arrays")
+        monkeypatch.setitem(cli._HANDLERS, "report", exhausted)
+        code, out, err = run_cli("report", "--result", "cert.json")
+        lines = err.splitlines()
+        assert code == 2 and out == "" and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "MemoryError", "subcommand": "report",
+                                        "message": "cannot allocate the event arrays"}
+
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # scipy cannot be imported at all in the probe, and calibrate still fits

@@ -10,16 +10,18 @@ seeded tie rule before bit extraction.  Bell statistics elsewhere use the
 raw records directly; only the extracted bit pipeline goes through tie
 resolution.
 
-The extractor is a seeded Toeplitz hash, computed as FFT convolutions
+The extractor is a seeded Toeplitz hash, computed as an FFT convolution
 reduced mod 2, so that megabit inputs stay fast without any matrix
-materialization.  The input is hashed in blocks of ``_TOEPLITZ_BLOCK``
+materialization.  The input is hashed in blocks of L = ``_TOEPLITZ_BLOCK``
 bits (overlap-add): each block's share of the m output sums is the valid
 part of its convolution with an (m + L - 1)-bit slice of the one seed
-row, and the blocks' integer sums add up before the reduction mod 2, so
-the transforms are sized by the block, not the whole input.  The linear
-convolution at the valid indices has no wrap-around partner in a
-circular convolution of any length >= m + L - 1, so each FFT runs at the
-smallest 2^a 3^b 5^c length that covers m + L - 1.
+row.  A short last block is padded on the left to L bits, which puts its
+valid part at the same offset as every other block's, so the blocks'
+spectra add up into one, and a single inverse transform gives all m sums
+before the reduction mod 2.  The transforms are sized by the block, not
+the whole input: the linear convolution at the valid indices has no
+wrap-around partner in a circular convolution of any length >= m + L - 1,
+so each FFT runs at the smallest 2^a 3^b 5^c length that covers m + L - 1.
 
 Channels are basis indices throughout: streams and resolved outcomes hold
 ``uint8`` codes 0..3, distributions are float arrays in basis order, and
@@ -85,6 +87,25 @@ def _bin_width_ns(bin_width_us: float) -> int:
     return width
 
 
+_NOT_POSITIVE = "duration and bin width must be positive and finite"
+
+
+def _stream_timing(duration_s: float, bin_width_us: float,
+                   not_finite: str = _NOT_POSITIVE) -> tuple[float, int]:
+    """A stream's duration in nanoseconds, as a float, and its bin width in
+    whole nanoseconds: the scalar checks of every stream, simulated or not.
+
+    A non-finite value is refused with ``not_finite``, a non-positive one
+    with ``_NOT_POSITIVE``, and then the int64 range and the 1 ns floor are
+    checked as in :func:`_duration_ns` and :func:`_bin_width_ns`.
+    """
+    if not (math.isfinite(duration_s) and math.isfinite(bin_width_us)):
+        raise ValueError(not_finite)
+    if not (duration_s > 0.0 and bin_width_us > 0.0):
+        raise ValueError(_NOT_POSITIVE)
+    return _duration_ns(duration_s), _bin_width_ns(bin_width_us)
+
+
 @dataclass(frozen=True)
 class EventStream:
     """One angle setting's worth of simulated detection records.
@@ -114,12 +135,10 @@ class EventStream:
             object.__setattr__(self, "rate_hz", float(self.rate_hz))
         if ts.shape != ch.shape or ts.ndim != 1:
             raise ValueError("timestamps and channels must be matching 1-d arrays")
-        if not (0.0 < self.duration_s < math.inf and 0.0 < self.bin_width_us < math.inf):
-            raise ValueError("duration and bin width must be positive and finite")
-        duration_ns = _duration_ns(self.duration_s)
-        _bin_width_ns(self.bin_width_us)
+        duration_ns, _ = _stream_timing(self.duration_s, self.bin_width_us)
         if ts.size:
-            if ts[0] < 0 or np.any(np.diff(ts) < 0):
+            # a comparison of neighbours, with no int64 temporary of differences
+            if ts[0] < 0 or np.any(ts[1:] < ts[:-1]):
                 raise ValueError("timestamps must be non-negative and non-decreasing")
             if ts[-1] >= int(math.ceil(duration_ns)):
                 raise ValueError("timestamp beyond the stream duration")
@@ -152,18 +171,16 @@ def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     whose duration overflows an int64 nanosecond count, is refused first.
     """
     p = _distribution(distribution)
-    if not (math.isfinite(duration_s) and math.isfinite(bin_width_us)):
-        raise ValueError(f"duration {duration_s!r} s and bin width {bin_width_us!r} us "
-                         "must be finite")
+    duration_ns, bin_ns = _stream_timing(
+        duration_s, bin_width_us,
+        f"duration {duration_s!r} s and bin width {bin_width_us!r} us must be finite")
     if not (math.isfinite(rate_hz) and rate_hz >= 0.0):
         raise ValueError(f"rate {rate_hz!r} Hz must be finite and non-negative")
     mean_per_bin = rate_hz * bin_width_us * 1e-6
     if mean_per_bin >= 1.0:
         raise ValueError(f"mean records per bin {mean_per_bin!r} must be < 1; "
                          "shrink the bin or the rate")
-    bin_ns = _bin_width_ns(bin_width_us)
     # compared as floats, before any int() of a product that may overflow
-    duration_ns = _duration_ns(duration_s)
     if duration_ns / bin_ns > _MAX_BINS:
         raise ValueError(f"duration {duration_s!r} s gives more than {_MAX_BINS:g} bins "
                          f"of {bin_width_us!r} us")
@@ -378,7 +395,7 @@ def raw_bits(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
     return pairs.ravel()
 
 
-#: raw bits per block of :func:`toeplitz_extract`; each block's transforms
+#: raw bits per overlap-add block of :func:`_toeplitz_sums`; the transforms
 #: run at a length that covers m + _TOEPLITZ_BLOCK - 1, whatever the input
 _TOEPLITZ_BLOCK = 1 << 18
 
@@ -396,9 +413,10 @@ def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: flo
     the leftover-hash length at distinguishing advantage ``security_eps``.
     ``bits`` and the result are 1-d arrays of 0 and 1, the result ``uint8``.
     The Toeplitz matrix is generated from ``seed``; same seed, same input,
-    same output.  The input is hashed ``_TOEPLITZ_BLOCK`` bits at a time and
-    the blocks' exact integer sums are added before the reduction mod 2, so
-    the output is that of one product with the whole matrix.
+    same output.  The input is hashed ``_TOEPLITZ_BLOCK`` bits at a time: the
+    blocks' spectra are summed and one inverse transform gives the m sums,
+    which are rounded, checked for lost integer precision and reduced mod 2
+    once, so the output is that of one product with the whole matrix.
     """
     if not 0.0 < h_min_bits_per_event <= 1.0:
         raise ValueError("certified entropy per event must lie in (0, 1]")
@@ -417,18 +435,13 @@ def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: flo
                          f"security parameter; need a longer run")
 
     t = np.random.default_rng(seed).integers(0, 2, size=n + m - 1, dtype=np.uint32)
-    acc = np.zeros(m, dtype=np.int64)
-    for lo in range(0, n, _TOEPLITZ_BLOCK):
-        hi = min(lo + _TOEPLITZ_BLOCK, n)
-        # y_i = sum_j t[i - j + n - 1] x_j over j in [lo, hi) reads only
-        # t[n - hi : n - lo + m - 1]; each sum is at most hi - lo, far below
-        # 2^53, so the FFT convolution rounds back to the exact integers
-        sums = _toeplitz_sums(t[n - hi : n - lo + m - 1], x[lo:hi], m)
-        ints = np.rint(sums)
-        if float(np.max(np.abs(sums - ints), initial=0.0)) > 0.25:
-            raise RuntimeError("convolution lost integer precision")
-        acc += ints.astype(np.int64)
-    return (acc & 1).astype(np.uint8)
+    # each sum is at most n, far below 2^53, so the FFT convolution rounds
+    # back to the exact integers
+    sums = _toeplitz_sums(t, x, m)
+    ints = np.rint(sums)
+    if float(np.max(np.abs(sums - ints), initial=0.0)) > 0.25:
+        raise RuntimeError("convolution lost integer precision")
+    return (ints.astype(np.int64) & 1).astype(np.uint8)
 
 
 def _fft_size(n: int) -> int:
@@ -448,12 +461,24 @@ def _fft_size(n: int) -> int:
 def _toeplitz_sums(t: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """y_i = sum_j t[i - j + n - 1] x_j for i < m, in floating point.
 
-    These are the m valid outputs of the linear convolution t * x; a
-    circular convolution of length >= n + m - 1 = len(t) leaves them
-    unaliased.
+    These are the m valid outputs of the linear convolution t * x, with
+    len(t) = n + m - 1.  x is taken L = min(``_TOEPLITZ_BLOCK``, n) bits at a
+    time: block [lo, hi) reads only t[n - hi : n - lo + m - 1], and in a
+    circular convolution of any length >= m + L - 1 its share of the sums
+    sits unaliased at offset L - 1, a short last block's too once it is
+    padded on the left to L bits.  So the blocks' spectra add up, and one
+    inverse transform gives all m sums.
     """
     n = x.size
-    size = _fft_size(t.size)
-    spectrum = np.fft.rfft(t, size)
-    spectrum *= np.fft.rfft(x, size)
-    return np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]
+    block = min(_TOEPLITZ_BLOCK, n)
+    size = _fft_size(m + block - 1)
+    spectrum = np.zeros(size // 2 + 1, dtype=complex)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        xb = x[lo:hi]
+        if hi - lo < block:
+            xb = np.concatenate((np.zeros(block - (hi - lo), dtype=x.dtype), xb))
+        part = np.fft.rfft(t[n - hi : n - lo + m - 1], size)
+        part *= np.fft.rfft(xb, size)
+        spectrum += part
+    return np.fft.irfft(spectrum, size)[block - 1 : block - 1 + m]

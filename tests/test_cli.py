@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -291,6 +292,62 @@ class TestEventFiles:
         assert np.array_equal(back.timestamps_ns, ts) and np.array_equal(back.channels, ch)
         assert (back.phi, back.theta, back.seed) == (float(meta["phi"]), float(meta["theta"]),
                                                      int(meta["seed"]))
+
+    def test_18_and_19_digit_records_match_line_oracle(self, tmp_path):
+        # the widest stream an EventStream holds ends just below 2^63 ns
+        edges = [10 ** 17 - 1, 10 ** 17, 10 ** 18 - 1, 10 ** 18, 10 ** 18 + 1,
+                 9_199_999_999_999_999_999]
+        ts = np.array([0, 9, 10] + edges, dtype=np.int64)
+        s = events.EventStream(ts, np.arange(ts.size, dtype=np.uint8) % 4, phi=0.0,
+                               theta=0.0, duration_s=9.2e9, bin_width_us=1.0, seed=1)
+        cli.write_event_file(s, tmp_path / "ev.tsv")
+        assert (tmp_path / "ev.tsv").read_bytes() == oracles.event_file_text_by_lines(s).encode()
+        assert np.array_equal(cli.read_event_file(tmp_path / "ev.tsv").timestamps_ns, ts)
+        # 2^63 - 1 ns lies past any EventStream's duration, so a plain
+        # namespace carries it to the writer
+        top = types.SimpleNamespace(
+            timestamps_ns=np.array([5, 10 ** 18, 2 ** 63 - 2, 2 ** 63 - 1], dtype=np.int64),
+            channels=np.array([3, 2, 1, 0], dtype=np.uint8), phi=0.0, theta=0.0,
+            duration_s=1.0, bin_width_us=1.0, seed=0, rate_hz=None)
+        cli.write_event_file(top, tmp_path / "top.tsv")
+        text = oracles.event_file_text_by_lines(top)
+        assert text.endswith("\n9223372036854775807\tUF\n")
+        assert (tmp_path / "top.tsv").read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 64])
+    def test_writer_blocks_match_line_oracle(self, tmp_path, monkeypatch, rows):
+        # runs of 7, 5, 2, 1 and 1 lines of 1, 2, 3, 4 and 13 digits: a block
+        # is cut inside a run, a run ends one line past a block edge (14 at 4
+        # rows, 7 at 3) and exactly at one (14 at 5 rows)
+        monkeypatch.setattr(cli, "_PARSE_ROWS", rows)
+        ts = np.array([1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 100, 999, 1000, 10 ** 12],
+                      dtype=np.int64)
+        s = events.EventStream(ts, np.arange(ts.size, dtype=np.uint8) % 4, phi=0.0,
+                               theta=0.0, duration_s=2e3, bin_width_us=1.0, seed=2)
+        blocks = list(cli._format_records(s.timestamps_ns, s.channels))
+        assert max(len(b) for b in blocks) == min(rows, 7)  # 7 lines of one digit
+        cli.write_event_file(s, tmp_path / "ev.tsv")
+        text = oracles.event_file_text_by_lines(s)
+        assert (tmp_path / "ev.tsv").read_bytes() == text.encode()
+        back = cli.read_event_file(tmp_path / "ev.tsv")
+        assert np.array_equal(back.timestamps_ns, ts) and np.array_equal(back.channels, s.channels)
+
+    def test_write_memory_is_blocked(self, tmp_path):
+        # about 600k records, 8.3 MB of lines: formatted as one block per digit
+        # count the write peaked at 22.1 MB traced, in _PARSE_ROWS-line blocks
+        # at about 1.5 MB
+        s = events.simulate_events((0.4, 0.1, 0.2, 0.3), 1.2e5, 5.0, seed=1)
+        assert len(s) > 590_000
+        tracemalloc.start()
+        try:
+            cli.write_event_file(s, tmp_path / "ev.tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"traced peak {peak / 1e6:.1f} MB"
+        back = cli.read_event_file(tmp_path / "ev.tsv")
+        assert np.array_equal(back.timestamps_ns, s.timestamps_ns)
+        assert np.array_equal(back.channels, s.channels)
 
     def test_leading_zeros_and_mixed_widths_parse(self, tmp_path):
         body = "0\tUF\n007\tDN\n7\tUN\n0000000000000000000012\tDF\n012\tUF\n"

@@ -196,6 +196,27 @@ class TestEventStream:
                 events.simulate_events((1.0, 0.0, 0.0, 0.0), 1e3, 0.01, bin_width_us=width_us)
         assert make_stream([0], [0], bin_width_us=6e-4).bin_width_ns == 1
 
+    def test_order_check_makes_no_difference_array(self):
+        # np.diff made an int64 temporary of every record (5.4 MB traced here)
+        ts = np.arange(600_000, dtype=np.int64) * 1000
+        ch = np.zeros(ts.size, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            make_stream(ts, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("duration_s, bin_width_us", [(0.0, 1.0), (-1.0, 1.0),
+                                                          (1.0, -1.0)])
+    def test_simulation_shares_the_stream_timing_checks(self, duration_s, bin_width_us):
+        for build in (lambda: make_stream([], [], duration_s, bin_width_us),
+                      lambda: events.simulate_events((0.25,) * 4, 0.0, duration_s,
+                                                     bin_width_us=bin_width_us)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                build()
+
     def test_meta_fields_coerced(self):
         s = events.EventStream(np.array([0], dtype=np.int64), np.array([2], dtype=np.uint8),
                                phi=np.float64(0.1), theta=0, duration_s=1,
@@ -523,6 +544,31 @@ class TestToeplitzExtract:
             tracemalloc.stop()
         assert len(out) == 138_300
         assert peak < 24e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_one_inverse_transform_per_hash(self, monkeypatch):
+        # 3L + 5 bits are four blocks: two forward transforms each, and the
+        # summed spectrum goes through one inverse transform
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        n = 3 * events._TOEPLITZ_BLOCK + 5
+        out = events.toeplitz_extract(self.random_bits(n, 4), 0.9, seed=2)
+        assert len(out) == math.floor(n // 2 * 0.9) - 64
+        assert calls == {"rfft": 8, "irfft": 1}
+
+    @pytest.mark.parametrize("block", [3, 7, 16, 40])
+    def test_short_last_block_is_padded_to_the_common_offset(self, monkeypatch, block):
+        # 37 bits: a short last block of 1, 2, 5 or, at 40, one block of all
+        # of them; patterned inputs make a block at the wrong offset change the sums
+        monkeypatch.setattr(events, "_TOEPLITZ_BLOCK", block)
+        n, m = 37, 11
+        x = (np.arange(n) % 3 != 1).astype(np.uint8)
+        t = np.arange(n + m - 1, dtype=np.uint32) % 5
+        got = np.rint(events._toeplitz_sums(t, x, m))
+        assert np.array_equal(got, np.convolve(t, x)[n - 1 : n - 1 + m])
 
     def test_fft_size_is_smallest_5_smooth_cover(self):
         def smooth(k):

@@ -15,36 +15,48 @@ of results implemented here:
   two terms, into a bound on an adversary's best guess of the outcome, and
   ``min_entropy`` converts that into certified bits per detection event.
 
-Every rotation the search compares goes through ``chip.rotate``, the one
-kernel that also simulates the chip: one call per angle batch yields the
-nearest factorized and the real rotation side by side.  The objectives
-take the operator as ``chip.rotation_matrix``, the rotated basis states.
+The correction terms are proven bounds, not search results.  Both are
+maxima of an operator norm: the objective is linear in the input density
+operator, so the best state is an extreme point and the inner maximum over
+all states is the spectral norm of a Hermitian 4x4 deviation operator.
 
-The correction-term maximization exploits that the objective is linear in
-the input density operator: for fixed angles the best state is an extreme
-point, and the exact inner maximum over all states is the spectral norm of
-a Hermitian 4x4 operator.  The outer angle search is a seeded multi-start
-coordinate refinement with its starts in lockstep, cross-checked by a large
-pass of random probes over explicit pure states.
+Both bounds start from angle coefficients built once per error set, so
+``chip.rotate`` (through ``chip.rotation_matrix``), the kernel that also
+simulates the chip, stays the only place rotations are built.  A set
+angle p enters its stage only through z = e^{2ip}, and linearly, so each
+rotation is U(p, q) = sum_ab U_ab z_p^a z_q^b with a, b in {0, 1}.  One
+kernel call at z = +-1 and a 2x2 DFT per angle give the U_ab of the ideal
+and the real rotation; a CHSH term's deviation operator is then
+sum_ab C_ab z_p^a z_q^b with a, b in {-1, 0, 1}.  The expansion is exact
+up to rounding because ``shifter_phases`` puts the set angle on each
+branch's first shifter only and the bounds work at scale 1 (the design
+wavelength, no dispersion).
 
-The probes are scored from angle coefficients built once per error set.
-A set angle p enters its stage only through z = e^{2ip}, and linearly, so
-each rotation is U(p, q) = sum_ab U_ab z_p^a z_q^b with a, b in {0, 1}.
-One ``chip.rotation_matrix`` call at z = +-1 and a 2x2 DFT per angle give
-the U_ab of the ideal and the real rotation; a CHSH term's deviation
-operator is then sum_ab C_ab z_p^a z_q^b with a, b in {-1, 0, 1}.  The
-expansion is exact up to rounding because ``shifter_phases`` puts the set
-angle on each branch's first shifter only and the search runs at scale 1
-(no dispersion), so no probe block calls the kernel.
+The structure that makes the bounds search-free holds for lossless
+splitters matched within each stage, the only ones ``_resolve_mmis``
+accepts.  An MZI is MMI . PS . MMI, and the nearest factorized stage
+differs from the real one only in its diagonal phase screens PS, which
+commute.  So the real rotation is U_r = Theta_i(theta) K Phi_i(phi) for
+the ideal stages Theta_i, Phi_i and a constant unitary K fixed by the
+error set:
+
+* ``e_p`` does not depend on phi.  For fixed theta it is
+  sqrt(1 - |<c|U_i U_r^dag|c>|^2), a trigonometric polynomial of degree 2
+  in 2 theta under the root, bounded in closed form from a grid plus its
+  second-derivative margin (gap about 1e-9 on the paper chip);
+* ``e_chi`` depends on phi only through phi - phi', since a common phi
+  shift conjugates the deviation by one unitary.  A branch and bound over
+  (phi', theta, theta') at phi = 0 then proves it to within 5e-4: the
+  deviation is affine in each z, so a cell's maximum sits at the vertices
+  of the triangles that contain its arcs.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,16 +112,16 @@ def nearest_factorized(d: Sequence[float]) -> FactorizedApprox:
 
 
 # ---------------------------------------------------------------------------
-# batched operator construction for the correction-term search
+# angle coefficients of the rotations and the deviation operators
 # ---------------------------------------------------------------------------
 
 def _resolve_mmis(mmis: Sequence[MmiParams] | None) -> tuple[np.ndarray, np.ndarray]:
     """Validate the four MZI splitters and return their (t, r), each of shape (4,).
 
-    The search requires unitary splitters (the state maximization relies on
-    the objective being linear in rho) and matched splitters within each
-    stage (the factorization argument conjugates both branches by the same
-    MMI).
+    The bounds require unitary splitters (the state maximization relies on
+    the objective being linear in rho, and the structure below on
+    MMI^-1 = MMI^dag) and matched splitters within each stage (the
+    factorization argument conjugates both branches by the same MMI).
     """
     if mmis is None:
         mmis = (IDEAL_MMI, IDEAL_MMI, IDEAL_MMI, IDEAL_MMI)
@@ -118,9 +130,9 @@ def _resolve_mmis(mmis: Sequence[MmiParams] | None) -> tuple[np.ndarray, np.ndar
     vals = [m.resolve(DESIGN_WAVELENGTH_NM if m.table is not None else None) for m in mmis]
     for t, r in vals:
         if abs(t * t + r * r - 1.0) > 1e-9:
-            raise ValueError("correction-term search needs unitary (lossless) splitters")
+            raise ValueError("correction-term bounds need unitary (lossless) splitters")
     if vals[0] != vals[1] or vals[2] != vals[3]:
-        raise ValueError("correction-term search needs matched splitters within each stage")
+        raise ValueError("correction-term bounds need matched splitters within each stage")
     return np.array([v[0] for v in vals]), np.array([v[1] for v in vals])
 
 
@@ -143,44 +155,20 @@ def _stage_phases(phi: np.ndarray, theta: np.ndarray,
     return phis, thetas
 
 
-def _chsh_phases(angles: np.ndarray,
-                 errors: PhaseErrorSet) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_stage_phases` of (phi, phi', theta, theta') ``angles`` (..., 4).
-
-    The phi phases are (2, 2, 1, ..., 4) over (ideal, real) x (phi, phi')
-    and the theta phases (2, 1, 2, ..., 4) over (ideal, real) x (theta,
-    theta'); each stage keeps its own shape and the kernels broadcast them.
-    """
-    return _stage_phases(np.stack([angles[..., 0], angles[..., 1]])[:, None],
-                         np.stack([angles[..., 2], angles[..., 3]])[None], errors)
-
-
-def _chi_deviation_operator(angles: np.ndarray, errors: PhaseErrorSet,
-                            tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Hermitian operator whose expectation is chi_ideal - chi_real.
-
-    ``angles`` has shape (..., 4) holding (phi, phi', theta, theta').  All
-    four correlation terms carry the same fixed error set.  One kernel call
-    gives the (2, 2, 2, ...) operators over (ideal, real) x (phi, phi') x
-    (theta, theta'), each U^dag ZZ U.
-    """
-    u = rotation_matrix(*tr, *_chsh_phases(angles, errors))
-    zz = (np.conj(np.swapaxes(u, -1, -2)) * _ZZ_DIAG) @ u
-    delta = np.zeros(angles.shape[:-1] + (4, 4), dtype=complex)
-    for sign, term in zip(_CHSH_SIGNS, (zz[0] - zz[1]).reshape((4,) + zz.shape[3:])):
-        delta += sign * term
-    return delta
-
-
 #: the angles p = 0 and pi/2, where z = e^{2ip} is 1 and -1, and the
 #: inverse of the matrix [[1, 1], [1, -1]] of their powers z^0, z^1
 _NODES = np.array([0.0, math.pi / 2.0])
 _NODES_INV = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 
-def _angle_powers(angles: np.ndarray) -> np.ndarray:
-    """(..., 3) powers (z^-1, 1, z) of z = e^{2ip} for each angle p."""
-    z = np.exp(2j * np.asarray(angles))
+def _powers(z: np.ndarray) -> np.ndarray:
+    """(..., 3) powers (z^-1, 1, z) of points z, with z^-1 read as conj(z).
+
+    On the unit circle, where z = e^{2ip} for an angle p, the two agree.
+    Off it, conj(z) keeps every operator built from these powers Hermitian
+    and real-affine in z, which the cell bound of :func:`e_chi` needs.
+    """
+    z = np.asarray(z, dtype=complex)
     return np.stack([np.conj(z), np.ones_like(z), z], axis=-1)
 
 
@@ -213,219 +201,219 @@ def _chi_coefficients(u: np.ndarray) -> np.ndarray:
     return c
 
 
-def _chi_probe(c: np.ndarray, angles: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """|<psi| chi_ideal - chi_real |psi>| of each row, from :func:`_chi_coefficients` ``c``.
-
-    One matmul of the states' outer products gives the nine forms
-    psi^dag C_ab psi, and the four CHSH terms enter as the monomials
-    sum_ij s_ij z_phi_i^a z_theta_j^b over the (phi, phi') x (theta,
-    theta') pairs and their signs s_ij.
-    """
-    n = len(psi)
-    rho = (np.conj(psi)[:, :, None] * psi[:, None, :]).reshape(n, 16)
-    forms = rho @ c.reshape(9, 16).T
-    w = _angle_powers(angles)
-    signed_theta = np.tensordot(w[:, 2:], _CHSH_SIGNS.reshape(2, 2), axes=(1, 1))
-    monomials = (w[:, 0, :, None] * signed_theta[:, None, :, 0]
-                 + w[:, 1, :, None] * signed_theta[:, None, :, 1])
-    return np.abs(np.sum(forms * monomials.reshape(n, 9), axis=-1).real)
-
-
-def _outcome_probe(u: np.ndarray, angles: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """max_c |P_ideal(c) - P_real(c)| of each row, from :func:`_rotation_coefficients` ``u``.
-
-    One matmul gives U_ab psi for the four (a, b) of both rotations, and
-    the powers of z_p and z_q combine them into the rotated states.
-    """
-    n = len(psi)
-    u_psi = (psi @ u.transpose(4, 1, 2, 0, 3).reshape(4, 32)).reshape(n, 2, 2, 8)
-    z = _angle_powers(angles)[..., 2]
-    zp, zq = z[:, :1], z[:, 1:]
-    amp = u_psi[:, 0, 0] + zq * u_psi[:, 0, 1] + zp * (u_psi[:, 1, 0] + zq * u_psi[:, 1, 1])
-    probs = (amp.real ** 2 + amp.imag ** 2).reshape(n, 2, 4)
-    return np.max(np.abs(probs[:, 0] - probs[:, 1]), axis=-1)
-
-
-def _spectral_norm_hermitian(h: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(h)
-    return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
-
-
-def _outcome_deviations(angles: np.ndarray, errors: PhaseErrorSet,
-                        tr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(4, ..., 4, 4): Pi_ideal - Pi_real of each outcome c at (phi, theta).
-
-    U^dag |c><c| U is the outer product of U's row c with itself.
-    """
-    ui, ur = rotation_matrix(*tr, *_stage_phases(angles[..., 0], angles[..., 1], errors))
-    return np.stack([np.conj(ui[..., c, :, None]) * ui[..., c, None, :]
-                     - np.conj(ur[..., c, :, None]) * ur[..., c, None, :] for c in range(4)])
-
-
 # ---------------------------------------------------------------------------
-# derivative-free maximization
+# the correction terms as proven bounds
 # ---------------------------------------------------------------------------
 
-#: rotation operators repeat after pi (up to global phase), so every angle
-#: lives on [0, pi)
-_ANGLE_PERIOD = math.pi
-#: a start stops once its step halves below this, so each angle it
-#: returns is resolved to about 1e-4 rad
-_STEP_MIN = 1e-4
-_START_BLOCK = 256  # starts per lockstep pass, bounding the objective batch
-_PROBE_DRAW, _PROBE_BLOCK = 20_000, 5_000  # probe rows per random draw, per scored block
-#: the largest search budget, checked before any draw: 10^5 starts hold
-#: 3.2 MB of start angles and climb about 1,500 times as long as the
-#: default 64, and 10^8 probes take 1,000 times the default probe pass
-_MAX_STARTS = 100_000
-_MAX_PROBES = 100_000_000
-
-
-def _coordinate_ascent(f: Callable[[np.ndarray], np.ndarray], x0s: np.ndarray,
-                       step0: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy pattern search on the angle torus for (starts, ndim) points in lockstep.
-
-    Each round evaluates the 2*ndim single-coordinate moves of every start
-    still at step >= ``_STEP_MIN`` in one objective call.  A start takes its
-    best move (the first on ties) only on a strict gain and otherwise halves
-    its own step, so it follows the path it would follow alone.
-    """
-    x, fx = np.array(x0s, dtype=float), np.array(f(x0s), dtype=float)
-    step = np.full(len(x), step0)
-    eye = np.eye(x.shape[1])
-    active = np.flatnonzero(step >= _STEP_MIN)
-    while active.size:
-        xa, sa = x[active, None, :], step[active, None, None]
-        moves = np.concatenate([xa + sa * eye, xa - sa * eye], axis=1) % _ANGLE_PERIOD
-        vals = f(moves.reshape(-1, x.shape[1])).reshape(moves.shape[:2])
-        k = np.argmax(vals, axis=1)
-        top = vals[np.arange(active.size), k]
-        up = top > fx[active]
-        x[active[up]], fx[active[up]] = moves[up, k[up]], top[up]
-        step[active[~up]] *= 0.5
-        active = active[step[active] >= _STEP_MIN]
-    return x, fx
+#: absolute allowance on a computed operator norm for rounding in the
+#: coefficients (about 2e-15), their sums and the 4x4 pivots
+_FLOAT_MARGIN = 1e-12
+#: grid points of e_p on x = 2 theta in [0, 2 pi); the f'' margin then adds
+#: about 1.5e-9 to e_p on the paper chip
+_EP_GRID = 4096
+#: e_chi's branch and bound: cells per angle axis at the start, the gap
+#: UB - LB it closes to, and cells per vertex block (27 4x4 operators each)
+_CHI_GRID = 8
+_CHI_GAP = 5e-4
+_CELL_BLOCK = 128
+#: cells e_chi may test before it stops and reports the proof unconverged
+_MAX_CELLS = 100_000
 
 
 @dataclass(frozen=True)
 class CorrectionEstimate:
-    """Result of one correction-term maximization.
+    """A correction term bracketed by a proof: ``lower`` <= max <= ``upper``.
 
-    ``value`` is the largest deviation found; ``converged`` records whether
-    doubling the number of starts from half the budget changed the result
-    by less than 1e-3.  Probes never found the optimum on their own in any
-    observed run, but ``probe_best`` is kept for diagnostics.
+    ``lower`` is the deviation at ``angles``, attained by the chip;
+    ``upper`` is proven, and ``value`` (= ``upper``) is what the
+    certificate uses.  ``gap`` is ``upper - lower``.  ``cells`` counts the
+    branch-and-bound cells tested (``e_chi``) or the grid points
+    (``e_p``).  ``converged`` is False only when ``e_chi`` reached its cell
+    cap before closing the gap; ``upper`` is then still proven, but looser.
     """
 
     value: float
-    converged: bool
-    starts: int
-    probes: int
-    seed: int
+    lower: float
+    upper: float
+    gap: float
+    cells: int
     angles: tuple[float, ...]
-    probe_best: float
+    converged: bool
 
 
-def _random_pure_states(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Unit 4-vectors from 6 real parameters, first amplitude real."""
-    a, b, c = (rng.uniform(0.0, math.pi / 2.0, size=count) for _ in range(3))
-    p1, p2, p3 = (rng.uniform(0.0, 2.0 * math.pi, size=count) for _ in range(3))
-    sin_a = np.sin(a)
-    sin_ab = sin_a * np.sin(b)
-    psi = np.empty((count, 4), dtype=complex)
-    psi[:, 0] = np.cos(a)
-    psi[:, 1] = sin_a * np.cos(b) * np.exp(1j * p1)
-    psi[:, 2] = sin_ab * np.cos(c) * np.exp(1j * p2)
-    psi[:, 3] = sin_ab * np.sin(c) * np.exp(1j * p3)
-    return psi
+def _estimate(lower: float, upper: float, cells: int, angles: Sequence[float],
+              converged: bool = True) -> CorrectionEstimate:
+    return CorrectionEstimate(value=upper, lower=lower, upper=upper, gap=upper - lower,
+                              cells=cells, angles=tuple(float(a) for a in angles),
+                              converged=converged)
 
 
-def _maximize_deviation(probe: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                        objective: Callable[[np.ndarray], np.ndarray], ndim: int,
-                        starts: int, probes: int, seed: int) -> CorrectionEstimate:
-    """Multi-start coordinate refinement plus a random-probe verification pass.
+def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None) -> CorrectionEstimate:
+    """Worst-case single-outcome probability deviation, max |P_ideal - P_real|.
 
-    The coordinate search maximizes the exact state maximum (spectral norm)
-    over angles, its starts climbing in lockstep blocks.  The probe pass then
-    scores random angles with random explicit pure states, ``probe(angles,
-    psi)`` in blocks of ``_PROBE_BLOCK`` rows.  The terms' probes score a
-    block from angle coefficients built once per error set, with no kernel
-    call; the coefficients are exact up to rounding because the search
-    runs at scale 1 with each set angle on its branch's first shifter only.
-    A probe can only confirm, never exceed, the spectral-norm maximum, and
-    serves as an independent floor.
+    The maximum runs over (phi, theta), all four outcomes c and all input
+    states.  For unit vectors a and b, || |a><a| - |b><b| || is
+    sqrt(1 - |<a|b>|^2), so the state maximum of outcome c is
+    sqrt(f_c), f_c = 1 - |<c|U_i U_r^dag|c>|^2, with no eigensolver.
+    U_i U_r^dag does not depend on phi: with lossless, matched splitters
+    the phi stages of both rotations differ only in their diagonal phase
+    screens, which commute, so the set angle cancels.  Hence phi = 0.
 
-    ``angles`` is the arg-max start's point.  Where the objective is flat
-    along an angle (on the paper chip, ``e_p`` does not depend on phi) it
-    is one of several equal maxima, and a rounding-level change can move
-    it; ``value`` is what the certificate uses.
+    At phi = 0 the rows of both rotations are affine in z = e^{2i theta},
+    and Lagrange's identity writes f_c as the sum of |m_kl(z)|^2 over the
+    2x2 minors m_kl of the two rows, a trigonometric polynomial of degree
+    2 in x = 2 theta with no cancellation near |<a|b>| = 1.  On a grid of
+    spacing h its maximum exceeds the grid maximum by at most
+    max|f''| h^2 / 8 <= sum_d d^2 |b_d| h^2 / 8 for its coefficients b_d.
+    ``lower`` is the best grid point; ``upper`` adds that margin.
     """
-    if not 2 <= starts <= _MAX_STARTS:
-        raise ValueError(f"need 2 to {_MAX_STARTS} starts, got {starts!r}")
-    if not 0 <= probes <= _MAX_PROBES:
-        raise ValueError(f"probes must lie in [0, {_MAX_PROBES}], got {probes!r}")
-    ss = np.random.SeedSequence(seed)
-    rng_starts, rng_probes = (np.random.default_rng(s) for s in ss.spawn(2))
-
-    x0s = rng_starts.uniform(0.0, _ANGLE_PERIOD, size=(starts, ndim))
-    climbed = [_coordinate_ascent(objective, x0s[lo:lo + _START_BLOCK])
-               for lo in range(0, starts, _START_BLOCK)]
-    xs, fxs = (np.concatenate(parts) for parts in zip(*climbed))
-    best = int(np.argmax(fxs))
-    converged = bool(fxs[best] - np.max(fxs[:starts // 2]) < 1e-3)
-
-    probe_best = 0.0
-    for lo in range(0, probes, _PROBE_DRAW):
-        n = min(_PROBE_DRAW, probes - lo)
-        ang = rng_probes.uniform(0.0, _ANGLE_PERIOD, size=(n, ndim))
-        psi = _random_pure_states(rng_probes, n)
-        for b in range(0, n, _PROBE_BLOCK):
-            vals = probe(ang[b:b + _PROBE_BLOCK], psi[b:b + _PROBE_BLOCK])
-            probe_best = max(probe_best, float(np.max(vals)))
-
-    return CorrectionEstimate(
-        value=float(max(fxs[best], probe_best)), converged=converged, starts=starts,
-        probes=probes, seed=seed, angles=tuple(float(v) for v in xs[best]),
-        probe_best=probe_best)
+    tr = _resolve_mmis(mmis)
+    u = np.sum(_rotation_coefficients(errors, tr), axis=1)  # (2, 2, 4, 4): z_phi = 1
+    rows = np.einsum("xck,ycl->cxykl", u[0], u[1])  # row c of U_i times row c of U_r
+    i, j = np.triu_indices(4, 1)
+    minors = rows[..., i, j] - rows[..., j, i]
+    mu = np.stack([minors[:, 0, 0], minors[:, 0, 1] + minors[:, 1, 0], minors[:, 1, 1]],
+                  axis=1)  # (4, 3, 6): outcome, exponent of z 0..2, minor
+    h = 2.0 * math.pi / _EP_GRID
+    x = np.arange(_EP_GRID) * h
+    m = np.einsum("cem,en->cmn", mu, np.exp(1j * np.outer(np.arange(3), x)))
+    f = np.sum(m.real ** 2 + m.imag ** 2, axis=1)  # (4, grid)
+    auto = np.einsum("cem,cgm->ceg", mu, np.conj(mu))  # b_d: sum over e - g = d
+    d2b = 2.0 * (np.abs(auto[:, 1, 0] + auto[:, 2, 1]) + 4.0 * np.abs(auto[:, 2, 0]))
+    f_max = np.max(f, axis=1)
+    f_upper = f_max + d2b * h * h / 8.0
+    c = int(np.argmax(f_max))
+    upper = math.sqrt(float(np.max(f_upper))) + _FLOAT_MARGIN
+    return _estimate(math.sqrt(float(f_max[c])), upper, _EP_GRID,
+                     (0.0, x[int(np.argmax(f[c]))] / 2.0))
 
 
-def e_chi(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
-          starts: int = 64, probes: int = 100_000, seed: int = 20240) -> CorrectionEstimate:
+def _chi_operators(c: np.ndarray, zw: np.ndarray, zu: np.ndarray,
+                   zv: np.ndarray) -> np.ndarray:
+    """(n, I * J * K, 4, 4) chi deviation operators at phi = 0 over all point triples.
+
+    ``zw``, ``zu`` and ``zv`` (n, I), (n, J), (n, K) hold points for
+    z_phi', z_theta and z_theta', and ``c`` is :func:`_chi_coefficients`.
+    Term (i, j) of the CHSH sum, with sign s_ij, is sum_ab C_ab
+    z_phi_i^a z_theta_j^b, and z_phi = 1, so the operator is
+    sum_j sum_ab C_ab (s_0j + s_1j z_phi'^a) z_theta_j^b.
+    """
+    s = _CHSH_SIGNS.reshape(2, 2)
+    pw = _powers(zw)
+    terms = []
+    for j, zq in enumerate((zu, zv)):
+        lam = s[0, j] + s[1, j] * pw  # (n, I, 3) over a
+        term = (lam @ c.reshape(3, 48)).reshape(lam.shape[:2] + (3, 16))
+        terms.append(_powers(zq)[:, None] @ term)  # (n, I, J or K, 16)
+    out = terms[0][:, :, :, None] + terms[1][:, :, None, :]
+    return out.reshape(len(zw), -1, 4, 4)
+
+
+def _spectral_norms(h: np.ndarray) -> np.ndarray:
+    """Largest |eigenvalue| of each Hermitian matrix in ``h`` (..., 4, 4)."""
+    w = np.linalg.eigvalsh(h)
+    return np.maximum(-w[..., 0], w[..., -1])
+
+
+def _norms_below(h: np.ndarray, tau: float) -> np.ndarray:
+    """Whether tau I - h and tau I + h are both positive definite, per (..., 4, 4) ``h``.
+
+    That is, whether every eigenvalue of ``h`` lies in (-tau, tau).  The
+    test takes the LDL^H pivots of both matrices, all positive exactly when
+    a Hermitian matrix is positive definite, one column at a time over the
+    whole batch.
+    """
+    m = np.stack([-h, h])
+    m[..., range(4), range(4)] += tau
+    ok = np.ones(m.shape[:-2], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(4):
+            pivot = m[..., k, k].real
+            ok &= pivot > 0.0
+            col = m[..., k + 1:, k]
+            m[..., k + 1:, k + 1:] -= (col / pivot[..., None])[..., :, None] * \
+                np.conj(col)[..., None, :]
+    return ok[0] & ok[1]
+
+
+def _arc_points(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """(..., 3) triangle around each arc of z = e^{2ip}, p in [lo, lo + width].
+
+    The two endpoints and their tangent apex, e^{i(2 lo + width)} / cos(width),
+    span a triangle that contains the arc whenever width < pi/2.
+    """
+    mid = np.exp(1j * (2.0 * lo + width))
+    return np.stack([np.exp(2j * lo), np.exp(2j * (lo + width)), mid / np.cos(width)], axis=-1)
+
+
+def _vertex_operators(c: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """(n, 27, 4, 4) operators at the vertex triples of cells ``lo`` + [0, ``width``] (n, 3)."""
+    return _chi_operators(c, *np.moveaxis(_arc_points(lo, width), -2, 0))
+
+
+def _blocks(n: int):
+    return (slice(lo, lo + _CELL_BLOCK) for lo in range(0, n, _CELL_BLOCK))
+
+
+def e_chi(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None) -> CorrectionEstimate:
     """Worst-case CHSH deviation between the real chip and its nearest ideal.
 
-    Maximizes |chi_ideal - chi_real| over all angle tuples (phi, phi',
-    theta, theta') in [0, pi)^4 and all input states, where chi_real uses
-    the error-afflicted rotation operators (the same fixed error set in all
-    four correlation terms) and chi_ideal the closed-form nearest
-    factorized operators.  Deterministic for a fixed (seed, starts,
-    probes) budget.
+    Bounds |chi_ideal - chi_real| over all angle tuples (phi, phi', theta,
+    theta') and all input states, where chi_real uses the error-afflicted
+    rotation operators (the same fixed error set in all four correlation
+    terms) and chi_ideal the closed-form nearest factorized operators.  The
+    state maximum is the operator norm of the Hermitian deviation Delta.
+
+    The proof uses two facts.  A common shift t of phi and phi' right-
+    multiplies every rotation, ideal and real, by the same unitary
+    I (x) MMI^dag diag(e^{2it}, 1) MMI (lossless, matched splitters), so
+    it conjugates Delta and leaves ||Delta|| unchanged: phi = 0 loses
+    nothing, and three angles remain.  And Delta is real-affine in each of
+    z_phi', z_theta, z_theta' (z = e^{2ip}, with z^-1 = conj(z)), so
+    ||Delta|| is convex in each; over a cell, a box of three arcs, each
+    arc inside the triangle of its endpoints and tangent apex, the maximum
+    is at most the largest norm at the 27 vertex triples.
+
+    The branch and bound starts from ``_CHI_GRID`` cells per axis.  Each
+    round, ``lower`` is the largest norm at a cell centre so far and
+    tau = lower + ``_CHI_GAP``; a cell whose 27 vertex operators all have
+    norm below tau - ``_FLOAT_MARGIN`` is pruned, and the others are split
+    in two along their widest arc.  When no cell is left, ``upper`` is tau.
+    If the next round would pass ``_MAX_CELLS``, the proof stops
+    unconverged, and ``upper`` is the larger of tau and the remaining
+    cells' vertex maxima.  Either way ``upper`` is capped by the triangle
+    inequality, 4 sum_ab ||C_ab||, which is 0 on an error-free chip.
     """
-    tr = _resolve_mmis(mmis)
-    probe = functools.partial(_chi_probe, _chi_coefficients(_rotation_coefficients(errors, tr)))
-
-    def obj(ang: np.ndarray) -> np.ndarray:
-        return _spectral_norm_hermitian(_chi_deviation_operator(ang, errors, tr))
-
-    return _maximize_deviation(probe, obj, 4, starts, probes, seed)
-
-
-def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None,
-        starts: int = 64, probes: int = 100_000, seed: int = 20240) -> CorrectionEstimate:
-    """Worst-case single-outcome probability deviation, |P_ideal - P_real|.
-
-    Same contract as :func:`e_chi`, over (phi, theta) in [0, pi)^2 and all
-    four outcomes.  A probe scores its state by the largest of the four
-    |P_ideal(c) - P_real(c)|: outcomes c and c+2 have equal operator norms,
-    so ranking the outcomes by norm would pick between them by rounding.
-    """
-    tr = _resolve_mmis(mmis)
-    probe = functools.partial(_outcome_probe, _rotation_coefficients(errors, tr))
-
-    def obj(ang: np.ndarray) -> np.ndarray:
-        # the largest || Pi_ideal - Pi_real || over the 4 outcomes
-        return np.max(_spectral_norm_hermitian(_outcome_deviations(ang, errors, tr)), axis=0)
-
-    return _maximize_deviation(probe, obj, 2, starts, probes, seed)
+    c = _chi_coefficients(_rotation_coefficients(errors, _resolve_mmis(mmis)))
+    crude = 4.0 * float(np.sum(np.linalg.norm(c, axis=(-2, -1)))) + _FLOAT_MARGIN
+    axis = np.arange(_CHI_GRID) * (math.pi / _CHI_GRID)
+    lo = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    width = np.full_like(lo, math.pi / _CHI_GRID)
+    lower, best, cells = 0.0, np.zeros(3), 0
+    while lo.size:
+        if cells + len(lo) > _MAX_CELLS:
+            top = max(float(np.max(_spectral_norms(_vertex_operators(c, lo[b], width[b]))))
+                      for b in _blocks(len(lo)))
+            upper = max(lower + _CHI_GAP, top + _FLOAT_MARGIN)
+            return _estimate(lower, min(upper, crude), cells, (0.0, *best), converged=False)
+        cells += len(lo)
+        for b in _blocks(len(lo)):
+            centre = lo[b] + 0.5 * width[b]
+            norms = _spectral_norms(_chi_operators(c, *np.exp(2j * centre.T)[..., None])[:, 0])
+            k = int(np.argmax(norms))
+            if norms[k] > lower:
+                lower, best = float(norms[k]), centre[k]
+        threshold = lower + _CHI_GAP - _FLOAT_MARGIN
+        keep = np.concatenate([
+            ~np.all(_norms_below(_vertex_operators(c, lo[b], width[b]), threshold), axis=-1)
+            for b in _blocks(len(lo))])
+        lo, width = lo[keep], width[keep]
+        rows, split = np.arange(len(lo)), np.argmax(width, axis=1)
+        width[rows, split] *= 0.5
+        upper_half = lo.copy()
+        upper_half[rows, split] += width[rows, split]
+        lo, width = np.concatenate([lo, upper_half]), np.concatenate([width, width])
+    return _estimate(lower, min(lower + _CHI_GAP, crude), cells, (0.0, *best))
 
 
 # ---------------------------------------------------------------------------

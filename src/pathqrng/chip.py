@@ -22,9 +22,9 @@ whole certification machinery.
 :func:`rotate` is the one rotation kernel: the only place where the four
 stage MZIs are built and composed.  It applies them to state vectors and
 broadcasts over leading axes, so the broadband simulation evaluates every
-spectrum node in one call and ``certify`` every searched angle tuple.
-:func:`rotation_matrix` is the operator of the same kernel, the rotated
-basis states as columns, for the spectral-norm objectives of ``certify``.
+spectrum node in one call.  :func:`rotation_matrix` is the operator of the
+same kernel, the rotated basis states as columns; ``certify`` builds the
+angle coefficients of its correction bounds from one call of it per term.
 :func:`broadband_probabilities` is the one detection path: the generated
 state, times the scalar loss amplitude, through :func:`rotate`, clicks by
 the Born rule.  Its angles broadcast, so one call evaluates a block of

@@ -27,7 +27,7 @@ here (event files, the ``analyze`` CSV header), and ``extract`` turns its
 bit array into text only as it writes the output file.
 
 Exit codes: 0 success, 2 validation error (an input that runs out of
-memory included), 3 numerical failure (a search that did not converge, a
+memory included), 3 numerical failure (a correction proof that did not close, a
 degenerate calibration fit, or an extractor FFT that lost integer
 precision).
 Errors are mirrored to stderr as one-line JSON records.
@@ -77,7 +77,7 @@ class CalibrationError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical search did not converge; maps to exit code 3."""
+    """A correction-term proof did not close within its cell cap; maps to exit code 3."""
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +672,8 @@ _DOC_FIELDS = {
                       "certified_rate_hz": "a real number or null"},
     "mzi-calibration": {"a": _REAL, "b": _REAL, "c": _REAL, "d": _REAL, "residual_rms": _REAL,
                         "port": "an integer"},
-    "correction-estimate": {"term": "a string", "value": _REAL, "converged": "a boolean",
-                            "starts": "an integer", "probes": "an integer", "seed": "an integer"},
+    "correction-estimate": {"term": "a string", "value": _REAL, "lower": _REAL, "upper": _REAL,
+                            "gap": _REAL, "cells": "an integer", "converged": "a boolean"},
 }
 
 
@@ -705,8 +705,8 @@ def chi_result_doc(result: ChiResult) -> dict[str, Any]:
 
 def correction_doc(term: str, est: CorrectionEstimate) -> dict[str, Any]:
     return {"kind": "correction-estimate", "term": term, "value": est.value,
-            "converged": est.converged, "starts": est.starts, "probes": est.probes,
-            "seed": est.seed, "angles": list(est.angles), "probe_best": est.probe_best}
+            "lower": est.lower, "upper": est.upper, "gap": est.gap, "cells": est.cells,
+            "converged": est.converged, "angles": list(est.angles)}
 
 
 def certification_doc(result: CertificationResult,
@@ -860,9 +860,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if (args.chi is None) == (args.chi_file is None):
         raise ValidationError("exactly one of --chi or --chi-file is required")
     if (args.e_chi is None) != (args.e_p is None):
-        raise ValidationError("give both --e-chi and --e-p, or neither to search both")
+        raise ValidationError("give both --e-chi and --e-p, or neither to bound both")
     if args.e_chi is not None and args.config is not None:
-        raise ValidationError("--config is only read by the search; it has no effect "
+        raise ValidationError("--config is only read by the bounds; it has no effect "
                               "when --e-chi and --e-p are given")
     if args.chi is not None:
         chi_value, chi_stderr = args.chi, 0.0
@@ -878,10 +878,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         ec_val, ep_val = args.e_chi, args.e_p
     else:
         cfg = _load_optional_config(args.config)
-        ec_est = e_chi(cfg.errors, cfg.mzi_mmis, starts=args.starts,
-                       probes=args.probes, seed=args.opt_seed)
-        ep_est = e_p(cfg.errors, cfg.mzi_mmis, starts=args.starts,
-                     probes=args.probes, seed=args.opt_seed)
+        ec_est = e_chi(cfg.errors, cfg.mzi_mmis)
+        ep_est = e_p(cfg.errors, cfg.mzi_mmis)
         ec_val, ep_val = ec_est.value, ep_est.value
 
     try:
@@ -893,8 +891,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}")
     if (ec_est is not None and not ec_est.converged) or \
             (ep_est is not None and not ep_est.converged):
-        raise ConvergenceError("correction-term search did not converge; "
-                               "increase --starts")
+        raise ConvergenceError("correction-term proof did not close within its cell cap; "
+                               "the written upper bounds hold but are loose")
     return EXIT_OK
 
 
@@ -1033,8 +1031,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"port {doc['port']}: a={doc['a']:.6g} b={doc['b']:.6g} "
               f"c={doc['c']:.6g} d={doc['d']:.6g} (residual rms {doc['residual_rms']:.3g})")
     elif kind == "correction-estimate":
-        print(f"{doc['term']} = {doc['value']:.6f} (converged={doc['converged']}, "
-              f"starts={doc['starts']}, probes={doc['probes']}, seed={doc['seed']})")
+        print(f"{doc['term']} = {doc['value']:.6f} in [{doc['lower']:.6f}, {doc['upper']:.6f}] "
+              f"(gap {doc['gap']:.1e}, cells={doc['cells']}, converged={doc['converged']})")
     else:
         raise ValidationError(f"{path}: no report for document kind {kind!r}")
     return EXIT_OK
@@ -1080,9 +1078,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="chip config carrying the phase error set")
     p.add_argument("--e-chi", type=float, help="precomputed CHSH correction")
     p.add_argument("--e-p", type=float, help="precomputed probability correction")
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--probes", type=int, default=100_000)
-    p.add_argument("--opt-seed", type=int, default=20240)
+    for flag, default in (("--starts", 64), ("--probes", 100_000), ("--opt-seed", 20240)):
+        p.add_argument(flag, type=int, default=default,
+                       help="accepted for older scripts; it no longer affects the result, "
+                            "since the corrections are proven bounds, not searches")
     p.add_argument("--rate-hz", type=float, help="event rate for the certified bit rate")
     p.add_argument("--out", required=True, help="certification JSON path")
 

@@ -7,6 +7,7 @@ no structure with them.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -143,9 +144,19 @@ def factorized_optimum_svd(d):
     return u @ vh
 
 
+def unitary_exponential_eigh(h):
+    """e^{i h} of a Hermitian matrix from its eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
 def factorized_distance_bruteforce(d, restarts=8, seed=0):
-    """Multi-start Nelder-Mead over global phase, rotation angle and axis."""
-    target = stage_block(d)
+    """Multi-start Nelder-Mead over global phase, rotation angle and axis.
+
+    The stage is block diagonal in the branch, diag(M_1, M_2), so its
+    Frobenius distance to I (x) B is sqrt(||M_1 - B||^2 + ||M_2 - B||^2).
+    """
+    m_top, m_bot = mzi_by_product(d[0], d[1]), mzi_by_product(d[2], d[3])
 
     def cost(p):
         varphi, vartheta, polar, azim = p
@@ -154,8 +165,9 @@ def factorized_distance_bruteforce(d, restarts=8, seed=0):
             math.sin(polar) * math.sin(azim),
             math.cos(polar),
         )
-        b = pauli_exponential_expm(varphi, vartheta, axis)
-        return float(np.linalg.norm(target - np.kron(ID2, b)))
+        ns = axis[0] * SX + axis[1] * SY + axis[2] * SZ
+        b = unitary_exponential_eigh(varphi * ID2 + vartheta * ns)
+        return math.sqrt(float(np.sum(np.abs(m_top - b) ** 2) + np.sum(np.abs(m_bot - b) ** 2)))
 
     rng = np.random.default_rng(seed)
     best = math.inf
@@ -443,8 +455,36 @@ def best_combination_search_loop(grid):
 
 
 # ---------------------------------------------------------------------------
-# the correction-term search, one start and one correlation term at a time
+# the correction terms: deviation operators and a seeded search, one start
+# and one correlation term at a time
 # ---------------------------------------------------------------------------
+
+def chsh_phases(angles, errors):
+    """``certify._stage_phases`` of (phi, phi', theta, theta') ``angles`` (..., 4).
+
+    The phi phases are (2, 2, 1, ..., 4) over (ideal, real) x (phi, phi')
+    and the theta phases (2, 1, 2, ..., 4) over (ideal, real) x (theta,
+    theta'); each stage keeps its own shape and the kernels broadcast them.
+    """
+    return certify._stage_phases(np.stack([angles[..., 0], angles[..., 1]])[:, None],
+                                 np.stack([angles[..., 2], angles[..., 3]])[None], errors)
+
+
+def chi_deviation_operator(angles, errors, tr):
+    """Hermitian operator whose expectation is chi_ideal - chi_real.
+
+    ``angles`` has shape (..., 4) holding (phi, phi', theta, theta').  All
+    four correlation terms carry the same fixed error set.  One kernel call
+    gives the (2, 2, 2, ...) operators over (ideal, real) x (phi, phi') x
+    (theta, theta'), each U^dag ZZ U.
+    """
+    u = chip.rotation_matrix(*tr, *chsh_phases(angles, errors))
+    zz = zz_in_frame(u)
+    delta = np.zeros(angles.shape[:-1] + (4, 4), dtype=complex)
+    for sign, term in zip(certify._CHSH_SIGNS, (zz[0] - zz[1]).reshape((4,) + zz.shape[3:])):
+        delta += sign * term
+    return delta
+
 
 def chi_deviation_operator_loop(angles, errors, tr):
     """chi_ideal - chi_real as an operator, one kernel call per CHSH term."""
@@ -460,6 +500,46 @@ def chi_deviation_operator_loop(angles, errors, tr):
 def zz_in_frame(u):
     """U^dag (Z (x) Z) U for batched U."""
     return (np.conj(np.swapaxes(u, -1, -2)) * certify._ZZ_DIAG) @ u
+
+
+def outcome_deviations(angles, errors, tr):
+    """(4, ..., 4, 4): Pi_ideal - Pi_real of each outcome c at (phi, theta).
+
+    U^dag |c><c| U is the outer product of U's row c with itself.
+    """
+    ui, ur = chip.rotation_matrix(*tr, *certify._stage_phases(angles[..., 0], angles[..., 1],
+                                                              errors))
+    return np.stack([np.conj(ui[..., c, :, None]) * ui[..., c, None, :]
+                     - np.conj(ur[..., c, :, None]) * ur[..., c, None, :] for c in range(4)])
+
+
+def spectral_norm_hermitian(h):
+    w = np.linalg.eigvalsh(h)
+    return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+
+
+def random_pure_states(rng, count):
+    """Unit 4-vectors from 6 real parameters, first amplitude real."""
+    a, b, c = (rng.uniform(0.0, math.pi / 2.0, size=count) for _ in range(3))
+    p1, p2, p3 = (rng.uniform(0.0, 2.0 * math.pi, size=count) for _ in range(3))
+    sin_a = np.sin(a)
+    sin_ab = sin_a * np.sin(b)
+    psi = np.empty((count, 4), dtype=complex)
+    psi[:, 0] = np.cos(a)
+    psi[:, 1] = sin_a * np.cos(b) * np.exp(1j * p1)
+    psi[:, 2] = sin_ab * np.cos(c) * np.exp(1j * p2)
+    psi[:, 3] = sin_ab * np.sin(c) * np.exp(1j * p3)
+    return psi
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    """The best deviation a seeded search found: a floor under the true maximum."""
+
+    value: float
+    converged: bool
+    angles: tuple
+    probe_best: float
 
 
 def coordinate_ascent_sequential(f, x0, step0=0.4, step_min=1e-4):
@@ -510,16 +590,14 @@ def maximize_deviation_sequential(operator_fn, objective, ndim, starts, probes, 
     for lo in range(0, probes, chunk):
         n = min(chunk, probes - lo)
         ang = rng_probes.uniform(0.0, math.pi, size=(n, ndim))
-        psi = certify._random_pure_states(rng_probes, n)
+        psi = random_pure_states(rng_probes, n)
         dev = operator_fn(ang)
         vals = np.abs(np.einsum("ni,nij,nj->n", np.conj(psi), dev, psi).real)
         if n:
             probe_best = max(probe_best, float(np.max(vals)))
 
-    return certify.CorrectionEstimate(
-        value=float(max(best_val, probe_best)), converged=converged, starts=starts,
-        probes=probes, seed=seed, angles=tuple(float(v) for v in best_x),
-        probe_best=probe_best)
+    return SearchResult(value=float(max(best_val, probe_best)), converged=converged,
+                        angles=tuple(float(v) for v in best_x), probe_best=probe_best)
 
 
 def e_chi_sequential(errors, mmis=None, starts=64, probes=100_000, seed=20240,
@@ -530,7 +608,7 @@ def e_chi_sequential(errors, mmis=None, starts=64, probes=100_000, seed=20240,
         return chi_deviation_operator_loop(ang, errors, tr)
 
     def obj(ang):
-        return certify._spectral_norm_hermitian(op(ang))
+        return spectral_norm_hermitian(op(ang))
 
     return maximize_deviation_sequential(op, obj, 4, starts, probes, seed, step_min)
 
@@ -541,12 +619,11 @@ def e_p_sequential(errors, mmis=None, starts=64, probes=100_000, seed=20240,
     tr = certify._resolve_mmis(mmis)
 
     def obj(ang):
-        stack = certify._outcome_deviations(ang, errors, tr)
-        return np.max(certify._spectral_norm_hermitian(stack), axis=0)
+        return np.max(spectral_norm_hermitian(outcome_deviations(ang, errors, tr)), axis=0)
 
     def op(ang):
-        stack = certify._outcome_deviations(ang, errors, tr)
-        pick = np.argmax(certify._spectral_norm_hermitian(stack), axis=0)
+        stack = outcome_deviations(ang, errors, tr)
+        pick = np.argmax(spectral_norm_hermitian(stack), axis=0)
         return stack[pick, np.arange(stack.shape[1])]
 
     return maximize_deviation_sequential(op, obj, 2, starts, probes, seed, step_min)

@@ -114,12 +114,11 @@ def test_criterion_5_first_order_distance_bound():
 
 def test_criterion_6_correction_terms():
     t0 = time.perf_counter()
-    budget = dict(starts=64, probes=100_000, seed=20240)
     got = {
-        "e_chi+": certify.e_chi(CHI_PLUS_ERRORS, **budget).value,
-        "e_p+": certify.e_p(CHI_PLUS_ERRORS, **budget).value,
-        "e_chi-": certify.e_chi(CHI_MINUS_ERRORS, **budget).value,
-        "e_p-": certify.e_p(CHI_MINUS_ERRORS, **budget).value,
+        "e_chi+": certify.e_chi(CHI_PLUS_ERRORS).value,
+        "e_p+": certify.e_p(CHI_PLUS_ERRORS).value,
+        "e_chi-": certify.e_chi(CHI_MINUS_ERRORS).value,
+        "e_p-": certify.e_p(CHI_MINUS_ERRORS).value,
     }
     windows = {"e_chi+": (0.092, 0.010), "e_chi-": (0.077, 0.010),
                "e_p+": (0.02, 0.008), "e_p-": (0.014, 0.008)}

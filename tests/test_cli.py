@@ -18,7 +18,7 @@ import pytest
 import yaml
 
 import oracles
-from pathqrng import certify, cli, events
+from pathqrng import cli, events
 from pathqrng.bell import CorrelationGrid
 from pathqrng.certify import CorrectionEstimate
 
@@ -574,12 +574,14 @@ class TestJsonDocs:
             cli.read_json_doc(tmp_path / "z.json")
 
     def test_json_roundtrip_is_byte_identical(self, tmp_path):
-        doc = {"kind": "correction-estimate", "term": "e_chi", "value": 0.0882,
-               "converged": True, "starts": 8, "probes": 2000, "seed": 1,
-               "angles": [0.0, 0.1, 0.2, 0.3], "probe_best": 0.05}
+        doc = {"kind": "correction-estimate", "term": "e_chi", "value": 0.0887,
+               "lower": 0.0882, "upper": 0.0887, "gap": 5e-4, "cells": 20064,
+               "converged": True, "angles": [0.0, 0.1, 0.2, 0.3]}
         cli.write_json_doc(doc, tmp_path / "a.json")
         cli.write_json_doc(cli.read_json_doc(tmp_path / "a.json"), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        code, text, _ = run_cli("report", "--result", str(tmp_path / "a.json"))
+        assert code == 0 and "e_chi = 0.088700 in [0.088200, 0.088700]" in text
 
 
 class TestParsingHelpers:
@@ -829,40 +831,15 @@ class TestCertifyCommand:
                              "--out", str(out))
         assert code == 0
         doc = cli.read_json_doc(out)
-        # zero phase errors leave nothing for the searches to find
+        # zero phase errors leave no deviation to bound
         assert doc["e_chi_estimate"]["value"] == pytest.approx(0.0, abs=1e-9)
         assert doc["e_p_estimate"]["converged"] is True
 
-    def test_negative_probe_budget_exits_2(self, tmp_path):
-        write_config({"version": 1}, tmp_path / "chip.yaml")
-        out = tmp_path / "c.json"
-        code, _, err = run_cli("certify", "--chi", "2.697",
-                               "--config", str(tmp_path / "chip.yaml"),
-                               "--starts", "2", "--probes", "-1", "--out", str(out))
-        assert code == 2 and not out.exists()
-        (line,) = err.splitlines()
-        assert "probes" in json.loads(line)["message"]
-
-    @pytest.mark.parametrize("flag, value", [("--starts", 10 ** 9), ("--probes", 10 ** 12)])
-    def test_oversized_search_budget_exits_2_before_any_draw(self, tmp_path, monkeypatch,
-                                                             flag, value):
-        # 10^9 starts would be a 32 GB start array, 10^12 probes 5e7 draws
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a generator was made before the budget was checked")
-        monkeypatch.setattr(certify.np.random, "default_rng", no_draw)
-        write_config({"version": 1}, tmp_path / "chip.yaml")
-        out = tmp_path / "c.json"
-        code, _, err = run_cli("certify", "--chi", "2.697", "--config", str(tmp_path / "chip.yaml"),
-                               flag, str(value), "--out", str(out))
-        assert code == 2 and not out.exists()
-        (line,) = err.splitlines()
-        assert flag[2:] in json.loads(line)["message"]
-
     def test_unconverged_search_exits_3_but_writes_doc(self, tmp_path, monkeypatch):
-        def stub(errors, mmis, starts=64, probes=100_000, seed=0):
-            return CorrectionEstimate(value=0.05, converged=False, starts=starts,
-                                      probes=probes, seed=seed,
-                                      angles=(0.0, 0.0, 0.0, 0.0), probe_best=0.04)
+        def stub(errors, mmis):
+            return CorrectionEstimate(value=0.05, lower=0.04, upper=0.05, gap=0.01,
+                                      cells=100_000, angles=(0.0, 0.0, 0.0, 0.0),
+                                      converged=False)
         monkeypatch.setattr(cli, "e_chi", stub)
         monkeypatch.setattr(cli, "e_p", stub)
         write_config({"version": 1}, tmp_path / "chip.yaml")
@@ -871,7 +848,7 @@ class TestCertifyCommand:
                                "--config", str(tmp_path / "chip.yaml"),
                                "--out", str(out))
         assert code == 3
-        assert "did not converge" in json.loads(err)["message"]
+        assert "did not close" in json.loads(err)["message"]
         doc = cli.read_json_doc(out)
         assert doc["e_chi_estimate"]["converged"] is False
 
@@ -970,10 +947,10 @@ def test_mistyped_chi_result_is_validation_error(tmp_path, field, value):
 @pytest.mark.parametrize("doc", [
     {"kind": "certification", "chi_real": 2.7, "e_chi": 0.09, "e_p": 0.02, "p_guess": 0.8,
      "h_min_bits": 0.3, "h_min_percent": 30.0, "certified_rate_hz": "fast"},
-    {"kind": "correction-estimate", "term": "e_chi", "value": 0.09, "converged": "yes",
-     "starts": 8, "probes": 100, "seed": 1},
-    {"kind": "correction-estimate", "term": "e_chi", "value": 0.09, "converged": True,
-     "starts": 8.0, "probes": 100, "seed": 1},
+    {"kind": "correction-estimate", "term": "e_chi", "value": 0.09, "lower": 0.0895,
+     "upper": 0.09, "gap": 5e-4, "cells": 2320, "converged": "yes"},
+    {"kind": "correction-estimate", "term": "e_chi", "value": 0.09, "lower": 0.0895,
+     "upper": 0.09, "gap": 5e-4, "cells": 2320.0, "converged": True},
     {"kind": "mzi-calibration", "a": 1.0, "b": 2.0, "c": 0.1, "d": 0.4,
      "residual_rms": 0.0, "port": True},
 ])
@@ -1356,6 +1333,34 @@ def test_cli_chain_outputs_are_pinned(tmp_path):
     digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert digests == GOLDEN_DIGESTS
+
+
+# the 40:60 paper chip of the README, with the chi+ alignment's error set
+PAPER_CHIP = {
+    "version": 1,
+    "chip": {"generation_mmi": {"t_power": 0.4, "r_power": 0.6},
+             "mzi_mmis": {k: {"t_power": 0.4, "r_power": 0.6}
+                          for k in ("phi_u", "phi_d", "theta_f", "theta_n")}},
+    "errors": {"dphi": [0.000, 0.011, -0.004, -0.006], "dtheta": [0.068, 0.216, 0.036, 0.215]},
+}
+# SHA-256 of the certificate `certify --config` writes for it: both bounds
+# are search-free, and e_p's angles put phi at 0 by construction
+CERTIFY_CONFIG_DIGEST = "c806a7f5f30b794dca4b152ec0f0c71f603c427b9517a90513947ade349327f4"
+
+
+def test_certify_config_output_is_pinned_and_repeatable(tmp_path):
+    write_config(PAPER_CHIP, tmp_path / "chip.yaml")
+    certs = []
+    for name in ("a.json", "b.json"):
+        code, _, _ = run_cli("certify", "--chi", "2.697", "--config", str(tmp_path / "chip.yaml"),
+                             "--rate-hz", "120000", "--out", str(tmp_path / name))
+        assert code == 0
+        certs.append((tmp_path / name).read_bytes())
+    assert certs[0] == certs[1]
+    doc = json.loads(certs[0])
+    assert doc["e_chi"] == doc["e_chi_estimate"]["upper"] == pytest.approx(0.095096, abs=1e-6)
+    assert doc["e_p_estimate"]["angles"][0] == 0.0
+    assert hashlib.sha256(certs[0]).hexdigest() == CERTIFY_CONFIG_DIGEST
 
 
 # the scan path on a 0.25 rad grid: every event file, as one digest of

@@ -116,6 +116,10 @@ _FRINGE_SCAN_POINTS = 2048
 _FRINGE_SCAN_BLOCK = 1 << 18  # trial frequencies x samples per batched solve
 _FRINGE_REFINE_STEPS = 80  # golden-section steps; the bracket shrinks by 0.618 each
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# certify's --starts/--probes no longer steer anything, but a value the old
+# search rejected stays a validation error, so a mistyped budget is still heard
+_MAX_STARTS = 100_000
+_MAX_PROBES = 100_000_000
 
 
 def _fringe_fits(omegas: np.ndarray, w: np.ndarray,
@@ -877,6 +881,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.e_chi is not None:
         ec_val, ep_val = args.e_chi, args.e_p
     else:
+        if not 2 <= args.starts <= _MAX_STARTS:
+            raise ValidationError(f"--starts must lie in [2, {_MAX_STARTS}], got {args.starts}")
+        if not 0 <= args.probes <= _MAX_PROBES:
+            raise ValidationError(f"--probes must lie in [0, {_MAX_PROBES}], got {args.probes}")
         cfg = _load_optional_config(args.config)
         ec_est = e_chi(cfg.errors, cfg.mzi_mmis)
         ep_est = e_p(cfg.errors, cfg.mzi_mmis)
@@ -1080,8 +1088,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-p", type=float, help="precomputed probability correction")
     for flag, default in (("--starts", 64), ("--probes", 100_000), ("--opt-seed", 20240)):
         p.add_argument(flag, type=int, default=default,
-                       help="accepted for older scripts; it no longer affects the result, "
-                            "since the corrections are proven bounds, not searches")
+                       help="accepted and range-checked for older scripts; it no longer "
+                            "affects the result, since the corrections are proven bounds, "
+                            "not searches")
     p.add_argument("--rate-hz", type=float, help="event rate for the certified bit rate")
     p.add_argument("--out", required=True, help="certification JSON path")
 

@@ -216,7 +216,7 @@ def test_chi_deviation_operator_matches_one_call_per_term():
                               oracles.chi_deviation_operator_loop(angles, CHI_PLUS_ERRORS, tr))
 
 
-def test_bounds_cover_sequential_oracle_on_the_paper_chip():
+def test_search_matches_sequential_oracle_on_the_paper_chip():
     # the oracle's search is a floor under the maximum; the proof brackets it
     chi, p = bounds(CHI_PLUS_ERRORS, PAPER_MMIS)
     found = oracles.e_chi_sequential(CHI_PLUS_ERRORS, PAPER_MMIS, **CHEAP_BUDGET).value
@@ -226,10 +226,13 @@ def test_bounds_cover_sequential_oracle_on_the_paper_chip():
 
 
 @pytest.mark.parametrize("errors", [CHI_PLUS_ERRORS, CHI_MINUS_ERRORS], ids=["plus", "minus"])
-def test_bounds_cover_sequential_oracle_on_acceptance_errors(errors):
+def test_search_matches_sequential_oracle_on_acceptance_errors(errors):
+    # the branch and bound's interval holds the oracle's search result
     chi, p = bounds(errors)
-    assert oracles.e_chi_sequential(errors, **FLAT_BUDGET).value <= chi.upper
-    assert oracles.e_p_sequential(errors, **FLAT_BUDGET).value <= p.upper
+    found = oracles.e_chi_sequential(errors, **FLAT_BUDGET).value
+    assert chi.lower <= found <= chi.upper
+    found = oracles.e_p_sequential(errors, **FLAT_BUDGET).value
+    assert found <= p.upper and p.upper - found <= 1e-8
 
 
 def test_bounds_cover_sequential_oracle_on_random_error_sets():
@@ -259,7 +262,7 @@ def dense_norms(errors, mmis, rng, count=20_000):
 
 
 @pytest.mark.parametrize("mmis", [None, PAPER_MMIS], ids=["ideal", "paper"])
-def test_dense_probes_stay_below_the_bounds(mmis):
+def test_probes_are_state_expectations_below_the_objective(mmis):
     # random states score below the exact state maximum, which stays below the proof
     rng = np.random.default_rng(227)
     tr = certify._resolve_mmis(mmis)

@@ -18,7 +18,7 @@ import pytest
 import yaml
 
 import oracles
-from pathqrng import cli, events
+from pathqrng import certify, cli, events
 from pathqrng.bell import CorrelationGrid
 from pathqrng.certify import CorrectionEstimate
 
@@ -834,6 +834,32 @@ class TestCertifyCommand:
         # zero phase errors leave no deviation to bound
         assert doc["e_chi_estimate"]["value"] == pytest.approx(0.0, abs=1e-9)
         assert doc["e_p_estimate"]["converged"] is True
+
+    def test_negative_probe_budget_exits_2(self, tmp_path):
+        write_config({"version": 1}, tmp_path / "chip.yaml")
+        out = tmp_path / "c.json"
+        code, _, err = run_cli("certify", "--chi", "2.697",
+                               "--config", str(tmp_path / "chip.yaml"),
+                               "--starts", "2", "--probes", "-1", "--out", str(out))
+        assert code == 2 and not out.exists()
+        (line,) = err.splitlines()
+        assert "probes" in json.loads(line)["message"]
+
+    @pytest.mark.parametrize("flag, value", [("--starts", 10 ** 9), ("--probes", 10 ** 12)])
+    def test_oversized_search_budget_exits_2_before_any_draw(self, tmp_path, monkeypatch,
+                                                             flag, value):
+        # the flags no longer steer the bounds, but a budget the old search
+        # refused is still refused, before any work
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was made before the budget was checked")
+        monkeypatch.setattr(certify.np.random, "default_rng", no_draw)
+        write_config({"version": 1}, tmp_path / "chip.yaml")
+        out = tmp_path / "c.json"
+        code, _, err = run_cli("certify", "--chi", "2.697", "--config", str(tmp_path / "chip.yaml"),
+                               flag, str(value), "--out", str(out))
+        assert code == 2 and not out.exists()
+        (line,) = err.splitlines()
+        assert flag[2:] in json.loads(line)["message"]
 
     def test_unconverged_search_exits_3_but_writes_doc(self, tmp_path, monkeypatch):
         def stub(errors, mmis):

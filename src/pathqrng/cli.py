@@ -11,7 +11,7 @@ Formats owned here:
   decimal digits with no sign, space or underscore, one tab, the channel
   label, and a newline, which the last record needs too.  Anything else
   in the body, a blank line or a CRLF ending included, is a malformed
-  record;
+  record, and the reader's error names the first bad record in the file;
 * correlation grids: TSV long format (phi, theta, E, stderr);
 * result documents: JSON with a ``kind`` discriminator; the reader checks
   that each known kind carries its fields with their JSON types.
@@ -30,7 +30,10 @@ Exit codes: 0 success, 2 validation error (an input that runs out of
 memory included), 3 numerical failure (a correction proof that did not close, a
 degenerate calibration fit, or an extractor FFT that lost integer
 precision).
-Errors are mirrored to stderr as one-line JSON records.
+Errors are mirrored to stderr as one-line JSON records.  :func:`main` alone
+names them: any ``ValueError`` a subcommand raises is a ``ValidationError``
+record, and OS errors, arithmetic errors and ``MemoryError`` keep their
+class names.
 """
 
 from __future__ import annotations
@@ -466,47 +469,42 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
     """Timestamps and channel codes of the record lines in ``body``.
 
     The lines are taken ``_PARSE_ROWS`` at a time.  A block whose lines all
-    share one width is parsed as a view of ``body``.  In any other block,
-    each line's last 19 digits at most, tab and label are copied
-    right-aligned into one matrix padded on the left with '0': the lines of
-    a width that forms one run of lines, as each width of a sorted stream
-    does, as one slice, and those of a width spread over several runs by a
-    gather, one row per line.  Either way one pass over the digit columns
-    checks and builds every value of the block: a running max over the
-    digits checks them, and they are summed four at a time in ``uint16``
-    before each ``uint64`` multiply-add.
+    share one width of at least one digit is parsed as a view of ``body``.
+    In any other block, each line's last 19 digits at most, tab and label
+    are copied right-aligned into one matrix padded on the left with '0':
+    the lines of a width that forms one run of lines, as each width of a
+    sorted stream does, as one slice, and those of a width spread over
+    several runs by a gather, one row per line.  Either way one pass over
+    the digit columns checks and builds every value of the block: a running
+    max over the digits checks them, and they are summed four at a time in
+    ``uint16`` before each ``uint64`` multiply-add.
+
+    The error names the first bad record in file order: a line that breaks
+    the grammar, one whose timestamp exceeds int64, or an unterminated last
+    line, which comes after every other.
     """
-    def reject(line: int, what: str = "malformed record") -> ValidationError:
-        text = body[ends[line] + 1 - widths[line] : ends[line]].tobytes()
-        return ValidationError(f"{path}: {what} {text.decode('utf-8', errors='replace')!r}")
+    def reject(start: int, stop: int, what: str = "malformed record") -> ValidationError:
+        text = body[start:stop].tobytes().decode("utf-8", errors="replace")
+        return ValidationError(f"{path}: {what} {text!r}")
 
     ends = np.flatnonzero(body == ord("\n"))
-    if body.size and body[-1] != ord("\n"):
-        ends = np.r_[ends, body.size]  # an unterminated last line
-    if not ends.size:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    widths = np.empty_like(ends)  # each line's length with its newline
-    widths[0] = ends[0] + 1
-    np.subtract(ends[1:], ends[:-1], out=widths[1:])
-    if ends[-1] == body.size:
-        raise reject(ends.size - 1)
+    widths = np.diff(ends, prepend=-1)  # each line's length with its newline
     stamps = np.empty(ends.size, dtype=np.uint64)
     codes = np.empty(ends.size, dtype=np.uint8)
     for lo in range(0, ends.size, _PARSE_ROWS):
         hi = min(lo + _PARSE_ROWS, ends.size)
         w = widths[lo:hi]
-        if w.min() < 5:  # a line without a digit
-            raise reject(lo + int(np.argmin(w)))
-        ok = np.ones(hi - lo, dtype=bool)
+        ok = w >= 5  # a line holds at least a digit, a tab and a label
         fits = np.ones(hi - lo, dtype=bool)  # the value fits in int64
         starts = np.flatnonzero(w[1:] != w[:-1]) + 1
-        if not starts.size:  # one width: a view of the body; cols[j] is byte j of every line
+        if not starts.size and ok[0]:
+            # one width: a view of the body; cols[j] is byte j of every line
             cols = body[ends[lo] + 1 - w[0] : ends[hi - 1] + 1].reshape(-1, w[0]).T
             k = int(w[0]) - 4  # digits per line
         else:
             # the lines right-aligned, byte j of every line in row j, so
             # that each digit step below reads one contiguous row
-            k = min(int(w.max()) - 4, 19)
+            k = min(max(int(w.max()) - 4, 1), 19)
             cols = np.full((k + 3, hi - lo), ord("0"), dtype=np.uint8)
             runs = np.concatenate(([0], starts, [w.size]))
             run_widths = w[runs[:-1]]
@@ -552,12 +550,11 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
         ok &= top <= 9
         fits &= value <= np.iinfo(np.int64).max
         if not (ok & fits).all():
-            # the first bad line of the narrowest width that has one, and within
-            # that width a malformed line before one out of range
-            narrowest = w == w[~(ok & fits)].min()
-            if np.any(narrowest & ~ok):
-                raise reject(lo + int(np.argmax(narrowest & ~ok)))
-            raise reject(lo + int(np.argmax(narrowest & ~fits)), "timestamp out of range in record")
+            i = int(np.argmin(ok & fits))
+            raise reject(ends[lo + i] + 1 - w[i], ends[lo + i],
+                         "malformed record" if not ok[i] else "timestamp out of range in record")
+    if body.size and body[-1] != ord("\n"):
+        raise reject(ends[-1] + 1 if ends.size else 0, body.size)
     return stamps.view(np.int64), codes
 
 
@@ -607,13 +604,12 @@ def read_grid_file(path: Path | str) -> CorrelationGrid:
         if not line:
             continue
         try:
-            p_str, t_str, e_str, s_str = line.split("\t")
-            key = (float(p_str), float(t_str))
+            phi, theta, e, se = map(float, line.split("\t"))
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed row {line!r}") from exc
-        if key in cells:
-            raise ValidationError(f"{path}: duplicate cell phi={key[0]} theta={key[1]}")
-        cells[key] = (float(e_str), float(s_str))
+        if (phi, theta) in cells:
+            raise ValidationError(f"{path}: duplicate cell phi={phi} theta={theta}")
+        cells[phi, theta] = (e, se)
     try:
         return _grid_from_cells(cells)
     except ValueError as exc:
@@ -790,6 +786,14 @@ def _load_optional_config(path_value: str | None) -> ChipConfig:
     return load_chip_config(_resolve_config_path(path_value))
 
 
+def _check_seeds(args: argparse.Namespace, *flags: str) -> None:
+    """Refuse a negative seed by its flag; numpy's own refusal names none."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 0:
+            raise ValidationError(f"{flag} must be a non-negative integer, got {value}")
+
+
 def _stream_correlation(stream: EventStream) -> tuple[float, float]:
     """(E, binomial stderr) from a stream's raw record counts."""
     n = len(stream)
@@ -809,6 +813,7 @@ _SCAN_BLOCK = 64
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _check_seeds(args, "--seed")
     cfg = _load_optional_config(args.config)
     if (args.angles is None) == (not args.scan):
         raise ValidationError("exactly one of --angles or --scan is required")
@@ -820,11 +825,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         phis, thetas = np.array(block).T
         dists = broadband_probabilities(cfg, phis, thetas)
         for i, ((phi, theta), dist) in enumerate(zip(block, dists), start=lo):
-            try:
-                stream = simulate_events(dist, args.rate_hz, args.duration_s, args.bin_us,
-                                         seed=int(seeds[i]), phi=phi, theta=theta)
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from exc
+            stream = simulate_events(dist, args.rate_hz, args.duration_s, args.bin_us,
+                                     seed=int(seeds[i]), phi=phi, theta=theta)
             write_event_file(stream, out / f"events_{i:04d}.tsv")
     print(f"simulated {len(pairs)} angle pairs -> {out} "
           f"({args.rate_hz:g} Hz x {args.duration_s:g} s each, master seed {args.seed})")
@@ -842,11 +844,8 @@ def _cmd_bell_scan(args: argparse.Namespace) -> int:
         if key in cells:
             raise ValidationError(f"duplicate angle pair {key} in {f}")
         cells[key] = _stream_correlation(stream)
-    try:
-        grid = _grid_from_cells(cells)
-        best_max, best_min = best_combination_search(grid)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    grid = _grid_from_cells(cells)
+    best_max, best_min = best_combination_search(grid)
     out = Path(args.out)
     write_grid_file(grid, out / "grid.tsv")
     write_json_doc(chi_result_doc(best_max), out / "chi_max.json")
@@ -890,10 +889,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         ep_est = e_p(cfg.errors, cfg.mzi_mmis)
         ec_val, ep_val = ec_est.value, ep_est.value
 
-    try:
-        result = certification_result(chi_value, ec_val, ep_val, args.rate_hz)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    result = certification_result(chi_value, ec_val, ep_val, args.rate_hz)
     write_json_doc(certification_doc(result, ec_est, ep_est), args.out)
     _print_certification(result)
     print(f"wrote {args.out}")
@@ -929,10 +925,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     # a generator, so that windowed_traces holds one stream at a time
     streams = (checked(read_event_file(f), f) for f in args.events)
-    try:
-        trace = windowed_traces(streams, args.window_ms / 1000.0, args.confidence)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    trace = windowed_traces(streams, args.window_ms / 1000.0, args.confidence)
     header = ["window", "t_mid_s"]
     for s in range(1, 5):
         header += [f"p{s}_{c.lower()}" for c in CHANNELS]
@@ -953,15 +946,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    _check_seeds(args, "--seed", "--tie-seed")
     stream = read_event_file(args.events)
     n_records = len(stream)
-    try:
-        outcomes = bin_and_resolve(stream, tie_seed=args.tie_seed, mode=args.tie_mode)
-        del stream  # the records are done with; free them before the extractor's FFTs
-        bits = raw_bits(outcomes)
-        extracted = toeplitz_extract(bits, args.h_min, security_eps=args.eps, seed=args.seed)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    outcomes = bin_and_resolve(stream, tie_seed=args.tie_seed, mode=args.tie_mode)
+    del stream  # the records are done with; free them before the extractor's FFTs
+    bits = raw_bits(outcomes)
+    extracted = toeplitz_extract(bits, args.h_min, security_eps=args.eps, seed=args.seed)
     _atomic_write(args.out, (extracted + ord("0")).tobytes() + b"\n")
     print(f"{n_records} records -> {outcomes.size} outcomes -> {len(bits)} raw bits "
           f"-> {len(extracted)} extracted bits ({args.out})")
@@ -974,10 +965,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.replace(",", "\t").split()
-        if len(parts) != 2:
-            raise ValidationError(f"{args.samples}: malformed sample line {line!r}")
-        rows.append((float(parts[0]), float(parts[1])))
+        try:
+            power, intensity = map(float, line.replace(",", "\t").split())
+        except ValueError as exc:
+            raise ValidationError(f"{args.samples}: malformed sample line {line!r}") from exc
+        rows.append((power, intensity))
     fit = fit_mzi_calibration(rows, args.port)
     doc = calibration_doc(fit)
     if args.out:
@@ -1007,7 +999,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         finite = np.isfinite(grid.e)
         print(f"correlation grid: {len(grid.phi_values)} phi x "
               f"{len(grid.theta_values)} theta, {int(finite.sum())} cells")
-        print(f"E range [{np.nanmin(grid.e):+.6f}, {np.nanmax(grid.e):+.6f}]")
+        if finite.any():
+            print(f"E range [{grid.e[finite].min():+.6f}, {grid.e[finite].max():+.6f}]")
         if plots:
             _atomic_write(plots / "e_surface.csv", "\n".join(_grid_lines(grid, ",")) + "\n")
             print(f"wrote {plots / 'e_surface.csv'}")
@@ -1141,9 +1134,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    # ValidationError is a ValueError; MemoryError is an input too large for this machine
+    # every ValueError is a bad input, named once here; MemoryError is an
+    # input too large for this machine
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
-        _emit_error_record(type(exc).__name__, args.command, str(exc))
+        name = "ValidationError" if isinstance(exc, ValueError) else type(exc).__name__
+        _emit_error_record(name, args.command, str(exc))
         return EXIT_VALIDATION
     except RuntimeError as exc:  # CalibrationError, ConvergenceError, lost FFT precision
         _emit_error_record(type(exc).__name__, args.command, str(exc))

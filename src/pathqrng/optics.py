@@ -123,8 +123,11 @@ class WavelengthSpectrum:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("spectrum needs at least one node")
-        if any(w < 0.0 for _, w in self.nodes):
-            raise ValueError("spectrum weights must be non-negative")
+        # each comparison is False for NaN, so a NaN node fails it
+        if not all(0.0 < wl < math.inf for wl, _ in self.nodes):
+            raise ValueError("spectrum wavelengths must be finite and positive")
+        if not all(0.0 <= w < math.inf for _, w in self.nodes):
+            raise ValueError("spectrum weights must be finite and non-negative")
         total = math.fsum(w for _, w in self.nodes)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"spectrum weights sum to {total!r}, expected 1")

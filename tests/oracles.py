@@ -6,7 +6,9 @@ the vectorized paths in the package are checked against code that shares
 no structure with them.
 """
 
+import cmath
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -38,12 +40,6 @@ def random_unitary(dim, rng):
 def random_pure_state(dim, rng):
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return z / np.linalg.norm(z)
-
-
-def random_density(dim, rng):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = z @ z.conj().T
-    return rho / np.trace(rho).real
 
 
 def kron_by_hand(a, b):
@@ -144,19 +140,18 @@ def factorized_optimum_svd(d):
     return u @ vh
 
 
-def unitary_exponential_eigh(h):
-    """e^{i h} of a Hermitian matrix from its eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 def factorized_distance_bruteforce(d, restarts=8, seed=0):
     """Multi-start Nelder-Mead over global phase, rotation angle and axis.
 
     The stage is block diagonal in the branch, diag(M_1, M_2), so its
-    Frobenius distance to I (x) B is sqrt(||M_1 - B||^2 + ||M_2 - B||^2).
+    squared Frobenius distance to I (x) B is ||M_1 - B||^2 + ||M_2 - B||^2.
+    For unitary M_1, M_2 and B = e^{i varphi} (cos vartheta I + i sin vartheta
+    n.sigma) that is 8 - 2 Re tr(B^dag S) with S = M_1 + M_2, so each cost
+    is scalar arithmetic on tr S and tr(sigma_k S).
     """
-    m_top, m_bot = mzi_by_product(d[0], d[1]), mzi_by_product(d[2], d[3])
+    s = mzi_by_product(d[0], d[1]) + mzi_by_product(d[2], d[3])
+    tr_s = complex(np.trace(s))
+    tr_sigma_s = [complex(np.trace(sigma @ s)) for sigma in (SX, SY, SZ)]
 
     def cost(p):
         varphi, vartheta, polar, azim = p
@@ -165,9 +160,10 @@ def factorized_distance_bruteforce(d, restarts=8, seed=0):
             math.sin(polar) * math.sin(azim),
             math.cos(polar),
         )
-        ns = axis[0] * SX + axis[1] * SY + axis[2] * SZ
-        b = unitary_exponential_eigh(varphi * ID2 + vartheta * ns)
-        return math.sqrt(float(np.sum(np.abs(m_top - b) ** 2) + np.sum(np.abs(m_bot - b) ** 2)))
+        tr_ns = sum(a * t for a, t in zip(axis, tr_sigma_s))
+        tr_bs = cmath.exp(-1j * varphi) * (math.cos(vartheta) * tr_s
+                                            - 1j * math.sin(vartheta) * tr_ns)
+        return math.sqrt(max(8.0 - 2.0 * tr_bs.real, 0.0))
 
     rng = np.random.default_rng(seed)
     best = math.inf
@@ -315,89 +311,37 @@ def event_file_text_by_lines(stream):
 
 
 def event_records_by_lines(text):
-    """(meta, timestamps, channel codes) of an event file, one line at a
-    time with int(); raises ValueError on a record it cannot split."""
-    lines = text.splitlines()
-    meta = {}
-    body = lines.index("timestamp_ns\tchannel") + 1
-    for line in lines[1 : body - 1]:
-        key, _, value = line[2:].partition("=")
-        meta[key] = value
-    index = {c: i for i, c in enumerate(("UF", "UN", "DF", "DN"))}
-    ts, ch = [], []
-    for line in lines[body:]:
-        t_str, c_str = line.split("\t")
-        ts.append(int(t_str))
-        ch.append(index[c_str])
-    return meta, np.array(ts, dtype=np.int64), np.array(ch, dtype=np.uint8)
+    """(meta, timestamps, channel codes) of an event file, one line at a time."""
+    head, _, body = text.partition("timestamp_ns\tchannel\n")
+    meta = dict(line[2:].partition("=")[::2] for line in head.splitlines()[1:])
+    return (meta, *parse_records_by_lines(body.encode("utf-8"), "oracle"))
 
 
-def parse_records_per_width(body, path):
-    """Timestamps and channel codes of ``body``'s record lines, one digit pass per width.
+_RECORD = re.compile(rb"([0-9]+)\t(UF|UN|DF|DN)")
 
-    The lines are taken ``cli._PARSE_ROWS`` at a time, and within a block the
-    lines of equal width are parsed together as one 2-d block.  A width
-    whose lines are consecutive, as each width of a sorted stream is, is
-    parsed as a view of ``body`` into a view of the output; a width spread
-    over several runs of lines is gathered, one row per line.
+
+def parse_records_by_lines(body, path):
+    """Timestamps and channel codes of ``body``'s record lines, one regex match per line.
+
+    Raises the parser's messages at the first bad line in file order; a last
+    line without its newline is bad.
     """
     def reject(line, what="malformed record"):
-        text = body[ends[line] + 1 - widths[line] : ends[line]].tobytes()
-        return ValidationError(f"{path}: {what} {text.decode('utf-8', errors='replace')!r}")
+        return ValidationError(f"{path}: {what} {line.decode('utf-8', errors='replace')!r}")
 
-    def parse(block, lines, value, code):
-        """Fill ``value`` and ``code`` from ``block``, the equal-width rows of ``lines``."""
-        k = block.shape[1] - 4  # digits per line
-        if k < 1:
-            raise reject(lines[0])
-        code[:] = cli._LABEL_CODES[block[:, k + 1].astype(np.uint16) << 8 | block[:, k + 2]]
-        ok = (block[:, k] == ord("\t")) & (code != 255)
-        # 19 digits fit in uint64; a longer number fits only with leading zeros
-        fits = np.ones(len(lines), dtype=bool)
-        value[:] = 0
-        for j in range(k):
-            digit = block[:, j] - ord("0")
-            ok &= digit <= 9
-            if j < k - 19:
-                fits &= digit == 0
-            else:
-                value *= 10
-                value += digit
-        if not ok.all():
-            raise reject(lines[np.argmin(ok)])
-        fits &= value <= np.iinfo(np.int64).max
-        if not fits.all():
-            raise reject(lines[np.argmin(fits)], "timestamp out of range in record")
-
-    ends = np.flatnonzero(body == ord("\n"))
-    if body.size and body[-1] != ord("\n"):
-        ends = np.r_[ends, body.size]  # an unterminated last line
-    if not ends.size:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    widths = np.empty_like(ends)  # each line's length with its newline
-    widths[0] = ends[0] + 1
-    np.subtract(ends[1:], ends[:-1], out=widths[1:])
-    if ends[-1] == body.size:
-        raise reject(ends.size - 1)
-    stamps = np.empty(ends.size, dtype=np.uint64)
-    codes = np.empty(ends.size, dtype=np.uint8)
-    for lo in range(0, ends.size, cli._PARSE_ROWS):
-        w = widths[lo : lo + cli._PARSE_ROWS]
-        runs = lo + np.r_[0, np.flatnonzero(w[1:] != w[:-1]) + 1, w.size]
-        run_widths = widths[runs[:-1]]
-        for width, n_runs in zip(*np.unique(run_widths, return_counts=True)):
-            if n_runs == 1:  # consecutive lines: views of the body and the output
-                r = int(np.flatnonzero(run_widths == width)[0])
-                a, b = runs[r], runs[r + 1]
-                block = body[ends[a] + 1 - width : ends[b - 1] + 1].reshape(-1, width)
-                parse(block, range(a, b), stamps[a:b], codes[a:b])
-            else:
-                rows = lo + np.flatnonzero(w == width)
-                value, code = np.empty(rows.size, np.uint64), np.empty(rows.size, np.uint8)
-                windows = np.lib.stride_tricks.sliding_window_view(body, width)  # a view
-                parse(windows[ends[rows] + 1 - width], rows, value, code)
-                stamps[rows], codes[rows] = value, code
-    return stamps.view(np.int64), codes
+    *lines, tail = bytes(body).split(b"\n")
+    ts, ch = [], []
+    for line in lines:
+        match = _RECORD.fullmatch(line)
+        if match is None:
+            raise reject(line)
+        ts.append(int(match[1]))
+        if ts[-1] > 2 ** 63 - 1:
+            raise reject(line, "timestamp out of range in record")
+        ch.append(cli.CHANNELS.index(match[2].decode()))
+    if tail:
+        raise reject(tail)
+    return np.array(ts, dtype=np.int64), np.array(ch, dtype=np.uint8)
 
 
 def best_combination_search_loop(grid):

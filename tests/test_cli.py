@@ -440,10 +440,10 @@ class TestEventFiles:
 
     @staticmethod
     def assert_parses_like_oracle(body):
-        """The parser and the per-width oracle give equal arrays or equal messages."""
+        """The parser and the line oracle give equal arrays or equal messages."""
         arr = np.frombuffer(body, dtype=np.uint8)
         got, want = [], []
-        for parse, out in ((cli._parse_records, got), (oracles.parse_records_per_width, want)):
+        for parse, out in ((cli._parse_records, got), (oracles.parse_records_by_lines, want)):
             try:
                 out.extend(parse(arr, "ev.tsv"))
             except cli.ValidationError as exc:
@@ -497,8 +497,8 @@ class TestEventFiles:
         "00000019223372036854775807\tUF\n",     # overflow behind leading zeros
         "0000001000000000000000000000\tUF\n",   # a nonzero digit before the last 19
         "0x000000000000000000001\tUF\n",        # a bad digit before the last 19
-        "9223372036854775808\tUF\n922337203685477580x\tUF\n",  # malformed before range
-        "123x5\tUF\n1x\tDN\n",                   # the narrower width first
+        "9223372036854775808\tUF\n922337203685477580x\tUF\n",  # out of range, then malformed
+        "123x5\tUF\n1x\tDN\n",                   # the wider width first
         "0000x000000000000000000001\tUF\n9223372036854775808\tDN\n",  # also out of range
         "5\tUF",                                # an unterminated last line
     ])
@@ -513,6 +513,22 @@ class TestEventFiles:
         self.assert_parses_like_oracle(body.encode("ascii"))
         with pytest.raises(cli.ValidationError):
             cli._parse_records(np.frombuffer(body.encode("ascii"), dtype=np.uint8), "ev.tsv")
+
+    @pytest.mark.parametrize("body, named", [
+        ("x\tUF\n5\tUF", "malformed record 'x\\tUF'"),
+        ("123x5\tUF\n1x\tDN\n", "malformed record '123x5\\tUF'"),
+        ("9223372036854775808\tUF\n922337203685477580x\tUF\n",
+         "timestamp out of range in record '9223372036854775808\\tUF'"),
+        ("1\tUF\n\tUF\n5\tDN\n12\tU\n", "malformed record '\\tUF'"),
+        ("1\tUF\n\n\n", "malformed record ''"),
+    ])
+    @pytest.mark.parametrize("rows", [1, 3, 1 << 15])
+    def test_first_bad_record_in_file_order_is_named(self, monkeypatch, body, named, rows):
+        monkeypatch.setattr(cli, "_PARSE_ROWS", rows)
+        with pytest.raises(cli.ValidationError) as got:
+            cli._parse_records(np.frombuffer(body.encode("ascii"), dtype=np.uint8), "ev.tsv")
+        assert str(got.value) == f"ev.tsv: {named}"
+        self.assert_parses_like_oracle(body.encode("ascii"))
 
     def test_alternating_widths_parse_bounds_the_gather_by_block(self):
         # the outputs and the line index take 25 bytes per line, and one block's
@@ -751,6 +767,37 @@ class TestSimulateCommand:
         assert code == 2 and len(lines) == 1
         assert json.loads(lines[0])["error"] == "ValidationError"
 
+    def test_negative_seed_names_its_flag(self, tmp_path):
+        code, _, err = run_cli("simulate", "--angles=0:0", "--seed", "-1",
+                               "--out", str(tmp_path))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValidationError", "subcommand": "simulate",
+                                        "message": "--seed must be a non-negative integer, "
+                                                   "got -1"}
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nodes, message", [
+        ("[[-5, 1.0]]", "wavelengths must be finite and positive"),
+        ("[[.nan, 1.0]]", "wavelengths must be finite and positive"),
+        ("[[0, 1.0]]", "wavelengths must be finite and positive"),
+        ("[[.inf, 1.0]]", "wavelengths must be finite and positive"),
+        ("[[730, .nan]]", "weights must be finite and non-negative"),
+    ], ids=["negative", "nan", "zero", "inf", "nan-weight"])
+    def test_unphysical_spectrum_exits_2(self, tmp_path, nodes, message):
+        # with dispersion on, a negative wavelength would flip the phase scale
+        path = tmp_path / "chip.yaml"
+        path.write_text("version: 1\nchip: {phase_dispersion: true, "
+                        f"spectrum: {{kind: table, nodes: {nodes}}}}}\n")
+        code, _, err = run_cli("simulate", "--config", str(path), "--angles=0:0",
+                               "--duration-s", "0.001", "--out", str(tmp_path / "out"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError" and message in record["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_config_from_env_dir(self, tmp_path, monkeypatch):
         write_config(
             {"version": 1, "chip": {"generation_mmi": {"t_power": 0.4, "r_power": 0.6}}},
@@ -951,6 +998,20 @@ class TestCertifyCommand:
             assert cli.read_json_doc(tmp_path / "c.json")["chi_real"] == chi
 
 
+def test_infinite_chi_in_file_is_validation_error(tmp_path):
+    # JSON reads 1e999 as inf, which is a real number to the document check
+    (tmp_path / "chi.json").write_text(
+        '{"kind": "chi-result", "chi": 1e999, "stderr": 0.01, "sign": "max", "angles": '
+        '{"phi": 0.0, "phi_prime": 0.5, "theta": 0.2, "theta_prime": 0.7}}')
+    code, _, err = run_cli("certify", "--chi-file", str(tmp_path / "chi.json"), "--e-chi",
+                           "0.09", "--e-p", "0.02", "--out", str(tmp_path / "c.json"))
+    lines = err.splitlines()
+    assert code == 2 and len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ValidationError" and "must be finite" in record["message"]
+    assert not (tmp_path / "c.json").exists()
+
+
 _ANGLES = {"phi": 0.0, "phi_prime": 0.5, "theta": 0.2, "theta_prime": 0.7}
 
 
@@ -1141,6 +1202,19 @@ class TestExtractCommand:
         assert record["error"] == "ValidationError"
         assert "int64 nanosecond range" in record["message"]
 
+    @pytest.mark.parametrize("flag", ["--seed", "--tie-seed"])
+    def test_negative_seed_names_its_flag(self, tmp_path, flag):
+        s = events.simulate_events((0.25,) * 4, 1.2e5, 0.1, seed=77)
+        cli.write_event_file(s, tmp_path / "ev.tsv")
+        code, _, err = run_cli("extract", "--events", str(tmp_path / "ev.tsv"), "--h-min",
+                               "0.33", flag, "-3", "--out", str(tmp_path / "b.txt"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValidationError", "subcommand": "extract",
+                                        "message": f"{flag} must be a non-negative integer, "
+                                                   "got -3"}
+        assert not (tmp_path / "b.txt").exists()
+
     def test_insufficient_entropy_is_validation_error(self, tmp_path):
         s = events.simulate_events((0.25,) * 4, 1e4, 0.001, seed=1)
         cli.write_event_file(s, tmp_path / "ev.tsv")
@@ -1205,6 +1279,15 @@ class TestCalibrateCommand:
         samples.write_text("0.1\t0.5\t0.9\n")
         code, _, err = run_cli("calibrate", "--samples", str(samples))
         assert code == 2 and "malformed sample" in json.loads(err)["message"]
+
+    def test_malformed_sample_value_names_file_and_line(self, tmp_path):
+        samples = tmp_path / "bad.tsv"
+        samples.write_text("0.1\t0.5\nx 3\n")
+        code, _, err = run_cli("calibrate", "--samples", str(samples))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValidationError", "subcommand": "calibrate",
+                                        "message": f"{samples}: malformed sample line 'x 3'"}
 
 
 class TestReportCommand:
@@ -1271,6 +1354,24 @@ class TestReportCommand:
         assert code == 2 and len(err.splitlines()) == 1
         assert "must be finite and non-negative" in json.loads(err)["message"]
 
+    def test_malformed_grid_value_names_file_and_row(self, tmp_path):
+        p = tmp_path / "grid.tsv"
+        p.write_text("# pathqrng-grid v1\nphi\ttheta\te\tstderr\n"
+                     "0.0\t1.0\t0.5\t0.1\n0.0\t0.0\tabc\t0.1\n")
+        code, _, err = run_cli("report", "--result", str(p))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValidationError", "subcommand": "report",
+                                        "message": f"{p}: malformed row '0.0\\t0.0\\tabc\\t0.1'"}
+
+    def test_grid_without_finite_e_reports_no_range(self, tmp_path):
+        p = tmp_path / "grid.tsv"
+        p.write_text("# pathqrng-grid v1\nphi\ttheta\te\tstderr\n"
+                     "0.0\t0.0\tnan\tnan\n0.0\t1.0\tnan\tnan\n")
+        code, text, err = run_cli("report", "--result", str(p))
+        assert code == 0 and err == ""
+        assert "1 phi x 2 theta, 0 cells" in text and "nan" not in text
+
     def test_unknown_kind_rejected(self, tmp_path):
         cli.write_json_doc({"kind": "mystery"}, tmp_path / "m.json")
         code, _, err = run_cli("report", "--result", str(tmp_path / "m.json"))
@@ -1287,6 +1388,22 @@ class TestTopLevelParser:
     def test_missing_required_argument_exits_2(self):
         code, _, err = run_cli("extract", "--h-min", "0.33")
         assert code == 2 and json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("exc, name", [
+        (ValueError("bad"), "ValidationError"),
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"), "ValidationError"),
+        (ZeroDivisionError("bad"), "ZeroDivisionError"),
+        (FileNotFoundError("bad"), "FileNotFoundError"),
+    ], ids=["value", "unicode", "arithmetic", "os"])
+    def test_every_value_error_is_named_validation_error(self, monkeypatch, exc, name):
+        def failing(args):
+            raise exc
+        monkeypatch.setitem(cli._HANDLERS, "report", failing)
+        code, out, err = run_cli("report", "--result", "cert.json")
+        lines = err.splitlines()
+        assert code == 2 and out == "" and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == name and record["message"] == str(exc)
 
     def test_memory_error_exits_2_with_record(self, monkeypatch):
         # an input too large for the machine is refused like any other bad input

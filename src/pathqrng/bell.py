@@ -116,9 +116,17 @@ class CorrelationGrid:
             raise ValueError(f"E shape {e.shape} does not match the angle lists")
         if not np.all(np.isfinite(np.concatenate((self.phi_values, self.theta_values)))):
             raise ValueError("grid angles must be finite")
-        has_data = np.isfinite(e)
-        if np.max(np.abs(e[has_data]), initial=0.0) > 1.0 + 1e-9:
-            raise ValueError("grid holds a correlation coefficient outside [-1, 1]")
+
+        def cell(i: int, j: int) -> str:
+            return f"phi={float(self.phi_values[i])!r} theta={float(self.theta_values[j])!r}"
+
+        # NaN is the only missing mark; an infinite E is out of range, not missing
+        has_data = ~np.isnan(e)
+        bad = np.argwhere(has_data & ~(np.abs(e) <= 1.0 + 1e-9))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"grid holds a correlation coefficient {float(e[i, j])!r} at "
+                             f"{cell(i, j)} outside [-1, 1]")
         if self.stderr is not None:
             se = np.asarray(self.stderr, dtype=float)
             object.__setattr__(self, "stderr", se)
@@ -128,9 +136,8 @@ class CorrelationGrid:
             bad = np.argwhere(has_data & ~(np.isfinite(se) & (se >= 0.0)))
             if bad.size:
                 i, j = bad[0]
-                raise ValueError(
-                    f"stderr {float(se[i, j])!r} at phi={float(self.phi_values[i])!r} "
-                    f"theta={float(self.theta_values[j])!r} must be finite and non-negative")
+                raise ValueError(f"stderr {float(se[i, j])!r} at {cell(i, j)} "
+                                 "must be finite and non-negative")
 
 
 def check_chi(chi: float, stderr: float = 0.0) -> None:

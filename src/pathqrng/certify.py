@@ -60,7 +60,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .chip import _NO_ERRORS, PhaseErrorSet, _check_errors, rotation_matrix, shifter_phases
+from .chip import (_NO_ERRORS, PhaseErrorSet, _check_errors, _mzi_amplitudes, rotation_matrix,
+                   shifter_phases)
 from .optics import DESIGN_WAVELENGTH_NM, IDEAL_MMI, MmiParams
 
 SQRT2 = math.sqrt(2.0)
@@ -116,7 +117,7 @@ def nearest_factorized(d: Sequence[float]) -> FactorizedApprox:
 # ---------------------------------------------------------------------------
 
 def _resolve_mmis(mmis: Sequence[MmiParams] | None) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the four MZI splitters and return their (t, r), each of shape (4,).
+    """Validate the four MZI splitters and return their (t, r) at 730 nm, each (4,).
 
     The bounds require unitary splitters (the state maximization relies on
     the objective being linear in rho, and the structure below on
@@ -127,13 +128,12 @@ def _resolve_mmis(mmis: Sequence[MmiParams] | None) -> tuple[np.ndarray, np.ndar
         mmis = (IDEAL_MMI, IDEAL_MMI, IDEAL_MMI, IDEAL_MMI)
     if len(mmis) != 4:
         raise ValueError("mmis needs exactly 4 entries")
-    vals = [m.resolve(DESIGN_WAVELENGTH_NM if m.table is not None else None) for m in mmis]
-    for t, r in vals:
-        if abs(t * t + r * r - 1.0) > 1e-9:
-            raise ValueError("correction-term bounds need unitary (lossless) splitters")
-    if vals[0] != vals[1] or vals[2] != vals[3]:
+    t, r = _mzi_amplitudes(tuple(mmis), DESIGN_WAVELENGTH_NM)
+    if np.any(np.abs(t * t + r * r - 1.0) > 1e-9):
+        raise ValueError("correction-term bounds need unitary (lossless) splitters")
+    if np.any(t[0::2] != t[1::2]) or np.any(r[0::2] != r[1::2]):
         raise ValueError("correction-term bounds need matched splitters within each stage")
-    return np.array([v[0] for v in vals]), np.array([v[1] for v in vals])
+    return t, r
 
 
 def _stage_phases(phi: np.ndarray, theta: np.ndarray,

@@ -119,6 +119,10 @@ _FRINGE_SCAN_POINTS = 2048
 _FRINGE_SCAN_BLOCK = 1 << 18  # trial frequencies x samples per batched solve
 _FRINGE_REFINE_STEPS = 80  # golden-section steps; the bracket shrinks by 0.618 each
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: the largest |power| and |intensity| a fit takes, and the reciprocal of the
+#: smallest step between distinct powers: the scan's top frequency is pi over
+#: that step, and the fit squares the intensities, so both stay finite
+_SAMPLE_SCALE = 1e100
 # certify's --starts/--probes no longer steer anything, but a value the old
 # search rejected stays a validation error, so a mistyped budget is still heard
 _MAX_STARTS = 100_000
@@ -163,7 +167,9 @@ def _golden_section(f: Callable[[float], float], lo: float, hi: float) -> float:
 def fit_mzi_calibration(samples: Sequence[tuple[float, float]], port: int = 1) -> CalibrationFit:
     """Least-squares fringe fit of (heater power, intensity) samples.
 
-    Needs at least 8 samples spanning at least half a fringe.  The fringe
+    Needs at least 8 samples spanning at least half a fringe, every value
+    within +-``_SAMPLE_SCALE`` and distinct powers at least its reciprocal
+    apart, so that no step of the fit overflows.  The fringe
     a cos^2(b W + d) + c is off + P cos(omega W) + Q sin(omega W) with
     omega = 2b, linear in (off, P, Q) for fixed omega, so the fit is by
     variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413,
@@ -186,11 +192,14 @@ def fit_mzi_calibration(samples: Sequence[tuple[float, float]], port: int = 1) -
     span = float(np.ptp(w))
     if span <= 0.0:
         raise CalibrationError("all samples at the same power; no fringe to fit")
+    gaps = np.diff(np.sort(w))
+    min_gap = float(gaps[gaps > 0].min())
+    if float(np.max(np.abs(arr))) > _SAMPLE_SCALE or min_gap < 1.0 / _SAMPLE_SCALE:
+        raise ValidationError(f"samples must lie within +-{_SAMPLE_SCALE:g}, with distinct "
+                              f"powers at least {1.0 / _SAMPLE_SCALE:g} apart")
     if np.ptp(inten) <= 1e-12 * max(1.0, float(np.abs(inten).max())):
         raise CalibrationError("constant intensity data; no fringe to fit")
 
-    gaps = np.diff(np.sort(w))
-    min_gap = float(gaps[gaps > 0].min())
     omegas = np.linspace(math.pi / span, math.pi / min_gap, _FRINGE_SCAN_POINTS)
     rows = max(1, _FRINGE_SCAN_BLOCK // w.size)
     rss = np.concatenate([_fringe_fits(omegas[i:i + rows], w, inten)[0]
@@ -378,6 +387,10 @@ def _resolve_config_path(value: str) -> Path:
 # ---------------------------------------------------------------------------
 
 _EVENT_MAGIC = "# pathqrng-events v1"
+#: the event-file header fields in file order, each with its type; every one
+#: is required except ``rate_hz``, which a stream without a rate leaves out
+_EVENT_FIELDS = (("phi", float), ("theta", float), ("duration_s", float),
+                 ("bin_width_us", float), ("seed", int), ("rate_hz", float))
 _GRID_MAGIC = "# pathqrng-grid v1"
 _GRID_COLUMNS = ("phi", "theta", "e", "stderr")
 
@@ -429,15 +442,9 @@ def write_event_file(stream: EventStream, path: Path | str) -> None:
     """The header, then each block of record lines as it is formatted, written
     atomically; the traced peak of a write is one block's, about 1.5 MB for a
     5 s stream at 120 kHz."""
-    lines = [_EVENT_MAGIC,
-             f"# phi={stream.phi!r}",
-             f"# theta={stream.theta!r}",
-             f"# duration_s={stream.duration_s!r}",
-             f"# bin_width_us={stream.bin_width_us!r}",
-             f"# seed={stream.seed}"]
-    if stream.rate_hz is not None:
-        lines.append(f"# rate_hz={stream.rate_hz!r}")
-    lines.append(_EVENT_COLUMNS)
+    values = ((key, getattr(stream, key)) for key, _ in _EVENT_FIELDS)
+    lines = [_EVENT_MAGIC, *(f"# {key}={v!r}" for key, v in values if v is not None),
+             _EVENT_COLUMNS]
     header = ("\n".join(lines) + "\n").encode("ascii")
     _atomic_write(path, itertools.chain((header,),
                                         _format_records(stream.timestamps_ns, stream.channels)))
@@ -561,36 +568,36 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
 def read_event_file(path: Path | str) -> EventStream:
     data = Path(path).read_bytes()
     meta, body_start = _read_event_header(data, path)
-    required = {"phi", "theta", "duration_s", "bin_width_us", "seed"}
-    if not required <= set(meta):
-        raise ValidationError(f"{path}: missing meta fields {sorted(required - set(meta))}")
+    missing = sorted(key for key, _ in _EVENT_FIELDS if key not in meta and key != "rate_hz")
+    if missing:
+        raise ValidationError(f"{path}: missing meta fields {missing}")
     ts, ch = _parse_records(np.frombuffer(data, dtype=np.uint8, offset=body_start), path)
     try:
-        return EventStream(
-            ts, ch, phi=float(meta["phi"]), theta=float(meta["theta"]),
-            duration_s=float(meta["duration_s"]), bin_width_us=float(meta["bin_width_us"]),
-            seed=int(meta["seed"]),
-            rate_hz=float(meta["rate_hz"]) if "rate_hz" in meta else None)
+        return EventStream(ts, ch, **{key: kind(meta[key]) for key, kind in _EVENT_FIELDS
+                                      if key in meta})
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _grid_lines(grid: CorrelationGrid, sep: str) -> list[str]:
-    """Column header, then one phi, theta, E, stderr row of repr floats per cell.
+def _write_table(path: Path | str, header_lines: Sequence[str],
+                 rows: Iterable[Iterable[float]], sep: str) -> None:
+    """The header lines, then each row's values joined by ``sep``, written
+    atomically: an ``int`` as its digits, any other number as its float repr."""
+    lines = [*header_lines, *(sep.join(str(v) if isinstance(v, int) else repr(float(v))
+                                       for v in row) for row in rows)]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
-    The stderr column is NaN for a grid without stderrs.  ``grid.tsv`` and
-    ``report``'s ``e_surface.csv`` are this with a tab and a comma.
-    """
-    lines = [sep.join(_GRID_COLUMNS)]
+
+def _grid_rows(grid: CorrelationGrid) -> Iterator[tuple[float, float, float, float]]:
+    """(phi, theta, E, stderr) of each cell, phi-major, for ``grid.tsv`` and
+    ``e_surface.csv``; the stderr is NaN for a grid without stderrs."""
     for i, phi in enumerate(grid.phi_values):
         for j, theta in enumerate(grid.theta_values):
-            se = float("nan") if grid.stderr is None else grid.stderr[i, j]
-            lines.append(sep.join(repr(float(v)) for v in (phi, theta, grid.e[i, j], se)))
-    return lines
+            yield phi, theta, grid.e[i, j], math.nan if grid.stderr is None else grid.stderr[i, j]
 
 
 def write_grid_file(grid: CorrelationGrid, path: Path | str) -> None:
-    _atomic_write(path, "\n".join([_GRID_MAGIC, *_grid_lines(grid, "\t")]) + "\n")
+    _write_table(path, [_GRID_MAGIC, "\t".join(_GRID_COLUMNS)], _grid_rows(grid), "\t")
 
 
 def read_grid_file(path: Path | str) -> CorrelationGrid:
@@ -794,13 +801,27 @@ def _check_seeds(args: argparse.Namespace, *flags: str) -> None:
             raise ValidationError(f"{flag} must be a non-negative integer, got {value}")
 
 
-def _stream_correlation(stream: EventStream) -> tuple[float, float]:
-    """(E, binomial stderr) from a stream's raw record counts."""
+def _read_streams(paths: Iterable[Path | str]) -> Iterator[EventStream]:
+    """Each file's stream in turn, none held while the next is read; a
+    (phi, theta) pair read before is refused."""
+    seen: set[tuple[float, float]] = set()
+    for path in paths:
+        stream = read_event_file(path)
+        key = (stream.phi, stream.theta)
+        if key in seen:
+            raise ValidationError(f"duplicate angle pair {key} in {path}")
+        seen.add(key)
+        yield stream
+        del stream
+
+
+def _stream_cell(stream: EventStream) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(phi, theta) and (E, binomial stderr) from a stream's raw record counts."""
     n = len(stream)
     if n == 0:
         raise ValidationError("event stream holds no records")
     e = correlation_coefficient(np.bincount(stream.channels, minlength=4) / n)
-    return e, math.sqrt(max(1.0 - e * e, 0.0) / n)
+    return (stream.phi, stream.theta), (e, math.sqrt(max(1.0 - e * e, 0.0) / n))
 
 
 # ---------------------------------------------------------------------------
@@ -837,14 +858,8 @@ def _cmd_bell_scan(args: argparse.Namespace) -> int:
     files = sorted(Path(args.events).glob("*.tsv"))
     if not files:
         raise ValidationError(f"no event files under {args.events}")
-    cells: dict[tuple[float, float], tuple[float, float]] = {}
-    for f in files:
-        stream = read_event_file(f)
-        key = (stream.phi, stream.theta)
-        if key in cells:
-            raise ValidationError(f"duplicate angle pair {key} in {f}")
-        cells[key] = _stream_correlation(stream)
-    grid = _grid_from_cells(cells)
+    # map binds no stream between reads, so one is live at a time
+    grid = _grid_from_cells(dict(map(_stream_cell, _read_streams(files))))
     best_max, best_min = best_combination_search(grid)
     out = Path(args.out)
     write_grid_file(grid, out / "grid.tsv")
@@ -914,31 +929,15 @@ def _print_certification(result: CertificationResult) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    seen: set[tuple[float, float]] = set()
-
-    def checked(stream: EventStream, path: str) -> EventStream:
-        key = (stream.phi, stream.theta)
-        if key in seen:
-            raise ValidationError(f"duplicate angle pair {key} in {path}")
-        seen.add(key)
-        return stream
-
-    # a generator, so that windowed_traces holds one stream at a time
-    streams = (checked(read_event_file(f), f) for f in args.events)
-    trace = windowed_traces(streams, args.window_ms / 1000.0, args.confidence)
+    trace = windowed_traces(_read_streams(args.events), args.window_ms / 1000.0,
+                            args.confidence)
     header = ["window", "t_mid_s"]
     for s in range(1, 5):
         header += [f"p{s}_{c.lower()}" for c in CHANNELS]
     header += [f"e{s}" for s in range(1, 5)] + ["chi"]
-    lines = [",".join(header)]
-    for w in range(trace.n_windows):
-        row = [str(w), repr((w + 0.5) * trace.window_s)]
-        for s in range(4):
-            row += [repr(float(v)) for v in trace.probabilities[s, w]]
-        row += [repr(float(trace.correlations[s, w])) for s in range(4)]
-        row.append(repr(float(trace.chi_values[w])))
-        lines.append(",".join(row))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    rows = ((w, (w + 0.5) * trace.window_s, *trace.probabilities[:, w].ravel(),
+             *trace.correlations[:, w], trace.chi_values[w]) for w in range(trace.n_windows))
+    _write_table(args.out, [",".join(header)], rows, ",")
     print(f"{trace.n_windows} windows of {trace.window_s * 1000:g} ms -> {args.out}")
     print(f"chi mean {trace.chi_mean:+.6f}, {trace.confidence * 100:g}% CI "
           f"[{trace.ci_low:+.6f}, {trace.ci_high:+.6f}]")
@@ -986,9 +985,7 @@ _ALPHA_CURVE_POINTS = 181
 
 def _write_chi_alpha_curve(path: Path) -> None:
     alphas = np.linspace(0.0, math.pi / 2.0, _ALPHA_CURVE_POINTS)
-    lines = ["alpha,chi"]
-    lines += [f"{repr(float(a))},{repr(chi_alpha_ideal(float(a)))}" for a in alphas]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, ["alpha,chi"], ((a, chi_alpha_ideal(float(a))) for a in alphas), ",")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1002,7 +999,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if finite.any():
             print(f"E range [{grid.e[finite].min():+.6f}, {grid.e[finite].max():+.6f}]")
         if plots:
-            _atomic_write(plots / "e_surface.csv", "\n".join(_grid_lines(grid, ",")) + "\n")
+            _write_table(plots / "e_surface.csv", [",".join(_GRID_COLUMNS)], _grid_rows(grid), ",")
             print(f"wrote {plots / 'e_surface.csv'}")
         return EXIT_OK
 
@@ -1024,9 +1021,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if plots:
             _write_chi_alpha_curve(plots / "chi_alpha_curve.csv")
             xs = np.linspace(2.0, 2.0 * math.sqrt(2.0), 200)
-            lines = ["x,p_guess_bound"]
-            lines += [f"{repr(float(x))},{repr(float(y))}" for x, y in zip(xs, guessing_curve(xs))]
-            _atomic_write(plots / "guessing_bound.csv", "\n".join(lines) + "\n")
+            _write_table(plots / "guessing_bound.csv", ["x,p_guess_bound"],
+                         zip(xs, guessing_curve(xs)), ",")
             print(f"wrote {plots / 'chi_alpha_curve.csv'} and {plots / 'guessing_bound.csv'}")
     elif kind == "mzi-calibration":
         print(f"port {doc['port']}: a={doc['a']:.6g} b={doc['b']:.6g} "

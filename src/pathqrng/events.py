@@ -10,6 +10,10 @@ seeded tie rule before bit extraction.  Bell statistics elsewhere use the
 raw records directly; only the extracted bit pipeline goes through tie
 resolution.
 
+Every stream time (duration, bin width, window) passes one check: positive,
+finite and, before it is scaled, below the int64 nanosecond range of the
+timestamps.  Bin widths and windows are then whole nanoseconds, at least 1.
+
 The extractor is a seeded Toeplitz hash, computed as an FFT convolution
 reduced mod 2, so that megabit inputs stay fast without any matrix
 materialization.  The input is hashed in blocks of L = ``_TOEPLITZ_BLOCK``
@@ -64,46 +68,33 @@ _MAX_BINS = 1e11
 _MAX_RECORDS = 1e9
 #: nanosecond counts from here on do not fit an int64 timestamp
 _INT64_LIMIT_NS = 2.0 ** 63
+#: nanoseconds per unit of the times the streams are given in
+_UNIT_NS = {"s": 1e9, "us": 1e3}
 
 
-def _duration_ns(duration_s: float) -> float:
-    """A duration in nanoseconds, as a float; one beyond the int64 timestamp
-    range is rejected before any integer conversion can overflow."""
-    ns = duration_s * 1e9
-    if ns >= _INT64_LIMIT_NS:
-        raise ValueError(f"duration {duration_s!r} s exceeds the int64 nanosecond range "
-                         "of the timestamps")
+def _ns(name: str, value: float, unit: str) -> float:
+    """A time in nanoseconds, as a float, once it is checked positive, finite and
+    below the int64 nanosecond range; the range is checked on ``value`` itself,
+    so a product that would overflow to inf is never formed."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} {value!r} {unit} must be positive and finite")
+    if value >= _INT64_LIMIT_NS / _UNIT_NS[unit]:
+        raise ValueError(f"{name} {value!r} {unit} exceeds the int64 nanosecond range")
+    return value * _UNIT_NS[unit]
+
+
+def _whole_ns(name: str, value: float, unit: str) -> int:
+    """:func:`_ns` rounded to whole nanoseconds; a result below 1 ns is rejected."""
+    ns = int(round(_ns(name, value, unit)))
+    if ns < 1:
+        raise ValueError(f"{name} {value!r} {unit} is below 1 ns")
     return ns
 
 
-def _bin_width_ns(bin_width_us: float) -> int:
-    """A bin width in whole nanoseconds; one that rounds below 1 ns, or beyond
-    the int64 timestamp range, is rejected."""
-    if bin_width_us * 1000.0 >= _INT64_LIMIT_NS:
-        raise ValueError(f"bin width {bin_width_us!r} us exceeds the int64 nanosecond range")
-    width = int(round(bin_width_us * 1000.0))
-    if width < 1:
-        raise ValueError(f"bin width {bin_width_us!r} us is below 1 ns")
-    return width
-
-
-_NOT_POSITIVE = "duration and bin width must be positive and finite"
-
-
-def _stream_timing(duration_s: float, bin_width_us: float,
-                   not_finite: str = _NOT_POSITIVE) -> tuple[float, int]:
+def _stream_timing(duration_s: float, bin_width_us: float) -> tuple[float, int]:
     """A stream's duration in nanoseconds, as a float, and its bin width in
-    whole nanoseconds: the scalar checks of every stream, simulated or not.
-
-    A non-finite value is refused with ``not_finite``, a non-positive one
-    with ``_NOT_POSITIVE``, and then the int64 range and the 1 ns floor are
-    checked as in :func:`_duration_ns` and :func:`_bin_width_ns`.
-    """
-    if not (math.isfinite(duration_s) and math.isfinite(bin_width_us)):
-        raise ValueError(not_finite)
-    if not (duration_s > 0.0 and bin_width_us > 0.0):
-        raise ValueError(_NOT_POSITIVE)
-    return _duration_ns(duration_s), _bin_width_ns(bin_width_us)
+    whole nanoseconds: the scalar checks of every stream, simulated or not."""
+    return _ns("duration", duration_s, "s"), _whole_ns("bin width", bin_width_us, "us")
 
 
 @dataclass(frozen=True)
@@ -147,7 +138,7 @@ class EventStream:
 
     @property
     def bin_width_ns(self) -> int:
-        return _bin_width_ns(self.bin_width_us)
+        return _whole_ns("bin width", self.bin_width_us, "us")
 
     def __len__(self) -> int:
         return int(self.timestamps_ns.size)
@@ -171,9 +162,7 @@ def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     whose duration overflows an int64 nanosecond count, is refused first.
     """
     p = _distribution(distribution)
-    duration_ns, bin_ns = _stream_timing(
-        duration_s, bin_width_us,
-        f"duration {duration_s!r} s and bin width {bin_width_us!r} us must be finite")
+    duration_ns, bin_ns = _stream_timing(duration_s, bin_width_us)
     if not (math.isfinite(rate_hz) and rate_hz >= 0.0):
         raise ValueError(f"rate {rate_hz!r} Hz must be finite and non-negative")
     mean_per_bin = rate_hz * bin_width_us * 1e-6
@@ -341,11 +330,7 @@ def windowed_traces(streams: Iterable[EventStream], window_s: float = 0.05,
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    if not 0.0 < window_s < math.inf:
-        raise ValueError(f"the window must be positive and finite, got {window_s!r} s")
-    width_ns = int(round(window_s * 1e9))
-    if width_ns < 1:
-        raise ValueError(f"the window {window_s!r} s is below 1 ns")
+    width_ns = _whole_ns("window", window_s, "s")
     windows, records, counts = [], [], []
     for s in streams:
         n_own = int(s.duration_s / window_s + 1e-9)

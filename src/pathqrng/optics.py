@@ -48,6 +48,8 @@ class MmiParams:
                 raise ValueError(f"t^2 + r^2 = {tt * tt + rr * rr!r} exceeds 1")
         if self.table is not None:
             wl = [row[0] for row in self.table]
+            if not all(0.0 < w < math.inf for w in wl):
+                raise ValueError(f"table wavelengths must be finite and positive, got {wl}")
             if len(wl) < 2 or sorted(wl) != wl or len(set(wl)) != len(wl):
                 raise ValueError("wavelength table needs >= 2 strictly increasing nodes")
 

@@ -362,6 +362,14 @@ def test_correlation_grid_rejects_bad_stderr_on_data_cells(bad):
     bell.CorrelationGrid((0.0, 1.0), (0.0, 1.0), e, stderr=se)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, 1.5])
+def test_correlation_grid_rejects_infinite_or_out_of_range_e(bad):
+    # NaN alone marks a missing cell; an infinite E is named with its cell
+    e = np.array([[0.6, bad], [0.4, np.nan]])
+    with pytest.raises(ValueError, match=r"coefficient .* at phi=0.0 theta=1.0 outside \[-1, 1\]"):
+        bell.CorrelationGrid((0.0, 1.0), (0.0, 1.0), e)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_correlation_grid_rejects_non_finite_angles(bad):
     with pytest.raises(ValueError, match="angles must be finite"):

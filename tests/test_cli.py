@@ -741,7 +741,7 @@ class TestSimulateCommand:
         code, _, err = run_cli("simulate", "--angles=0:0", *flags, "--out", str(tmp_path))
         lines = err.splitlines()
         assert code == 2 and len(lines) == 1
-        assert "must be finite" in json.loads(lines[0])["message"]
+        assert "positive and finite" in json.loads(lines[0])["message"]
         assert not list(tmp_path.glob("*.tsv"))
 
     @pytest.mark.parametrize("config", [
@@ -835,6 +835,34 @@ class TestBellScanCommand:
         code, _, err = run_cli("bell-scan", "--events", str(tmp_path),
                                "--out", str(tmp_path / "o"))
         assert code == 2 and "no event files" in json.loads(err)["message"]
+
+    def test_one_stream_live_at_a_time(self, tmp_path, monkeypatch):
+        ev = tmp_path / "ev"
+        TestAnalyzeCommand.chsh_files(ev, (0.4, 0.1, 0.2, 0.3), 1e5, 0.05)
+        read = cli.read_event_file
+        earlier = []
+
+        def read_alone(path):
+            live = [r for r in earlier if r() is not None]
+            assert not live, f"{len(live)} earlier stream(s) live while reading {path}"
+            stream = read(path)
+            earlier.append(weakref.ref(stream))
+            return stream
+
+        monkeypatch.setattr(cli, "read_event_file", read_alone)
+        code, _, err = run_cli("bell-scan", "--events", str(ev), "--out", str(tmp_path / "o"))
+        assert code == 0, err
+        assert len(earlier) == 4
+
+    def test_duplicate_angle_pair_exits_2(self, tmp_path):
+        ev = tmp_path / "ev"
+        files = TestAnalyzeCommand.chsh_files(ev, (0.25,) * 4, 1e5, 0.05)
+        (ev / "s9.tsv").write_bytes(Path(files[1]).read_bytes())
+        code, _, err = run_cli("bell-scan", "--events", str(ev), "--out", str(tmp_path / "o"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert "duplicate angle pair (0.0, 1.0)" in json.loads(lines[0])["message"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestCertifyCommand:
@@ -1084,6 +1112,7 @@ class TestAnalyzeCommand:
         ("1e-6", "empty"),       # 1 ns: 2e8 windows, more than the records
         ("inf", "positive and finite"),
         ("nan", "positive and finite"),
+        ("1e300", "int64 nanosecond range"),  # finite, but no int64 width
     ])
     def test_sub_ns_and_ns_windows_rejected_before_sizing(self, tmp_path, window_ms, message):
         files = self.chsh_files(tmp_path, (0.25,) * 4, 1e5, 0.2)
@@ -1091,7 +1120,8 @@ class TestAnalyzeCommand:
                                "--out", str(tmp_path / "t.csv"))
         lines = err.splitlines()
         assert code == 2 and len(lines) == 1
-        assert message in json.loads(lines[0])["message"]
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError" and message in record["message"]
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("order", [(0, 0, 0, 0), (0, 1, 2, 1)], ids=["same-file", "repeat"])
@@ -1274,6 +1304,22 @@ class TestCalibrateCommand:
                                "--out", str(tmp_path / "f.json"))
         assert code == 3 and "no fringe" in json.loads(err)["message"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sample", [lambda w: (w * 1e-310, math.cos(w) ** 2),
+                                        lambda w: (w, 1e300 * math.cos(w) ** 2)],
+                             ids=["subnormal-power-steps", "1e300-intensities"])
+    def test_samples_beyond_the_fit_range_exit_2(self, tmp_path, sample):
+        # both once ended in numpy warnings, then an eigensolver failure or a
+        # "less than half a fringe" verdict on a clean fringe
+        samples = tmp_path / "s.tsv"
+        samples.write_text("".join("%r\t%r\n" % sample(0.5 * k) for k in range(12)))
+        code, _, err = run_cli("calibrate", "--samples", str(samples))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert "samples must lie within +-1e+100" in record["message"]
+
     def test_malformed_sample_line_rejected(self, tmp_path):
         samples = tmp_path / "bad.tsv"
         samples.write_text("0.1\t0.5\t0.9\n")
@@ -1307,9 +1353,11 @@ class TestReportCommand:
         assert len(bound) == 1 + 200
         first = bound[1].split(",")
         assert float(first[0]) == 2.0 and float(first[1]) == pytest.approx(1.0)
-        # pinned bytes of the 200-point curve
+        # pinned bytes of the 200-point curve and the 181-point chi(alpha) curve
         assert hashlib.sha256((plots / "guessing_bound.csv").read_bytes()).hexdigest() == \
             "7a0173aa9c7ae4188ce9fff5c14bf67afd5fcf00bf8de25d89abea2a159dcab8"
+        assert hashlib.sha256((plots / "chi_alpha_curve.csv").read_bytes()).hexdigest() == \
+            "fb94a2287d97e08e02a6dbb455e1e0003bea11a6c1d87e2cb31aef6f887420d7"
 
     def test_chi_result_report(self, tmp_path):
         doc = {"kind": "chi-result", "chi": 2.697, "stderr": 0.01, "sign": "max",
@@ -1343,6 +1391,8 @@ class TestReportCommand:
         assert magic == "# pathqrng-grid v1" and header == "phi\ttheta\te\tstderr"
         assert (plots / "e_surface.csv").read_text() == \
             "phi,theta,e,stderr\n" + body.replace("\t", ",")
+        assert hashlib.sha256((plots / "e_surface.csv").read_bytes()).hexdigest() == \
+            "4ad745512f9fbb52ce12608e3c29c5d67b0a1e4fca7c60a6c91004ca9e0aee35"
 
     @pytest.mark.parametrize("bad", ["nan", "-0.01", "inf"])
     def test_grid_with_bad_cell_stderr_rejected(self, tmp_path, bad):
@@ -1353,6 +1403,19 @@ class TestReportCommand:
         code, _, err = run_cli("report", "--result", str(p))
         assert code == 2 and len(err.splitlines()) == 1
         assert "must be finite and non-negative" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf"])
+    def test_grid_with_infinite_e_rejected(self, tmp_path, bad):
+        # NaN is the only missing mark; an infinite E was once counted as missing
+        p = tmp_path / "grid.tsv"
+        p.write_text("# pathqrng-grid v1\nphi\ttheta\te\tstderr\n"
+                     "0.0\t0.0\t0.6\t0.01\n0.0\t1.0\t" + bad + "\t0.01\n")
+        code, _, err = run_cli("report", "--result", str(p))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert f"coefficient {bad} at phi=0.0 theta=1.0 outside [-1, 1]" in record["message"]
 
     def test_malformed_grid_value_names_file_and_row(self, tmp_path):
         p = tmp_path / "grid.tsv"

@@ -85,7 +85,7 @@ class TestSimulateEvents:
     @pytest.mark.parametrize("duration_s, bin_width_us", [(math.inf, 1.0), (math.nan, 1.0),
                                                           (1.0, math.inf)])
     def test_non_finite_duration_rejected(self, duration_s, bin_width_us):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="positive and finite"):
             events.simulate_events((1.0, 0.0, 0.0, 0.0), rate_hz=0.0, duration_s=duration_s,
                                    bin_width_us=bin_width_us)
 
@@ -440,6 +440,13 @@ class TestWindowedTraces:
         streams = self.constant_streams([0, 0, 0, 0])
         with pytest.raises(ValueError, match="below 1 ns"):
             events.windowed_traces(streams, window_s=4e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_window_beyond_int64_nanoseconds_rejected(self):
+        # 1e300 s is finite, but as nanoseconds it is no int64 width
+        streams = self.constant_streams([0, 0, 0, 0])
+        with pytest.raises(ValueError, match="window 1e[+]300 s exceeds the int64 nanosecond"):
+            events.windowed_traces(streams, window_s=1e300)
 
     @pytest.mark.parametrize("window_s", [math.inf, math.nan, -0.05])
     def test_non_finite_or_negative_window_rejected(self, window_s):

@@ -67,6 +67,13 @@ def test_mmi_table_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -730.0, math.inf])
+def test_mmi_table_wavelengths_must_be_finite_and_positive(bad):
+    # a NaN node once passed, and the lookup then blamed the wavelength asked for
+    with pytest.raises(ValueError, match="table wavelengths must be finite and positive"):
+        optics.MmiParams(0.5, 0.5, ((bad, 0.5, 0.5), (740.0, 0.5, 0.5)))
+
+
 def test_phase_shifter_matrix():
     # with t = 1, r = 0 the MZI reduces to diag(e^{2i(z1+d1)}, e^{2i(z2+d2)})
     np.testing.assert_allclose(optics.mzi_matrix(1.0, 0.0, 0.0, 0.0), np.eye(2), atol=0)

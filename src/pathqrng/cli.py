@@ -7,11 +7,18 @@ Formats owned here:
   straight into a ``chip.ChipConfig``;
 * event files: TSV with a ``# key=value`` header block, a
   ``timestamp_ns<TAB>channel`` column line, then one record per line.
-  Every record matches ``[0-9]+\t(UF|UN|DF|DN)\n`` exactly: ASCII
-  decimal digits with no sign, space or underscore, one tab, the channel
-  label, and a newline, which the last record needs too.  Anything else
-  in the body, a blank line or a CRLF ending included, is a malformed
-  record, and the reader's error names the first bad record in the file;
+  The header holds each known key once; a repeated or unknown key is
+  refused.  Every record matches ``[0-9]+\t(UF|UN|DF|DN)\n`` exactly:
+  ASCII decimal digits with no sign, space or underscore, one tab, the
+  channel label, and a newline, which the last record needs too.  Anything
+  else in the body, a blank line or a CRLF ending included, is a malformed
+  record, and the reader's error names the first bad record in the file.
+  Files are streams of blocks both ways: ``simulate`` writes each block as
+  it is drawn, and :class:`EventFile` reads the body ``_READ_BYTES`` at a
+  time, parsing each read's whole lines, for ``bell-scan``, ``extract``,
+  ``analyze`` and :func:`read_event_file` alike.  The stream rules (order
+  and duration) are checked block by block, but a break is reported only
+  once the last block has parsed, so a bad record still comes first;
 * correlation grids: TSV long format (phi, theta, E, stderr);
 * result documents: JSON with a ``kind`` discriminator; the reader checks
   that each known kind carries its fields with their JSON types.
@@ -39,6 +46,7 @@ class names.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -47,7 +55,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -57,8 +65,11 @@ from .bell import (ChiResult, CorrelationGrid, best_combination_search, check_ch
 from .certify import (CertificationResult, CorrectionEstimate, certification_result, e_chi, e_p,
                       guessing_curve)
 from .chip import ChipConfig, GenerationSetting, PhaseErrorSet, broadband_probabilities
-from .events import (EventStream, bin_and_resolve, raw_bits, simulate_events,
-                     toeplitz_extract, windowed_traces)
+from .events import (Block, EventStream, bin_and_resolve, checked_blocks, raw_bits,
+                     simulate_blocks, toeplitz_extract, windowed_traces)
+# not called here since simulate writes blocks as they are drawn, but kept
+# under this name, which perfbench's tracer wraps
+from .events import simulate_events  # noqa: F401
 from .optics import LossModel, MmiParams, WavelengthSpectrum
 
 CONFIG_DIR_ENV = "PATHQRNG_CONFIG_DIR"
@@ -396,7 +407,7 @@ _GRID_COLUMNS = ("phi", "theta", "e", "stderr")
 
 
 _EVENT_COLUMNS = "timestamp_ns\tchannel"
-_COLUMN_LINE = f"\n{_EVENT_COLUMNS}\n".encode("ascii")
+_COLUMN_LINE = f"{_EVENT_COLUMNS}\n".encode("ascii")
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 _LABEL_BYTES = np.frombuffer("".join(CHANNELS).encode("ascii"), dtype=np.uint8).reshape(4, 2)
 # each label's first and second byte, by channel code
@@ -408,6 +419,9 @@ _LABEL_CODES[_LABEL_BYTES[:, 0].astype(np.uint16) << 8 | _LABEL_BYTES[:, 1]] = n
 #: record lines per block, written or parsed; it bounds the per-block
 #: temporaries of both, however the line widths mix
 _PARSE_ROWS = 1 << 15
+#: bytes per read of an event-file body: a read's whole lines are parsed as
+#: one block, about 18k records of a paper-rate stream
+_READ_BYTES = 1 << 18
 
 
 def _format_records(timestamps: np.ndarray, channels: np.ndarray) -> Iterator[np.ndarray]:
@@ -438,38 +452,53 @@ def _format_records(timestamps: np.ndarray, channels: np.ndarray) -> Iterator[np
             yield block
 
 
-def write_event_file(stream: EventStream, path: Path | str) -> None:
+def write_event_file(stream: EventStream, path: Path | str,
+                     blocks: Iterable[Block] | None = None) -> None:
     """The header, then each block of record lines as it is formatted, written
-    atomically; the traced peak of a write is one block's, about 1.5 MB for a
-    5 s stream at 120 kHz."""
+    atomically.  ``blocks``, if given, are the records in place of the
+    stream's own, each formatted as it is taken, so that ``simulate`` writes
+    a stream as it draws it.  The traced peak of a write is one block's,
+    about 1.5 MB for a 5 s stream at 120 kHz."""
+    if blocks is None:
+        blocks = ((stream.timestamps_ns, stream.channels),)
     values = ((key, getattr(stream, key)) for key, _ in _EVENT_FIELDS)
     lines = [_EVENT_MAGIC, *(f"# {key}={v!r}" for key, v in values if v is not None),
              _EVENT_COLUMNS]
     header = ("\n".join(lines) + "\n").encode("ascii")
-    _atomic_write(path, itertools.chain((header,),
-                                        _format_records(stream.timestamps_ns, stream.channels)))
+    _atomic_write(path, itertools.chain(
+        (header,), itertools.chain.from_iterable(_format_records(ts, ch) for ts, ch in blocks)))
 
 
-def _read_event_header(data: bytes, path: Path | str) -> tuple[dict[str, str], int]:
-    """Meta fields and the offset just past the column line.
+def _read_event_header(fh: BinaryIO, path: Path | str) -> dict[str, str]:
+    """Meta fields of the header lines read from ``fh``, which is left at
+    the first record line.
 
-    The column line is found with ``bytes.find`` and only the header before
-    it is decoded, so the body is never copied: the caller parses it as an
-    offset view of ``data``.
+    The magic line, then every line up to the column line, are read before
+    any is checked, so a file without a column line is named as such; each
+    header line is ``# key=value`` with a known key, given once.
     """
     magic = _EVENT_MAGIC.encode("ascii")
-    if data[: len(magic) + 1] not in (magic, magic + b"\n"):
+    if fh.readline(len(magic) + 1) not in (magic, magic + b"\n"):
         raise ValidationError(f"{path}: not a pathqrng event file")
-    end = data.find(_COLUMN_LINE)
-    if end < 0:
+    lines = []
+    for line in fh:
+        if line == _COLUMN_LINE:
+            break
+        lines.append(line)
+    else:
         raise ValidationError(f"{path}: missing column header")
     meta: dict[str, str] = {}
-    for line in data[:end].decode("utf-8", errors="replace").split("\n")[1:]:
+    for raw in lines:
+        line = raw[:-1].decode("utf-8", errors="replace")
         if not line.startswith("# "):
             raise ValidationError(f"{path}: unexpected header line {line!r}")
         key, _, value = line[2:].partition("=")
+        if key not in dict(_EVENT_FIELDS):
+            raise ValidationError(f"{path}: unknown header key {key!r}")
+        if key in meta:
+            raise ValidationError(f"{path}: repeated header key {key!r}")
         meta[key] = value
-    return meta, end + len(_COLUMN_LINE)
+    return meta
 
 
 def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.ndarray]:
@@ -565,18 +594,102 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
     return stamps.view(np.int64), codes
 
 
+def _record_blocks(path: Path | str, start: int) -> Iterator[Block]:
+    """Timestamps and channel codes of the record lines from byte ``start``
+    of the file on, one block per read of ``_READ_BYTES``.
+
+    Each read's whole lines are parsed as one block, and its unfinished last
+    line is carried into the next read.  A read that ends no line is
+    followed by one as long as the carried bytes, so a long line costs
+    linear time.  A last line without its newline is reported after every
+    other line has parsed.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        rest = b""
+        while chunk := fh.read(max(_READ_BYTES, len(rest))):
+            data = rest + chunk if rest else chunk
+            end = data.rfind(b"\n") + 1
+            rest = data[end:]
+            if end:
+                yield _parse_records(np.frombuffer(data, dtype=np.uint8, count=end), path)
+        if rest:
+            _parse_records(np.frombuffer(rest, dtype=np.uint8), path)  # names the last line
+
+
+class EventFile:
+    """An event file opened for block reads.
+
+    The header is read and checked when the file is opened; the records
+    are parsed on each pass of :meth:`blocks`, one read at a time, so a
+    pass holds one block however long the file.  ``header`` is the file's
+    stream with no records, and ``records`` the record count of the last
+    complete pass.  The errors and their order are those of parsing the
+    whole file first: a bad record, then a header value, then the stream
+    rules, then a pair read before.  So a header value that is refused
+    waits for the body to parse, and ``seen``, the (phi, theta) pairs of
+    the files read before this one, is checked and added to after it.
+    """
+
+    def __init__(self, path: Path | str, seen: set[tuple[float, float]] | None = None) -> None:
+        self.path, self.seen, self.records = path, seen, None
+        with open(path, "rb") as fh:
+            meta = _read_event_header(fh, path)
+            self.body_start = fh.tell()
+        missing = sorted(key for key, _ in _EVENT_FIELDS if key not in meta and key != "rate_hz")
+        if missing:
+            raise ValidationError(f"{path}: missing meta fields {missing}")
+        try:
+            self.header = EventStream((), (), **{key: kind(meta[key]) for key, kind in _EVENT_FIELDS
+                                                 if key in meta})
+        except ValueError as exc:
+            for _ in _record_blocks(path, self.body_start):  # a bad record is named first
+                pass
+            raise ValidationError(f"{path}: {exc}") from exc
+
+    @property
+    def duration_s(self) -> float:
+        return self.header.duration_s
+
+    @property
+    def bin_width_ns(self) -> int:
+        return self.header.bin_width_ns
+
+    def blocks(self) -> Iterator[Block]:
+        """Timestamps and channel codes of each block of records, in file order."""
+        n = 0
+        try:
+            for ts, ch in checked_blocks(_record_blocks(self.path, self.body_start),
+                                         self.header.duration_s):
+                n += ts.size
+                yield ts, ch
+        except ValidationError:
+            raise
+        except ValueError as exc:
+            raise ValidationError(f"{self.path}: {exc}") from exc
+        if self.seen is not None:
+            key = (self.header.phi, self.header.theta)
+            if key in self.seen:
+                raise ValidationError(f"duplicate angle pair {key} in {self.path}")
+            self.seen.add(key)
+        self.records = n
+
+
 def read_event_file(path: Path | str) -> EventStream:
-    data = Path(path).read_bytes()
-    meta, body_start = _read_event_header(data, path)
-    missing = sorted(key for key, _ in _EVENT_FIELDS if key not in meta and key != "rate_hz")
-    if missing:
-        raise ValidationError(f"{path}: missing meta fields {missing}")
-    ts, ch = _parse_records(np.frombuffer(data, dtype=np.uint8, offset=body_start), path)
-    try:
-        return EventStream(ts, ch, **{key: kind(meta[key]) for key, kind in _EVENT_FIELDS
-                                      if key in meta})
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    """The stream of an event file, read block by block into arrays sized
+    by a count of the body's lines, so the traced peak is the records plus
+    one block: about 7.1 MB for a 5 s stream at 120 kHz, 5.4 MB of it the
+    records."""
+    events = EventFile(path)
+    with open(path, "rb") as fh:
+        fh.seek(events.body_start)
+        n = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(_READ_BYTES), b""))
+    ts, ch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.uint8)
+    at = 0
+    for block_ts, block_ch in events.blocks():
+        ts[at : at + block_ts.size], ch[at : at + block_ts.size] = block_ts, block_ch
+        at += block_ts.size
+    return dataclasses.replace(events.header, timestamps_ns=ts, channels=ch)
 
 
 def _write_table(path: Path | str, header_lines: Sequence[str],
@@ -801,27 +914,23 @@ def _check_seeds(args: argparse.Namespace, *flags: str) -> None:
             raise ValidationError(f"{flag} must be a non-negative integer, got {value}")
 
 
-def _read_streams(paths: Iterable[Path | str]) -> Iterator[EventStream]:
-    """Each file's stream in turn, none held while the next is read; a
-    (phi, theta) pair read before is refused."""
+def _read_streams(paths: Iterable[Path | str]) -> Iterator[EventFile]:
+    """Each file opened in turn for one block read, the next only once it is
+    asked for; a (phi, theta) pair read before is refused."""
     seen: set[tuple[float, float]] = set()
-    for path in paths:
-        stream = read_event_file(path)
-        key = (stream.phi, stream.theta)
-        if key in seen:
-            raise ValidationError(f"duplicate angle pair {key} in {path}")
-        seen.add(key)
-        yield stream
-        del stream
+    return (EventFile(path, seen) for path in paths)
 
 
-def _stream_cell(stream: EventStream) -> tuple[tuple[float, float], tuple[float, float]]:
+def _stream_cell(stream: EventFile) -> tuple[tuple[float, float], tuple[float, float]]:
     """(phi, theta) and (E, binomial stderr) from a stream's raw record counts."""
-    n = len(stream)
+    counts = np.zeros(4, dtype=np.int64)
+    for _, ch in stream.blocks():
+        counts += np.bincount(ch, minlength=4)
+    n = int(counts.sum())
     if n == 0:
         raise ValidationError("event stream holds no records")
-    e = correlation_coefficient(np.bincount(stream.channels, minlength=4) / n)
-    return (stream.phi, stream.theta), (e, math.sqrt(max(1.0 - e * e, 0.0) / n))
+    e = correlation_coefficient(counts / n)
+    return (stream.header.phi, stream.header.theta), (e, math.sqrt(max(1.0 - e * e, 0.0) / n))
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +955,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         phis, thetas = np.array(block).T
         dists = broadband_probabilities(cfg, phis, thetas)
         for i, ((phi, theta), dist) in enumerate(zip(block, dists), start=lo):
-            stream = simulate_events(dist, args.rate_hz, args.duration_s, args.bin_us,
-                                     seed=int(seeds[i]), phi=phi, theta=theta)
-            write_event_file(stream, out / f"events_{i:04d}.tsv")
+            header, blocks = simulate_blocks(dist, args.rate_hz, args.duration_s, args.bin_us,
+                                             seed=int(seeds[i]), phi=phi, theta=theta)
+            write_event_file(header, out / f"events_{i:04d}.tsv", blocks)
     print(f"simulated {len(pairs)} angle pairs -> {out} "
           f"({args.rate_hz:g} Hz x {args.duration_s:g} s each, master seed {args.seed})")
     return EXIT_OK
@@ -858,7 +967,6 @@ def _cmd_bell_scan(args: argparse.Namespace) -> int:
     files = sorted(Path(args.events).glob("*.tsv"))
     if not files:
         raise ValidationError(f"no event files under {args.events}")
-    # map binds no stream between reads, so one is live at a time
     grid = _grid_from_cells(dict(map(_stream_cell, _read_streams(files))))
     best_max, best_min = best_combination_search(grid)
     out = Path(args.out)
@@ -946,14 +1054,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     _check_seeds(args, "--seed", "--tie-seed")
-    stream = read_event_file(args.events)
-    n_records = len(stream)
+    stream = EventFile(args.events)
     outcomes = bin_and_resolve(stream, tie_seed=args.tie_seed, mode=args.tie_mode)
-    del stream  # the records are done with; free them before the extractor's FFTs
     bits = raw_bits(outcomes)
     extracted = toeplitz_extract(bits, args.h_min, security_eps=args.eps, seed=args.seed)
     _atomic_write(args.out, (extracted + ord("0")).tobytes() + b"\n")
-    print(f"{n_records} records -> {outcomes.size} outcomes -> {len(bits)} raw bits "
+    print(f"{stream.records} records -> {outcomes.size} outcomes -> {len(bits)} raw bits "
           f"-> {len(extracted)} extracted bits ({args.out})")
     return EXIT_OK
 

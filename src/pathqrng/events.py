@@ -2,17 +2,25 @@
 
 Streams are generated bin by bin: arrivals in each time bin are Poisson,
 and each arrival lands in one of the four detector channels according to
-the chip's output distribution.  The per-bin counts are drawn in chunks of
-``_SIM_CHUNK`` bins and only the occupied bins' timestamps are kept, so a
-stream's memory grows with its records, not its bins.  Bins holding more
-than one record are ambiguous and get resolved to a single outcome by a
-seeded tie rule before bit extraction.  Bell statistics elsewhere use the
-raw records directly; only the extracted bit pipeline goes through tie
-resolution.
+the chip's output distribution.  Bins holding more than one record are
+ambiguous and get resolved to a single outcome by a seeded tie rule before
+bit extraction.  Bell statistics elsewhere use the raw records directly;
+only the extracted bit pipeline goes through tie resolution.
+
+A stream's records travel as blocks of (timestamps, channels).
+:func:`simulate_blocks` draws them ``_SIM_CHUNK`` bins at a time, so a
+simulation holds its timestamps, one chunk's counts and one block's
+channels, never every bin's count or every record's channel;
+:func:`bin_and_resolve` and :func:`windowed_traces` reduce any stream
+block by block, and an :class:`EventStream` is one block.  So a file read
+block by block is never held whole.
 
 Every stream time (duration, bin width, window) passes one check: positive,
 finite and, before it is scaled, below the int64 nanosecond range of the
 timestamps.  Bin widths and windows are then whole nanoseconds, at least 1.
+The records pass one check too, :func:`checked_blocks`, block by block:
+timestamps non-negative, non-decreasing across block edges as well, and
+below the duration.
 
 The extractor is a seeded Toeplitz hash, computed as an FFT convolution
 reduced mod 2, so that megabit inputs stay fast without any matrix
@@ -36,9 +44,9 @@ text exist only in the files ``pathqrng.cli`` reads and writes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,9 +66,9 @@ def _distribution(p: Sequence[float] | np.ndarray) -> np.ndarray:
     return arr / arr.sum()
 
 
-#: bins per Poisson draw in :func:`simulate_events`; each chunk's counts are
-#: its only per-bin memory
-_SIM_CHUNK = 1 << 18
+#: bins per Poisson draw in :func:`simulate_blocks`, and so the records of one
+#: block; each chunk's counts are its only per-bin memory
+_SIM_CHUNK = 1 << 16
 #: the most bins and expected records one simulated stream may hold, checked
 #: before any draw: 1e11 bins is about a day at 1 us bins, and 1e9 records
 #: take about 9 GB as timestamps and channels
@@ -97,12 +105,38 @@ def _stream_timing(duration_s: float, bin_width_us: float) -> tuple[float, int]:
     return _ns("duration", duration_s, "s"), _whole_ns("bin width", bin_width_us, "us")
 
 
+#: a block of records: int64 timestamps and uint8 channel codes of one length
+Block = tuple[np.ndarray, np.ndarray]
+
+
+def checked_blocks(blocks: Iterable[Block], duration_s: float) -> Iterator[Block]:
+    """The blocks, passed on as they come, held to the record rules of a
+    stream: timestamps non-negative and non-decreasing, across block edges
+    too, and the last below the duration.  A break is raised only after the
+    last block, so that whatever the blocks' source checks on the way, such
+    as a file's grammar, is reported first."""
+    duration_ns = _ns("duration", duration_s, "s")
+    last, ordered = 0, True
+    for ts, ch in blocks:
+        if ts.size:
+            # a comparison of neighbours, with no int64 temporary of differences
+            ordered = ordered and not (ts[0] < last or np.any(ts[1:] < ts[:-1]))
+            last = int(ts[-1])
+        yield ts, ch
+    if not ordered:
+        raise ValueError("timestamps must be non-negative and non-decreasing")
+    if last >= int(math.ceil(duration_ns)):
+        raise ValueError("timestamp beyond the stream duration")
+
+
 @dataclass(frozen=True)
 class EventStream:
     """One angle setting's worth of simulated detection records.
 
     Timestamps are bin start times in integer nanoseconds, non-decreasing.
-    ``channels`` holds detector indices 0..3 in the fixed channel order.
+    ``channels`` holds detector indices 0..3 in the fixed channel order.  A
+    stream with no records also serves as the header of a stream whose
+    records come as blocks, as simulated or read from a file.
     """
 
     timestamps_ns: np.ndarray
@@ -126,15 +160,11 @@ class EventStream:
             object.__setattr__(self, "rate_hz", float(self.rate_hz))
         if ts.shape != ch.shape or ts.ndim != 1:
             raise ValueError("timestamps and channels must be matching 1-d arrays")
-        duration_ns, _ = _stream_timing(self.duration_s, self.bin_width_us)
-        if ts.size:
-            # a comparison of neighbours, with no int64 temporary of differences
-            if ts[0] < 0 or np.any(ts[1:] < ts[:-1]):
-                raise ValueError("timestamps must be non-negative and non-decreasing")
-            if ts[-1] >= int(math.ceil(duration_ns)):
-                raise ValueError("timestamp beyond the stream duration")
-            if int(ch.max()) > 3:
-                raise ValueError("channel indices must be 0..3")
+        _stream_timing(self.duration_s, self.bin_width_us)
+        for _ in checked_blocks(self.blocks(), self.duration_s):
+            pass
+        if ts.size and int(ch.max()) > 3:
+            raise ValueError("channel indices must be 0..3")
 
     @property
     def bin_width_ns(self) -> int:
@@ -143,23 +173,32 @@ class EventStream:
     def __len__(self) -> int:
         return int(self.timestamps_ns.size)
 
+    def blocks(self) -> Iterator[Block]:
+        """The records as one block, the form every block consumer reads."""
+        yield self.timestamps_ns, self.channels
 
-def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
+
+def simulate_blocks(distribution: Sequence[float] | np.ndarray, rate_hz: float,
                     duration_s: float, bin_width_us: float = 1.0, seed: int = 0,
-                    phi: float = 0.0, theta: float = 0.0) -> EventStream:
-    """Monte Carlo detection stream for one output distribution.
+                    phi: float = 0.0, theta: float = 0.0) -> tuple[EventStream, Iterator[Block]]:
+    """Monte Carlo detection stream for one output distribution, as its
+    header (a stream with no records) and an iterator of record blocks.
 
     Each of the ``duration / bin_width`` time bins receives a Poisson number
     of records with mean ``rate * bin_width`` (which must stay below one
     record per bin for the model to make sense), and every record picks a
     channel independently from ``distribution`` (4,), in basis order.
 
-    The counts are drawn ``_SIM_CHUNK`` bins at a time, keeping only the
-    timestamps of occupied bins, and the channels in one draw after all the
-    counts; the draws are those of one ``poisson`` call over every bin, so
-    memory is about 9 bytes per record plus one chunk.  A stream of more
-    than ``_MAX_BINS`` bins or ``_MAX_RECORDS`` expected records, or one
-    whose duration overflows an int64 nanosecond count, is refused first.
+    The seed's draws are every bin's count, then every record's channel, as
+    one ``poisson`` call over all bins and one ``choice`` over all records
+    would take them.  So the first block drawn draws all the counts,
+    ``_SIM_CHUNK`` bins at a time, keeping only the timestamps of occupied
+    bins, one block per chunk; each block's channels are then drawn as it is
+    taken, as ``cdf.searchsorted(random(k), side="right")``, the doubles and
+    the rule ``choice`` uses.  The iterator holds the blocks not yet taken,
+    about 8 bytes per record, plus one chunk.  A stream of more than
+    ``_MAX_BINS`` bins or ``_MAX_RECORDS`` expected records, or one whose
+    duration overflows an int64 nanosecond count, is refused first.
     """
     p = _distribution(distribution)
     duration_ns, bin_ns = _stream_timing(duration_s, bin_width_us)
@@ -179,17 +218,35 @@ def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     n_bins = int(duration_ns) // bin_ns
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
+    header = EventStream((), (), phi=phi, theta=theta, duration_s=duration_s,
+                         bin_width_us=bin_width_us, seed=seed, rate_hz=rate_hz)
 
-    rng = np.random.default_rng(seed)
-    parts = []
-    for lo in range(0, n_bins, _SIM_CHUNK):
-        counts = rng.poisson(mean_per_bin, size=min(_SIM_CHUNK, n_bins - lo))
-        occupied = np.flatnonzero(counts)
-        parts.append(np.repeat((occupied + lo) * bin_ns, counts[occupied]))
-    timestamps = np.concatenate(parts)
-    channels = rng.choice(4, size=timestamps.size, p=p).astype(np.uint8)
-    return EventStream(timestamps, channels, phi=phi, theta=theta, duration_s=duration_s,
-                       bin_width_us=bin_width_us, seed=seed, rate_hz=rate_hz)
+    def blocks() -> Iterator[Block]:
+        rng = np.random.default_rng(seed)
+        stamps = []
+        for lo in range(0, n_bins, _SIM_CHUNK):
+            counts = rng.poisson(mean_per_bin, size=min(_SIM_CHUNK, n_bins - lo))
+            occupied = np.flatnonzero(counts)
+            stamps.append(np.repeat((occupied + lo) * bin_ns, counts[occupied]))
+        del counts, occupied  # the last chunk's, freed before any block is taken
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        stamps.reverse()
+        while stamps:  # each block is let go of once it is taken
+            ts = stamps.pop()
+            yield ts, cdf.searchsorted(rng.random(ts.size), side="right").astype(np.uint8)
+
+    return header, blocks()
+
+
+def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
+                    duration_s: float, bin_width_us: float = 1.0, seed: int = 0,
+                    phi: float = 0.0, theta: float = 0.0) -> EventStream:
+    """The stream of :func:`simulate_blocks`, its blocks joined into one."""
+    header, blocks = simulate_blocks(distribution, rate_hz, duration_s, bin_width_us,
+                                     seed=seed, phi=phi, theta=theta)
+    ts, ch = zip(*blocks)
+    return replace(header, timestamps_ns=np.concatenate(ts), channels=np.concatenate(ch))
 
 
 def bin_and_resolve(stream: EventStream, tie_seed: int = 0, mode: str = "fired") -> np.ndarray:
@@ -202,30 +259,52 @@ def bin_and_resolve(stream: EventStream, tie_seed: int = 0, mode: str = "fired")
     * ``"uniform4"``: uniformly among all four channels, discarding which
       detectors actually fired.
 
-    Returns the outcomes' channel codes (``uint8``) in bin order.
+    ``stream`` is an :class:`EventStream` or any stream with its
+    ``bin_width_ns`` and ``blocks()``, such as an event file read block by
+    block.  The last bin of each block is held open and carried into the
+    next, so the outcomes and the draws are those of the whole stream in
+    one block.  Returns the outcomes' channel codes (``uint8``) in bin order.
     """
     if mode not in ("fired", "uniform4"):
         raise ValueError(f"unknown tie mode {mode!r}")
-    if len(stream) == 0:
+    width = stream.bin_width_ns
+    rng = np.random.default_rng(tie_seed)
+    parts = []
+    # the bin of each record of the open bin, and its channel
+    bins, channels = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    for ts, ch in stream.blocks():
+        if not ts.size:
+            continue
+        block_bins = ts // width
+        if bins.size:
+            block_bins, ch = np.concatenate((bins, block_bins)), np.concatenate((channels, ch))
+        cut = int(np.searchsorted(block_bins, block_bins[-1]))  # where the last bin starts
+        parts.append(_resolve_bins(block_bins[:cut], ch[:cut], rng, mode))
+        bins, channels = block_bins[cut:].copy(), ch[cut:].copy()
+    parts.append(_resolve_bins(bins, channels, rng, mode))
+    return np.concatenate(parts)
+
+
+def _resolve_bins(bins: np.ndarray, channels: np.ndarray, rng: np.random.Generator,
+                  mode: str) -> np.ndarray:
+    """One outcome per run of equal ``bins``, the last run closed by the end."""
+    if not bins.size:
         return np.empty(0, dtype=np.uint8)
-    bins = stream.timestamps_ns // stream.bin_width_ns
     # opens[i]: record i is the first of its bin; one past the end closes the last bin
     opens = np.empty(bins.size + 1, dtype=bool)
     opens[0] = opens[-1] = True
     np.not_equal(bins[1:], bins[:-1], out=opens[1:-1])
-    del bins
     starts = np.flatnonzero(opens[:-1])
 
-    out = stream.channels[starts]
+    out = channels[starts]
     # a bin holds several records where its first record is not followed by
     # the first of the next bin
     multi = np.flatnonzero(~opens[1:][opens[:-1]])
-    rng = np.random.default_rng(tie_seed)
     if mode == "fired":
         # one bit per channel that fired in the bin; the draw picks the
         # k-th fired channel in index order, as a draw from the sorted
         # distinct channels does
-        mask = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), stream.channels), starts)[multi]
+        mask = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), channels), starts)[multi]
         fired = (mask[:, None] >> np.arange(4, dtype=np.uint8)) & 1
         k = rng.integers(fired.sum(axis=1, dtype=np.int64))
         out[multi] = np.argmax(fired.cumsum(axis=1) > k[:, None], axis=1)
@@ -319,14 +398,14 @@ def windowed_traces(streams: Iterable[EventStream], window_s: float = 0.05,
     the records in [k w, (k + 1) w) for the integer width
     w = round(window_s * 1e9) ns, which must be at least 1 ns.  Needs at
     least two full windows and at least one record per stream in every
-    window.  ``streams`` may be any iterable, such as a generator reading
-    each stream from its file: each stream is reduced to its per-window
-    counts, over at most as many windows as it has records, before the
-    next is taken, so a caller that keeps no other reference holds one
-    stream at a time.  A stream with fewer records than windows is
-    rejected before the common windows are sized.  This is the one
-    windowing routine: ``bell.chi_stderr`` takes its per-window chi from
-    here.
+    window.  ``streams`` may be any iterable of :class:`EventStream` or of
+    streams with a ``duration_s`` and ``blocks()``, such as event files read
+    block by block: each stream is reduced to its per-window counts, one
+    block at a time, before the next is taken, so a caller that keeps no
+    other reference holds one block at a time.  A stream with fewer records
+    than windows is rejected before the common windows are sized.  This is
+    the one windowing routine: ``bell.chi_stderr`` takes its per-window chi
+    from here.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
@@ -334,14 +413,11 @@ def windowed_traces(streams: Iterable[EventStream], window_s: float = 0.05,
     windows, records, counts = [], [], []
     for s in streams:
         n_own = int(s.duration_s / window_s + 1e-9)
-        # more windows than records leaves one empty; size no more than that
-        n_cap = min(n_own, len(s))
-        inside = s.timestamps_ns < n_cap * width_ns
-        idx = s.timestamps_ns[inside] // width_ns
-        counts.append(np.bincount(idx * 4 + s.channels[inside], minlength=4 * n_cap))
+        c, n = _window_counts(s, n_own, width_ns)
+        counts.append(c)
         windows.append(n_own)
-        records.append(len(s))
-        del s, inside, idx  # free this stream before the iterable yields the next
+        records.append(n)
+        del s  # free this stream before the iterable yields the next
     if len(counts) != 4:
         raise ValueError("need the four CHSH streams in setting order")
     n_win = min(windows)
@@ -367,6 +443,35 @@ def windowed_traces(streams: Iterable[EventStream], window_s: float = 0.05,
                          ci_low=mean - half, ci_high=mean + half)
 
 
+def _window_counts(stream: EventStream, n_own: int, width_ns: int) -> tuple[np.ndarray, int]:
+    """Counts per (window, channel), flat, over the first min(n_own, records)
+    windows of ``width_ns``, and the stream's record count.
+
+    A record is counted only in the windows before its stream's record
+    count so far: in a sorted stream a record past that leaves an earlier
+    window empty, which :func:`windowed_traces` refuses anyway.  So the
+    counts never outgrow the records, whatever the duration says.
+    """
+    n, counts = 0, np.zeros(0, dtype=np.int64)
+    for ts, ch in stream.blocks():
+        n += ts.size
+        inside = ts < min(n_own, n) * width_ns
+        keys = ts[inside] // width_ns * 4 + ch[inside]
+        if keys.size:
+            lo = int(keys.min())
+            part = np.bincount(keys - lo)
+            counts = _grown(counts, lo + part.size)
+            counts[lo : lo + part.size] += part
+    return _grown(counts, 4 * min(n_own, n)), n
+
+
+def _grown(counts: np.ndarray, size: int) -> np.ndarray:
+    """``counts`` padded with zeros to ``size`` entries, if it has fewer."""
+    if counts.size >= size:
+        return counts
+    return np.concatenate((counts, np.zeros(size - counts.size, dtype=counts.dtype)))
+
+
 def raw_bits(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
     """Two bits per outcome (``uint8`` 0/1): the channel code in binary.
 
@@ -380,9 +485,10 @@ def raw_bits(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
     return pairs.ravel()
 
 
-#: raw bits per overlap-add block of :func:`_toeplitz_sums`; the transforms
-#: run at a length that covers m + _TOEPLITZ_BLOCK - 1, whatever the input
-_TOEPLITZ_BLOCK = 1 << 18
+#: raw bits per overlap-add block of :func:`_toeplitz_sums`, and seed-row
+#: bits per draw; the transforms run at a length that covers
+#: m + _TOEPLITZ_BLOCK - 1, whatever the input
+_TOEPLITZ_BLOCK = 1 << 17
 
 
 def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: float,
@@ -419,7 +525,13 @@ def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: flo
         raise ValueError(f"insufficient certified entropy ({k} events) for the "
                          f"security parameter; need a longer run")
 
-    t = np.random.default_rng(seed).integers(0, 2, size=n + m - 1, dtype=np.uint32)
+    # the seed row is drawn as uint32, whose draws fix its bits, a block at a
+    # time, and kept as uint8
+    rng = np.random.default_rng(seed)
+    t = np.empty(n + m - 1, dtype=np.uint8)
+    for lo in range(0, t.size, _TOEPLITZ_BLOCK):
+        t[lo : lo + _TOEPLITZ_BLOCK] = rng.integers(0, 2, size=min(_TOEPLITZ_BLOCK, t.size - lo),
+                                                    dtype=np.uint32)
     # each sum is at most n, far below 2^53, so the FFT convolution rounds
     # back to the exact integers
     sums = _toeplitz_sums(t, x, m)

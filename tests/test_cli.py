@@ -30,6 +30,29 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def watch_blocks(monkeypatch, read_bytes):
+    """Reads of ``read_bytes`` at a time, each checked as it is parsed: no
+    block older than the one before may still be live, and no whole stream
+    is read.  Returns the path of each block parsed, in order."""
+    monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
+    parse, earlier, paths = cli._record_blocks, [], []
+
+    def read_whole(path):
+        raise AssertionError(f"{path} read as a whole stream")
+
+    def parse_alone(path, start):
+        for ts, ch in parse(path, start):
+            live = [r for r in earlier[:-1] if r() is not None]
+            assert not live, f"{len(live)} older block(s) live while parsing {path}"
+            earlier.append(weakref.ref(ts))
+            paths.append(path)
+            yield ts, ch
+
+    monkeypatch.setattr(cli, "_record_blocks", parse_alone)
+    monkeypatch.setattr(cli, "read_event_file", read_whole)
+    return paths
+
+
 def write_config(raw, path):
     """A chip config mapping written as a YAML file."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -837,22 +860,14 @@ class TestBellScanCommand:
         assert code == 2 and "no event files" in json.loads(err)["message"]
 
     def test_one_stream_live_at_a_time(self, tmp_path, monkeypatch):
+        # the files are read block by block: no stream is held at all, and
+        # no block older than the one before is live while the next is parsed
         ev = tmp_path / "ev"
         TestAnalyzeCommand.chsh_files(ev, (0.4, 0.1, 0.2, 0.3), 1e5, 0.05)
-        read = cli.read_event_file
-        earlier = []
-
-        def read_alone(path):
-            live = [r for r in earlier if r() is not None]
-            assert not live, f"{len(live)} earlier stream(s) live while reading {path}"
-            stream = read(path)
-            earlier.append(weakref.ref(stream))
-            return stream
-
-        monkeypatch.setattr(cli, "read_event_file", read_alone)
+        paths = watch_blocks(monkeypatch, 1 << 13)
         code, _, err = run_cli("bell-scan", "--events", str(ev), "--out", str(tmp_path / "o"))
         assert code == 0, err
-        assert len(earlier) == 4
+        assert len(set(paths)) == 4 and len(paths) > 4 * 5
 
     def test_duplicate_angle_pair_exits_2(self, tmp_path):
         ev = tmp_path / "ev"
@@ -1153,16 +1168,7 @@ class TestAnalyzeCommand:
         assert len(first) > 200_000
         del first
 
-        earlier = []
-
-        def read_alone(path):
-            live = [r for r in earlier if r() is not None]
-            assert not live, f"{len(live)} earlier stream(s) live while reading {path}"
-            stream = read(path)
-            earlier.append(weakref.ref(stream))
-            return stream
-
-        monkeypatch.setattr(cli, "read_event_file", read_alone)
+        paths = watch_blocks(monkeypatch, cli._READ_BYTES)
         tracemalloc.start()
         try:
             code, _, err = run_cli("analyze", "--events", *files,
@@ -1171,7 +1177,7 @@ class TestAnalyzeCommand:
         finally:
             tracemalloc.stop()
         assert code == 0, err
-        assert len(earlier) == 4
+        assert len(set(paths)) == 4 and len(paths) > 4 * 5
         assert peak < one_read + stream_bytes / 2, (
             f"traced peak {peak / 1e6:.1f} MB against {one_read / 1e6:.1f} MB for one read")
 

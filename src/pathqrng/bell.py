@@ -20,12 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .events import EventStream
 
 SQRT6 = math.sqrt(6.0)
 
@@ -259,17 +256,3 @@ def best_combination_search(grid: CorrelationGrid) -> tuple[ChiResult, ChiResult
         return ChiResult(chi, angles, stderr=se, sign=sign)
 
     return result("max"), result("min")
-
-
-def chi_stderr(streams: Sequence[EventStream], subinterval_s: float = 0.2) -> float:
-    """Standard error of chi from the scatter over time subintervals.
-
-    Splits the four aligned streams (in CHSH setting order) into the
-    consecutive windows of :func:`events.windowed_traces`, takes chi in
-    each from the raw channel frequencies, and returns the Bessel-corrected
-    sample standard deviation divided by sqrt(N).
-    """
-    from .events import windowed_traces  # events imports this module's E formula
-
-    chis = windowed_traces(streams, subinterval_s).chi_values
-    return float(np.std(chis, ddof=1) / math.sqrt(len(chis)))

@@ -7,7 +7,8 @@ Formats owned here:
   straight into a ``chip.ChipConfig``;
 * event files: TSV with a ``# key=value`` header block, a
   ``timestamp_ns<TAB>channel`` column line, then one record per line.
-  The header holds each known key once; a repeated or unknown key is
+  The header holds each field of an ``events.StreamHeader`` once, and the
+  values are checked as that header's; a repeated or unknown key is
   refused.  Every record matches ``[0-9]+\t(UF|UN|DF|DN)\n`` exactly:
   ASCII decimal digits with no sign, space or underscore, one tab, the
   channel label, and a newline, which the last record needs too.  Anything
@@ -65,8 +66,8 @@ from .bell import (ChiResult, CorrelationGrid, best_combination_search, check_ch
 from .certify import (CertificationResult, CorrectionEstimate, certification_result, e_chi, e_p,
                       guessing_curve)
 from .chip import ChipConfig, GenerationSetting, PhaseErrorSet, broadband_probabilities
-from .events import (Block, EventStream, bin_and_resolve, checked_blocks, raw_bits,
-                     simulate_blocks, toeplitz_extract, windowed_traces)
+from .events import (Block, EventStream, StreamHeader, bin_and_resolve, checked_blocks,
+                     raw_bits, simulate_blocks, toeplitz_extract, windowed_traces)
 # not called here since simulate writes blocks as they are drawn, but kept
 # under this name, which perfbench's tracer wraps
 from .events import simulate_events  # noqa: F401
@@ -398,10 +399,9 @@ def _resolve_config_path(value: str) -> Path:
 # ---------------------------------------------------------------------------
 
 _EVENT_MAGIC = "# pathqrng-events v1"
-#: the event-file header fields in file order, each with its type; every one
-#: is required except ``rate_hz``, which a stream without a rate leaves out
-_EVENT_FIELDS = (("phi", float), ("theta", float), ("duration_s", float),
-                 ("bin_width_us", float), ("seed", int), ("rate_hz", float))
+#: the event-file header keys in file order: a :class:`StreamHeader`'s fields,
+#: each required unless it has a default
+_EVENT_FIELDS = tuple(f.name for f in dataclasses.fields(StreamHeader))
 _GRID_MAGIC = "# pathqrng-grid v1"
 _GRID_COLUMNS = ("phi", "theta", "e", "stderr")
 
@@ -452,21 +452,17 @@ def _format_records(timestamps: np.ndarray, channels: np.ndarray) -> Iterator[np
             yield block
 
 
-def write_event_file(stream: EventStream, path: Path | str,
-                     blocks: Iterable[Block] | None = None) -> None:
+def write_event_file(header: StreamHeader, path: Path | str, blocks: Iterable[Block]) -> None:
     """The header, then each block of record lines as it is formatted, written
-    atomically.  ``blocks``, if given, are the records in place of the
-    stream's own, each formatted as it is taken, so that ``simulate`` writes
-    a stream as it draws it.  The traced peak of a write is one block's,
-    about 1.5 MB for a 5 s stream at 120 kHz."""
-    if blocks is None:
-        blocks = ((stream.timestamps_ns, stream.channels),)
-    values = ((key, getattr(stream, key)) for key, _ in _EVENT_FIELDS)
+    atomically; each block is formatted as it is taken, so that ``simulate``
+    writes a stream as it draws it.  The traced peak of a write is one
+    block's, about 1.5 MB for a 5 s stream at 120 kHz."""
+    values = ((key, getattr(header, key)) for key in _EVENT_FIELDS)
     lines = [_EVENT_MAGIC, *(f"# {key}={v!r}" for key, v in values if v is not None),
              _EVENT_COLUMNS]
-    header = ("\n".join(lines) + "\n").encode("ascii")
+    head = ("\n".join(lines) + "\n").encode("ascii")
     _atomic_write(path, itertools.chain(
-        (header,), itertools.chain.from_iterable(_format_records(ts, ch) for ts, ch in blocks)))
+        (head,), itertools.chain.from_iterable(_format_records(ts, ch) for ts, ch in blocks)))
 
 
 def _read_event_header(fh: BinaryIO, path: Path | str) -> dict[str, str]:
@@ -493,7 +489,7 @@ def _read_event_header(fh: BinaryIO, path: Path | str) -> dict[str, str]:
         if not line.startswith("# "):
             raise ValidationError(f"{path}: unexpected header line {line!r}")
         key, _, value = line[2:].partition("=")
-        if key not in dict(_EVENT_FIELDS):
+        if key not in _EVENT_FIELDS:
             raise ValidationError(f"{path}: unknown header key {key!r}")
         if key in meta:
             raise ValidationError(f"{path}: repeated header key {key!r}")
@@ -623,37 +619,27 @@ class EventFile:
     The header is read and checked when the file is opened; the records
     are parsed on each pass of :meth:`blocks`, one read at a time, so a
     pass holds one block however long the file.  ``header`` is the file's
-    stream with no records, and ``records`` the record count of the last
+    :class:`StreamHeader`, and ``records`` the record count of the last
     complete pass.  The errors and their order are those of parsing the
     whole file first: a bad record, then a header value, then the stream
-    rules, then a pair read before.  So a header value that is refused
-    waits for the body to parse, and ``seen``, the (phi, theta) pairs of
-    the files read before this one, is checked and added to after it.
+    rules.  So a header value that is refused waits for the body to parse.
     """
 
-    def __init__(self, path: Path | str, seen: set[tuple[float, float]] | None = None) -> None:
-        self.path, self.seen, self.records = path, seen, None
+    def __init__(self, path: Path | str) -> None:
+        self.path, self.records = path, None
         with open(path, "rb") as fh:
             meta = _read_event_header(fh, path)
             self.body_start = fh.tell()
-        missing = sorted(key for key, _ in _EVENT_FIELDS if key not in meta and key != "rate_hz")
+        missing = sorted(f.name for f in dataclasses.fields(StreamHeader)
+                         if f.default is dataclasses.MISSING and f.name not in meta)
         if missing:
             raise ValidationError(f"{path}: missing meta fields {missing}")
         try:
-            self.header = EventStream((), (), **{key: kind(meta[key]) for key, kind in _EVENT_FIELDS
-                                                 if key in meta})
+            self.header = StreamHeader(**meta)
         except ValueError as exc:
             for _ in _record_blocks(path, self.body_start):  # a bad record is named first
                 pass
             raise ValidationError(f"{path}: {exc}") from exc
-
-    @property
-    def duration_s(self) -> float:
-        return self.header.duration_s
-
-    @property
-    def bin_width_ns(self) -> int:
-        return self.header.bin_width_ns
 
     def blocks(self) -> Iterator[Block]:
         """Timestamps and channel codes of each block of records, in file order."""
@@ -667,11 +653,6 @@ class EventFile:
             raise
         except ValueError as exc:
             raise ValidationError(f"{self.path}: {exc}") from exc
-        if self.seen is not None:
-            key = (self.header.phi, self.header.theta)
-            if key in self.seen:
-                raise ValidationError(f"duplicate angle pair {key} in {self.path}")
-            self.seen.add(key)
         self.records = n
 
 
@@ -689,7 +670,7 @@ def read_event_file(path: Path | str) -> EventStream:
     for block_ts, block_ch in events.blocks():
         ts[at : at + block_ts.size], ch[at : at + block_ts.size] = block_ts, block_ch
         at += block_ts.size
-    return dataclasses.replace(events.header, timestamps_ns=ts, channels=ch)
+    return EventStream(events.header, ts, ch)
 
 
 def _write_table(path: Path | str, header_lines: Sequence[str],
@@ -916,9 +897,16 @@ def _check_seeds(args: argparse.Namespace, *flags: str) -> None:
 
 def _read_streams(paths: Iterable[Path | str]) -> Iterator[EventFile]:
     """Each file opened in turn for one block read, the next only once it is
-    asked for; a (phi, theta) pair read before is refused."""
+    asked for.  A (phi, theta) pair read before is refused once its file has
+    been read, so every error of the file itself comes first."""
     seen: set[tuple[float, float]] = set()
-    return (EventFile(path, seen) for path in paths)
+    for path in paths:
+        stream = EventFile(path)
+        yield stream
+        pair = (stream.header.phi, stream.header.theta)
+        if pair in seen:
+            raise ValidationError(f"duplicate angle pair {pair} in {path}")
+        seen.add(pair)
 
 
 def _stream_cell(stream: EventFile) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -928,7 +916,7 @@ def _stream_cell(stream: EventFile) -> tuple[tuple[float, float], tuple[float, f
         counts += np.bincount(ch, minlength=4)
     n = int(counts.sum())
     if n == 0:
-        raise ValidationError("event stream holds no records")
+        raise ValidationError(f"{stream.path}: event stream holds no records")
     e = correlation_coefficient(counts / n)
     return (stream.header.phi, stream.header.theta), (e, math.sqrt(max(1.0 - e * e, 0.0) / n))
 

@@ -7,13 +7,15 @@ ambiguous and get resolved to a single outcome by a seeded tie rule before
 bit extraction.  Bell statistics elsewhere use the raw records directly;
 only the extracted bit pipeline goes through tie resolution.
 
-A stream's records travel as blocks of (timestamps, channels).
-:func:`simulate_blocks` draws them ``_SIM_CHUNK`` bins at a time, so a
-simulation holds its timestamps, one chunk's counts and one block's
-channels, never every bin's count or every record's channel;
-:func:`bin_and_resolve` and :func:`windowed_traces` reduce any stream
-block by block, and an :class:`EventStream` is one block.  So a file read
-block by block is never held whole.
+A stream is a :class:`StreamHeader`, the one holder of its scalars, plus
+its records as blocks of (timestamps, channels); a consumer reads only
+``stream.header`` and ``stream.blocks()``.  :func:`simulate_blocks` draws
+the blocks ``_SIM_CHUNK`` bins at a time, so a simulation holds its
+timestamps, one chunk's counts and one block's channels, never every bin's
+count or every record's channel; :func:`bin_and_resolve` and
+:func:`windowed_traces` reduce any stream block by block, so a file read
+block by block is never held whole.  An :class:`EventStream` holds a
+header and all its records.
 
 Every stream time (duration, bin width, window) passes one check: positive,
 finite and, before it is scaled, below the int64 nanosecond range of the
@@ -44,7 +46,7 @@ text exist only in the files ``pathqrng.cli`` reads and writes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Iterable, Iterator, Sequence
 
@@ -99,12 +101,6 @@ def _whole_ns(name: str, value: float, unit: str) -> int:
     return ns
 
 
-def _stream_timing(duration_s: float, bin_width_us: float) -> tuple[float, int]:
-    """A stream's duration in nanoseconds, as a float, and its bin width in
-    whole nanoseconds: the scalar checks of every stream, simulated or not."""
-    return _ns("duration", duration_s, "s"), _whole_ns("bin width", bin_width_us, "us")
-
-
 #: a block of records: int64 timestamps and uint8 channel codes of one length
 Block = tuple[np.ndarray, np.ndarray]
 
@@ -130,17 +126,14 @@ def checked_blocks(blocks: Iterable[Block], duration_s: float) -> Iterator[Block
 
 
 @dataclass(frozen=True)
-class EventStream:
-    """One angle setting's worth of simulated detection records.
+class StreamHeader:
+    """The scalars of one angle setting's stream, each coerced to its type.
 
-    Timestamps are bin start times in integer nanoseconds, non-decreasing.
-    ``channels`` holds detector indices 0..3 in the fixed channel order.  A
-    stream with no records also serves as the header of a stream whose
-    records come as blocks, as simulated or read from a file.
+    The angles must be finite, the duration and bin width pass the stream
+    time checks, and the rate, which a stream may leave out, must be finite
+    and non-negative.
     """
 
-    timestamps_ns: np.ndarray
-    channels: np.ndarray
     phi: float
     theta: float
     duration_s: float
@@ -149,26 +142,46 @@ class EventStream:
     rate_hz: float | None = None
 
     def __post_init__(self) -> None:
-        ts = np.asarray(self.timestamps_ns, dtype=np.int64)
-        ch = np.asarray(self.channels, dtype=np.uint8)
-        object.__setattr__(self, "timestamps_ns", ts)
-        object.__setattr__(self, "channels", ch)
         for name in ("phi", "theta", "duration_s", "bin_width_us"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "seed", int(self.seed))
         if self.rate_hz is not None:
             object.__setattr__(self, "rate_hz", float(self.rate_hz))
-        if ts.shape != ch.shape or ts.ndim != 1:
-            raise ValueError("timestamps and channels must be matching 1-d arrays")
-        _stream_timing(self.duration_s, self.bin_width_us)
-        for _ in checked_blocks(self.blocks(), self.duration_s):
-            pass
-        if ts.size and int(ch.max()) > 3:
-            raise ValueError("channel indices must be 0..3")
+        if not (math.isfinite(self.phi) and math.isfinite(self.theta)):
+            raise ValueError(f"angles phi={self.phi!r}, theta={self.theta!r} must be finite")
+        _ns("duration", self.duration_s, "s")
+        _whole_ns("bin width", self.bin_width_us, "us")
+        if self.rate_hz is not None and not 0.0 <= self.rate_hz < math.inf:
+            raise ValueError(f"rate {self.rate_hz!r} Hz must be finite and non-negative")
 
     @property
     def bin_width_ns(self) -> int:
         return _whole_ns("bin width", self.bin_width_us, "us")
+
+
+@dataclass(frozen=True)
+class EventStream:
+    """A stream held whole: its header and all its records.
+
+    Timestamps are bin start times in integer nanoseconds, non-decreasing
+    and below the duration; ``channels`` holds detector indices 0..3 in the
+    fixed channel order.
+    """
+
+    header: StreamHeader
+    timestamps_ns: np.ndarray
+    channels: np.ndarray
+
+    def __post_init__(self) -> None:
+        ts, ch = np.asarray(self.timestamps_ns), np.asarray(self.channels)
+        if ts.shape != ch.shape or ts.ndim != 1:
+            raise ValueError("timestamps and channels must be matching 1-d arrays")
+        if ts.size and ts.dtype.kind not in "iu":
+            raise ValueError(f"timestamps must be integer nanoseconds, not {ts.dtype}")
+        object.__setattr__(self, "timestamps_ns", ts.astype(np.int64, copy=False))
+        object.__setattr__(self, "channels", _check_codes(ch))
+        for _ in checked_blocks(self.blocks(), self.header.duration_s):
+            pass
 
     def __len__(self) -> int:
         return int(self.timestamps_ns.size)
@@ -180,9 +193,9 @@ class EventStream:
 
 def simulate_blocks(distribution: Sequence[float] | np.ndarray, rate_hz: float,
                     duration_s: float, bin_width_us: float = 1.0, seed: int = 0,
-                    phi: float = 0.0, theta: float = 0.0) -> tuple[EventStream, Iterator[Block]]:
+                    phi: float = 0.0, theta: float = 0.0) -> tuple[StreamHeader, Iterator[Block]]:
     """Monte Carlo detection stream for one output distribution, as its
-    header (a stream with no records) and an iterator of record blocks.
+    header and an iterator of record blocks.
 
     Each of the ``duration / bin_width`` time bins receives a Poisson number
     of records with mean ``rate * bin_width`` (which must stay below one
@@ -201,9 +214,8 @@ def simulate_blocks(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     duration overflows an int64 nanosecond count, is refused first.
     """
     p = _distribution(distribution)
-    duration_ns, bin_ns = _stream_timing(duration_s, bin_width_us)
-    if not (math.isfinite(rate_hz) and rate_hz >= 0.0):
-        raise ValueError(f"rate {rate_hz!r} Hz must be finite and non-negative")
+    header = StreamHeader(phi, theta, duration_s, bin_width_us, seed, rate_hz)
+    duration_ns, bin_ns = _ns("duration", duration_s, "s"), header.bin_width_ns
     mean_per_bin = rate_hz * bin_width_us * 1e-6
     if mean_per_bin >= 1.0:
         raise ValueError(f"mean records per bin {mean_per_bin!r} must be < 1; "
@@ -218,8 +230,6 @@ def simulate_blocks(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     n_bins = int(duration_ns) // bin_ns
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
-    header = EventStream((), (), phi=phi, theta=theta, duration_s=duration_s,
-                         bin_width_us=bin_width_us, seed=seed, rate_hz=rate_hz)
 
     def blocks() -> Iterator[Block]:
         rng = np.random.default_rng(seed)
@@ -246,7 +256,7 @@ def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     header, blocks = simulate_blocks(distribution, rate_hz, duration_s, bin_width_us,
                                      seed=seed, phi=phi, theta=theta)
     ts, ch = zip(*blocks)
-    return replace(header, timestamps_ns=np.concatenate(ts), channels=np.concatenate(ch))
+    return EventStream(header, np.concatenate(ts), np.concatenate(ch))
 
 
 def bin_and_resolve(stream: EventStream, tie_seed: int = 0, mode: str = "fired") -> np.ndarray:
@@ -259,15 +269,15 @@ def bin_and_resolve(stream: EventStream, tie_seed: int = 0, mode: str = "fired")
     * ``"uniform4"``: uniformly among all four channels, discarding which
       detectors actually fired.
 
-    ``stream`` is an :class:`EventStream` or any stream with its
-    ``bin_width_ns`` and ``blocks()``, such as an event file read block by
-    block.  The last bin of each block is held open and carried into the
-    next, so the outcomes and the draws are those of the whole stream in
-    one block.  Returns the outcomes' channel codes (``uint8``) in bin order.
+    ``stream`` is an :class:`EventStream` or any stream with a ``header``
+    and ``blocks()``, such as an event file read block by block.  The last
+    bin of each block is held open and carried into the next, so the
+    outcomes and the draws are those of the whole stream in one block.
+    Returns the outcomes' channel codes (``uint8``) in bin order.
     """
     if mode not in ("fired", "uniform4"):
         raise ValueError(f"unknown tie mode {mode!r}")
-    width = stream.bin_width_ns
+    width = stream.header.bin_width_ns
     rng = np.random.default_rng(tie_seed)
     parts = []
     # the bin of each record of the open bin, and its channel
@@ -319,14 +329,6 @@ def _check_codes(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
     if codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > 3):
         raise ValueError("channel codes must be integers 0..3")
     return codes.astype(np.uint8, copy=False)
-
-
-def estimate_probabilities(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Channel frequencies (4,) of a sequence of channel codes, in basis order."""
-    codes = _check_codes(outcomes)
-    if codes.size == 0:
-        raise ValueError("no outcomes to estimate from")
-    return np.bincount(codes, minlength=4) / codes.size
 
 
 def resolved_distribution(distribution: Sequence[float] | np.ndarray,
@@ -399,20 +401,19 @@ def windowed_traces(streams: Iterable[EventStream], window_s: float = 0.05,
     w = round(window_s * 1e9) ns, which must be at least 1 ns.  Needs at
     least two full windows and at least one record per stream in every
     window.  ``streams`` may be any iterable of :class:`EventStream` or of
-    streams with a ``duration_s`` and ``blocks()``, such as event files read
+    streams with a ``header`` and ``blocks()``, such as event files read
     block by block: each stream is reduced to its per-window counts, one
     block at a time, before the next is taken, so a caller that keeps no
     other reference holds one block at a time.  A stream with fewer records
     than windows is rejected before the common windows are sized.  This is
-    the one windowing routine: ``bell.chi_stderr`` takes its per-window chi
-    from here.
+    the one windowing routine.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     width_ns = _whole_ns("window", window_s, "s")
     windows, records, counts = [], [], []
     for s in streams:
-        n_own = int(s.duration_s / window_s + 1e-9)
+        n_own = int(s.header.duration_s / window_s + 1e-9)
         c, n = _window_counts(s, n_own, width_ns)
         counts.append(c)
         windows.append(n_own)

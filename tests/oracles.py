@@ -273,13 +273,33 @@ def simulate_events_one_shot(distribution, rate_hz, duration_s, bin_width_us=1.0
     return timestamps, channels
 
 
+def estimate_probabilities(outcomes):
+    """Channel frequencies (4,) of a sequence of channel codes, in basis order."""
+    codes = events._check_codes(outcomes)
+    if codes.size == 0:
+        raise ValueError("no outcomes to estimate from")
+    return np.bincount(codes, minlength=4) / codes.size
+
+
+def chi_stderr(streams, subinterval_s=0.2):
+    """Standard error of chi from the scatter over time subintervals.
+
+    Splits the four aligned streams (in CHSH setting order) into the
+    consecutive windows of :func:`events.windowed_traces`, takes chi in
+    each from the raw channel frequencies, and returns the Bessel-corrected
+    sample standard deviation divided by sqrt(N).
+    """
+    chis = events.windowed_traces(streams, subinterval_s).chi_values
+    return float(np.std(chis, ddof=1) / math.sqrt(len(chis)))
+
+
 def bin_and_resolve_loop(stream, tie_seed=0, mode="fired"):
     """Tie resolution one multi-click bin at a time, in bin order: a draw
     from the sorted distinct channels that fired, or from all four.  Returns
     the uint8 channel codes."""
     if len(stream) == 0:
         return np.empty(0, dtype=np.uint8)
-    bins = stream.timestamps_ns // stream.bin_width_ns
+    bins = stream.timestamps_ns // stream.header.bin_width_ns
     starts = np.flatnonzero(np.r_[True, np.diff(bins) > 0])
     ends = np.r_[starts[1:], len(stream)]
     out_idx = stream.channels[starts].astype(np.int64)
@@ -296,14 +316,15 @@ def bin_and_resolve_loop(stream, tie_seed=0, mode="fired"):
 
 def event_file_text_by_lines(stream):
     """An event file built line by line with str formatting."""
+    h = stream.header
     lines = ["# pathqrng-events v1",
-             f"# phi={stream.phi!r}",
-             f"# theta={stream.theta!r}",
-             f"# duration_s={stream.duration_s!r}",
-             f"# bin_width_us={stream.bin_width_us!r}",
-             f"# seed={stream.seed}"]
-    if stream.rate_hz is not None:
-        lines.append(f"# rate_hz={stream.rate_hz!r}")
+             f"# phi={h.phi!r}",
+             f"# theta={h.theta!r}",
+             f"# duration_s={h.duration_s!r}",
+             f"# bin_width_us={h.bin_width_us!r}",
+             f"# seed={h.seed}"]
+    if h.rate_hz is not None:
+        lines.append(f"# rate_hz={h.rate_hz!r}")
     lines.append("timestamp_ns\tchannel")
     labels = ("UF", "UN", "DF", "DN")
     lines.extend(f"{int(t)}\t{labels[c]}" for t, c in zip(stream.timestamps_ns, stream.channels))

@@ -158,7 +158,7 @@ def test_criterion_8_monte_carlo_bell_test():
                                           phi=p, theta=t)
                    for i, (p, t) in enumerate(pairs)]
         chis.append(stream_chi(streams))
-        stderrs.append(bell.chi_stderr(streams))
+        stderrs.append(oracles.chi_stderr(streams))
     chis = np.asarray(chis)
     max_dev = float(np.max(np.abs(chis - chi0)))
     t_stat = 19.0 * chis.var(ddof=1) / float(np.mean(stderrs)) ** 2

@@ -32,13 +32,15 @@ def make_stream(sub_counts, negate=False, subinterval_s=0.2):
                 plus = not plus
             ch.append(0 if plus else 1)
     return events.EventStream(
+        header=events.StreamHeader(
+            phi=0.0,
+            theta=0.0,
+            duration_s=subinterval_s * len(sub_counts),
+            bin_width_us=1.0,
+            seed=0,
+        ),
         timestamps_ns=np.array(ts, dtype=np.int64),
         channels=np.array(ch, dtype=np.uint8),
-        phi=0.0,
-        theta=0.0,
-        duration_s=subinterval_s * len(sub_counts),
-        bin_width_us=1.0,
-        seed=0,
     )
 
 
@@ -382,7 +384,7 @@ def test_chi_stderr_zero_variance():
     streams = [
         make_stream([(165, 35), (165, 35)], negate=(k == 1)) for k in range(4)
     ]
-    assert bell.chi_stderr(streams) == pytest.approx(0.0, abs=1e-15)
+    assert oracles.chi_stderr(streams) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_chi_stderr_two_subintervals():
@@ -390,7 +392,7 @@ def test_chi_stderr_two_subintervals():
     streams = [
         make_stream([(165, 35), (335, 65)], negate=(k == 1)) for k in range(4)
     ]
-    assert bell.chi_stderr(streams) == pytest.approx(0.05, abs=1e-12)
+    assert oracles.chi_stderr(streams) == pytest.approx(0.05, abs=1e-12)
 
 
 def test_chi_stderr_simulated_magnitude():
@@ -408,7 +410,7 @@ def test_chi_stderr_simulated_magnitude():
         streams.append(
             events.simulate_events(p, 120000.0, 1.0, seed=100 + k, phi=phi, theta=theta)
         )
-    se = bell.chi_stderr(streams)
+    se = oracles.chi_stderr(streams)
     assert 0.001 < se < 0.03
 
 
@@ -417,20 +419,20 @@ def test_chi_stderr_and_windowed_traces_share_integer_windows():
     # opens window 1 (a float width of 333 333 333.3 ns would put it in 0)
     ts = np.array([0, 333_333_333, 400_000_000, 500_000_000, 700_000_000], dtype=np.int64)
     ch = np.array([0, 1, 0, 0, 0], dtype=np.uint8)
-    streams = [events.EventStream(ts, ch, phi=0.0, theta=0.0, duration_s=1.0,
-                                  bin_width_us=1.0, seed=0) for _ in range(4)]
+    header = events.StreamHeader(phi=0.0, theta=0.0, duration_s=1.0, bin_width_us=1.0, seed=0)
+    streams = [events.EventStream(header, ts, ch) for _ in range(4)]
     trace = events.windowed_traces(streams, window_s=1.0 / 3.0)
     np.testing.assert_allclose(trace.probabilities[0, :, :2], [[1.0, 0.0], [2 / 3, 1 / 3],
                                                               [1.0, 0.0]], atol=1e-15)
     np.testing.assert_allclose(trace.correlations, [[1.0, 1 / 3, 1.0]] * 4, atol=1e-15)
     np.testing.assert_allclose(trace.chi_values, [2.0, 2 / 3, 2.0], atol=1e-15)
     want = float(np.std([2.0, 2 / 3, 2.0], ddof=1)) / math.sqrt(3.0)
-    assert bell.chi_stderr(streams, 1.0 / 3.0) == pytest.approx(want, abs=1e-15)
+    assert oracles.chi_stderr(streams, 1.0 / 3.0) == pytest.approx(want, abs=1e-15)
 
 
 def test_chi_stderr_error_paths():
     short = [make_stream([(50, 10)]) for _ in range(4)]
     with pytest.raises(ValueError):
-        bell.chi_stderr(short)
+        oracles.chi_stderr(short)
     with pytest.raises(ValueError):
-        bell.chi_stderr([make_stream([(50, 10), (50, 10)])] * 3)
+        oracles.chi_stderr([make_stream([(50, 10), (50, 10)])] * 3)

@@ -4,6 +4,7 @@ in a file read block by block; the event-file header keys; and the memory
 the block reads and draws take."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -36,7 +37,7 @@ def run_cli(*argv):
 
 def write_stream(stream, path):
     path.parent.mkdir(parents=True, exist_ok=True)
-    cli.write_event_file(stream, path)
+    cli.write_event_file(stream.header, path, stream.blocks())
     return path
 
 
@@ -44,7 +45,7 @@ def split_stream(stream, cuts):
     """``stream`` as a stream of blocks cut at record indices ``cuts``."""
     edges = [0, *cuts, len(stream)]
     return types.SimpleNamespace(
-        duration_s=stream.duration_s, bin_width_ns=stream.bin_width_ns,
+        header=stream.header,
         blocks=lambda: ((stream.timestamps_ns[a:b], stream.channels[a:b])
                         for a, b in zip(edges[:-1], edges[1:])))
 
@@ -59,7 +60,8 @@ def wide_text():
     ts = np.unique(np.array(edges, dtype=np.int64))
     ch = np.random.default_rng(3).integers(0, 4, size=ts.size).astype(np.uint8)
     return oracles.event_file_text_by_lines(events.EventStream(
-        ts, ch, phi=0.1, theta=-0.2, duration_s=2e7, bin_width_us=1.0, seed=4))
+        events.StreamHeader(phi=0.1, theta=-0.2, duration_s=2e7, bin_width_us=1.0, seed=4),
+        ts, ch))
 
 
 BODIES = {
@@ -133,7 +135,7 @@ def test_tie_resolution_over_file_blocks_matches_loop(tmp_path, monkeypatch, mul
     path = write_stream(s, tmp_path / "ev.tsv")
     monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
     stream = cli.EventFile(path)
-    blocks = [ts // s.bin_width_ns for ts, _ in stream.blocks()]
+    blocks = [ts // s.header.bin_width_ns for ts, _ in stream.blocks()]
     # a block edge falls inside a bin of several records
     assert any(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
     got = events.bin_and_resolve(stream, tie_seed=7, mode=mode)
@@ -156,13 +158,27 @@ def test_tie_resolution_over_any_cuts_matches_loop(multi_click_stream, mode, ste
 def test_simulated_blocks_match_one_shot_oracle(monkeypatch, chunk):
     monkeypatch.setattr(events, "_SIM_CHUNK", chunk)
     header, blocks = events.simulate_blocks(DIST, 9e5, 0.003, seed=4, phi=0.5, theta=-1.0)
-    assert len(header) == 0 and (header.phi, header.theta, header.rate_hz) == (0.5, -1.0, 9e5)
+    assert header == events.StreamHeader(0.5, -1.0, 0.003, 1.0, 4, 9e5)
     blocks = list(blocks)
     assert len(blocks) == -(-3000 // chunk)  # one block per chunk of bins, empty ones too
     ts, ch = oracles.simulate_events_one_shot(DIST, 9e5, 0.003, seed=4)
     assert np.array_equal(np.concatenate([b[0] for b in blocks]), ts)
     assert np.array_equal(np.concatenate([b[1] for b in blocks]), ch)
     assert all(b[1].dtype == np.uint8 for b in blocks)
+
+
+@pytest.mark.parametrize("rate_line", ["# rate_hz=900000.0\n", ""])
+def test_simulated_header_roundtrips_through_a_file(tmp_path, rate_line):
+    header, blocks = events.simulate_blocks(DIST, 9e5, 0.002, seed=4, phi=0.5, theta=-1.0)
+    if not rate_line:
+        header = dataclasses.replace(header, rate_hz=None)
+    path = tmp_path / "ev.tsv"
+    cli.write_event_file(header, path, blocks)
+    assert cli.EventFile(path).header == header
+    text = path.read_text()
+    assert text.startswith("# pathqrng-events v1\n# phi=0.5\n# theta=-1.0\n# duration_s=0.002\n"
+                           "# bin_width_us=1.0\n# seed=4\n" + rate_line
+                           + "timestamp_ns\tchannel\n0\tUF\n")
 
 
 def test_simulate_writes_the_one_shot_stream(tmp_path, monkeypatch):
@@ -174,8 +190,9 @@ def test_simulate_writes_the_one_shot_stream(tmp_path, monkeypatch):
     seed = int(np.random.SeedSequence(9).generate_state(1)[0])
     dist = broadband_probabilities(ChipConfig.balanced(), np.array([0.3]), np.array([-0.2]))[0]
     ts, ch = oracles.simulate_events_one_shot(dist, 9e5, 0.003, seed=seed)
-    stream = events.EventStream(ts, ch, phi=0.3, theta=-0.2, duration_s=0.003,
-                                bin_width_us=1.0, seed=seed, rate_hz=9e5)
+    stream = events.EventStream(events.StreamHeader(phi=0.3, theta=-0.2, duration_s=0.003,
+                                                    bin_width_us=1.0, seed=seed, rate_hz=9e5),
+                                ts, ch)
     text = oracles.event_file_text_by_lines(stream)
     assert (tmp_path / "events_0000.tsv").read_bytes() == text.encode("ascii")
 
@@ -206,8 +223,9 @@ def test_windows_over_blocks_refuse_an_empty_window_like_whole_streams(tmp_path,
     streams = chsh_streams(2e5, 0.02)
     s = streams[2]
     keep = (s.timestamps_ns < gap_s[0] * 1e9) | (s.timestamps_ns >= gap_s[1] * 1e9)
-    streams[2] = events.EventStream(s.timestamps_ns[keep], s.channels[keep], phi=1.0, theta=0.0,
-                                    duration_s=0.02, bin_width_us=1.0, seed=0)
+    streams[2] = events.EventStream(events.StreamHeader(phi=1.0, theta=0.0, duration_s=0.02,
+                                                        bin_width_us=1.0, seed=0),
+                                    s.timestamps_ns[keep], s.channels[keep])
     files = [write_stream(s, tmp_path / f"s{i}.tsv") for i, s in enumerate(streams)]
     with pytest.raises(ValueError) as want:
         events.windowed_traces(streams, window_s=0.002)
@@ -220,8 +238,9 @@ def test_windows_over_blocks_refuse_an_empty_window_like_whole_streams(tmp_path,
 def test_window_counts_stay_within_the_records():
     # two records at the far end of a 1e6 s stream: 1e9 windows of 1 ms
     # would take 32 GB of counts; the records bound them to two windows
-    s = events.EventStream(np.array([10 ** 15 - 2, 10 ** 15 - 1]), np.array([0, 3]), phi=0.0,
-                           theta=0.0, duration_s=1e6, bin_width_us=1.0, seed=0)
+    s = events.EventStream(events.StreamHeader(phi=0.0, theta=0.0, duration_s=1e6,
+                                               bin_width_us=1.0, seed=0),
+                           np.array([10 ** 15 - 2, 10 ** 15 - 1]), np.array([0, 3]))
     counts, n = events._window_counts(split_stream(s, [1]), int(1e9), 10 ** 6)
     assert n == 2 and counts.tolist() == [0] * 8
 
@@ -240,7 +259,7 @@ def test_bell_scan_cells_over_blocks_match_line_oracle(tmp_path, monkeypatch, re
         _, _, ch = oracles.event_records_by_lines(oracles.event_file_text_by_lines(s))
         n = ch.size
         e = events.correlation_coefficient(np.bincount(ch, minlength=4) / n)
-        i, j = grid.phi_values.index(s.phi), grid.theta_values.index(s.theta)
+        i, j = grid.phi_values.index(s.header.phi), grid.theta_values.index(s.header.theta)
         assert grid.e[i, j] == e and grid.stderr[i, j] == math.sqrt(max(1.0 - e * e, 0.0) / n)
 
 

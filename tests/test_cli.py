@@ -30,6 +30,11 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def write_stream(stream, path):
+    """A whole stream written as an event file: its header, then its one block."""
+    cli.write_event_file(stream.header, path, stream.blocks())
+
+
 def watch_blocks(monkeypatch, read_bytes):
     """Reads of ``read_bytes`` at a time, each checked as it is parsed: no
     block older than the one before may still be live, and no whole stream
@@ -240,17 +245,17 @@ class TestEventFiles:
         s = events.simulate_events((0.4, 0.1, 0.2, 0.3), 2e4, 0.02, seed=9,
                                    phi=-0.576, theta=-1.11)
         path = tmp_path / "ev.tsv"
-        cli.write_event_file(s, path)
+        write_stream(s, path)
         back = cli.read_event_file(path)
         assert np.array_equal(back.timestamps_ns, s.timestamps_ns)
         assert np.array_equal(back.channels, s.channels)
-        assert (back.phi, back.theta) == (s.phi, s.theta)
-        assert back.rate_hz == 2e4 and back.seed == 9
+        assert back.header == s.header
+        assert back.header.rate_hz == 2e4 and back.header.seed == 9
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         s = events.simulate_events((0.25, 0.25, 0.25, 0.25), 1e4, 0.01, seed=2)
-        cli.write_event_file(s, tmp_path / "a.tsv")
-        cli.write_event_file(cli.read_event_file(tmp_path / "a.tsv"), tmp_path / "b.tsv")
+        write_stream(s, tmp_path / "a.tsv")
+        write_stream(cli.read_event_file(tmp_path / "a.tsv"), tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
     def test_failed_streamed_write_leaves_no_file(self, tmp_path, monkeypatch):
@@ -263,14 +268,15 @@ class TestEventFiles:
 
         monkeypatch.setattr(cli, "_format_records", failing_blocks)
         with pytest.raises(OSError, match="disk full"):
-            cli.write_event_file(s, tmp_path / "ev.tsv")
+            write_stream(s, tmp_path / "ev.tsv")
         assert not list(tmp_path.iterdir())
 
     def test_missing_rate_roundtrips_as_none(self, tmp_path):
-        s = events.EventStream(np.array([0], dtype=np.int64), np.array([0], dtype=np.uint8),
-                               phi=0.0, theta=0.0, duration_s=1.0, bin_width_us=1.0, seed=0)
-        cli.write_event_file(s, tmp_path / "e.tsv")
-        assert cli.read_event_file(tmp_path / "e.tsv").rate_hz is None
+        header = events.StreamHeader(phi=0.0, theta=0.0, duration_s=1.0, bin_width_us=1.0,
+                                     seed=0)
+        cli.write_event_file(header, tmp_path / "e.tsv",
+                             [(np.array([0], dtype=np.int64), np.array([0], dtype=np.uint8))])
+        assert cli.read_event_file(tmp_path / "e.tsv").header.rate_hz is None
 
     def test_malformed_files_rejected(self, tmp_path):
         p = tmp_path / "x.tsv"
@@ -294,8 +300,8 @@ class TestEventFiles:
         edges = [0, 1, 9] + [v for k in range(1, 17) for v in (10 ** k - 1, 10 ** k, 10 ** k + 1)]
         ts = np.unique(np.array(edges, dtype=np.int64))
         ch = np.random.default_rng(3).integers(0, 4, size=ts.size).astype(np.uint8)
-        return events.EventStream(ts, ch, phi=0.1, theta=-0.2, duration_s=2e7,
-                                  bin_width_us=1.0, seed=4)
+        return events.EventStream(events.StreamHeader(phi=0.1, theta=-0.2, duration_s=2e7,
+                                                      bin_width_us=1.0, seed=4), ts, ch)
 
     @pytest.mark.parametrize("case", ["paper-rate", "multi-click", "empty", "wide"])
     def test_writer_and_reader_match_line_oracles(self, tmp_path, case):
@@ -306,33 +312,36 @@ class TestEventFiles:
             s = events.simulate_events((0.4, 0.1, 0.2, 0.3), rate, 0.05, seed=17,
                                        phi=-0.576, theta=-1.11)
         path = tmp_path / "ev.tsv"
-        cli.write_event_file(s, path)
+        write_stream(s, path)
         text = oracles.event_file_text_by_lines(s)
         assert path.read_bytes() == text.encode("ascii")
         meta, ts, ch = oracles.event_records_by_lines(text)
         back = cli.read_event_file(path)
         assert back.timestamps_ns.dtype == np.int64 and back.channels.dtype == np.uint8
         assert np.array_equal(back.timestamps_ns, ts) and np.array_equal(back.channels, ch)
-        assert (back.phi, back.theta, back.seed) == (float(meta["phi"]), float(meta["theta"]),
-                                                     int(meta["seed"]))
+        assert (back.header.phi, back.header.theta, back.header.seed) == (
+            float(meta["phi"]), float(meta["theta"]), int(meta["seed"]))
 
     def test_18_and_19_digit_records_match_line_oracle(self, tmp_path):
         # the widest stream an EventStream holds ends just below 2^63 ns
         edges = [10 ** 17 - 1, 10 ** 17, 10 ** 18 - 1, 10 ** 18, 10 ** 18 + 1,
                  9_199_999_999_999_999_999]
         ts = np.array([0, 9, 10] + edges, dtype=np.int64)
-        s = events.EventStream(ts, np.arange(ts.size, dtype=np.uint8) % 4, phi=0.0,
-                               theta=0.0, duration_s=9.2e9, bin_width_us=1.0, seed=1)
-        cli.write_event_file(s, tmp_path / "ev.tsv")
+        s = events.EventStream(events.StreamHeader(phi=0.0, theta=0.0, duration_s=9.2e9,
+                                                   bin_width_us=1.0, seed=1),
+                               ts, np.arange(ts.size, dtype=np.uint8) % 4)
+        write_stream(s, tmp_path / "ev.tsv")
         assert (tmp_path / "ev.tsv").read_bytes() == oracles.event_file_text_by_lines(s).encode()
         assert np.array_equal(cli.read_event_file(tmp_path / "ev.tsv").timestamps_ns, ts)
-        # 2^63 - 1 ns lies past any EventStream's duration, so a plain
-        # namespace carries it to the writer
+        # 2^63 - 1 ns lies past any stream's duration, so it goes to the
+        # writer as a bare block, and a plain namespace carries it to the oracle
         top = types.SimpleNamespace(
             timestamps_ns=np.array([5, 10 ** 18, 2 ** 63 - 2, 2 ** 63 - 1], dtype=np.int64),
-            channels=np.array([3, 2, 1, 0], dtype=np.uint8), phi=0.0, theta=0.0,
-            duration_s=1.0, bin_width_us=1.0, seed=0, rate_hz=None)
-        cli.write_event_file(top, tmp_path / "top.tsv")
+            channels=np.array([3, 2, 1, 0], dtype=np.uint8),
+            header=events.StreamHeader(phi=0.0, theta=0.0, duration_s=1.0, bin_width_us=1.0,
+                                       seed=0))
+        cli.write_event_file(top.header, tmp_path / "top.tsv",
+                             [(top.timestamps_ns, top.channels)])
         text = oracles.event_file_text_by_lines(top)
         assert text.endswith("\n9223372036854775807\tUF\n")
         assert (tmp_path / "top.tsv").read_bytes() == text.encode()
@@ -345,11 +354,12 @@ class TestEventFiles:
         monkeypatch.setattr(cli, "_PARSE_ROWS", rows)
         ts = np.array([1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 100, 999, 1000, 10 ** 12],
                       dtype=np.int64)
-        s = events.EventStream(ts, np.arange(ts.size, dtype=np.uint8) % 4, phi=0.0,
-                               theta=0.0, duration_s=2e3, bin_width_us=1.0, seed=2)
+        s = events.EventStream(events.StreamHeader(phi=0.0, theta=0.0, duration_s=2e3,
+                                                   bin_width_us=1.0, seed=2),
+                               ts, np.arange(ts.size, dtype=np.uint8) % 4)
         blocks = list(cli._format_records(s.timestamps_ns, s.channels))
         assert max(len(b) for b in blocks) == min(rows, 7)  # 7 lines of one digit
-        cli.write_event_file(s, tmp_path / "ev.tsv")
+        write_stream(s, tmp_path / "ev.tsv")
         text = oracles.event_file_text_by_lines(s)
         assert (tmp_path / "ev.tsv").read_bytes() == text.encode()
         back = cli.read_event_file(tmp_path / "ev.tsv")
@@ -363,7 +373,7 @@ class TestEventFiles:
         assert len(s) > 590_000
         tracemalloc.start()
         try:
-            cli.write_event_file(s, tmp_path / "ev.tsv")
+            write_stream(s, tmp_path / "ev.tsv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -661,7 +671,7 @@ class TestSimulateCommand:
             assert (tmp_path / "run1" / name).read_bytes() == \
                 (tmp_path / "run2" / name).read_bytes()
         s = cli.read_event_file(tmp_path / "run1" / "events_0000.tsv")
-        assert (s.phi, s.theta) == (-0.576, -1.11)
+        assert (s.header.phi, s.header.theta) == (-0.576, -1.11)
 
     def test_scan_produces_schedule_files(self, tmp_path):
         code, out, _ = run_cli("simulate", "--scan", "--scan-step", "1.0",
@@ -858,6 +868,16 @@ class TestBellScanCommand:
         code, _, err = run_cli("bell-scan", "--events", str(tmp_path),
                                "--out", str(tmp_path / "o"))
         assert code == 2 and "no event files" in json.loads(err)["message"]
+
+    def test_file_without_records_named(self, tmp_path):
+        ev = tmp_path / "ev"
+        files = TestAnalyzeCommand.chsh_files(ev, (0.25,) * 4, 1e5, 0.01)
+        empty = Path(files[2])
+        empty.write_text(empty.read_text().partition("channel\n")[0] + "channel\n")
+        code, _, err = run_cli("bell-scan", "--events", str(ev), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert json.loads(err)["message"] == f"{empty}: event stream holds no records"
+        assert not (tmp_path / "o").exists()
 
     def test_one_stream_live_at_a_time(self, tmp_path, monkeypatch):
         # the files are read block by block: no stream is held at all, and
@@ -1100,7 +1120,7 @@ class TestAnalyzeCommand:
             s = events.simulate_events(dist, rate_hz, duration_s, seed=seed0 + i,
                                        phi=phi, theta=theta)
             path = tmp_path / f"s{i}.tsv"
-            cli.write_event_file(s, path)
+            write_stream(s, path)
             files.append(str(path))
         return files
 
@@ -1185,7 +1205,7 @@ class TestAnalyzeCommand:
 class TestExtractCommand:
     def test_matches_library_pipeline(self, tmp_path):
         s = events.simulate_events((0.25,) * 4, 1.2e5, 0.1, seed=77)
-        cli.write_event_file(s, tmp_path / "ev.tsv")
+        write_stream(s, tmp_path / "ev.tsv")
         out = tmp_path / "bits.txt"
         code, text, _ = run_cli("extract", "--events", str(tmp_path / "ev.tsv"),
                                 "--h-min", "0.33", "--out", str(out))
@@ -1199,7 +1219,7 @@ class TestExtractCommand:
     def test_sub_ns_bin_width_in_file_rejected(self, tmp_path):
         s = events.simulate_events((0.25,) * 4, 1.2e5, 0.1, seed=78)
         path = tmp_path / "ev.tsv"
-        cli.write_event_file(s, path)
+        write_stream(s, path)
         data = path.read_bytes()
         assert b"# bin_width_us=1.0\n" in data
         path.write_bytes(data.replace(b"# bin_width_us=1.0\n", b"# bin_width_us=0.0001\n"))
@@ -1214,7 +1234,7 @@ class TestExtractCommand:
     def test_infinite_header_field_exits_2(self, tmp_path, header):
         s = events.simulate_events((0.25,) * 4, 1.2e5, 0.1, seed=78)
         path = tmp_path / "ev.tsv"
-        cli.write_event_file(s, path)
+        write_stream(s, path)
         key = header.split(b"=")[0]
         data = path.read_bytes()
         old = next(line for line in data.split(b"\n") if line.startswith(key)) + b"\n"
@@ -1224,6 +1244,42 @@ class TestExtractCommand:
         lines = err.splitlines()
         assert code == 2 and len(lines) == 1
         assert "positive and finite" in json.loads(lines[0])["message"]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("phi", "inf", "must be finite"),
+        ("phi", "nan", "must be finite"),
+        ("theta", "inf", "must be finite"),
+        ("theta", "-inf", "must be finite"),
+        ("duration_s", "nan", "positive and finite"),
+        ("bin_width_us", "-1.0", "positive and finite"),
+        ("seed", "1.5", "invalid literal for int()"),
+        ("rate_hz", "-inf", "finite and non-negative"),
+        ("rate_hz", "inf", "finite and non-negative"),
+        ("rate_hz", "nan", "finite and non-negative"),
+        ("rate_hz", "-1.0", "finite and non-negative"),
+    ])
+    @pytest.mark.parametrize("bad_record", [False, True])
+    def test_bad_header_value_exits_2_naming_the_file(self, tmp_path, key, value, message,
+                                                      bad_record):
+        # the checks a simulated stream passes hold for a file's header too;
+        # a bad record in the body is still named first
+        s = events.simulate_events((0.25,) * 4, 1.2e5, 0.1, seed=78)
+        path = tmp_path / "ev.tsv"
+        write_stream(s, path)
+        data = path.read_bytes()
+        old = next(line for line in data.split(b"\n") if line.startswith(f"# {key}=".encode()))
+        data = data.replace(old + b"\n", f"# {key}={value}\n".encode())
+        path.write_bytes(data + (b"12x\tUF\n" if bad_record else b""))
+        out = tmp_path / "bits.txt"
+        code, _, err = run_cli("extract", "--events", str(path), "--h-min", "0.33",
+                               "--out", str(out))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        want = "malformed record '12x\\tUF'" if bad_record else message
+        assert record["message"].startswith(f"{path}: ") and want in record["message"]
+        assert not out.exists()
 
     def test_huge_finite_duration_header_exits_2(self, tmp_path):
         # 1e300 s is finite, but its nanosecond count overflows an int64
@@ -1241,7 +1297,7 @@ class TestExtractCommand:
     @pytest.mark.parametrize("flag", ["--seed", "--tie-seed"])
     def test_negative_seed_names_its_flag(self, tmp_path, flag):
         s = events.simulate_events((0.25,) * 4, 1.2e5, 0.1, seed=77)
-        cli.write_event_file(s, tmp_path / "ev.tsv")
+        write_stream(s, tmp_path / "ev.tsv")
         code, _, err = run_cli("extract", "--events", str(tmp_path / "ev.tsv"), "--h-min",
                                "0.33", flag, "-3", "--out", str(tmp_path / "b.txt"))
         lines = err.splitlines()
@@ -1253,7 +1309,7 @@ class TestExtractCommand:
 
     def test_insufficient_entropy_is_validation_error(self, tmp_path):
         s = events.simulate_events((0.25,) * 4, 1e4, 0.001, seed=1)
-        cli.write_event_file(s, tmp_path / "ev.tsv")
+        write_stream(s, tmp_path / "ev.tsv")
         code, _, err = run_cli("extract", "--events", str(tmp_path / "ev.tsv"),
                                "--h-min", "0.33", "--out", str(tmp_path / "b.txt"))
         assert code == 2 and "insufficient" in json.loads(err)["message"]
@@ -1262,7 +1318,7 @@ class TestExtractCommand:
     def test_subnormal_eps_sizes_the_output(self, tmp_path, duration_s, code):
         # 1 / 1e-320 overflows; -2 log2(1e-320) = 2126.03 costs 2127 bits
         s = events.simulate_events((0.25,) * 4, 1.2e5, duration_s, seed=77)
-        cli.write_event_file(s, tmp_path / "ev.tsv")
+        write_stream(s, tmp_path / "ev.tsv")
         out = tmp_path / "bits.txt"
         got, _, err = run_cli("extract", "--events", str(tmp_path / "ev.tsv"), "--h-min", "0.33",
                               "--eps", "1e-320", "--out", str(out))
@@ -1278,7 +1334,7 @@ class TestExtractCommand:
 
     def test_lost_fft_precision_exits_3(self, tmp_path, monkeypatch):
         s = events.simulate_events((0.25,) * 4, 1.2e5, 0.01, seed=5)
-        cli.write_event_file(s, tmp_path / "ev.tsv")
+        write_stream(s, tmp_path / "ev.tsv")
         exact = events._toeplitz_sums
         monkeypatch.setattr(events, "_toeplitz_sums", lambda t, x, m: exact(t, x, m) + 0.5)
         code, _, err = run_cli("extract", "--events", str(tmp_path / "ev.tsv"),

@@ -12,12 +12,10 @@ from pathqrng import events
 
 
 def make_stream(timestamps, channels, duration_s=1.0, bin_width_us=1.0):
-    return events.EventStream(
-        np.asarray(timestamps, dtype=np.int64),
-        np.asarray(channels, dtype=np.uint8),
-        phi=0.0, theta=0.0, duration_s=duration_s,
-        bin_width_us=bin_width_us, seed=0,
-    )
+    header = events.StreamHeader(phi=0.0, theta=0.0, duration_s=duration_s,
+                                 bin_width_us=bin_width_us, seed=0)
+    return events.EventStream(header, np.asarray(timestamps, dtype=np.int64),
+                              np.asarray(channels, dtype=np.uint8))
 
 
 class TestSimulateEvents:
@@ -61,8 +59,8 @@ class TestSimulateEvents:
     def test_metadata_is_carried(self):
         s = events.simulate_events((1.0, 0.0, 0.0, 0.0), 1e4, 0.01, seed=5,
                                    phi=-0.576, theta=-1.11)
-        assert s.phi == -0.576 and s.theta == -1.11
-        assert s.rate_hz == 1e4 and s.seed == 5
+        assert s.header.phi == -0.576 and s.header.theta == -1.11
+        assert s.header.rate_hz == 1e4 and s.header.seed == 5
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -194,7 +192,7 @@ class TestEventStream:
                 make_stream([0], [0], bin_width_us=width_us)
             with pytest.raises(ValueError, match="below 1 ns"):
                 events.simulate_events((1.0, 0.0, 0.0, 0.0), 1e3, 0.01, bin_width_us=width_us)
-        assert make_stream([0], [0], bin_width_us=6e-4).bin_width_ns == 1
+        assert make_stream([0], [0], bin_width_us=6e-4).header.bin_width_ns == 1
 
     def test_order_check_makes_no_difference_array(self):
         # np.diff made an int64 temporary of every record (5.4 MB traced here)
@@ -218,12 +216,57 @@ class TestEventStream:
                 build()
 
     def test_meta_fields_coerced(self):
-        s = events.EventStream(np.array([0], dtype=np.int64), np.array([2], dtype=np.uint8),
-                               phi=np.float64(0.1), theta=0, duration_s=1,
-                               bin_width_us=np.int32(1), seed=np.int64(9))
+        s = events.StreamHeader(phi=np.float64(0.1), theta=0, duration_s=1,
+                                bin_width_us=np.int32(1), seed=np.int64(9))
         assert isinstance(s.phi, float) and isinstance(s.duration_s, float)
         assert isinstance(s.seed, int) and s.seed == 9
         assert s.bin_width_ns == 1000
+
+    @pytest.mark.parametrize("channels", [[256, 3], [1.7, 3.2], [-1, 0], [0, 4]])
+    def test_channels_must_be_codes(self, channels):
+        # a cast to uint8 would wrap 256 to 0 and truncate 1.7 to 1
+        header = make_stream([], []).header
+        with pytest.raises(ValueError, match="0..3"):
+            events.EventStream(header, np.array([0, 5]), np.array(channels))
+
+    @pytest.mark.parametrize("timestamps", [[0.5, 5.9], [0.0, 5.0]])
+    def test_timestamps_must_be_integers(self, timestamps):
+        # a cast to int64 would truncate 0.5 to 0 and 5.9 to 5
+        header = make_stream([], []).header
+        with pytest.raises(ValueError, match="integer nanoseconds"):
+            events.EventStream(header, np.array(timestamps), np.array([0, 3]))
+
+    def test_integer_records_of_any_width_are_kept(self):
+        s = events.EventStream(make_stream([], []).header, np.array([0, 5], dtype=np.uint32),
+                               np.array([3, 1], dtype=np.int64))
+        assert s.timestamps_ns.dtype == np.int64 and s.timestamps_ns.tolist() == [0, 5]
+        assert s.channels.dtype == np.uint8 and s.channels.tolist() == [3, 1]
+
+
+class TestStreamHeader:
+    @pytest.mark.parametrize("field, value, message", [
+        ("phi", math.inf, "must be finite"),
+        ("phi", math.nan, "must be finite"),
+        ("theta", -math.inf, "must be finite"),
+        ("rate_hz", math.inf, "finite and non-negative"),
+        ("rate_hz", -math.inf, "finite and non-negative"),
+        ("rate_hz", math.nan, "finite and non-negative"),
+        ("rate_hz", -1.0, "finite and non-negative"),
+    ])
+    def test_bad_value_rejected(self, field, value, message):
+        fields = dict(phi=0.0, theta=0.0, duration_s=1.0, bin_width_us=1.0, seed=0, rate_hz=1.0)
+        with pytest.raises(ValueError, match=message):
+            events.StreamHeader(**{**fields, field: value})
+
+    def test_rate_may_be_zero_or_absent(self):
+        assert events.StreamHeader(0.0, 0.0, 1.0, 1.0, 0, 0.0).rate_hz == 0.0
+        assert events.StreamHeader(0.0, 0.0, 1.0, 1.0, 0).rate_hz is None
+
+    def test_fields_coerced_from_text(self):
+        h = events.StreamHeader(phi="0.5", theta="-1", duration_s="2", bin_width_us="1.0",
+                                seed="7", rate_hz="1e5")
+        assert h == events.StreamHeader(0.5, -1.0, 2.0, 1.0, 7, 100000.0)
+        assert isinstance(h.seed, int) and isinstance(h.theta, float)
 
 
 class TestBinAndResolve:
@@ -292,32 +335,32 @@ class TestBinAndResolve:
 
 class TestEstimateProbabilities:
     def test_half_half(self):
-        p = events.estimate_probabilities([0, 0, 3, 3])
+        p = oracles.estimate_probabilities([0, 0, 3, 3])
         assert p.shape == (4,) and p.tolist() == [0.5, 0.0, 0.0, 0.5]
 
     def test_single_outcome(self):
-        p = events.estimate_probabilities(np.array([0], dtype=np.uint8))
+        p = oracles.estimate_probabilities(np.array([0], dtype=np.uint8))
         assert p[0] == 1.0 and p.sum() == 1.0
 
     def test_integer_codes_accepted(self):
-        p = events.estimate_probabilities(np.array([0, 1, 1, 3], dtype=np.int64))
+        p = oracles.estimate_probabilities(np.array([0, 1, 1, 3], dtype=np.int64))
         assert p[1] == 0.5 and p[3] == 0.25
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no outcomes"):
-            events.estimate_probabilities([])
+            oracles.estimate_probabilities([])
 
     def test_unknown_label_rejected(self):
         # outcomes are channel codes; labels exist only in the CLI's files
         with pytest.raises(ValueError, match="0..3"):
-            events.estimate_probabilities(["UF", "XX"])
+            oracles.estimate_probabilities(["UF", "XX"])
         with pytest.raises(ValueError, match="0..3"):
-            events.estimate_probabilities([0, 4])
+            oracles.estimate_probabilities([0, 4])
 
     def test_large_sample_recovers_distribution(self):
         d = (0.4, 0.1, 0.2, 0.3)
         s = events.simulate_events(d, 1e5, 1.0, seed=13)
-        p = events.estimate_probabilities(s.channels)
+        p = oracles.estimate_probabilities(s.channels)
         for c, target in enumerate(d):
             lo, hi = oracles.binomial_bounds(len(s), target)
             assert lo <= p[c] * len(s) <= hi + 0.5
@@ -491,7 +534,7 @@ class TestRawBits:
         s = events.simulate_events((0.25, 0.25, 0.25, 0.25), 3e5, 0.1, seed=41)
         out = events.bin_and_resolve(s, tie_seed=41)
         bits = events.raw_bits(out)
-        occupied = np.unique(s.timestamps_ns // s.bin_width_ns).size
+        occupied = np.unique(s.timestamps_ns // s.header.bin_width_ns).size
         assert len(bits) == 2 * occupied
 
 
@@ -645,7 +688,7 @@ class TestPipeline:
         s = events.simulate_events(d, 1.2e5, 1.0, seed=53)
         out = events.bin_and_resolve(s, tie_seed=53)
         target = events.resolved_distribution(d, 0.12)
-        est = events.estimate_probabilities(out)
+        est = oracles.estimate_probabilities(out)
         n = out.size
         for c in range(4):
             lo, hi = oracles.binomial_bounds(n, target[c])

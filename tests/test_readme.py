@@ -17,6 +17,7 @@ def test_readme_library_example_runs():
     names = {}
     exec(compile(library_example(), str(README), "exec"), names)
     assert names["dist"].shape == (4,)
+    assert names["header"].rate_hz == 1.2e5 and names["header"].bin_width_ns == 1000
     assert names["surface"].shape == (41, 21)
     assert names["e_chi"].converged and names["e_p"].converged
     assert 0.0 < names["result"].h_min_bits < 1.0

@@ -455,14 +455,16 @@ def _format_records(timestamps: np.ndarray, channels: np.ndarray) -> Iterator[np
 def write_event_file(header: StreamHeader, path: Path | str, blocks: Iterable[Block]) -> None:
     """The header, then each block of record lines as it is formatted, written
     atomically; each block is formatted as it is taken, so that ``simulate``
-    writes a stream as it draws it.  The traced peak of a write is one
+    writes a stream as it draws it.  The blocks are held to the record rules
+    of :func:`~pathqrng.events.checked_blocks`, so a stream that breaks them
+    is refused and leaves no file.  The traced peak of a write is one
     block's, about 1.5 MB for a 5 s stream at 120 kHz."""
     values = ((key, getattr(header, key)) for key in _EVENT_FIELDS)
     lines = [_EVENT_MAGIC, *(f"# {key}={v!r}" for key, v in values if v is not None),
              _EVENT_COLUMNS]
     head = ("\n".join(lines) + "\n").encode("ascii")
-    _atomic_write(path, itertools.chain(
-        (head,), itertools.chain.from_iterable(_format_records(ts, ch) for ts, ch in blocks)))
+    records = (_format_records(ts, ch) for ts, ch in checked_blocks(blocks, header.duration_s))
+    _atomic_write(path, itertools.chain((head,), itertools.chain.from_iterable(records)))
 
 
 def _read_event_header(fh: BinaryIO, path: Path | str) -> dict[str, str]:

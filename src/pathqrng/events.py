@@ -1,18 +1,19 @@
 """Detection-event simulation, binning, and randomness extraction.
 
-Streams are generated bin by bin: arrivals in each time bin are Poisson,
-and each arrival lands in one of the four detector channels according to
-the chip's output distribution.  Bins holding more than one record are
-ambiguous and get resolved to a single outcome by a seeded tie rule before
-bit extraction.  Bell statistics elsewhere use the raw records directly;
+Arrivals in each time bin are Poisson, and each arrival lands in one of
+the four detector channels according to the chip's output distribution.
+Streams are drawn per occupied bin, not per bin: the gaps between occupied
+bins are geometric and each occupied bin's count is zero-truncated
+Poisson, the same law at about one draw per record.  Bins holding more
+than one record are ambiguous and get resolved to a single outcome by a
+seeded tie rule before bit extraction.  Bell statistics elsewhere use the raw records directly;
 only the extracted bit pipeline goes through tie resolution.
 
 A stream is a :class:`StreamHeader`, the one holder of its scalars, plus
 its records as blocks of (timestamps, channels); a consumer reads only
 ``stream.header`` and ``stream.blocks()``.  :func:`simulate_blocks` draws
-the blocks ``_SIM_CHUNK`` bins at a time, so a simulation holds its
-timestamps, one chunk's counts and one block's channels, never every bin's
-count or every record's channel; :func:`bin_and_resolve` and
+the blocks ``_SIM_CHUNK`` bins at a time, records and channels together, so
+a simulation holds one block; :func:`bin_and_resolve` and
 :func:`windowed_traces` reduce any stream block by block, so a file read
 block by block is never held whole.  An :class:`EventStream` holds a
 header and all its records.
@@ -68,8 +69,8 @@ def _distribution(p: Sequence[float] | np.ndarray) -> np.ndarray:
     return arr / arr.sum()
 
 
-#: bins per Poisson draw in :func:`simulate_blocks`, and so the records of one
-#: block; each chunk's counts are its only per-bin memory
+#: bins per block of :func:`simulate_blocks`, whose records and draws are all
+#: that a simulation holds
 _SIM_CHUNK = 1 << 16
 #: the most bins and expected records one simulated stream may hold, checked
 #: before any draw: 1e11 bins is about a day at 1 us bins, and 1e9 records
@@ -198,20 +199,23 @@ def simulate_blocks(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     header and an iterator of record blocks.
 
     Each of the ``duration / bin_width`` time bins receives a Poisson number
-    of records with mean ``rate * bin_width`` (which must stay below one
-    record per bin for the model to make sense), and every record picks a
-    channel independently from ``distribution`` (4,), in basis order.
+    of records with mean ``lam = rate * bin_width`` (which must stay below
+    one record per bin for the model to make sense), and every record picks
+    a channel independently from ``distribution`` (4,), in basis order.
 
-    The seed's draws are every bin's count, then every record's channel, as
-    one ``poisson`` call over all bins and one ``choice`` over all records
-    would take them.  So the first block drawn draws all the counts,
-    ``_SIM_CHUNK`` bins at a time, keeping only the timestamps of occupied
-    bins, one block per chunk; each block's channels are then drawn as it is
-    taken, as ``cdf.searchsorted(random(k), side="right")``, the doubles and
-    the rule ``choice`` uses.  The iterator holds the blocks not yet taken,
-    about 8 bytes per record, plus one chunk.  A stream of more than
-    ``_MAX_BINS`` bins or ``_MAX_RECORDS`` expected records, or one whose
-    duration overflows an int64 nanosecond count, is refused first.
+    Only occupied bins are drawn, with the same law: the gaps between them
+    are Geometric(q), q = 1 - e^-lam, as ``1 + floor(-log1p(-U) / lam)``,
+    each clipped to the stream before its int64 cast; an occupied bin's
+    count is zero-truncated Poisson(lam), one uniform's place in a CDF table
+    that ends where the tail is below 2^-53; and each record's channel is
+    ``cdf.searchsorted(random(k), side="right")``.  Each block is the
+    ``_SIM_CHUNK`` bins from ``lo``, one per chunk, empty ones too, and draws
+    its gaps (sized to its expected occupied bins and a margin), then its
+    counts, then its channels, as it is taken; so the iterator holds one
+    block.  Fixed-seed streams differ from those of the earlier per-bin
+    draws, whose law they share.  A stream of more than ``_MAX_BINS`` bins
+    or ``_MAX_RECORDS`` expected records, or one whose duration overflows an
+    int64 nanosecond count, is refused first.
     """
     p = _distribution(distribution)
     header = StreamHeader(phi, theta, duration_s, bin_width_us, seed, rate_hz)
@@ -233,17 +237,32 @@ def simulate_blocks(distribution: Sequence[float] | np.ndarray, rate_hz: float,
 
     def blocks() -> Iterator[Block]:
         rng = np.random.default_rng(seed)
-        stamps = []
-        for lo in range(0, n_bins, _SIM_CHUNK):
-            counts = rng.poisson(mean_per_bin, size=min(_SIM_CHUNK, n_bins - lo))
-            occupied = np.flatnonzero(counts)
-            stamps.append(np.repeat((occupied + lo) * bin_ns, counts[occupied]))
-        del counts, occupied  # the last chunk's, freed before any block is taken
         cdf = np.cumsum(p)
         cdf /= cdf[-1]
-        stamps.reverse()
-        while stamps:  # each block is let go of once it is taken
-            ts = stamps.pop()
+        # the zero-truncated Poisson law as a CDF on k = 1, 2, ...: p_1 = lam / (e^lam - 1),
+        # then p_k = p_(k-1) lam / k, up to the first term below 2^-53
+        terms = [mean_per_bin / math.expm1(mean_per_bin) if mean_per_bin else 1.0]
+        while terms[-1] >= 2.0 ** -53:
+            terms.append(terms[-1] * mean_per_bin / (len(terms) + 1))
+        counts_cdf = np.cumsum(terms)
+        counts_cdf /= counts_cdf[-1]
+        occupied = -math.expm1(-mean_per_bin)
+        # occupied bins drawn and not yet taken, and the last one drawn; at rate 0
+        # the last one lies past the stream, so no gap is drawn
+        ahead, last = np.empty(0, dtype=np.int64), -1 if mean_per_bin else n_bins
+        for lo in range(0, n_bins, _SIM_CHUNK):
+            hi = min(lo + _SIM_CHUNK, n_bins)
+            while last < hi:  # gaps for this block's expected occupied bins, and a margin
+                want = occupied * (hi - last)
+                e = -np.log1p(-rng.random(int(want + 4.0 * math.sqrt(want)) + 16))
+                # clipped to n_bins + 1 bins before the cast, however small lam is
+                gaps = np.minimum(e, mean_per_bin * (n_bins + 1)) / mean_per_bin
+                ahead = np.concatenate((ahead, last + np.cumsum(gaps.astype(np.int64) + 1)))
+                last = int(ahead[-1])
+            k = int(ahead.searchsorted(hi))
+            counts = counts_cdf.searchsorted(rng.random(k), side="right") + 1
+            ts = np.repeat(ahead[:k] * bin_ns, counts)
+            ahead = ahead[k:]
             yield ts, cdf.searchsorted(rng.random(ts.size), side="right").astype(np.uint8)
 
     return header, blocks()

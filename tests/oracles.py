@@ -273,6 +273,60 @@ def simulate_events_one_shot(distribution, rate_hz, duration_s, bin_width_us=1.0
     return timestamps, channels
 
 
+def simulated_law_failures(timestamps, channels, distribution, rate_hz, duration_s,
+                           bin_width_us=1.0, z_max=5.0, p_min=1e-6):
+    """The ways a simulated stream breaks the law of per-bin Poisson counts
+    with independent channel draws, as messages; an empty list is a pass.
+
+    Checked: records sorted, at bin starts and below the duration; the
+    occupied-bin count against Binomial(n_bins, q), q = 1 - e^-lam; the
+    multi-click share of the occupied bins against 1 - lam e^-lam / q; a
+    chi-square test of the records per occupied bin against the
+    zero-truncated Poisson law, its tail cells pooled to an expectation of at
+    least 5; and each channel's count against Binomial(records, p_c).  The
+    z-tests pass at |z| <= ``z_max``, the chi-square test at p >= ``p_min``.
+    """
+    bin_ns = int(round(bin_width_us * 1000.0))
+    n_bins = int(duration_s * 1e9) // bin_ns
+    lam = rate_hz * bin_width_us * 1e-6
+    ts, ch = np.asarray(timestamps), np.asarray(channels)
+    failures = []
+    if ts.size and (ts[0] < 0 or np.any(np.diff(ts) < 0) or ts[-1] >= n_bins * bin_ns
+                    or np.any(ts % bin_ns)):
+        failures.append("records not sorted bin starts within the duration")
+
+    def z_test(name, count, n, p):
+        sd = math.sqrt(n * p * (1.0 - p))
+        if (count != n * p) if sd == 0.0 else abs(count - n * p) > z_max * sd:
+            failures.append(f"{name} {count} vs {n * p:.2f} +- {sd:.2f}")
+
+    _, per_bin = np.unique(ts, return_counts=True)
+    q = -math.expm1(-lam)
+    z_test("occupied bins", per_bin.size, n_bins, q)
+    if per_bin.size:
+        z_test("multi-click bins", int(np.sum(per_bin > 1)), per_bin.size,
+               1.0 - lam * math.exp(-lam) / q)
+        k_max = int(per_bin.max()) + 1
+        pmf = np.array([stats.poisson.pmf(k, lam) for k in range(1, k_max + 1)]) / q
+        pmf[-1] = 1.0 - pmf[:-1].sum()  # the last cell holds the whole tail
+        observed = np.bincount(per_bin, minlength=k_max + 1)[1:].astype(float)
+        expected = per_bin.size * pmf
+        while expected.size > 1 and expected[-1] < 5.0:
+            observed[-2] += observed[-1]
+            expected[-2] += expected[-1]
+            observed, expected = observed[:-1], expected[:-1]
+        if expected.size > 1:
+            p_value = stats.chisquare(observed, expected).pvalue
+            if p_value < p_min:
+                failures.append(f"records per occupied bin: chi-square p = {p_value:.2e}")
+    d = np.asarray(distribution, dtype=float)
+    d = d / d.sum()
+    counts = np.bincount(ch, minlength=4)
+    for c in range(4):
+        z_test(f"channel {c}", int(counts[c]), ts.size, float(d[c]))
+    return failures
+
+
 def estimate_probabilities(outcomes):
     """Channel frequencies (4,) of a sequence of channel codes, in basis order."""
     codes = events._check_codes(outcomes)

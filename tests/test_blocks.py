@@ -156,15 +156,24 @@ def test_tie_resolution_over_any_cuts_matches_loop(multi_click_stream, mode, ste
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 17])
 def test_simulated_blocks_match_one_shot_oracle(monkeypatch, chunk):
+    # the blocks and the per-bin oracle both pass the per-bin law, and a seed
+    # gives the same blocks twice
     monkeypatch.setattr(events, "_SIM_CHUNK", chunk)
-    header, blocks = events.simulate_blocks(DIST, 9e5, 0.003, seed=4, phi=0.5, theta=-1.0)
-    assert header == events.StreamHeader(0.5, -1.0, 0.003, 1.0, 4, 9e5)
+    header, blocks = events.simulate_blocks(DIST, 9e5, 0.02, seed=4, phi=0.5, theta=-1.0)
+    assert header == events.StreamHeader(0.5, -1.0, 0.02, 1.0, 4, 9e5)
     blocks = list(blocks)
-    assert len(blocks) == -(-3000 // chunk)  # one block per chunk of bins, empty ones too
-    ts, ch = oracles.simulate_events_one_shot(DIST, 9e5, 0.003, seed=4)
-    assert np.array_equal(np.concatenate([b[0] for b in blocks]), ts)
-    assert np.array_equal(np.concatenate([b[1] for b in blocks]), ch)
-    assert all(b[1].dtype == np.uint8 for b in blocks)
+    assert len(blocks) == -(-20_000 // chunk)  # one block per chunk of bins, empty ones too
+    assert all(b[0].dtype == np.int64 and b[1].dtype == np.uint8 for b in blocks)
+    # each block holds the records of its own chunk of bins
+    assert all(np.all(ts // 1000 // chunk == i) for i, (ts, _) in enumerate(blocks))
+    ts, ch = (np.concatenate(arrays) for arrays in zip(*blocks))
+    assert oracles.simulated_law_failures(ts, ch, DIST, 9e5, 0.02) == []
+    assert oracles.simulated_law_failures(*oracles.simulate_events_one_shot(DIST, 9e5, 0.02,
+                                                                            seed=4),
+                                          DIST, 9e5, 0.02) == []
+    again = list(events.simulate_blocks(DIST, 9e5, 0.02, seed=4)[1])
+    assert all(np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+               for x, y in zip(blocks, again, strict=True))
 
 
 @pytest.mark.parametrize("rate_line", ["# rate_hz=900000.0\n", ""])
@@ -178,10 +187,12 @@ def test_simulated_header_roundtrips_through_a_file(tmp_path, rate_line):
     text = path.read_text()
     assert text.startswith("# pathqrng-events v1\n# phi=0.5\n# theta=-1.0\n# duration_s=0.002\n"
                            "# bin_width_us=1.0\n# seed=4\n" + rate_line
-                           + "timestamp_ns\tchannel\n0\tUF\n")
+                           + "timestamp_ns\tchannel\n3000\tUN\n")
 
 
 def test_simulate_writes_the_one_shot_stream(tmp_path, monkeypatch):
+    # the file holds, byte for byte, the stream simulate_blocks draws for the
+    # pair's seed, and that stream has the per-bin law of the one-shot oracle
     monkeypatch.setattr(events, "_SIM_CHUNK", 97)
     monkeypatch.setattr(cli, "_PARSE_ROWS", 5)
     code, _, err = run_cli("simulate", "--angles=0.3:-0.2", "--rate-hz", "9e5",
@@ -189,12 +200,14 @@ def test_simulate_writes_the_one_shot_stream(tmp_path, monkeypatch):
     assert code == 0, err
     seed = int(np.random.SeedSequence(9).generate_state(1)[0])
     dist = broadband_probabilities(ChipConfig.balanced(), np.array([0.3]), np.array([-0.2]))[0]
-    ts, ch = oracles.simulate_events_one_shot(dist, 9e5, 0.003, seed=seed)
-    stream = events.EventStream(events.StreamHeader(phi=0.3, theta=-0.2, duration_s=0.003,
-                                                    bin_width_us=1.0, seed=seed, rate_hz=9e5),
-                                ts, ch)
-    text = oracles.event_file_text_by_lines(stream)
+    header, blocks = events.simulate_blocks(dist, 9e5, 0.003, seed=seed, phi=0.3, theta=-0.2)
+    ts, ch = (np.concatenate(arrays) for arrays in zip(*blocks))
+    text = oracles.event_file_text_by_lines(events.EventStream(header, ts, ch))
     assert (tmp_path / "events_0000.tsv").read_bytes() == text.encode("ascii")
+    assert oracles.simulated_law_failures(ts, ch, dist, 9e5, 0.003) == []
+    assert oracles.simulated_law_failures(*oracles.simulate_events_one_shot(dist, 9e5, 0.003,
+                                                                            seed=seed),
+                                          dist, 9e5, 0.003) == []
 
 
 def chsh_streams(rate_hz, duration_s):
@@ -416,13 +429,18 @@ def test_read_memory_is_the_records_plus_one_block(paper_rate_runs):
     assert peak < outputs + 2e6, f"traced peak {peak / 1e6:.1f} MB for {outputs / 1e6:.1f} MB"
 
 
-def test_simulate_memory_is_the_timestamps_plus_one_block(paper_rate_runs):
-    # one simulate_events per pair, all of its channels drawn in one choice,
-    # peaked at 19.5 MB traced; the timestamps are held until written
+def test_simulate_memory_is_one_block(paper_rate_runs):
+    # drawing every bin's count before any channel held a stream's timestamps
+    # until they were written, 5.9 MB traced for these 600k records; drawn
+    # per occupied bin, one block at a time, the peak is 0.8 MB
     root, peaks = paper_rate_runs
     records = max(len(cli.read_event_file(p)) for p in (root / "5").glob("*.tsv"))
     assert records > 590_000
-    assert peaks["5"] < 8 * records + 2e6, f"traced peak {peaks['5'] / 1e6:.1f} MB"
+    # a block of _SIM_CHUNK bins holds about 7,900 records at 0.12 per bin;
+    # its draws, records and formatted lines take some 80 bytes per record
+    block = 80 * events._SIM_CHUNK * 0.12
+    assert peaks["5"] < block + 0.5e6, f"traced peak {peaks['5'] / 1e6:.2f} MB"
+    assert peaks["5"] - peaks["1"] < 0.2e6, peaks
 
 
 def test_bell_scan_memory_does_not_grow_with_the_files(paper_rate_runs, tmp_path):

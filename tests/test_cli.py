@@ -333,18 +333,49 @@ class TestEventFiles:
         write_stream(s, tmp_path / "ev.tsv")
         assert (tmp_path / "ev.tsv").read_bytes() == oracles.event_file_text_by_lines(s).encode()
         assert np.array_equal(cli.read_event_file(tmp_path / "ev.tsv").timestamps_ns, ts)
-        # 2^63 - 1 ns lies past any stream's duration, so it goes to the
-        # writer as a bare block, and a plain namespace carries it to the oracle
+        # 2^63 - 1 ns lies past any stream's duration, which the writer
+        # refuses, so it goes to the formatter alone, and a plain namespace
+        # carries it to the oracle
         top = types.SimpleNamespace(
             timestamps_ns=np.array([5, 10 ** 18, 2 ** 63 - 2, 2 ** 63 - 1], dtype=np.int64),
             channels=np.array([3, 2, 1, 0], dtype=np.uint8),
             header=events.StreamHeader(phi=0.0, theta=0.0, duration_s=1.0, bin_width_us=1.0,
                                        seed=0))
-        cli.write_event_file(top.header, tmp_path / "top.tsv",
-                             [(top.timestamps_ns, top.channels)])
+        lines = b"".join(block.tobytes() for block in
+                         cli._format_records(top.timestamps_ns, top.channels))
         text = oracles.event_file_text_by_lines(top)
         assert text.endswith("\n9223372036854775807\tUF\n")
-        assert (tmp_path / "top.tsv").read_bytes() == text.encode()
+        assert lines == text.partition("channel\n")[2].encode()
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([[100, 5, 2000]], "non-decreasing"),
+        ([[-5, 7]], "non-decreasing"),
+        ([[5, 10], [7]], "non-decreasing"),
+        ([[5], [], [2_000_000_000]], "beyond the stream duration"),
+    ], ids=["unsorted", "negative", "unsorted-across-blocks", "beyond-duration"])
+    def test_writer_refuses_records_out_of_order_and_leaves_no_file(self, tmp_path, blocks,
+                                                                    message):
+        # formatted unchecked, 100 then 5 wrote the bytes \x94\tUF for 100
+        header = events.StreamHeader(phi=0.0, theta=0.0, duration_s=1.0, bin_width_us=1.0,
+                                     seed=0)
+        blocks = [(np.array(ts, dtype=np.int64), np.arange(len(ts), dtype=np.uint8) % 4)
+                  for ts in blocks]
+        with pytest.raises(ValueError, match=message):
+            cli.write_event_file(header, tmp_path / "ev.tsv", blocks)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_exits_2_on_a_block_out_of_order_and_leaves_no_file(self, tmp_path,
+                                                                         monkeypatch):
+        def unsorted(*args, **kwargs):
+            header = events.StreamHeader(0.0, 0.0, 1.0, 1.0, 0, 1e3)
+            return header, iter([(np.array([100, 5, 2000], dtype=np.int64),
+                                  np.zeros(3, dtype=np.uint8))])
+        monkeypatch.setattr(cli, "simulate_blocks", unsorted)
+        code, _, err = run_cli("simulate", "--angles=0:0", "--out", str(tmp_path / "ev"))
+        assert code == 2
+        assert json.loads(err) == {"error": "ValidationError", "subcommand": "simulate",
+                                   "message": "timestamps must be non-negative and non-decreasing"}
+        assert list((tmp_path / "ev").iterdir()) == []
 
     @pytest.mark.parametrize("rows", [1, 3, 4, 5, 64])
     def test_writer_blocks_match_line_oracle(self, tmp_path, monkeypatch, rows):
@@ -1562,19 +1593,19 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 # SHA-256 of every file the fixed-seed chain below writes; a refactor of the
 # data path must leave all of them unchanged
 GOLDEN_DIGESTS = {
-    "bits_0.txt": "876ad3bb4b957643507f8b64988e55f4069c3c40e074f5e2004156708192cb42",
-    "bits_1.txt": "5572f0edf551af624244899d4dfc9d3a1216b795b503bd09a72bfa4c96725188",
-    "bits_2.txt": "0e75a3080fcd933e0cea89f1866d342e749f58b9b07ab2b70c532a08b77d0f3e",
-    "bits_3.txt": "bda74ebde25e8d269fa11b9b2fd16b294a09356717f9abeb8d368cf70bb1f32e",
-    "cert.json": "8962d0eb801e8a6dae5c0eb493a7d1604d6116c8f3a2a6570a0e5176b4f28cff",
-    "events/events_0000.tsv": "bd1e5cf97d50e0d3fa5d300429370fa4b570b6b223d18d7edd311d45252af259",
-    "events/events_0001.tsv": "72e64cc5d50ca6e406cdfa570aa2a7e334a7f57426d2cb6bbfba210e7a35c15a",
-    "events/events_0002.tsv": "89bc0d7267b5ba0ad27a5de829fe8efe020ad7fca252c0c3861462eca8e301fa",
-    "events/events_0003.tsv": "5255d53c262a30d1ec72ea656c20f373893273c43e7797e5d288806b7ba97381",
-    "scan/chi_max.json": "d482b3778f173630717b5c9feec0908645cda06fe0a79855a076b38f531d9abd",
-    "scan/chi_min.json": "e67e68519da975d4084e0053db892e79ab0427c845a16b3fe6ae0f20c4d9273b",
-    "scan/grid.tsv": "570850f95cb72b3dffadc5d576983d3047115487c7684329fde473e7fdeede3f",
-    "trace.csv": "37feb7b541291c601fb86a02a491a385752729c9e080469947afb54183f23036",
+    "bits_0.txt": "a0c7661fef1b69c331d4e28ef602bf47280ed6d3bd7802fbfa56ef1abe7a45d5",
+    "bits_1.txt": "76e34fc0a3d9017a50e91e4d67284815681c848b13cd63f8064a922c2533453b",
+    "bits_2.txt": "02f94d308ee3216afdc6389afefa4020a8f7627b2a813ddf6552c3cba8238c17",
+    "bits_3.txt": "08ac7729fd4e16cc8aacdb0d67824325cb9c134af9fa1b3e4355307d55a23878",
+    "cert.json": "a13a86bf9862a8306327d465edfd97641af5b55f2490316d883486f548464752",
+    "events/events_0000.tsv": "cacd6f3af46ad3c245aebe99a612d9f57ac9b6550c960980e4443a082e3ce431",
+    "events/events_0001.tsv": "2ca73e8d71b401e6ed3a1e9df900740446b2416632cbe7c8fe7f58aeba4ed4d2",
+    "events/events_0002.tsv": "971a6ff554d08449ae321e674cb66e6e830ebb7e4c9b1316a775f2c8b9f1a2f0",
+    "events/events_0003.tsv": "313cdf539cb2157624085dfe38f7e75ff4a9d886e490e9a1131226f32ba3074a",
+    "scan/chi_max.json": "4e2b7289e2e999bfb8c4b207fb6a18088b90cc4b4a9a7db5e7fa584ec24156cd",
+    "scan/chi_min.json": "7076cac575372cd0ef8d42b3d8c2c6dbd66f008190f7f8ec6d5032779d0b1055",
+    "scan/grid.tsv": "c46d963ee4fdb2fe2e8db6cc9b91fd5dd5728e81339646f48e8c5318f6318981",
+    "trace.csv": "05a1d3435ee94b29f68020ce83490c8cd95d4e14030d91e12718a49dd74f822f",
 }
 
 
@@ -1634,10 +1665,10 @@ def test_certify_config_output_is_pinned_and_repeatable(tmp_path):
 # the scan path on a 0.25 rad grid: every event file, as one digest of
 # their "name digest" lines, and the bell-scan outputs
 SCAN_DIGESTS = {
-    "events": "153222298b1f0ae266b30427ad453a524239c15813dd0b9c27b261dca2f752d6",
-    "scan/chi_max.json": "c4c0252ade7567103ec3f4a511c2fa54d072c1492247d1f66731b1c33b9b96e1",
-    "scan/chi_min.json": "74966979fe8c994c4fc0e6d2c08faa043711f77f811deebd5530f41343b03682",
-    "scan/grid.tsv": "a199c84918b098d7a062d205a05c5a542770f5de72b65d42df441c9b7d4756c0",
+    "events": "bf5ac1defcf05cd82ed74a392dd6893041745de74c6f8dbe9f9059372f4191b2",
+    "scan/chi_max.json": "ebc755264d44d3103653a83b1bfcfe6d0f4d294435f90d697f6fc86619807117",
+    "scan/chi_min.json": "4469fbae05fbbaa61492a9a85187bbf642aafc1cf7d9f31cde438b2f7d1f6a20",
+    "scan/grid.tsv": "68cbfba516e1d5014d3ca22a3f260ee3a9b5aa2018e680dea10fbd2171d1bc13",
 }
 
 

@@ -103,26 +103,53 @@ class TestSimulateEvents:
     @pytest.mark.parametrize("extra", [-1, 0, 1, None], ids=["chunk-1", "chunk", "chunk+1",
                                                              "3chunk+5"])
     def test_chunked_draws_match_one_shot_oracle(self, extra):
+        # the sampler and the per-bin oracle both pass the per-bin law, and a
+        # seed gives the same stream twice
         chunk = events._SIM_CHUNK
         n_bins = 3 * chunk + 5 if extra is None else chunk + extra
         dist = np.array([0.4, 0.1, 0.2, 0.3])
+        duration_s = self.duration_of(n_bins)
         for rate_hz, seed in ((1.2e5, 1), (9e5, 7), (0.0, 2)):
-            s = events.simulate_events(dist, rate_hz, self.duration_of(n_bins), seed=seed)
-            ts, ch = oracles.simulate_events_one_shot(dist, rate_hz, self.duration_of(n_bins),
-                                                      seed=seed)
+            s = events.simulate_events(dist, rate_hz, duration_s, seed=seed)
             assert s.timestamps_ns.dtype == np.int64 and s.channels.dtype == np.uint8
-            assert np.array_equal(s.timestamps_ns, ts) and np.array_equal(s.channels, ch)
+            assert oracles.simulated_law_failures(s.timestamps_ns, s.channels, dist, rate_hz,
+                                                  duration_s) == []
+            ts, ch = oracles.simulate_events_one_shot(dist, rate_hz, duration_s, seed=seed)
+            assert oracles.simulated_law_failures(ts, ch, dist, rate_hz, duration_s) == []
+            again = events.simulate_events(dist, rate_hz, duration_s, seed=seed)
+            assert np.array_equal(again.timestamps_ns, s.timestamps_ns)
+            assert np.array_equal(again.channels, s.channels)
             assert (len(s) == 0) == (rate_hz == 0.0)
 
     def test_chunks_without_records_match_one_shot_oracle(self):
-        # about 2.4 records over four chunks: whole chunks draw no record
+        # about 0.6 records over four chunks per seed: a chunk with no record
+        # still gives its (empty) block, and the law holds over the seeds
         chunk = events._SIM_CHUNK
         duration_s = self.duration_of(3 * chunk + 5)
-        s = events.simulate_events((0.25,) * 4, 3.0, duration_s, seed=4)
+        filled, ts_all, ch_all = [], [], []
+        for seed in range(40):
+            _, blocks = events.simulate_blocks((0.25,) * 4, 3.0, duration_s, seed=seed)
+            blocks = list(blocks)
+            assert len(blocks) == 4
+            filled.append(sum(ts.size > 0 for ts, _ in blocks))
+            # as one stream of 40 times the bins: the streams laid end to end
+            offset = seed * (3 * chunk + 5) * 1000
+            ts_all += [ts + offset for ts, _ in blocks]
+            ch_all += [ch for _, ch in blocks]
+        assert 0 in filled and any(0 < f < 4 for f in filled)
+        ts, ch = np.concatenate(ts_all), np.concatenate(ch_all)
+        assert oracles.simulated_law_failures(ts, ch, (0.25,) * 4, 3.0,
+                                              self.duration_of(40 * (3 * chunk + 5))) == []
         ts, ch = oracles.simulate_events_one_shot((0.25,) * 4, 3.0, duration_s, seed=4)
-        assert np.array_equal(s.timestamps_ns, ts) and np.array_equal(s.channels, ch)
-        filled = np.unique(s.timestamps_ns // 1000 // chunk)
-        assert 0 < filled.size < 4
+        assert oracles.simulated_law_failures(ts, ch, (0.25,) * 4, 3.0, duration_s) == []
+
+    @pytest.mark.parametrize("rate_hz", [1e-290, 1e-312])
+    def test_tiny_rate_draws_no_overflowing_gap(self, rate_hz):
+        # a gap of about 1/lam bins, 1e296 for 1e-290 Hz, is clipped to the
+        # stream before its int64 cast, whose RuntimeWarning fails the suite
+        s = events.simulate_events((0.25,) * 4, rate_hz, self.duration_of(3 * events._SIM_CHUNK),
+                                   seed=1)
+        assert len(s) == 0 and s.timestamps_ns.dtype == np.int64
 
     def test_memory_grows_with_records_not_bins(self):
         # 5,000,000 bins and about 5,000 records: drawing every bin at once

@@ -45,16 +45,23 @@ def correlation_coefficient(p: Sequence[float] | np.ndarray) -> float | np.ndarr
     return float(e) if e.ndim == 0 else e
 
 
-def chi_from_coefficients(e00: float, e01: float, e10: float, e11: float) -> float:
+def chi_from_coefficients(e00: float | np.ndarray, e01: float | np.ndarray,
+                          e10: float | np.ndarray, e11: float | np.ndarray) -> float | np.ndarray:
     """CHSH combination with the minus sign on the (phi, theta') term.
 
     Arguments are E(phi, theta), E(phi, theta'), E(phi', theta),
-    E(phi', theta') in that order.
+    E(phi', theta') in that order, numbers or arrays that broadcast.  This
+    is the one CHSH rule: ``events.windowed_traces`` calls it, and
+    :data:`CHSH_SIGNS` is its sign pattern.
     """
     for e in (e00, e01, e10, e11):
-        if abs(e) > 1.0 + 1e-9:
+        if np.any(np.abs(e) > 1.0 + 1e-9):
             raise ValueError(f"correlation coefficient {e!r} outside [-1, 1]")
     return e00 - e01 + e10 + e11
+
+
+#: the sign of each CHSH term, in :func:`chi_from_coefficients`' argument order
+CHSH_SIGNS = chi_from_coefficients(*np.eye(4))
 
 
 def chi_alpha_ideal(alpha: float) -> float:
@@ -234,11 +241,9 @@ def best_combination_search(grid: CorrelationGrid) -> tuple[ChiResult, ChiResult
             angles = np.stack((ph[np.where(swap_phi, b, ia)], ph[np.where(swap_phi, ia, b)],
                                th[np.where(swap_theta, d, c)], th[np.where(swap_theta, c, d)]),
                               axis=1)
-            # the lexicographically smallest tuple; among equal ones the first
-            keep = np.arange(ties.size)
-            for column in angles.T:
-                keep = keep[column[keep] == column[keep].min()]
-            k = keep[0]
+            # the lexicographically smallest tuple; lexsort is stable, so among
+            # equal ones the first
+            k = np.lexsort(angles.T[::-1])[0]
             candidate = tuple(angles[k])
             if cur is None or value != cur[0] or candidate < cur[1]:
                 best[sign] = (value, candidate, (ia, int(b[k]), int(c[k]), int(d[k])))

@@ -60,14 +60,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .bell import CHI_QUANTUM_MAX, CHSH_SIGNS
 from .chip import (_NO_ERRORS, PhaseErrorSet, _check_errors, _mzi_amplitudes, rotation_matrix,
                    shifter_phases)
 from .optics import DESIGN_WAVELENGTH_NM, IDEAL_MMI, MmiParams
 
-SQRT2 = math.sqrt(2.0)
-
 _ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
-_CHSH_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])  # minus on the (phi, theta') term
 
 
 @dataclass(frozen=True)
@@ -298,7 +296,7 @@ def _chi_operators(c: np.ndarray, zw: np.ndarray, zu: np.ndarray,
     z_phi_i^a z_theta_j^b, and z_phi = 1, so the operator is
     sum_j sum_ab C_ab (s_0j + s_1j z_phi'^a) z_theta_j^b.
     """
-    s = _CHSH_SIGNS.reshape(2, 2)
+    s = CHSH_SIGNS.reshape(2, 2)
     pw = _powers(zw)
     terms = []
     for j, zq in enumerate((zu, zv)):
@@ -432,7 +430,7 @@ def guessing_bound(chi: float) -> float:
     Defined on [2, 2 sqrt(2)], decreasing and concave: f(2) = 1 (no
     certification at the classical boundary), f(2 sqrt 2) = 1/2.
     """
-    if not 2.0 - 1e-12 <= chi <= 2.0 * SQRT2 + 1e-12:
+    if not 2.0 - 1e-12 <= chi <= CHI_QUANTUM_MAX + 1e-12:
         raise ValueError(f"chi = {chi!r} outside [2, 2 sqrt 2]")
     return float(guessing_curve(chi))
 

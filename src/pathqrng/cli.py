@@ -21,8 +21,9 @@ Formats owned here:
   and duration) are checked block by block, but a break is reported only
   once the last block has parsed, so a bad record still comes first;
 * correlation grids: TSV long format (phi, theta, E, stderr);
-* result documents: JSON with a ``kind`` discriminator; the reader checks
-  that each known kind carries its fields with their JSON types.
+* result documents: JSON, each its ``kind`` plus its result's fields; each
+  kind has one summary, which its writer and ``report`` both print, and the
+  reader checks that each known kind carries its fields with their JSON types.
 
 Every writer is canonical (sorted keys, repr floats) so write -> read ->
 write round-trips byte-identically, and all writes go through a
@@ -61,8 +62,8 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequenc
 import numpy as np
 import yaml
 
-from .bell import (ChiResult, CorrelationGrid, best_combination_search, check_chi,
-                   chi_alpha_ideal, correlation_coefficient)
+from .bell import (CHI_QUANTUM_MAX, ChiResult, CorrelationGrid, best_combination_search,
+                   check_chi, chi_alpha_ideal, correlation_coefficient)
 from .certify import (CertificationResult, CorrectionEstimate, certification_result, e_chi, e_p,
                       guessing_curve)
 from .chip import ChipConfig, GenerationSetting, PhaseErrorSet, broadband_probabilities
@@ -273,9 +274,12 @@ def _section(value: Any, allowed: set[str], where: str) -> Mapping[str, Any]:
     return value
 
 
-def _number(value: Any, where: str, kind: Callable[[Any], Any] = float) -> Any:
+def _number(value: Any, where: str) -> float:
+    # YAML reads yes/no/on/off/true/false as booleans, which float() takes as 1 and 0
+    if isinstance(value, bool):
+        raise ValidationError(f"{where} must be a number, not {value!r}")
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where} must be a number, not {value!r}") from exc
 
@@ -305,6 +309,12 @@ def _mmi(section: Any, where: str) -> MmiParams:
     return MmiParams.from_power(t_power, r_power, table)
 
 
+#: the most spectrum nodes a config may give.  Every angle pair carries every
+#: node through the chip, so the nodes scale ``simulate``'s memory: one
+#: ``_SCAN_BLOCK``-pair ``broadband_probabilities`` call on the paper chip
+#: peaks at 75.6 MB traced at this bound, against 0.4 MB at the default 21
+_MAX_SPECTRUM_NODES = 4096
+
 _SPECTRUM_KEYS = {
     "single": {"kind", "center_nm"},
     "gaussian": {"kind", "center_nm", "fwhm_nm", "points", "span_nm"},
@@ -314,13 +324,20 @@ _SPECTRUM_KEYS = {
 
 def _spectrum(spect: Mapping[str, Any], kind: str) -> WavelengthSpectrum:
     if kind == "table":
-        return WavelengthSpectrum(tuple(map(tuple, _rows(spect.get("nodes"), "spectrum.nodes", 2))))
+        nodes = _rows(spect.get("nodes"), "spectrum.nodes", 2)
+        if len(nodes) > _MAX_SPECTRUM_NODES:
+            raise ValidationError(f"spectrum.nodes holds {len(nodes)} nodes, "
+                                  f"more than {_MAX_SPECTRUM_NODES}")
+        return WavelengthSpectrum(tuple(map(tuple, nodes)))
     center = _number(spect.get("center_nm", 730.0), "spectrum.center_nm")
     if kind == "single":
         return WavelengthSpectrum.single(center)
+    points = _number(spect.get("points", 21), "spectrum.points")
+    if not (points.is_integer() and points <= _MAX_SPECTRUM_NODES):
+        raise ValidationError(f"spectrum.points must be an integer of at most "
+                              f"{_MAX_SPECTRUM_NODES}, not {spect['points']!r}")
     return WavelengthSpectrum.gaussian(
-        center, _number(spect.get("fwhm_nm", 20.0), "spectrum.fwhm_nm"),
-        _number(spect.get("points", 21), "spectrum.points", int),
+        center, _number(spect.get("fwhm_nm", 20.0), "spectrum.fwhm_nm"), int(points),
         tuple(_numbers(spect.get("span_nm", (720.0, 740.0)), "spectrum.span_nm", 2)))
 
 
@@ -334,8 +351,9 @@ def parse_chip_config(raw: Any) -> ChipConfig:
     if not isinstance(raw, Mapping):
         raise ValidationError("config root must be a mapping")
     _section(raw, {"version", "chip", "errors"}, "config root")
-    if raw.get("version") != 1:
-        raise ValidationError(f"unsupported config version {raw.get('version')!r}")
+    version = raw.get("version")
+    if type(version) is not int or version != 1:  # not True or 1.0, which equal 1
+        raise ValidationError(f"unsupported config version {version!r}")
     chip = _section(raw.get("chip"), {"generation_mmi", "mzi_mmis", "generation", "loss",
                                       "spectrum", "phase_dispersion"}, "chip section")
     mz = _section(chip.get("mzi_mmis"), {"phi_u", "phi_d", "theta_f", "theta_n"}, "mzi_mmis")
@@ -740,14 +758,10 @@ def _grid_from_cells(cells: Mapping[tuple[float, float], tuple[float, float]]) -
 # JSON result documents
 # ---------------------------------------------------------------------------
 
-def _dump_json(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def write_json_doc(doc: Mapping[str, Any], path: Path | str) -> None:
     if "kind" not in doc:
         raise ValidationError("result documents need a 'kind' field")
-    _atomic_write(path, _dump_json(doc))
+    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _is_real(v: Any) -> bool:
@@ -799,38 +813,45 @@ def read_json_doc(path: Path | str) -> dict[str, Any]:
     return doc
 
 
-def chi_result_doc(result: ChiResult) -> dict[str, Any]:
-    a = [float(v) for v in result.angles]
-    return {"kind": "chi-result", "chi": float(result.chi), "stderr": float(result.stderr),
-            "sign": result.sign,
-            "angles": {"phi": a[0], "phi_prime": a[1], "theta": a[2], "theta_prime": a[3]}}
+#: the document kind of each result dataclass
+_DOC_KINDS = {ChiResult: "chi-result", CertificationResult: "certification",
+              CalibrationFit: "mzi-calibration", CorrectionEstimate: "correction-estimate"}
 
 
-def correction_doc(term: str, est: CorrectionEstimate) -> dict[str, Any]:
-    return {"kind": "correction-estimate", "term": term, "value": est.value,
-            "lower": est.lower, "upper": est.upper, "gap": est.gap, "cells": est.cells,
-            "converged": est.converged, "angles": list(est.angles)}
+def result_doc(result: Any, **extra: Any) -> dict[str, Any]:
+    """The result document of a result dataclass: its kind, its fields, and
+    the ``extra`` fields, which replace a field of the same name."""
+    return {"kind": _DOC_KINDS[type(result)], **dataclasses.asdict(result), **extra}
 
 
-def certification_doc(result: CertificationResult,
-                      e_chi_est: CorrectionEstimate | None = None,
-                      e_p_est: CorrectionEstimate | None = None) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "kind": "certification", "chi_real": result.chi_real, "e_chi": result.e_chi,
-        "e_p": result.e_p, "p_guess": result.p_guess, "h_min_bits": result.h_min_bits,
-        "h_min_percent": result.h_min_percent, "certified_rate_hz": result.certified_rate_hz,
-    }
-    if e_chi_est is not None:
-        doc["e_chi_estimate"] = correction_doc("e_chi", e_chi_est)
-    if e_p_est is not None:
-        doc["e_p_estimate"] = correction_doc("e_p", e_p_est)
-    return doc
+def _print_certification(doc: Mapping[str, Any]) -> None:
+    print(f"chi_real = {doc['chi_real']:.6f}, e_chi = {doc['e_chi']:.6f}, "
+          f"e_p = {doc['e_p']:.6f}")
+    if doc["h_min_bits"] == 0.0:
+        print("no certified entropy: the corrected violation does not beat "
+              "the classical bound 2")
+        return
+    print(f"guessing probability <= {doc['p_guess']:.6f}")
+    print(f"min-entropy {doc['h_min_bits']:.6f} bits/event ({doc['h_min_percent']:.2f} %)")
+    if doc["certified_rate_hz"] is not None:
+        print(f"certified rate {doc['certified_rate_hz']:.1f} bits/s")
 
 
-def calibration_doc(fit: CalibrationFit) -> dict[str, Any]:
-    return {"kind": "mzi-calibration", "a": fit.a, "b": fit.b, "c": fit.c, "d": fit.d,
-            "residual_rms": fit.residual_rms, "port": fit.port,
-            "stderr": list(fit.stderr) if fit.stderr is not None else None}
+#: the printed summary of each document kind, from the fields the reader checks
+_SUMMARIES: dict[str, Callable[[Mapping[str, Any]], None]] = {
+    "chi-result": lambda doc: print(
+        "chi_{sign} = {chi:+.6f} +- {stderr:.6f} at phi={angles[phi]:+.4f} "
+        "phi'={angles[phi_prime]:+.4f} theta={angles[theta]:+.4f} "
+        "theta'={angles[theta_prime]:+.4f}".format_map(doc)),
+    "certification": _print_certification,
+    "mzi-calibration": lambda doc: print(
+        f"port {doc['port']}: I = {doc['a']:.6g} * {'cos' if doc['port'] == 1 else 'sin'}^2("
+        f"{doc['b']:.6g} W + {doc['d']:.6g}) + {doc['c']:.6g}  "
+        f"(residual rms {doc['residual_rms']:.3g})"),
+    "correction-estimate": lambda doc: print(
+        "{term} = {value:.6f} in [{lower:.6f}, {upper:.6f}] (gap {gap:.1e}, cells={cells}, "
+        "converged={converged})".format_map(doc)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -961,14 +982,14 @@ def _cmd_bell_scan(args: argparse.Namespace) -> int:
     best_max, best_min = best_combination_search(grid)
     out = Path(args.out)
     write_grid_file(grid, out / "grid.tsv")
-    write_json_doc(chi_result_doc(best_max), out / "chi_max.json")
-    write_json_doc(chi_result_doc(best_min), out / "chi_min.json")
+    docs = [result_doc(r, angles=dict(zip(("phi", "phi_prime", "theta", "theta_prime"),
+                                          map(float, r.angles)))) for r in (best_max, best_min)]
+    for doc in docs:
+        write_json_doc(doc, out / f"chi_{doc['sign']}.json")
     print(f"grid {len(grid.phi_values)} phi x {len(grid.theta_values)} theta "
           f"from {len(files)} files -> {out}")
-    for r in (best_max, best_min):
-        a = r.angles
-        print(f"chi_{r.sign} = {r.chi:+.6f} +- {r.stderr:.6f} at "
-              f"phi={a[0]:+.4f} phi'={a[1]:+.4f} theta={a[2]:+.4f} theta'={a[3]:+.4f}")
+    for doc in docs:
+        _SUMMARIES[doc["kind"]](doc)
     return EXIT_OK
 
 
@@ -989,7 +1010,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         chi_value, chi_stderr = float(doc["chi"]), float(doc["stderr"])
     check_chi(chi_value, chi_stderr)
 
-    ec_est = ep_est = None
+    estimates: dict[str, dict[str, Any]] = {}
     if args.e_chi is not None:
         ec_val, ep_val = args.e_chi, args.e_p
     else:
@@ -1001,29 +1022,17 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         ec_est = e_chi(cfg.errors, cfg.mzi_mmis)
         ep_est = e_p(cfg.errors, cfg.mzi_mmis)
         ec_val, ep_val = ec_est.value, ep_est.value
+        estimates = {"e_chi_estimate": result_doc(ec_est, term="e_chi"),
+                     "e_p_estimate": result_doc(ep_est, term="e_p")}
 
-    result = certification_result(chi_value, ec_val, ep_val, args.rate_hz)
-    write_json_doc(certification_doc(result, ec_est, ep_est), args.out)
-    _print_certification(result)
+    doc = result_doc(certification_result(chi_value, ec_val, ep_val, args.rate_hz), **estimates)
+    write_json_doc(doc, args.out)
+    _SUMMARIES[doc["kind"]](doc)
     print(f"wrote {args.out}")
-    if (ec_est is not None and not ec_est.converged) or \
-            (ep_est is not None and not ep_est.converged):
+    if not all(est["converged"] for est in estimates.values()):
         raise ConvergenceError("correction-term proof did not close within its cell cap; "
                                "the written upper bounds hold but are loose")
     return EXIT_OK
-
-
-def _print_certification(result: CertificationResult) -> None:
-    print(f"chi_real = {result.chi_real:.6f}, e_chi = {result.e_chi:.6f}, "
-          f"e_p = {result.e_p:.6f}")
-    if result.h_min_bits == 0.0:
-        print("no certified entropy: the corrected violation does not beat "
-              "the classical bound 2")
-        return
-    print(f"guessing probability <= {result.p_guess:.6f}")
-    print(f"min-entropy {result.h_min_bits:.6f} bits/event ({result.h_min_percent:.2f} %)")
-    if result.certified_rate_hz is not None:
-        print(f"certified rate {result.certified_rate_hz:.1f} bits/s")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -1065,23 +1074,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValidationError(f"{args.samples}: malformed sample line {line!r}") from exc
         rows.append((power, intensity))
-    fit = fit_mzi_calibration(rows, args.port)
-    doc = calibration_doc(fit)
+    doc = result_doc(fit_mzi_calibration(rows, args.port))
     if args.out:
         write_json_doc(doc, args.out)
         print(f"wrote {args.out}")
-    print(f"port {fit.port}: I = {fit.a:.6g} * "
-          f"{'cos' if fit.port == 1 else 'sin'}^2({fit.b:.6g} W + {fit.d:.6g}) + {fit.c:.6g}"
-          f"  (residual rms {fit.residual_rms:.3g})")
+    _SUMMARIES[doc["kind"]](doc)
     return EXIT_OK
 
 
 _ALPHA_CURVE_POINTS = 181
-
-
-def _write_chi_alpha_curve(path: Path) -> None:
-    alphas = np.linspace(0.0, math.pi / 2.0, _ALPHA_CURVE_POINTS)
-    _write_table(path, ["alpha,chi"], ((a, chi_alpha_ideal(float(a))) for a in alphas), ",")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1101,33 +1102,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     doc = read_json_doc(path)
     kind = doc["kind"]
-    if kind == "chi-result":
-        a = doc["angles"]
-        print(f"chi_{doc['sign']} = {doc['chi']:+.6f} +- {doc['stderr']:.6f}")
-        print(f"angles: phi={a['phi']:+.4f} phi'={a['phi_prime']:+.4f} "
-              f"theta={a['theta']:+.4f} theta'={a['theta_prime']:+.4f}")
-        if plots:
-            _write_chi_alpha_curve(plots / "chi_alpha_curve.csv")
-            print(f"wrote {plots / 'chi_alpha_curve.csv'}")
-    elif kind == "certification":
-        result = CertificationResult(
-            doc["chi_real"], doc["e_chi"], doc["e_p"], doc["p_guess"],
-            doc["h_min_bits"], doc["h_min_percent"], doc["certified_rate_hz"])
-        _print_certification(result)
-        if plots:
-            _write_chi_alpha_curve(plots / "chi_alpha_curve.csv")
-            xs = np.linspace(2.0, 2.0 * math.sqrt(2.0), 200)
-            _write_table(plots / "guessing_bound.csv", ["x,p_guess_bound"],
-                         zip(xs, guessing_curve(xs)), ",")
-            print(f"wrote {plots / 'chi_alpha_curve.csv'} and {plots / 'guessing_bound.csv'}")
-    elif kind == "mzi-calibration":
-        print(f"port {doc['port']}: a={doc['a']:.6g} b={doc['b']:.6g} "
-              f"c={doc['c']:.6g} d={doc['d']:.6g} (residual rms {doc['residual_rms']:.3g})")
-    elif kind == "correction-estimate":
-        print(f"{doc['term']} = {doc['value']:.6f} in [{doc['lower']:.6f}, {doc['upper']:.6f}] "
-              f"(gap {doc['gap']:.1e}, cells={doc['cells']}, converged={doc['converged']})")
-    else:
+    if kind not in _SUMMARIES:
         raise ValidationError(f"{path}: no report for document kind {kind!r}")
+    _SUMMARIES[kind](doc)
+    if plots and kind in ("chi-result", "certification"):
+        written = [plots / "chi_alpha_curve.csv"]
+        alphas = np.linspace(0.0, math.pi / 2.0, _ALPHA_CURVE_POINTS)
+        _write_table(written[0], ["alpha,chi"], ((a, chi_alpha_ideal(float(a))) for a in alphas),
+                     ",")
+        if kind == "certification":
+            written.append(plots / "guessing_bound.csv")
+            xs = np.linspace(2.0, CHI_QUANTUM_MAX, 200)
+            _write_table(written[1], ["x,p_guess_bound"], zip(xs, guessing_curve(xs)), ",")
+        print("wrote " + " and ".join(map(str, written)))
     return EXIT_OK
 
 

@@ -53,7 +53,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bell import correlation_coefficient
+from .bell import chi_from_coefficients, correlation_coefficient
 
 
 def _distribution(p: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -454,7 +454,7 @@ def windowed_traces(streams: Iterable[EventStream], window_s: float = 0.05,
             raise ValueError(f"stream {i} has an empty {window_s} s window")
         probs[i] = c / totals[:, None]
     es = correlation_coefficient(probs)
-    chis = es[0] - es[1] + es[2] + es[3]
+    chis = chi_from_coefficients(*es)
     mean = float(chis.mean())
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     half = z * float(chis.std(ddof=1)) / math.sqrt(n_win)

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 from scipy import linalg, optimize, stats
 
-from pathqrng import certify, chip, cli, events
+from pathqrng import bell, certify, chip, cli, events
 from pathqrng.bell import ChiResult
 from pathqrng.cli import CalibrationError, CalibrationFit, ValidationError
 
@@ -500,7 +500,7 @@ def chi_deviation_operator(angles, errors, tr):
     u = chip.rotation_matrix(*tr, *chsh_phases(angles, errors))
     zz = zz_in_frame(u)
     delta = np.zeros(angles.shape[:-1] + (4, 4), dtype=complex)
-    for sign, term in zip(certify._CHSH_SIGNS, (zz[0] - zz[1]).reshape((4,) + zz.shape[3:])):
+    for sign, term in zip(bell.CHSH_SIGNS, (zz[0] - zz[1]).reshape((4,) + zz.shape[3:])):
         delta += sign * term
     return delta
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pathqrng import certify, chip, optics
+from pathqrng import bell, certify, chip, optics
 
 SQRT2 = math.sqrt(2.0)
 
@@ -405,7 +405,7 @@ def test_angle_coefficients_rebuild_the_kernel_and_the_deviation_operators():
     # z = e^{2ip}: each set angle enters its stage once and linearly, so the
     # affine U_ab and the Hermitian-paired C_ab reproduce the kernel exactly
     rng = np.random.default_rng(229)
-    signs = certify._CHSH_SIGNS.reshape(2, 2)
+    signs = bell.CHSH_SIGNS.reshape(2, 2)
     for _ in range(12):
         errors = certify.PhaseErrorSet(dphi=tuple(rng.uniform(-0.25, 0.25, 4)),
                                        dtheta=tuple(rng.uniform(-0.25, 0.25, 4)))

@@ -1,6 +1,7 @@
 """Tests for the CLI: calibration fitting, file formats, subcommands."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import tracemalloc
 import types
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -664,6 +666,18 @@ class TestJsonDocs:
         assert code == 0 and "e_chi = 0.088700 in [0.088200, 0.088700]" in text
 
 
+def test_reader_fields_are_the_result_fields():
+    # every field the reader checks is a field of its kind's result dataclass,
+    # or one the writer adds: a correction's term and a chi-result's named angles
+    extras = {"chi-result": {"angles.phi", "angles.phi_prime", "angles.theta",
+                             "angles.theta_prime"},
+              "correction-estimate": {"term"}}
+    assert sorted(cli._DOC_KINDS.values()) == sorted(cli._DOC_FIELDS)
+    for result_type, kind in cli._DOC_KINDS.items():
+        fields = {f.name for f in dataclasses.fields(result_type)} | extras.get(kind, set())
+        assert set(cli._DOC_FIELDS[kind]) <= fields, kind
+
+
 class TestParsingHelpers:
     def test_angle_pairs(self):
         pairs = cli._parse_angle_pairs("-0.576:-1.11,0.863:-0.35")
@@ -861,6 +875,56 @@ class TestSimulateCommand:
         record = json.loads(lines[0])
         assert record["error"] == "ValidationError" and message in record["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("version: 1\nchip: {generation: {xi: false}}",
+         "generation.xi must be a number, not False"),
+        ("version: 1\nchip: {generation: {xi: no}}", "generation.xi must be a number, not False"),
+        ("version: 1\nchip: {generation: {xi: off}}", "generation.xi must be a number, not False"),
+        ("version: 1\nchip: {loss: {gamma: true}}", "loss.gamma must be a number, not True"),
+        ("version: 1\nchip: {generation_mmi: {t_power: true, r_power: false}}",
+         "generation_mmi.t_power must be a number, not True"),
+        ("version: 1\nerrors: {dphi: [yes, 0, 0, 0]}", "errors.dphi must be a number, not True"),
+        ("version: 1\nchip: {spectrum: {kind: gaussian, points: true}}",
+         "spectrum.points must be a number, not True"),
+        ("version: 1\nchip: {spectrum: {kind: gaussian, points: 21.9}}",
+         "spectrum.points must be an integer of at most 4096, not 21.9"),
+        ("version: true", "unsupported config version True"),
+        ("version: 1.0", "unsupported config version 1.0"),
+    ], ids=["xi-false", "xi-no", "xi-off", "gamma-true", "splitter-true-false", "dphi-yes",
+            "points-true", "points-fraction", "version-true", "version-float"])
+    def test_booleans_and_fractions_are_not_numbers(self, tmp_path, text, message):
+        # each was once read as a number: false as 0.0, true as 1.0, 21.9 as 21
+        path = tmp_path / "chip.yaml"
+        path.write_text(text + "\n")
+        code, _, err = run_cli("simulate", "--config", str(path), "--angles=0:0",
+                               "--duration-s", "0.001", "--out", str(tmp_path / "out"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValidationError", "subcommand": "simulate",
+                                        "message": message}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spectrum, message", [
+        ({"kind": "gaussian", "points": 4097},
+         "spectrum.points must be an integer of at most 4096, not 4097"),
+        ({"kind": "table", "nodes": [[700.0 + k / 100.0, 1.0 / 4097] for k in range(4097)]},
+         "spectrum.nodes holds 4097 nodes, more than 4096"),
+    ], ids=["gaussian", "table"])
+    def test_spectrum_node_bound_is_checked_before_any_node(self, tmp_path, monkeypatch,
+                                                           spectrum, message):
+        # 10^8 gaussian points once ran past a minute; the bound is tested one
+        # past it only, where nothing is sized by the count
+        spectrum_type = mock.Mock()
+        monkeypatch.setattr(cli, "WavelengthSpectrum", spectrum_type)
+        path = tmp_path / "chip.yaml"
+        path.write_text(json.dumps({"version": 1, "chip": {"spectrum": spectrum}}))
+        code, _, err = run_cli("simulate", "--config", str(path), "--angles=0:0",
+                               "--duration-s", "0.001", "--out", str(tmp_path / "out"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0])["message"] == message
+        assert not spectrum_type.mock_calls and not (tmp_path / "out").exists()
 
     def test_config_from_env_dir(self, tmp_path, monkeypatch):
         write_config(
@@ -1459,6 +1523,36 @@ class TestReportCommand:
         cli.write_json_doc(doc, tmp_path / "chi.json")
         code, text, _ = run_cli("report", "--result", str(tmp_path / "chi.json"))
         assert code == 0 and "chi_max = +2.697" in text
+
+    def test_chi_result_report_prints_the_bell_scan_line(self, tmp_path):
+        ev = tmp_path / "ev"
+        TestAnalyzeCommand.chsh_files(ev, (0.4, 0.1, 0.2, 0.3), 1e5, 0.01)
+        code, scan, _ = run_cli("bell-scan", "--events", str(ev), "--out", str(tmp_path / "o"))
+        assert code == 0 and scan.splitlines()[1].startswith("chi_max = ")
+        code, text, _ = run_cli("report", "--result", str(tmp_path / "o" / "chi_max.json"))
+        assert code == 0 and text.splitlines() == [scan.splitlines()[1]]
+
+    def test_certification_report_prints_the_certify_summary(self, tmp_path):
+        write_config(PAPER_CHIP, tmp_path / "chip.yaml")
+        cert = tmp_path / "cert.json"
+        code, certified, _ = run_cli("certify", "--chi", "2.697", "--config",
+                                     str(tmp_path / "chip.yaml"), "--rate-hz", "120000",
+                                     "--out", str(cert))
+        assert code == 0 and certified.splitlines()[-1] == f"wrote {cert}"
+        code, text, _ = run_cli("report", "--result", str(cert))
+        assert code == 0 and text.splitlines() == certified.splitlines()[:-1]
+
+    def test_calibration_report_prints_the_calibrate_formula(self, tmp_path):
+        samples = tmp_path / "samples.tsv"
+        samples.write_text("".join(f"{w}\t{i}\n"
+                                   for w, i in fringe_samples(port=2, noise=0.005, seed=4)))
+        fit = tmp_path / "fit.json"
+        code, fitted, _ = run_cli("calibrate", "--samples", str(samples), "--port", "2",
+                                  "--out", str(fit))
+        assert code == 0 and fitted.splitlines()[0] == f"wrote {fit}"
+        code, text, _ = run_cli("report", "--result", str(fit))
+        assert code == 0 and text.splitlines() == fitted.splitlines()[1:]
+        assert "sin^2(" in text
 
     def test_grid_report_writes_surface(self, tmp_path):
         grid = CorrelationGrid((0.0, 0.5), (-1.0, 0.0),

@@ -275,12 +275,13 @@ def _section(value: Any, allowed: set[str], where: str) -> Mapping[str, Any]:
 
 
 def _number(value: Any, where: str) -> float:
-    # YAML reads yes/no/on/off/true/false as booleans, which float() takes as 1 and 0
-    if isinstance(value, bool):
+    # YAML reads yes/no/on/off/true/false as booleans, which float() takes as
+    # 1 and 0, and float() would read a quoted "0.5" too
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number, not {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValidationError(f"{where} must be a number, not {value!r}") from exc
 
 
@@ -396,7 +397,7 @@ def load_chip_config(path: Path | str) -> ChipConfig:
     """Parse and validate a chip configuration file."""
     try:
         raw = yaml.safe_load(Path(path).read_text())
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValidationError(f"malformed config: {exc}") from exc
     return parse_chip_config(raw)
 
@@ -520,15 +521,16 @@ def _read_event_header(fh: BinaryIO, path: Path | str) -> dict[str, str]:
 def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and channel codes of the record lines in ``body``.
 
-    The lines are taken ``_PARSE_ROWS`` at a time.  A block whose lines all
-    share one width of at least one digit is parsed as a view of ``body``.
-    In any other block, each line's last 19 digits at most, tab and label
-    are copied right-aligned into one matrix padded on the left with '0':
-    the lines of a width that forms one run of lines, as each width of a
-    sorted stream does, as one slice, and those of a width spread over
-    several runs by a gather, one row per line.  Either way one pass over
-    the digit columns checks and builds every value of the block: a running
-    max over the digits checks them, and they are summed four at a time in
+    The lines are taken ``_PARSE_ROWS`` at a time.  Each line's last
+    ``k`` digits, tab and label are copied right-aligned into one matrix
+    padded on the left with '0', where ``k`` is the block's longest digit
+    count, at most 19: the lines of a width that forms one run of lines, as
+    each width of a sorted stream does, as one slice, and those of a width
+    spread over several runs by a gather, one row per line.  The digits of
+    a longer line in front of its last 19 are checked once per width, and
+    must be '0' for the value to fit in int64.  One pass over the digit
+    columns then checks and builds every value of the block: a running max
+    over the digits checks them, and they are summed four at a time in
     ``uint16`` before each ``uint64`` multiply-add.
 
     The error names the first bad record in file order: a line that breaks
@@ -548,47 +550,36 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
         w = widths[lo:hi]
         ok = w >= 5  # a line holds at least a digit, a tab and a label
         fits = np.ones(hi - lo, dtype=bool)  # the value fits in int64
-        starts = np.flatnonzero(w[1:] != w[:-1]) + 1
-        if not starts.size and ok[0]:
-            # one width: a view of the body; cols[j] is byte j of every line
-            cols = body[ends[lo] + 1 - w[0] : ends[hi - 1] + 1].reshape(-1, w[0]).T
-            k = int(w[0]) - 4  # digits per line
-        else:
-            # the lines right-aligned, byte j of every line in row j, so
-            # that each digit step below reads one contiguous row
-            k = min(max(int(w.max()) - 4, 1), 19)
-            cols = np.full((k + 3, hi - lo), ord("0"), dtype=np.uint8)
-            runs = np.concatenate(([0], starts, [w.size]))
-            run_widths = w[runs[:-1]]
-            for width, n_runs in zip(*np.unique(run_widths, return_counts=True)):
-                if n_runs == 1:
-                    r = int(np.flatnonzero(run_widths == width)[0])
-                    rows: slice | np.ndarray = slice(runs[r], runs[r + 1])
-                    lines = body[ends[lo + runs[r]] + 1 - width
-                                 : ends[lo + runs[r + 1] - 1] + 1].reshape(-1, width)
-                else:
-                    rows = np.flatnonzero(w == width)
-                    windows = np.lib.stride_tricks.sliding_window_view(body, width)  # a view
-                    lines = windows[ends[lo + rows] + 1 - width]
-                m = min(width - 1, k + 3)
-                cols[k + 3 - m :, rows] = lines[:, width - 1 - m : width - 1].T
-                if width - 4 > k:  # digits in front of the last 19 must be '0'
-                    lead = lines[:, : width - 4 - k] - ord("0")
-                    ok[rows] &= np.all(lead <= 9, axis=1)
-                    fits[rows] &= np.all(lead == 0, axis=1)
+        # the lines right-aligned, byte j of every line in row j, so that
+        # each digit step below reads one contiguous row
+        k = min(max(int(w.max()) - 4, 1), 19)
+        cols = np.full((k + 3, hi - lo), ord("0"), dtype=np.uint8)
+        runs = np.concatenate(([0], np.flatnonzero(w[1:] != w[:-1]) + 1, [w.size]))
+        run_widths = w[runs[:-1]]
+        for width, n_runs in zip(*np.unique(run_widths, return_counts=True)):
+            if n_runs == 1:
+                r = int(np.flatnonzero(run_widths == width)[0])
+                rows: slice | np.ndarray = slice(runs[r], runs[r + 1])
+                lines = body[ends[lo + runs[r]] + 1 - width
+                             : ends[lo + runs[r + 1] - 1] + 1].reshape(-1, width)
+            else:
+                rows = np.flatnonzero(w == width)
+                windows = np.lib.stride_tricks.sliding_window_view(body, width)  # a view
+                lines = windows[ends[lo + rows] + 1 - width]
+            m = min(width - 1, k + 3)
+            cols[k + 3 - m :, rows] = lines[:, width - 1 - m : width - 1].T
+            if width - 4 > k:  # digits in front of the last 19 must be '0'
+                lead = lines[:, : width - 4 - k] - ord("0")
+                ok[rows] &= np.all(lead <= 9, axis=1)
+                fits[rows] &= np.all(lead == 0, axis=1)
         value, code = stamps[lo:hi], codes[lo:hi]
         code[:] = _LABEL_CODES[cols[k + 1].astype(np.uint16) << 8 | cols[k + 2]]
         ok &= (cols[k] == ord("\t")) & (code != 255)
         # every digit is checked by one running max, as a byte below '0' wraps above 9
         top = np.zeros(hi - lo, dtype=np.uint8)
-        lead = max(k - 19, 0)  # 19 digits fit in uint64; more fit only as leading zeros
-        for j in range(lead):
-            digit = cols[j] - ord("0")
-            np.maximum(top, digit, out=top)
-            fits &= digit == 0
         value[:] = 0
         group = np.empty(hi - lo, dtype=np.uint16)
-        for g in range(lead, k, 4):  # four digits are at most 9999 in uint16, then one uint64 step
+        for g in range(0, k, 4):  # four digits are at most 9999 in uint16, then one uint64 step
             for j in range(g, min(g + 4, k)):
                 digit = cols[j] - ord("0")
                 np.maximum(top, digit, out=top)
@@ -797,7 +788,7 @@ _DOC_FIELDS = {
 def read_json_doc(path: Path | str) -> dict[str, Any]:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValidationError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
         raise ValidationError(f"{path}: not a result document (no 'kind')")

@@ -47,7 +47,7 @@ text exist only in the files ``pathqrng.cli`` reads and writes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, Iterator, Sequence
 
@@ -404,11 +404,10 @@ class WindowedTrace:
     chi_mean: float
     ci_low: float
     ci_high: float
-    n_windows: int = field(default=0)
 
-    def __post_init__(self) -> None:
-        if self.n_windows == 0:
-            object.__setattr__(self, "n_windows", int(self.chi_values.size))
+    @property
+    def n_windows(self) -> int:
+        return int(self.chi_values.size)
 
 
 def windowed_traces(streams: Iterable[EventStream], window_s: float = 0.05,

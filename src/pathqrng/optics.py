@@ -145,12 +145,20 @@ class WavelengthSpectrum:
         """Gaussian envelope sampled on equally spaced nodes across the band."""
         if points < 1:
             raise ValueError("points must be >= 1")
-        if fwhm_nm <= 0.0:
-            raise ValueError("fwhm_nm must be positive")
+        # each comparison is False for NaN, so a NaN value fails it
+        if not (-math.inf < center_nm < math.inf and 0.0 < fwhm_nm < math.inf):
+            raise ValueError("center_nm must be finite and fwhm_nm finite and positive")
+        if not -math.inf < span_nm[0] < span_nm[1] < math.inf:
+            raise ValueError("span_nm must be finite and strictly increasing")
         wl = np.linspace(span_nm[0], span_nm[1], points)
         sigma = fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        w = np.exp(-0.5 * ((wl - center_nm) / sigma) ** 2)
-        w = w / math.fsum(w)
+        with np.errstate(over="ignore"):  # a square past the float range weighs 0
+            w = np.exp(-0.5 * ((wl - center_nm) / sigma) ** 2)
+        total = math.fsum(w)
+        if total == 0.0:
+            raise ValueError("every spectrum weight underflows to 0; "
+                             "center_nm is too far from span_nm for fwhm_nm")
+        w = w / total
         # nudge the largest weight so the masses sum to 1 exactly in floats
         w[int(np.argmax(w))] += 1.0 - math.fsum(w)
         return cls(tuple((float(a), float(b)) for a, b in zip(wl, w)))

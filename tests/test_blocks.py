@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -69,6 +70,9 @@ BODIES = {
         events.simulate_events(DIST, 9e5, 0.002, seed=3)).partition("channel\n")[2],
     "wide": wide_text().partition("channel\n")[2],
     "leading zeros": "0\tUF\n007\tDN\n7\tUN\n" + "0" * 40 + "12\tDF\n012\tUF\n",
+    # 34 digits on every line: one width past the 19 that fit in int64
+    "one wide width": "".join(f"{'0' * 30}{t:04d}\t{cli.CHANNELS[t % 4]}\n"
+                              for t in range(1000, 1100, 7)),
     "empty": "",
 }
 
@@ -97,6 +101,9 @@ def test_block_reads_parse_like_line_oracle(tmp_path, monkeypatch, read_bytes, b
     "1234 UF\n",                          # a missing tab
     "9223372036854775808\tUF\n",          # int64 overflow
     "0" * 30 + "1x\tUF\n",                # a bad line longer than several reads
+    "0" * 29 + "x1234\tUF\n",             # a bad digit in front of the last 19
+    "1" + "0" * 29 + "1234\tUF\n",        # a non-zero digit in front of the last 19
+    "0" * 30 + "9223372036854775808\tUF\n",  # int64 overflow in the last 19 digits
     "5\tUF\n\n",                          # a blank line
     "5\tUF",                              # an unterminated last line
     "5\tU",                               # an unterminated last line, cut in its label
@@ -115,6 +122,18 @@ def test_block_reads_name_the_first_bad_record_like_line_oracle(tmp_path, monkey
     with pytest.raises(cli.ValidationError) as got:
         cli.read_event_file(path)
     assert str(got.value) == str(want.value)
+
+
+def test_a_long_record_parses_in_linear_time(tmp_path):
+    # each digit in front of the last 19 once cost one pass of its own:
+    # this record took about 4 s, and 10^5 zeros 0.4 s
+    path = tmp_path / "ev.tsv"
+    path.write_text(HEADER + "0" * 10 ** 6 + "5\tUF\n")
+    start = time.perf_counter()
+    (ts, ch), = cli.EventFile(path).blocks()
+    elapsed = time.perf_counter() - start
+    assert ts.tolist() == [5] and ch.tolist() == [0]
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,18 @@ class TestChipConfigFiles:
         with pytest.raises(cli.ValidationError, match="mapping"):
             cli.load_chip_config(bad)
 
+    def test_deep_nesting_is_a_malformed_config(self, tmp_path):
+        # the parser's RecursionError once went through as exit 3
+        path = tmp_path / "chip.yaml"
+        path.write_text("[" * 2000)
+        code, _, err = run_cli("simulate", "--config", str(path), "--angles=0:0",
+                               "--out", str(tmp_path / "out"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("malformed config: ")
+
     def test_physical_validation_is_surfaced(self, tmp_path):
         path = tmp_path / "chip.yaml"
         path.write_text("version: 1\nchip:\n  generation_mmi: {t_power: 0.9, r_power: 0.9}\n")
@@ -655,6 +667,17 @@ class TestJsonDocs:
         with pytest.raises(cli.ValidationError, match="malformed"):
             cli.read_json_doc(tmp_path / "z.json")
 
+    def test_deep_nesting_is_malformed_json(self, tmp_path):
+        # the decoder's RecursionError once went through as exit 3
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, _, err = run_cli("report", "--result", str(path))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith(f"{path}: malformed JSON: ")
+
     def test_json_roundtrip_is_byte_identical(self, tmp_path):
         doc = {"kind": "correction-estimate", "term": "e_chi", "value": 0.0887,
                "lower": 0.0882, "upper": 0.0887, "gap": 5e-4, "cells": 20064,
@@ -891,10 +914,19 @@ class TestSimulateCommand:
          "spectrum.points must be an integer of at most 4096, not 21.9"),
         ("version: true", "unsupported config version True"),
         ("version: 1.0", "unsupported config version 1.0"),
+        ("version: 1\nchip: {generation: {xi: '0.5'}}",
+         "generation.xi must be a number, not '0.5'"),
+        ("version: 1\nchip: {loss: {gamma: '0.9'}}", "loss.gamma must be a number, not '0.9'"),
+        ("version: 1\nerrors: {dphi: ['0.01', 0, 0, 0]}",
+         "errors.dphi must be a number, not '0.01'"),
+        ("version: 1\nchip: {spectrum: {kind: gaussian, points: '21'}}",
+         "spectrum.points must be a number, not '21'"),
     ], ids=["xi-false", "xi-no", "xi-off", "gamma-true", "splitter-true-false", "dphi-yes",
-            "points-true", "points-fraction", "version-true", "version-float"])
+            "points-true", "points-fraction", "version-true", "version-float", "xi-quoted",
+            "gamma-quoted", "dphi-quoted", "points-quoted"])
     def test_booleans_and_fractions_are_not_numbers(self, tmp_path, text, message):
-        # each was once read as a number: false as 0.0, true as 1.0, 21.9 as 21
+        # each was once read as a number: false as 0.0, true as 1.0, 21.9 as
+        # 21, '0.5' as 0.5
         path = tmp_path / "chip.yaml"
         path.write_text(text + "\n")
         code, _, err = run_cli("simulate", "--config", str(path), "--angles=0:0",
@@ -903,6 +935,32 @@ class TestSimulateCommand:
         assert code == 2 and len(lines) == 1
         assert json.loads(lines[0]) == {"error": "ValidationError", "subcommand": "simulate",
                                         "message": message}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spectrum, message", [
+        ("center_nm: .inf", "center_nm must be finite"),
+        ("center_nm: .nan", "center_nm must be finite"),
+        ("fwhm_nm: .inf", "fwhm_nm finite and positive"),
+        ("span_nm: [730, 730], points: 5", "span_nm must be finite and strictly increasing"),
+        ("span_nm: [740, 720]", "span_nm must be finite and strictly increasing"),
+        ("span_nm: [720, .inf]", "span_nm must be finite and strictly increasing"),
+        ("center_nm: 100000", "every spectrum weight underflows to 0"),
+        ("span_nm: [1.0e+200, 2.0e+200]", "every spectrum weight underflows to 0"),
+    ], ids=["center-inf", "center-nan", "fwhm-inf", "span-empty", "span-falling", "span-inf",
+            "center-far", "span-far"])
+    def test_degenerate_gaussian_spectrum_exits_2(self, tmp_path, spectrum, message):
+        # each once exited 0: a far centre printed a divide warning before
+        # the JSON line, an infinite FWHM gave a flat spectrum, and an empty
+        # or falling span gave repeated or falling nodes
+        path = tmp_path / "chip.yaml"
+        path.write_text(f"version: 1\nchip: {{spectrum: {{kind: gaussian, {spectrum}}}}}\n")
+        code, _, err = run_cli("simulate", "--config", str(path), "--angles=0:0",
+                               "--duration-s", "0.001", "--out", str(tmp_path / "out"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError" and message in record["message"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("spectrum, message", [

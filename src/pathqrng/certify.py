@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import CHI_QUANTUM_MAX, CHSH_SIGNS
+from .bell import CHSH_SIGNS
 from .chip import (_NO_ERRORS, PhaseErrorSet, _check_errors, _mzi_amplitudes, rotation_matrix,
                    shifter_phases)
 from .optics import DESIGN_WAVELENGTH_NM, IDEAL_MMI, MmiParams
@@ -419,20 +419,14 @@ def e_chi(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None) -> Cor
 # ---------------------------------------------------------------------------
 
 def guessing_curve(x: float | np.ndarray) -> np.ndarray:
-    """f of :func:`guessing_bound` elementwise, 1/2 beyond 2 sqrt(2), unchecked."""
+    """f(x) = 1/2 + 1/2 sqrt(2 - x^2/4), the violation-to-guessing map, elementwise.
+
+    Decreasing and concave on [2, 2 sqrt(2)], with f(2) = 1 (no certification
+    at the classical boundary) and f(2 sqrt 2) = 1/2; 1/2 beyond 2 sqrt(2).
+    The domain is not checked.
+    """
     x = np.asarray(x, dtype=float)
     return 0.5 + 0.5 * np.sqrt(np.maximum(2.0 - x * x / 4.0, 0.0))
-
-
-def guessing_bound(chi: float) -> float:
-    """f(chi) = 1/2 + 1/2 sqrt(2 - chi^2/4), the violation-to-guessing map.
-
-    Defined on [2, 2 sqrt(2)], decreasing and concave: f(2) = 1 (no
-    certification at the classical boundary), f(2 sqrt 2) = 1/2.
-    """
-    if not 2.0 - 1e-12 <= chi <= CHI_QUANTUM_MAX + 1e-12:
-        raise ValueError(f"chi = {chi!r} outside [2, 2 sqrt 2]")
-    return float(guessing_curve(chi))
 
 
 def guessing_probability(chi_real: float, e_chi: float, e_p: float) -> float:
@@ -474,6 +468,14 @@ def certified_rate(event_rate_hz: float, h_min_bits: float) -> float:
 
 @dataclass(frozen=True)
 class CertificationResult:
+    """One certificate: the violation, its corrections and the min-entropy.
+
+    ``certified_rate_hz`` is the event rate given, the rate of detection
+    records, times ``h_min_bits``.  Extraction takes one outcome per occupied
+    bin, and fewer bins than records are occupied (5.8 % fewer at 0.12
+    records per bin), so the bits it can extract per second are fewer.
+    """
+
     chi_real: float
     e_chi: float
     e_p: float

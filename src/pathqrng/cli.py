@@ -124,9 +124,6 @@ class CalibrationFit:
         if self.b == 0.0:
             raise ValueError("b = 0 is not a usable phase-power relation")
 
-    def phase(self, power_w: float) -> float:
-        return self.b * power_w + self.d
-
 
 _FRINGE_SCAN_POINTS = 2048
 _FRINGE_SCAN_BLOCK = 1 << 18  # trial frequencies x samples per batched solve
@@ -732,15 +729,19 @@ def _grid_from_cells(cells: Mapping[tuple[float, float], tuple[float, float]]) -
     """The grid over the sorted distinct angles of (phi, theta) -> (E, stderr) cells.
 
     Cells missing from the product of the angle lists are NaN, and a stderr
-    that is NaN in every cell becomes None.
+    that is NaN in every cell becomes None.  A product of more than
+    ``_MAX_SCAN_PAIRS`` cells is refused before any array is built.
     """
-    phis = sorted({k[0] for k in cells})
-    thetas = sorted({k[1] for k in cells})
+    phis = {p: i for i, p in enumerate(sorted({k[0] for k in cells}))}
+    thetas = {t: j for j, t in enumerate(sorted({k[1] for k in cells}))}
+    if len(phis) * len(thetas) > _MAX_SCAN_PAIRS:
+        raise ValueError(f"{len(phis)} phi x {len(thetas)} theta values give more than "
+                         f"{_MAX_SCAN_PAIRS} grid cells")
     e = np.full((len(phis), len(thetas)), np.nan)
     se = np.full((len(phis), len(thetas)), np.nan)
     for (p, t), (ev, sv) in cells.items():
-        e[phis.index(p), thetas.index(t)] = ev
-        se[phis.index(p), thetas.index(t)] = sv
+        e[phis[p], thetas[t]] = ev
+        se[phis[p], thetas[t]] = sv
     return CorrelationGrid(tuple(phis), tuple(thetas), e,
                            None if np.all(np.isnan(se)) else se)
 
@@ -875,7 +876,8 @@ def _parse_angle_pairs(text: str) -> list[tuple[float, float]]:
     return pairs
 
 
-#: the most angle pairs one scan may simulate, checked before the schedule is built
+#: the most angle pairs one scan may simulate, checked before the schedule is
+#: built, and the most cells a grid may span, checked before its arrays are built
 _MAX_SCAN_PAIRS = 1_000_000
 
 
@@ -1043,9 +1045,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    _check_seeds(args, "--seed", "--tie-seed")
+    _check_seeds(args, "--seed")
     stream = EventFile(args.events)
-    outcomes = bin_and_resolve(stream, tie_seed=args.tie_seed, mode=args.tie_mode)
+    outcomes = bin_and_resolve(stream)
     bits = raw_bits(outcomes)
     extracted = toeplitz_extract(bits, args.h_min, security_eps=args.eps, seed=args.seed)
     _atomic_write(args.out, (extracted + ord("0")).tobytes() + b"\n")
@@ -1164,12 +1166,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confidence", type=float, default=0.99)
     p.add_argument("--out", required=True, help="trace CSV path")
 
-    p = sub.add_parser("extract", help="tie-resolve, collect raw bits, Toeplitz-extract")
+    p = sub.add_parser("extract", help="keep each bin's first record, collect raw bits, "
+                                      "Toeplitz-extract")
     p.add_argument("--events", required=True, help="event file")
     p.add_argument("--h-min", type=float, required=True, help="certified bits per event")
     p.add_argument("--eps", type=float, default=2.0 ** -32, help="security parameter")
-    p.add_argument("--tie-seed", type=int, default=0)
-    p.add_argument("--tie-mode", choices=("fired", "uniform4"), default="fired")
     p.add_argument("--seed", type=int, default=0, help="Toeplitz seed")
     p.add_argument("--out", required=True, help="extracted bit file")
 

@@ -4,10 +4,10 @@ Arrivals in each time bin are Poisson, and each arrival lands in one of
 the four detector channels according to the chip's output distribution.
 Streams are drawn per occupied bin, not per bin: the gaps between occupied
 bins are geometric and each occupied bin's count is zero-truncated
-Poisson, the same law at about one draw per record.  Bins holding more
-than one record are ambiguous and get resolved to a single outcome by a
-seeded tie rule before bit extraction.  Bell statistics elsewhere use the raw records directly;
-only the extracted bit pipeline goes through tie resolution.
+Poisson, the same law at about one draw per record.  Bit extraction takes
+one outcome per occupied bin, the channel of the bin's first record: one
+photon's outcome, drawn from the chip's distribution however many records
+share the bin.  Bell statistics use all the raw records.
 
 A stream is a :class:`StreamHeader`, the one holder of its scalars, plus
 its records as blocks of (timestamps, channels); a consumer reads only
@@ -38,7 +38,7 @@ the whole input: the linear convolution at the valid indices has no
 wrap-around partner in a circular convolution of any length >= m + L - 1,
 so each FFT runs at the smallest 2^a 3^b 5^c length that covers m + L - 1.
 
-Channels are basis indices throughout: streams and resolved outcomes hold
+Channels are basis indices throughout: streams and their outcomes hold
 ``uint8`` codes 0..3, distributions are float arrays in basis order, and
 raw and extracted bits are ``uint8`` arrays of 0 and 1.  Labels and 0/1
 text exist only in the files ``pathqrng.cli`` reads and writes.
@@ -278,68 +278,32 @@ def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     return EventStream(header, np.concatenate(ts), np.concatenate(ch))
 
 
-def bin_and_resolve(stream: EventStream, tie_seed: int = 0, mode: str = "fired") -> np.ndarray:
-    """Collapse each occupied bin to a single outcome.
+def bin_and_resolve(stream: EventStream) -> np.ndarray:
+    """The channel of each occupied bin's first record, in bin order.
 
-    Bins with one record keep it.  Bins with several are resolved with a
-    seeded draw, consumed in chronological bin order:
-
-    * ``"fired"``: uniformly among the distinct channels that fired;
-    * ``"uniform4"``: uniformly among all four channels, discarding which
-      detectors actually fired.
+    "First" is stream order, which is file order where timestamps are
+    equal.  A bin's records draw their channels independently, so the first
+    one's channel is one photon's outcome, with the chip's distribution
+    that ``bell-scan`` estimates, however many records share the bin.
 
     ``stream`` is an :class:`EventStream` or any stream with a ``header``
-    and ``blocks()``, such as an event file read block by block.  The last
-    bin of each block is held open and carried into the next, so the
-    outcomes and the draws are those of the whole stream in one block.
-    Returns the outcomes' channel codes (``uint8``) in bin order.
+    and ``blocks()``, such as an event file read block by block.  The only
+    state carried across a block edge is the previous block's last bin.
+    Returns the outcomes' channel codes (``uint8``).
     """
-    if mode not in ("fired", "uniform4"):
-        raise ValueError(f"unknown tie mode {mode!r}")
     width = stream.header.bin_width_ns
-    rng = np.random.default_rng(tie_seed)
-    parts = []
-    # the bin of each record of the open bin, and its channel
-    bins, channels = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    parts, last = [np.empty(0, dtype=np.uint8)], -1  # timestamps are non-negative
     for ts, ch in stream.blocks():
         if not ts.size:
             continue
-        block_bins = ts // width
-        if bins.size:
-            block_bins, ch = np.concatenate((bins, block_bins)), np.concatenate((channels, ch))
-        cut = int(np.searchsorted(block_bins, block_bins[-1]))  # where the last bin starts
-        parts.append(_resolve_bins(block_bins[:cut], ch[:cut], rng, mode))
-        bins, channels = block_bins[cut:].copy(), ch[cut:].copy()
-    parts.append(_resolve_bins(bins, channels, rng, mode))
+        bins = ts // width
+        # firsts[i]: record i opens its bin
+        firsts = np.empty(bins.size, dtype=bool)
+        firsts[0] = bins[0] != last
+        np.not_equal(bins[1:], bins[:-1], out=firsts[1:])
+        parts.append(ch[firsts])
+        last = int(bins[-1])
     return np.concatenate(parts)
-
-
-def _resolve_bins(bins: np.ndarray, channels: np.ndarray, rng: np.random.Generator,
-                  mode: str) -> np.ndarray:
-    """One outcome per run of equal ``bins``, the last run closed by the end."""
-    if not bins.size:
-        return np.empty(0, dtype=np.uint8)
-    # opens[i]: record i is the first of its bin; one past the end closes the last bin
-    opens = np.empty(bins.size + 1, dtype=bool)
-    opens[0] = opens[-1] = True
-    np.not_equal(bins[1:], bins[:-1], out=opens[1:-1])
-    starts = np.flatnonzero(opens[:-1])
-
-    out = channels[starts]
-    # a bin holds several records where its first record is not followed by
-    # the first of the next bin
-    multi = np.flatnonzero(~opens[1:][opens[:-1]])
-    if mode == "fired":
-        # one bit per channel that fired in the bin; the draw picks the
-        # k-th fired channel in index order, as a draw from the sorted
-        # distinct channels does
-        mask = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), channels), starts)[multi]
-        fired = (mask[:, None] >> np.arange(4, dtype=np.uint8)) & 1
-        k = rng.integers(fired.sum(axis=1, dtype=np.int64))
-        out[multi] = np.argmax(fired.cumsum(axis=1) > k[:, None], axis=1)
-    else:
-        out[multi] = rng.integers(4, size=multi.size)
-    return out
 
 
 def _check_codes(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -348,40 +312,6 @@ def _check_codes(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
     if codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > 3):
         raise ValueError("channel codes must be integers 0..3")
     return codes.astype(np.uint8, copy=False)
-
-
-def resolved_distribution(distribution: Sequence[float] | np.ndarray,
-                          mean_per_bin: float, mode: str = "fired") -> np.ndarray:
-    """Exact outcome distribution (4,) after binning and tie resolution.
-
-    Arrivals per bin are Poisson with the given mean, split over channels
-    by ``distribution``; conditioning on the bin being occupied, this
-    returns the law of :func:`bin_and_resolve`'s outcome.  Under ``"fired"``
-    the per-channel arrival processes are independent Poissons, so the set
-    of fired channels has a product law over 15 non-empty subsets.
-    """
-    d = _distribution(distribution)
-    lam = float(mean_per_bin)
-    if lam <= 0.0:
-        raise ValueError("mean per bin must be positive")
-    occupied = -math.expm1(-lam)
-    out = np.zeros(4)
-    if mode == "fired":
-        fire = -np.expm1(-lam * d)  # P(channel has >= 1 arrival)
-        for mask in range(1, 16):
-            members = [c for c in range(4) if mask >> c & 1]
-            w = 1.0
-            for c in range(4):
-                w *= fire[c] if c in members else 1.0 - fire[c]
-            for c in members:
-                out[c] += w / len(members)
-    elif mode == "uniform4":
-        single = lam * math.exp(-lam)
-        multi = occupied - single
-        out = single * d + multi / 4.0
-    else:
-        raise ValueError(f"unknown tie mode {mode!r}")
-    return out / occupied
 
 
 @dataclass(frozen=True)
@@ -414,24 +344,24 @@ def windowed_traces(streams: Iterable[EventStream], window_s: float = 0.05,
                     confidence: float = 0.99) -> WindowedTrace:
     """Slice four CHSH streams into common windows and trace the Bell value.
 
-    Uses raw record counts per window (no tie resolution).  Window k holds
-    the records in [k w, (k + 1) w) for the integer width
-    w = round(window_s * 1e9) ns, which must be at least 1 ns.  Needs at
-    least two full windows and at least one record per stream in every
-    window.  ``streams`` may be any iterable of :class:`EventStream` or of
-    streams with a ``header`` and ``blocks()``, such as event files read
-    block by block: each stream is reduced to its per-window counts, one
-    block at a time, before the next is taken, so a caller that keeps no
-    other reference holds one block at a time.  A stream with fewer records
-    than windows is rejected before the common windows are sized.  This is
-    the one windowing routine.
+    Counts every raw record.  Window k holds the records in
+    [k w, (k + 1) w) for the integer width w = round(window_s * 1e9) ns,
+    which must be at least 1 ns, and a stream has floor(duration / w) whole
+    windows, both in nanoseconds.  Needs at least two full windows and at
+    least one record per stream in every window.  ``streams`` may be any
+    iterable of :class:`EventStream` or of streams with a ``header`` and
+    ``blocks()``, such as event files read block by block: each stream is
+    reduced to its per-window counts, one block at a time, before the next
+    is taken, so a caller that keeps no other reference holds one block at
+    a time.  A stream with fewer records than windows is rejected before
+    the common windows are sized.  This is the one windowing routine.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     width_ns = _whole_ns("window", window_s, "s")
     windows, records, counts = [], [], []
     for s in streams:
-        n_own = int(s.header.duration_s / window_s + 1e-9)
+        n_own = int(_ns("duration", s.header.duration_s, "s")) // width_ns
         c, n = _window_counts(s, n_own, width_ns)
         counts.append(c)
         windows.append(n_own)
@@ -514,9 +444,10 @@ def toeplitz_extract(bits: Sequence[int] | np.ndarray, h_min_bits_per_event: flo
                      security_eps: float = 2.0 ** -32, seed: int = 0) -> np.ndarray:
     """Seeded Toeplitz extraction of the certified entropy from raw bits.
 
-    Each detection event contributes two raw bits but only
-    ``h_min_bits_per_event`` certified ones, so ``n = len(bits)`` raw bits
-    hold ``k = n // 2`` events' worth of entropy.  The output length is
+    Each outcome, one photon's, is one certified event: it contributes two
+    raw bits but only ``h_min_bits_per_event`` certified ones, so
+    ``n = len(bits)`` raw bits hold ``k = n // 2`` events' worth of
+    entropy.  The output length is
 
         m = floor(k * h_min) - ceil(2 * log2(1 / eps)),
 

@@ -347,25 +347,28 @@ def chi_stderr(streams, subinterval_s=0.2):
     return float(np.std(chis, ddof=1) / math.sqrt(len(chis)))
 
 
-def bin_and_resolve_loop(stream, tie_seed=0, mode="fired"):
-    """Tie resolution one multi-click bin at a time, in bin order: a draw
-    from the sorted distinct channels that fired, or from all four.  Returns
-    the uint8 channel codes."""
-    if len(stream) == 0:
-        return np.empty(0, dtype=np.uint8)
-    bins = stream.timestamps_ns // stream.header.bin_width_ns
-    starts = np.flatnonzero(np.r_[True, np.diff(bins) > 0])
-    ends = np.r_[starts[1:], len(stream)]
-    out_idx = stream.channels[starts].astype(np.int64)
-    rng = np.random.default_rng(tie_seed)
-    for k in np.flatnonzero(ends - starts > 1):
-        group = stream.channels[starts[k] : ends[k]]
-        if mode == "fired":
-            options = np.unique(group)
-            out_idx[k] = int(options[rng.integers(len(options))])
-        else:
-            out_idx[k] = int(rng.integers(4))
-    return out_idx.astype(np.uint8)
+def with_labels(stream, labels, seed=0):
+    """The stream as simulated ("fired"), or ("uniform4") with every record's
+    channel redrawn uniformly over all four, so the records that share a bin
+    mostly carry distinct channels.  The timestamps are kept."""
+    if labels == "fired":
+        return stream
+    if labels != "uniform4":
+        raise ValueError(f"unknown labels {labels!r}")
+    channels = np.random.default_rng(seed).integers(4, size=len(stream)).astype(np.uint8)
+    return events.EventStream(stream.header, stream.timestamps_ns, channels)
+
+
+def bin_and_resolve_loop(stream):
+    """The channel of each occupied bin's first record, one record at a time
+    in stream order.  Returns the uint8 channel codes."""
+    width = stream.header.bin_width_ns
+    out, last = [], None
+    for t, c in zip(stream.timestamps_ns.tolist(), stream.channels.tolist()):
+        if t // width != last:
+            out.append(c)
+            last = t // width
+    return np.array(out, dtype=np.uint8)
 
 
 def event_file_text_by_lines(stream):

@@ -207,7 +207,7 @@ def test_criterion_10_guessing_bound_concavity():
 def test_criterion_11_extractor_plumbing():
     dist = chip.broadband_probabilities(chip.ChipConfig.unbalanced(), -0.576, -1.11)
     stream = events.simulate_events(dist, 1.2e5, 1.0, seed=2468)
-    bits = events.raw_bits(events.bin_and_resolve(stream, tie_seed=7))
+    bits = events.raw_bits(events.bin_and_resolve(stream))
     out = events.toeplitz_extract(bits, 0.33, seed=99)
     again = events.toeplitz_extract(bits, 0.33, seed=99)
 

@@ -145,19 +145,20 @@ def test_born_probability_completeness_and_oracle():
 
 
 def test_distribution_vector_and_dict():
-    # distributions are basis-order arrays of 4 probabilities; the event
-    # simulation and the tie-resolution law check them the same way
-    for use in (lambda p: events.simulate_events(p, 1e3, 0.01, seed=1),
-                lambda p: events.resolved_distribution(p, 0.1)):
-        use([0.1, 0.2, 0.3, 0.4])
-        with pytest.raises(ValueError, match="4 entries"):
-            use([0.5, 0.5])
-        with pytest.raises(ValueError, match="non-negative and sum to 1"):
-            use([0.5, 0.5, 0.5, -0.5])
-        with pytest.raises(ValueError, match="non-negative and sum to 1"):
-            use([0.1, 0.2, 0.3, 0.3])
-        with pytest.raises(ValueError, match="non-negative and sum to 1"):
-            use([float("nan"), 0.2, 0.3, 0.5])
-        # a dict keyed by label is not one
-        with pytest.raises(TypeError):
-            use({"UF": 0.1, "UN": 0.2, "DF": 0.3, "DN": 0.4})
+    # distributions are basis-order arrays of 4 probabilities, as the event
+    # simulation checks them
+    def use(p):
+        events.simulate_events(p, 1e3, 0.01, seed=1)
+
+    use([0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(ValueError, match="4 entries"):
+        use([0.5, 0.5])
+    with pytest.raises(ValueError, match="non-negative and sum to 1"):
+        use([0.5, 0.5, 0.5, -0.5])
+    with pytest.raises(ValueError, match="non-negative and sum to 1"):
+        use([0.1, 0.2, 0.3, 0.3])
+    with pytest.raises(ValueError, match="non-negative and sum to 1"):
+        use([float("nan"), 0.2, 0.3, 0.5])
+    # a dict keyed by label is not one
+    with pytest.raises(TypeError):
+        use({"UF": 0.1, "UN": 0.2, "DF": 0.3, "DN": 0.4})

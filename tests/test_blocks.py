@@ -146,31 +146,40 @@ def multi_click_stream():
     return events.simulate_events(DIST, 9e5, 0.004, seed=5)
 
 
-@pytest.mark.parametrize("mode", ["fired", "uniform4"])
+def hand_built_stream():
+    """Bins [DN, UF], [UN], [DF, DF, UF], the first two records at one time."""
+    header = events.StreamHeader(0.0, 0.0, 1.0, 1.0, 0)
+    return events.EventStream(header, np.array([0, 0, 1000, 2000, 2500, 2999], dtype=np.int64),
+                              np.array([3, 0, 1, 2, 2, 0], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("labels", ["fired", "uniform4"])
 @pytest.mark.parametrize("read_bytes", [5, 13, 40, 1 << 10])
 def test_tie_resolution_over_file_blocks_matches_loop(tmp_path, monkeypatch, multi_click_stream,
-                                                      mode, read_bytes):
-    s = multi_click_stream
-    path = write_stream(s, tmp_path / "ev.tsv")
+                                                      labels, read_bytes):
     monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
-    stream = cli.EventFile(path)
+    hand = cli.EventFile(write_stream(hand_built_stream(), tmp_path / "hand.tsv"))
+    assert events.bin_and_resolve(hand).tolist() == [3, 1, 2]
+    s = oracles.with_labels(multi_click_stream, labels, seed=7)
+    stream = cli.EventFile(write_stream(s, tmp_path / "ev.tsv"))
     blocks = [ts // s.header.bin_width_ns for ts, _ in stream.blocks()]
     # a block edge falls inside a bin of several records
     assert any(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
-    got = events.bin_and_resolve(stream, tie_seed=7, mode=mode)
+    got = events.bin_and_resolve(stream)
     assert got.dtype == np.uint8 and stream.records == len(s)
-    assert np.array_equal(got, oracles.bin_and_resolve_loop(s, tie_seed=7, mode=mode))
+    assert np.array_equal(got, oracles.bin_and_resolve_loop(s))
 
 
-@pytest.mark.parametrize("mode", ["fired", "uniform4"])
+@pytest.mark.parametrize("labels", ["fired", "uniform4"])
 @pytest.mark.parametrize("step", [1, 2, 3, 7, 500])
-def test_tie_resolution_over_any_cuts_matches_loop(multi_click_stream, mode, step):
+def test_tie_resolution_over_any_cuts_matches_loop(multi_click_stream, labels, step):
     # cuts at every step-th record, with empty blocks at the ends and a
-    # repeated cut, so every kind of block edge meets an open bin
-    s = multi_click_stream
-    cuts = [0, *range(step, len(s), step), len(s) - 1, len(s) - 1, len(s)]
-    got = events.bin_and_resolve(split_stream(s, cuts), tie_seed=11, mode=mode)
-    assert np.array_equal(got, oracles.bin_and_resolve_loop(s, tie_seed=11, mode=mode))
+    # repeated cut, so every kind of block edge meets a bin of several records
+    for s in (hand_built_stream(), oracles.with_labels(multi_click_stream, labels, seed=11)):
+        cuts = [0, *range(step, len(s), step), len(s) - 1, len(s) - 1, len(s)]
+        got = events.bin_and_resolve(split_stream(s, cuts))
+        assert np.array_equal(got, oracles.bin_and_resolve_loop(s))
+    assert oracles.bin_and_resolve_loop(hand_built_stream()).tolist() == [3, 1, 2]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 17])

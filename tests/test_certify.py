@@ -483,12 +483,13 @@ def test_guessing_probability_monotonicity():
 
 
 def test_guessing_bound_domain():
-    assert certify.guessing_bound(2.0) == pytest.approx(1.0)
-    assert certify.guessing_bound(2.0 * SQRT2) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        certify.guessing_bound(1.9)
-    with pytest.raises(ValueError):
-        certify.guessing_bound(2.9)
+    # f runs from 1 at the classical bound to 1/2 at Tsirelson's; a chi below
+    # 2 certifies nothing, and one beyond 2 sqrt 2 is refused before f
+    assert certify.guessing_curve(2.0) == pytest.approx(1.0)
+    assert certify.guessing_curve(2.0 * SQRT2) == pytest.approx(0.5)
+    assert certify.guessing_probability(1.9, 0.0, 0.0) == 1.0
+    with pytest.raises(ValueError, match="quantum bound"):
+        bell.check_chi(2.9)
 
 
 def test_guessing_curve_keeps_the_scalar_formula_bit_for_bit():
@@ -497,7 +498,7 @@ def test_guessing_curve_keeps_the_scalar_formula_bit_for_bit():
 
     xs = np.concatenate([np.linspace(1.5, 3.0, 2001), [2.0, 2.0 * SQRT2, 2.697 - 0.092]])
     assert [float(y) for y in certify.guessing_curve(xs)] == [f(float(x)) for x in xs]
-    assert certify.guessing_bound(2.5) == f(2.5)
+    assert float(certify.guessing_curve(2.5)) == f(2.5)
     for chi in np.linspace(-2.9, 2.9, 117):
         for e_chi, e_p in ((0.0, 0.0), (0.092, 0.02), (0.0213, 0.0187), (0.3, 0.1)):
             x = max(abs(float(chi)) - e_chi, 0.0)

@@ -95,8 +95,9 @@ class TestCalibrationFit:
 
     def test_phase_is_linear_in_power(self):
         fit = cli.fit_mzi_calibration(fringe_samples(), port=1)
-        assert fit.phase(0.0) == pytest.approx(0.7, abs=1e-6)
-        assert fit.phase(1.0) == pytest.approx(2.8, abs=1e-6)
+        # phase(W) = b W + d
+        assert fit.d == pytest.approx(0.7, abs=1e-6)
+        assert fit.b * 1.0 + fit.d == pytest.approx(2.8, abs=1e-6)
 
     def test_sign_conventions_are_canonical(self):
         fit = cli.fit_mzi_calibration(sign_flipped_samples(), port=1)
@@ -1364,7 +1365,7 @@ class TestExtractCommand:
                                 "--h-min", "0.33", "--out", str(out))
         assert code == 0
         expected = events.toeplitz_extract(
-            events.raw_bits(events.bin_and_resolve(s, tie_seed=0)), 0.33, seed=0)
+            events.raw_bits(events.bin_and_resolve(s)), 0.33, seed=0)
         assert out.read_bytes() == (expected + ord("0")).tobytes() + b"\n"
         assert f"{len(expected)} extracted bits" in text
 
@@ -1447,7 +1448,7 @@ class TestExtractCommand:
         assert record["error"] == "ValidationError"
         assert "int64 nanosecond range" in record["message"]
 
-    @pytest.mark.parametrize("flag", ["--seed", "--tie-seed"])
+    @pytest.mark.parametrize("flag", ["--seed"])
     def test_negative_seed_names_its_flag(self, tmp_path, flag):
         s = events.simulate_events((0.25,) * 4, 1.2e5, 0.1, seed=77)
         write_stream(s, tmp_path / "ev.tsv")
@@ -1458,6 +1459,20 @@ class TestExtractCommand:
         assert json.loads(lines[0]) == {"error": "ValidationError", "subcommand": "extract",
                                         "message": f"{flag} must be a non-negative integer, "
                                                    "got -3"}
+        assert not (tmp_path / "b.txt").exists()
+
+    @pytest.mark.parametrize("flags", [("--tie-mode", "fired"), ("--tie-seed", "0")],
+                             ids=["tie-mode", "tie-seed"])
+    def test_retired_tie_flags_are_usage_errors(self, tmp_path, flags):
+        # an old script that picked a tie rule fails loudly, not with other bits
+        s = events.simulate_events((0.25,) * 4, 1.2e5, 0.1, seed=77)
+        write_stream(s, tmp_path / "ev.tsv")
+        code, _, err = run_cli("extract", "--events", str(tmp_path / "ev.tsv"), "--h-min",
+                               "0.33", *flags, "--out", str(tmp_path / "b.txt"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "usage" and flags[0] in record["message"]
         assert not (tmp_path / "b.txt").exists()
 
     def test_insufficient_entropy_is_validation_error(self, tmp_path):
@@ -1482,7 +1497,7 @@ class TestExtractCommand:
             assert not out.exists()
         else:
             assert err == ""
-            n_raw = events.raw_bits(events.bin_and_resolve(s, tie_seed=0)).size
+            n_raw = events.raw_bits(events.bin_and_resolve(s)).size
             assert len(out.read_text().strip()) == math.floor(n_raw // 2 * 0.33) - 2127
 
     def test_lost_fft_precision_exits_3(self, tmp_path, monkeypatch):
@@ -1672,6 +1687,22 @@ class TestReportCommand:
         assert json.loads(lines[0]) == {"error": "ValidationError", "subcommand": "report",
                                         "message": f"{p}: malformed row '0.0\\t0.0\\tabc\\t0.1'"}
 
+    def test_grid_past_the_cell_bound_is_refused_before_any_array(self, tmp_path, monkeypatch):
+        # 1,001 diagonal rows span 1,001 x 1,001 cells, past the 10^6 bound
+        p = tmp_path / "grid.tsv"
+        p.write_text("# pathqrng-grid v1\nphi\ttheta\te\tstderr\n"
+                     + "".join(f"{k}.0\t{k}.0\t0.5\t0.01\n" for k in range(1001)))
+
+        def no_array(*args, **kwargs):
+            raise AssertionError("a grid array was built before its size was checked")
+        monkeypatch.setattr(cli.np, "full", no_array)
+        code, _, err = run_cli("report", "--result", str(p))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert "1001 phi x 1001 theta values give more than 1000000 grid cells" in record["message"]
+
     def test_grid_without_finite_e_reports_no_range(self, tmp_path):
         p = tmp_path / "grid.tsv"
         p.write_text("# pathqrng-grid v1\nphi\ttheta\te\tstderr\n"
@@ -1745,10 +1776,10 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 # SHA-256 of every file the fixed-seed chain below writes; a refactor of the
 # data path must leave all of them unchanged
 GOLDEN_DIGESTS = {
-    "bits_0.txt": "a0c7661fef1b69c331d4e28ef602bf47280ed6d3bd7802fbfa56ef1abe7a45d5",
-    "bits_1.txt": "76e34fc0a3d9017a50e91e4d67284815681c848b13cd63f8064a922c2533453b",
-    "bits_2.txt": "02f94d308ee3216afdc6389afefa4020a8f7627b2a813ddf6552c3cba8238c17",
-    "bits_3.txt": "08ac7729fd4e16cc8aacdb0d67824325cb9c134af9fa1b3e4355307d55a23878",
+    "bits_0.txt": "459f10619729a47a77227a5aedf0c94155e94ff267e2bccf3c1ed81f125a216e",
+    "bits_1.txt": "c0a352ec95404f5b6266cf7baf30050a8e9a671695404965a768de977286b197",
+    "bits_2.txt": "14ddc50d7e090e674a53f45a0c0b2d4d623ea791339acba76f292920ebc0e810",
+    "bits_3.txt": "2a2a0b5373da895fd8863c6685e0d70c7aaed35d6adb2fb5ad26a8a976e6a6df",
     "cert.json": "a13a86bf9862a8306327d465edfd97641af5b55f2490316d883486f548464752",
     "events/events_0000.tsv": "cacd6f3af46ad3c245aebe99a612d9f57ac9b6550c960980e4443a082e3ce431",
     "events/events_0001.tsv": "2ca73e8d71b401e6ed3a1e9df900740446b2416632cbe7c8fe7f58aeba4ed4d2",

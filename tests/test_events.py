@@ -307,11 +307,11 @@ class TestBinAndResolve:
         assert events.bin_and_resolve(s).size == 0
 
     def test_fired_ties_split_evenly(self):
-        # 20000 bins, each holding one UF and one DN record
+        # 20000 bins, each holding one UF and one DN record in a random order
         n = 20000
         ts = np.repeat(np.arange(n, dtype=np.int64) * 1000, 2)
-        ch = np.tile([0, 3], n)
-        out = events.bin_and_resolve(make_stream(ts, ch), tie_seed=40)
+        ch = np.random.default_rng(40).permuted(np.tile([0, 3], (n, 1)), axis=1).ravel()
+        out = events.bin_and_resolve(make_stream(ts, ch))
         assert out.size == n
         assert set(out.tolist()) == {0, 3}
         lo, hi = oracles.binomial_bounds(n, 0.5)
@@ -321,43 +321,32 @@ class TestBinAndResolve:
         n = 500
         ts = np.repeat(np.arange(n, dtype=np.int64) * 1000, 3)
         ch = np.tile([0, 0, 1], n)
-        out = events.bin_and_resolve(make_stream(ts, ch), tie_seed=1)
-        assert set(out.tolist()) <= {0, 1}
+        out = events.bin_and_resolve(make_stream(ts, ch))
+        assert out.tolist() == [0] * n
 
-    def test_uniform4_ties_cover_all_channels(self):
-        n = 40000
-        ts = np.repeat(np.arange(n, dtype=np.int64) * 1000, 2)
-        ch = np.tile([0, 3], n)
-        out = events.bin_and_resolve(make_stream(ts, ch), tie_seed=2, mode="uniform4")
-        lo, hi = oracles.binomial_bounds(n, 0.25)
-        for c in range(4):
-            assert lo <= int(np.sum(out == c)) <= hi
+    def test_outcomes_follow_the_chip_distribution(self):
+        # at 0.9 records per bin a third of the occupied bins hold several;
+        # their first records still follow d, so chi^2 on its 2 df stays small
+        d = np.array((0.85, 0.05, 0.1, 0.0))
+        out = events.bin_and_resolve(events.simulate_events(d, 9e5, 0.2, seed=3))
+        counts = np.bincount(out, minlength=4)
+        assert counts[3] == 0
+        expected = out.size * d[:3]
+        chi2 = float(np.sum((counts[:3] - expected) ** 2 / expected))
+        assert math.exp(-chi2 / 2.0) >= 1e-6, f"chi^2 = {chi2:.1f} on 2 df"
 
-    def test_tie_seed_determinism(self):
-        s = events.simulate_events((0.25, 0.25, 0.25, 0.25), 3e5, 0.05, seed=8)
-        a = events.bin_and_resolve(s, tie_seed=5)
-        b = events.bin_and_resolve(s, tie_seed=5)
-        c = events.bin_and_resolve(s, tie_seed=6)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            events.bin_and_resolve(make_stream([0], [0]), mode="first")
-
-    @pytest.mark.parametrize("mode", ["fired", "uniform4"])
+    @pytest.mark.parametrize("labels", ["fired", "uniform4"])
     @pytest.mark.parametrize("dist, rate_hz, seed", [
         ((0.4, 0.1, 0.2, 0.3), 1.2e5, 61),      # the paper's rate, ~6% multi-click bins
         ((0.25, 0.25, 0.25, 0.25), 9e5, 62),    # multi-click heavy
         ((0.85, 0.05, 0.1, 0.0), 9e5, 63),      # many ties inside one channel
         ((0.25, 0.25, 0.25, 0.25), 0.0, 64),    # empty
     ])
-    def test_matches_loop_oracle(self, mode, dist, rate_hz, seed):
-        s = events.simulate_events(dist, rate_hz, 0.2, seed=seed)
-        for tie_seed in (0, seed):
-            got = events.bin_and_resolve(s, tie_seed=tie_seed, mode=mode)
-            want = oracles.bin_and_resolve_loop(s, tie_seed=tie_seed, mode=mode)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    def test_matches_loop_oracle(self, labels, dist, rate_hz, seed):
+        s = oracles.with_labels(events.simulate_events(dist, rate_hz, 0.2, seed=seed), labels, seed)
+        got = events.bin_and_resolve(s)
+        want = oracles.bin_and_resolve_loop(s)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestEstimateProbabilities:
@@ -393,64 +382,6 @@ class TestEstimateProbabilities:
             assert lo <= p[c] * len(s) <= hi + 0.5
 
 
-class TestResolvedDistribution:
-    def test_small_mean_reduces_to_input(self):
-        d = (0.4, 0.1, 0.2, 0.3)
-        for mode in ("fired", "uniform4"):
-            out = events.resolved_distribution(d, 1e-6, mode=mode)
-            assert out.shape == (4,) and np.allclose(out, d, atol=1e-5)
-
-    def test_fired_two_channel_closed_form(self):
-        lam = 0.3
-        d = (0.5, 0.0, 0.0, 0.5)
-        f = -math.expm1(-lam / 2.0)
-        occupied = -math.expm1(-lam)
-        # UF alone, DN alone, or both fire and the tie splits evenly
-        expect_uf = (f * (1.0 - f) + f * f / 2.0) / occupied
-        out = events.resolved_distribution(d, lam)
-        assert out[0] == pytest.approx(expect_uf, abs=1e-14)
-        assert out[3] == pytest.approx(expect_uf, abs=1e-14)
-        assert out[1] == 0.0 and out[2] == 0.0
-
-    def test_uniform4_closed_form(self):
-        lam = 0.5
-        single = lam * math.exp(-lam)
-        occupied = -math.expm1(-lam)
-        multi = occupied - single
-        out = events.resolved_distribution((1.0, 0.0, 0.0, 0.0), lam, mode="uniform4")
-        assert out[0] == pytest.approx((single + multi / 4.0) / occupied, abs=1e-14)
-        assert out[3] == pytest.approx(multi / 4.0 / occupied, abs=1e-14)
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            d = rng.dirichlet(np.ones(4))
-            lam = float(rng.uniform(0.01, 0.9))
-            for mode in ("fired", "uniform4"):
-                out = events.resolved_distribution(d, lam, mode=mode)
-                assert out.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_monte_carlo(self):
-        d = (0.5, 0.2, 0.2, 0.1)
-        lam = 0.3
-        for mode, seed in (("fired", 31), ("uniform4", 32)):
-            target = events.resolved_distribution(d, lam, mode=mode)
-            s = events.simulate_events(d, 3e5, 1.0, seed=seed)
-            out = events.bin_and_resolve(s, tie_seed=seed, mode=mode)
-            n = out.size
-            for c in range(4):
-                lo, hi = oracles.binomial_bounds(n, target[c])
-                assert lo <= int(np.sum(out == c)) <= hi
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            events.resolved_distribution((1.0, 0.0, 0.0, 0.0), 0.0)
-        with pytest.raises(ValueError, match="mode"):
-            events.resolved_distribution((1.0, 0.0, 0.0, 0.0), 0.1, mode="last")
-        with pytest.raises(ValueError, match="sum to 1"):
-            events.resolved_distribution((0.7, 0.0, 0.0, 0.7), 0.1)
-
-
 class TestWindowedTraces:
     @staticmethod
     def constant_streams(channel_by_stream, duration_s=1.0, per_window=3):
@@ -471,6 +402,11 @@ class TestWindowedTraces:
         assert tr.probabilities.shape == (4, 20, 4)
         assert tr.chi_values.shape == (20,)
         assert np.allclose(tr.probabilities.sum(axis=2), 1.0, atol=1e-9)
+
+    def test_windows_are_counted_in_whole_nanoseconds(self):
+        # 0.1000000004 s rounds to 100 ms windows, and ten of them fill 1 s
+        streams = self.constant_streams([0, 0, 0, 0])
+        assert events.windowed_traces(streams, window_s=0.1000000004).n_windows == 10
 
     def test_constant_streams_give_zero_width_interval(self):
         # all-UF streams pin every correlation at +1, so chi = 2 exactly
@@ -559,7 +495,7 @@ class TestRawBits:
 
     def test_length_is_twice_occupied_bins(self):
         s = events.simulate_events((0.25, 0.25, 0.25, 0.25), 3e5, 0.1, seed=41)
-        out = events.bin_and_resolve(s, tie_seed=41)
+        out = events.bin_and_resolve(s)
         bits = events.raw_bits(out)
         occupied = np.unique(s.timestamps_ns // s.header.bin_width_ns).size
         assert len(bits) == 2 * occupied
@@ -713,8 +649,8 @@ class TestPipeline:
     def test_simulate_resolve_estimate_consistency(self):
         d = (0.4, 0.1, 0.2, 0.3)
         s = events.simulate_events(d, 1.2e5, 1.0, seed=53)
-        out = events.bin_and_resolve(s, tie_seed=53)
-        target = events.resolved_distribution(d, 0.12)
+        out = events.bin_and_resolve(s)
+        target = d  # one photon's outcome per occupied bin
         est = oracles.estimate_probabilities(out)
         n = out.size
         for c in range(4):

@@ -25,7 +25,7 @@ appear only in ``cli``, where files are read and written.
 
 Modules
 -------
-optics   splitter, loss and spectrum models; the one closed-form MZI matrix
+optics   splitter and spectrum models; the one closed-form MZI matrix
 chip     full circuit: generation, the one rotation kernel ``rotate``, detection
 bell     correlation coefficients, CHSH function, scans and searches
 certify  factorization bounds, correction terms, min-entropy certification

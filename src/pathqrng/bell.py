@@ -24,8 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-SQRT6 = math.sqrt(6.0)
-
 #: grid-independent quantum maximum of |chi|
 CHI_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 
@@ -67,36 +65,6 @@ CHSH_SIGNS = chi_from_coefficients(*np.eye(4))
 def chi_alpha_ideal(alpha: float) -> float:
     """chi of the ideal chip along the one-parameter CHSH family."""
     return 3.0 * math.cos(alpha) - math.cos(3.0 * alpha)
-
-
-def alpha_angles(alpha: float) -> tuple[float, float, float, float]:
-    """(phi, phi', theta, theta') realizing chi(alpha) on the ideal chip.
-
-    With E = cos 2(phi - theta) the tuple below gives coefficients
-    (cos a, cos 3a, cos a, cos a), whose CHSH combination is exactly
-    3 cos(alpha) - cos(3 alpha).
-    """
-    return (-alpha / 2.0, alpha / 2.0, 0.0, alpha)
-
-
-def unbalanced_correlation(phi: float, theta: float, eta: float = 1.0 / 3125.0) -> float:
-    """Closed-form E(phi, theta) for a chip whose splitters are all 40:60.
-
-    ``eta`` is an overall visibility scale; 1/3125 normalizes the loss-free
-    transfer-matrix model, while a fitted value absorbs experimental
-    visibility reduction.  Term by term:
-
-        eta * ( 5 - 48 sqrt6
-                - 24 (5 + 2 sqrt6) cos 2phi
-                - 24 (5 + 2 sqrt6) cos 2theta
-                + 48 (30 - 13 sqrt6) cos 2(phi + theta)
-                + 288 (5 + 2 sqrt6) cos 2(phi - theta) )
-    """
-    return eta * (5.0 - 48.0 * SQRT6
-                  - 24.0 * (5.0 + 2.0 * SQRT6) * math.cos(2.0 * phi)
-                  - 24.0 * (5.0 + 2.0 * SQRT6) * math.cos(2.0 * theta)
-                  + 48.0 * (30.0 - 13.0 * SQRT6) * math.cos(2.0 * (phi + theta))
-                  + 288.0 * (5.0 + 2.0 * SQRT6) * math.cos(2.0 * (phi - theta)))
 
 
 @dataclass(frozen=True)

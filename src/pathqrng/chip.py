@@ -4,6 +4,8 @@ The chip has three parts, in propagation order:
 
 1. generation: one MMI plus a relative phase xi prepares the path-entangled
    single-photon state (t |UF> + i r e^{i xi} |DN>) / sqrt(t^2 + r^2);
+   a phase on either branch alone is xi plus a global phase, so xi is the
+   one generation phase the model keeps;
 2. relative-position rotation: one MZI per absolute branch rotates the
    {|F>, |N>} qubit by phi = phi1 - phi2;
 3. absolute-position rotation: an MZI-equivalent per relative branch
@@ -13,6 +15,8 @@ The chip has three parts, in propagation order:
 Only the differences matter: a phase common to both shifters of a stage
 multiplies every amplitude by the same factor, a global phase.  So the
 model sets phi (theta) on each branch's first shifter and 0 on its second.
+Every output is a click probability normalized by the total click rate, so
+a loss common to every path cancels too, and the model carries none.
 
 Each of the four physical phase shifters per stage carries its own error
 offset (:class:`PhaseErrorSet`, a field of :class:`ChipConfig`), which is
@@ -26,9 +30,9 @@ spectrum node in one call.  :func:`rotation_matrix` is the operator of the
 same kernel, the rotated basis states as columns; ``certify`` builds the
 angle coefficients of its correction bounds from one call of it per term.
 :func:`broadband_probabilities` is the one detection path: the generated
-state, times the scalar loss amplitude, through :func:`rotate`, clicks by
-the Born rule.  Its angles broadcast, so one call evaluates a block of
-angle pairs at every spectrum node, one (..., 4) distribution per pair.
+state through :func:`rotate`, clicks by the Born rule.  Its angles
+broadcast, so one call evaluates a block of angle pairs at every spectrum
+node, one (..., 4) distribution per pair.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optics import (DESIGN_WAVELENGTH_NM, EPS_MAX, IDEAL_MMI, LOSSLESS, LossModel, MmiParams,
-                     WavelengthSpectrum, mzi_matrix)
+from .optics import (DESIGN_WAVELENGTH_NM, EPS_MAX, IDEAL_MMI, MmiParams, WavelengthSpectrum,
+                     mzi_matrix)
 
 Errors4 = tuple[float, float, float, float]
 _NO_ERRORS: Errors4 = (0.0, 0.0, 0.0, 0.0)
@@ -55,26 +59,6 @@ def _check_errors(d: Errors4, name: str) -> Errors4:
         if not math.isfinite(x) or abs(x) > EPS_MAX:
             raise ValueError(f"{name} offset {x!r} not finite or beyond the {EPS_MAX} rad guard")
     return d
-
-
-@dataclass(frozen=True)
-class GenerationSetting:
-    """Relative phase of the generation stage.
-
-    ``xi`` is the phase between the |UF> and |DN> components; xi = -pi/2
-    makes the ideal state (|UF> + |DN>)/sqrt(2).  The two compensation
-    phases mirror the knobs used to trim the far and near branches during
-    alignment; they default to 0, leaving a single effective xi.
-    """
-
-    xi: float = -math.pi / 2.0
-    comp_far: float = 0.0
-    comp_near: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("xi", "comp_far", "comp_near"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -101,7 +85,9 @@ class ChipConfig:
 
     ``mzi_mmis`` holds the splitter parameters of the four rotation MZIs in
     the order (phi stage |U> branch, phi stage |D> branch, theta stage |F>
-    branch, theta stage |N> branch).  ``phase_dispersion`` enables the
+    branch, theta stage |N> branch).  ``xi`` is the generation phase between
+    the |UF> and |DN> components; xi = -pi/2 makes the ideal state
+    (|UF> + |DN>)/sqrt(2).  ``phase_dispersion`` enables the
     lambda_0/lambda scaling of all heater phases during broadband averaging.
     ``errors`` are the chip's phase-shifter offsets, measured once per chip
     and the same at every measurement setting.
@@ -110,8 +96,7 @@ class ChipConfig:
     generation_mmi: MmiParams = IDEAL_MMI
     mzi_mmis: tuple[MmiParams, MmiParams, MmiParams, MmiParams] = (
         IDEAL_MMI, IDEAL_MMI, IDEAL_MMI, IDEAL_MMI)
-    generation: GenerationSetting = GenerationSetting()
-    loss: LossModel = field(default_factory=LossModel)
+    xi: float = -math.pi / 2.0
     spectrum: WavelengthSpectrum = field(
         default_factory=lambda: WavelengthSpectrum.single(DESIGN_WAVELENGTH_NM))
     phase_dispersion: bool = False
@@ -120,11 +105,8 @@ class ChipConfig:
     def __post_init__(self) -> None:
         if len(self.mzi_mmis) != 4:
             raise ValueError("mzi_mmis needs exactly 4 entries")
-
-    @classmethod
-    def balanced(cls, **kwargs) -> "ChipConfig":
-        """All splitters ideal 50:50, lossless, monochromatic."""
-        return cls(loss=LOSSLESS, **kwargs)
+        if not math.isfinite(self.xi):
+            raise ValueError("xi must be finite")
 
     @classmethod
     def unbalanced(cls, t_power: float = 0.4, r_power: float = 0.6, **kwargs) -> "ChipConfig":
@@ -133,7 +115,7 @@ class ChipConfig:
         return cls(generation_mmi=mmi, mzi_mmis=(mmi, mmi, mmi, mmi), **kwargs)
 
 
-def generation_state(g: GenerationSetting, mmi: MmiParams = IDEAL_MMI,
+def generation_state(xi: float, mmi: MmiParams = IDEAL_MMI,
                      wavelength_nm: float | np.ndarray | None = None) -> np.ndarray:
     """State after the generation stage, (t|UF> + i r e^{i xi}|DN>)/sqrt(t^2+r^2).
 
@@ -146,8 +128,8 @@ def generation_state(g: GenerationSetting, mmi: MmiParams = IDEAL_MMI,
     if np.any(norm == 0.0):
         raise ValueError("generation MMI with t = r = 0 produces no state")
     psi = np.zeros(np.shape(norm) + (4,), dtype=complex)
-    psi[..., 0] = t * np.exp(1j * g.comp_far)
-    psi[..., 3] = 1j * r * np.exp(1j * (g.xi + g.comp_near))
+    psi[..., 0] = t
+    psi[..., 3] = 1j * r * np.exp(1j * xi)
     return psi / np.expand_dims(norm, -1)
 
 
@@ -216,13 +198,12 @@ def broadband_probabilities(cfg: ChipConfig, phi, theta) -> np.ndarray:
     phases scaled by lambda_0/lambda) and the distributions are mixed with
     the node weights, a convex combination of per-wavelength statistics.
     The angles gain a trailing node axis, so the pairs and the nodes form
-    the batch axes of one :func:`rotate` call, which takes the generated
-    state times the scalar loss amplitude.  Raises ``ValueError`` if any
-    pair's state is annihilated.
+    the batch axes of one :func:`rotate` call on the generated state.
+    Raises ``ValueError`` if any pair's state is annihilated.
     """
     wl = cfg.spectrum.wavelengths
     scale = DESIGN_WAVELENGTH_NM / wl if cfg.phase_dispersion else np.ones_like(wl)
-    psi = cfg.loss.amplitude * generation_state(cfg.generation, cfg.generation_mmi, wl)
+    psi = generation_state(cfg.xi, cfg.generation_mmi, wl)
     phi, theta = (np.expand_dims(np.asarray(a, dtype=float), -1) for a in (phi, theta))
     clicks = np.abs(rotate(*_mzi_amplitudes(cfg.mzi_mmis, wl),
                            shifter_phases(phi, cfg.errors.dphi, scale),

@@ -3,8 +3,9 @@
 Formats owned here:
 
 * chip configuration, read only: versioned YAML with power coefficients
-  (converted to amplitudes at load), phase errors, spectrum, loss, parsed
-  straight into a ``chip.ChipConfig``;
+  (converted to amplitudes at load), phase errors and spectrum, parsed
+  straight into a ``chip.ChipConfig``.  A ``loss`` section is checked and
+  dropped: a loss common to every path cancels in every output;
 * event files: TSV with a ``# key=value`` header block, a
   ``timestamp_ns<TAB>channel`` column line, then one record per line.
   The header holds each field of an ``events.StreamHeader`` once, and the
@@ -66,13 +67,13 @@ from .bell import (CHI_QUANTUM_MAX, ChiResult, CorrelationGrid, best_combination
                    check_chi, chi_alpha_ideal, correlation_coefficient)
 from .certify import (CertificationResult, CorrectionEstimate, certification_result, e_chi, e_p,
                       guessing_curve)
-from .chip import ChipConfig, GenerationSetting, PhaseErrorSet, broadband_probabilities
+from .chip import ChipConfig, PhaseErrorSet, broadband_probabilities
 from .events import (Block, EventStream, StreamHeader, bin_and_resolve, checked_blocks,
                      raw_bits, simulate_blocks, toeplitz_extract, windowed_traces)
 # not called here since simulate writes blocks as they are drawn, but kept
 # under this name, which perfbench's tracer wraps
 from .events import simulate_events  # noqa: F401
-from .optics import LossModel, MmiParams, WavelengthSpectrum
+from .optics import MmiParams, WavelengthSpectrum
 
 CONFIG_DIR_ENV = "PATHQRNG_CONFIG_DIR"
 
@@ -302,8 +303,12 @@ def _mmi(section: Any, where: str) -> MmiParams:
     r_power = _number(section.get("r_power", 0.5), f"{where}.r_power")
     table = None
     if "table" in section:
-        table = tuple((wl, math.sqrt(tp), math.sqrt(rp))
-                      for wl, tp, rp in _rows(section["table"], f"{where}.table", 3))
+        rows = _rows(section["table"], f"{where}.table", 3)
+        for row in rows:
+            if row[1] < 0.0 or row[2] < 0.0:
+                raise ValidationError(f"{where}.table power coefficients must be "
+                                      f"non-negative, got row {row}")
+        table = tuple((wl, math.sqrt(tp), math.sqrt(rp)) for wl, tp, rp in rows)
     return MmiParams.from_power(t_power, r_power, table)
 
 
@@ -343,8 +348,11 @@ def parse_chip_config(raw: Any) -> ChipConfig:
     """The chip of a parsed config mapping; wrong keys, shapes, types or values are rejected.
 
     Absent sections and keys take their defaults: ideal 50:50 splitters,
-    xi = -pi/2, no loss, a single 730 nm node, no dispersion, no phase
-    errors.  Every fault is a :class:`ValidationError`.
+    xi = -pi/2, a single 730 nm node, no dispersion, no phase errors.
+    Every fault is a :class:`ValidationError`.  The ``loss`` section's
+    values must each lie in (0, 1], and are then dropped: the chip model
+    has no loss parameter, since a loss common to every path cancels in
+    every normalized click probability.
     """
     if not isinstance(raw, Mapping):
         raise ValidationError("config root must be a mapping")
@@ -355,8 +363,12 @@ def parse_chip_config(raw: Any) -> ChipConfig:
     chip = _section(raw.get("chip"), {"generation_mmi", "mzi_mmis", "generation", "loss",
                                       "spectrum", "phase_dispersion"}, "chip section")
     mz = _section(chip.get("mzi_mmis"), {"phi_u", "phi_d", "theta_f", "theta_n"}, "mzi_mmis")
-    gen = _section(chip.get("generation"), {"xi", "comp_far", "comp_near"}, "generation")
+    gen = _section(chip.get("generation"), {"xi"}, "generation")
     loss = _section(chip.get("loss"), {"gamma", "crossing_transmission"}, "loss")
+    for key in ("gamma", "crossing_transmission"):
+        value = _number(loss.get(key, 1.0), f"loss.{key}")
+        if not 0.0 < value <= 1.0:
+            raise ValidationError(f"{key} must lie in (0, 1], got {value!r}")
     spect = _section(chip.get("spectrum"), set().union(*_SPECTRUM_KEYS.values()), "spectrum")
     kind = spect.get("kind", "single")
     if not isinstance(kind, str) or kind not in _SPECTRUM_KEYS:
@@ -375,11 +387,7 @@ def parse_chip_config(raw: Any) -> ChipConfig:
             generation_mmi=_mmi(chip.get("generation_mmi"), "generation_mmi"),
             mzi_mmis=tuple(_mmi(mz.get(k), f"mzi_mmis.{k}")
                            for k in ("phi_u", "phi_d", "theta_f", "theta_n")),
-            generation=GenerationSetting(**{
-                k: _number(gen.get(k, v), f"generation.{k}")
-                for k, v in (("xi", -math.pi / 2.0), ("comp_far", 0.0), ("comp_near", 0.0))}),
-            loss=LossModel(**{k: _number(loss.get(k, 1.0), f"loss.{k}")
-                              for k in ("gamma", "crossing_transmission")}),
+            xi=_number(gen.get("xi", -math.pi / 2.0), "generation.xi"),
             spectrum=_spectrum(spect, kind),
             phase_dispersion=dispersion,
             errors=PhaseErrorSet(errs("dphi"), errs("dtheta")),
@@ -859,7 +867,7 @@ _MAX_ANGLE = 1e6
 
 
 def _parse_angle_pairs(text: str) -> list[tuple[float, float]]:
-    pairs = []
+    pairs: dict[tuple[float, float], None] = {}  # a dict keeps the order
     for chunk in text.split(","):
         phi_str, sep, theta_str = chunk.partition(":")
         if not sep:
@@ -872,8 +880,11 @@ def _parse_angle_pairs(text: str) -> list[tuple[float, float]]:
             raise ValidationError(f"bad angle pair {chunk!r}: angles must be finite")
         if max(map(abs, pair)) > _MAX_ANGLE:
             raise ValidationError(f"bad angle pair {chunk!r}: |angle| exceeds {_MAX_ANGLE:g} rad")
-        pairs.append(pair)
-    return pairs
+        # bell-scan refuses two streams of one pair, so simulate writes none
+        if pair in pairs:
+            raise ValidationError(f"duplicate angle pair {pair} in --angles")
+        pairs[pair] = None
+    return list(pairs)
 
 
 #: the most angle pairs one scan may simulate, checked before the schedule is
@@ -899,7 +910,7 @@ def _scan_schedule(step: float) -> list[tuple[float, float]]:
 
 def _load_optional_config(path_value: str | None) -> ChipConfig:
     if path_value is None:
-        return ChipConfig.balanced()
+        return ChipConfig()
     return load_chip_config(_resolve_config_path(path_value))
 
 

@@ -2,7 +2,9 @@
 
 Amplitude convention: an MMI splitter with power transmission T and power
 reflection R acts on the two incoming modes as [[t, i r], [i r, t]] with
-t = sqrt(T), r = sqrt(R).  Insertion loss is allowed (t^2 + r^2 <= 1).
+t = sqrt(T), r = sqrt(R).  Insertion loss is allowed (t^2 + r^2 <= 1); a
+splitter is the only place loss enters the model, since a loss common to
+every path cancels in the normalized click probabilities.
 A thermo-optic phase shifter pair contributes diag(e^{2i z1}, e^{2i z2});
 the factor 2 in the exponent follows the device's double-pass geometry, so
 an MZI built as MMI . PS . MMI rotates by zeta = z1 - z2 while z1 + z2 only
@@ -80,36 +82,6 @@ class MmiParams:
 
 #: ideal lossless 50:50 splitter
 IDEAL_MMI = MmiParams(2.0 ** -0.5, 2.0 ** -0.5)
-
-
-@dataclass(frozen=True)
-class LossModel:
-    """Channel-symmetric amplitude loss.
-
-    ``gamma`` collects propagation and insertion losses into one scalar;
-    ``crossing_transmission`` is the power transmission of a waveguide
-    crossing, folded in as an amplitude factor.  The loss scales every
-    amplitude by the same :attr:`amplitude`, so it cancels in every
-    normalized detection probability; the detection path still applies it,
-    so the cancellation is a tested property instead of an assumption.
-    """
-
-    gamma: float = 1.0
-    crossing_transmission: float = 0.98
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-        if not 0.0 < self.crossing_transmission <= 1.0:
-            raise ValueError("crossing_transmission must lie in (0, 1]")
-
-    @property
-    def amplitude(self) -> float:
-        """Net amplitude factor applied to every path."""
-        return self.gamma * math.sqrt(self.crossing_transmission)
-
-
-LOSSLESS = LossModel(1.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -199,26 +199,50 @@ def rotation_by_hand(phi_shifts, theta_shifts, mzi_tr=None):
     return u_theta @ u_phi
 
 
-def detection_by_hand(t_gen, r_gen, xi, comp_far, comp_near,
-                      phi_shifts, theta_shifts, mzi_tr=None):
+def detection_by_hand(t_gen, r_gen, xi, phi_shifts, theta_shifts, mzi_tr=None):
     """Full transfer-matrix pipeline with every step written out.
 
     phi_shifts, theta_shifts and mzi_tr are as in rotation_by_hand.
     """
     norm = math.hypot(t_gen, r_gen)
-    amps = np.array(
-        [
-            t_gen * np.exp(1j * comp_far),
-            0.0,
-            0.0,
-            1j * r_gen * np.exp(1j * (xi + comp_near)),
-        ],
-        dtype=complex,
-    ) / norm
+    amps = np.array([t_gen, 0.0, 0.0, 1j * r_gen * np.exp(1j * xi)], dtype=complex) / norm
 
     out = rotation_by_hand(phi_shifts, theta_shifts, mzi_tr) @ amps
     p = np.abs(out) ** 2
     return p / p.sum()
+
+
+def alpha_angles(alpha):
+    """(phi, phi', theta, theta') realizing chi(alpha) on the ideal chip.
+
+    With E = cos 2(phi - theta) the tuple below gives coefficients
+    (cos a, cos 3a, cos a, cos a), whose CHSH combination is exactly
+    3 cos(alpha) - cos(3 alpha).
+    """
+    return (-alpha / 2.0, alpha / 2.0, 0.0, alpha)
+
+
+SQRT6 = math.sqrt(6.0)
+
+
+def unbalanced_correlation(phi, theta, eta=1.0 / 3125.0):
+    """Closed-form E(phi, theta) for a chip whose splitters are all 40:60.
+
+    ``eta`` is an overall visibility scale; 1/3125 normalizes the loss-free
+    transfer-matrix model, while a fitted value absorbs experimental
+    visibility reduction.  Term by term:
+
+        eta * ( 5 - 48 sqrt6
+                - 24 (5 + 2 sqrt6) cos 2phi
+                - 24 (5 + 2 sqrt6) cos 2theta
+                + 48 (30 - 13 sqrt6) cos 2(phi + theta)
+                + 288 (5 + 2 sqrt6) cos 2(phi - theta) )
+    """
+    return eta * (5.0 - 48.0 * SQRT6
+                  - 24.0 * (5.0 + 2.0 * SQRT6) * math.cos(2.0 * phi)
+                  - 24.0 * (5.0 + 2.0 * SQRT6) * math.cos(2.0 * theta)
+                  + 48.0 * (30.0 - 13.0 * SQRT6) * math.cos(2.0 * (phi + theta))
+                  + 288.0 * (5.0 + 2.0 * SQRT6) * math.cos(2.0 * (phi - theta)))
 
 
 def binomial_bounds(n, p):

@@ -47,7 +47,7 @@ def stream_chi(streams):
 
 def test_criterion_1_ideal_chip_analytic_equivalence():
     t0 = time.perf_counter()
-    e = surface(chip.ChipConfig.balanced())
+    e = surface(chip.ChipConfig())
     target = np.cos(2.0 * (PHI_GRID[:, None] - THETA_GRID[None, :]))
     worst = float(np.max(np.abs(e - target)))
     elapsed = time.perf_counter() - t0
@@ -59,7 +59,7 @@ def test_criterion_2_chi_alpha_curve():
     rng = np.random.default_rng(191)
     worst = 0.0
     for alpha in rng.uniform(-math.pi, math.pi, size=1000):
-        phi, phip, th, thp = bell.alpha_angles(alpha)
+        phi, phip, th, thp = oracles.alpha_angles(alpha)
         e = lambda a, t: math.cos(2.0 * (a - t))
         via_coeffs = bell.chi_from_coefficients(e(phi, th), e(phi, thp),
                                                 e(phip, th), e(phip, thp))
@@ -72,7 +72,7 @@ def test_criterion_2_chi_alpha_curve():
 
 def test_criterion_3_unbalanced_closed_form():
     e = surface(chip.ChipConfig.unbalanced())
-    target = np.array([[bell.unbalanced_correlation(p, t) for t in THETA_GRID]
+    target = np.array([[oracles.unbalanced_correlation(p, t) for t in THETA_GRID]
                        for p in PHI_GRID])
     worst = float(np.max(np.abs(e - target)))
     grid = bell.CorrelationGrid(tuple(PHI_GRID), tuple(THETA_GRID), e)

@@ -112,8 +112,7 @@ OFF = optics.MmiParams(t=1.0, r=0.0)
 
 
 def born(generation_mmi, xi=-math.pi / 2.0):
-    cfg = chip.ChipConfig(generation_mmi=generation_mmi, mzi_mmis=(OFF,) * 4,
-                          generation=chip.GenerationSetting(xi=xi), loss=optics.LOSSLESS)
+    cfg = chip.ChipConfig(generation_mmi=generation_mmi, mzi_mmis=(OFF,) * 4, xi=xi)
     rng = np.random.default_rng(7)  # the bare shifters only add phases
     return chip.broadband_probabilities(cfg, *rng.uniform(-2.0, 2.0, size=2))
 
@@ -137,8 +136,7 @@ def test_born_probability_completeness_and_oracle():
         assert got.shape == (4,)
         assert got.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all((got >= 0.0) & (got <= 1.0))
-        psi = chip.generation_state(chip.GenerationSetting(xi=xi),
-                                    optics.MmiParams.from_power(t_power, r_power))
+        psi = chip.generation_state(xi, optics.MmiParams.from_power(t_power, r_power))
         projectors = [np.diag(np.eye(4)[c]).astype(complex) for c in range(4)]
         want = [oracles.born_by_loops(psi, p) for p in projectors]
         np.testing.assert_allclose(got, want, atol=1e-12)

@@ -47,7 +47,7 @@ def make_stream(sub_counts, negate=False, subinterval_s=0.2):
 def test_correlation_coefficient_basic():
     assert bell.correlation_coefficient([1.0, 0.0, 0.0, 0.0]) == 1.0
     assert bell.correlation_coefficient([0.25, 0.25, 0.25, 0.25]) == 0.0
-    p = chip.broadband_probabilities(chip.ChipConfig.balanced(), 0.3, 0.1)
+    p = chip.broadband_probabilities(chip.ChipConfig(), 0.3, 0.1)
     assert bell.correlation_coefficient(p) == pytest.approx(math.cos(0.4), abs=1e-12)
 
 
@@ -87,7 +87,7 @@ def test_chi_alpha_ideal_values():
 def test_chi_alpha_matches_coefficient_combination():
     rng = np.random.default_rng(7)
     for alpha in rng.uniform(-math.pi, math.pi, size=100):
-        phi, phi2, theta, theta2 = bell.alpha_angles(alpha)
+        phi, phi2, theta, theta2 = oracles.alpha_angles(alpha)
         coeffs = [
             math.cos(2.0 * (phi - theta)),
             math.cos(2.0 * (phi - theta2)),
@@ -120,7 +120,7 @@ def test_chi_alpha_maximum():
 
 def test_unbalanced_correlation_closed_point():
     want = (2645.0 - 192.0 * math.sqrt(6.0)) / 3125.0
-    assert bell.unbalanced_correlation(0.0, 0.0) == pytest.approx(want, abs=1e-14)
+    assert oracles.unbalanced_correlation(0.0, 0.0) == pytest.approx(want, abs=1e-14)
     assert want == pytest.approx(0.6959, abs=5e-5)
 
 
@@ -128,8 +128,8 @@ def test_unbalanced_correlation_linear_in_eta():
     rng = np.random.default_rng(11)
     for _ in range(10):
         phi, theta = rng.uniform(-2.0, 2.0, size=2)
-        base = bell.unbalanced_correlation(phi, theta, eta=1.0 / 3125.0)
-        scaled = bell.unbalanced_correlation(phi, theta, eta=3.01e-4)
+        base = oracles.unbalanced_correlation(phi, theta, eta=1.0 / 3125.0)
+        scaled = oracles.unbalanced_correlation(phi, theta, eta=3.01e-4)
         assert scaled == pytest.approx(base * 3.01e-4 * 3125.0, rel=1e-12)
 
 
@@ -140,7 +140,7 @@ def test_unbalanced_correlation_matches_simulation():
         for theta in np.linspace(-2.0, 2.0, 9):
             p = chip.broadband_probabilities(cfg, phi, theta)
             sim = bell.correlation_coefficient(p)
-            worst = max(worst, abs(sim - bell.unbalanced_correlation(phi, theta)))
+            worst = max(worst, abs(sim - oracles.unbalanced_correlation(phi, theta)))
     assert worst < 1e-9
 
 
@@ -291,7 +291,7 @@ def paper_like_grid():
     rng = np.random.default_rng(2605)
     phis = np.linspace(-2.0, 2.0, 41)
     thetas = np.linspace(-2.0, 0.0, 21)
-    e = np.array([[bell.unbalanced_correlation(p, t, 0.93 / 3125.0) for t in thetas]
+    e = np.array([[oracles.unbalanced_correlation(p, t, 0.93 / 3125.0) for t in thetas]
                   for p in phis])
     se = np.sqrt((1.0 - e * e) / 60_000.0)
     e = np.clip(e + rng.normal(scale=se), -1.0, 1.0)

@@ -227,7 +227,7 @@ def test_simulate_writes_the_one_shot_stream(tmp_path, monkeypatch):
                            "--duration-s", "0.003", "--seed", "9", "--out", str(tmp_path))
     assert code == 0, err
     seed = int(np.random.SeedSequence(9).generate_state(1)[0])
-    dist = broadband_probabilities(ChipConfig.balanced(), np.array([0.3]), np.array([-0.2]))[0]
+    dist = broadband_probabilities(ChipConfig(), np.array([0.3]), np.array([-0.2]))[0]
     header, blocks = events.simulate_blocks(dist, 9e5, 0.003, seed=seed, phi=0.3, theta=-0.2)
     ts, ch = (np.concatenate(arrays) for arrays in zip(*blocks))
     text = oracles.event_file_text_by_lines(events.EventStream(header, ts, ch))

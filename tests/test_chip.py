@@ -49,23 +49,31 @@ def single_node(cfg, wavelength_nm):
     return dataclasses.replace(cfg, spectrum=optics.WavelengthSpectrum.single(wavelength_nm))
 
 
+def test_chip_config_holds_only_what_an_output_depends_on():
+    # a loss common to every path, or a phase common to the whole state,
+    # changes no normalized click probability, so the chip carries neither
+    assert [f.name for f in dataclasses.fields(chip.ChipConfig)] == [
+        "generation_mmi", "mzi_mmis", "xi", "spectrum", "phase_dispersion", "errors"]
+    for xi in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="xi must be finite"):
+            chip.ChipConfig(xi=xi)
+
+
 def test_generation_state_ideal_phases():
     np.testing.assert_allclose(
-        chip.generation_state(chip.GenerationSetting(xi=-math.pi / 2.0)),
+        chip.generation_state(-math.pi / 2.0),
         PHI_PLUS,
         atol=1e-15,
     )
     np.testing.assert_allclose(
-        chip.generation_state(chip.GenerationSetting(xi=math.pi / 2.0)),
+        chip.generation_state(math.pi / 2.0),
         np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0),
         atol=1e-15,
     )
 
 
 def test_generation_state_unbalanced():
-    psi = chip.generation_state(
-        chip.GenerationSetting(xi=0.0), optics.MmiParams.from_power(0.4, 0.6)
-    )
+    psi = chip.generation_state(0.0, optics.MmiParams.from_power(0.4, 0.6))
     want = np.array([math.sqrt(0.4), 0.0, 0.0, 1j * math.sqrt(0.6)])
     np.testing.assert_allclose(psi, want, atol=1e-15)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
@@ -73,21 +81,7 @@ def test_generation_state_unbalanced():
 
 def test_generation_state_degenerate():
     with pytest.raises(ValueError):
-        chip.generation_state(
-            chip.GenerationSetting(), optics.MmiParams(t=0.0, r=0.0)
-        )
-
-
-def test_generation_compensation_is_global_phase_plus_effective_xi():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        xi, far, near = rng.uniform(-math.pi, math.pi, size=3)
-        g = chip.GenerationSetting(xi=xi, comp_far=far, comp_near=near)
-        got = chip.generation_state(g)
-        want = np.exp(1j * far) * chip.generation_state(
-            chip.GenerationSetting(xi=xi + near - far)
-        )
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        chip.generation_state(-math.pi / 2.0, optics.MmiParams(t=0.0, r=0.0))
 
 
 def test_rotation_ideal_cross_point():
@@ -279,27 +273,15 @@ def test_chip_config_phase_errors_validation():
 
 def test_detection_probabilities_bell_state():
     # the default generation phase xi = -pi/2 prepares PHI_PLUS
-    np.testing.assert_allclose(chip.generation_state(chip.GenerationSetting()), PHI_PLUS,
+    np.testing.assert_allclose(chip.generation_state(chip.ChipConfig().xi), PHI_PLUS,
                                atol=1e-15)
-    p = chip.broadband_probabilities(chip.ChipConfig.balanced(), 0.0, 0.0)
+    p = chip.broadband_probabilities(chip.ChipConfig(), 0.0, 0.0)
     assert p.shape == (4,)
     np.testing.assert_allclose(p, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
-def test_detection_probabilities_scalar_loss_cancels():
-    rng = np.random.default_rng(37)
-    for gamma in [1.0, 0.9, 0.5, 0.05]:
-        loss = optics.LossModel(gamma=gamma, crossing_transmission=0.98)
-        gen = chip.GenerationSetting(*rng.uniform(-math.pi, math.pi, size=3))
-        mmi = optics.MmiParams.from_power(*rng.uniform(0.1, 0.5, size=2))
-        cfg = chip.ChipConfig(generation_mmi=mmi, generation=gen, loss=optics.LOSSLESS)
-        base = chip.broadband_probabilities(cfg, 0.7, -0.3)
-        lossy = chip.broadband_probabilities(dataclasses.replace(cfg, loss=loss), 0.7, -0.3)
-        np.testing.assert_allclose(lossy, base, atol=1e-12)
-
-
 def test_detection_probabilities_correlation_value():
-    p = chip.broadband_probabilities(chip.ChipConfig.balanced(), 0.3, 0.1)
+    p = chip.broadband_probabilities(chip.ChipConfig(), 0.3, 0.1)
     assert correlation(p) == pytest.approx(math.cos(0.4), abs=1e-12)
 
 
@@ -313,7 +295,7 @@ def test_detection_probabilities_annihilated_state():
 
 def test_ideal_chip_correlation_grid():
     angles = np.linspace(-2.0, 2.0, 17)
-    cfg = chip.ChipConfig.balanced()
+    cfg = chip.ChipConfig()
     worst = 0.0
     for phi in angles:
         for theta in angles:
@@ -329,14 +311,12 @@ def test_detection_pipeline_matches_hand_oracle():
         phi, theta = rng.uniform(-2.0, 2.0, size=2)
         dphi = tuple(rng.uniform(-0.2, 0.2, size=4))
         dtheta = tuple(rng.uniform(-0.2, 0.2, size=4))
-        cfg = chip.ChipConfig.balanced(generation=chip.GenerationSetting(xi=xi))
+        cfg = chip.ChipConfig(xi=xi)
         p = probabilities(cfg, phi, theta, dphi, dtheta)
         want = oracles.detection_by_hand(
             1.0,
             1.0,
             xi,
-            0.0,
-            0.0,
             (phi + dphi[0], dphi[1], phi + dphi[2], dphi[3]),
             (theta + dtheta[0], dtheta[1], theta + dtheta[2], dtheta[3]),
         )
@@ -344,16 +324,16 @@ def test_detection_pipeline_matches_hand_oracle():
 
 
 def test_broadband_single_node_equals_monochromatic():
-    cfg = chip.ChipConfig.balanced()
+    cfg = chip.ChipConfig()
     got = chip.broadband_probabilities(cfg, 0.4, -0.2)
-    want = oracles.detection_by_hand(INV_SQRT2, INV_SQRT2, -math.pi / 2.0, 0.0, 0.0,
+    want = oracles.detection_by_hand(INV_SQRT2, INV_SQRT2, -math.pi / 2.0,
                                      (0.4, 0.0, 0.4, 0.0), (-0.2, 0.0, -0.2, 0.0))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_broadband_identical_nodes_equal_monochromatic():
     spectrum = optics.WavelengthSpectrum(((725.0, 0.5), (735.0, 0.5)))
-    cfg = chip.ChipConfig.balanced(spectrum=spectrum)
+    cfg = chip.ChipConfig(spectrum=spectrum)
     got = chip.broadband_probabilities(cfg, -0.9, 0.3)
     want = chip.broadband_probabilities(single_node(cfg, 730.0), -0.9, 0.3)
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -375,7 +355,6 @@ def test_broadband_21_nodes_matches_per_node_average():
     cfg = chip.ChipConfig(
         generation_mmi=mmi,
         mzi_mmis=(mmi, mmi, mmi, mmi),
-        loss=optics.LOSSLESS,
         spectrum=spectrum,
     )
     got = chip.broadband_probabilities(cfg, 0.6, -0.4)
@@ -394,7 +373,6 @@ def test_broadband_correlation_is_convex_mix():
     cfg = chip.ChipConfig(
         generation_mmi=mmi,
         mzi_mmis=(mmi, mmi, mmi, mmi),
-        loss=optics.LOSSLESS,
         spectrum=spectrum,
     )
     mixed_e = correlation(chip.broadband_probabilities(cfg, 0.35, -0.15))
@@ -407,10 +385,10 @@ def test_broadband_correlation_is_convex_mix():
 def test_broadband_phase_dispersion_scales_heater_phases():
     spectrum = optics.WavelengthSpectrum(((725.0, 0.4), (736.0, 0.6)))
     dphi = (0.01, 0.0, -0.02, 0.0)
-    cfg = chip.ChipConfig.balanced(spectrum=spectrum, phase_dispersion=True,
-                                   errors=chip.PhaseErrorSet(dphi, ZERO4))
+    cfg = chip.ChipConfig(spectrum=spectrum, phase_dispersion=True,
+                           errors=chip.PhaseErrorSet(dphi, ZERO4))
     got = chip.broadband_probabilities(cfg, 0.8, -0.5)
-    mono = chip.ChipConfig.balanced()
+    mono = chip.ChipConfig()
     acc = np.zeros(4)
     for wl, w in spectrum.nodes:
         f = optics.DESIGN_WAVELENGTH_NM / wl
@@ -442,8 +420,7 @@ def broadband_by_hand(cfg, phi, theta, phi2=0.0, theta2=0.0):
         p, d, q, e = phi, cfg.errors.dphi, theta, cfg.errors.dtheta
         p2, q2 = phi2, theta2
         acc += w * oracles.detection_by_hand(
-            t_gen, r_gen, cfg.generation.xi, cfg.generation.comp_far,
-            cfg.generation.comp_near,
+            t_gen, r_gen, cfg.xi,
             ((p + d[0]) * s, (p2 + d[1]) * s, (p + d[2]) * s, (p2 + d[3]) * s),
             ((q + e[0]) * s, (q2 + e[1]) * s, (q + e[2]) * s, (q2 + e[3]) * s),
             [m.resolve(wl) for m in cfg.mzi_mmis])
@@ -456,7 +433,7 @@ def test_broadband_matches_per_node_hand_oracle(dispersion):
     cfg = chip.ChipConfig(
         generation_mmi=tabulated_mmi(rng),
         mzi_mmis=tuple(tabulated_mmi(rng) for _ in range(4)),
-        generation=chip.GenerationSetting(xi=-1.4, comp_far=0.2, comp_near=-0.1),
+        xi=-1.4,
         spectrum=optics.WavelengthSpectrum.gaussian(730.0, fwhm_nm=10.0),
         phase_dispersion=dispersion,
     )
@@ -480,7 +457,7 @@ def test_common_set_phase_on_both_shifters_is_global(dispersion):
         cfg = chip.ChipConfig(
             generation_mmi=tabulated_mmi(rng),
             mzi_mmis=tuple(tabulated_mmi(rng) for _ in range(4)),
-            generation=chip.GenerationSetting(*rng.uniform(-math.pi, math.pi, size=3)),
+            xi=rng.uniform(-math.pi, math.pi),
             spectrum=optics.WavelengthSpectrum.gaussian(730.0, fwhm_nm=10.0, points=5),
             phase_dispersion=dispersion,
             errors=chip.PhaseErrorSet(tuple(rng.uniform(-0.2, 0.2, size=4)),
@@ -520,7 +497,7 @@ PAPER_CHIP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "pap
 @pytest.mark.parametrize("name", ["paper", "balanced", "unbalanced"])
 def test_broadband_batches_equal_scalar_calls(name):
     cfg = {"paper": lambda: cli.load_chip_config(PAPER_CHIP),
-           "balanced": chip.ChipConfig.balanced, "unbalanced": chip.ChipConfig.unbalanced}[name]()
+           "balanced": chip.ChipConfig, "unbalanced": chip.ChipConfig.unbalanced}[name]()
     # the 41x21 calibration scan, in simulate's pair order
     phi, theta = (a.ravel() for a in np.meshgrid(np.linspace(-2.0, 2.0, 41),
                                                   np.linspace(-2.0, 0.0, 21), indexing="ij"))
@@ -536,13 +513,14 @@ def test_broadband_batches_equal_scalar_calls(name):
 
 
 def test_broadband_batch_with_one_annihilated_pair_raises():
-    # only |UF> is generated, and the closed theta_f MZI blocks the phi stage's
-    # |UF> output, so the clicks scale with cos^2(phi) times a loss amplitude
-    # squared of about 1e-298: phi = pi/2 alone falls under the cutoff
+    # only |UF> is generated, the closed theta_f MZI blocks the phi stage's
+    # |UF> output, and the theta_n MZI with r = 0 scales its |UN> input by
+    # t^2, so the clicks are cos^2(phi) t^4 with t^4 = 1e-298: phi = pi/2
+    # alone falls under the cutoff
     closed = optics.MmiParams(t=0.0, r=0.0)
+    faint = optics.MmiParams(t=10.0 ** -74.5, r=0.0)
     cfg = chip.ChipConfig(generation_mmi=optics.MmiParams(t=1.0, r=0.0),
-                          mzi_mmis=(optics.IDEAL_MMI, optics.IDEAL_MMI, closed, optics.IDEAL_MMI),
-                          loss=optics.LossModel(gamma=1e-149))
+                          mzi_mmis=(optics.IDEAL_MMI, optics.IDEAL_MMI, closed, faint))
     phi = np.array([0.3, -1.0, math.pi / 2, 2.0])
     theta = np.full(4, -0.5)
     good = np.delete(np.arange(4), 2)

@@ -167,7 +167,7 @@ class TestChipConfigFiles:
         assert config.generation_mmi.t == pytest.approx(math.sqrt(0.5))
         assert all(m.t == pytest.approx(math.sqrt(0.5)) for m in config.mzi_mmis)
         assert config.errors.dphi == (0.0, 0.0, 0.0, 0.0)
-        assert config.generation.xi == pytest.approx(-math.pi / 2.0)
+        assert config.xi == pytest.approx(-math.pi / 2.0)
 
     def test_yaml_file_parses_like_its_mapping(self, tmp_path):
         raw = {
@@ -187,6 +187,7 @@ class TestChipConfigFiles:
         write_config(raw, path)
         loaded = cli.load_chip_config(path)
         assert loaded.generation_mmi.t == pytest.approx(math.sqrt(0.4))
+        assert loaded.xi == -1.2
         assert loaded.mzi_mmis[0].r == pytest.approx(math.sqrt(0.6))
         assert loaded.mzi_mmis[1].t == pytest.approx(math.sqrt(0.5))
         assert loaded.phase_dispersion is True
@@ -209,6 +210,12 @@ class TestChipConfigFiles:
             cli.parse_chip_config({"version": 1, "chips": {}})
         with pytest.raises(cli.ValidationError, match="unknown keys"):
             cli.parse_chip_config({"version": 1, "chip": {"mzis": {}}})
+
+    def test_loss_section_is_checked_and_dropped(self):
+        # a loss common to every path cancels in every output, so a valid
+        # loss section parses to the same chip as none
+        lossy = {"version": 1, "chip": {"loss": {"gamma": 0.9, "crossing_transmission": 0.98}}}
+        assert cli.parse_chip_config(lossy) == cli.parse_chip_config({"version": 1})
 
     def test_version_and_shape_validated(self):
         with pytest.raises(cli.ValidationError, match="version"):
@@ -759,6 +766,20 @@ class TestSimulateCommand:
         code, _, _ = run_cli("simulate", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("angles", ["0:0,0:0", "0.5:-1,0:0,0.50:-1.0", "0:0,-0:0"])
+    def test_repeated_angle_pair_exits_2(self, tmp_path, angles):
+        # bell-scan refuses two streams of one pair, and simulate once wrote
+        # both and exited 0
+        out = tmp_path / "out"
+        code, _, err = run_cli("simulate", "--angles", angles, "--duration-s", "0.001",
+                               "--out", str(out))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("duplicate angle pair (")
+        assert not out.exists()
+
     @pytest.mark.parametrize("angles", ["nan:0", "0:0,0.5:-inf"])
     def test_non_finite_angle_exits_2(self, tmp_path, angles):
         code, _, err = run_cli("simulate", "--angles", angles, "--out", str(tmp_path))
@@ -930,6 +951,32 @@ class TestSimulateCommand:
         # 21, '0.5' as 0.5
         path = tmp_path / "chip.yaml"
         path.write_text(text + "\n")
+        code, _, err = run_cli("simulate", "--config", str(path), "--angles=0:0",
+                               "--duration-s", "0.001", "--out", str(tmp_path / "out"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValidationError", "subcommand": "simulate",
+                                        "message": message}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("chip_text, message", [
+        ("{generation: {comp_far: 0.1}}", "unknown keys ['comp_far'] in generation"),
+        ("{generation: {xi: .inf}}", "xi must be finite"),
+        ("{loss: {gamma: 0}}", "gamma must lie in (0, 1], got 0.0"),
+        ("{loss: {gamma: 1.2}}", "gamma must lie in (0, 1], got 1.2"),
+        ("{loss: {crossing_transmission: .nan}}",
+         "crossing_transmission must lie in (0, 1], got nan"),
+        ("{loss: {attenuation: 0.5}}", "unknown keys ['attenuation'] in loss"),
+        ("{mzi_mmis: {phi_u: {table: [[720, -0.1, 0.5], [740, 0.4, 0.6]]}}}",
+         "mzi_mmis.phi_u.table power coefficients must be non-negative, "
+         "got row [720.0, -0.1, 0.5]"),
+    ], ids=["comp-far", "xi-inf", "gamma-zero", "gamma-above-one",
+            "crossing-nan", "loss-unknown", "table-negative-power"])
+    def test_bad_generation_loss_or_table_exits_2(self, tmp_path, chip_text, message):
+        # a negative table power once reached math.sqrt and exited with
+        # "math domain error", naming no field
+        path = tmp_path / "chip.yaml"
+        path.write_text(f"version: 1\nchip: {chip_text}\n")
         code, _, err = run_cli("simulate", "--config", str(path), "--angles=0:0",
                                "--duration-s", "0.001", "--out", str(tmp_path / "out"))
         lines = err.splitlines()

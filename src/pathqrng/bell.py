@@ -143,8 +143,6 @@ class ChiResult:
     sign: str = "max"
 
     def __post_init__(self) -> None:
-        if self.sign not in ("max", "min"):
-            raise ValueError("sign must be 'max' or 'min'")
         check_chi(self.chi, self.stderr)
 
 

@@ -77,12 +77,6 @@ class FactorizedApprox:
     n: tuple[float, float, float]
     distance: float
 
-    def __post_init__(self) -> None:
-        if abs(np.linalg.norm(self.n) - 1.0) > 1e-9:
-            raise ValueError("n must be a unit vector")
-        if self.distance < 0.0:
-            raise ValueError("distance must be non-negative")
-
 
 def nearest_factorized(d: Sequence[float]) -> FactorizedApprox:
     """Closed-form nearest factorized operator for one stage's 4 offsets.

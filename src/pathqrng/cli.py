@@ -119,12 +119,6 @@ class CalibrationFit:
     port: int
     stderr: tuple[float, float, float, float] | None = None
 
-    def __post_init__(self) -> None:
-        if self.port not in (1, 2):
-            raise ValueError("port must be 1 or 2")
-        if self.b == 0.0:
-            raise ValueError("b = 0 is not a usable phase-power relation")
-
 
 _FRINGE_SCAN_POINTS = 2048
 _FRINGE_SCAN_BLOCK = 1 << 18  # trial frequencies x samples per batched solve
@@ -134,8 +128,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: smallest step between distinct powers: the scan's top frequency is pi over
 #: that step, and the fit squares the intensities, so both stay finite
 _SAMPLE_SCALE = 1e100
-# certify's --starts/--probes no longer steer anything, but a value the old
-# search rejected stays a validation error, so a mistyped budget is still heard
+# certify's --starts/--probes steer nothing, as the corrections are proven
+# bounds, but a value outside these ranges is refused, so a mistyped budget is heard
 _MAX_STARTS = 100_000
 _MAX_PROBES = 100_000_000
 
@@ -487,7 +481,7 @@ def write_event_file(header: StreamHeader, path: Path | str, blocks: Iterable[Bl
     lines = [_EVENT_MAGIC, *(f"# {key}={v!r}" for key, v in values if v is not None),
              _EVENT_COLUMNS]
     head = ("\n".join(lines) + "\n").encode("ascii")
-    records = (_format_records(ts, ch) for ts, ch in checked_blocks(blocks, header.duration_s))
+    records = (_format_records(ts, ch) for ts, ch in checked_blocks(blocks, header))
     _atomic_write(path, itertools.chain((head,), itertools.chain.from_iterable(records)))
 
 
@@ -662,7 +656,7 @@ class EventFile:
         n = 0
         try:
             for ts, ch in checked_blocks(_record_blocks(self.path, self.body_start),
-                                         self.header.duration_s):
+                                         self.header):
                 n += ts.size
                 yield ts, ch
         except ValidationError:
@@ -970,9 +964,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         phis, thetas = np.array(block).T
         dists = broadband_probabilities(cfg, phis, thetas)
         for i, ((phi, theta), dist) in enumerate(zip(block, dists), start=lo):
-            header, blocks = simulate_blocks(dist, args.rate_hz, args.duration_s, args.bin_us,
-                                             seed=int(seeds[i]), phi=phi, theta=theta)
-            write_event_file(header, out / f"events_{i:04d}.tsv", blocks)
+            header = StreamHeader(phi, theta, args.duration_s, args.bin_us, int(seeds[i]),
+                                  args.rate_hz)
+            write_event_file(header, out / f"events_{i:04d}.tsv", simulate_blocks(header, dist))
     print(f"simulated {len(pairs)} angle pairs -> {out} "
           f"({args.rate_hz:g} Hz x {args.duration_s:g} s each, master seed {args.seed})")
     return EXIT_OK
@@ -1039,8 +1033,23 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _chsh_streams(paths: Sequence[Path | str]) -> Iterator[EventFile]:
+    """The streams of :func:`_read_streams`, refused once the last is read
+    unless their (phi, theta) pairs are (phi, theta), (phi, theta'),
+    (phi', theta), (phi', theta') with phi != phi' and theta != theta'."""
+    pairs = []
+    for stream in _read_streams(paths):
+        yield stream
+        pairs.append((stream.header.phi, stream.header.theta))
+    (p0, t0), (p1, t1), (p2, t2), (p3, t3) = pairs
+    if not (p0 == p1 != p2 == p3 and t0 == t2 != t1 == t3):
+        raise ValidationError(f"streams at {pairs} are not in CHSH setting order (phi,theta), "
+                              "(phi,theta'), (phi',theta), (phi',theta') with phi != phi' "
+                              "and theta != theta'")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    trace = windowed_traces(_read_streams(args.events), args.window_ms / 1000.0,
+    trace = windowed_traces(_chsh_streams(args.events), args.window_ms / 1000.0,
                             args.confidence)
     header = ["window", "t_mid_s"]
     for s in range(1, 5):
@@ -1164,9 +1173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-p", type=float, help="precomputed probability correction")
     for flag, default in (("--starts", 64), ("--probes", 100_000), ("--opt-seed", 20240)):
         p.add_argument(flag, type=int, default=default,
-                       help="accepted and range-checked for older scripts; it no longer "
-                            "affects the result, since the corrections are proven bounds, "
-                            "not searches")
+                       help="accepted and range-checked, but it does not affect the "
+                            "result, since the corrections are proven bounds, not searches")
     p.add_argument("--rate-hz", type=float, help="event rate for the certified bit rate")
     p.add_argument("--out", required=True, help="certification JSON path")
 

@@ -9,8 +9,8 @@ one outcome per occupied bin, the channel of the bin's first record: one
 photon's outcome, drawn from the chip's distribution however many records
 share the bin.  Bell statistics use all the raw records.
 
-A stream is a :class:`StreamHeader`, the one holder of its scalars, plus
-its records as blocks of (timestamps, channels); a consumer reads only
+A stream is a :class:`StreamHeader`, which holds and checks its scalars,
+plus its records as blocks of (timestamps, channels); a consumer reads only
 ``stream.header`` and ``stream.blocks()``.  :func:`simulate_blocks` draws
 the blocks ``_SIM_CHUNK`` bins at a time, records and channels together, so
 a simulation holds one block; :func:`bin_and_resolve` and
@@ -57,16 +57,17 @@ from .bell import chi_from_coefficients, correlation_coefficient
 
 
 def _distribution(p: Sequence[float] | np.ndarray) -> np.ndarray:
-    """A 4-outcome distribution in basis order as a float array, renormalized.
+    """A 4-outcome distribution in basis order as a float array.
 
-    It must have 4 entries, none negative, summing to 1 within 1e-9.
+    It must have 4 entries, none negative, summing to 1 within 1e-9; it is
+    not renormalized here, since the sampler's CDF is scaled to end at 1.
     """
     arr = np.asarray(p, dtype=float)
     if arr.shape != (4,):
         raise ValueError(f"distribution must have 4 entries, got shape {arr.shape}")
     if not (np.all(arr >= 0.0) and abs(float(arr.sum()) - 1.0) <= 1e-9):
         raise ValueError("distribution must be non-negative and sum to 1")
-    return arr / arr.sum()
+    return arr
 
 
 #: bins per block of :func:`simulate_blocks`, whose records and draws are all
@@ -106,13 +107,12 @@ def _whole_ns(name: str, value: float, unit: str) -> int:
 Block = tuple[np.ndarray, np.ndarray]
 
 
-def checked_blocks(blocks: Iterable[Block], duration_s: float) -> Iterator[Block]:
-    """The blocks, passed on as they come, held to the record rules of a
-    stream: timestamps non-negative and non-decreasing, across block edges
-    too, and the last below the duration.  A break is raised only after the
-    last block, so that whatever the blocks' source checks on the way, such
-    as a file's grammar, is reported first."""
-    duration_ns = _ns("duration", duration_s, "s")
+def checked_blocks(blocks: Iterable[Block], header: StreamHeader) -> Iterator[Block]:
+    """The blocks, passed on as they come, held to the record rules of the
+    stream ``header`` describes: timestamps non-negative and non-decreasing,
+    across block edges too, and the last below ``header.duration_ns``.  A
+    break is raised only after the last block, so that whatever the blocks'
+    source checks on the way, such as a file's grammar, is reported first."""
     last, ordered = 0, True
     for ts, ch in blocks:
         if ts.size:
@@ -122,17 +122,20 @@ def checked_blocks(blocks: Iterable[Block], duration_s: float) -> Iterator[Block
         yield ts, ch
     if not ordered:
         raise ValueError("timestamps must be non-negative and non-decreasing")
-    if last >= int(math.ceil(duration_ns)):
+    if last >= int(math.ceil(header.duration_ns)):
         raise ValueError("timestamp beyond the stream duration")
 
 
 @dataclass(frozen=True)
 class StreamHeader:
-    """The scalars of one angle setting's stream, each coerced to its type.
+    """The scalars of one angle setting's stream, each coerced to its type
+    and checked here, once.
 
     The angles must be finite, the duration and bin width pass the stream
     time checks, and the rate, which a stream may leave out, must be finite
-    and non-negative.
+    and non-negative.  The times are kept as ``duration_ns`` (a float) and
+    ``bin_width_ns`` (whole), which every consumer reads; they are not
+    fields, since the fields are the keys of an event file's header.
     """
 
     phi: float
@@ -150,14 +153,10 @@ class StreamHeader:
             object.__setattr__(self, "rate_hz", float(self.rate_hz))
         if not (math.isfinite(self.phi) and math.isfinite(self.theta)):
             raise ValueError(f"angles phi={self.phi!r}, theta={self.theta!r} must be finite")
-        _ns("duration", self.duration_s, "s")
-        _whole_ns("bin width", self.bin_width_us, "us")
+        object.__setattr__(self, "duration_ns", _ns("duration", self.duration_s, "s"))
+        object.__setattr__(self, "bin_width_ns", _whole_ns("bin width", self.bin_width_us, "us"))
         if self.rate_hz is not None and not 0.0 <= self.rate_hz < math.inf:
             raise ValueError(f"rate {self.rate_hz!r} Hz must be finite and non-negative")
-
-    @property
-    def bin_width_ns(self) -> int:
-        return _whole_ns("bin width", self.bin_width_us, "us")
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ class EventStream:
             raise ValueError(f"timestamps must be integer nanoseconds, not {ts.dtype}")
         object.__setattr__(self, "timestamps_ns", ts.astype(np.int64, copy=False))
         object.__setattr__(self, "channels", _check_codes(ch))
-        for _ in checked_blocks(self.blocks(), self.header.duration_s):
+        for _ in checked_blocks(self.blocks(), self.header):
             pass
 
     def __len__(self) -> int:
@@ -192,12 +191,12 @@ class EventStream:
         yield self.timestamps_ns, self.channels
 
 
-def simulate_blocks(distribution: Sequence[float] | np.ndarray, rate_hz: float,
-                    duration_s: float, bin_width_us: float = 1.0, seed: int = 0,
-                    phi: float = 0.0, theta: float = 0.0) -> tuple[StreamHeader, Iterator[Block]]:
-    """Monte Carlo detection stream for one output distribution, as its
-    header and an iterator of record blocks.
+def simulate_blocks(header: StreamHeader,
+                    distribution: Sequence[float] | np.ndarray) -> Iterator[Block]:
+    """Monte Carlo detection stream of ``header`` for one output
+    distribution, as an iterator of record blocks.
 
+    The header gives the times, the rate, which it must hold, and the seed.
     Each of the ``duration / bin_width`` time bins receives a Poisson number
     of records with mean ``lam = rate * bin_width`` (which must stay below
     one record per bin for the model to make sense), and every record picks
@@ -212,31 +211,30 @@ def simulate_blocks(distribution: Sequence[float] | np.ndarray, rate_hz: float,
     ``_SIM_CHUNK`` bins from ``lo``, one per chunk, empty ones too, and draws
     its gaps (sized to its expected occupied bins and a margin), then its
     counts, then its channels, as it is taken; so the iterator holds one
-    block.  Fixed-seed streams differ from those of the earlier per-bin
-    draws, whose law they share.  A stream of more than ``_MAX_BINS`` bins
-    or ``_MAX_RECORDS`` expected records, or one whose duration overflows an
-    int64 nanosecond count, is refused first.
+    block.  A stream of more than ``_MAX_BINS`` bins or ``_MAX_RECORDS``
+    expected records is refused first.
     """
     p = _distribution(distribution)
-    header = StreamHeader(phi, theta, duration_s, bin_width_us, seed, rate_hz)
-    duration_ns, bin_ns = _ns("duration", duration_s, "s"), header.bin_width_ns
-    mean_per_bin = rate_hz * bin_width_us * 1e-6
+    if header.rate_hz is None:
+        raise ValueError("a simulated stream needs a rate")
+    rate_hz, duration_s, bin_ns = header.rate_hz, header.duration_s, header.bin_width_ns
+    mean_per_bin = rate_hz * header.bin_width_us * 1e-6
     if mean_per_bin >= 1.0:
         raise ValueError(f"mean records per bin {mean_per_bin!r} must be < 1; "
                          "shrink the bin or the rate")
     # compared as floats, before any int() of a product that may overflow
-    if duration_ns / bin_ns > _MAX_BINS:
+    if header.duration_ns / bin_ns > _MAX_BINS:
         raise ValueError(f"duration {duration_s!r} s gives more than {_MAX_BINS:g} bins "
-                         f"of {bin_width_us!r} us")
+                         f"of {header.bin_width_us!r} us")
     if rate_hz * duration_s > _MAX_RECORDS:
         raise ValueError(f"rate {rate_hz!r} Hz x duration {duration_s!r} s expects more "
                          f"than {_MAX_RECORDS:g} records")
-    n_bins = int(duration_ns) // bin_ns
+    n_bins = int(header.duration_ns) // bin_ns
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
 
     def blocks() -> Iterator[Block]:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(header.seed)
         cdf = np.cumsum(p)
         cdf /= cdf[-1]
         # the zero-truncated Poisson law as a CDF on k = 1, 2, ...: p_1 = lam / (e^lam - 1),
@@ -265,16 +263,15 @@ def simulate_blocks(distribution: Sequence[float] | np.ndarray, rate_hz: float,
             ahead = ahead[k:]
             yield ts, cdf.searchsorted(rng.random(ts.size), side="right").astype(np.uint8)
 
-    return header, blocks()
+    return blocks()
 
 
 def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,
                     duration_s: float, bin_width_us: float = 1.0, seed: int = 0,
                     phi: float = 0.0, theta: float = 0.0) -> EventStream:
-    """The stream of :func:`simulate_blocks`, its blocks joined into one."""
-    header, blocks = simulate_blocks(distribution, rate_hz, duration_s, bin_width_us,
-                                     seed=seed, phi=phi, theta=theta)
-    ts, ch = zip(*blocks)
+    """The stream of :func:`simulate_blocks` for these header values, as one block."""
+    header = StreamHeader(phi, theta, duration_s, bin_width_us, seed, rate_hz)
+    ts, ch = zip(*simulate_blocks(header, distribution))
     return EventStream(header, np.concatenate(ts), np.concatenate(ch))
 
 
@@ -361,7 +358,7 @@ def windowed_traces(streams: Iterable[EventStream], window_s: float = 0.05,
     width_ns = _whole_ns("window", window_s, "s")
     windows, records, counts = [], [], []
     for s in streams:
-        n_own = int(_ns("duration", s.header.duration_s, "s")) // width_ns
+        n_own = int(s.header.duration_ns) // width_ns
         c, n = _window_counts(s, n_own, width_ns)
         counts.append(c)
         windows.append(n_own)

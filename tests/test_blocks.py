@@ -184,12 +184,13 @@ def test_tie_resolution_over_any_cuts_matches_loop(multi_click_stream, labels, s
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 17])
 def test_simulated_blocks_match_one_shot_oracle(monkeypatch, chunk):
-    # the blocks and the per-bin oracle both pass the per-bin law, and a seed
-    # gives the same blocks twice
+    # the blocks and the per-bin oracle both pass the per-bin law, a seed
+    # gives the same blocks twice, and simulate_events joins them under the header
     monkeypatch.setattr(events, "_SIM_CHUNK", chunk)
-    header, blocks = events.simulate_blocks(DIST, 9e5, 0.02, seed=4, phi=0.5, theta=-1.0)
-    assert header == events.StreamHeader(0.5, -1.0, 0.02, 1.0, 4, 9e5)
-    blocks = list(blocks)
+    header = events.StreamHeader(0.5, -1.0, 0.02, 1.0, 4, 9e5)
+    joined = events.simulate_events(DIST, 9e5, 0.02, seed=4, phi=0.5, theta=-1.0)
+    assert joined.header == header
+    blocks = list(events.simulate_blocks(header, DIST))
     assert len(blocks) == -(-20_000 // chunk)  # one block per chunk of bins, empty ones too
     assert all(b[0].dtype == np.int64 and b[1].dtype == np.uint8 for b in blocks)
     # each block holds the records of its own chunk of bins
@@ -199,14 +200,17 @@ def test_simulated_blocks_match_one_shot_oracle(monkeypatch, chunk):
     assert oracles.simulated_law_failures(*oracles.simulate_events_one_shot(DIST, 9e5, 0.02,
                                                                             seed=4),
                                           DIST, 9e5, 0.02) == []
-    again = list(events.simulate_blocks(DIST, 9e5, 0.02, seed=4)[1])
+    assert np.array_equal(joined.timestamps_ns, ts) and np.array_equal(joined.channels, ch)
+    # the angles do not enter the draws
+    again = list(events.simulate_blocks(dataclasses.replace(header, phi=0.0, theta=0.0), DIST))
     assert all(np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
                for x, y in zip(blocks, again, strict=True))
 
 
 @pytest.mark.parametrize("rate_line", ["# rate_hz=900000.0\n", ""])
 def test_simulated_header_roundtrips_through_a_file(tmp_path, rate_line):
-    header, blocks = events.simulate_blocks(DIST, 9e5, 0.002, seed=4, phi=0.5, theta=-1.0)
+    header = events.StreamHeader(0.5, -1.0, 0.002, 1.0, 4, 9e5)
+    blocks = events.simulate_blocks(header, DIST)
     if not rate_line:
         header = dataclasses.replace(header, rate_hz=None)
     path = tmp_path / "ev.tsv"
@@ -228,8 +232,8 @@ def test_simulate_writes_the_one_shot_stream(tmp_path, monkeypatch):
     assert code == 0, err
     seed = int(np.random.SeedSequence(9).generate_state(1)[0])
     dist = broadband_probabilities(ChipConfig(), np.array([0.3]), np.array([-0.2]))[0]
-    header, blocks = events.simulate_blocks(dist, 9e5, 0.003, seed=seed, phi=0.3, theta=-0.2)
-    ts, ch = (np.concatenate(arrays) for arrays in zip(*blocks))
+    header = events.StreamHeader(0.3, -0.2, 0.003, 1.0, seed, 9e5)
+    ts, ch = (np.concatenate(arrays) for arrays in zip(*events.simulate_blocks(header, dist)))
     text = oracles.event_file_text_by_lines(events.EventStream(header, ts, ch))
     assert (tmp_path / "events_0000.tsv").read_bytes() == text.encode("ascii")
     assert oracles.simulated_law_failures(ts, ch, dist, 9e5, 0.003) == []
@@ -390,6 +394,13 @@ def test_a_repeated_pair_waits_for_its_records(tmp_path):
 # ---------------------------------------------------------------------------
 # header keys
 # ---------------------------------------------------------------------------
+
+def test_header_keys_are_the_fields_and_the_ns_times_are_derived():
+    assert cli._EVENT_FIELDS == ("phi", "theta", "duration_s", "bin_width_us", "seed", "rate_hz")
+    header = events.StreamHeader(0.5, -1.0, 0.0123, 2.4, 4, 9e5)
+    assert header.duration_ns == events._ns("duration", header.duration_s, "s")
+    assert header.bin_width_ns == events._whole_ns("bin width", header.bin_width_us, "us")
+
 
 @pytest.mark.parametrize("lines, named", [
     ("# phi=0.7\n", "repeated header key 'phi'"),

@@ -154,12 +154,6 @@ class TestCalibrationFit:
         with pytest.raises(cli.ValidationError, match="port"):
             cli.fit_mzi_calibration(fringe_samples(), port=3)
 
-    def test_fit_dataclass_validation(self):
-        with pytest.raises(ValueError, match="port"):
-            cli.CalibrationFit(1.0, 2.0, 0.0, 0.0, 0.0, port=5)
-        with pytest.raises(ValueError, match="b = 0"):
-            cli.CalibrationFit(1.0, 0.0, 0.0, 0.0, 0.0, port=1)
-
 
 class TestChipConfigFiles:
     def test_minimal_document_gets_defaults(self):
@@ -388,10 +382,8 @@ class TestEventFiles:
 
     def test_simulate_exits_2_on_a_block_out_of_order_and_leaves_no_file(self, tmp_path,
                                                                          monkeypatch):
-        def unsorted(*args, **kwargs):
-            header = events.StreamHeader(0.0, 0.0, 1.0, 1.0, 0, 1e3)
-            return header, iter([(np.array([100, 5, 2000], dtype=np.int64),
-                                  np.zeros(3, dtype=np.uint8))])
+        def unsorted(header, distribution):
+            return iter([(np.array([100, 5, 2000], dtype=np.int64), np.zeros(3, dtype=np.uint8))])
         monkeypatch.setattr(cli, "simulate_blocks", unsorted)
         code, _, err = run_cli("simulate", "--angles=0:0", "--out", str(tmp_path / "ev"))
         assert code == 2
@@ -1372,6 +1364,24 @@ class TestAnalyzeCommand:
         assert record["error"] == "ValidationError"
         assert "duplicate angle pair" in record["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("order", [(0, 2, 1, 3), (0, 1, 3, 2), (1, 0, 2, 3)])
+    def test_streams_out_of_chsh_order_exit_2(self, tmp_path, order):
+        # at (0,0), (0,1), (1,0), (1,1) these orders break the setting order;
+        # (3, 2, 1, 0) keeps it, with phi and phi', theta and theta' relabeled
+        files = self.chsh_files(tmp_path, (0.4, 0.1, 0.2, 0.3), 1e5, 0.2)
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli("analyze", "--events", *(files[i] for i in order),
+                               "--out", str(out))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert "CHSH setting order" in record["message"]
+        assert not out.exists()
+        code, _, err = run_cli("analyze", "--events", *(files[i] for i in (3, 2, 1, 0)),
+                               "--out", str(out))
+        assert code == 0, err
 
     def test_one_stream_live_at_a_time(self, tmp_path, monkeypatch):
         # four 1.7 s streams of about 204k records, 1.8 MB of records each:

@@ -30,6 +30,11 @@ class TestSimulateEvents:
         assert len(s) > 0
         assert np.all(s.channels == 0)
 
+    def test_blocks_refuse_a_header_without_a_rate(self):
+        header = events.StreamHeader(0.0, 0.0, 1.0, 1.0, 0)
+        with pytest.raises(ValueError, match="needs a rate"):
+            events.simulate_blocks(header, (0.25,) * 4)
+
     def test_timestamps_are_bin_starts_within_duration(self):
         s = events.simulate_events((0.5, 0.0, 0.0, 0.5), rate_hz=1e5, duration_s=0.01,
                                    bin_width_us=2.0, seed=7)
@@ -128,8 +133,8 @@ class TestSimulateEvents:
         duration_s = self.duration_of(3 * chunk + 5)
         filled, ts_all, ch_all = [], [], []
         for seed in range(40):
-            _, blocks = events.simulate_blocks((0.25,) * 4, 3.0, duration_s, seed=seed)
-            blocks = list(blocks)
+            header = events.StreamHeader(0.0, 0.0, duration_s, 1.0, seed, 3.0)
+            blocks = list(events.simulate_blocks(header, (0.25,) * 4))
             assert len(blocks) == 4
             filled.append(sum(ts.size > 0 for ts, _ in blocks))
             # as one stream of 40 times the bins: the streams laid end to end
@@ -288,6 +293,16 @@ class TestStreamHeader:
     def test_rate_may_be_zero_or_absent(self):
         assert events.StreamHeader(0.0, 0.0, 1.0, 1.0, 0, 0.0).rate_hz == 0.0
         assert events.StreamHeader(0.0, 0.0, 1.0, 1.0, 0).rate_hz is None
+
+    def test_times_are_checked_and_converted_once(self, monkeypatch):
+        calls = []
+        ns = events._ns
+        monkeypatch.setattr(events, "_ns", lambda *args: calls.append(args) or ns(*args))
+        h = events.StreamHeader(0.0, 0.0, "0.3", 2.5, 0)
+        assert calls == [("duration", 0.3, "s"), ("bin width", 2.5, "us")]
+        assert h.duration_ns == 0.3e9 and h.bin_width_ns == 2500
+        assert isinstance(h.bin_width_ns, int) and len(calls) == 2
+        assert "duration_ns" not in repr(h)
 
     def test_fields_coerced_from_text(self):
         h = events.StreamHeader(phi="0.5", theta="-1", duration_s="2", bin_width_us="1.0",

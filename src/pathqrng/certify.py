@@ -282,13 +282,14 @@ def e_p(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None) -> Corre
 
 def _chi_operators(c: np.ndarray, zw: np.ndarray, zu: np.ndarray,
                    zv: np.ndarray) -> np.ndarray:
-    """(n, I * J * K, 4, 4) chi deviation operators at phi = 0 over all point triples.
+    """(4, 4, n, I * J * K) chi deviation operators at phi = 0 over all point triples.
 
     ``zw``, ``zu`` and ``zv`` (n, I), (n, J), (n, K) hold points for
     z_phi', z_theta and z_theta', and ``c`` is :func:`_chi_coefficients`.
     Term (i, j) of the CHSH sum, with sign s_ij, is sum_ab C_ab
     z_phi_i^a z_theta_j^b, and z_phi = 1, so the operator is
-    sum_j sum_ab C_ab (s_0j + s_1j z_phi'^a) z_theta_j^b.
+    sum_j sum_ab C_ab (s_0j + s_1j z_phi'^a) z_theta_j^b.  The batch is
+    last, so each operator entry is one contiguous vector over the batch.
     """
     s = CHSH_SIGNS.reshape(2, 2)
     pw = _powers(zw)
@@ -296,36 +297,41 @@ def _chi_operators(c: np.ndarray, zw: np.ndarray, zu: np.ndarray,
     for j, zq in enumerate((zu, zv)):
         lam = s[0, j] + s[1, j] * pw  # (n, I, 3) over a
         term = (lam @ c.reshape(3, 48)).reshape(lam.shape[:2] + (3, 16))
-        terms.append(_powers(zq)[:, None] @ term)  # (n, I, J or K, 16)
-    out = terms[0][:, :, :, None] + terms[1][:, :, None, :]
-    return out.reshape(len(zw), -1, 4, 4)
+        terms.append(np.moveaxis(_powers(zq)[:, None] @ term, -1, 0))  # (16, n, I, J or K)
+    out = terms[0][..., None] + terms[1][:, :, :, None, :]
+    return out.reshape(4, 4, len(zw), -1)
 
 
 def _spectral_norms(h: np.ndarray) -> np.ndarray:
-    """Largest |eigenvalue| of each Hermitian matrix in ``h`` (..., 4, 4)."""
-    w = np.linalg.eigvalsh(h)
+    """Largest |eigenvalue| of each Hermitian matrix in ``h`` (4, 4, ...)."""
+    w = np.linalg.eigvalsh(np.moveaxis(h, (0, 1), (-2, -1)))
     return np.maximum(-w[..., 0], w[..., -1])
 
 
 def _norms_below(h: np.ndarray, tau: float) -> np.ndarray:
-    """Whether tau I - h and tau I + h are both positive definite, per (..., 4, 4) ``h``.
+    """Whether tau I - h and tau I + h are both positive definite, per ``h`` (4, 4, ...).
 
     That is, whether every eigenvalue of ``h`` lies in (-tau, tau).  The
-    test takes the LDL^H pivots of both matrices, all positive exactly when
-    a Hermitian matrix is positive definite, one column at a time over the
-    whole batch.
+    test takes the LDL^H pivots of each matrix, all positive exactly when
+    a Hermitian matrix is positive definite.  It eliminates one column at
+    a time over the lower triangle, m[i, j] -= m[i, k] / pivot_k
+    conj(m[j, k]) for i >= j > k, each entry a vector over the whole batch.
     """
-    m = np.stack([-h, h])
-    m[..., range(4), range(4)] += tau
-    ok = np.ones(m.shape[:-2], dtype=bool)
+    ok = np.ones(h.shape[2:], dtype=bool)
+    lower = [[h[i, j] for j in range(i + 1)] for i in range(4)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(4):
-            pivot = m[..., k, k].real
-            ok &= pivot > 0.0
-            col = m[..., k + 1:, k]
-            m[..., k + 1:, k + 1:] -= (col / pivot[..., None])[..., :, None] * \
-                np.conj(col)[..., None, :]
-    return ok[0] & ok[1]
+        for m in ([[-e for e in row] for row in lower], lower):  # tau I - h, then tau I + h
+            for k in range(4):
+                m[k][k] = m[k][k] + tau
+            for k in range(4):
+                pivot = m[k][k].real
+                ok &= pivot > 0.0
+                f = {i: m[i][k] / pivot for i in range(k + 1, 4)}
+                for j in range(k + 1, 4):
+                    conj = np.conj(m[j][k])
+                    for i in range(j, 4):
+                        m[i][j] = m[i][j] - f[i] * conj
+    return ok
 
 
 def _arc_points(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -339,7 +345,7 @@ def _arc_points(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
 
 
 def _vertex_operators(c: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """(n, 27, 4, 4) operators at the vertex triples of cells ``lo`` + [0, ``width``] (n, 3)."""
+    """(4, 4, n, 27) operators at the vertex triples of cells ``lo`` + [0, ``width``] (n, 3)."""
     return _chi_operators(c, *np.moveaxis(_arc_points(lo, width), -2, 0))
 
 
@@ -391,7 +397,7 @@ def e_chi(errors: PhaseErrorSet, mmis: Sequence[MmiParams] | None = None) -> Cor
         cells += len(lo)
         for b in _blocks(len(lo)):
             centre = lo[b] + 0.5 * width[b]
-            norms = _spectral_norms(_chi_operators(c, *np.exp(2j * centre.T)[..., None])[:, 0])
+            norms = _spectral_norms(_chi_operators(c, *np.exp(2j * centre.T)[..., None])[..., 0])
             k = int(np.argmax(norms))
             if norms[k] > lower:
                 lower, best = float(norms[k]), centre[k]

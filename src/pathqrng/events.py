@@ -206,8 +206,9 @@ def simulate_blocks(header: StreamHeader,
     are Geometric(q), q = 1 - e^-lam, as ``1 + floor(-log1p(-U) / lam)``,
     each clipped to the stream before its int64 cast; an occupied bin's
     count is zero-truncated Poisson(lam), one uniform's place in a CDF table
-    that ends where the tail is below 2^-53; and each record's channel is
-    ``cdf.searchsorted(random(k), side="right")``.  Each block is the
+    that ends where the tail is below 2^-53 (:func:`_counts`); and each
+    record's channel is one uniform's place in the channel CDF
+    (:func:`_channels`).  Each block is the
     ``_SIM_CHUNK`` bins from ``lo``, one per chunk, empty ones too, and draws
     its gaps (sized to its expected occupied bins and a margin), then its
     counts, then its channels, as it is taken; so the iterator holds one
@@ -258,12 +259,38 @@ def simulate_blocks(header: StreamHeader,
                 ahead = np.concatenate((ahead, last + np.cumsum(gaps.astype(np.int64) + 1)))
                 last = int(ahead[-1])
             k = int(ahead.searchsorted(hi))
-            counts = counts_cdf.searchsorted(rng.random(k), side="right") + 1
-            ts = np.repeat(ahead[:k] * bin_ns, counts)
+            ts = np.repeat(ahead[:k] * bin_ns, _counts(rng.random(k), counts_cdf))
             ahead = ahead[k:]
-            yield ts, cdf.searchsorted(rng.random(ts.size), side="right").astype(np.uint8)
+            yield ts, _channels(rng.random(ts.size), cdf)
 
     return blocks()
+
+
+def _counts(u: np.ndarray, counts_cdf: np.ndarray) -> np.ndarray:
+    """Records of each occupied bin, 1 + ``counts_cdf.searchsorted(u, side="right")``.
+
+    ``counts_cdf`` is the zero-truncated Poisson CDF on 1, 2, ..., ending at
+    exactly 1, and each ``u`` is a uniform in [0, 1).  Most occupied bins
+    hold one record, so only the uniforms at or past the first entry are
+    searched.
+    """
+    counts = np.ones(u.size, dtype=np.int64)
+    more = u >= counts_cdf[0]
+    counts[more] += counts_cdf.searchsorted(u[more], side="right")
+    return counts
+
+
+def _channels(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """uint8 channel of each uniform ``u`` in [0, 1), ``cdf.searchsorted(u, side="right")``.
+
+    ``cdf`` is the 4-channel CDF, whose last entry is exactly 1, so the
+    channel is the number of its first three entries at or below ``u``:
+    three comparisons, which cost less than numpy's binary search.
+    """
+    channels = (u >= cdf[0]).view(np.uint8)
+    channels += u >= cdf[1]
+    channels += u >= cdf[2]
+    return channels
 
 
 def simulate_events(distribution: Sequence[float] | np.ndarray, rate_hz: float,

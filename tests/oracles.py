@@ -564,6 +564,26 @@ def spectral_norm_hermitian(h):
     return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
 
+def norms_below_stacked(h, tau):
+    """``certify._norms_below`` on matrices last, (..., 4, 4), over one stacked copy.
+
+    Stacks tau I - h and tau I + h and takes their LDL^H pivots a column at
+    a time over the whole trailing square: the same per-entry arithmetic as
+    the batch-last kernel, which updates only the lower triangle.
+    """
+    m = np.stack([-h, h])
+    m[..., range(4), range(4)] += tau
+    ok = np.ones(m.shape[:-2], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(4):
+            pivot = m[..., k, k].real
+            ok &= pivot > 0.0
+            col = m[..., k + 1:, k]
+            m[..., k + 1:, k + 1:] -= (col / pivot[..., None])[..., :, None] * \
+                np.conj(col)[..., None, :]
+    return ok[0] & ok[1]
+
+
 def random_pure_states(rng, count):
     """Unit 4-vectors from 6 real parameters, first amplitude real."""
     a, b, c = (rng.uniform(0.0, math.pi / 2.0, size=count) for _ in range(3))

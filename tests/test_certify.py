@@ -28,10 +28,28 @@ PINNED_E_CHI_MINUS = 0.080494606
 PINNED_E_P_MINUS = 0.014789546
 PINNED_E_CHI_PAPER = 0.095096066
 PINNED_E_P_PAPER = 0.0205528206
+# e_chi's whole estimate per chip, (errors, splitters, upper, lower, cells,
+# angles), recorded from the stacked-kernel proof: a change of the kernel's
+# layout or blocking must not move one bit of it
+PROVEN_E_CHI = {
+    "plus-ideal": (CHI_PLUS_ERRORS, None, 0.08875860815366016, 0.08825860815366016, 20064,
+                   (0.0, 0.44178646691106466, 0.14726215563702155, 0.8835729338221293)),
+    "plus-paper": (CHI_PLUS_ERRORS, PAPER_MMIS, 0.09509606567879761, 0.09459606567879761, 2320,
+                   (0.0, 0.8835729338221293, 1.7671458676442586, 0.19634954084936207)),
+    "minus-ideal": (CHI_MINUS_ERRORS, None, 0.080494605740405, 0.079994605740405, 8024,
+                    (0.0, 0.44178646691106466, 1.7180584824319183, 0.09817477042468103)),
+    "minus-paper": (CHI_MINUS_ERRORS, PAPER_MMIS, 0.07996765788404829, 0.07946765788404829,
+                    2212, (0.0, 2.6016314162540475, 1.7180584824319183, 0.09817477042468103)),
+}
 # the sequential oracle search's budget: a floor under each maximum; its
 # coarser final step bounds the walks along the flat ridges of 50:50 chips
 CHEAP_BUDGET = dict(starts=8, probes=2000, seed=20240)
 FLAT_BUDGET = dict(CHEAP_BUDGET, step_min=1e-3)
+
+
+def matrices_last(h):
+    """A view of the batch-last operators ``h`` (4, 4, ...) as (..., 4, 4)."""
+    return np.moveaxis(h, (0, 1), (-2, -1))
 
 
 @functools.cache
@@ -305,8 +323,9 @@ def test_chi_operators_rebuild_the_deviation_at_phi_zero():
         tr = certify._resolve_mmis(mmis)
         c = certify._chi_coefficients(certify._rotation_coefficients(errors, tr))
         angles = rng.uniform(0.0, math.pi, size=(300, 4)) * [0.0, 1.0, 1.0, 1.0]
-        got = certify._chi_operators(c, *np.exp(2j * angles[:, 1:].T)[..., None])[:, 0]
-        np.testing.assert_allclose(got, oracles.chi_deviation_operator(angles, errors, tr),
+        got = certify._chi_operators(c, *np.exp(2j * angles[:, 1:].T)[..., None])[..., 0]
+        np.testing.assert_allclose(matrices_last(got),
+                                   oracles.chi_deviation_operator(angles, errors, tr),
                                    rtol=0.0, atol=1e-13)
 
 
@@ -319,10 +338,11 @@ def test_cell_vertices_bound_every_point_of_the_cell():
             errors, certify._resolve_mmis(mmis)))
         lo = rng.uniform(0.0, math.pi, size=(40, 3))
         width = rng.uniform(0.05, math.pi / 4.0, size=(40, 3))
-        bound = oracles.spectral_norm_hermitian(certify._vertex_operators(c, lo, width))
+        bound = oracles.spectral_norm_hermitian(
+            matrices_last(certify._vertex_operators(c, lo, width)))
         inside = lo[:, None] + width[:, None] * rng.uniform(0.0, 1.0, size=(40, 500, 3))
         ops = certify._chi_operators(c, *np.exp(2j * inside.reshape(-1, 3).T)[..., None])
-        norms = oracles.spectral_norm_hermitian(ops[:, 0]).reshape(40, 500)
+        norms = oracles.spectral_norm_hermitian(matrices_last(ops[..., 0])).reshape(40, 500)
         assert np.all(norms.max(axis=1) <= bound.max(axis=1) + 1e-12)
 
 
@@ -334,9 +354,29 @@ def test_norm_test_matches_the_eigenvalues():
     for tau in (np.median(norms), norms.min(), norms.max() * 1.0001):
         want = norms < tau
         near = np.abs(norms - tau) < 1e-9 * tau  # too close to call in floating point
-        got = certify._norms_below(h, tau)
+        got = certify._norms_below(np.moveaxis(h, (-2, -1), (0, 1)), tau)
         assert np.array_equal(got[~near], want[~near])
-    assert not certify._norms_below(np.zeros((1, 4, 4), complex), 0.0)[0]
+    assert not certify._norms_below(np.zeros((4, 4, 1), complex), 0.0)[0]
+
+
+def test_norm_test_matches_the_stacked_oracle():
+    # the batch-last pivots are the stacked kernel's, bit for bit, so every
+    # verdict agrees, at thresholds equal to a norm as well
+    start = np.arange(certify._CHI_GRID) * (math.pi / certify._CHI_GRID)
+    lo = np.stack(np.meshgrid(start, start, start, indexing="ij"), axis=-1).reshape(-1, 3)
+    width = np.full_like(lo, math.pi / certify._CHI_GRID)
+    for errors, mmis in [(CHI_PLUS_ERRORS, PAPER_MMIS)] + random_chips(4):
+        c = certify._chi_coefficients(certify._rotation_coefficients(
+            errors, certify._resolve_mmis(mmis)))
+        for b in certify._blocks(len(lo)):
+            ops = certify._vertex_operators(c, lo[b], width[b])
+            norms = oracles.spectral_norm_hermitian(matrices_last(ops))
+            taus = [norms.min() * (1.0 - 1e-3), norms.max() * (1.0 + 1e-3)]
+            taus += list(np.quantile(norms, [0.25, 0.5, 0.75], method="lower"))
+            for tau in taus:
+                got = certify._norms_below(ops, tau)
+                assert np.array_equal(got, oracles.norms_below_stacked(matrices_last(ops), tau))
+            assert got.any() and not got.all()  # the 0.75 quantile splits the block
 
 
 @pytest.mark.parametrize("grid", [8, 32, 256])
@@ -350,6 +390,14 @@ def test_e_p_margin_covers_coarse_grids(grid, monkeypatch):
             coarse = certify.e_p(errors, mmis)
         assert coarse.lower <= attained <= coarse.upper
         assert coarse.cells == grid
+
+
+@pytest.mark.parametrize("chip", PROVEN_E_CHI)
+def test_e_chi_estimates_are_pinned_exactly(chip):
+    errors, mmis, upper, lower, cells, angles = PROVEN_E_CHI[chip]
+    assert bounds(errors, mmis)[0] == certify.CorrectionEstimate(
+        value=upper, lower=lower, upper=upper, gap=upper - lower, cells=cells, angles=angles,
+        converged=True)
 
 
 def test_unclosed_proof_reports_unconverged_with_a_sound_bound(monkeypatch):
@@ -377,7 +425,7 @@ def test_bounds_make_a_fixed_number_of_kernel_calls(monkeypatch):
 
 def test_bound_memory_is_blocked():
     # the 50:50 proof tests up to several thousand cells a round: the traced
-    # peak is about 5 MB with 128-cell vertex blocks, and about 100 MB without
+    # peak is about 2.4 MB with 128-cell vertex blocks, and about 36 MB without
     tracemalloc.start()
     try:
         est = certify.e_chi(CHI_MINUS_ERRORS)

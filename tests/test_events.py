@@ -148,6 +148,30 @@ class TestSimulateEvents:
         ts, ch = oracles.simulate_events_one_shot((0.25,) * 4, 3.0, duration_s, seed=4)
         assert oracles.simulated_law_failures(ts, ch, (0.25,) * 4, 3.0, duration_s) == []
 
+    @pytest.mark.parametrize("dist", [(0.4, 0.1, 0.2, 0.3), (0.0, 0.5, 0.0, 0.5),
+                                      (0.0, 0.0, 0.0, 1.0)], ids=["all", "two", "last"])
+    def test_draws_on_each_cdf_edge_match_a_binary_search(self, dist):
+        # a uniform exactly on an edge takes the entry above it, as with
+        # searchsorted(side="right"); an empty channel's edge repeats the last
+        def around(table):
+            edges = table[:-1]
+            u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges, 0.0),
+                                np.nextafter(edges, 1.0)])
+            return u[u < 1.0]
+
+        cdf = np.cumsum(dist)
+        cdf /= cdf[-1]
+        u = around(cdf)
+        want = cdf.searchsorted(u, side="right").astype(np.uint8)
+        got = events._channels(u, cdf)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        for lam in (0.12, 0.9):  # zero-truncated Poisson, as in simulate_blocks
+            counts_cdf = np.cumsum([lam ** k / math.factorial(k) for k in range(1, 20)])
+            counts_cdf /= counts_cdf[-1]
+            u = around(counts_cdf)
+            assert np.array_equal(events._counts(u, counts_cdf),
+                                  counts_cdf.searchsorted(u, side="right") + 1)
+
     @pytest.mark.parametrize("rate_hz", [1e-290, 1e-312])
     def test_tiny_rate_draws_no_overflowing_gap(self, rate_hz):
         # a gap of about 1/lam bins, 1e296 for 1e-290 Hz, is clipped to the

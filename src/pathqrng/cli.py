@@ -958,6 +958,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValidationError("exactly one of --angles or --scan is required")
     pairs = _parse_angle_pairs(args.angles) if args.angles else _scan_schedule(args.scan_step)
     out = Path(args.out)
+    # bell-scan reads every *.tsv in the directory, so none may outlive this run
+    names = {f"events_{i:04d}.tsv" for i in range(len(pairs))}
+    stale = sorted(p.name for p in out.glob("*.tsv") if p.name not in names)
+    if stale:
+        raise ValidationError(f"{out} holds {len(stale)} event file(s) this run would not "
+                              f"overwrite, first {stale[0]}; use an empty directory")
     seeds = np.random.SeedSequence(args.seed).generate_state(len(pairs))
     for lo in range(0, len(pairs), _SCAN_BLOCK):
         block = pairs[lo : lo + _SCAN_BLOCK]

@@ -41,6 +41,36 @@ PROVEN_E_CHI = {
     "minus-paper": (CHI_MINUS_ERRORS, PAPER_MMIS, 0.07996765788404829, 0.07946765788404829,
                     2212, (0.0, 2.6016314162540475, 1.7180584824319183, 0.09817477042468103)),
 }
+# the whole estimate of each of random_chips(4, seed=7), (upper, lower,
+# cells, angles); every proof closes
+RANDOM_E_CHI = [
+    (1.1584142267840956, 1.1579142267840956, 3596,
+     (0.0, 1.043106935762236, 2.7857091108003242, 1.9389517158874503)),
+    (0.4523846055103811, 0.4518846055103811, 1824,
+     (0.0, 0.5645049299419159, 1.521708941582556, 0.04908738521234052)),
+    (0.611965989009053, 0.611465989009053, 3616,
+     (0.0, 2.073942025221387, 2.6139032625571326, 1.803961406553514)),
+    (0.7599532886729186, 0.7594532886729186, 2352,
+     (0.0, 2.3930100291016, 2.000310947402876, 2.8102528034064944)),
+]
+# PROVEN_E_CHI's chips under a cell cap: the unconverged estimate, (upper,
+# lower, cells, angles), or None where the proof closes under the cap
+CAPPED_E_CHI = {
+    ("plus-ideal", 1000): (0.09596860886967179, 0.08819225326669665, 512,
+                           (0.0, 0.5890486225480862, 0.19634954084936207, 1.3744467859455345)),
+    ("plus-paper", 1000): (0.10179670324317394, 0.09447391296113636, 512,
+                           (0.0, 0.9817477042468103, 1.7671458676442586, 0.19634954084936207)),
+    ("minus-ideal", 1000): (0.08695545591899279, 0.079753220822087, 512,
+                            (0.0, 0.5890486225480862, 1.7671458676442586, 0.19634954084936207)),
+    ("minus-paper", 1000): (0.0819942902897685, 0.07926980289198213, 900,
+                            (0.0, 2.552544031041707, 1.7671458676442586, 0.19634954084936207)),
+    ("plus-ideal", 5000): (0.09045143160436517, 0.08825117544300153, 3256,
+                           (0.0, 0.4908738521234052, 0.09817477042468103, 0.5890486225480862)),
+    ("plus-paper", 5000): None,
+    ("minus-ideal", 5000): (0.08091007815143368, 0.07994954441561467, 4456,
+                            (0.0, 0.2945243112740431, 0.09817477042468103, 1.7671458676442586)),
+    ("minus-paper", 5000): None,
+}
 # the sequential oracle search's budget: a floor under each maximum; its
 # coarser final step bounds the walks along the flat ridges of 50:50 chips
 CHEAP_BUDGET = dict(starts=8, probes=2000, seed=20240)
@@ -392,12 +422,74 @@ def test_e_p_margin_covers_coarse_grids(grid, monkeypatch):
         assert coarse.cells == grid
 
 
+def estimate(upper, lower, cells, angles, converged=True):
+    return certify.CorrectionEstimate(value=upper, lower=lower, upper=upper, gap=upper - lower,
+                                      cells=cells, angles=angles, converged=converged)
+
+
 @pytest.mark.parametrize("chip", PROVEN_E_CHI)
 def test_e_chi_estimates_are_pinned_exactly(chip):
-    errors, mmis, upper, lower, cells, angles = PROVEN_E_CHI[chip]
-    assert bounds(errors, mmis)[0] == certify.CorrectionEstimate(
-        value=upper, lower=lower, upper=upper, gap=upper - lower, cells=cells, angles=angles,
-        converged=True)
+    errors, mmis, *pinned = PROVEN_E_CHI[chip]
+    assert bounds(errors, mmis)[0] == estimate(*pinned)
+
+
+def test_random_chip_estimates_are_pinned_exactly():
+    assert [bounds(*chip)[0] for chip in random_chips(4, seed=7)] == [
+        estimate(*pinned) for pinned in RANDOM_E_CHI]
+
+
+@pytest.mark.parametrize("chip, cap", CAPPED_E_CHI)
+def test_capped_estimates_are_pinned_exactly(chip, cap, monkeypatch):
+    errors, mmis, *proven = PROVEN_E_CHI[chip]
+    pinned = CAPPED_E_CHI[chip, cap]
+    monkeypatch.setattr(certify, "_MAX_CELLS", cap)
+    want = estimate(*proven) if pinned is None else estimate(*pinned, converged=False)
+    assert certify.e_chi(errors, mmis) == want
+
+
+@pytest.mark.parametrize("errors, mmis, built, cells", [
+    (CHI_PLUS_ERRORS, PAPER_MMIS, 1560, 2320), (CHI_PLUS_ERRORS, None, 10_808, 20_064)])
+def test_only_cells_whose_apex_passes_get_all_27_vertices(errors, mmis, built, cells,
+                                                           monkeypatch):
+    # without the apex screen every tested cell gets them: 2,320 and 20,064
+    sizes = []
+    vertex_operators = certify._vertex_operators
+
+    def counted(c, lo, width):
+        sizes.append(len(lo))
+        return vertex_operators(c, lo, width)
+
+    monkeypatch.setattr(certify, "_vertex_operators", counted)
+    est = certify.e_chi(errors, mmis)
+    assert (sum(sizes), est.cells) == (built, cells)
+    assert max(sizes) == certify._CELL_BLOCK
+
+
+def test_apex_screen_keeps_exactly_the_cells_a_vertex_keeps():
+    # a cell kept on its apex alone is kept by the 27-vertex rule too, and a
+    # cell whose apex passes gets the whole rule: away from rounding ties at
+    # the threshold, the keep masks are equal
+    start = np.arange(certify._CHI_GRID) * (math.pi / certify._CHI_GRID)
+    lo = np.stack(np.meshgrid(start, start, start, indexing="ij"), axis=-1).reshape(-1, 3)
+    width = np.full_like(lo, math.pi / certify._CHI_GRID)
+    chips = [(CHI_PLUS_ERRORS, PAPER_MMIS), (CHI_PLUS_ERRORS, None), (CHI_MINUS_ERRORS, None)]
+    for errors, mmis in chips + random_chips(4):
+        c = certify._chi_coefficients(certify._rotation_coefficients(
+            errors, certify._resolve_mmis(mmis)))
+        ops = certify._vertex_operators(c, lo, width)
+        apex = certify._chi_operators(c, *certify._arc_points(lo, width)[..., 2].T[..., None])
+        assert np.allclose(apex[..., 0], ops[..., -1], rtol=0.0, atol=1e-14)
+        norms = oracles.spectral_norm_hermitian(matrices_last(ops))
+        taus = [norms.min() * (1.0 - 1e-3), norms.max() * (1.0 + 1e-3)]
+        taus += list(np.quantile(norms, [0.25, 0.5, 0.75]))
+        by_apex = by_other_vertex = False
+        for tau in taus:
+            screened = certify._kept(c, lo, width, apex[..., 0], tau)
+            below = certify._norms_below(ops, tau)
+            assert np.array_equal(screened, ~np.all(below, axis=-1))
+            by_apex |= bool(np.any(~below[:, -1]))
+            by_other_vertex |= bool(np.any(below[:, -1] & ~np.all(below, axis=-1)))
+        assert by_apex and by_other_vertex
 
 
 def test_unclosed_proof_reports_unconverged_with_a_sound_bound(monkeypatch):
@@ -425,7 +517,7 @@ def test_bounds_make_a_fixed_number_of_kernel_calls(monkeypatch):
 
 def test_bound_memory_is_blocked():
     # the 50:50 proof tests up to several thousand cells a round: the traced
-    # peak is about 2.4 MB with 128-cell vertex blocks, and about 36 MB without
+    # peak is about 3.8 MB with 128-cell vertex blocks, and about 29 MB without
     tracemalloc.start()
     try:
         est = certify.e_chi(CHI_MINUS_ERRORS)

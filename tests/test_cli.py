@@ -748,6 +748,29 @@ class TestSimulateCommand:
         assert code == 0
         assert len(list(tmp_path.glob("events_*.tsv"))) == 5 * 3
 
+    def test_event_files_this_run_would_not_overwrite_exit_2(self, tmp_path, monkeypatch):
+        # bell-scan reads every *.tsv under --events, so 4 new streams beside
+        # 45 old scan files once made a 45-file grid from the old scan
+        scan = ("simulate", "--scan", "--scan-step", "0.5", "--duration-s", "0.01",
+                "--out", str(tmp_path))
+        assert run_cli(*scan)[0] == 0
+        (tmp_path / "notes.txt").write_text("kept\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(cli, "simulate_blocks", mock.Mock(side_effect=AssertionError))
+        code, _, err = run_cli("simulate", "--angles=0.3:0.4,0.3:0.9,1.1:0.4,1.1:0.9",
+                               "--duration-s", "0.01", "--out", str(tmp_path))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValidationError"
+        assert "41 event file(s)" in record["message"] and "events_0004.tsv" in record["message"]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        monkeypatch.undo()
+        # a rerun of the same size overwrites every file, and other names are no events
+        assert run_cli(*scan, "--seed", "5")[0] == 0
+        assert {p.name for p in tmp_path.iterdir()} == set(before)
+        assert (tmp_path / "events_0000.tsv").read_bytes() != before["events_0000.tsv"]
+
     def test_angles_and_scan_are_exclusive(self, tmp_path):
         code, _, err = run_cli("simulate", "--angles=0:0", "--scan",
                                "--out", str(tmp_path))

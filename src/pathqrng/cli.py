@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -69,7 +70,8 @@ from .certify import (CertificationResult, CorrectionEstimate, certification_res
                       guessing_curve)
 from .chip import ChipConfig, PhaseErrorSet, broadband_probabilities
 from .events import (Block, EventStream, StreamHeader, bin_and_resolve, checked_blocks,
-                     raw_bits, simulate_blocks, toeplitz_extract, windowed_traces)
+                     raw_bits, record_block, simulate_blocks, toeplitz_extract,
+                     windowed_traces)
 # not called here since simulate writes blocks as they are drawn, but kept
 # under this name, which perfbench's tracer wraps
 from .events import simulate_events  # noqa: F401
@@ -243,8 +245,11 @@ def _atomic_write(path: Path | str, data: str | bytes | Iterable[bytes | np.ndar
     """Write text, bytes, or byte blocks one after another to a temp file,
     then rename it to ``path``; on any failure neither file is left."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    except FileNotFoundError:  # the directory is made by the first write into it
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
             fh.writelines((data,) if isinstance(data, (str, bytes)) else data)
@@ -427,11 +432,15 @@ _GRID_COLUMNS = ("phi", "theta", "e", "stderr")
 _EVENT_COLUMNS = "timestamp_ns\tchannel"
 _COLUMN_LINE = f"{_EVENT_COLUMNS}\n".encode("ascii")
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
-_LABEL_BYTES = np.frombuffer("".join(CHANNELS).encode("ascii"), dtype=np.uint8).reshape(4, 2)
-# each label's first and second byte, by channel code
-_LABEL_FIRST, _LABEL_SECOND = _LABEL_BYTES.T.copy()
+#: the ASCII digits of 0000..9999, each as one 4-byte word in memory order
+_DIGIT_QUADS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+                + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+#: each channel's line end, a tab, its label and a newline, as one 4-byte word
+_RECORD_TAILS = np.frombuffer("".join(f"\t{c}\n" for c in CHANNELS).encode("ascii"),
+                              dtype=np.uint32)
 # channel code of each two-byte label read as a big-endian 16-bit number;
 # 255 marks a label that is not a channel
+_LABEL_BYTES = np.frombuffer("".join(CHANNELS).encode("ascii"), dtype=np.uint8).reshape(4, 2)
 _LABEL_CODES = np.full(1 << 16, 255, dtype=np.uint8)
 _LABEL_CODES[_LABEL_BYTES[:, 0].astype(np.uint16) << 8 | _LABEL_BYTES[:, 1]] = np.arange(4)
 #: record lines per block, written or parsed; it bounds the per-block
@@ -442,46 +451,68 @@ _PARSE_ROWS = 1 << 15
 _READ_BYTES = 1 << 18
 
 
-def _format_records(timestamps: np.ndarray, channels: np.ndarray) -> Iterator[np.ndarray]:
-    """Record lines of non-negative, non-decreasing timestamps, as ``uint8``
-    blocks of at most ``_PARSE_ROWS`` lines.
+def _record_rows(timestamps: np.ndarray, channels: np.ndarray, digits: int) -> np.ndarray:
+    """The record lines of one block, right-aligned in ``uint8`` rows of
+    ``4 * ceil(digits / 4) + 4`` bytes: each timestamp's last ``digits``
+    digits and the zeros in front of them, then its tab, label and newline.
 
-    Sorted timestamps fall into one run per digit count, and within a run
-    every line has the same width, so each block of a run is filled as a
-    2-d array: the digits from the last, each by a scalar ``//`` by 10 and a
-    subtract, and the label bytes from two 4-entry tables.  A write's
-    temporaries are one block's, however long the stream.
+    One pass fills every row, four digits at a time: a ``//`` and a
+    subtract by 10^4 per group of four, then a lookup of the group's four
+    ASCII bytes as one word, and the line end from a 4-entry table.
     """
-    cuts = np.r_[0, np.searchsorted(timestamps, _POW10), timestamps.size]
-    for k, (run_lo, run_hi) in enumerate(zip(cuts[:-1], cuts[1:]), start=1):
-        for lo in range(run_lo, run_hi, _PARSE_ROWS):
-            hi = min(lo + _PARSE_ROWS, run_hi)
-            block = np.empty((hi - lo, k + 4), dtype=np.uint8)
-            rest = timestamps[lo:hi].view(np.uint64)
-            for j in range(k - 1, 0, -1):
-                quotient = rest // 10
-                block[:, j] = rest - quotient * 10 + ord("0")
-                rest = quotient
-            block[:, 0] = rest + ord("0")
-            block[:, k] = ord("\t")
-            block[:, k + 1] = _LABEL_FIRST[channels[lo:hi]]
-            block[:, k + 2] = _LABEL_SECOND[channels[lo:hi]]
-            block[:, k + 3] = ord("\n")
-            yield block
+    groups = (digits + 3) // 4
+    rows = np.empty((timestamps.size, groups + 1), dtype=np.uint32)
+    rows[:, groups] = _RECORD_TAILS.take(channels)
+    rest = timestamps
+    for g in range(groups - 1, 0, -1):
+        quotient = rest // 10_000
+        rows[:, g] = _DIGIT_QUADS.take(rest - quotient * 10_000)
+        rest = quotient
+    # clipped, so that a value too wide for ``digits``, which only a stream
+    # out of order can hold, costs wrong bytes in a file that is refused
+    rows[:, 0] = _DIGIT_QUADS.take(rest, mode="clip")
+    return rows.view(np.uint8)
+
+
+def _format_records(timestamps: np.ndarray, channels: np.ndarray) -> Iterator[np.ndarray]:
+    """Record lines of non-negative, non-decreasing int64 timestamps and
+    channel codes 0..3, as ``uint8`` blocks of at most ``_PARSE_ROWS`` lines.
+
+    Each ``_PARSE_ROWS`` lines are formatted in one pass by
+    :func:`_record_rows`, at the width of their widest timestamp.  Sorted
+    timestamps fall into one run per digit count, and a run's lines are one
+    slice of those rows, so each run is copied out once as a block of one
+    line width.  A write's temporaries are one block's, however long the
+    stream.
+    """
+    for lo in range(0, timestamps.size, _PARSE_ROWS):
+        ts, ch = timestamps[lo : lo + _PARSE_ROWS], channels[lo : lo + _PARSE_ROWS]
+        # lines below 10, 100, ...: the end of each digit count's run
+        stops = np.searchsorted(ts, _POW10).tolist()
+        top = sum(stop < ts.size for stop in stops) + 1  # digits of the widest line
+        rows = _record_rows(ts, ch, top)
+        start = 0
+        for k, stop in enumerate(stops[: top - 1] + [ts.size], start=1):
+            if stop > start:
+                yield np.ascontiguousarray(rows[start:stop, rows.shape[1] - 4 - k :])
+                start = stop
 
 
 def write_event_file(header: StreamHeader, path: Path | str, blocks: Iterable[Block]) -> None:
     """The header, then each block of record lines as it is formatted, written
     atomically; each block is formatted as it is taken, so that ``simulate``
-    writes a stream as it draws it.  The blocks are held to the record rules
-    of :func:`~pathqrng.events.checked_blocks`, so a stream that breaks them
-    is refused and leaves no file.  The traced peak of a write is one
-    block's, about 1.5 MB for a 5 s stream at 120 kHz."""
+    writes a stream as it draws it.  Each block is converted by
+    :func:`~pathqrng.events.record_block`, which refuses timestamps that are
+    not integers and channel codes outside 0..3 at once, and the blocks are
+    held to the record rules of :func:`~pathqrng.events.checked_blocks`, so
+    a stream that breaks them is refused and leaves no file.  The traced
+    peak of a write is one block's, about 1.5 MB for a 5 s stream at 120 kHz."""
     values = ((key, getattr(header, key)) for key in _EVENT_FIELDS)
     lines = [_EVENT_MAGIC, *(f"# {key}={v!r}" for key, v in values if v is not None),
              _EVENT_COLUMNS]
     head = ("\n".join(lines) + "\n").encode("ascii")
-    records = (_format_records(ts, ch) for ts, ch in checked_blocks(blocks, header))
+    records = itertools.starmap(_format_records,
+                                checked_blocks(itertools.starmap(record_block, blocks), header))
     _atomic_write(path, itertools.chain((head,), itertools.chain.from_iterable(records)))
 
 
@@ -520,17 +551,19 @@ def _read_event_header(fh: BinaryIO, path: Path | str) -> dict[str, str]:
 def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and channel codes of the record lines in ``body``.
 
-    The lines are taken ``_PARSE_ROWS`` at a time.  Each line's last
-    ``k`` digits, tab and label are copied right-aligned into one matrix
-    padded on the left with '0', where ``k`` is the block's longest digit
-    count, at most 19: the lines of a width that forms one run of lines, as
-    each width of a sorted stream does, as one slice, and those of a width
-    spread over several runs by a gather, one row per line.  The digits of
-    a longer line in front of its last 19 are checked once per width, and
-    must be '0' for the value to fit in int64.  One pass over the digit
-    columns then checks and builds every value of the block: a running max
-    over the digits checks them, and they are summed four at a time in
-    ``uint16`` before each ``uint64`` multiply-add.
+    The lines are taken ``_PARSE_ROWS`` at a time.  Each line's last ``d``
+    digits, tab and label are copied right-aligned into one matrix padded
+    on the left with '0', one row per byte, where ``d`` is the block's
+    longest digit count, at most 19, rounded up to a multiple of four.  A
+    block of few runs of one width, as a sorted stream's are (one per digit
+    count), is copied one run at a time, each run one slice; otherwise one
+    width at a time, each width's lines by a gather.  The digits of a
+    longer line in front of its last ``d`` are checked per run or width,
+    and must be '0' for the value to fit in int64.  Then a fixed number of
+    whole-matrix steps checks and builds every value of the block: one max
+    over the digits checks them, pairs of digits and then pairs of pairs
+    are summed in ``uint8`` and ``uint16``, and each group of four digits
+    takes one ``uint64`` multiply-add.
 
     The error names the first bad record in file order: a line that breaks
     the grammar, one whose timestamp exceeds int64, or an unterminated last
@@ -540,8 +573,10 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
         text = body[start:stop].tobytes().decode("utf-8", errors="replace")
         return ValidationError(f"{path}: {what} {text!r}")
 
-    ends = np.flatnonzero(body == ord("\n"))
-    widths = np.diff(ends, prepend=-1)  # each line's length with its newline
+    ends = (body == ord("\n")).nonzero()[0]
+    widths = np.empty_like(ends)  # each line's length with its newline
+    widths[:1] = ends[:1] + 1
+    np.subtract(ends[1:], ends[:-1], out=widths[1:])
     stamps = np.empty(ends.size, dtype=np.uint64)
     codes = np.empty(ends.size, dtype=np.uint8)
     for lo in range(0, ends.size, _PARSE_ROWS):
@@ -549,48 +584,59 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
         w = widths[lo:hi]
         ok = w >= 5  # a line holds at least a digit, a tab and a label
         fits = np.ones(hi - lo, dtype=bool)  # the value fits in int64
+        d = 4 * ((min(max(int(w.max()) - 4, 1), 19) + 3) // 4)
         # the lines right-aligned, byte j of every line in row j, so that
-        # each digit step below reads one contiguous row
-        k = min(max(int(w.max()) - 4, 1), 19)
-        cols = np.full((k + 3, hi - lo), ord("0"), dtype=np.uint8)
-        runs = np.concatenate(([0], np.flatnonzero(w[1:] != w[:-1]) + 1, [w.size]))
-        run_widths = w[runs[:-1]]
-        for width, n_runs in zip(*np.unique(run_widths, return_counts=True)):
-            if n_runs == 1:
-                r = int(np.flatnonzero(run_widths == width)[0])
-                rows: slice | np.ndarray = slice(runs[r], runs[r + 1])
-                lines = body[ends[lo + runs[r]] + 1 - width
-                             : ends[lo + runs[r + 1] - 1] + 1].reshape(-1, width)
-            else:
-                rows = np.flatnonzero(w == width)
-                windows = np.lib.stride_tricks.sliding_window_view(body, width)  # a view
-                lines = windows[ends[lo + rows] + 1 - width]
-            m = min(width - 1, k + 3)
-            cols[k + 3 - m :, rows] = lines[:, width - 1 - m : width - 1].T
-            if width - 4 > k:  # digits in front of the last 19 must be '0'
-                lead = lines[:, : width - 4 - k] - ord("0")
+        # each step below reads contiguous rows
+        cols = np.full((d + 3, hi - lo), ord("0"), dtype=np.uint8)
+
+        def place(rows: slice | np.ndarray, lines: np.ndarray, width: int) -> None:
+            m = min(width - 1, d + 3)
+            cols[d + 3 - m :, rows] = lines[:, width - 1 - m : width - 1].T
+            if width - 4 > d:  # digits in front of the last d must be '0'
+                lead = lines[:, : width - 4 - d] - ord("0")
                 ok[rows] &= np.all(lead <= 9, axis=1)
                 fits[rows] &= np.all(lead == 0, axis=1)
+
+        changes = np.flatnonzero(w[1:] != w[:-1]) + 1  # where a run of one width starts
+        if changes.size < d + 3:  # no more runs than the matrix has rows
+            starts = [0, *changes.tolist()]
+            stops = [*starts[1:], hi - lo]
+            for r0, r1, width, end in zip(starts, stops, w[starts].tolist(),
+                                          ends[lo + np.array(stops) - 1].tolist()):
+                place(slice(r0, r1), body[end + 1 - (r1 - r0) * width : end + 1]
+                      .reshape(-1, width), width)
+        else:
+            windows = None
+            for width in np.unique(w).tolist():
+                if windows is None or windows.shape[1] != width:
+                    windows = np.lib.stride_tricks.sliding_window_view(body, width)  # a view
+                rows = np.flatnonzero(w == width)
+                place(rows, windows[ends[lo + rows] + 1 - width], width)
         value, code = stamps[lo:hi], codes[lo:hi]
-        code[:] = _LABEL_CODES[cols[k + 1].astype(np.uint16) << 8 | cols[k + 2]]
-        ok &= (cols[k] == ord("\t")) & (code != 255)
-        # every digit is checked by one running max, as a byte below '0' wraps above 9
-        top = np.zeros(hi - lo, dtype=np.uint8)
-        value[:] = 0
-        group = np.empty(hi - lo, dtype=np.uint16)
-        for g in range(0, k, 4):  # four digits are at most 9999 in uint16, then one uint64 step
-            for j in range(g, min(g + 4, k)):
-                digit = cols[j] - ord("0")
-                np.maximum(top, digit, out=top)
-                if j == g:
-                    group[:] = digit
-                else:
-                    group *= 10
-                    group += digit
-            value *= 10 ** (min(g + 4, k) - g)
-            value += group
+        label = np.left_shift(cols[d + 1], 8, dtype=np.uint16)
+        label |= cols[d + 2]
+        _LABEL_CODES.take(label, out=code)
+        ok &= cols[d] == ord("\t")
+        digits = cols[:d]  # the digit rows, turned into values in place
+        digits -= ord("0")  # a byte below '0' wraps above 9
+        # a digit above 9 or a label that is no channel's (code 255) is malformed
+        top = digits.max(axis=0)
+        np.maximum(top, code, out=top)
         ok &= top <= 9
-        fits &= value <= np.iinfo(np.int64).max
+        if d > 19:  # the digit in front of the last 19, where uint64 may wrap
+            fits &= digits[0] == 0
+        pairs = digits[0::2]
+        pairs *= 10
+        pairs += digits[1::2]
+        quads = pairs[0::2].astype(np.uint16)
+        quads *= 100
+        quads += pairs[1::2]
+        value[:] = quads[0]
+        for group in quads[1:]:
+            value *= 10_000
+            value += group
+        if d > 16:  # below 10^16 every value fits
+            fits &= value <= 2 ** 63 - 1
         if not (ok & fits).all():
             i = int(np.argmin(ok & fits))
             raise reject(ends[lo + i] + 1 - w[i], ends[lo + i],
@@ -600,7 +646,7 @@ def _parse_records(body: np.ndarray, path: Path | str) -> tuple[np.ndarray, np.n
     return stamps.view(np.int64), codes
 
 
-def _record_blocks(path: Path | str, start: int) -> Iterator[Block]:
+def _record_blocks(path: Path | str, start: int, body: bytes | None = None) -> Iterator[Block]:
     """Timestamps and channel codes of the record lines from byte ``start``
     of the file on, one block per read of ``_READ_BYTES``.
 
@@ -608,8 +654,13 @@ def _record_blocks(path: Path | str, start: int) -> Iterator[Block]:
     line is carried into the next read.  A read that ends no line is
     followed by one as long as the carried bytes, so a long line costs
     linear time.  A last line without its newline is reported after every
-    other line has parsed.
+    other line has parsed.  ``body``, when given, is the whole body, read
+    with the header: it is parsed as one block and the file is not opened.
     """
+    if body is not None:
+        if body:
+            yield _parse_records(np.frombuffer(body, dtype=np.uint8), path)
+        return
     with open(path, "rb") as fh:
         fh.seek(start)
         rest = b""
@@ -626,20 +677,25 @@ def _record_blocks(path: Path | str, start: int) -> Iterator[Block]:
 class EventFile:
     """An event file opened for block reads.
 
-    The header is read and checked when the file is opened; the records
-    are parsed on each pass of :meth:`blocks`, one read at a time, so a
-    pass holds one block however long the file.  ``header`` is the file's
-    :class:`StreamHeader`, and ``records`` the record count of the last
-    complete pass.  The errors and their order are those of parsing the
-    whole file first: a bad record, then a header value, then the stream
-    rules.  So a header value that is refused waits for the body to parse.
+    The header is read and checked when the file is opened, with one read
+    of ``_READ_BYTES``; a body that fits in that read is kept, so a small
+    file is opened and read once, and each pass parses it as one block.
+    A longer body is parsed on each pass of :meth:`blocks`, one read at a
+    time, so a pass holds one block however long the file.  ``header`` is
+    the file's :class:`StreamHeader`, and ``records`` the record count of
+    the last complete pass.  The errors and their order are those of
+    parsing the whole file first: a bad record, then a header value, then
+    the stream rules.  So a header value that is refused waits for the body
+    to parse.
     """
 
     def __init__(self, path: Path | str) -> None:
         self.path, self.records = path, None
-        with open(path, "rb") as fh:
+        with io.BufferedReader(io.FileIO(path), _READ_BYTES) as fh:
             meta = _read_event_header(fh, path)
             self.body_start = fh.tell()
+            size = os.fstat(fh.fileno()).st_size - self.body_start
+            self._body = fh.read(size) if size <= _READ_BYTES else None
         missing = sorted(f.name for f in dataclasses.fields(StreamHeader)
                          if f.default is dataclasses.MISSING and f.name not in meta)
         if missing:
@@ -647,7 +703,8 @@ class EventFile:
         try:
             self.header = StreamHeader(**meta)
         except ValueError as exc:
-            for _ in _record_blocks(path, self.body_start):  # a bad record is named first
+            # a bad record is named first
+            for _ in _record_blocks(path, self.body_start, self._body):
                 pass
             raise ValidationError(f"{path}: {exc}") from exc
 
@@ -655,7 +712,7 @@ class EventFile:
         """Timestamps and channel codes of each block of records, in file order."""
         n = 0
         try:
-            for ts, ch in checked_blocks(_record_blocks(self.path, self.body_start),
+            for ts, ch in checked_blocks(_record_blocks(self.path, self.body_start, self._body),
                                          self.header):
                 n += ts.size
                 yield ts, ch

@@ -46,6 +46,7 @@ text exist only in the files ``pathqrng.cli`` reads and writes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -65,7 +66,7 @@ def _distribution(p: Sequence[float] | np.ndarray) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (4,):
         raise ValueError(f"distribution must have 4 entries, got shape {arr.shape}")
-    if not (np.all(arr >= 0.0) and abs(float(arr.sum()) - 1.0) <= 1e-9):
+    if not (arr.min() >= 0.0 and abs(float(arr.sum()) - 1.0) <= 1e-9):
         raise ValueError("distribution must be non-negative and sum to 1")
     return arr
 
@@ -107,6 +108,21 @@ def _whole_ns(name: str, value: float, unit: str) -> int:
 Block = tuple[np.ndarray, np.ndarray]
 
 
+def record_block(timestamps: Sequence[int] | np.ndarray,
+                 channels: Sequence[int] | np.ndarray) -> Block:
+    """A block of records as int64 timestamps and uint8 channel codes,
+    converted by value: matching 1-d arrays or sequences, the timestamps
+    integers below 2^63 ns, the channels codes 0..3."""
+    ts, ch = np.asarray(timestamps), np.asarray(channels)
+    if ts.shape != ch.shape or ts.ndim != 1:
+        raise ValueError("timestamps and channels must be matching 1-d arrays")
+    if ts.size and ts.dtype.kind not in "iu":
+        raise ValueError(f"timestamps must be integer nanoseconds, not {ts.dtype}")
+    if ts.dtype == np.uint64 and ts.size and ts.max() >= 2 ** 63:
+        raise ValueError("timestamp beyond the int64 nanosecond range")
+    return ts.astype(np.int64, copy=False), _check_codes(ch)
+
+
 def checked_blocks(blocks: Iterable[Block], header: StreamHeader) -> Iterator[Block]:
     """The blocks, passed on as they come, held to the record rules of the
     stream ``header`` describes: timestamps non-negative and non-decreasing,
@@ -117,7 +133,7 @@ def checked_blocks(blocks: Iterable[Block], header: StreamHeader) -> Iterator[Bl
     for ts, ch in blocks:
         if ts.size:
             # a comparison of neighbours, with no int64 temporary of differences
-            ordered = ordered and not (ts[0] < last or np.any(ts[1:] < ts[:-1]))
+            ordered = ordered and not (ts[0] < last or (ts[1:] < ts[:-1]).any())
             last = int(ts[-1])
         yield ts, ch
     if not ordered:
@@ -173,13 +189,9 @@ class EventStream:
     channels: np.ndarray
 
     def __post_init__(self) -> None:
-        ts, ch = np.asarray(self.timestamps_ns), np.asarray(self.channels)
-        if ts.shape != ch.shape or ts.ndim != 1:
-            raise ValueError("timestamps and channels must be matching 1-d arrays")
-        if ts.size and ts.dtype.kind not in "iu":
-            raise ValueError(f"timestamps must be integer nanoseconds, not {ts.dtype}")
-        object.__setattr__(self, "timestamps_ns", ts.astype(np.int64, copy=False))
-        object.__setattr__(self, "channels", _check_codes(ch))
+        ts, ch = record_block(self.timestamps_ns, self.channels)
+        object.__setattr__(self, "timestamps_ns", ts)
+        object.__setattr__(self, "channels", ch)
         for _ in checked_blocks(self.blocks(), self.header):
             pass
 
@@ -238,13 +250,7 @@ def simulate_blocks(header: StreamHeader,
         rng = np.random.default_rng(header.seed)
         cdf = np.cumsum(p)
         cdf /= cdf[-1]
-        # the zero-truncated Poisson law as a CDF on k = 1, 2, ...: p_1 = lam / (e^lam - 1),
-        # then p_k = p_(k-1) lam / k, up to the first term below 2^-53
-        terms = [mean_per_bin / math.expm1(mean_per_bin) if mean_per_bin else 1.0]
-        while terms[-1] >= 2.0 ** -53:
-            terms.append(terms[-1] * mean_per_bin / (len(terms) + 1))
-        counts_cdf = np.cumsum(terms)
-        counts_cdf /= counts_cdf[-1]
+        counts_cdf = _count_cdf(mean_per_bin)
         occupied = -math.expm1(-mean_per_bin)
         # occupied bins drawn and not yet taken, and the last one drawn; at rate 0
         # the last one lies past the stream, so no gap is drawn
@@ -253,10 +259,18 @@ def simulate_blocks(header: StreamHeader,
             hi = min(lo + _SIM_CHUNK, n_bins)
             while last < hi:  # gaps for this block's expected occupied bins, and a margin
                 want = occupied * (hi - last)
-                e = -np.log1p(-rng.random(int(want + 4.0 * math.sqrt(want)) + 16))
-                # clipped to n_bins + 1 bins before the cast, however small lam is
-                gaps = np.minimum(e, mean_per_bin * (n_bins + 1)) / mean_per_bin
-                ahead = np.concatenate((ahead, last + np.cumsum(gaps.astype(np.int64) + 1)))
+                e = rng.random(int(want + 4.0 * math.sqrt(want)) + 16)
+                np.negative(e, out=e)
+                np.log1p(e, out=e)
+                # max(log1p(-U), -cap) / -lam is min(-log1p(-U), cap) / lam exactly: the
+                # gap clipped to n_bins + 1 bins before the cast, however small lam is
+                np.maximum(e, -mean_per_bin * (n_bins + 1), out=e)
+                e /= -mean_per_bin
+                gaps = e.astype(np.int64)
+                gaps += 1
+                gaps[0] += last  # the cumulative sum then starts from the last bin drawn
+                np.cumsum(gaps, out=gaps)
+                ahead = np.concatenate((ahead, gaps)) if ahead.size else gaps
                 last = int(ahead[-1])
             k = int(ahead.searchsorted(hi))
             ts = np.repeat(ahead[:k] * bin_ns, _counts(rng.random(k), counts_cdf))
@@ -264,6 +278,21 @@ def simulate_blocks(header: StreamHeader,
             yield ts, _channels(rng.random(ts.size), cdf)
 
     return blocks()
+
+
+@functools.lru_cache
+def _count_cdf(mean_per_bin: float) -> np.ndarray:
+    """The zero-truncated Poisson law of mean ``mean_per_bin`` as a CDF on k = 1, 2, ...:
+    p_1 = lam / (e^lam - 1), then p_k = p_(k-1) lam / k, up to the first term
+    below 2^-53, scaled to end at exactly 1.  It depends on lam alone, so a
+    scan's streams share one table; it is read-only."""
+    terms = [mean_per_bin / math.expm1(mean_per_bin) if mean_per_bin else 1.0]
+    while terms[-1] >= 2.0 ** -53:
+        terms.append(terms[-1] * mean_per_bin / (len(terms) + 1))
+    counts_cdf = np.cumsum(terms)
+    counts_cdf /= counts_cdf[-1]
+    counts_cdf.flags.writeable = False
+    return counts_cdf
 
 
 def _counts(u: np.ndarray, counts_cdf: np.ndarray) -> np.ndarray:
@@ -333,7 +362,8 @@ def bin_and_resolve(stream: EventStream) -> np.ndarray:
 def _check_codes(outcomes: Sequence[int] | np.ndarray) -> np.ndarray:
     """The channel codes of an integer sequence, flat; codes outside 0..3 are rejected."""
     codes = np.asarray(outcomes).ravel()
-    if codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > 3):
+    if codes.size and (codes.dtype.kind not in "iu" or codes.max() > 3
+                       or codes.dtype.kind == "i" and codes.min() < 0):
         raise ValueError("channel codes must be integers 0..3")
     return codes.astype(np.uint8, copy=False)
 

@@ -47,8 +47,8 @@ def watch_blocks(monkeypatch, read_bytes):
     def read_whole(path):
         raise AssertionError(f"{path} read as a whole stream")
 
-    def parse_alone(path, start):
-        for ts, ch in parse(path, start):
+    def parse_alone(path, *args):
+        for ts, ch in parse(path, *args):
             live = [r for r in earlier[:-1] if r() is not None]
             assert not live, f"{len(live)} older block(s) live while parsing {path}"
             earlier.append(weakref.ref(ts))
@@ -622,6 +622,178 @@ class TestEventFiles:
         finally:
             tracemalloc.stop()
         assert peak < 25 * n + (4 << 20), f"traced peak {peak / 1e6:.1f} MB for {n} lines"
+
+
+    @pytest.mark.parametrize("timestamps, channels, message", [
+        (np.array([1000.0, 2000.0]), [0, 1], "integer nanoseconds, not float64"),
+        ([1000, 2000], [-1, 0], "channel codes must be integers 0..3"),
+        ([1000, 2000], [7, 0], "channel codes must be integers 0..3"),
+        ([1000, 2000], [1.7, 0], "channel codes must be integers 0..3"),
+        ([1000, 2000], [0], "matching 1-d arrays"),
+        (np.array([2 ** 63 + 5], dtype=np.uint64), [0], "int64 nanosecond range"),
+    ], ids=["float-timestamps", "negative-code", "code-7", "float-code", "lengths",
+            "uint64-past-int64"])
+    def test_writer_refuses_values_it_cannot_write_and_leaves_no_file(
+            self, tmp_path, timestamps, channels, message):
+        # unchecked, float64 [1000., 2000.] was written as b"\x15376\tUF" and
+        # channel -1 as DN, and a channel of 7 or 1.7 raised IndexError
+        header = events.StreamHeader(phi=0.0, theta=0.0, duration_s=1.0, bin_width_us=1.0,
+                                     seed=0)
+        with pytest.raises(ValueError, match=message):
+            cli.write_event_file(header, tmp_path / "ev.tsv", [(timestamps, channels)])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("timestamps", [
+        np.array([1000, 2000], dtype=np.int32), np.array([7, 1000], dtype=np.uint16),
+        np.array([5, 10 ** 12], dtype=np.uint64), [1000, 2000],
+    ], ids=["int32", "uint16", "uint64", "list"])
+    def test_writer_formats_integer_timestamps_by_value(self, tmp_path, timestamps):
+        # an int32 [1000, 2000] was read through a uint64 view, as two records
+        # of 1000, and a list raised AttributeError
+        header = events.StreamHeader(phi=0.0, theta=0.0, duration_s=2e3, bin_width_us=1.0,
+                                     seed=0)
+        cli.write_event_file(header, tmp_path / "ev.tsv", [(timestamps, [3, 0])])
+        want = events.EventStream(header, np.array([int(t) for t in timestamps], dtype=np.int64),
+                                  np.array([3, 0], dtype=np.uint8))
+        assert (tmp_path / "ev.tsv").read_bytes() == oracles.event_file_text_by_lines(want).encode()
+
+    @staticmethod
+    def straddling_stream(rng, n):
+        """``n`` sorted timestamps below 9.2e18 ns: half log-uniform, half within
+        3 of a power of ten, so that the digit counts change inside the stream."""
+        k = rng.integers(0, 19, size=n // 2)
+        near = 10 ** k.astype(object) + rng.integers(-3, 4, size=k.size).astype(object)
+        spread = np.exp(rng.uniform(0.0, math.log(9.2e18), size=n - k.size)).astype(np.int64)
+        ts = np.sort(np.concatenate([np.array([max(int(v), 0) for v in near], dtype=np.int64),
+                                     spread]))
+        ts = np.minimum(ts, 9_199_999_999_999_999_999)
+        return events.EventStream(
+            events.StreamHeader(phi=0.5, theta=-0.5, duration_s=9.2e9, bin_width_us=1.0, seed=n),
+            ts, rng.integers(0, 4, size=n).astype(np.uint8))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sorted_streams_across_every_digit_count_match_line_oracles(
+            self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [0, 1, 2, 2000, *rng.integers(0, 2001, size=4).tolist()]
+        for i, n in enumerate(sizes):
+            s = self.straddling_stream(rng, n)
+            path = tmp_path / f"ev{i}.tsv"
+            write_stream(s, path)
+            text = oracles.event_file_text_by_lines(s)
+            assert path.read_bytes() == text.encode("ascii")
+            body = text.partition("channel\n")[2].encode("ascii")
+            self.assert_parses_like_oracle(body)
+            back = cli.read_event_file(path)
+            assert np.array_equal(back.timestamps_ns, s.timestamps_ns)
+            assert np.array_equal(back.channels, s.channels)
+
+    def test_every_power_of_ten_edge_and_the_int64_ends_round_trip(self):
+        # 0, each 10^k - 1, 10^k, 10^k + 1, and 2^63 - 1, which no stream's
+        # duration admits, so the formatter and the parser are held to the
+        # oracles directly
+        edges = {0, 2 ** 63 - 1} | {10 ** k + j for k in range(19) for j in (-1, 0, 1)}
+        ts = np.array(sorted(edges), dtype=np.int64)
+        top = types.SimpleNamespace(
+            timestamps_ns=ts, channels=np.arange(ts.size, dtype=np.uint8) % 4,
+            header=events.StreamHeader(phi=0.0, theta=0.0, duration_s=1.0, bin_width_us=1.0,
+                                       seed=0))
+        body = b"".join(b.tobytes() for b in cli._format_records(top.timestamps_ns, top.channels))
+        assert body == oracles.event_file_text_by_lines(top).partition("channel\n")[2].encode()
+        got_ts, got_ch = cli._parse_records(np.frombuffer(body, dtype=np.uint8), "ev.tsv")
+        assert np.array_equal(got_ts, ts) and np.array_equal(got_ch, top.channels)
+        self.assert_parses_like_oracle(body)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_bad_record_of_small_mixed_width_bodies_matches_line_oracle(self, seed):
+        # a few lines of mixed widths, with one to three bad ones anywhere
+        rng = np.random.default_rng(seed)
+        lines = self.random_lines(rng, int(rng.integers(1, 12)))
+        bad = ["12x4\tUF\n", "1234 UF\n", "12\tXY\n", "\tUF\n", "\n",
+               "9223372036854775808\tUF\n", "0" * 21 + "1\tDN\n", "1" + "0" * 20 + "1\tDN\n"]
+        for _ in range(int(rng.integers(1, 4))):
+            lines.insert(int(rng.integers(0, len(lines) + 1)), bad[int(rng.integers(len(bad)))])
+        self.assert_parses_like_oracle("".join(lines).encode("ascii"))
+
+    @pytest.mark.parametrize("n_lines", [7, 8])
+    @pytest.mark.parametrize("bad_at", [None, 0, 3, 6])
+    def test_parser_matches_line_oracle_on_both_sides_of_the_run_cut(self, n_lines, bad_at):
+        # alternating 1- and 4-digit lines give n - 1 runs in a 4-digit block:
+        # 6 are placed run by run and 7 width by width, which must agree
+        labels = cli.CHANNELS
+        lines = [f"{i + 1}\t{labels[i % 4]}\n" if i % 2 else f"{1000 + i}\t{labels[i % 4]}\n"
+                 for i in range(n_lines)]
+        if bad_at is not None:  # a bad first digit, which keeps the line's width
+            lines[bad_at] = "x" + lines[bad_at][1:]
+        self.assert_parses_like_oracle("".join(lines).encode("ascii"))
+
+    @staticmethod
+    def count_opens(monkeypatch):
+        """Opens of each path by the event-file reader, in a dict it returns."""
+        opened = {}
+
+        def counted(opener):
+            def open_counted(path, *args, **kwargs):
+                opened[str(path)] = opened.get(str(path), 0) + 1
+                return opener(path, *args, **kwargs)
+            return open_counted
+
+        monkeypatch.setattr(cli, "io", types.SimpleNamespace(
+            FileIO=counted(io.FileIO), BufferedReader=io.BufferedReader))
+        monkeypatch.setattr(cli, "open", counted(open), raising=False)
+        return opened
+
+    def test_bell_scan_opens_each_small_event_file_once(self, tmp_path, monkeypatch):
+        events_dir = tmp_path / "events"
+        assert run_cli("simulate", "--scan", "--scan-step", "1.0", "--duration-s", "0.01",
+                       "--rate-hz", "120000", "--seed", "4", "--out", str(events_dir))[0] == 0
+        files = sorted(events_dir.iterdir())
+        assert len(files) == 15 and all(f.stat().st_size < cli._READ_BYTES for f in files)
+        opened = self.count_opens(monkeypatch)
+        assert run_cli("bell-scan", "--events", str(events_dir), "--out",
+                       str(tmp_path / "scan"))[0] == 0
+        assert opened == {str(f): 1 for f in files}
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_a_body_at_the_read_size_is_read_once_and_one_past_it_in_reads(
+            self, tmp_path, monkeypatch, extra):
+        # a body of _READ_BYTES bytes is kept from the read that brought the
+        # header; one byte more and each pass reads the file again
+        body = "".join(f"{i}\t{cli.CHANNELS[i % 4]}\n" for i in range(1000, 1020))
+        body = "0" * extra + body  # a leading zero widens the first line by a byte
+        monkeypatch.setattr(cli, "_READ_BYTES", len(body) - extra)
+        p = tmp_path / "ev.tsv"
+        p.write_text(self.HEADER + body)
+        opened = self.count_opens(monkeypatch)
+        stream = cli.EventFile(p)
+        blocks = list(stream.blocks())
+        assert opened == {str(p): 1 + extra}
+        assert len(blocks) == 1 + extra and stream.records == 20
+        _, ts, ch = oracles.event_records_by_lines(self.HEADER + body)
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), ts)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), ch)
+
+    def test_a_scan_stream_is_formatted_in_one_digit_pass(self, tmp_path, monkeypatch):
+        # a 0.01 s stream at 120 kHz, as each scan setting writes, holds four
+        # or five digit counts; one pass formats them all
+        passes = []
+        rows = cli._record_rows
+
+        def counted(timestamps, channels, digits):
+            passes.append(timestamps.size)
+            return rows(timestamps, channels, digits)
+
+        monkeypatch.setattr(cli, "_record_rows", counted)
+        header = events.StreamHeader(phi=-1.0, theta=1.4, duration_s=0.01, bin_width_us=1.0,
+                                     seed=7, rate_hz=120000.0)
+        write_stream(events.simulate_events((0.4, 0.1, 0.2, 0.3), 120000.0, 0.01, seed=7,
+                                            phi=-1.0, theta=1.4), tmp_path / "ev.tsv")
+        back = cli.read_event_file(tmp_path / "ev.tsv")
+        assert back.header == header
+        widths = {len(str(t)) for t in back.timestamps_ns.tolist()}
+        assert len(widths) >= 4
+        assert passes == [len(back)]
+        assert (tmp_path / "ev.tsv").read_bytes() == oracles.event_file_text_by_lines(back).encode()
 
 
 class TestGridFiles:
@@ -1957,6 +2129,31 @@ def test_scan_outputs_are_pinned_and_chip_calls_blocked(tmp_path, monkeypatch):
     digests = {"events": hashlib.sha256(manifest.encode()).hexdigest()}
     digests.update({f"scan/{p.name}": sha256_file(p) for p in sorted(scan_dir.iterdir())})
     assert digests == SCAN_DIGESTS
+
+
+# four settings at the scan workload's own size, 0.01 s each at 120 kHz:
+# about 1.2k records over four digit counts per file, as the calibration
+# scan writes them, and the bell-scan outputs of their 2 x 2 grid
+SCAN_SETTING_DIGESTS = {
+    "events/events_0000.tsv": "95870d372b648cdac4d06ade40e34b78aa56788ded3ac0be740b7be33618f83d",
+    "events/events_0001.tsv": "6f2be58b10e05a0e6d9a55a004dc9760b2e10a9343e5203832e06997503bffc7",
+    "events/events_0002.tsv": "5b39fdaaacbd5f29b1d83c17a7034632524236d4eb2836d8da81822936af9632",
+    "events/events_0003.tsv": "56d80dfee66081db17e348f3b172f11aa667a599f3e7eba4deda5a40d35cc1ee",
+    "scan/chi_max.json": "e0278c5b98532f25c0262f944356c9d474dd77019547f4a9ae84093aee25c4b9",
+    "scan/chi_min.json": "d2a3c14c0aec42a2e5bf59879551ff8114d3b6c10cc1ce56f9049614d8f69b06",
+    "scan/grid.tsv": "794772f60f62d4e9271bbef836e3b74e1187f4306b1287271a812f8715e3513b",
+}
+
+
+def test_scan_settings_at_the_benchmark_size_are_pinned(tmp_path):
+    angles = "-1.0:1.4,-1.0:-2.0,-1.2:1.4,-1.2:-2.0"
+    assert run_cli("simulate", f"--angles={angles}", "--duration-s", "0.01", "--rate-hz",
+                   "120000", "--seed", "3", "--out", str(tmp_path / "events"))[0] == 0
+    assert run_cli("bell-scan", "--events", str(tmp_path / "events"),
+                   "--out", str(tmp_path / "scan"))[0] == 0
+    digests = {p.relative_to(tmp_path).as_posix(): sha256_file(p)
+               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert digests == SCAN_SETTING_DIGESTS
 
 
 def sha256_file(path):

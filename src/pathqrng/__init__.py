@@ -20,8 +20,8 @@ so index = 2*(absolute) + (relative), and every operator is a dense 2x2 or
 4x4 complex ndarray in this basis.  A detector channel is its basis index
 everywhere in memory: distributions are float arrays of shape (..., 4) in
 basis order, outcomes are ``uint8`` codes 0..3, and raw bits are ``uint8``
-arrays of 0 and 1.  The channel labels (``cli.CHANNELS``) and 0/1 text
-appear only in ``cli``, where files are read and written.
+arrays of 0 and 1.  The channel labels (``formats.CHANNELS``) and 0/1 text
+appear only where files are read and written, in ``formats`` and ``cli``.
 
 Modules
 -------
@@ -30,7 +30,8 @@ chip     full circuit: generation, the one rotation kernel ``rotate``, detection
 bell     correlation coefficients, CHSH function, scans and searches
 certify  factorization bounds, correction terms, min-entropy certification
 events   Monte Carlo click streams, time binning, traces, extraction
-cli      configuration files, data formats, calibration fit, command line
+formats  chip configs, event files, grid files and JSON result documents
+cli      command line and calibration fit
 """
 
 __version__ = "0.1.0"

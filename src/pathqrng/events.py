@@ -41,7 +41,7 @@ so each FFT runs at the smallest 2^a 3^b 5^c length that covers m + L - 1.
 Channels are basis indices throughout: streams and their outcomes hold
 ``uint8`` codes 0..3, distributions are float arrays in basis order, and
 raw and extracted bits are ``uint8`` arrays of 0 and 1.  Labels and 0/1
-text exist only in the files ``pathqrng.cli`` reads and writes.
+text exist only in the files ``pathqrng.formats`` reads and writes.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ from itertools import combinations
 import numpy as np
 from scipy import linalg, optimize, stats
 
-from pathqrng import bell, certify, chip, cli, events
+from pathqrng import bell, certify, chip, events, formats
 from pathqrng.bell import ChiResult
-from pathqrng.cli import CalibrationError, CalibrationFit, ValidationError
+from pathqrng.cli import CalibrationError
+from pathqrng.formats import CalibrationFit, ValidationError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -440,7 +441,7 @@ def parse_records_by_lines(body, path):
         ts.append(int(match[1]))
         if ts[-1] > 2 ** 63 - 1:
             raise reject(line, "timestamp out of range in record")
-        ch.append(cli.CHANNELS.index(match[2].decode()))
+        ch.append(formats.CHANNELS.index(match[2].decode()))
     if tail:
         raise reject(tail)
     return np.array(ts, dtype=np.int64), np.array(ch, dtype=np.uint8)

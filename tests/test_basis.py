@@ -1,7 +1,7 @@
 """The path-qubit basis order, the Born rule on it, and the linear-algebra oracles.
 
 The basis order is stated in the package docstring; the channel labels are
-``cli.CHANNELS`` and distributions are checked by ``events``.
+``formats.CHANNELS`` and distributions are checked by ``events``.
 """
 
 import math
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pathqrng import bell, chip, cli, events, optics
+from pathqrng import bell, chip, events, formats, optics
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 XX = np.kron(oracles.SX, oracles.SX)
@@ -18,8 +18,8 @@ XX = np.kron(oracles.SX, oracles.SX)
 
 def test_channel_order_and_index():
     # index = 2 * (absolute U/D) + (relative F/N)
-    assert cli.CHANNELS == ("UF", "UN", "DF", "DN")
-    for i, name in enumerate(cli.CHANNELS):
+    assert formats.CHANNELS == ("UF", "UN", "DF", "DN")
+    for i, name in enumerate(formats.CHANNELS):
         assert i == 2 * "UD".index(name[0]) + "FN".index(name[1])
 
 

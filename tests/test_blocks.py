@@ -11,7 +11,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pathqrng import cli, events
+from pathqrng import cli, events, formats
 from pathqrng.chip import ChipConfig, broadband_probabilities
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,7 +37,7 @@ def run_cli(*argv):
 
 def write_stream(stream, path):
     path.parent.mkdir(parents=True, exist_ok=True)
-    cli.write_event_file(stream.header, path, stream.blocks())
+    formats.write_event_file(stream.header, path, stream.blocks())
     return path
 
 
@@ -49,91 +48,6 @@ def split_stream(stream, cuts):
         header=stream.header,
         blocks=lambda: ((stream.timestamps_ns[a:b], stream.channels[a:b])
                         for a, b in zip(edges[:-1], edges[1:])))
-
-
-# ---------------------------------------------------------------------------
-# the block reader against the line oracle
-# ---------------------------------------------------------------------------
-
-def wide_text():
-    """Every digit count from 1 to 17, each at its boundaries."""
-    edges = [0, 1, 9] + [v for k in range(1, 17) for v in (10 ** k - 1, 10 ** k, 10 ** k + 1)]
-    ts = np.unique(np.array(edges, dtype=np.int64))
-    ch = np.random.default_rng(3).integers(0, 4, size=ts.size).astype(np.uint8)
-    return oracles.event_file_text_by_lines(events.EventStream(
-        events.StreamHeader(phi=0.1, theta=-0.2, duration_s=2e7, bin_width_us=1.0, seed=4),
-        ts, ch))
-
-
-BODIES = {
-    "multi-click": oracles.event_file_text_by_lines(
-        events.simulate_events(DIST, 9e5, 0.002, seed=3)).partition("channel\n")[2],
-    "wide": wide_text().partition("channel\n")[2],
-    "leading zeros": "0\tUF\n007\tDN\n7\tUN\n" + "0" * 40 + "12\tDF\n012\tUF\n",
-    # 34 digits on every line: one width past the 19 that fit in int64
-    "one wide width": "".join(f"{'0' * 30}{t:04d}\t{cli.CHANNELS[t % 4]}\n"
-                              for t in range(1000, 1100, 7)),
-    "empty": "",
-}
-
-
-@pytest.mark.parametrize("read_bytes", [1, 5, 7, 13, 64, 1 << 12])
-@pytest.mark.parametrize("body", sorted(BODIES))
-def test_block_reads_parse_like_line_oracle(tmp_path, monkeypatch, read_bytes, body):
-    # reads of 1 to 13 bytes cut every line, the 42-byte one many times over
-    monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
-    text = HEADER.replace("duration_s=1.0", "duration_s=2e7") + BODIES[body]
-    path = tmp_path / "ev.tsv"
-    path.write_text(text)
-    _, ts, ch = oracles.event_records_by_lines(text)
-    blocks = list(cli.EventFile(path).blocks())
-    assert len(blocks) > 1 or read_bytes > 13 or ts.size < 2
-    got_ts = np.concatenate([b[0] for b in blocks]) if blocks else np.empty(0, np.int64)
-    got_ch = np.concatenate([b[1] for b in blocks]) if blocks else np.empty(0, np.uint8)
-    assert np.array_equal(got_ts, ts) and np.array_equal(got_ch, ch)
-    back = cli.read_event_file(path)
-    assert back.timestamps_ns.dtype == np.int64 and back.channels.dtype == np.uint8
-    assert np.array_equal(back.timestamps_ns, ts) and np.array_equal(back.channels, ch)
-
-
-@pytest.mark.parametrize("bad", [
-    "12x4\tUF\n",                        # a bad digit
-    "1234 UF\n",                          # a missing tab
-    "9223372036854775808\tUF\n",          # int64 overflow
-    "0" * 30 + "1x\tUF\n",                # a bad line longer than several reads
-    "0" * 29 + "x1234\tUF\n",             # a bad digit in front of the last 19
-    "1" + "0" * 29 + "1234\tUF\n",        # a non-zero digit in front of the last 19
-    "0" * 30 + "9223372036854775808\tUF\n",  # int64 overflow in the last 19 digits
-    "5\tUF\n\n",                          # a blank line
-    "5\tUF",                              # an unterminated last line
-    "5\tU",                               # an unterminated last line, cut in its label
-])
-@pytest.mark.parametrize("read_bytes", [1, 6, 11, 1 << 12])
-def test_block_reads_name_the_first_bad_record_like_line_oracle(tmp_path, monkeypatch,
-                                                               bad, read_bytes):
-    monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
-    body = "".join(f"{i}\t{cli.CHANNELS[i % 4]}\n" for i in range(1, 30)) + bad
-    if not bad.endswith(("UF", "U")):
-        body += "40\tDN\n41\tDx\n"  # a second bad line, which must not be named
-    path = tmp_path / "ev.tsv"
-    path.write_text(HEADER + body)
-    with pytest.raises(cli.ValidationError) as want:
-        oracles.parse_records_by_lines(body.encode("ascii"), path)
-    with pytest.raises(cli.ValidationError) as got:
-        cli.read_event_file(path)
-    assert str(got.value) == str(want.value)
-
-
-def test_a_long_record_parses_in_linear_time(tmp_path):
-    # each digit in front of the last 19 once cost one pass of its own:
-    # this record took about 4 s, and 10^5 zeros 0.4 s
-    path = tmp_path / "ev.tsv"
-    path.write_text(HEADER + "0" * 10 ** 6 + "5\tUF\n")
-    start = time.perf_counter()
-    (ts, ch), = cli.EventFile(path).blocks()
-    elapsed = time.perf_counter() - start
-    assert ts.tolist() == [5] and ch.tolist() == [0]
-    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +71,11 @@ def hand_built_stream():
 @pytest.mark.parametrize("read_bytes", [5, 13, 40, 1 << 10])
 def test_tie_resolution_over_file_blocks_matches_loop(tmp_path, monkeypatch, multi_click_stream,
                                                       labels, read_bytes):
-    monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
-    hand = cli.EventFile(write_stream(hand_built_stream(), tmp_path / "hand.tsv"))
+    monkeypatch.setattr(formats, "_READ_BYTES", read_bytes)
+    hand = formats.EventFile(write_stream(hand_built_stream(), tmp_path / "hand.tsv"))
     assert events.bin_and_resolve(hand).tolist() == [3, 1, 2]
     s = oracles.with_labels(multi_click_stream, labels, seed=7)
-    stream = cli.EventFile(write_stream(s, tmp_path / "ev.tsv"))
+    stream = formats.EventFile(write_stream(s, tmp_path / "ev.tsv"))
     blocks = [ts // s.header.bin_width_ns for ts, _ in stream.blocks()]
     # a block edge falls inside a bin of several records
     assert any(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
@@ -214,8 +128,8 @@ def test_simulated_header_roundtrips_through_a_file(tmp_path, rate_line):
     if not rate_line:
         header = dataclasses.replace(header, rate_hz=None)
     path = tmp_path / "ev.tsv"
-    cli.write_event_file(header, path, blocks)
-    assert cli.EventFile(path).header == header
+    formats.write_event_file(header, path, blocks)
+    assert formats.EventFile(path).header == header
     text = path.read_text()
     assert text.startswith("# pathqrng-events v1\n# phi=0.5\n# theta=-1.0\n# duration_s=0.002\n"
                            "# bin_width_us=1.0\n# seed=4\n" + rate_line
@@ -226,7 +140,7 @@ def test_simulate_writes_the_one_shot_stream(tmp_path, monkeypatch):
     # the file holds, byte for byte, the stream simulate_blocks draws for the
     # pair's seed, and that stream has the per-bin law of the one-shot oracle
     monkeypatch.setattr(events, "_SIM_CHUNK", 97)
-    monkeypatch.setattr(cli, "_PARSE_ROWS", 5)
+    monkeypatch.setattr(formats, "_PARSE_ROWS", 5)
     code, _, err = run_cli("simulate", "--angles=0.3:-0.2", "--rate-hz", "9e5",
                            "--duration-s", "0.003", "--seed", "9", "--out", str(tmp_path))
     assert code == 0, err
@@ -252,8 +166,8 @@ def test_windowed_traces_over_file_blocks_match_whole_streams(tmp_path, monkeypa
     streams = chsh_streams(2e5, 0.02)
     files = [write_stream(s, tmp_path / f"s{i}.tsv") for i, s in enumerate(streams)]
     want = events.windowed_traces(streams, window_s=0.002)
-    monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
-    got = events.windowed_traces((cli.EventFile(f) for f in files), window_s=0.002)
+    monkeypatch.setattr(formats, "_READ_BYTES", read_bytes)
+    got = events.windowed_traces((formats.EventFile(f) for f in files), window_s=0.002)
     assert got.n_windows == want.n_windows == 10
     for name in ("probabilities", "correlations", "chi_values"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -274,9 +188,9 @@ def test_windows_over_blocks_refuse_an_empty_window_like_whole_streams(tmp_path,
     files = [write_stream(s, tmp_path / f"s{i}.tsv") for i, s in enumerate(streams)]
     with pytest.raises(ValueError) as want:
         events.windowed_traces(streams, window_s=0.002)
-    monkeypatch.setattr(cli, "_READ_BYTES", 64)
+    monkeypatch.setattr(formats, "_READ_BYTES", 64)
     with pytest.raises(ValueError) as got:
-        events.windowed_traces([cli.EventFile(f) for f in files], window_s=0.002)
+        events.windowed_traces([formats.EventFile(f) for f in files], window_s=0.002)
     assert str(got.value) == str(want.value) == "stream 2 has an empty 0.002 s window"
 
 
@@ -295,11 +209,11 @@ def test_bell_scan_cells_over_blocks_match_line_oracle(tmp_path, monkeypatch, re
     streams = chsh_streams(1e5, 0.01)
     for i, s in enumerate(streams):
         write_stream(s, tmp_path / "ev" / f"s{i}.tsv")
-    monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
+    monkeypatch.setattr(formats, "_READ_BYTES", read_bytes)
     code, _, err = run_cli("bell-scan", "--events", str(tmp_path / "ev"),
                            "--out", str(tmp_path / "o"))
     assert code == 0, err
-    grid = cli.read_grid_file(tmp_path / "o" / "grid.tsv")
+    grid = formats.read_grid_file(tmp_path / "o" / "grid.tsv")
     for s in streams:
         _, _, ch = oracles.event_records_by_lines(oracles.event_file_text_by_lines(s))
         n = ch.size
@@ -348,7 +262,7 @@ def bad_file(path, case):
 @pytest.mark.parametrize("command", ["bell-scan", "extract", "analyze"])
 def test_stream_rules_wait_for_the_last_block(tmp_path, monkeypatch, command, case):
     # reads of 16 bytes put the backward step in the first block
-    monkeypatch.setattr(cli, "_READ_BYTES", 16)
+    monkeypatch.setattr(formats, "_READ_BYTES", 16)
     good = [write_stream(s, tmp_path / "good" / f"s{i}.tsv")
             for i, s in enumerate(chsh_streams(1e5, 0.05)[1:])]
     bad = tmp_path / "ev" / "s0.tsv"
@@ -396,7 +310,8 @@ def test_a_repeated_pair_waits_for_its_records(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_header_keys_are_the_fields_and_the_ns_times_are_derived():
-    assert cli._EVENT_FIELDS == ("phi", "theta", "duration_s", "bin_width_us", "seed", "rate_hz")
+    assert formats._EVENT_FIELDS == ("phi", "theta", "duration_s", "bin_width_us", "seed",
+                                     "rate_hz")
     header = events.StreamHeader(0.5, -1.0, 0.0123, 2.4, 4, 9e5)
     assert header.duration_ns == events._ns("duration", header.duration_s, "s")
     assert header.bin_width_ns == events._whole_ns("bin width", header.bin_width_us, "us")
@@ -414,8 +329,8 @@ def test_header_keys_are_the_fields_and_the_ns_times_are_derived():
 def test_repeated_or_unknown_header_key_exits_2(tmp_path, lines, named):
     path = tmp_path / "ev.tsv"
     path.write_text(HEADER.replace("timestamp_ns", lines + "timestamp_ns") + "5\tUF\n")
-    with pytest.raises(cli.ValidationError, match="header key"):
-        cli.read_event_file(path)
+    with pytest.raises(formats.ValidationError, match="header key"):
+        formats.read_event_file(path)
     out = tmp_path / "bits.txt"
     code, _, err = run_cli("extract", "--events", str(path), "--h-min", "0.3", "--out", str(out))
     lines = err.splitlines()
@@ -459,7 +374,7 @@ def test_read_memory_is_the_records_plus_one_block(paper_rate_runs):
     path = paper_rate_runs[0] / "5" / "events_0000.tsv"
     tracemalloc.start()
     try:
-        s = cli.read_event_file(path)
+        s = formats.read_event_file(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -473,7 +388,7 @@ def test_simulate_memory_is_one_block(paper_rate_runs):
     # until they were written, 5.9 MB traced for these 600k records; drawn
     # per occupied bin, one block at a time, the peak is 0.8 MB
     root, peaks = paper_rate_runs
-    records = max(len(cli.read_event_file(p)) for p in (root / "5").glob("*.tsv"))
+    records = max(len(formats.read_event_file(p)) for p in (root / "5").glob("*.tsv"))
     assert records > 590_000
     # a block of _SIM_CHUNK bins holds about 7,900 records at 0.12 per bin;
     # its draws, records and formatted lines take some 80 bytes per record

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pathqrng import chip, cli, optics
+from pathqrng import chip, formats, optics
 
 INV_SQRT2 = 2.0 ** -0.5
 IDEAL = np.full(4, INV_SQRT2)  # t and r of four ideal 50:50 MZIs
@@ -496,7 +496,7 @@ PAPER_CHIP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "pap
 
 @pytest.mark.parametrize("name", ["paper", "balanced", "unbalanced"])
 def test_broadband_batches_equal_scalar_calls(name):
-    cfg = {"paper": lambda: cli.load_chip_config(PAPER_CHIP),
+    cfg = {"paper": lambda: formats.load_chip_config(PAPER_CHIP),
            "balanced": chip.ChipConfig, "unbalanced": chip.ChipConfig.unbalanced}[name]()
     # the 41x21 calibration scan, in simulate's pair order
     phi, theta = (a.ravel() for a in np.meshgrid(np.linspace(-2.0, 2.0, 41),

@@ -14,18 +14,27 @@ classically bounded by 2 and quantum mechanically by 2 sqrt(2).  For the
 ideal chip E(phi, theta) = cos 2(phi - theta), and the one-parameter family
 phi = -alpha/2, phi' = alpha/2, theta = 0, theta' = alpha collapses chi to
 3 cos(alpha) - cos(3 alpha), maximal at alpha = pi/4.
+
+A measured scan is a :class:`CorrelationGrid` over strictly increasing phi
+and theta lists, built from its (phi, theta) cells by
+:meth:`CorrelationGrid.from_cells`.  :func:`best_combination_search` takes
+the best chi over every oriented setting tuple of a grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 #: grid-independent quantum maximum of |chi|
 CHI_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
+
+#: the most cells a grid may span, checked before its arrays are built; a
+#: scan, one cell per angle pair, schedules no more pairs than this
+MAX_GRID_CELLS = 1_000_000
 
 
 def correlation_coefficient(p: Sequence[float] | np.ndarray) -> float | np.ndarray:
@@ -73,7 +82,9 @@ class CorrelationGrid:
 
     ``e[i, j]`` is E(phi_values[i], theta_values[j]); NaN marks cells with
     no data (discarded or unreachable acquisitions), which every search
-    skips.  ``stderr`` optionally carries per-cell standard errors.
+    skips.  ``stderr`` optionally carries per-cell standard errors.  Both
+    angle lists are finite and strictly increasing (-0.0 next to 0.0 is a
+    repeat), so index order is angle order.
     """
 
     phi_values: tuple[float, ...]
@@ -88,6 +99,13 @@ class CorrelationGrid:
             raise ValueError(f"E shape {e.shape} does not match the angle lists")
         if not np.all(np.isfinite(np.concatenate((self.phi_values, self.theta_values)))):
             raise ValueError("grid angles must be finite")
+        for name, values in (("phi", self.phi_values), ("theta", self.theta_values)):
+            # -0.0 == 0.0, so the pair is a repeat
+            repeat = np.flatnonzero(~(np.diff(values) > 0.0))
+            if repeat.size:
+                i = repeat[0]
+                raise ValueError(f"grid {name} values must strictly increase, not "
+                                 f"{float(values[i])!r} then {float(values[i + 1])!r}")
 
         def cell(i: int, j: int) -> str:
             return f"phi={float(self.phi_values[i])!r} theta={float(self.theta_values[j])!r}"
@@ -110,6 +128,27 @@ class CorrelationGrid:
                 i, j = bad[0]
                 raise ValueError(f"stderr {float(se[i, j])!r} at {cell(i, j)} "
                                  "must be finite and non-negative")
+
+    @classmethod
+    def from_cells(cls,
+                   cells: Mapping[tuple[float, float], tuple[float, float]]) -> CorrelationGrid:
+        """The grid over the sorted distinct angles of (phi, theta) -> (E, stderr) cells.
+
+        Cells missing from the product of the angle lists are NaN, and a
+        stderr that is NaN in every cell becomes None.  A product of more
+        than :data:`MAX_GRID_CELLS` cells is refused before any array is built.
+        """
+        phis = {p: i for i, p in enumerate(sorted({k[0] for k in cells}))}
+        thetas = {t: j for j, t in enumerate(sorted({k[1] for k in cells}))}
+        if len(phis) * len(thetas) > MAX_GRID_CELLS:
+            raise ValueError(f"{len(phis)} phi x {len(thetas)} theta values give more than "
+                             f"{MAX_GRID_CELLS} grid cells")
+        e = np.full((len(phis), len(thetas)), np.nan)
+        se = np.full((len(phis), len(thetas)), np.nan)
+        for (p, t), (ev, sv) in cells.items():
+            e[phis[p], thetas[t]] = ev
+            se[phis[p], thetas[t]] = sv
+        return cls(tuple(phis), tuple(thetas), e, None if np.all(np.isnan(se)) else se)
 
 
 def check_chi(chi: float, stderr: float = 0.0) -> None:
@@ -143,87 +182,60 @@ class ChiResult:
     sign: str = "max"
 
     def __post_init__(self) -> None:
+        # Python floats, so an error message and a document show plain numbers
+        object.__setattr__(self, "chi", float(self.chi))
+        object.__setattr__(self, "stderr", float(self.stderr))
+        object.__setattr__(self, "angles", tuple(map(float, self.angles)))
         check_chi(self.chi, self.stderr)
 
 
 def best_combination_search(grid: CorrelationGrid) -> tuple[ChiResult, ChiResult]:
-    """Exhaustive CHSH search over every angle combination of a grid.
+    """Exhaustive CHSH search over every oriented setting tuple of a grid.
 
-    Evaluates chi for all ordered pairs (phi, phi') and (theta, theta')
-    with distinct entries, which covers all four placements of the minus
-    sign via relabeling.  Cells with NaN are excluded.  Returns the global
-    maximum and minimum; exact ties are broken toward the lexicographically
-    smallest (phi, phi', theta, theta') tuple, then (for repeated angle
-    values) toward the quad met first in index order.
+    A tuple (phi, phi', theta, theta') is two distinct phi rows and two
+    distinct theta columns, with the minus sign on E(phi, theta'): four per
+    quad of cells.  Tuples touching a NaN cell are skipped.  Returns the
+    global maximum and minimum.  The angles strictly increase, so an exact
+    tie goes to the first tuple in index order, the lexicographically smallest.
 
-    The evaluation is blocked by the first phi index: one block holds every
-    later phi against every theta pair, so each block's arrays take
-    O(n_phi * n_theta^2) memory, never the whole O(n_phi^2 * n_theta^2)
-    search.  Within a quad chi is ``total - 2 e_minus`` with
-    ``total = eac + ead + ebc + ebd`` summed in that order.  The stderr,
-    sqrt of the summed squared cell stderrs, is computed for the two
-    winning quads only.
+    One pass per phi row holds its (n_phi - 1, n_theta, n_theta) block over
+    (phi', theta, theta').  chi is the tuple's four cells summed in index
+    order, lower row and then lower column first, minus 2 E(phi, theta');
+    each row's pair sums E[r, lo] + E[r, hi] are formed once.
     """
-    ph = np.asarray(grid.phi_values, dtype=float)
-    th = np.asarray(grid.theta_values, dtype=float)
-    if ph.size < 2 or th.size < 2:
+    ph, th, e = grid.phi_values, grid.theta_values, grid.e
+    if len(ph) < 2 or len(th) < 2:
         raise ValueError("the search needs at least 2 phi values and 2 theta values")
-    e = grid.e
-    jc, jd = np.triu_indices(th.size, 1)
-
-    # per sign: (chi, angles, cell indices (ia, ib, jc, jd)) of the best quad so far
-    best: dict[str, tuple[float, tuple[float, ...], tuple[int, int, int, int]] | None] = {
-        "max": None, "min": None}
-    for ia in range(ph.size - 1):
-        ib = np.arange(ia + 1, ph.size)[:, None]
-        # cells (eac, ead, ebc, ebd) of quad (ib, theta pair) in the last axis
-        cells = np.empty((ib.size, jc.size, 4))
-        cells[..., 0] = e[ia, jc]
-        cells[..., 1] = e[ia, jd]
-        cells[..., 2] = e[ib, jc]
-        cells[..., 3] = e[ib, jd]
-        total = cells[..., 0] + cells[..., 1] + cells[..., 2] + cells[..., 3]
-        # four cells in [-1, 1] sum to a finite total iff none is missing
-        quads = np.flatnonzero(np.isfinite(total))
-        if quads.size == 0:
-            continue
-        # chi = total - 2 e_minus with the minus on (a, c) | (a, d) | (b, c) | (b, d)
-        cells *= 2.0
-        chi = np.subtract(total[..., None], cells, out=cells).reshape(-1, 4)[quads]
-        for sign, value, better in (("max", chi.max(), np.greater),
-                                    ("min", chi.min(), np.less)):
-            cur = best[sign]
-            if cur is not None and better(cur[0], value):
-                continue
-            # the block's tied candidates, in (quad, placement) order
-            ties, placement = np.divmod(np.flatnonzero(chi == value), 4)
-            b, pair = np.divmod(quads[ties], jc.size)
-            b += ia + 1
-            c, d = jc[pair], jd[pair]
-            # relabel so the minus lands on (phi, theta'): placements 2 and 3
-            # swap phi with phi', placements 0 and 2 swap theta with theta'
-            swap_phi = placement >= 2
-            swap_theta = placement % 2 == 0
-            angles = np.stack((ph[np.where(swap_phi, b, ia)], ph[np.where(swap_phi, ia, b)],
-                               th[np.where(swap_theta, d, c)], th[np.where(swap_theta, c, d)]),
-                              axis=1)
-            # the lexicographically smallest tuple; lexsort is stable, so among
-            # equal ones the first
-            k = np.lexsort(angles.T[::-1])[0]
-            candidate = tuple(angles[k])
-            if cur is None or value != cur[0] or candidate < cur[1]:
-                best[sign] = (value, candidate, (ia, int(b[k]), int(c[k]), int(d[k])))
-
-    if best["max"] is None or best["min"] is None:
+    cols = np.arange(len(th))
+    e_lo, e_hi = e[:, np.minimum.outer(cols, cols)], e[:, np.maximum.outer(cols, cols)]
+    pair = e_lo + e_hi
+    chi = np.empty((len(ph) - 1, len(th), len(th)))
+    best: dict[str, tuple[float, int, int, int, int]] = {}
+    for a in range(len(ph)):
+        # block row k is phi row k below a, and row k + 1 from a on
+        np.add(pair[:a], e_lo[a], out=chi[:a])
+        chi[:a] += e_hi[a]
+        np.add(pair[a], e_lo[a + 1:], out=chi[a:])
+        chi[a:] += e_hi[a + 1:]
+        chi -= 2.0 * e[a]
+        chi[:, cols, cols] = np.nan
+        for sign, arg, beats in (("max", np.nanargmax, np.greater),
+                                 ("min", np.nanargmin, np.less)):
+            try:
+                k = arg(chi)
+            except ValueError:  # every tuple of the block touches a NaN cell
+                break
+            if sign not in best or beats(chi.flat[k], best[sign][0]):
+                b, c, d = np.unravel_index(k, chi.shape)
+                best[sign] = (chi.flat[k], a, b + (b >= a), c, d)
+    if not best:
         raise ValueError("grid has no complete angle combination without missing data")
 
     def result(sign: str) -> ChiResult:
-        chi, angles, (ia, ib, c, d) = best[sign]
-        se = 0.0
-        if grid.stderr is not None:
-            s = grid.stderr
-            # the same 4 independent cells enter every minus placement
-            se = float(np.sqrt(np.sum(np.square((s[ia, c], s[ia, d], s[ib, c], s[ib, d])))))
-        return ChiResult(chi, angles, stderr=se, sign=sign)
+        value, a, b, c, d = best[sign]
+        # the squared stderrs of the four cells, summed in index order
+        cells = np.ix_(sorted((a, b)), sorted((c, d)))
+        se = 0.0 if grid.stderr is None else np.sqrt(np.sum(np.square(grid.stderr[cells])))
+        return ChiResult(value, (ph[a], ph[b], th[c], th[d]), stderr=se, sign=sign)
 
     return result("max"), result("min")

@@ -22,16 +22,15 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bell import (CHI_QUANTUM_MAX, best_combination_search, check_chi, chi_alpha_ideal,
-                   correlation_coefficient)
+from .bell import (CHI_QUANTUM_MAX, MAX_GRID_CELLS, CorrelationGrid, best_combination_search,
+                   check_chi, chi_alpha_ideal, correlation_coefficient)
 from .certify import certification_result, e_chi, e_p, guessing_curve
 from .chip import ChipConfig, broadband_probabilities
 from .events import (StreamHeader, bin_and_resolve, raw_bits, simulate_blocks, toeplitz_extract,
                      windowed_traces)
-from .formats import (_DOCS, _GRID_COLUMNS, _MAX_SCAN_PAIRS, CHANNELS, CalibrationFit, EventFile,
-                      ValidationError, _atomic_write, _grid_from_cells, _grid_rows, _write_table,
-                      load_chip_config, read_grid_file, read_json_doc, result_doc,
-                      write_event_file, write_grid_file, write_json_doc)
+from .formats import (_DOCS, _GRID_COLUMNS, CHANNELS, CalibrationFit, EventFile, ValidationError,
+                      _atomic_write, _grid_rows, _write_table, load_chip_config, read_grid_file,
+                      read_json_doc, result_doc, write_event_file, write_grid_file, write_json_doc)
 # not called here, as simulate writes blocks as they are drawn and the subcommands
 # read through EventFile, but kept under these names, which perfbench's tracer wraps
 from .events import simulate_events  # noqa: F401
@@ -212,9 +211,9 @@ def _scan_schedule(step: float) -> list[tuple[float, float]]:
         raise ValidationError(f"scan step {step!r} is too small: 4 / step is not finite")
     n_phi = int(round(4.0 / step)) + 1
     n_theta = int(round(2.0 / step)) + 1
-    if n_phi * n_theta > _MAX_SCAN_PAIRS:
+    if n_phi * n_theta > MAX_GRID_CELLS:
         raise ValidationError(f"scan step {step!r} gives {n_phi * n_theta} angle pairs, "
-                              f"more than {_MAX_SCAN_PAIRS}")
+                              f"more than {MAX_GRID_CELLS}")
     phis = np.linspace(-2.0, 2.0, n_phi)
     thetas = np.linspace(-2.0, 0.0, n_theta)
     return [(float(p), float(t)) for p in phis for t in thetas]
@@ -311,7 +310,7 @@ def _cmd_bell_scan(args: argparse.Namespace) -> int:
     files = sorted(Path(args.events).glob("*.tsv"))
     if not files:
         raise ValidationError(f"no event files under {args.events}")
-    grid = _grid_from_cells(dict(map(_stream_cell, _read_streams(files))))
+    grid = CorrelationGrid.from_cells(dict(map(_stream_cell, _read_streams(files))))
     best_max, best_min = best_combination_search(grid)
     out = Path(args.out)
     write_grid_file(grid, out / "grid.tsv")

@@ -19,11 +19,14 @@
   ``analyze`` and :func:`read_event_file` alike.  The stream rules (order
   and duration) are checked block by block, but a break is reported only
   once the last block has parsed, so a bad record still comes first;
-* correlation grids: TSV long format (phi, theta, E, stderr);
+* correlation grids: TSV long format (phi, theta, E, stderr), one row per
+  cell; the reader refuses a repeated cell and builds the grid with
+  ``bell.CorrelationGrid.from_cells``, over the sorted distinct angles;
 * result documents: JSON, each its ``kind`` plus its result's fields; each
   kind has one summary, which its writer and ``report`` both print, and the
   reader checks that each known kind carries its fields with their JSON
-  types, and that every number in a document is finite.
+  types, and that every number in a document is finite, an integer
+  included: one past the float range is refused before it is parsed.
 
 Every writer is canonical (sorted keys, repr floats) so write -> read ->
 write round-trips byte-identically, and all writes go through a
@@ -59,10 +62,6 @@ from .optics import MmiParams, WavelengthSpectrum
 
 #: output channel labels, in basis order (channel code = index)
 CHANNELS = ("UF", "UN", "DF", "DN")
-
-#: the most angle pairs one scan may simulate, checked before the schedule is
-#: built, and the most cells a grid may span, checked before its arrays are built
-_MAX_SCAN_PAIRS = 1_000_000
 
 
 class ValidationError(ValueError):
@@ -626,30 +625,9 @@ def read_grid_file(path: Path | str) -> CorrelationGrid:
             raise ValidationError(f"{path}: duplicate cell phi={phi} theta={theta}")
         cells[phi, theta] = (e, se)
     try:
-        return _grid_from_cells(cells)
+        return CorrelationGrid.from_cells(cells)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _grid_from_cells(cells: Mapping[tuple[float, float], tuple[float, float]]) -> CorrelationGrid:
-    """The grid over the sorted distinct angles of (phi, theta) -> (E, stderr) cells.
-
-    Cells missing from the product of the angle lists are NaN, and a stderr
-    that is NaN in every cell becomes None.  A product of more than
-    ``_MAX_SCAN_PAIRS`` cells is refused before any array is built.
-    """
-    phis = {p: i for i, p in enumerate(sorted({k[0] for k in cells}))}
-    thetas = {t: j for j, t in enumerate(sorted({k[1] for k in cells}))}
-    if len(phis) * len(thetas) > _MAX_SCAN_PAIRS:
-        raise ValueError(f"{len(phis)} phi x {len(thetas)} theta values give more than "
-                         f"{_MAX_SCAN_PAIRS} grid cells")
-    e = np.full((len(phis), len(thetas)), np.nan)
-    se = np.full((len(phis), len(thetas)), np.nan)
-    for (p, t), (ev, sv) in cells.items():
-        e[phis[p], thetas[t]] = ev
-        se[phis[p], thetas[t]] = sv
-    return CorrelationGrid(tuple(phis), tuple(thetas), e,
-                           None if np.all(np.isnan(se)) else se)
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +707,15 @@ def read_json_doc(path: Path | str) -> dict[str, Any]:
             return value
         raise ValidationError(f"{path}: every number must be finite, not {text}")
 
+    def integer(text: str) -> int:  # one past the float range is refused before int() parses it
+        if math.isfinite(float(text)):
+            return int(text)
+        raise ValidationError(f"{path}: every number must lie in the float range, not an "
+                              f"integer of {len(text.lstrip('-'))} digits")
+
     try:
-        doc = json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
+        doc = json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite,
+                         parse_int=integer)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValidationError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):

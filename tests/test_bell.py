@@ -311,18 +311,18 @@ def test_best_combination_matches_loop_oracle_41x21(make_grid):
 
 
 def test_best_combination_matches_loop_oracle_on_tied_grids():
-    """E on multiples of 0.5 ties chi within and across placements; unsorted
-    and repeated angles (with -0.0 next to 0.0) exercise the tie-break."""
+    """E on multiples of 0.25 ties chi within and across minus placements;
+    the angle lists strictly increase, and a third of them hold -0.0 where
+    the rest hold 0.0."""
     rng = np.random.default_rng(1969)
     for k in range(240):
         n_phi, n_theta = int(rng.integers(2, 13)), int(rng.integers(2, 10))
+        phis = np.sort(rng.choice(np.arange(-6, 7) * 0.25, size=n_phi, replace=False))
+        thetas = np.sort(rng.choice(np.arange(-4, 6) * 0.5, size=n_theta, replace=False))
         if k % 3 == 0:
-            phis = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5], size=n_phi)
-            thetas = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=n_theta)
-        else:
-            phis = rng.permutation(n_phi) * 0.25 - 1.0
-            thetas = rng.permutation(n_theta) * 0.5
-        e = rng.integers(-2, 3, size=(n_phi, n_theta)) * 0.5
+            phis[phis == 0.0], thetas[thetas == 0.0] = -0.0, -0.0
+        # a quarter can reach |chi| = 4, past the quantum bound, so the error path is compared too
+        e = rng.integers(-2, 3, size=(n_phi, n_theta)) * (0.5 if k % 4 == 0 else 0.25)
         e[rng.random(e.shape) < rng.uniform(0.0, 0.5)] = np.nan
         se = None
         if k % 2:
@@ -330,6 +330,41 @@ def test_best_combination_matches_loop_oracle_on_tied_grids():
             # cells without E may carry anything
             se[np.isnan(e)] = rng.choice([np.nan, -1.0, np.inf])
         assert_search_matches_loop(bell.CorrelationGrid(tuple(phis), tuple(thetas), e, se))
+
+
+def test_best_combination_matches_loop_oracle_bit_for_bit_on_random_grids():
+    """Random E and stderrs round differently in each summation order, so
+    the winners' chi and stderr match the loop only when the four cells are
+    summed in index order, whichever of phi and phi' is the lower row."""
+    rng = np.random.default_rng(880)
+    for _ in range(60):
+        n_phi, n_theta = int(rng.integers(2, 9)), int(rng.integers(2, 8))
+        phis, thetas = np.sort(rng.uniform(-2, 2, n_phi)), np.sort(rng.uniform(-2, 0, n_theta))
+        e = rng.uniform(-0.7, 0.7, size=(n_phi, n_theta))
+        assert_search_matches_loop(bell.CorrelationGrid(
+            tuple(phis), tuple(thetas), e, rng.uniform(0.0, 0.05, size=e.shape)))
+
+
+@pytest.mark.parametrize("values, message", [
+    ((0.0, 1.0, 0.5), "not 1.0 then 0.5"),
+    ((0.0, 0.5, 0.5), "not 0.5 then 0.5"),
+    ((-0.0, 0.0), "not -0.0 then 0.0"),
+    ((0.0, -0.0), "not 0.0 then -0.0"),
+])
+def test_correlation_grid_refuses_angles_that_do_not_strictly_increase(values, message):
+    e = np.zeros((len(values), 2))
+    with pytest.raises(ValueError, match=f"grid phi values must strictly increase, {message}"):
+        bell.CorrelationGrid(values, (0.0, 1.0), e)
+    with pytest.raises(ValueError, match=f"grid theta values must strictly increase, {message}"):
+        bell.CorrelationGrid((0.0, 1.0), values, e.T)
+
+
+def test_chi_result_holds_python_floats():
+    r = bell.ChiResult(np.float64(2.5), tuple(np.arange(4.0)), stderr=np.float64(0.01))
+    assert type(r.chi) is float and type(r.stderr) is float
+    assert all(type(a) is float for a in r.angles)
+    with pytest.raises(ValueError, match=r"^chi = 4\.0 violates"):
+        bell.ChiResult(np.float64(4.0), (0.0, 1.0, 0.0, 1.0))
 
 
 def test_best_combination_no_complete_quad_matches_loop():

@@ -293,9 +293,9 @@ class TestSimulateCommand:
 
     def test_scan_pair_bound_is_inclusive(self, monkeypatch):
         # step 1.0 schedules 5 x 3 pairs: allowed at a bound of 15, refused at 14
-        monkeypatch.setattr(cli, "_MAX_SCAN_PAIRS", 15)
+        monkeypatch.setattr(cli, "MAX_GRID_CELLS", 15)
         assert len(cli._scan_schedule(1.0)) == 15
-        monkeypatch.setattr(cli, "_MAX_SCAN_PAIRS", 14)
+        monkeypatch.setattr(cli, "MAX_GRID_CELLS", 14)
         with pytest.raises(formats.ValidationError, match="15 angle pairs, more than 14"):
             cli._scan_schedule(1.0)
 
@@ -567,6 +567,20 @@ class TestBellScanCommand:
         assert "duplicate angle pair (0.0, 1.0)" in json.loads(lines[0])["message"]
         assert not (tmp_path / "o").exists()
 
+    def test_chi_past_the_quantum_bound_is_named_as_a_plain_number(self, tmp_path):
+        # all-UF streams have E = +1 and the all-UN one E = -1, so chi = 4 with no stderr
+        ev = tmp_path / "ev"
+        for i, (phi, theta) in enumerate(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))):
+            dist = (0.0, 1.0, 0.0, 0.0) if i == 1 else (1.0, 0.0, 0.0, 0.0)
+            write_stream(events.simulate_events(dist, 1e5, 0.01, seed=i, phi=phi, theta=theta),
+                         ev / f"s{i}.tsv")
+        code, _, err = run_cli("bell-scan", "--events", str(ev), "--out", str(tmp_path / "o"))
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0])["message"] == \
+            "chi = 4.0 violates the quantum bound beyond statistical slack"
+        assert not (tmp_path / "o").exists()
+
 
 class TestCertifyCommand:
     def test_explicit_corrections(self, tmp_path):
@@ -746,6 +760,24 @@ def test_infinite_chi_in_file_is_validation_error(tmp_path):
 _ANGLES = {"phi": 0.0, "phi_prime": 0.5, "theta": 0.2, "theta_prime": 0.7}
 
 
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_integer_past_the_float_range_is_validation_error(tmp_path, digits):
+    # 401 digits once overflowed float() in the summary and in certify; 5,001
+    # passed the digit limit of int(); neither error named the file
+    path = tmp_path / "chi.json"
+    path.write_text('{"kind": "chi-result", "chi": 1' + "0" * (digits - 1) + ', "stderr": 0.01, '
+                    '"sign": "max", "angles": ' + json.dumps(_ANGLES) + "}")
+    for argv in (["report", "--result", str(path)],
+                 ["certify", "--chi-file", str(path), "--e-chi", "0.09", "--e-p", "0.02",
+                  "--out", str(tmp_path / "c.json")]):
+        code, _, err = run_cli(*argv)
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0])["message"] == \
+            f"{path}: every number must lie in the float range, not an integer of {digits} digits"
+    assert not (tmp_path / "c.json").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("chi", None), ("chi", "2.7"), ("chi", True), ("chi", [2.7]),
     ("angles", [0.0, 0.5, 0.2, 0.7]), ("sign", 1), ("kind", ["chi-result"]),
@@ -777,6 +809,68 @@ def test_mistyped_result_documents_rejected_by_report(tmp_path, doc):
     code, _, err = run_cli("report", "--result", str(tmp_path / "doc.json"))
     assert code == 2 and len(err.splitlines()) == 1
     assert "must be" in json.loads(err)["message"]
+
+
+# JSON literals and grid-file text of each odd number a field or cell may hold
+_ODD_NUMBERS = {"nan": ("NaN", "nan"), "inf": ("Infinity", "inf"), "-inf": ("-Infinity", "-inf"),
+                "-0": ("-0", "-0"), "5e-324": ("5e-324", "5e-324"), "1e308": ("1e308", "1e308"),
+                "2^63": (str(2 ** 63),) * 2, "10^30": (str(10 ** 30),) * 2,
+                "10^400": (str(10 ** 400),) * 2}
+# the numeric fields of each document kind, by the reader's own field table
+_NUMERIC_FIELDS = [(kind, field) for kind, d in formats._DOCS.items()
+                   for field, json_type in d.fields.items()
+                   if json_type in ("a real number", "an integer", "a real number or null")]
+
+
+def _seeded_document(kind, swap_field, literal):
+    """A ``kind`` document of seeded values, as JSON text, with ``swap_field``
+    holding the JSON ``literal``."""
+    rng = np.random.default_rng(11)
+    doc = {"kind": kind}
+    for field, json_type in formats._DOCS[kind].fields.items():
+        *outer, key = field.split(".")
+        node = doc
+        for name in outer:
+            node = node.setdefault(name, {})
+        node[key] = {"a string": "max", "a boolean": True,
+                     "an integer": int(rng.integers(1, 3))}.get(json_type, rng.uniform(-3, 3))
+        if field == swap_field:
+            node[key] = "@swap@"
+    return json.dumps(doc).replace('"@swap@"', literal)
+
+
+def _report_exits_0_or_names_the_file(path, tmp_path):
+    code, _, err = run_cli("report", "--result", str(path), "--plots-dir", str(tmp_path / "p"))
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        (line,) = err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ValidationError" and str(path) in record["message"]
+
+
+@pytest.mark.parametrize("number", _ODD_NUMBERS)
+@pytest.mark.parametrize("kind, field", _NUMERIC_FIELDS)
+def test_report_of_an_odd_number_in_a_document(tmp_path, kind, field, number):
+    path = tmp_path / "doc.json"
+    path.write_text(_seeded_document(kind, field, _ODD_NUMBERS[number][0]))
+    _report_exits_0_or_names_the_file(path, tmp_path)
+
+
+@pytest.mark.parametrize("number", _ODD_NUMBERS)
+@pytest.mark.parametrize("cell", range(16))
+def test_report_of_an_odd_number_in_a_grid_file(tmp_path, cell, number):
+    # a seeded 2 x 2 grid, one of its 4 rows x 4 columns swapped
+    rng = np.random.default_rng(12)
+    rows = [[phi, theta, rng.uniform(-1, 1), rng.uniform(0, 0.05)]
+            for phi in (-0.5, 0.5) for theta in (-1.0, 0.0)]
+    text = [[repr(v) for v in row] for row in rows]
+    text[cell // 4][cell % 4] = _ODD_NUMBERS[number][1]
+    path = tmp_path / "grid.tsv"
+    path.write_text("# pathqrng-grid v1\nphi\ttheta\te\tstderr\n"
+                    + "".join("\t".join(row) + "\n" for row in text))
+    _report_exits_0_or_names_the_file(path, tmp_path)
 
 
 class TestAnalyzeCommand:
